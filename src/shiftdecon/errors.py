@@ -18,7 +18,13 @@ class InvariantViolationError(ShiftDeconError, ValueError):
 
 
 class VanishingEigenvalueError(ShiftDeconError, ZeroDivisionError):
-    """A shift-density Fourier coefficient needed for inversion is exactly zero."""
+    """A shift-density Fourier coefficient needed for inversion vanishes.
+
+    Raised when ``|gamma_k|^2`` is at or below
+    ``shiftdecon.spectral.EIGENVALUE_FLOOR`` (machine epsilon), not only at
+    exact zero: dividing by such a value returns a finite but meaningless
+    estimate.
+    """
 
 
 class DegenerateInputError(ShiftDeconError, ValueError):

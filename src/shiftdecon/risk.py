@@ -16,6 +16,11 @@ with the penalized and plain envelopes
 All curves over ``N`` are built from per-frequency increments accumulated by
 sequential recurrences, which keeps the identity ``r = (bias + v1) + v2`` and
 the monotonicity of ``bias`` and ``v1`` exact in floating point.
+
+The Monte Carlo replicate loop (simulate, select, score the loss) lives here
+once, in ``_run_replicates``: :func:`mc_risk` runs it with one selection
+rule, and :func:`shiftdecon.study.run_replication_study` with both adaptive
+criteria on shared datasets.
 """
 
 from __future__ import annotations
@@ -23,14 +28,16 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import DegenerateInputError, InvalidParameterError, VanishingEigenvalueError
-from .selection import ESTIMATE_KINDS, compute_m0, select_cutoff
+from .errors import DegenerateInputError, InvalidParameterError
+from .selection import (ESTIMATE_KINDS, compute_m0, fraction_negative_theta_hat,
+                        select_cutoff)
 from .simulate import simulate
-from .spectral import ShiftDensity, Template, laplace_density, point_mass_density
+from .spectral import (ShiftDensity, Template, _pair_sums, _tail_energy, laplace_density,
+                       point_mass_density)
 
 __all__ = [
     "RiskBreakdown",
@@ -97,54 +104,30 @@ class RiskReport:
         return getattr(self, "oracle_" + kind)
 
 
-def _pair_sums(values: np.ndarray, half: int) -> np.ndarray:
-    """Collapse a symmetric band array (length ``2*half + 1``, center index
-    ``half``) into per-step sums: entry 0 is the k=0 value, entry N >= 1 is
-    value(+N) + value(-N)."""
-    out = np.empty(half + 1, dtype=float)
-    out[0] = values[half]
-    if half >= 1:
-        out[1:] = values[half + 1 :] + values[half - 1 :: -1]
-    return out
-
-
 def risk_report(template: Template, density: ShiftDensity, n: int, epsilon: float,
                 n_max: int, *, log_base: float = math.e,
                 penalty_multiplier: float = 1.0) -> RiskReport:
     """Evaluate all risk curves for cutoffs ``0..n_max``.
 
     ``n_max`` may exceed the template band (the tail bias is then zero), but
-    every ``gamma_k`` on ``|k| <= n_max`` must be nonzero.
+    every ``gamma_k`` on ``|k| <= n_max`` must be invertible: see
+    :meth:`ShiftDensity.gamma_band`.
     """
     if n < 1:
         raise InvalidParameterError(f"n must be >= 1, got {n}")
-    if not (epsilon >= 0.0):
-        raise InvalidParameterError(f"epsilon must be >= 0, got {epsilon}")
+    if not (0.0 <= epsilon < math.inf):
+        raise InvalidParameterError(f"epsilon must be finite and >= 0, got {epsilon}")
     if n_max < 0:
         raise InvalidParameterError(f"n_max must be >= 0, got {n_max}")
     k_max = template.k_max
-    gam = density.gamma(np.arange(-n_max, n_max + 1))
-    g2 = np.abs(gam) ** 2
-    if np.any(g2 == 0.0):
-        bad = int(np.flatnonzero(g2 == 0.0)[0]) - n_max
-        raise VanishingEigenvalueError(f"gamma_k is exactly zero at k={bad}")
-    g2inv = 1.0 / g2
+    g2inv = 1.0 / np.abs(density.gamma_band(n_max)) ** 2
 
-    # Per-frequency theta energy on a band wide enough for both the retained
-    # sums (0..n_max) and the bias tail (frequencies beyond n_max).
+    bias = _tail_energy(template, n_max)
+
+    # Per-frequency theta energy on |k| <= n_max, zero past the template band.
     wide = max(n_max, k_max)
     theta2 = np.zeros(2 * wide + 1, dtype=float)
     theta2[wide - k_max : wide + k_max + 1] = np.abs(template.coeffs) ** 2
-    theta2_steps = _pair_sums(theta2, wide)
-
-    # bias(N) = sum of theta2 steps beyond N, accumulated backwards so that
-    # bias is exactly non-increasing step to step.
-    tail = np.empty(wide + 2, dtype=float)
-    tail[wide + 1] = 0.0
-    for m in range(wide, -1, -1):
-        tail[m] = tail[m + 1] + theta2_steps[m]
-    bias = tail[1 : n_max + 2].copy()
-
     theta2_band = theta2[wide - n_max : wide + n_max + 1]
 
     v1_steps = _pair_sums(g2inv, n_max)
@@ -216,37 +199,55 @@ class McRisk(NamedTuple):
     cutoffs: np.ndarray
 
 
-def _loss_tail_table(template: Template, n_max: int) -> np.ndarray:
-    """``tail[N] = sum_{|k| > N} |theta_k|^2`` for ``N = 0..n_max``."""
+class _Replicates(NamedTuple):
+    """Per-replicate results in seed order; row ``j`` of ``cutoffs`` and
+    ``losses`` belongs to the ``j``-th rule."""
+
+    cutoffs: np.ndarray
+    losses: np.ndarray
+    negative_fractions: np.ndarray
+
+
+def _run_replicates(template: Template, density: ShiftDensity, n: int,
+                    epsilon: float, seeds: Sequence[np.random.SeedSequence],
+                    rules: Sequence[Union[str, int]], m0: int, *, workers: int,
+                    **options) -> _Replicates:
+    """The replicate loop behind :func:`mc_risk` and the replication study.
+
+    Each seed gives one simulated dataset, on which every rule picks a
+    cutoff: a criterion kind is minimized over ``0..m0`` (``options`` go to
+    :func:`select_cutoff`), an ``int`` is a fixed cutoff ``<= m0``.  A cutoff
+    ``N`` scores ``||theta_hat - theta||^2`` of the band-``N`` estimator,
+    its tail ``sum_{|k| > N} |theta_k|^2`` taken in closed form.  Replicates
+    are collected in seed order, so results are bit-identical for any
+    ``workers``.
+    """
     k_max = template.k_max
-    theta2 = np.abs(template.coeffs) ** 2
-    steps = _pair_sums(theta2, k_max)
-    tail = np.empty(k_max + 2, dtype=float)
-    tail[k_max + 1] = 0.0
-    for m in range(k_max, -1, -1):
-        tail[m] = tail[m + 1] + steps[m]
-    out = np.zeros(n_max + 1, dtype=float)
-    upto = min(n_max, k_max)
-    out[: upto + 1] = tail[1 : upto + 2]
-    return out
+    gamma = density.gamma_band(m0)
+    tail = _tail_energy(template, m0)
 
+    def replicate(seed):
+        obs = simulate(template, density, n, epsilon, seed, keep_shifts=False)
+        cutoffs = [rule if isinstance(rule, int)
+                   else select_cutoff(obs, density, rule, m0=m0, **options).chosen_n
+                   for rule in rules]
+        losses = []
+        for cutoff in cutoffs:
+            band = slice(k_max - cutoff, k_max + cutoff + 1)
+            theta_hat = obs.c_tilde[band] / gamma[m0 - cutoff : m0 + cutoff + 1]
+            diff = theta_hat - template.coeffs[band]
+            losses.append(float(np.sum(np.abs(diff) ** 2) + tail[cutoff]))
+        return cutoffs, losses, fraction_negative_theta_hat(obs, density, m0)
 
-def _replicate_loss(template: Template, density: ShiftDensity, n: int,
-                    epsilon: float, estimator_kind: str, fixed_cutoff: Optional[int],
-                    m0: int, seed: np.random.SeedSequence, tail: np.ndarray,
-                    gamma_band: np.ndarray, options: dict) -> tuple[float, int]:
-    obs = simulate(template, density, n, epsilon, seed, keep_shifts=False)
-    if estimator_kind == "fixed_n":
-        cutoff = int(fixed_cutoff)  # type: ignore[arg-type]
+    if workers == 1:
+        rows = [replicate(seed) for seed in seeds]
     else:
-        criterion = "u_bar" if estimator_kind == "theta_star" else "u_tilde"
-        cutoff = select_cutoff(obs, density, criterion, m0=m0, **options).chosen_n
-    k_max = obs.k_max
-    sl = slice(k_max - cutoff, k_max + cutoff + 1)
-    theta_hat = obs.c_tilde[sl] / gamma_band[sl]
-    diff = theta_hat - template.coeffs[sl]
-    loss = float(np.sum(np.abs(diff) ** 2) + tail[cutoff])
-    return loss, cutoff
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            rows = list(pool.map(replicate, seeds))
+    cutoffs, losses, negative_fractions = zip(*rows)
+    return _Replicates(cutoffs=np.array(cutoffs, dtype=int).T.copy(),
+                       losses=np.array(losses, dtype=float).T.copy(),
+                       negative_fractions=np.array(negative_fractions, dtype=float))
 
 
 def mc_risk(template: Template, density: ShiftDensity, n: int, epsilon: float,
@@ -279,48 +280,33 @@ def mc_risk(template: Template, density: ShiftDensity, n: int, epsilon: float,
         raise InvalidParameterError(f"replications must be >= 2, got {replications}")
     if workers < 1:
         raise InvalidParameterError(f"workers must be >= 1, got {workers}")
+    if not (0.0 <= epsilon < math.inf):
+        raise InvalidParameterError(f"epsilon must be finite and >= 0, got {epsilon}")
     if estimator_kind == "fixed_n":
         if cutoff is None:
             raise InvalidParameterError("fixed_n estimator requires a cutoff")
         band_top = int(cutoff)
+        rule: Union[str, int] = band_top
     else:
         if m0 is None:
             m0 = compute_m0(density, n, template.k_max, log_base=log_base,
                             threshold_multiplier=threshold_multiplier).value
         band_top = int(m0)
+        rule = "u_bar" if estimator_kind == "theta_star" else "u_tilde"
     if not (0 <= band_top <= template.k_max):
         raise InvalidParameterError(
             f"cutoff bound must be in 0..{template.k_max}, got {band_top}"
         )
 
-    k_max = template.k_max
-    gamma_band = density.gamma(np.arange(-k_max, k_max + 1))
-    check = slice(k_max - band_top, k_max + band_top + 1)
-    if np.any(gamma_band[check] == 0.0):
-        bad = int(np.flatnonzero(gamma_band[check] == 0.0)[0]) - band_top
-        raise VanishingEigenvalueError(f"gamma_k is exactly zero at k={bad}")
-
-    tail = _loss_tail_table(template, k_max)
-    options = dict(log_base=log_base, penalty_multiplier=penalty_multiplier,
-                   penalty_variant=penalty_variant)
     seeds = np.random.SeedSequence(seed).spawn(replications)
-
-    def job(i: int) -> tuple[float, int]:
-        return _replicate_loss(template, density, n, epsilon, estimator_kind,
-                               cutoff, band_top, seeds[i], tail, gamma_band,
-                               options)
-
-    if workers == 1:
-        results = [job(i) for i in range(replications)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(job, range(replications)))
-
-    losses = np.array([loss for loss, _ in results], dtype=float)
-    cutoffs = np.array([c for _, c in results], dtype=int)
+    reps = _run_replicates(template, density, n, epsilon, seeds, (rule,), band_top,
+                           workers=workers, log_base=log_base,
+                           penalty_multiplier=penalty_multiplier,
+                           penalty_variant=penalty_variant)
+    losses = reps.losses[0]
     mean = float(np.mean(losses))
     stderr = float(np.std(losses, ddof=1) / math.sqrt(replications))
-    return McRisk(mean=mean, stderr=stderr, losses=losses, cutoffs=cutoffs)
+    return McRisk(mean=mean, stderr=stderr, losses=losses, cutoffs=reps.cutoffs[0])
 
 
 def oracle_ratio(template: Template, density: ShiftDensity, n: int, epsilon: float,

@@ -31,9 +31,9 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import InvalidParameterError, VanishingEigenvalueError
+from .errors import InvalidParameterError
 from .simulate import SequenceObservations
-from .spectral import ShiftDensity, _synthesize_rows
+from .spectral import ShiftDensity, _pair_sums, _synthesize_rows
 
 __all__ = [
     "CRITERION_KINDS",
@@ -100,28 +100,13 @@ def compute_m0(density: ShiftDensity, n: int, k_max: int, *,
     return M0Result(value=int(crossed[0]), saturated=False, threshold=threshold)
 
 
-def _gamma_sq_band(density: ShiftDensity, n_max: int) -> np.ndarray:
-    """``|gamma_k|^2`` for ``k = -n_max..n_max``; raises on exact zeros."""
-    gam = density.gamma(np.arange(-n_max, n_max + 1))
-    g2 = np.abs(gam) ** 2
-    if np.any(g2 == 0.0):
-        bad = int(np.flatnonzero(g2 == 0.0)[0]) - n_max
-        raise VanishingEigenvalueError(
-            f"gamma_k is exactly zero at k={bad}; the band |k| <= {n_max} "
-            f"cannot be inverted"
-        )
-    return g2
-
-
 def theta_hat_squared(obs: SequenceObservations, density: ShiftDensity,
                       k: int) -> float:
     """Unbiased estimate ``(|c_tilde_k|^2 - eps^2/n) / |gamma_k|^2`` of
     ``|theta_k|^2``; may be negative, deliberately unclipped."""
     if abs(k) > obs.k_max:
         raise InvalidParameterError(f"|k| must be <= k_max={obs.k_max}, got {k}")
-    g2 = float(np.abs(density.gamma(k)) ** 2)
-    if g2 == 0.0:
-        raise VanishingEigenvalueError(f"gamma_k is exactly zero at k={k}")
+    g2 = float(np.abs(density._invertible_gamma(k)) ** 2)
     c = obs.c_tilde[obs.coeff_index(k)]
     return float((abs(c) ** 2 - obs.epsilon ** 2 / obs.n) / g2)
 
@@ -135,7 +120,7 @@ def fraction_negative_theta_hat(obs: SequenceObservations, density: ShiftDensity
         n_max = obs.k_max
     if not (0 <= n_max <= obs.k_max):
         raise InvalidParameterError(f"n_max must be in 0..{obs.k_max}, got {n_max}")
-    g2 = _gamma_sq_band(density, n_max)
+    g2 = np.abs(density.gamma_band(n_max)) ** 2
     sl = slice(obs.k_max - n_max, obs.k_max + n_max + 1)
     t = np.abs(obs.c_tilde[sl]) ** 2 - obs.epsilon ** 2 / obs.n
     return float(np.count_nonzero(t / g2 < 0.0)) / (2 * n_max + 1)
@@ -163,7 +148,7 @@ def criterion_increments(obs: SequenceObservations, density: ShiftDensity,
             f"n_max must be in 0..{obs.k_max}, got {n_max}"
         )
     n = obs.n
-    g2 = _gamma_sq_band(density, n_max)
+    g2 = np.abs(density.gamma_band(n_max)) ** 2
     sl = slice(obs.k_max - n_max, obs.k_max + n_max + 1)
     c_abs = np.abs(obs.c_tilde[sl])
     noise_floor = obs.epsilon ** 2 / n
@@ -182,11 +167,7 @@ def criterion_increments(obs: SequenceObservations, density: ShiftDensity,
     else:  # u_tilde
         per_k = -t / g2 + noise_floor / g2
 
-    inc = np.empty(n_max + 1, dtype=float)
-    inc[0] = per_k[n_max]
-    if n_max >= 1:
-        inc[1:] = per_k[n_max + 1 :] + per_k[n_max - 1 :: -1]
-    return inc
+    return _pair_sums(per_k, n_max)
 
 
 def criterion_trace(obs: SequenceObservations, density: ShiftDensity,
@@ -312,10 +293,7 @@ def estimate(obs: SequenceObservations, density: ShiftDensity, cutoff: int,
         raise InvalidParameterError(f"unknown estimate kind {kind!r}; expected one of {ESTIMATE_KINDS}")
     if not (0 <= cutoff <= obs.k_max):
         raise InvalidParameterError(f"cutoff must be in 0..{obs.k_max}, got {cutoff}")
-    gam = density.gamma(np.arange(-cutoff, cutoff + 1))
-    if np.any(gam == 0.0):
-        bad = int(np.flatnonzero(gam == 0.0)[0]) - cutoff
-        raise VanishingEigenvalueError(f"gamma_k is exactly zero at k={bad}")
+    gam = density.gamma_band(cutoff)
     coeffs = np.zeros(2 * obs.k_max + 1, dtype=np.complex128)
     sl = slice(obs.k_max - cutoff, obs.k_max + cutoff + 1)
     coeffs[sl] = obs.c_tilde[sl] / gam

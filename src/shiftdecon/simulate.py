@@ -16,6 +16,7 @@ imaginary noise parts) so a seed pins the entire dataset bit-for-bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -108,7 +109,7 @@ def simulate(template: Template, density: ShiftDensity, n: int, epsilon: float,
     n : int
         Number of curves (>= 1).
     epsilon : float
-        Noise level (>= 0); ``epsilon = 0`` gives exact shifted coefficients.
+        Noise level (finite, >= 0); ``epsilon = 0`` gives exact shifted coefficients.
     seed : int, SeedSequence or Generator
         Source of randomness; equal seeds give bit-identical datasets.
     keep_shifts : bool
@@ -120,8 +121,8 @@ def simulate(template: Template, density: ShiftDensity, n: int, epsilon: float,
     """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise InvalidParameterError(f"n must be an integer >= 1, got {n!r}")
-    if not (epsilon >= 0.0):
-        raise InvalidParameterError(f"epsilon must be >= 0, got {epsilon!r}")
+    if not (0.0 <= epsilon < math.inf):
+        raise InvalidParameterError(f"epsilon must be finite and >= 0, got {epsilon!r}")
     n = int(n)
     k_max = template.k_max
     rng = _resolve_rng(seed)

@@ -23,7 +23,8 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import AliasingError, InvalidParameterError, InvariantViolationError
+from .errors import (AliasingError, InvalidParameterError, InvariantViolationError,
+                     VanishingEigenvalueError)
 
 __all__ = [
     "Template",
@@ -38,6 +39,10 @@ __all__ = [
     "synthesize",
     "analyze",
 ]
+
+#: ``|gamma_k|^2`` at or below this (machine epsilon) counts as a vanishing
+#: eigenvalue: inverting it would amplify rounding noise past any signal.
+EIGENVALUE_FLOOR = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -180,10 +185,31 @@ class ShiftDensity:
         return out
 
     def gamma_band(self, k_max: int) -> np.ndarray:
-        """``gamma_k`` for ``k = -k_max..k_max`` as a flat array."""
+        """``gamma_k`` for ``k = -k_max..k_max`` as a flat array, safe to invert.
+
+        Raises
+        ------
+        VanishingEigenvalueError
+            If some ``|gamma_k|^2`` on the band is at or below
+            :data:`EIGENVALUE_FLOOR`.
+        """
         if k_max < 0:
             raise InvalidParameterError(f"k_max must be >= 0, got {k_max}")
-        return self.gamma(np.arange(-k_max, k_max + 1))
+        return self._invertible_gamma(np.arange(-k_max, k_max + 1))
+
+    def _invertible_gamma(self, k) -> np.ndarray:
+        """``gamma`` at frequencies ``k``, all of which are about to be inverted."""
+        gam = self.gamma(k)
+        g2 = np.abs(gam) ** 2
+        vanishing = np.flatnonzero(g2 <= EIGENVALUE_FLOOR)
+        if vanishing.size:
+            at = vanishing[0]
+            raise VanishingEigenvalueError(
+                f"|gamma_k|^2 = {float(g2.flat[at]):.3e} at "
+                f"k={int(np.ravel(k)[at])} is at or below EIGENVALUE_FLOOR = "
+                f"{EIGENVALUE_FLOOR:.3e}; the frequency cannot be inverted"
+            )
+        return gam
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw ``size`` shifts."""
@@ -237,14 +263,17 @@ def uniform_density(half_width: float) -> ShiftDensity:
     """Uniform shifts on ``[-a, a]``; ``gamma_k = sin(2 pi k a) / (2 pi k a)``.
 
     ``gamma`` has zeros whenever ``2 k a`` is a nonzero integer, so no
-    two-sided polynomial envelope is declared.
+    two-sided polynomial envelope is declared.  Those zeros are returned as
+    exact ``0`` (``np.sinc`` alone leaves rounding residue of order 1e-17).
     """
     if not (half_width > 0.0):
         raise InvalidParameterError(f"half_width must be > 0, got {half_width}")
     a = float(half_width)
 
     def gamma_fn(k):
-        return np.sinc(2.0 * a * k.astype(float)).astype(np.complex128)
+        x = 2.0 * a * k.astype(float)
+        zero = (x == np.round(x)) & (x != 0.0)
+        return np.where(zero, 0.0, np.sinc(x)).astype(np.complex128)
 
     def sampler(rng, size):
         return rng.uniform(-a, a, size)
@@ -305,6 +334,31 @@ def verify_polynomial_decay(density: ShiftDensity, k_max: int) -> DecayCheck:
             if not (lo <= mag <= hi):
                 return DecayCheck(ok=False, violating_k=signed_k)
     return DecayCheck(ok=True, violating_k=None)
+
+
+def _pair_sums(values: np.ndarray, half: int) -> np.ndarray:
+    """Collapse a symmetric band array (length ``2*half + 1``, center index
+    ``half``) into per-step sums: entry 0 is the k=0 value, entry N >= 1 is
+    value(+N) + value(-N)."""
+    out = np.empty(half + 1, dtype=float)
+    out[0] = values[half]
+    if half >= 1:
+        out[1:] = values[half + 1 :] + values[half - 1 :: -1]
+    return out
+
+
+def _tail_energy(template: Template, n_max: int) -> np.ndarray:
+    """``tail[N] = sum_{|k| > N} |theta_k|^2`` for ``N = 0..n_max``.
+
+    Zero past ``k_max``.  Accumulated backwards from the band edge, so the
+    tail is exactly non-increasing in ``N``.
+    """
+    k_max = template.k_max
+    steps = _pair_sums(np.abs(template.coeffs) ** 2, k_max)
+    tail = np.zeros(max(n_max, k_max) + 2, dtype=float)
+    for m in range(k_max, -1, -1):
+        tail[m] = tail[m + 1] + steps[m]
+    return tail[1 : n_max + 2]
 
 
 def _synthesis_matrix_t(k_max: int, grid_size: int) -> np.ndarray:

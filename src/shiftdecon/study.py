@@ -15,11 +15,13 @@ cutoff selections (penalized and plain) on each, and writes plot-ready CSVs:
 
 Output bytes depend only on the configuration (not on worker count), so a
 bundle can be diffed run-to-run as a regression check.
+
+The replicates themselves run in ``shiftdecon.risk._run_replicates``, the
+same loop :func:`shiftdecon.risk.mc_risk` uses; this module adds the bundle.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -29,8 +31,8 @@ import numpy as np
 from .config import ExperimentConfig, build_density, build_template, resolve_log_base
 from .csvio import write_csv, write_curves_csv, write_risk_report_csv
 from .errors import InvalidParameterError
-from .risk import RiskReport, risk_report
-from .selection import compute_m0, criterion_trace, fraction_negative_theta_hat, select_cutoff
+from .risk import RiskReport, _run_replicates, risk_report
+from .selection import compute_m0, criterion_trace
 from .simulate import render_curves, render_grid, simulate
 from .spectral import synthesize
 
@@ -97,34 +99,14 @@ def run_replication_study(cfg: ExperimentConfig, out_dir, *, grid_size: int = 25
     if m0_used > k_max:
         raise InvalidParameterError(f"m0={m0_used} exceeds the band k_max={k_max}")
 
-    gamma_band = density.gamma(np.arange(-k_max, k_max + 1))
-    theta2_tail = _tail_table(template)
     sel_options = dict(log_base=log_base, penalty_variant=cfg.penalty_variant)
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.replications)
-
-    def job(i: int):
-        obs = simulate(template, density, cfg.n, cfg.epsilon, seeds[i],
-                       keep_shifts=False)
-        star = select_cutoff(obs, density, "u_bar", m0=m0_used, **sel_options)
-        tilde = select_cutoff(obs, density, "u_tilde", m0=m0_used, **sel_options)
-        losses = tuple(
-            _band_loss(obs, template, gamma_band, theta2_tail, sel.chosen_n)
-            for sel in (star, tilde)
-        )
-        neg_frac = fraction_negative_theta_hat(obs, density, m0_used)
-        return star.chosen_n, tilde.chosen_n, losses[0], losses[1], neg_frac
-
-    if workers == 1:
-        rows = [job(i) for i in range(cfg.replications)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(job, range(cfg.replications)))
-
-    n_star = np.array([r[0] for r in rows], dtype=int)
-    n_tilde = np.array([r[1] for r in rows], dtype=int)
-    loss_star = np.array([r[2] for r in rows], dtype=float)
-    loss_tilde = np.array([r[3] for r in rows], dtype=float)
-    neg_fracs = np.array([r[4] for r in rows], dtype=float)
+    reps = _run_replicates(template, density, cfg.n, cfg.epsilon, seeds,
+                           ("u_bar", "u_tilde"), m0_used, workers=workers,
+                           **sel_options)
+    n_star, n_tilde = reps.cutoffs
+    loss_star, loss_tilde = reps.losses
+    neg_fracs = reps.negative_fractions
 
     # Theoretical risk curves over the scan band, for the summary ratios.
     report = risk_report(template, density, cfg.n, cfg.epsilon, m0_used,
@@ -209,23 +191,3 @@ def run_replication_study(cfg: ExperimentConfig, out_dir, *, grid_size: int = 25
                          loss_star=loss_star, loss_tilde=loss_tilde,
                          report=report)
 
-
-def _tail_table(template) -> np.ndarray:
-    """``tail[N] = sum_{|k| > N} |theta_k|^2`` for ``N = 0..k_max``."""
-    k_max = template.k_max
-    theta2 = np.abs(template.coeffs) ** 2
-    steps = np.empty(k_max + 1, dtype=float)
-    steps[0] = theta2[k_max]
-    steps[1:] = theta2[k_max + 1 :] + theta2[k_max - 1 :: -1]
-    tail = np.empty(k_max + 2, dtype=float)
-    tail[k_max + 1] = 0.0
-    for m in range(k_max, -1, -1):
-        tail[m] = tail[m + 1] + steps[m]
-    return tail[1:]
-
-
-def _band_loss(obs, template, gamma_band, theta2_tail, cutoff: int) -> float:
-    k_max = obs.k_max
-    sl = slice(k_max - cutoff, k_max + cutoff + 1)
-    diff = obs.c_tilde[sl] / gamma_band[sl] - template.coeffs[sl]
-    return float(np.sum(np.abs(diff) ** 2) + theta2_tail[cutoff])

@@ -249,6 +249,14 @@ def test_cli_errors_are_json_on_stderr(tmp_path, capsys):
     assert code == 2
     assert json.loads(capsys.readouterr().err.strip())["error"] == "ShiftDeconError"
 
+    # uniform(0.25) has gamma zeros inside the default cap m0 = 32
+    code = run_cli("replication-study", "--density", "uniform",
+                   "--out", str(tmp_path / "study"))
+    assert code == 2
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload["error"] == "VanishingEigenvalueError"
+    assert "EIGENVALUE_FLOOR" in payload["message"]
+
 
 def test_cli_module_entry_point(tmp_path):
     # the module runs as a subprocess program, stdout/stderr contract included

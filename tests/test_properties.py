@@ -1,0 +1,61 @@
+"""Property tests: exact identities and guards over generated inputs."""
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from shiftdecon.catalog import wave_template
+from shiftdecon.errors import VanishingEigenvalueError
+from shiftdecon.risk import _run_replicates, risk_report
+from shiftdecon.selection import (CRITERION_KINDS, PENALTY_VARIANTS,
+                                  criterion_increments, criterion_trace)
+from shiftdecon.simulate import simulate
+from shiftdecon.spectral import EIGENVALUE_FLOOR, ShiftDensity, laplace_density
+
+LAPLACE = laplace_density(0.1)
+WAVE8 = wave_template(8)
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(seed=SEEDS, n=st.integers(2, 50), epsilon=st.sampled_from([0.0, 0.01, 0.5]),
+       kind=st.sampled_from(CRITERION_KINDS), n_max=st.integers(0, 8),
+       variant=st.sampled_from(PENALTY_VARIANTS))
+def test_criterion_traces_telescope_bitwise(seed, n, epsilon, kind, n_max, variant):
+    obs = simulate(WAVE8, LAPLACE, n, epsilon, seed)
+    inc = criterion_increments(obs, LAPLACE, kind, n_max, penalty_variant=variant)
+    trace = criterion_trace(obs, LAPLACE, kind, n_max, penalty_variant=variant)
+    assert trace[0] == inc[0]
+    assert np.array_equal(trace[1:], trace[:-1] + inc[1:])
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(k_bad=st.integers(-10, 10), band=st.integers(0, 10),
+       value=st.one_of(st.floats(0.0, 1.5e-8), st.floats(1.5e-8, 1.0)))
+def test_guard_raises_on_any_sub_floor_eigenvalue(k_bad, band, value):
+    density = ShiftDensity(
+        gamma_fn=lambda k: np.where(k == k_bad, value, 1.0).astype(complex),
+        sampler=lambda rng, size: np.zeros(size))
+    if abs(k_bad) <= band and value * value <= EIGENVALUE_FLOOR:
+        with pytest.raises(VanishingEigenvalueError, match="EIGENVALUE_FLOOR"):
+            density.gamma_band(band)
+        with pytest.raises(VanishingEigenvalueError):
+            risk_report(WAVE8, density, 10, 0.1, band)
+    else:
+        assert np.all(np.abs(density.gamma_band(band)) ** 2 > EIGENVALUE_FLOOR)
+        assert math.isfinite(risk_report(WAVE8, density, 10, 0.1, band).r[band])
+
+
+@settings(max_examples=8, deadline=None, database=None)
+@given(seed=SEEDS, n=st.integers(2, 40),
+       rules=st.lists(st.sampled_from(["u", "u_bar", "u_tilde", 0, 3, 6]),
+                      min_size=1, max_size=3))
+def test_replicate_engine_is_worker_invariant(seed, n, rules):
+    seeds = np.random.SeedSequence(seed).spawn(7)
+    runs = [_run_replicates(WAVE8, LAPLACE, n, 0.05, seeds, rules, 6, workers=w)
+            for w in (1, 2, 3)]
+    for other in runs[1:]:
+        for field, ref in zip(other, runs[0]):
+            assert np.array_equal(field, ref)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from shiftdecon.catalog import wave_template
+from shiftdecon.config import ExperimentConfig, build_density, build_template
 from shiftdecon.errors import (DegenerateInputError, InvalidParameterError,
                                VanishingEigenvalueError)
 from shiftdecon.risk import (McRisk, RiskReport, exact_risk, mc_risk,
@@ -12,7 +13,8 @@ from shiftdecon.risk import (McRisk, RiskReport, exact_risk, mc_risk,
                              rate_study, risk_report,
                              theoretical_rate_exponent)
 from shiftdecon.spectral import (ShiftDensity, Template, laplace_density,
-                                 point_mass_density)
+                                 point_mass_density, uniform_density)
+from shiftdecon.study import run_replication_study
 
 LAPLACE = laplace_density(0.1)
 WAVE8 = wave_template(8)
@@ -121,14 +123,17 @@ def test_point_helpers_match_report():
 def test_risk_report_validation():
     with pytest.raises(InvalidParameterError):
         risk_report(WAVE8, LAPLACE, 0, 0.1, 4)
-    with pytest.raises(InvalidParameterError):
-        risk_report(WAVE8, LAPLACE, 10, -0.1, 4)
+    for epsilon in (-0.1, math.inf):
+        with pytest.raises(InvalidParameterError):
+            risk_report(WAVE8, LAPLACE, 10, epsilon, 4)
     with pytest.raises(InvalidParameterError):
         risk_report(WAVE8, LAPLACE, 10, 0.1, -1)
     zero_density = ShiftDensity(gamma_fn=lambda k: np.zeros(np.shape(k), dtype=complex),
                                 sampler=lambda rng, size: np.zeros(size))
     with pytest.raises(VanishingEigenvalueError):
         risk_report(WAVE8, zero_density, 10, 0.1, 4)
+    with pytest.raises(VanishingEigenvalueError):
+        risk_report(WAVE8, uniform_density(0.25), 10, 0.1, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +198,21 @@ def test_mc_risk_deterministic_and_worker_invariant():
     assert not np.array_equal(a.losses, d.losses)
 
 
+def test_replication_study_matches_mc_risk(tmp_path):
+    # the study and mc_risk share one replicate loop: same seeds, same cap,
+    # same selection options must give the same cutoffs and losses
+    cfg = ExperimentConfig()
+    study = run_replication_study(cfg, tmp_path / "bundle")
+    template, density = build_template(cfg), build_density(cfg)
+    for kind, cutoffs, losses in (("theta_star", study.n_star, study.loss_star),
+                                  ("theta_tilde", study.n_tilde, study.loss_tilde)):
+        mc = mc_risk(template, density, cfg.n, cfg.epsilon, kind, cfg.replications,
+                     seed=cfg.seed, m0=study.m0_used,
+                     penalty_variant=cfg.penalty_variant)
+        assert np.array_equal(mc.cutoffs, cutoffs)
+        assert np.array_equal(mc.losses, losses)
+
+
 def test_mc_risk_adaptive_uses_selected_cutoffs():
     mc = mc_risk(WAVE8, LAPLACE, 30, 0.05, "theta_tilde", 30, seed=4, m0=8)
     assert np.all((0 <= mc.cutoffs) & (mc.cutoffs <= 8))
@@ -218,6 +238,8 @@ def test_mc_risk_validation():
     with pytest.raises(InvalidParameterError):
         mc_risk(WAVE8, LAPLACE, 10, 0.1, "fixed_n", 10, seed=0, cutoff=2,
                 workers=0)
+    with pytest.raises(InvalidParameterError):
+        mc_risk(WAVE8, LAPLACE, 10, math.inf, "fixed_n", 10, seed=0, cutoff=2)
 
 
 # ---------------------------------------------------------------------------

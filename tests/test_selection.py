@@ -15,7 +15,7 @@ from shiftdecon.selection import (CRITERION_KINDS, CutoffSelection, compute_m0,
                                   theta_hat_squared)
 from shiftdecon.simulate import simulate
 from shiftdecon.spectral import (ShiftDensity, Template, laplace_density,
-                                 point_mass_density, synthesize)
+                                 point_mass_density, synthesize, uniform_density)
 
 LAPLACE = laplace_density(0.1)
 
@@ -314,6 +314,9 @@ def test_select_cutoff_validation():
         select_cutoff(obs, LAPLACE, m0=9)
     with pytest.raises(InvalidParameterError):
         select_cutoff(obs, LAPLACE, m0=-1)
+    # gamma vanishes at k = 2, 4, ..; np.sinc alone leaves ~4e-17 there
+    with pytest.raises(VanishingEigenvalueError):
+        select_cutoff(obs, uniform_density(0.25), "u_tilde", m0=8)
 
 
 def test_cutoff_selection_container_validation():
@@ -380,3 +383,5 @@ def test_estimate_validation():
                                 label="degenerate")
     with pytest.raises(VanishingEigenvalueError):
         estimate(obs, zero_density, cutoff=1)
+    with pytest.raises(VanishingEigenvalueError):
+        estimate(obs, uniform_density(0.25), cutoff=4)

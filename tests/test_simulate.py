@@ -60,8 +60,9 @@ def test_validate_catches_tampering():
 def test_parameter_validation():
     with pytest.raises(InvalidParameterError):
         simulate(TEMPLATE, LAPLACE, n=0, epsilon=0.1, seed=0)
-    with pytest.raises(InvalidParameterError):
-        simulate(TEMPLATE, LAPLACE, n=4, epsilon=-0.1, seed=0)
+    for epsilon in (-0.1, math.inf):
+        with pytest.raises(InvalidParameterError):
+            simulate(TEMPLATE, LAPLACE, n=4, epsilon=epsilon, seed=0)
 
 
 def test_coeff_index_bounds():

@@ -68,8 +68,11 @@ def test_uniform_gamma_quarter_width_values():
     d = uniform_density(0.25)
     # sinc(1/2) = 2/pi
     assert abs(d.gamma(1).real - 2.0 / math.pi) < 1e-14
-    # sin(pi)/pi: zero up to rounding of sin(pi)
-    assert abs(d.gamma(2).real) < 1e-15
+    # zeros where 2ka is a nonzero integer are exact, not sin(pi)/pi rounding
+    k = np.arange(-8, 9)
+    zeros = (k % 2 == 0) & (k != 0)
+    assert np.all(d.gamma(k)[zeros] == 0.0)
+    assert np.all(d.gamma(k)[~zeros] != 0.0)
 
 
 def test_point_mass_sampler_and_gamma():
