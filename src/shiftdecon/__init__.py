@@ -33,7 +33,8 @@ from .selection import (CRITERION_KINDS, CutoffSelection, M0Result,
                         criterion_u, criterion_u_bar, criterion_u_tilde,
                         estimate, fraction_negative_theta_hat, select_cutoff,
                         theta_hat_squared)
-from .simulate import SequenceObservations, render_curves, render_grid, simulate
+from .simulate import (SequenceObservations, SequenceSummary, render_curves,
+                       render_grid, simulate, simulate_summary)
 from .spectral import (DecayCheck, DecayProfile, ShiftDensity, Template, analyze,
                        gaussian_density, laplace_density, point_mass_density,
                        synthesize, uniform_density, verify_polynomial_decay)
@@ -48,7 +49,8 @@ __all__ = [
     "laplace_density", "gaussian_density", "uniform_density",
     "point_mass_density", "verify_polynomial_decay", "synthesize", "analyze",
     # simulate
-    "SequenceObservations", "simulate", "render_curves", "render_grid",
+    "SequenceSummary", "SequenceObservations", "simulate", "simulate_summary",
+    "render_curves", "render_grid",
     # selection
     "CRITERION_KINDS", "M0Result", "CutoffSelection", "SpectralEstimate",
     "compute_m0", "theta_hat_squared", "fraction_negative_theta_hat",

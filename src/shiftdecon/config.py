@@ -86,8 +86,8 @@ class ExperimentConfig:
             bad("density.half_width", f"must be > 0, got {self.density_half_width!r}")
         if not (isinstance(self.n, int) and self.n >= 1):
             bad("n", f"must be an integer >= 1, got {self.n!r}")
-        if not (self.epsilon >= 0.0):
-            bad("epsilon", f"must be >= 0, got {self.epsilon!r}")
+        if not (0.0 <= self.epsilon < math.inf):
+            bad("epsilon", f"must be finite and >= 0, got {self.epsilon!r}")
         if not (isinstance(self.k_max, int) and self.k_max >= 1):
             bad("k_max", f"must be an integer >= 1, got {self.k_max!r}")
         if self.criterion not in CRITERION_KINDS:

@@ -20,7 +20,10 @@ the monotonicity of ``bias`` and ``v1`` exact in floating point.
 The Monte Carlo replicate loop (simulate, select, score the loss) lives here
 once, in ``_run_replicates``: :func:`mc_risk` runs it with one selection
 rule, and :func:`shiftdecon.study.run_replication_study` with both adaptive
-criteria on shared datasets.
+criteria on shared datasets.  Each replicate draws only the column means,
+with :func:`shiftdecon.simulate.simulate_summary`: the selections and the
+loss read nothing else, and the noise mean is drawn from its exact
+``CN(0, epsilon^2/n)`` law instead of averaged from ``n`` curves.
 """
 
 from __future__ import annotations
@@ -33,9 +36,8 @@ from typing import NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 from .errors import DegenerateInputError, InvalidParameterError
-from .selection import (ESTIMATE_KINDS, compute_m0, fraction_negative_theta_hat,
-                        select_cutoff)
-from .simulate import simulate
+from .selection import ESTIMATE_KINDS, compute_m0, select_cutoff
+from .simulate import simulate_summary
 from .spectral import (ShiftDensity, Template, _pair_sums, _tail_energy, laplace_density,
                        point_mass_density)
 
@@ -214,20 +216,24 @@ def _run_replicates(template: Template, density: ShiftDensity, n: int,
                     **options) -> _Replicates:
     """The replicate loop behind :func:`mc_risk` and the replication study.
 
-    Each seed gives one simulated dataset, on which every rule picks a
-    cutoff: a criterion kind is minimized over ``0..m0`` (``options`` go to
-    :func:`select_cutoff`), an ``int`` is a fixed cutoff ``<= m0``.  A cutoff
-    ``N`` scores ``||theta_hat - theta||^2`` of the band-``N`` estimator,
-    its tail ``sum_{|k| > N} |theta_k|^2`` taken in closed form.  Replicates
-    are collected in seed order, so results are bit-identical for any
-    ``workers``.
+    Each seed gives one dataset's column means (:func:`simulate_summary`),
+    on which every rule picks a cutoff: a criterion kind is minimized over
+    ``0..m0`` (``options`` go to :func:`select_cutoff`), an ``int`` is a
+    fixed cutoff ``<= m0``.  A cutoff ``N`` scores ``||theta_hat - theta||^2``
+    of the band-``N`` estimator, its tail ``sum_{|k| > N} |theta_k|^2`` taken
+    in closed form.  The negative-energy fraction on ``|k| <= m0`` is that of
+    :func:`shiftdecon.selection.fraction_negative_theta_hat`: the guard keeps
+    every ``|gamma_k|^2`` positive, so ``t_k / |gamma_k|^2`` is negative
+    exactly where ``t_k = |c_tilde_k|^2 - epsilon^2/n`` is.  Replicates are
+    collected in seed order, so results are bit-identical for any ``workers``.
     """
     k_max = template.k_max
     gamma = density.gamma_band(m0)
     tail = _tail_energy(template, m0)
+    scan = slice(k_max - m0, k_max + m0 + 1)
 
     def replicate(seed):
-        obs = simulate(template, density, n, epsilon, seed, keep_shifts=False)
+        obs = simulate_summary(template, density, n, epsilon, seed)
         cutoffs = [rule if isinstance(rule, int)
                    else select_cutoff(obs, density, rule, m0=m0, **options).chosen_n
                    for rule in rules]
@@ -237,7 +243,8 @@ def _run_replicates(template: Template, density: ShiftDensity, n: int,
             theta_hat = obs.c_tilde[band] / gamma[m0 - cutoff : m0 + cutoff + 1]
             diff = theta_hat - template.coeffs[band]
             losses.append(float(np.sum(np.abs(diff) ** 2) + tail[cutoff]))
-        return cutoffs, losses, fraction_negative_theta_hat(obs, density, m0)
+        t = np.abs(obs.c_tilde[scan]) ** 2 - obs.epsilon ** 2 / obs.n
+        return cutoffs, losses, float(np.count_nonzero(t < 0.0)) / (2 * m0 + 1)
 
     if workers == 1:
         rows = [replicate(seed) for seed in seeds]

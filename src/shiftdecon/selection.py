@@ -17,6 +17,11 @@ the penalty an estimate of ``L sum |theta_k|^2/|g_k|^2``); an alternative
 variant with summand ``(|c_tilde_k| - eps^2/n)/|g_k|^2`` is selectable for
 comparison.
 
+Every function here reads a dataset only through its column means
+(``c_tilde``, ``n``, ``epsilon``, ``k_max``), so it takes a
+:class:`~shiftdecon.simulate.SequenceSummary`: the summary-only draw or a
+full :class:`~shiftdecon.simulate.SequenceObservations`.
+
 Every criterion is assembled from per-frequency increments and accumulated
 with a sequential cumulative sum, so the telescoping identity
 ``criterion(N) == criterion(N-1) + increment(N)`` holds exactly in floating
@@ -32,7 +37,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import InvalidParameterError
-from .simulate import SequenceObservations
+from .simulate import SequenceSummary
 from .spectral import ShiftDensity, _pair_sums, _synthesize_rows
 
 __all__ = [
@@ -100,7 +105,7 @@ def compute_m0(density: ShiftDensity, n: int, k_max: int, *,
     return M0Result(value=int(crossed[0]), saturated=False, threshold=threshold)
 
 
-def theta_hat_squared(obs: SequenceObservations, density: ShiftDensity,
+def theta_hat_squared(obs: SequenceSummary, density: ShiftDensity,
                       k: int) -> float:
     """Unbiased estimate ``(|c_tilde_k|^2 - eps^2/n) / |gamma_k|^2`` of
     ``|theta_k|^2``; may be negative, deliberately unclipped."""
@@ -111,7 +116,7 @@ def theta_hat_squared(obs: SequenceObservations, density: ShiftDensity,
     return float((abs(c) ** 2 - obs.epsilon ** 2 / obs.n) / g2)
 
 
-def fraction_negative_theta_hat(obs: SequenceObservations, density: ShiftDensity,
+def fraction_negative_theta_hat(obs: SequenceSummary, density: ShiftDensity,
                                 n_max: Optional[int] = None) -> float:
     """Diagnostic: fraction of frequencies ``|k| <= n_max`` whose
     coefficient-energy estimate is negative (i.e. where clipping at zero
@@ -126,7 +131,7 @@ def fraction_negative_theta_hat(obs: SequenceObservations, density: ShiftDensity
     return float(np.count_nonzero(t / g2 < 0.0)) / (2 * n_max + 1)
 
 
-def criterion_increments(obs: SequenceObservations, density: ShiftDensity,
+def criterion_increments(obs: SequenceSummary, density: ShiftDensity,
                          kind: str, n_max: int, *,
                          log_base: float = math.e,
                          penalty_multiplier: float = 1.0,
@@ -170,7 +175,7 @@ def criterion_increments(obs: SequenceObservations, density: ShiftDensity,
     return _pair_sums(per_k, n_max)
 
 
-def criterion_trace(obs: SequenceObservations, density: ShiftDensity,
+def criterion_trace(obs: SequenceSummary, density: ShiftDensity,
                     kind: str, n_max: int, **options) -> np.ndarray:
     """Criterion values for every cutoff ``N = 0..n_max`` (sequential sum)."""
     return np.cumsum(criterion_increments(obs, density, kind, n_max, **options))
@@ -182,20 +187,20 @@ def _criterion_at(obs, density, kind, cutoff, **options) -> float:
     return float(criterion_trace(obs, density, kind, cutoff, **options)[cutoff])
 
 
-def criterion_u(obs: SequenceObservations, density: ShiftDensity, cutoff: int,
+def criterion_u(obs: SequenceSummary, density: ShiftDensity, cutoff: int,
                 **options) -> float:
     """Unbiased estimator of ``risk(N) - ||theta||^2`` at the given cutoff."""
     return _criterion_at(obs, density, "u", cutoff, **options)
 
 
-def criterion_u_bar(obs: SequenceObservations, density: ShiftDensity, cutoff: int,
+def criterion_u_bar(obs: SequenceSummary, density: ShiftDensity, cutoff: int,
                     **options) -> float:
     """Penalized criterion; the penalty damps the spectral-variance term that
     the plain unbiased criterion underweights."""
     return _criterion_at(obs, density, "u_bar", cutoff, **options)
 
 
-def criterion_u_tilde(obs: SequenceObservations, density: ShiftDensity, cutoff: int,
+def criterion_u_tilde(obs: SequenceSummary, density: ShiftDensity, cutoff: int,
                       **options) -> float:
     """Plain quadratic-risk criterion (no penalty)."""
     return _criterion_at(obs, density, "u_tilde", cutoff, **options)
@@ -224,7 +229,7 @@ class CutoffSelection:
             )
 
 
-def select_cutoff(obs: SequenceObservations, density: ShiftDensity,
+def select_cutoff(obs: SequenceSummary, density: ShiftDensity,
                   kind: str = "u_bar", *,
                   m0: Optional[int] = None,
                   log_base: float = math.e,
@@ -286,7 +291,7 @@ class SpectralEstimate:
 ESTIMATE_KINDS = ("theta_star", "theta_tilde", "fixed_n")
 
 
-def estimate(obs: SequenceObservations, density: ShiftDensity, cutoff: int,
+def estimate(obs: SequenceSummary, density: ShiftDensity, cutoff: int,
              kind: str = "fixed_n") -> SpectralEstimate:
     """Deconvolve the averaged coefficients on the symmetric band ``|k| <= cutoff``."""
     if kind not in ESTIMATE_KINDS:

@@ -10,8 +10,20 @@ white noise with ``E|z|^2 = 1`` (independent real and imaginary parts, each
 simulation is exact in sequence space; a time-domain sample path exists only
 in :func:`render_curves`, which synthesizes curves on a grid for display.
 
-Draw order per dataset is fixed (shifts, then real noise parts, then
-imaginary noise parts) so a seed pins the entire dataset bit-for-bit.
+Two simulators share the shift draw and the phase construction:
+
+* :func:`simulate` draws every curve (shifts, then real noise parts, then
+  imaginary noise parts, each ``n x (2*k_max + 1)``) and averages them.
+* :func:`simulate_summary` draws only what the estimators read, the column
+  means.  The mean of ``n`` i.i.d. ``CN(0, 1)`` noise rows is exactly
+  ``CN(0, 1/n)``, so after the same shifts it adds one ``(2*k_max + 1)``
+  vector of ``CN(0, epsilon^2/n)`` noise to ``coeff_k * gamma_tilde_k``.
+  It gives the same ``gamma_tilde`` as :func:`simulate` at the same seed,
+  bit for bit, and a ``c_tilde`` with the same law but from other draws.
+  The Monte Carlo engine in :mod:`shiftdecon.risk` runs on it.
+
+Draw order per dataset is fixed, so a seed pins the entire dataset
+bit-for-bit.
 """
 
 from __future__ import annotations
@@ -25,38 +37,32 @@ import numpy as np
 from .errors import InvalidParameterError, InvariantViolationError
 from .spectral import ShiftDensity, Template, _synthesize_rows
 
-__all__ = ["SequenceObservations", "simulate", "render_curves", "render_grid"]
+__all__ = ["SequenceSummary", "SequenceObservations", "simulate", "simulate_summary",
+           "render_curves", "render_grid"]
 
 SeedLike = Union[int, np.random.SeedSequence, np.random.Generator]
 
 
 @dataclass(frozen=True)
-class SequenceObservations:
-    """One simulated dataset in sequence space.
+class SequenceSummary:
+    """The column means of one dataset: everything an estimator reads.
 
     Attributes
     ----------
-    per_curve : ndarray of complex, shape ``(n, 2*k_max + 1)``
-        Row ``j`` holds the coefficients of curve ``j``; column ``i`` is
-        frequency ``k = i - k_max``.
     c_tilde : ndarray of complex, shape ``(2*k_max + 1,)``
-        Column means of ``per_curve``.
+        Averaged coefficients; column ``i`` is frequency ``k = i - k_max``.
     gamma_tilde : ndarray of complex, shape ``(2*k_max + 1,)``
         Empirical characteristic function of the drawn shifts,
         ``(1/n) sum_j exp(-2j*pi*k*shift_j)``.
     n, epsilon, k_max
         Simulation parameters.
-    shifts : ndarray of float or None
-        The drawn shifts (kept by default; an estimator never needs them).
     """
 
-    per_curve: np.ndarray
     c_tilde: np.ndarray
     gamma_tilde: np.ndarray
     n: int
     epsilon: float
     k_max: int
-    shifts: Optional[np.ndarray] = None
 
     @property
     def k_values(self) -> np.ndarray:
@@ -70,15 +76,13 @@ class SequenceObservations:
     def validate(self) -> None:
         """Re-check structural invariants; raise on violation.
 
-        ``c_tilde`` must equal the column mean of ``per_curve`` bit-for-bit,
+        ``c_tilde`` and ``gamma_tilde`` must span the band, and
         ``gamma_tilde`` must be exactly Hermitian with ``gamma_tilde[0] == 1``
         and magnitudes at most 1 (a 1e-12 rounding slack is allowed on the
         magnitude bound).
         """
-        if self.per_curve.shape != (self.n, 2 * self.k_max + 1):
-            raise InvariantViolationError("per_curve shape does not match (n, 2*k_max+1)")
-        if not np.array_equal(self.per_curve.mean(axis=0), self.c_tilde):
-            raise InvariantViolationError("c_tilde is not the exact column mean of per_curve")
+        if self.c_tilde.shape != (2 * self.k_max + 1,):
+            raise InvariantViolationError("c_tilde has the wrong shape")
         gt = self.gamma_tilde
         if gt.shape != (2 * self.k_max + 1,):
             raise InvariantViolationError("gamma_tilde has the wrong shape")
@@ -90,10 +94,82 @@ class SequenceObservations:
             raise InvariantViolationError("|gamma_tilde| exceeds 1 beyond rounding slack")
 
 
+@dataclass(frozen=True)
+class SequenceObservations(SequenceSummary):
+    """One simulated dataset in sequence space, every curve included.
+
+    Attributes
+    ----------
+    per_curve : ndarray of complex, shape ``(n, 2*k_max + 1)``
+        Row ``j`` holds the coefficients of curve ``j``; ``c_tilde`` is its
+        column mean.
+    shifts : ndarray of float or None
+        The drawn shifts (kept by default; an estimator never needs them).
+    """
+
+    per_curve: np.ndarray
+    shifts: Optional[np.ndarray] = None
+
+    def validate(self) -> None:
+        """As :meth:`SequenceSummary.validate`, and ``c_tilde`` must also
+        equal the column mean of ``per_curve`` bit-for-bit."""
+        if self.per_curve.shape != (self.n, 2 * self.k_max + 1):
+            raise InvariantViolationError("per_curve shape does not match (n, 2*k_max+1)")
+        if not np.array_equal(self.per_curve.mean(axis=0), self.c_tilde):
+            raise InvariantViolationError("c_tilde is not the exact column mean of per_curve")
+        super().validate()
+
+
 def _resolve_rng(seed: SeedLike) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
+
+
+def _check_inputs(n, epsilon) -> int:
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise InvalidParameterError(f"n must be an integer >= 1, got {n!r}")
+    if not (0.0 <= epsilon < math.inf):
+        raise InvalidParameterError(f"epsilon must be finite and >= 0, got {epsilon!r}")
+    return int(n)
+
+
+def _draw_phases(density: ShiftDensity, rng: np.random.Generator, n: int,
+                 k_max: int) -> tuple:
+    """The first draw of every dataset: ``n`` shifts, and their phases
+    ``exp(-2j*pi*k*shift_j)`` for ``k = 0..k_max``, shape ``(n, k_max + 1)``."""
+    shifts = density.sample(rng, n)
+    if shifts.shape != (n,):
+        raise InvariantViolationError(
+            f"density sampler returned shape {shifts.shape}, expected ({n},)"
+        )
+    return shifts, np.exp(-2j * np.pi * np.outer(shifts, np.arange(0, k_max + 1)))
+
+
+def _hermitian(half: np.ndarray) -> np.ndarray:
+    """Extend values for ``k = 0..k_max`` (last axis) to ``-k_max..k_max`` with
+    exact Hermitian symmetry: ``-k`` holds the conjugate of ``+k``."""
+    k_max = half.shape[-1] - 1
+    full = np.empty(half.shape[:-1] + (2 * k_max + 1,), dtype=np.complex128)
+    full[..., k_max:] = half
+    full[..., :k_max] = np.conj(half[..., :0:-1])
+    return full
+
+
+def _mean_phase(pos: np.ndarray) -> np.ndarray:
+    """``gamma_tilde``: the column means of ``_hermitian(pos)``, averaging only
+    the ``k >= 0`` half.
+
+    The ``k = 0`` phases are exactly 1, and so is their mean; numpy's complex
+    mean multiplies the sum by ``1/n``, which rounds below 1 at some ``n``
+    (49, 98, 103, ...).  Conjugating a column mean gives the mean of the
+    conjugated column bit for bit, except for the sign of a zero: a numpy sum
+    is never ``-0.0``, its conjugate can be.  Adding ``0.0`` turns ``-0.0``
+    into ``0.0`` and leaves every other value as it is.
+    """
+    mean = pos.mean(axis=0)
+    mean[0] = 1.0
+    return _hermitian(mean) + 0.0
 
 
 def simulate(template: Template, density: ShiftDensity, n: int, epsilon: float,
@@ -119,42 +195,58 @@ def simulate(template: Template, density: ShiftDensity, n: int, epsilon: float,
     -------
     SequenceObservations
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise InvalidParameterError(f"n must be an integer >= 1, got {n!r}")
-    if not (0.0 <= epsilon < math.inf):
-        raise InvalidParameterError(f"epsilon must be finite and >= 0, got {epsilon!r}")
-    n = int(n)
+    n = _check_inputs(n, epsilon)
     k_max = template.k_max
     rng = _resolve_rng(seed)
 
-    shifts = density.sample(rng, n)
-    if shifts.shape != (n,):
-        raise InvariantViolationError(
-            f"density sampler returned shape {shifts.shape}, expected ({n},)"
-        )
+    shifts, pos = _draw_phases(density, rng, n, k_max)
     width = 2 * k_max + 1
     noise_re = rng.standard_normal((n, width))
     noise_im = rng.standard_normal((n, width))
 
-    # Phase matrix with exact Hermitian symmetry: columns for -k are the
-    # conjugates of the columns for +k, and the k=0 column is exactly 1.
-    k_pos = np.arange(0, k_max + 1)
-    pos = np.exp(-2j * np.pi * np.outer(shifts, k_pos))
-    phases = np.empty((n, width), dtype=np.complex128)
-    phases[:, k_max:] = pos
-    phases[:, :k_max] = np.conj(pos[:, 1:])[:, ::-1]
-
     noise = (noise_re + 1j * noise_im) * np.sqrt(0.5)
-    per_curve = template.coeffs[np.newaxis, :] * phases + epsilon * noise
+    per_curve = template.coeffs[np.newaxis, :] * _hermitian(pos) + epsilon * noise
 
     return SequenceObservations(
         per_curve=per_curve,
         c_tilde=per_curve.mean(axis=0),
-        gamma_tilde=phases.mean(axis=0),
+        gamma_tilde=_mean_phase(pos),
         n=n,
         epsilon=float(epsilon),
         k_max=k_max,
         shifts=shifts if keep_shifts else None,
+    )
+
+
+def simulate_summary(template: Template, density: ShiftDensity, n: int,
+                     epsilon: float, seed: SeedLike) -> SequenceSummary:
+    """Draw the column means of one dataset of ``n`` curves, not the curves.
+
+    Takes the arguments of :func:`simulate` and draws the same shifts from the
+    same seed, so ``gamma_tilde`` is bit-identical to :func:`simulate`'s.
+    Then ``c_tilde_k = coeff_k * gamma_tilde_k + (epsilon/sqrt(n)) xi_k``
+    with one ``(2*k_max + 1)`` vector of i.i.d. ``CN(0, 1)`` noise ``xi``
+    (real parts, then imaginary parts), independent across all frequencies,
+    ``-k`` and ``+k`` included.  The cost is one ``n x (k_max + 1)`` phase
+    matrix instead of :func:`simulate`'s ``n x (2*k_max + 1)`` draws.
+    """
+    n = _check_inputs(n, epsilon)
+    k_max = template.k_max
+    rng = _resolve_rng(seed)
+
+    _, pos = _draw_phases(density, rng, n, k_max)
+    gamma_tilde = _mean_phase(pos)
+    width = 2 * k_max + 1
+    noise_re = rng.standard_normal(width)
+    noise_im = rng.standard_normal(width)
+
+    noise = (noise_re + 1j * noise_im) * np.sqrt(0.5)
+    return SequenceSummary(
+        c_tilde=template.coeffs * gamma_tilde + (epsilon / math.sqrt(n)) * noise,
+        gamma_tilde=gamma_tilde,
+        n=n,
+        epsilon=float(epsilon),
+        k_max=k_max,
     )
 
 

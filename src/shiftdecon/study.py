@@ -4,8 +4,8 @@ One call simulates ``replications`` independent datasets, runs both adaptive
 cutoff selections (penalized and plain) on each, and writes plot-ready CSVs:
 
 * ``template_curve.csv``   — the true pattern on a display grid;
-* ``sample_curves.csv``    — a few rendered noisy shifted curves (first dataset);
-* ``traces.csv``           — both criterion traces for the first dataset;
+* ``sample_curves.csv``    — a few rendered noisy shifted curves (see below);
+* ``traces.csv``           — both criterion traces for replicate 0;
 * ``selections.csv``       — per-replicate cutoffs and losses for both estimators;
 * ``histograms.csv``       — cutoff histograms over all replicates;
 * ``risk_summary.csv``     — Monte Carlo risk of both estimators next to the
@@ -18,6 +18,13 @@ bundle can be diffed run-to-run as a regression check.
 
 The replicates themselves run in ``shiftdecon.risk._run_replicates``, the
 same loop :func:`shiftdecon.risk.mc_risk` uses; this module adds the bundle.
+That loop draws each dataset's column means only
+(:func:`shiftdecon.simulate.simulate_summary`).  ``traces.csv`` is computed
+from replicate 0's summary, so its argmins are row 0 of ``selections.csv``.
+Curves exist only in the per-curve draw, so ``sample_curves.csv`` renders
+:func:`shiftdecon.simulate.simulate` at replicate 0's seed: the same shifts,
+hence the same ``gamma_tilde``, but independent noise.  ``meta.csv`` says
+so in its ``sample_curves_draw`` row.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ from .csvio import write_csv, write_curves_csv, write_risk_report_csv
 from .errors import InvalidParameterError
 from .risk import RiskReport, _run_replicates, risk_report
 from .selection import compute_m0, criterion_trace
-from .simulate import render_curves, render_grid, simulate
+from .simulate import render_curves, render_grid, simulate, simulate_summary
 from .spectral import synthesize
 
 __all__ = ["ReplicationStudy", "run_replication_study"]
@@ -120,12 +127,13 @@ def run_replication_study(cfg: ExperimentConfig, out_dir, *, grid_size: int = 25
     write_curves_csv(out_dir / "template_curve.csv", grid,
                      synthesize(template, grid_size))
 
-    first = simulate(template, density, cfg.n, cfg.epsilon, seeds[0],
-                     keep_shifts=False)
+    curves = simulate(template, density, cfg.n, cfg.epsilon, seeds[0],
+                      keep_shifts=False)
     shown = min(_SAMPLE_CURVE_COUNT, cfg.n)
     write_curves_csv(out_dir / "sample_curves.csv", grid,
-                     render_curves(first, grid_size)[:shown])
+                     render_curves(curves, grid_size)[:shown])
 
+    first = simulate_summary(template, density, cfg.n, cfg.epsilon, seeds[0])
     trace_star = criterion_trace(first, density, "u_bar", m0_used, **sel_options)
     trace_tilde = criterion_trace(first, density, "u_tilde", m0_used, **sel_options)
     write_csv(out_dir / "traces.csv", ["n", "u_bar", "u_tilde"],
@@ -182,6 +190,8 @@ def run_replication_study(cfg: ExperimentConfig, out_dir, *, grid_size: int = 25
         ("log_base", cfg.log_base),
         ("penalty_variant", cfg.penalty_variant),
         ("mean_negative_energy_fraction", float(np.mean(neg_fracs))),
+        ("sample_curves_draw", "simulate at the seed of replicate 0: same shifts "
+                               "and gamma_tilde; independent noise"),
     ]
     write_csv(out_dir / "meta.csv", ["key", "value"], meta)
 

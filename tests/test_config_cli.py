@@ -1,5 +1,6 @@
 """Configuration parsing and the command-line front end."""
 import json
+import math
 import subprocess
 import sys
 
@@ -37,6 +38,7 @@ def test_default_config_is_the_reference_study():
     ("density_sigma", -0.1),
     ("n", 0),
     ("epsilon", -1.0),
+    ("epsilon", math.inf),
     ("k_max", 0),
     ("criterion", "aic"),
     ("replications", 0),
@@ -256,6 +258,16 @@ def test_cli_errors_are_json_on_stderr(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().err.strip())
     assert payload["error"] == "VanishingEigenvalueError"
     assert "EIGENVALUE_FLOOR" in payload["message"]
+
+
+def test_cli_config_file_rejects_infinite_epsilon(tmp_path, capsys):
+    path = tmp_path / "inf.ini"
+    path.write_text("[experiment]\nepsilon = inf\n")
+    code = run_cli("risk", "--config", str(path))
+    assert code == 2
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload["error"] == "ConfigError"
+    assert "'epsilon'" in payload["message"]
 
 
 def test_cli_module_entry_point(tmp_path):

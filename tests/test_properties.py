@@ -3,16 +3,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from shiftdecon.catalog import wave_template
+from shiftdecon.catalog import sobolev_template, wave_template
 from shiftdecon.errors import VanishingEigenvalueError
 from shiftdecon.risk import _run_replicates, risk_report
 from shiftdecon.selection import (CRITERION_KINDS, PENALTY_VARIANTS,
                                   criterion_increments, criterion_trace)
-from shiftdecon.simulate import simulate
-from shiftdecon.spectral import EIGENVALUE_FLOOR, ShiftDensity, laplace_density
+from shiftdecon.simulate import simulate, simulate_summary
+from shiftdecon.spectral import (EIGENVALUE_FLOOR, ShiftDensity, gaussian_density,
+                                 laplace_density, point_mass_density,
+                                 uniform_density)
 
 LAPLACE = laplace_density(0.1)
 WAVE8 = wave_template(8)
@@ -59,3 +61,21 @@ def test_replicate_engine_is_worker_invariant(seed, n, rules):
     for other in runs[1:]:
         for field, ref in zip(other, runs[0]):
             assert np.array_equal(field, ref)
+
+
+DENSITIES = (LAPLACE, laplace_density(0.4), gaussian_density(0.15),
+             uniform_density(0.2), point_mass_density())
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(seed=SEEDS, density=st.sampled_from(DENSITIES), k_max=st.integers(1, 24),
+       n=st.integers(1, 400), epsilon=st.sampled_from([0.0, 0.01, 0.5]))
+@example(seed=0, density=LAPLACE, k_max=1, n=49, epsilon=0.0)  # 49 * (1/49) < 1
+def test_simulated_spectra_are_hermitian(seed, density, k_max, n, epsilon):
+    template = sobolev_template(1.5, 1.0, k_max)
+    for draw in (simulate, simulate_summary):
+        gt = draw(template, density, n, epsilon, seed).gamma_tilde
+        assert gt[k_max] == 1.0
+        assert np.array_equal(np.conj(gt[::-1]), gt)
+    noiseless = simulate(template, density, n, 0.0, seed).per_curve
+    assert np.array_equal(np.conj(noiseless[:, ::-1]), noiseless)

@@ -1,17 +1,20 @@
 """Risk curves, oracle cutoffs, Monte Carlo risks, and the rate machinery."""
+import csv
 import math
 
 import numpy as np
 import pytest
 
-from shiftdecon.catalog import wave_template
+from shiftdecon.catalog import spike_template, wave_template
 from shiftdecon.config import ExperimentConfig, build_density, build_template
 from shiftdecon.errors import (DegenerateInputError, InvalidParameterError,
                                VanishingEigenvalueError)
-from shiftdecon.risk import (McRisk, RiskReport, exact_risk, mc_risk,
-                             oracle_cutoff, oracle_ratio, r_bar, r_tilde,
-                             rate_study, risk_report,
+from shiftdecon.risk import (McRisk, RiskReport, _run_replicates, exact_risk,
+                             mc_risk, oracle_cutoff, oracle_ratio, r_bar,
+                             r_tilde, rate_study, risk_report,
                              theoretical_rate_exponent)
+from shiftdecon.selection import fraction_negative_theta_hat
+from shiftdecon.simulate import simulate_summary
 from shiftdecon.spectral import (ShiftDensity, Template, laplace_density,
                                  point_mass_density, uniform_density)
 from shiftdecon.study import run_replication_study
@@ -211,6 +214,46 @@ def test_replication_study_matches_mc_risk(tmp_path):
                      penalty_variant=cfg.penalty_variant)
         assert np.array_equal(mc.cutoffs, cutoffs)
         assert np.array_equal(mc.losses, losses)
+
+
+def test_engine_negative_fractions_match_fraction_negative_theta_hat():
+    # the engine counts t_k < 0 on the band it already holds; the library
+    # function divides by |gamma_k|^2 first: the two must agree bit for bit
+    seeds = np.random.SeedSequence(31).spawn(6)
+    seen = []
+    # at epsilon = 0 the spike's zero coefficients give t_k == 0 exactly
+    for template, n, epsilon, m0 in ((WAVE8, 3, 0.5, 8), (WAVE8, 40, 0.05, 5),
+                                     (WAVE8, 200, 0.3, 0),
+                                     (spike_template(8, location=1), 5, 0.0, 8)):
+        reps = _run_replicates(template, LAPLACE, n, epsilon, seeds, (0,), m0,
+                               workers=1)
+        direct = [fraction_negative_theta_hat(
+                      simulate_summary(template, LAPLACE, n, epsilon, seed), LAPLACE, m0)
+                  for seed in seeds]
+        assert reps.negative_fractions.tobytes() == np.array(direct).tobytes()
+        seen.extend(direct)
+    assert 0.0 < max(seen) < 1.0
+
+
+def _read_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_study_traces_are_replicate_zero(tmp_path):
+    # traces.csv and row 0 of selections.csv describe the same draw
+    for i, cfg in enumerate((ExperimentConfig(replications=3),
+                             ExperimentConfig(replications=2, seed=8, m0_override=None,
+                                              penalty_variant="proof_form"))):
+        out = tmp_path / str(i)
+        run_replication_study(cfg, out)
+        traces = _read_rows(out / "traces.csv")
+        row0 = _read_rows(out / "selections.csv")[0]
+        for column, chosen in (("u_bar", "n_star"), ("u_tilde", "n_tilde")):
+            values = [float(row[column]) for row in traces]
+            assert int(np.argmin(values)) == int(row0[chosen])
+        meta = {row["key"]: row["value"] for row in _read_rows(out / "meta.csv")}
+        assert "independent noise" in meta["sample_curves_draw"]
 
 
 def test_mc_risk_adaptive_uses_selected_cutoffs():

@@ -5,10 +5,13 @@ import numpy as np
 import pytest
 
 from shiftdecon.catalog import wave_template
-from shiftdecon.errors import AliasingError, InvalidParameterError
-from shiftdecon.simulate import (SequenceObservations, render_curves,
-                                 render_grid, simulate)
-from shiftdecon.spectral import (Template, laplace_density, point_mass_density,
+from shiftdecon.errors import (AliasingError, InvalidParameterError,
+                               InvariantViolationError)
+from shiftdecon.simulate import (SequenceObservations, SequenceSummary,
+                                 render_curves, render_grid, simulate,
+                                 simulate_summary)
+from shiftdecon.spectral import (ShiftDensity, Template, gaussian_density,
+                                 laplace_density, point_mass_density,
                                  synthesize, uniform_density)
 
 K_MAX = 12
@@ -228,3 +231,84 @@ def test_rendered_noise_scale():
     rows = render_curves(obs, 50)
     expected = eps**2 * (2 * K_MAX + 1) / 2.0
     assert abs(np.mean(rows**2) / expected - 1.0) < 0.05
+
+
+# ---------------------------------------------------------------------------
+# summary-only draw
+
+
+def test_summary_gamma_tilde_is_simulate_bit_for_bit():
+    densities = (LAPLACE, gaussian_density(0.15), uniform_density(0.2),
+                 point_mass_density())
+    for density in densities:
+        for n, epsilon, seed in ((1, 0.0, 0), (7, 0.05, 3), (250, 0.3, 11),
+                                 (40, 0.0, np.random.SeedSequence(5).spawn(3)[2])):
+            full = simulate(TEMPLATE, density, n, epsilon, seed)
+            summary = simulate_summary(TEMPLATE, density, n, epsilon, seed)
+            assert type(summary) is SequenceSummary
+            assert summary.gamma_tilde.tobytes() == full.gamma_tilde.tobytes()
+            assert (summary.n, summary.epsilon, summary.k_max) == (n, epsilon, K_MAX)
+            summary.validate()
+
+
+def test_gamma_tilde_is_the_column_mean_of_the_phase_matrix():
+    # reference: average the full Hermitian phase matrix, whose k = 0 column
+    # is exactly 1 (so is its mean); bytes must match, signed zeros included
+    for density in (LAPLACE, point_mass_density()):
+        for n in (1, 7, 49, 250):
+            obs = simulate(TEMPLATE, density, n, 0.1, seed=n)
+            pos = np.exp(-2j * np.pi * np.outer(obs.shifts, np.arange(K_MAX + 1)))
+            phases = np.concatenate([np.conj(pos[:, 1:])[:, ::-1], pos], axis=1)
+            ref = phases.mean(axis=0)
+            ref[K_MAX] = 1.0
+            assert obs.gamma_tilde.tobytes() == ref.tobytes()
+
+
+def test_summary_noise_moments_at_n_6400():
+    """c_tilde - theta * gamma_tilde is CN(0, eps^2/n), i.i.d. over all k.
+
+    Scaled by sqrt(n)/eps the residuals must have real and imaginary parts
+    of variance 1/2 each (per coordinate and pooled), no mean, no real-imag
+    correlation, and no correlation between k and -k: per-curve noise is
+    independent across frequencies, so c_tilde must not be Hermitian.
+    """
+    n, eps, reps = 6400, 0.2, 400
+    seeds = np.random.SeedSequence(6400).spawn(reps)
+    z = np.empty((reps, 2 * K_MAX + 1), dtype=complex)
+    for r, seed in enumerate(seeds):
+        obs = simulate_summary(TEMPLATE, LAPLACE, n, eps, seed)
+        z[r] = (obs.c_tilde - TEMPLATE.coeffs * obs.gamma_tilde) * math.sqrt(n) / eps
+    assert not np.array_equal(np.conj(obs.c_tilde[::-1]), obs.c_tilde)
+
+    def zscore(samples, expected, variance):
+        return abs(np.mean(samples) - expected) / math.sqrt(variance / samples.size)
+
+    re, im = z.real, z.imag
+    # x ~ N(0, 1/2): E x = 0, Var x = 1/2; E x^2 = 1/2, Var x^2 = 1/2
+    for part in (re, im):
+        assert zscore(part, 0.0, 0.5) <= 4.0
+        assert zscore(part ** 2, 0.5, 0.5) <= 4.0
+        for col in part.T:
+            assert zscore(col ** 2, 0.5, 0.5) <= 4.0
+    assert zscore(re * im, 0.0, 0.25) <= 4.0
+    # k and -k: E z_k z_{-k} = 0 and E z_k conj(z_{-k}) = 0, real and
+    # imaginary parts each of variance 1/2 (a Hermitian draw gives |z_k|^2)
+    plus, minus = z[:, K_MAX + 1:], z[:, K_MAX - 1::-1]
+    for prod in (plus * minus, plus * np.conj(minus)):
+        assert zscore(prod.real, 0.0, 0.5) <= 4.0
+        assert zscore(prod.imag, 0.0, 0.5) <= 4.0
+
+
+def test_summary_parameter_validation():
+    with pytest.raises(InvalidParameterError):
+        simulate_summary(TEMPLATE, LAPLACE, n=0, epsilon=0.1, seed=0)
+    with pytest.raises(InvalidParameterError):
+        simulate_summary(TEMPLATE, LAPLACE, n=2.0, epsilon=0.1, seed=0)
+    for epsilon in (-0.1, math.inf, math.nan):
+        with pytest.raises(InvalidParameterError):
+            simulate_summary(TEMPLATE, LAPLACE, n=4, epsilon=epsilon, seed=0)
+    short = ShiftDensity(gamma_fn=lambda k: np.ones(np.shape(k), dtype=complex),
+                         sampler=lambda rng, size: np.zeros(size - 1))
+    for draw in (simulate, simulate_summary):
+        with pytest.raises(InvariantViolationError, match="shape"):
+            draw(TEMPLATE, short, n=3, epsilon=0.1, seed=0)
