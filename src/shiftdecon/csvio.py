@@ -2,7 +2,9 @@
 
 All floats are written with ``repr``, the shortest round-trip representation,
 so a given value always serializes to the same bytes and files diff cleanly
-across runs.  Files are written with ``\n`` line endings regardless of
+across runs.  Plain Python floats take a fast path straight to ``repr``; numpy
+floating scalars and float subclasses are converted with ``float`` first, which
+gives the same text.  Files are written with ``\n`` line endings regardless of
 platform.
 """
 
@@ -32,6 +34,8 @@ __all__ = [
 
 def format_cell(value) -> str:
     """Canonical text for one CSV cell."""
+    if type(value) is float:
+        return repr(value)
     if isinstance(value, str):
         return value
     if isinstance(value, (bool, np.bool_)):
@@ -56,13 +60,13 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> Path:
 
 def write_curves_csv(path, grid: np.ndarray, curves: np.ndarray) -> Path:
     """Rendered curves, one row per curve; the header carries the abscissae."""
-    curves = np.atleast_2d(curves)
+    curves = np.atleast_2d(np.asarray(curves, dtype=float))
     if curves.shape[1] != len(grid):
         raise InvalidParameterError(
             f"curves have {curves.shape[1]} columns but grid has {len(grid)} points"
         )
     header = [format_cell(float(x)) for x in grid]
-    return write_csv(path, header, ([float(v) for v in row] for row in curves))
+    return write_csv(path, header, (row.tolist() for row in curves))
 
 
 def write_selection_csv(path, selection: CutoffSelection) -> Path:

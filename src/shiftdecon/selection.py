@@ -241,6 +241,11 @@ def select_cutoff(obs: SequenceSummary, density: ShiftDensity,
     ``m0`` defaults to :func:`compute_m0` for the density at the observed
     ``(n, k_max)``; pass an explicit value to override.  Ties are broken
     toward the smallest cutoff (the most regularized choice).
+
+    ``penalty_variant`` defaults to ``"proof_form"`` here, as in
+    :func:`criterion_increments`, :func:`~shiftdecon.risk.mc_risk` and
+    :func:`~shiftdecon.risk.oracle_ratio`, while ``ExperimentConfig`` and the
+    CLI default to ``"printed_form"``.  Only ``u_bar`` reads it.
     """
     if m0 is None:
         m0 = compute_m0(density, obs.n, obs.k_max, log_base=log_base,

@@ -264,12 +264,7 @@ def render_curves(obs: SequenceObservations, grid_size: int) -> np.ndarray:
     ndarray of float, shape ``(obs.n, grid_size)``
     """
     sym = 0.5 * (obs.per_curve + np.conj(obs.per_curve[:, ::-1]))
-    rows = np.empty((obs.n, grid_size), dtype=float)
-    # One row at a time through the shared synthesis helper: identical input
-    # coefficients then give bit-identical samples regardless of n.
-    for j in range(obs.n):
-        rows[j] = _synthesize_rows(sym[j : j + 1], obs.k_max, grid_size)[0].real
-    return rows
+    return np.ascontiguousarray(_synthesize_rows(sym, obs.k_max, grid_size).real)
 
 
 def render_grid(grid_size: int) -> np.ndarray:

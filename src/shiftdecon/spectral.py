@@ -374,14 +374,21 @@ def _synthesize_rows(coeff_rows: np.ndarray, k_max: int, grid_size: int) -> np.n
 
     All synthesis in the package funnels through this helper so that a single
     coefficient vector produces bit-identical samples no matter which public
-    entry point asked for them.
+    entry point asked for them.  The synthesis matrix is built once per call;
+    each row is then multiplied by it on its own, a ``(1, 2k_max+1)`` product,
+    so a row's samples are bit-identical regardless of how many rows share
+    the call (one ``(n, 2k_max+1)`` product may round differently).
     """
     if grid_size < 2 * k_max + 1:
         raise AliasingError(
             f"grid_size={grid_size} cannot resolve frequencies up to k_max={k_max}; "
             f"need at least {2 * k_max + 1} points"
         )
-    return coeff_rows @ _synthesis_matrix_t(k_max, grid_size)
+    mat = _synthesis_matrix_t(k_max, grid_size)
+    out = np.empty((coeff_rows.shape[0], grid_size), dtype=np.result_type(coeff_rows, mat))
+    for j in range(coeff_rows.shape[0]):
+        out[j] = coeff_rows[j : j + 1] @ mat
+    return out
 
 
 def synthesize(template: Template, grid_size: int) -> np.ndarray:

@@ -15,7 +15,8 @@ from shiftdecon.csvio import write_template_csv
 from shiftdecon.errors import ConfigError
 from shiftdecon.catalog import wave_template
 from shiftdecon.risk import risk_report
-from shiftdecon.spectral import laplace_density
+from shiftdecon.simulate import simulate
+from shiftdecon.spectral import _synthesis_matrix_t, laplace_density
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +154,22 @@ def test_cli_simulate_is_deterministic(tmp_path):
     run_cli("simulate", "--n", "4", "--k-max", "12", "--m0-override", "none",
             "--seed", "9", "--out", str(b))
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_cli_simulate_curves_bytes(tmp_path):
+    out = tmp_path / "curves.csv"
+    code = run_cli("simulate", "--k-max", "64", "--grid-size", "256", "--n", "20",
+                   "--seed", "3", "--out", str(out))
+    assert code == 0
+    cfg = ExperimentConfig(k_max=64, n=20, seed=3)
+    obs = simulate(build_template(cfg), build_density(cfg), cfg.n, cfg.epsilon, cfg.seed)
+    sym = 0.5 * (obs.per_curve + np.conj(obs.per_curve[:, ::-1]))
+    mat = _synthesis_matrix_t(64, 256)
+    lines = [",".join(repr(float(x)) for x in np.arange(256) / 256)]
+    for j in range(cfg.n):
+        row = (sym[j : j + 1] @ mat)[0].real
+        lines.append(",".join(repr(float(v)) for v in row))
+    assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
 def test_cli_select_reports_cutoffs(tmp_path, capsys):

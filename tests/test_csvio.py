@@ -13,6 +13,11 @@ from shiftdecon.simulate import simulate
 from shiftdecon.spectral import laplace_density
 
 
+class _TaggedFloat(float):
+    def __repr__(self):
+        return "tagged"
+
+
 def test_format_cell_values():
     assert format_cell("x") == "x"
     assert format_cell(True) == "true"
@@ -21,11 +26,34 @@ def test_format_cell_values():
     assert format_cell(np.int64(-7)) == "-7"
     assert format_cell(0.1) == "0.1"
     assert format_cell(np.float64(1e-17)) == "1e-17"
+    assert format_cell(np.float32(0.1)) == "0.10000000149011612"
     assert format_cell(float("inf")) == "inf"
+    # a float subclass is written as its float value, not through its own repr
+    assert format_cell(_TaggedFloat(0.1)) == "0.1"
     with pytest.raises(InvalidParameterError):
         format_cell([1, 2])
     with pytest.raises(InvalidParameterError):
+        format_cell(None)
+    with pytest.raises(InvalidParameterError):
         format_cell(1 + 2j)
+
+
+def _reference_curves_bytes(grid, curves):
+    lines = [",".join(repr(float(x)) for x in grid)]
+    lines += [",".join(repr(float(v)) for v in row) for row in np.atleast_2d(curves)]
+    return ("\n".join(lines) + "\n").encode()
+
+
+def test_write_curves_csv_matches_per_cell_float_repr(tmp_path):
+    grid = np.arange(5) / 5
+    special = [0.0, -0.0, 5e-324, 1e16, float("inf"), float("-inf"), float("nan")]
+    rng = np.random.default_rng(0)
+    f64 = np.vstack([np.array(special[:5]), np.array(special[2:]),
+                     rng.standard_normal((3, 5))])
+    f32 = f64.astype(np.float32)
+    for curves in (f64, f32, f64[0]):
+        path = write_curves_csv(tmp_path / "c.csv", grid, curves)
+        assert path.read_bytes() == _reference_curves_bytes(grid, curves)
 
 
 def test_write_csv_exact_bytes(tmp_path):

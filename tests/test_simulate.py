@@ -10,9 +10,11 @@ from shiftdecon.errors import (AliasingError, InvalidParameterError,
 from shiftdecon.simulate import (SequenceObservations, SequenceSummary,
                                  render_curves, render_grid, simulate,
                                  simulate_summary)
-from shiftdecon.spectral import (ShiftDensity, Template, gaussian_density,
-                                 laplace_density, point_mass_density,
-                                 synthesize, uniform_density)
+from shiftdecon import spectral
+from shiftdecon.spectral import (ShiftDensity, Template, _synthesis_matrix_t,
+                                 gaussian_density, laplace_density,
+                                 point_mass_density, synthesize,
+                                 uniform_density)
 
 K_MAX = 12
 TEMPLATE = Template.from_harmonics(
@@ -220,6 +222,28 @@ def test_render_aliasing_guard():
     obs = simulate(TEMPLATE, LAPLACE, n=2, epsilon=0.1, seed=0)
     with pytest.raises(AliasingError):
         render_curves(obs, 2 * K_MAX)
+
+
+def test_render_matches_per_row_reference_bit_for_bit():
+    k_max, n, grid = 256, 12, 1024
+    obs = simulate(wave_template(k_max), LAPLACE, n=n, epsilon=0.05, seed=4)
+    sym = 0.5 * (obs.per_curve + np.conj(obs.per_curve[:, ::-1]))
+    mat = _synthesis_matrix_t(k_max, grid)
+    expected = np.array([(sym[j : j + 1] @ mat)[0].real for j in range(n)])
+    assert np.array_equal(render_curves(obs, grid), expected)
+
+
+def test_render_builds_the_synthesis_matrix_once(monkeypatch):
+    calls = []
+
+    def counting(k_max, grid_size):
+        calls.append((k_max, grid_size))
+        return _synthesis_matrix_t(k_max, grid_size)
+
+    monkeypatch.setattr(spectral, "_synthesis_matrix_t", counting)
+    obs = simulate(TEMPLATE, LAPLACE, n=9, epsilon=0.1, seed=2)
+    render_curves(obs, 64)
+    assert calls == [(K_MAX, 64)]
 
 
 def test_rendered_noise_scale():
