@@ -26,12 +26,11 @@ from .errors import (AliasingError, ConfigError, DegenerateInputError,
                      InvalidParameterError, InvariantViolationError,
                      ShiftDeconError, VanishingEigenvalueError)
 from .risk import (McRisk, RateStudy, RiskBreakdown, RiskReport, exact_risk,
-                   mc_risk, oracle_cutoff, oracle_ratio, r_bar, r_tilde,
-                   rate_study, risk_report, theoretical_rate_exponent)
+                   mc_risk, oracle_cutoff, oracle_ratio, rate_study, risk_report,
+                   theoretical_rate_exponent)
 from .selection import (CRITERION_KINDS, CutoffSelection, M0Result,
-                        SpectralEstimate, compute_m0, criterion_trace,
-                        criterion_u, criterion_u_bar, criterion_u_tilde,
-                        estimate, fraction_negative_theta_hat, select_cutoff,
+                        SpectralEstimate, compute_m0, criterion_trace, estimate,
+                        fraction_negative_theta_hat, select_cutoff,
                         theta_hat_squared)
 from .simulate import (SequenceObservations, SequenceSummary, render_curves,
                        render_grid, simulate, simulate_summary)
@@ -54,11 +53,10 @@ __all__ = [
     # selection
     "CRITERION_KINDS", "M0Result", "CutoffSelection", "SpectralEstimate",
     "compute_m0", "theta_hat_squared", "fraction_negative_theta_hat",
-    "criterion_trace", "criterion_u", "criterion_u_bar", "criterion_u_tilde",
-    "select_cutoff", "estimate",
+    "criterion_trace", "select_cutoff", "estimate",
     # risk
     "RiskBreakdown", "RiskReport", "McRisk", "RateStudy", "risk_report",
-    "exact_risk", "r_bar", "r_tilde", "oracle_cutoff", "mc_risk",
+    "exact_risk", "oracle_cutoff", "mc_risk",
     "oracle_ratio", "rate_study", "theoretical_rate_exponent",
     # catalog
     "wave_template", "sobolev_template", "spike_template", "catalog_template",

@@ -22,13 +22,13 @@ import sys
 import numpy as np
 
 from . import __version__
-from .config import (ExperimentConfig, build_density, build_template, load_config,
-                     resolve_log_base, save_config)
+from .config import (CONFIG_FIELDS, ExperimentConfig, build_density, build_template,
+                     load_config, resolve_log_base, save_config, selection_options)
 from .csvio import (write_csv, write_curves_csv, write_rate_study_csv,
                     write_risk_report_csv, write_selection_csv)
 from .errors import ShiftDeconError
 from .risk import rate_study, risk_report
-from .selection import compute_m0, estimate, select_cutoff
+from .selection import CRITERION_ESTIMATORS, compute_m0, estimate, select_cutoff
 from .simulate import render_curves, render_grid, simulate
 from .spectral import synthesize
 from .study import run_replication_study
@@ -38,43 +38,16 @@ __all__ = ["main", "build_parser"]
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="FILE", help="INI config file; flags override it")
-    parser.add_argument("--template", help="catalog template name or coefficient CSV path")
-    parser.add_argument("--density", dest="density_kind",
-                        choices=["laplace", "gaussian", "uniform", "point_mass"],
-                        help="shift density kind")
-    parser.add_argument("--sigma", type=float, dest="density_sigma",
-                        help="laplace/gaussian scale")
-    parser.add_argument("--half-width", type=float, dest="density_half_width",
-                        help="uniform density half width")
-    parser.add_argument("--n", type=int, help="curves per dataset")
-    parser.add_argument("--epsilon", type=float, help="noise level")
-    parser.add_argument("--k-max", type=int, dest="k_max", help="frequency band half-width")
-    parser.add_argument("--criterion", choices=["u", "u_bar", "u_tilde"],
-                        help="selection criterion for single-selection commands")
-    parser.add_argument("--replications", type=int, help="Monte Carlo replications")
-    parser.add_argument("--seed", type=int, help="base seed")
-    parser.add_argument("--m0-override", dest="m0_override", metavar="N|none",
-                        help="fix the selection cap (integer), or 'none' for the computed cap")
-    parser.add_argument("--log-base", dest="log_base", choices=["natural", "decimal"],
-                        help="logarithm base in threshold and penalty")
-    parser.add_argument("--penalty-variant", dest="penalty_variant",
-                        choices=["proof_form", "printed_form"],
-                        help="penalty summand variant for the penalized criterion")
+    for field in CONFIG_FIELDS:
+        parser.add_argument(field.flag, dest=field.name, help=field.help)
 
 
 def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
+    """The ``--config`` file (or the defaults), then each given flag, parsed by
+    its field's parser."""
     cfg = load_config(args.config) if args.config else ExperimentConfig()
-    overrides = {}
-    for key in ("template", "density_kind", "density_sigma", "density_half_width",
-                "n", "epsilon", "k_max", "criterion", "replications", "seed",
-                "log_base", "penalty_variant"):
-        value = getattr(args, key, None)
-        if value is not None:
-            overrides[key] = value
-    raw_m0 = getattr(args, "m0_override", None)
-    if raw_m0 is not None:
-        overrides["m0_override"] = None if raw_m0.lower() in ("none", "formula") \
-            else int(raw_m0)
+    overrides = {field.name: field.parse(raw, field.flag) for field in CONFIG_FIELDS
+                 if (raw := getattr(args, field.name)) is not None}
     return dataclasses.replace(cfg, **overrides) if overrides else cfg
 
 
@@ -83,10 +56,6 @@ def _resolve_m0(cfg: ExperimentConfig, template, density) -> int:
         return cfg.m0_override
     return compute_m0(density, cfg.n, template.k_max,
                       log_base=resolve_log_base(cfg)).value
-
-
-def _selection_options(cfg: ExperimentConfig) -> dict:
-    return dict(log_base=resolve_log_base(cfg), penalty_variant=cfg.penalty_variant)
 
 
 def cmd_simulate(args) -> int:
@@ -107,7 +76,7 @@ def cmd_select(args) -> int:
     obs = simulate(template, density, cfg.n, cfg.epsilon, cfg.seed)
     m0 = _resolve_m0(cfg, template, density)
     sel = select_cutoff(obs, density, cfg.criterion, m0=m0,
-                        **_selection_options(cfg))
+                        **selection_options(cfg))
     if args.out:
         write_selection_csv(args.out, sel)
         print(f"wrote criterion trace to {args.out}")
@@ -125,10 +94,8 @@ def cmd_estimate(args) -> int:
     else:
         m0 = _resolve_m0(cfg, template, density)
         sel = select_cutoff(obs, density, cfg.criterion, m0=m0,
-                            **_selection_options(cfg))
-        cutoff = sel.chosen_n
-        kind = "theta_star" if cfg.criterion == "u_bar" else (
-            "theta_tilde" if cfg.criterion == "u_tilde" else "fixed_n")
+                            **selection_options(cfg))
+        cutoff, kind = sel.chosen_n, CRITERION_ESTIMATORS[cfg.criterion]
     est = estimate(obs, density, cutoff, kind)
     if args.out:
         write_csv(args.out, ["k", "re", "im"],

@@ -4,8 +4,15 @@ The default configuration reproduces the reference simulation study: the
 catalog wave template on the band ``|k| <= 40``, Laplace(0.1) shifts, n = 100
 curves, 100 replications, and the selection band capped at 32.
 
+``CONFIG_FIELDS`` holds one row per :class:`ExperimentConfig` field: its INI
+section and key, its CLI flag, the flag's help text, and the one parser that
+turns a raw string into the value.  :func:`parse_config`,
+:func:`serialize_config` and the CLI flags all read that table, so a flag and
+a file key accept the same text, and a bad value from either raises
+:class:`~shiftdecon.errors.ConfigError` naming where it came from.
+
 File format (both sections required only when a key in them is set; unknown
-sections or keys are rejected)::
+sections or keys are rejected; ``%`` is literal, there is no interpolation)::
 
     [experiment]
     template = wave            ; catalog name or a coefficient CSV path
@@ -15,7 +22,7 @@ sections or keys are rejected)::
     criterion = u_bar          ; one of u, u_bar, u_tilde
     replications = 100
     seed = 1
-    m0_override = 32           ; omit to use the computed cap
+    m0_override = 32           ; an integer, or none / formula (or empty) for the computed cap
     log_base = natural         ; natural | decimal
     penalty_variant = printed_form  ; proof_form | printed_form
 
@@ -28,11 +35,10 @@ sections or keys are rejected)::
 from __future__ import annotations
 
 import configparser
-import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from .catalog import TEMPLATE_BUILDERS, catalog_template
 from .csvio import read_template_csv
@@ -41,16 +47,18 @@ from .selection import CRITERION_KINDS, PENALTY_VARIANTS
 from .spectral import (ShiftDensity, Template, gaussian_density, laplace_density,
                        point_mass_density, uniform_density)
 
-__all__ = ["ExperimentConfig", "parse_config", "load_config", "serialize_config",
-           "save_config", "build_density", "build_template", "resolve_log_base"]
+__all__ = ["ExperimentConfig", "CONFIG_FIELDS", "parse_config", "load_config",
+           "serialize_config", "save_config", "build_density", "build_template",
+           "resolve_log_base", "selection_options"]
 
-DENSITY_KINDS = ("laplace", "gaussian", "uniform", "point_mass")
+_DENSITY_BUILDERS = {
+    "laplace": lambda cfg: laplace_density(cfg.density_sigma),
+    "gaussian": lambda cfg: gaussian_density(cfg.density_sigma),
+    "uniform": lambda cfg: uniform_density(cfg.density_half_width),
+    "point_mass": lambda cfg: point_mass_density(),
+}
+DENSITY_KINDS = tuple(_DENSITY_BUILDERS)
 LOG_BASES = ("natural", "decimal")
-
-_EXPERIMENT_KEYS = ("template", "n", "epsilon", "k_max", "criterion",
-                    "replications", "seed", "m0_override", "log_base",
-                    "penalty_variant")
-_DENSITY_KEYS = ("kind", "sigma", "half_width")
 
 
 @dataclass(frozen=True)
@@ -110,15 +118,15 @@ def resolve_log_base(cfg: ExperimentConfig) -> float:
     return math.e if cfg.log_base == "natural" else 10.0
 
 
+def selection_options(cfg: ExperimentConfig) -> dict:
+    """Keyword options that :func:`~shiftdecon.selection.select_cutoff` and
+    :func:`~shiftdecon.selection.criterion_trace` take from a configuration."""
+    return dict(log_base=resolve_log_base(cfg), penalty_variant=cfg.penalty_variant)
+
+
 def build_density(cfg: ExperimentConfig) -> ShiftDensity:
     """Instantiate the configured shift density."""
-    if cfg.density_kind == "laplace":
-        return laplace_density(cfg.density_sigma)
-    if cfg.density_kind == "gaussian":
-        return gaussian_density(cfg.density_sigma)
-    if cfg.density_kind == "uniform":
-        return uniform_density(cfg.density_half_width)
-    return point_mass_density()
+    return _DENSITY_BUILDERS[cfg.density_kind](cfg)
 
 
 def build_template(cfg: ExperimentConfig) -> Template:
@@ -141,77 +149,96 @@ def build_template(cfg: ExperimentConfig) -> Template:
     )
 
 
-def _parse_int(section, key, raw):
+# Parsers take the raw text and where it came from (``[section] key`` or a
+# flag), which a ConfigError names.
+
+def _text(raw: str, where: str) -> str:
+    return raw
+
+
+def _int(raw: str, where: str) -> int:
     try:
         return int(raw)
     except ValueError:
-        raise ConfigError(f"[{section}] {key}: expected an integer, got {raw!r}") from None
+        raise ConfigError(f"{where}: expected an integer, got {raw!r}") from None
 
 
-def _parse_float(section, key, raw):
+def _float(raw: str, where: str) -> float:
     try:
         return float(raw)
     except ValueError:
-        raise ConfigError(f"[{section}] {key}: expected a number, got {raw!r}") from None
+        raise ConfigError(f"{where}: expected a number, got {raw!r}") from None
+
+
+def _m0_override(raw: str, where: str) -> Optional[int]:
+    if raw.lower() in ("", "none", "formula"):
+        return None
+    return _int(raw, where)
+
+
+class ConfigField(NamedTuple):
+    """One :class:`ExperimentConfig` field as the INI file and the CLI see it."""
+
+    name: str
+    section: str
+    key: str
+    flag: str
+    help: str
+    parse: Callable[[str, str], object]
+
+
+# In ExperimentConfig's field order; each section's keys are written in this order.
+CONFIG_FIELDS = (
+    ConfigField("template", "experiment", "template", "--template",
+                "catalog template name or coefficient CSV path", _text),
+    ConfigField("density_kind", "density", "kind", "--density",
+                f"shift density kind: {' | '.join(DENSITY_KINDS)}", _text),
+    ConfigField("density_sigma", "density", "sigma", "--sigma",
+                "laplace/gaussian scale", _float),
+    ConfigField("density_half_width", "density", "half_width", "--half-width",
+                "uniform density half width", _float),
+    ConfigField("n", "experiment", "n", "--n", "curves per dataset", _int),
+    ConfigField("epsilon", "experiment", "epsilon", "--epsilon", "noise level", _float),
+    ConfigField("k_max", "experiment", "k_max", "--k-max",
+                "frequency band half-width", _int),
+    ConfigField("criterion", "experiment", "criterion", "--criterion",
+                f"selection criterion for single-selection commands: "
+                f"{' | '.join(CRITERION_KINDS)}", _text),
+    ConfigField("replications", "experiment", "replications", "--replications",
+                "Monte Carlo replications", _int),
+    ConfigField("seed", "experiment", "seed", "--seed", "base seed", _int),
+    ConfigField("m0_override", "experiment", "m0_override", "--m0-override",
+                "fix the selection cap (integer), or none / formula for the computed cap",
+                _m0_override),
+    ConfigField("log_base", "experiment", "log_base", "--log-base",
+                f"logarithm base in threshold and penalty: {' | '.join(LOG_BASES)}", _text),
+    ConfigField("penalty_variant", "experiment", "penalty_variant", "--penalty-variant",
+                f"penalty summand variant for the penalized criterion: "
+                f"{' | '.join(PENALTY_VARIANTS)}", _text),
+)
+_SECTIONS = ("experiment", "density")
+_BY_KEY = {(f.section, f.key): f for f in CONFIG_FIELDS}
 
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse an INI fragment into a validated configuration."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    parser = configparser.ConfigParser(interpolation=None,
+                                       inline_comment_prefixes=(";", "#"))
     try:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"malformed config: {exc}") from None
 
+    values = {}
     for section in parser.sections():
-        if section not in ("experiment", "density"):
+        if section not in _SECTIONS:
             raise ConfigError(f"unknown config section [{section}]")
-    known = {"experiment": _EXPERIMENT_KEYS, "density": _DENSITY_KEYS}
-    for section, keys in known.items():
-        if parser.has_section(section):
-            for key in parser.options(section):
-                if key not in keys:
-                    raise ConfigError(f"unknown config key {key!r} in section [{section}]")
-
-    kwargs = {}
-    if parser.has_section("experiment"):
-        sec = parser["experiment"]
-        if "template" in sec:
-            kwargs["template"] = sec["template"].strip()
-        if "n" in sec:
-            kwargs["n"] = _parse_int("experiment", "n", sec["n"])
-        if "epsilon" in sec:
-            kwargs["epsilon"] = _parse_float("experiment", "epsilon", sec["epsilon"])
-        if "k_max" in sec:
-            kwargs["k_max"] = _parse_int("experiment", "k_max", sec["k_max"])
-        if "criterion" in sec:
-            kwargs["criterion"] = sec["criterion"].strip()
-        if "replications" in sec:
-            kwargs["replications"] = _parse_int("experiment", "replications",
-                                                sec["replications"])
-        if "seed" in sec:
-            kwargs["seed"] = _parse_int("experiment", "seed", sec["seed"])
-        if "m0_override" in sec:
-            raw = sec["m0_override"].strip()
-            kwargs["m0_override"] = None if raw.lower() in ("", "none") else \
-                _parse_int("experiment", "m0_override", raw)
-        if "log_base" in sec:
-            kwargs["log_base"] = sec["log_base"].strip()
-        if "penalty_variant" in sec:
-            kwargs["penalty_variant"] = sec["penalty_variant"].strip()
-    if parser.has_section("density"):
-        sec = parser["density"]
-        if "kind" in sec:
-            kwargs["density_kind"] = sec["kind"].strip()
-        if "sigma" in sec:
-            kwargs["density_sigma"] = _parse_float("density", "sigma", sec["sigma"])
-        if "half_width" in sec:
-            kwargs["density_half_width"] = _parse_float("density", "half_width",
-                                                        sec["half_width"])
-    try:
-        return ExperimentConfig(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from None
+        for key, raw in parser.items(section):
+            field = _BY_KEY.get((section, key))
+            if field is None:
+                raise ConfigError(f"unknown config key {key!r} in section [{section}]")
+            values[field.name] = field.parse(raw, f"[{section}] {key}")
+    return ExperimentConfig(**values)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -223,27 +250,19 @@ def load_config(path) -> ExperimentConfig:
     return parse_config(text)
 
 
+def _format(value) -> str:
+    # "none" must be written out: a missing m0_override would parse back as the default
+    if value is None:
+        return "none"
+    return value if isinstance(value, str) else repr(value)
+
+
 def serialize_config(cfg: ExperimentConfig) -> str:
     """Write a configuration back to INI text; parse(serialize(cfg)) == cfg."""
-    out = io.StringIO()
-    out.write("[experiment]\n")
-    out.write(f"template = {cfg.template}\n")
-    out.write(f"n = {cfg.n}\n")
-    out.write(f"epsilon = {cfg.epsilon!r}\n")
-    out.write(f"k_max = {cfg.k_max}\n")
-    out.write(f"criterion = {cfg.criterion}\n")
-    out.write(f"replications = {cfg.replications}\n")
-    out.write(f"seed = {cfg.seed}\n")
-    # "none" must be written out: a missing key would parse back as the default
-    override = "none" if cfg.m0_override is None else cfg.m0_override
-    out.write(f"m0_override = {override}\n")
-    out.write(f"log_base = {cfg.log_base}\n")
-    out.write(f"penalty_variant = {cfg.penalty_variant}\n")
-    out.write("\n[density]\n")
-    out.write(f"kind = {cfg.density_kind}\n")
-    out.write(f"sigma = {cfg.density_sigma!r}\n")
-    out.write(f"half_width = {cfg.density_half_width!r}\n")
-    return out.getvalue()
+    return "\n".join(
+        f"[{section}]\n" + "".join(f"{f.key} = {_format(getattr(cfg, f.name))}\n"
+                                   for f in CONFIG_FIELDS if f.section == section)
+        for section in _SECTIONS)
 
 
 def save_config(cfg: ExperimentConfig, path) -> Path:

@@ -36,7 +36,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 from .errors import DegenerateInputError, InvalidParameterError
-from .selection import ESTIMATE_KINDS, compute_m0, select_cutoff
+from .selection import CRITERION_ESTIMATORS, ESTIMATE_KINDS, compute_m0, select_cutoff
 from .simulate import simulate_summary
 from .spectral import (ShiftDensity, Template, _pair_sums, _tail_energy, laplace_density,
                        point_mass_density)
@@ -48,8 +48,6 @@ __all__ = [
     "RateStudy",
     "risk_report",
     "exact_risk",
-    "r_bar",
-    "r_tilde",
     "oracle_cutoff",
     "mc_risk",
     "oracle_ratio",
@@ -58,6 +56,7 @@ __all__ = [
 ]
 
 RISK_KINDS = ("r", "r_bar", "r_tilde")
+_ESTIMATOR_CRITERIA = {est: crit for crit, est in CRITERION_ESTIMATORS.items()}
 
 
 class RiskBreakdown(NamedTuple):
@@ -164,22 +163,6 @@ def exact_risk(template: Template, density: ShiftDensity, n: int, epsilon: float
     return report.point(cutoff)
 
 
-def r_bar(template: Template, density: ShiftDensity, n: int, epsilon: float,
-          cutoff: int, *, log_base: float = math.e,
-          penalty_multiplier: float = 1.0) -> float:
-    """Penalized risk envelope at one cutoff."""
-    report = risk_report(template, density, n, epsilon, cutoff,
-                         log_base=log_base, penalty_multiplier=penalty_multiplier)
-    return float(report.r_bar[cutoff])
-
-
-def r_tilde(template: Template, density: ShiftDensity, n: int, epsilon: float,
-            cutoff: int) -> float:
-    """Bias-plus-noise-variance envelope at one cutoff."""
-    report = risk_report(template, density, n, epsilon, cutoff)
-    return float(report.r_tilde[cutoff])
-
-
 def oracle_cutoff(template: Template, density: ShiftDensity, n: int, epsilon: float,
                   kind: str, m0: int, *, log_base: float = math.e,
                   penalty_multiplier: float = 1.0) -> int:
@@ -267,9 +250,12 @@ def mc_risk(template: Template, density: ShiftDensity, n: int, epsilon: float,
 
     Parameters
     ----------
-    estimator_kind : {"theta_star", "theta_tilde", "fixed_n"}
-        ``theta_star`` selects its cutoff with the penalized criterion,
-        ``theta_tilde`` with the plain one; ``fixed_n`` uses ``cutoff``.
+    estimator_kind : {"theta_u", "theta_star", "theta_tilde", "fixed_n"}
+        An adaptive estimator selects its cutoff with its criterion in
+        :data:`~shiftdecon.selection.CRITERION_ESTIMATORS`: ``theta_star``
+        with the penalized ``u_bar``, ``theta_tilde`` with the plain
+        ``u_tilde``, ``theta_u`` with the unbiased ``u``.  ``fixed_n`` uses
+        ``cutoff``.
     replications : int
         Number of independent datasets (>= 2 so a standard error exists).
     seed : int
@@ -299,7 +285,7 @@ def mc_risk(template: Template, density: ShiftDensity, n: int, epsilon: float,
             m0 = compute_m0(density, n, template.k_max, log_base=log_base,
                             threshold_multiplier=threshold_multiplier).value
         band_top = int(m0)
-        rule = "u_bar" if estimator_kind == "theta_star" else "u_tilde"
+        rule = _ESTIMATOR_CRITERIA[estimator_kind]
     if not (0 <= band_top <= template.k_max):
         raise InvalidParameterError(
             f"cutoff bound must be in 0..{template.k_max}, got {band_top}"
@@ -325,8 +311,8 @@ def oracle_ratio(template: Template, density: ShiftDensity, n: int, epsilon: flo
     """Monte Carlo risk divided by the best theoretical risk ``inf_{N<=m0}``.
 
     The baseline defaults to the envelope matching the estimator:
-    ``r_bar`` for ``theta_star``, ``r`` for ``theta_tilde``; pass ``baseline``
-    explicitly to compare against another curve.
+    ``r_bar`` for ``theta_star``, ``r`` for ``theta_tilde`` and ``theta_u``;
+    pass ``baseline`` explicitly to compare against another curve.
     """
     if estimator_kind == "fixed_n":
         raise InvalidParameterError("oracle_ratio is defined for the adaptive estimators")

@@ -41,7 +41,9 @@ from .simulate import SequenceSummary
 from .spectral import ShiftDensity, _pair_sums, _synthesize_rows
 
 __all__ = [
+    "CRITERION_ESTIMATORS",
     "CRITERION_KINDS",
+    "ESTIMATE_KINDS",
     "PENALTY_VARIANTS",
     "M0Result",
     "CutoffSelection",
@@ -51,14 +53,14 @@ __all__ = [
     "fraction_negative_theta_hat",
     "criterion_increments",
     "criterion_trace",
-    "criterion_u",
-    "criterion_u_bar",
-    "criterion_u_tilde",
     "select_cutoff",
     "estimate",
 ]
 
-CRITERION_KINDS = ("u", "u_bar", "u_tilde")
+# The estimator each criterion selects the cutoff of.
+CRITERION_ESTIMATORS = {"u": "theta_u", "u_bar": "theta_star", "u_tilde": "theta_tilde"}
+CRITERION_KINDS = tuple(CRITERION_ESTIMATORS)
+ESTIMATE_KINDS = (*CRITERION_ESTIMATORS.values(), "fixed_n")
 PENALTY_VARIANTS = ("proof_form", "printed_form")
 
 
@@ -181,31 +183,6 @@ def criterion_trace(obs: SequenceSummary, density: ShiftDensity,
     return np.cumsum(criterion_increments(obs, density, kind, n_max, **options))
 
 
-def _criterion_at(obs, density, kind, cutoff, **options) -> float:
-    if cutoff < 0:
-        raise InvalidParameterError(f"cutoff must be >= 0, got {cutoff}")
-    return float(criterion_trace(obs, density, kind, cutoff, **options)[cutoff])
-
-
-def criterion_u(obs: SequenceSummary, density: ShiftDensity, cutoff: int,
-                **options) -> float:
-    """Unbiased estimator of ``risk(N) - ||theta||^2`` at the given cutoff."""
-    return _criterion_at(obs, density, "u", cutoff, **options)
-
-
-def criterion_u_bar(obs: SequenceSummary, density: ShiftDensity, cutoff: int,
-                    **options) -> float:
-    """Penalized criterion; the penalty damps the spectral-variance term that
-    the plain unbiased criterion underweights."""
-    return _criterion_at(obs, density, "u_bar", cutoff, **options)
-
-
-def criterion_u_tilde(obs: SequenceSummary, density: ShiftDensity, cutoff: int,
-                      **options) -> float:
-    """Plain quadratic-risk criterion (no penalty)."""
-    return _criterion_at(obs, density, "u_tilde", cutoff, **options)
-
-
 @dataclass(frozen=True)
 class CutoffSelection:
     """Result of minimizing a criterion over ``N = 0..m0``."""
@@ -291,9 +268,6 @@ class SpectralEstimate:
         """Real part of the synthesized estimate on ``x_j = j / grid_size``."""
         sym = 0.5 * (self.coeffs + np.conj(self.coeffs[::-1]))
         return _synthesize_rows(sym[np.newaxis, :], self.k_max, grid_size)[0].real
-
-
-ESTIMATE_KINDS = ("theta_star", "theta_tilde", "fixed_n")
 
 
 def estimate(obs: SequenceSummary, density: ShiftDensity, cutoff: int,

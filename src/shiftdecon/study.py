@@ -35,11 +35,12 @@ from typing import Optional
 
 import numpy as np
 
-from .config import ExperimentConfig, build_density, build_template, resolve_log_base
+from .config import (ExperimentConfig, build_density, build_template, resolve_log_base,
+                     selection_options)
 from .csvio import write_csv, write_curves_csv, write_risk_report_csv
 from .errors import InvalidParameterError
 from .risk import RiskReport, _run_replicates, risk_report
-from .selection import compute_m0, criterion_trace
+from .selection import CRITERION_ESTIMATORS, compute_m0, criterion_trace
 from .simulate import render_curves, render_grid, simulate, simulate_summary
 from .spectral import synthesize
 
@@ -106,11 +107,11 @@ def run_replication_study(cfg: ExperimentConfig, out_dir, *, grid_size: int = 25
     if m0_used > k_max:
         raise InvalidParameterError(f"m0={m0_used} exceeds the band k_max={k_max}")
 
-    sel_options = dict(log_base=log_base, penalty_variant=cfg.penalty_variant)
+    sel_options = selection_options(cfg)
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.replications)
-    reps = _run_replicates(template, density, cfg.n, cfg.epsilon, seeds,
-                           ("u_bar", "u_tilde"), m0_used, workers=workers,
-                           **sel_options)
+    rules = ("u_bar", "u_tilde")
+    reps = _run_replicates(template, density, cfg.n, cfg.epsilon, seeds, rules,
+                           m0_used, workers=workers, **sel_options)
     n_star, n_tilde = reps.cutoffs
     loss_star, loss_tilde = reps.losses
     neg_fracs = reps.negative_fractions
@@ -155,14 +156,12 @@ def run_replication_study(cfg: ExperimentConfig, out_dir, *, grid_size: int = 25
 
     write_risk_report_csv(out_dir / "risk_curves.csv", report)
 
-    mean_star, mean_tilde = float(np.mean(loss_star)), float(np.mean(loss_tilde))
     summary_rows = []
-    for name, crit, mean, err in (
-        ("theta_star", "u_bar", mean_star, _stderr(loss_star)),
-        ("theta_tilde", "u_tilde", mean_tilde, _stderr(loss_tilde)),
-    ):
+    for crit, losses in zip(rules, reps.losses):
+        mean = float(np.mean(losses))
         summary_rows.append((
-            name, crit, mean, err, inf_r, inf_r_bar, inf_r_tilde,
+            CRITERION_ESTIMATORS[crit], crit, mean, _stderr(losses),
+            inf_r, inf_r_bar, inf_r_tilde,
             mean / inf_r if inf_r > 0 else float("nan"),
             mean / inf_r_bar if inf_r_bar > 0 else float("nan"),
             mean / inf_r_tilde if inf_r_tilde > 0 else float("nan"),

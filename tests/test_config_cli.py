@@ -1,4 +1,5 @@
 """Configuration parsing and the command-line front end."""
+import dataclasses
 import json
 import math
 import subprocess
@@ -7,14 +8,15 @@ import sys
 import numpy as np
 import pytest
 
-from shiftdecon.cli import main
-from shiftdecon.config import (ExperimentConfig, build_density, build_template,
-                               load_config, parse_config, resolve_log_base,
-                               save_config, serialize_config)
+from shiftdecon.cli import _resolve_config, build_parser, main
+from shiftdecon.config import (CONFIG_FIELDS, ExperimentConfig, build_density,
+                               build_template, load_config, parse_config,
+                               resolve_log_base, save_config, serialize_config)
 from shiftdecon.csvio import write_template_csv
 from shiftdecon.errors import ConfigError
 from shiftdecon.catalog import wave_template
 from shiftdecon.risk import risk_report
+from shiftdecon.selection import CRITERION_ESTIMATORS
 from shiftdecon.simulate import simulate
 from shiftdecon.spectral import _synthesis_matrix_t, laplace_density
 
@@ -59,7 +61,8 @@ def test_serialize_parse_round_trip():
                                  density_half_width=0.2, n=37, epsilon=0.25,
                                  k_max=11, criterion="u", replications=3,
                                  seed=99, m0_override=None, log_base="decimal",
-                                 penalty_variant="proof_form")):
+                                 penalty_variant="proof_form"),
+                ExperimentConfig(template="a%b.csv")):
         assert parse_config(serialize_config(cfg)) == cfg
 
 
@@ -97,6 +100,38 @@ def test_parse_rejects_bad_values():
         parse_config("[experiment]\nepsilon = tiny\n")
     with pytest.raises(ConfigError):
         parse_config("not ini at all")
+
+
+def test_parse_reads_percent_literally():
+    # no interpolation: "%" needs no escape and "%%" stays two characters
+    assert parse_config("[experiment]\ntemplate = a%b.csv\n").template == "a%b.csv"
+    assert parse_config("[experiment]\ntemplate = a%%b.csv\n").template == "a%%b.csv"
+
+
+def test_config_fields_are_the_dataclass_fields():
+    assert [f.name for f in CONFIG_FIELDS] == \
+        [f.name for f in dataclasses.fields(ExperimentConfig)]
+
+
+# one value per field, other than the default, valid as a flag and as a file value
+_NON_DEFAULT = {
+    "template": "spike", "density_kind": "gaussian", "density_sigma": "0.2",
+    "density_half_width": "0.3", "n": "37", "epsilon": "0.25", "k_max": "50",
+    "criterion": "u", "replications": "3", "seed": "99", "m0_override": "formula",
+    "log_base": "decimal", "penalty_variant": "proof_form",
+}
+
+
+@pytest.mark.parametrize("field", CONFIG_FIELDS, ids=[f.name for f in CONFIG_FIELDS])
+def test_flag_and_file_set_each_field_alike(field, tmp_path):
+    raw = _NON_DEFAULT[field.name]
+    ini = tmp_path / "one.ini"
+    ini.write_text(f"[{field.section}]\n{field.key} = {raw}\n")
+    parser = build_parser()
+    from_file = _resolve_config(parser.parse_args(["write-config", "--config", str(ini)]))
+    from_flag = _resolve_config(parser.parse_args(["write-config", field.flag, raw]))
+    assert from_file == from_flag
+    assert getattr(from_flag, field.name) != getattr(ExperimentConfig(), field.name)
 
 
 def test_build_density_kinds():
@@ -195,6 +230,14 @@ def test_cli_estimate_fixed_cutoff(tmp_path, capsys):
     assert fit.read_text().splitlines()[0] == "x,estimate,truth"
 
 
+def test_cli_estimate_labels_the_selecting_criterion(capsys):
+    for criterion, kind in CRITERION_ESTIMATORS.items():
+        code = run_cli("estimate", "--criterion", criterion, "--seed", "1")
+        assert code == 0
+        assert f"kind={kind}" in capsys.readouterr().out
+    assert CRITERION_ESTIMATORS["u"] == "theta_u"
+
+
 def test_cli_risk_matches_library(tmp_path):
     out = tmp_path / "risk.csv"
     code = run_cli("risk", "--n-max", "12", "--epsilon", "0.02", "--out", str(out))
@@ -276,6 +319,14 @@ def test_cli_errors_are_json_on_stderr(tmp_path, capsys):
     assert payload["error"] == "VanishingEigenvalueError"
     assert "EIGENVALUE_FLOOR" in payload["message"]
 
+    # flags go through the same parsers as file keys
+    for flag, raw in (("--m0-override", "abc"), ("--n", "many")):
+        code = run_cli("select", flag, raw)
+        assert code == 2
+        payload = json.loads(capsys.readouterr().err.strip())
+        assert payload["error"] == "ConfigError"
+        assert flag in payload["message"] and repr(raw) in payload["message"]
+
 
 def test_cli_config_file_rejects_infinite_epsilon(tmp_path, capsys):
     path = tmp_path / "inf.ini"
@@ -285,6 +336,16 @@ def test_cli_config_file_rejects_infinite_epsilon(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().err.strip())
     assert payload["error"] == "ConfigError"
     assert "'epsilon'" in payload["message"]
+
+
+def test_cli_config_file_with_percent_in_template(tmp_path):
+    ini = tmp_path / "pct.ini"
+    ini.write_text("[experiment]\ntemplate = a%b.csv\n")
+    out = tmp_path / "resolved.ini"
+    assert run_cli("write-config", "--config", str(ini), "--out", str(out)) == 0
+    assert load_config(out).template == "a%b.csv"
+    assert run_cli("write-config", "--template", "c%d.csv", "--out", str(out)) == 0
+    assert load_config(out).template == "c%d.csv"
 
 
 def test_cli_module_entry_point(tmp_path):

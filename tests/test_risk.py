@@ -10,10 +10,9 @@ from shiftdecon.config import ExperimentConfig, build_density, build_template
 from shiftdecon.errors import (DegenerateInputError, InvalidParameterError,
                                VanishingEigenvalueError)
 from shiftdecon.risk import (McRisk, RiskReport, _run_replicates, exact_risk,
-                             mc_risk, oracle_cutoff, oracle_ratio, r_bar,
-                             r_tilde, rate_study, risk_report,
-                             theoretical_rate_exponent)
-from shiftdecon.selection import fraction_negative_theta_hat
+                             mc_risk, oracle_cutoff, oracle_ratio, rate_study,
+                             risk_report, theoretical_rate_exponent)
+from shiftdecon.selection import fraction_negative_theta_hat, select_cutoff
 from shiftdecon.simulate import simulate_summary
 from shiftdecon.spectral import (ShiftDensity, Template, laplace_density,
                                  point_mass_density, uniform_density)
@@ -119,8 +118,9 @@ def test_report_accessors():
 def test_point_helpers_match_report():
     rep = risk_report(WAVE8, LAPLACE, 50, 0.1, 6)
     assert exact_risk(WAVE8, LAPLACE, 50, 0.1, 6).r == rep.r[6]
-    assert r_bar(WAVE8, LAPLACE, 50, 0.1, 6) == rep.r_bar[6]
-    assert r_tilde(WAVE8, LAPLACE, 50, 0.1, 6) == rep.r_tilde[6]
+    wider = risk_report(WAVE8, LAPLACE, 50, 0.1, 8)
+    assert wider.r_bar[6] == rep.r_bar[6]
+    assert wider.r_tilde[6] == rep.r_tilde[6]
 
 
 def test_risk_report_validation():
@@ -260,6 +260,18 @@ def test_mc_risk_adaptive_uses_selected_cutoffs():
     mc = mc_risk(WAVE8, LAPLACE, 30, 0.05, "theta_tilde", 30, seed=4, m0=8)
     assert np.all((0 <= mc.cutoffs) & (mc.cutoffs <= 8))
     assert len(np.unique(mc.cutoffs)) > 1  # selection actually varies
+
+
+def test_mc_risk_theta_u_selects_with_criterion_u():
+    mc = mc_risk(WAVE8, LAPLACE, 30, 0.05, "theta_u", 10, seed=4, m0=8)
+    seeds = np.random.SeedSequence(4).spawn(10)
+    expected = [select_cutoff(simulate_summary(WAVE8, LAPLACE, 30, 0.05, s),
+                              LAPLACE, "u", m0=8).chosen_n for s in seeds]
+    assert mc.cutoffs.tolist() == expected
+    args = dict(n=30, epsilon=0.05, estimator_kind="theta_u", replications=10,
+                seed=4, m0=8)
+    assert oracle_ratio(WAVE8, LAPLACE, **args) == \
+        oracle_ratio(WAVE8, LAPLACE, baseline="r", **args)
 
 
 def test_mc_risk_adaptive_not_below_oracle():

@@ -8,8 +8,7 @@ from shiftdecon.catalog import wave_template
 from shiftdecon.errors import InvalidParameterError, VanishingEigenvalueError
 from shiftdecon.selection import (CRITERION_KINDS, CutoffSelection, compute_m0,
                                   criterion_increments, criterion_trace,
-                                  criterion_u, criterion_u_bar,
-                                  criterion_u_tilde, estimate,
+                                  estimate,
                                   fraction_negative_theta_hat,
                                   log_squared_over_n, select_cutoff,
                                   theta_hat_squared)
@@ -189,9 +188,9 @@ def test_point_evaluators_match_traces():
     trace_ub = criterion_trace(obs, LAPLACE, "u_bar", 8)
     trace_ut = criterion_trace(obs, LAPLACE, "u_tilde", 8)
     for n_cut in (0, 4, 8):
-        assert criterion_u(obs, LAPLACE, n_cut) == trace_u[n_cut]
-        assert criterion_u_bar(obs, LAPLACE, n_cut) == trace_ub[n_cut]
-        assert criterion_u_tilde(obs, LAPLACE, n_cut) == trace_ut[n_cut]
+        assert criterion_trace(obs, LAPLACE, "u", n_cut)[n_cut] == trace_u[n_cut]
+        assert criterion_trace(obs, LAPLACE, "u_bar", n_cut)[n_cut] == trace_ub[n_cut]
+        assert criterion_trace(obs, LAPLACE, "u_tilde", n_cut)[n_cut] == trace_ut[n_cut]
 
 
 def test_penalized_minus_unbiased_identity():
@@ -205,7 +204,8 @@ def test_penalized_minus_unbiased_identity():
         sl = slice(K - n_cut, K + n_cut + 1)
         expected = np.sum(-t[sl] / (n * g2[sl])
                           + (L - 1.0 / n) * t[sl] / g2[sl] ** 2)
-        got = criterion_u_bar(obs, LAPLACE, n_cut) - criterion_u(obs, LAPLACE, n_cut)
+        got = (criterion_trace(obs, LAPLACE, "u_bar", n_cut)[n_cut]
+               - criterion_trace(obs, LAPLACE, "u", n_cut)[n_cut])
         assert abs(got - expected) < 1e-12
 
 
@@ -266,7 +266,7 @@ def test_criterion_validation():
     with pytest.raises(InvalidParameterError):
         criterion_increments(obs, LAPLACE, "u_bar", 4, penalty_variant="other")
     with pytest.raises(InvalidParameterError):
-        criterion_u(obs, LAPLACE, -1)
+        criterion_trace(obs, LAPLACE, "u", -1)
 
 
 # ---------------------------------------------------------------------------
