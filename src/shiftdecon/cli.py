@@ -26,7 +26,7 @@ from .config import (CONFIG_FIELDS, ExperimentConfig, build_density, build_templ
                      load_config, resolve_log_base, save_config, selection_options)
 from .csvio import (write_csv, write_curves_csv, write_rate_study_csv,
                     write_risk_report_csv, write_selection_csv)
-from .errors import ShiftDeconError
+from .errors import ConfigError, ShiftDeconError
 from .risk import rate_study, risk_report
 from .selection import CRITERION_ESTIMATORS, compute_m0, estimate, select_cutoff
 from .simulate import render_curves, render_grid, simulate
@@ -142,8 +142,26 @@ def cmd_replication_study(args) -> int:
     return 0
 
 
+# The configuration fields rate-study reads.  It builds its own template and
+# density from --smoothness, --radius and --beta and selects under the
+# formula cap, so every other field must keep its default (m0_override may
+# also be none: the formula cap is what rate-study uses).
+_RATE_STUDY_FIELDS = ("epsilon", "replications", "seed", "k_max")
+
+
 def cmd_rate_study(args) -> int:
     cfg = _resolve_config(args)
+    default = ExperimentConfig()
+    ignored = [field for field in CONFIG_FIELDS
+               if field.name not in _RATE_STUDY_FIELDS
+               and getattr(cfg, field.name) != getattr(default, field.name)
+               and not (field.name == "m0_override" and cfg.m0_override is None)]
+    if ignored:
+        raise ConfigError(
+            f"rate-study reads only {', '.join(_RATE_STUDY_FIELDS)} of the "
+            f"configuration; it would ignore " + ", ".join(
+                f"{field.flag} ({field.key} = {getattr(cfg, field.name)!r})"
+                for field in ignored))
     try:
         n_grid = [int(part) for part in args.n_grid.split(",") if part.strip()]
     except ValueError:

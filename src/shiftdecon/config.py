@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import configparser
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
@@ -250,17 +251,33 @@ def load_config(path) -> ExperimentConfig:
     return parse_config(text)
 
 
-def _format(value) -> str:
+# Text the INI reader would not give back: an inline comment (``;`` or ``#``
+# after whitespace, the space after ``=`` included) or a line break.
+_UNREADABLE_TEXT = re.compile(r"\s[;#]|[\r\n]")
+
+
+def _format(field: ConfigField, value) -> str:
     # "none" must be written out: a missing m0_override would parse back as the default
     if value is None:
         return "none"
-    return value if isinstance(value, str) else repr(value)
+    if not isinstance(value, str):
+        return repr(value)
+    if value != value.strip() or _UNREADABLE_TEXT.search(" " + value):
+        raise ConfigError(
+            f"config key {field.key!r}: {value!r} cannot be written to an INI file "
+            f"and read back (leading or trailing whitespace, a line break, or "
+            f"';' or '#' after whitespace)")
+    return value
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
-    """Write a configuration back to INI text; parse(serialize(cfg)) == cfg."""
+    """Write a configuration back to INI text; parse(serialize(cfg)) == cfg.
+
+    Raises :class:`ConfigError` for a string the reader would give back
+    otherwise, rather than write it.
+    """
     return "\n".join(
-        f"[{section}]\n" + "".join(f"{f.key} = {_format(getattr(cfg, f.name))}\n"
+        f"[{section}]\n" + "".join(f"{f.key} = {_format(f, getattr(cfg, f.name))}\n"
                                    for f in CONFIG_FIELDS if f.section == section)
         for section in _SECTIONS)
 

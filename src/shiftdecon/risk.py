@@ -17,27 +17,41 @@ All curves over ``N`` are built from per-frequency increments accumulated by
 sequential recurrences, which keeps the identity ``r = (bias + v1) + v2`` and
 the monotonicity of ``bias`` and ``v1`` exact in floating point.
 
-The Monte Carlo replicate loop (simulate, select, score the loss) lives here
-once, in ``_run_replicates``: :func:`mc_risk` runs it with one selection
-rule, and :func:`shiftdecon.study.run_replication_study` with both adaptive
-criteria on shared datasets.  Each replicate draws only the column means,
-with :func:`shiftdecon.simulate.simulate_summary`: the selections and the
+The Monte Carlo replicate engine lives here once, in ``_run_replicates``:
+:func:`mc_risk` runs it with one selection rule, and
+:func:`shiftdecon.study.run_replication_study` with both adaptive criteria
+on shared datasets.  Each replicate draws only the column means, as
+:func:`shiftdecon.simulate.simulate_summary` does: the selections and the
 loss read nothing else, and the noise mean is drawn from its exact
 ``CN(0, epsilon^2/n)`` law instead of averaged from ``n`` curves.
+
+The engine works on contiguous chunks of seeds, one chunk after the other
+in seed order, so its memory does not grow with the number of replicates.
+Per chunk it runs three steps:
+
+* draw: every seed's shifts and noise from its own generator, then the
+  phases of the whole chunk at once;
+* select: one row-wise criterion trace (a cumulative sum) and one argmin per
+  rule, with the criteria of :mod:`shiftdecon.selection`;
+* score: the losses of the rows that chose the same cutoff, summed together
+  over equal-width rows.
+
+Each step treats a replicate's row as if it were alone, so results are
+bit-identical for any chunking and any ``workers`` value.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import DegenerateInputError, InvalidParameterError
-from .selection import CRITERION_ESTIMATORS, ESTIMATE_KINDS, compute_m0, select_cutoff
-from .simulate import simulate_summary
+from .selection import (CRITERION_ESTIMATORS, ESTIMATE_KINDS, compute_m0, criterion_trace,
+                        fraction_negative_theta_hat)
+from .simulate import _draw_summaries
 from .spectral import (ShiftDensity, Template, _pair_sums, _tail_energy, laplace_density,
                        point_mass_density)
 
@@ -184,6 +198,20 @@ class McRisk(NamedTuple):
     cutoffs: np.ndarray
 
 
+def _replicate_seeds(seed: int, replications: int) -> list:
+    """The seed of every replicate: ``replications`` substreams spawned from
+    ``seed``.  At least 2, so that a standard error exists."""
+    if replications < 2:
+        raise InvalidParameterError(f"replications must be >= 2, got {replications}")
+    return np.random.SeedSequence(seed).spawn(replications)
+
+
+def _mean_and_stderr(losses: np.ndarray) -> tuple:
+    """Monte Carlo mean of per-replicate ``losses`` and its standard error."""
+    return (float(np.mean(losses)),
+            float(np.std(losses, ddof=1) / math.sqrt(losses.size)))
+
+
 class _Replicates(NamedTuple):
     """Per-replicate results in seed order; row ``j`` of ``cutoffs`` and
     ``losses`` belongs to the ``j``-th rule."""
@@ -193,51 +221,72 @@ class _Replicates(NamedTuple):
     negative_fractions: np.ndarray
 
 
+# Phases held by one chunk of the draw, (k_max + 1) per curve: 2**15 complex
+# values are 512 kB, whatever the number of replicates.  A larger chunk
+# raises the peak memory of a study above that of its CSV rendering.
+_CHUNK_PHASES = 2 ** 15
+
+
 def _run_replicates(template: Template, density: ShiftDensity, n: int,
                     epsilon: float, seeds: Sequence[np.random.SeedSequence],
                     rules: Sequence[Union[str, int]], m0: int, *, workers: int,
                     **options) -> _Replicates:
     """The replicate loop behind :func:`mc_risk` and the replication study.
 
-    Each seed gives one dataset's column means (:func:`simulate_summary`),
-    on which every rule picks a cutoff: a criterion kind is minimized over
-    ``0..m0`` (``options`` go to :func:`select_cutoff`), an ``int`` is a
-    fixed cutoff ``<= m0``.  A cutoff ``N`` scores ``||theta_hat - theta||^2``
-    of the band-``N`` estimator, its tail ``sum_{|k| > N} |theta_k|^2`` taken
-    in closed form.  The negative-energy fraction on ``|k| <= m0`` is that of
-    :func:`shiftdecon.selection.fraction_negative_theta_hat`: the guard keeps
-    every ``|gamma_k|^2`` positive, so ``t_k / |gamma_k|^2`` is negative
-    exactly where ``t_k = |c_tilde_k|^2 - epsilon^2/n`` is.  Replicates are
-    collected in seed order, so results are bit-identical for any ``workers``.
+    Each seed gives one dataset's column means, as
+    :func:`shiftdecon.simulate.simulate_summary` draws them, on which every
+    rule picks a cutoff: a criterion kind is minimized over ``0..m0``
+    (``options`` go to :func:`criterion_trace`; ties go to the smallest
+    cutoff), an ``int`` is a fixed cutoff ``<= m0``.  A cutoff ``N``
+    scores ``||theta_hat - theta||^2`` of the band-``N`` estimator, its tail
+    ``sum_{|k| > N} |theta_k|^2`` taken in closed form.  The negative-energy
+    fraction on ``|k| <= m0`` is :func:`fraction_negative_theta_hat`'s.
+
+    Seeds run in contiguous chunks of at most ``_CHUNK_PHASES`` phases, one
+    chunk after the other in seed order: draw the chunk, select with one
+    row-wise criterion trace and argmin per rule, score the rows that share
+    a cutoff together.  Every step works row by row, so a replicate's
+    results do not depend on its chunk.  ``workers`` must be ``>= 1`` and
+    changes nothing: the chunks run serially.
     """
-    k_max = template.k_max
+    if workers < 1:
+        raise InvalidParameterError(f"workers must be >= 1, got {workers}")
     gamma = density.gamma_band(m0)
     tail = _tail_energy(template, m0)
-    scan = slice(k_max - m0, k_max + m0 + 1)
+    cutoffs = np.empty((len(rules), len(seeds)), dtype=int)
+    losses = np.empty((len(rules), len(seeds)), dtype=float)
+    negative_fractions = np.empty(len(seeds), dtype=float)
+    step = max(1, _CHUNK_PHASES // ((template.k_max + 1) * n))
+    for start in range(0, len(seeds), step):
+        chunk = slice(start, start + step)
+        obs = _draw_summaries(template, density, n, epsilon, seeds[chunk])
+        negative_fractions[chunk] = fraction_negative_theta_hat(obs, density, m0)
+        for j, rule in enumerate(rules):
+            if isinstance(rule, int):
+                cutoffs[j, chunk] = rule
+            else:
+                trace = criterion_trace(obs, density, rule, m0, **options)
+                cutoffs[j, chunk] = np.argmin(trace, axis=-1)
+            losses[j, chunk] = _score(template, obs.c_tilde, cutoffs[j, chunk],
+                                      gamma, tail, m0)
+    return _Replicates(cutoffs=cutoffs, losses=losses,
+                       negative_fractions=negative_fractions)
 
-    def replicate(seed):
-        obs = simulate_summary(template, density, n, epsilon, seed)
-        cutoffs = [rule if isinstance(rule, int)
-                   else select_cutoff(obs, density, rule, m0=m0, **options).chosen_n
-                   for rule in rules]
-        losses = []
-        for cutoff in cutoffs:
-            band = slice(k_max - cutoff, k_max + cutoff + 1)
-            theta_hat = obs.c_tilde[band] / gamma[m0 - cutoff : m0 + cutoff + 1]
-            diff = theta_hat - template.coeffs[band]
-            losses.append(float(np.sum(np.abs(diff) ** 2) + tail[cutoff]))
-        t = np.abs(obs.c_tilde[scan]) ** 2 - obs.epsilon ** 2 / obs.n
-        return cutoffs, losses, float(np.count_nonzero(t < 0.0)) / (2 * m0 + 1)
 
-    if workers == 1:
-        rows = [replicate(seed) for seed in seeds]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(replicate, seeds))
-    cutoffs, losses, negative_fractions = zip(*rows)
-    return _Replicates(cutoffs=np.array(cutoffs, dtype=int).T.copy(),
-                       losses=np.array(losses, dtype=float).T.copy(),
-                       negative_fractions=np.array(negative_fractions, dtype=float))
+def _score(template: Template, c_tilde: np.ndarray, cutoffs: np.ndarray,
+           gamma: np.ndarray, tail: np.ndarray, m0: int) -> np.ndarray:
+    """Loss of the band-``cutoffs[i]`` estimator on row ``i`` of ``c_tilde``;
+    ``gamma`` spans ``|k| <= m0`` and ``tail`` is ``_tail_energy(template, m0)``.
+    The rows sharing a cutoff are summed in one call over equal-width rows."""
+    k_max = template.k_max
+    losses = np.empty(len(cutoffs), dtype=float)
+    for cutoff in set(cutoffs.tolist()):
+        rows = np.flatnonzero(cutoffs == cutoff)
+        band = slice(k_max - cutoff, k_max + cutoff + 1)
+        theta_hat = c_tilde[rows, band] / gamma[m0 - cutoff : m0 + cutoff + 1]
+        diff = theta_hat - template.coeffs[band]
+        losses[rows] = np.sum(np.abs(diff) ** 2, axis=1) + tail[cutoff]
+    return losses
 
 
 def mc_risk(template: Template, density: ShiftDensity, n: int, epsilon: float,
@@ -259,20 +308,16 @@ def mc_risk(template: Template, density: ShiftDensity, n: int, epsilon: float,
     replications : int
         Number of independent datasets (>= 2 so a standard error exists).
     seed : int
-        Base seed; replicate ``i`` runs on the ``i``-th spawned substream, so
-        results are reproducible for any ``workers`` value.
+        Base seed; replicate ``i`` runs on the ``i``-th spawned substream.
     workers : int
-        Thread count for replicate execution; output is bit-identical for any
-        value because replicates are reduced in index order.
+        Must be >= 1.  Replicates run serially, in chunks of contiguous
+        seeds in seed order, so the value changes no result.
     """
     if estimator_kind not in ESTIMATE_KINDS:
         raise InvalidParameterError(
             f"unknown estimator kind {estimator_kind!r}; expected one of {ESTIMATE_KINDS}"
         )
-    if replications < 2:
-        raise InvalidParameterError(f"replications must be >= 2, got {replications}")
-    if workers < 1:
-        raise InvalidParameterError(f"workers must be >= 1, got {workers}")
+    seeds = _replicate_seeds(seed, replications)
     if not (0.0 <= epsilon < math.inf):
         raise InvalidParameterError(f"epsilon must be finite and >= 0, got {epsilon}")
     if estimator_kind == "fixed_n":
@@ -291,15 +336,12 @@ def mc_risk(template: Template, density: ShiftDensity, n: int, epsilon: float,
             f"cutoff bound must be in 0..{template.k_max}, got {band_top}"
         )
 
-    seeds = np.random.SeedSequence(seed).spawn(replications)
     reps = _run_replicates(template, density, n, epsilon, seeds, (rule,), band_top,
                            workers=workers, log_base=log_base,
                            penalty_multiplier=penalty_multiplier,
                            penalty_variant=penalty_variant)
-    losses = reps.losses[0]
-    mean = float(np.mean(losses))
-    stderr = float(np.std(losses, ddof=1) / math.sqrt(replications))
-    return McRisk(mean=mean, stderr=stderr, losses=losses, cutoffs=reps.cutoffs[0])
+    mean, stderr = _mean_and_stderr(reps.losses[0])
+    return McRisk(mean=mean, stderr=stderr, losses=reps.losses[0], cutoffs=reps.cutoffs[0])
 
 
 def oracle_ratio(template: Template, density: ShiftDensity, n: int, epsilon: float,
@@ -313,6 +355,7 @@ def oracle_ratio(template: Template, density: ShiftDensity, n: int, epsilon: flo
     The baseline defaults to the envelope matching the estimator:
     ``r_bar`` for ``theta_star``, ``r`` for ``theta_tilde`` and ``theta_u``;
     pass ``baseline`` explicitly to compare against another curve.
+    ``workers`` goes to :func:`mc_risk`.
     """
     if estimator_kind == "fixed_n":
         raise InvalidParameterError("oracle_ratio is defined for the adaptive estimators")
@@ -381,7 +424,9 @@ def rate_study(s: float, beta: float, radius: float, n_grid: Sequence[int],
     A deterministic Sobolev-edge template with smoothness ``s`` and ball
     radius ``radius`` is estimated at every size in ``n_grid``; the slope of
     ``log(mise)`` against ``log(n)`` is fit by least squares and reported next
-    to the minimax exponent ``-2s/(2s + 2 beta + 1)``.
+    to the minimax exponent ``-2s/(2s + 2 beta + 1)``.  ``workers`` (>= 1)
+    goes to :func:`mc_risk`, which runs the replicates serially in seed
+    order; it changes no result.
     """
     from .catalog import sobolev_template
 

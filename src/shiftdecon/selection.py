@@ -21,6 +21,11 @@ Every function here reads a dataset only through its column means
 (``c_tilde``, ``n``, ``epsilon``, ``k_max``), so it takes a
 :class:`~shiftdecon.simulate.SequenceSummary`: the summary-only draw or a
 full :class:`~shiftdecon.simulate.SequenceObservations`.
+:func:`fraction_negative_theta_hat`, :func:`criterion_increments` and
+:func:`criterion_trace` also take a stack of summaries (``c_tilde`` of shape
+``(..., 2*k_max + 1)``) and answer row by row, each row bit for bit as if
+alone: one dataset is the one-row case of the same formula.  The Monte
+Carlo engine selects a whole chunk of replicates this way.
 
 Every criterion is assembled from per-frequency increments and accumulated
 with a sequential cumulative sum, so the telescoping identity
@@ -32,7 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -119,18 +124,23 @@ def theta_hat_squared(obs: SequenceSummary, density: ShiftDensity,
 
 
 def fraction_negative_theta_hat(obs: SequenceSummary, density: ShiftDensity,
-                                n_max: Optional[int] = None) -> float:
+                                n_max: Optional[int] = None) -> Union[float, np.ndarray]:
     """Diagnostic: fraction of frequencies ``|k| <= n_max`` whose
     coefficient-energy estimate is negative (i.e. where clipping at zero
-    would have altered the criteria)."""
+    would have altered the criteria).
+
+    A ``float`` for one dataset; for a stack, an array with one fraction per
+    row.
+    """
     if n_max is None:
         n_max = obs.k_max
     if not (0 <= n_max <= obs.k_max):
         raise InvalidParameterError(f"n_max must be in 0..{obs.k_max}, got {n_max}")
     g2 = np.abs(density.gamma_band(n_max)) ** 2
     sl = slice(obs.k_max - n_max, obs.k_max + n_max + 1)
-    t = np.abs(obs.c_tilde[sl]) ** 2 - obs.epsilon ** 2 / obs.n
-    return float(np.count_nonzero(t / g2 < 0.0)) / (2 * n_max + 1)
+    t = np.abs(obs.c_tilde[..., sl]) ** 2 - obs.epsilon ** 2 / obs.n
+    fraction = np.count_nonzero(t / g2 < 0.0, axis=-1) / (2 * n_max + 1)
+    return float(fraction) if fraction.ndim == 0 else fraction
 
 
 def criterion_increments(obs: SequenceSummary, density: ShiftDensity,
@@ -138,7 +148,8 @@ def criterion_increments(obs: SequenceSummary, density: ShiftDensity,
                          log_base: float = math.e,
                          penalty_multiplier: float = 1.0,
                          penalty_variant: str = "proof_form") -> np.ndarray:
-    """Per-step criterion increments ``inc[0..n_max]``.
+    """Per-step criterion increments ``inc[..., 0..n_max]``, one row per
+    dataset of a stack.
 
     ``inc[0]`` is the ``k = 0`` term and ``inc[N]`` (``N >= 1``) is the summed
     contribution of ``k = +N`` and ``k = -N``, so the criterion at cutoff
@@ -157,7 +168,7 @@ def criterion_increments(obs: SequenceSummary, density: ShiftDensity,
     n = obs.n
     g2 = np.abs(density.gamma_band(n_max)) ** 2
     sl = slice(obs.k_max - n_max, obs.k_max + n_max + 1)
-    c_abs = np.abs(obs.c_tilde[sl])
+    c_abs = np.abs(obs.c_tilde[..., sl])
     noise_floor = obs.epsilon ** 2 / n
     t = c_abs ** 2 - noise_floor
 
@@ -179,8 +190,9 @@ def criterion_increments(obs: SequenceSummary, density: ShiftDensity,
 
 def criterion_trace(obs: SequenceSummary, density: ShiftDensity,
                     kind: str, n_max: int, **options) -> np.ndarray:
-    """Criterion values for every cutoff ``N = 0..n_max`` (sequential sum)."""
-    return np.cumsum(criterion_increments(obs, density, kind, n_max, **options))
+    """Criterion values for every cutoff ``N = 0..n_max`` (sequential sum),
+    one row per dataset of a stack."""
+    return np.cumsum(criterion_increments(obs, density, kind, n_max, **options), axis=-1)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,12 @@ white noise with ``E|z|^2 = 1`` (independent real and imaginary parts, each
 simulation is exact in sequence space; a time-domain sample path exists only
 in :func:`render_curves`, which synthesizes curves on a grid for display.
 
-Two simulators share the shift draw and the phase construction:
+The shift phases are built by recurrence, not by one complex exponential
+per ``(j, k)``: ``z_j = exp(-2j*pi*shift_j)`` is computed once per shift,
+and a ``(k_max + 1, n)`` array is filled row by row, row ``k`` being row
+``k - 1`` times ``z`` (one contiguous multiply per frequency).
+``gamma_tilde`` is the mean of each row.  Both simulators build the phases
+and their means with the same two helpers:
 
 * :func:`simulate` draws every curve (shifts, then real noise parts, then
   imaginary noise parts, each ``n x (2*k_max + 1)``) and averages them.
@@ -20,7 +25,13 @@ Two simulators share the shift draw and the phase construction:
   vector of ``CN(0, epsilon^2/n)`` noise to ``coeff_k * gamma_tilde_k``.
   It gives the same ``gamma_tilde`` as :func:`simulate` at the same seed,
   bit for bit, and a ``c_tilde`` with the same law but from other draws.
-  The Monte Carlo engine in :mod:`shiftdecon.risk` runs on it.
+
+The Monte Carlo engine in :mod:`shiftdecon.risk` draws summaries a chunk
+of seeds at a time (``_draw_summaries``): each seed's shifts and noise come
+from its own generator in the order above, and the phases of the whole
+chunk are built at once, in a ``(k_max + 1, seeds, n)`` array.  Every step
+after the draw is elementwise or reduces one row, so each seed gets the
+bytes :func:`simulate_summary` gives it alone.
 
 Draw order per dataset is fixed, so a seed pins the entire dataset
 bit-for-bit.
@@ -30,7 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -56,6 +67,12 @@ class SequenceSummary:
         ``(1/n) sum_j exp(-2j*pi*k*shift_j)``.
     n, epsilon, k_max
         Simulation parameters.
+
+    A summary may also hold a stack of datasets that share ``n``,
+    ``epsilon`` and ``k_max``: ``c_tilde`` and ``gamma_tilde`` then have
+    shape ``(..., 2*k_max + 1)``, one dataset per row, as the Monte Carlo
+    engine draws them.  The criteria in :mod:`shiftdecon.selection` work row
+    by row on such a stack.
     """
 
     c_tilde: np.ndarray
@@ -74,21 +91,22 @@ class SequenceSummary:
         return k + self.k_max
 
     def validate(self) -> None:
-        """Re-check structural invariants; raise on violation.
+        """Re-check structural invariants, on every row of a stack; raise on
+        violation.
 
         ``c_tilde`` and ``gamma_tilde`` must span the band, and
         ``gamma_tilde`` must be exactly Hermitian with ``gamma_tilde[0] == 1``
         and magnitudes at most 1 (a 1e-12 rounding slack is allowed on the
         magnitude bound).
         """
-        if self.c_tilde.shape != (2 * self.k_max + 1,):
+        if self.c_tilde.shape[-1:] != (2 * self.k_max + 1,):
             raise InvariantViolationError("c_tilde has the wrong shape")
         gt = self.gamma_tilde
-        if gt.shape != (2 * self.k_max + 1,):
+        if gt.shape != self.c_tilde.shape:
             raise InvariantViolationError("gamma_tilde has the wrong shape")
-        if not gt[self.k_max] == 1.0:
+        if not np.all(gt[..., self.k_max] == 1.0):
             raise InvariantViolationError("gamma_tilde at k=0 must be exactly 1")
-        if not np.array_equal(np.conj(gt[::-1]), gt):
+        if not np.array_equal(np.conj(gt[..., ::-1]), gt):
             raise InvariantViolationError("gamma_tilde is not exactly Hermitian")
         if float(np.max(np.abs(gt))) > 1.0 + 1e-12:
             raise InvariantViolationError("|gamma_tilde| exceeds 1 beyond rounding slack")
@@ -134,16 +152,32 @@ def _check_inputs(n, epsilon) -> int:
     return int(n)
 
 
-def _draw_phases(density: ShiftDensity, rng: np.random.Generator, n: int,
-                 k_max: int) -> tuple:
-    """The first draw of every dataset: ``n`` shifts, and their phases
-    ``exp(-2j*pi*k*shift_j)`` for ``k = 0..k_max``, shape ``(n, k_max + 1)``."""
+def _draw_shifts(density: ShiftDensity, rng: np.random.Generator, n: int) -> np.ndarray:
+    """The first draw of every dataset: ``n`` shifts."""
     shifts = density.sample(rng, n)
     if shifts.shape != (n,):
         raise InvariantViolationError(
             f"density sampler returned shape {shifts.shape}, expected ({n},)"
         )
-    return shifts, np.exp(-2j * np.pi * np.outer(shifts, np.arange(0, k_max + 1)))
+    return shifts
+
+
+def _draw_phases(shifts: np.ndarray, k_max: int) -> np.ndarray:
+    """The phases ``exp(-2j*pi*k*shifts)`` for ``k = 0..k_max``, shape
+    ``(k_max + 1,) + shifts.shape``.
+
+    ``z = exp(-2j*pi*shifts)`` is the only exponential; row ``k`` is row
+    ``k - 1`` times ``z``.  Row ``k`` differs from ``np.exp`` by rounding
+    that grows with ``k`` (about ``2e-13`` at ``k = 256``).
+    """
+    z = np.exp(-2j * np.pi * shifts)
+    pos = np.empty((k_max + 1,) + z.shape, dtype=np.complex128)
+    pos[0] = 1.0
+    if k_max >= 1:
+        pos[1] = z
+    for k in range(2, k_max + 1):
+        np.multiply(pos[k - 1], z, out=pos[k])
+    return pos
 
 
 def _hermitian(half: np.ndarray) -> np.ndarray:
@@ -157,18 +191,20 @@ def _hermitian(half: np.ndarray) -> np.ndarray:
 
 
 def _mean_phase(pos: np.ndarray) -> np.ndarray:
-    """``gamma_tilde``: the column means of ``_hermitian(pos)``, averaging only
-    the ``k >= 0`` half.
+    """``gamma_tilde`` from :func:`_draw_phases`: the mean of each row over
+    the curves (the last axis), with ``k`` moved last and extended to the
+    full band.  Each mean reduces one contiguous row, so a dataset's
+    ``gamma_tilde`` does not depend on how many datasets share ``pos``.
 
     The ``k = 0`` phases are exactly 1, and so is their mean; numpy's complex
     mean multiplies the sum by ``1/n``, which rounds below 1 at some ``n``
-    (49, 98, 103, ...).  Conjugating a column mean gives the mean of the
-    conjugated column bit for bit, except for the sign of a zero: a numpy sum
-    is never ``-0.0``, its conjugate can be.  Adding ``0.0`` turns ``-0.0``
-    into ``0.0`` and leaves every other value as it is.
+    (49, 98, 103, ...).  Conjugating a mean gives the mean of the conjugated
+    row bit for bit, except for the sign of a zero: a numpy sum is never
+    ``-0.0``, its conjugate can be.  Adding ``0.0`` turns ``-0.0`` into
+    ``0.0`` and leaves every other value as it is.
     """
-    mean = pos.mean(axis=0)
-    mean[0] = 1.0
+    mean = np.moveaxis(pos.mean(axis=-1), 0, -1)
+    mean[..., 0] = 1.0
     return _hermitian(mean) + 0.0
 
 
@@ -199,13 +235,14 @@ def simulate(template: Template, density: ShiftDensity, n: int, epsilon: float,
     k_max = template.k_max
     rng = _resolve_rng(seed)
 
-    shifts, pos = _draw_phases(density, rng, n, k_max)
+    shifts = _draw_shifts(density, rng, n)
+    pos = _draw_phases(shifts, k_max)
     width = 2 * k_max + 1
     noise_re = rng.standard_normal((n, width))
     noise_im = rng.standard_normal((n, width))
 
     noise = (noise_re + 1j * noise_im) * np.sqrt(0.5)
-    per_curve = template.coeffs[np.newaxis, :] * _hermitian(pos) + epsilon * noise
+    per_curve = template.coeffs[np.newaxis, :] * _hermitian(pos.T) + epsilon * noise
 
     return SequenceObservations(
         per_curve=per_curve,
@@ -227,19 +264,37 @@ def simulate_summary(template: Template, density: ShiftDensity, n: int,
     Then ``c_tilde_k = coeff_k * gamma_tilde_k + (epsilon/sqrt(n)) xi_k``
     with one ``(2*k_max + 1)`` vector of i.i.d. ``CN(0, 1)`` noise ``xi``
     (real parts, then imaginary parts), independent across all frequencies,
-    ``-k`` and ``+k`` included.  The cost is one ``n x (k_max + 1)`` phase
+    ``-k`` and ``+k`` included.  The cost is one ``(k_max + 1) x n`` phase
     matrix instead of :func:`simulate`'s ``n x (2*k_max + 1)`` draws.
+    """
+    stack = _draw_summaries(template, density, n, epsilon, [seed])
+    return SequenceSummary(c_tilde=stack.c_tilde[0], gamma_tilde=stack.gamma_tilde[0],
+                           n=stack.n, epsilon=stack.epsilon, k_max=stack.k_max)
+
+
+def _draw_summaries(template: Template, density: ShiftDensity, n: int,
+                    epsilon: float, seeds: Sequence[SeedLike]) -> SequenceSummary:
+    """The column means of one dataset per seed, stacked in seed order;
+    :func:`simulate_summary` is the one-seed case.
+
+    Each seed's generator draws its shifts, then its real and imaginary noise
+    parts; the phases of all seeds are then built in one
+    ``(k_max + 1, len(seeds), n)`` array.  Every later step is elementwise or
+    reduces one row, so row ``i`` does not depend on the other seeds.
     """
     n = _check_inputs(n, epsilon)
     k_max = template.k_max
-    rng = _resolve_rng(seed)
-
-    _, pos = _draw_phases(density, rng, n, k_max)
-    gamma_tilde = _mean_phase(pos)
     width = 2 * k_max + 1
-    noise_re = rng.standard_normal(width)
-    noise_im = rng.standard_normal(width)
+    shifts = np.empty((len(seeds), n))
+    noise_re = np.empty((len(seeds), width))
+    noise_im = np.empty((len(seeds), width))
+    for i, seed in enumerate(seeds):
+        rng = _resolve_rng(seed)
+        shifts[i] = _draw_shifts(density, rng, n)
+        noise_re[i] = rng.standard_normal(width)
+        noise_im[i] = rng.standard_normal(width)
 
+    gamma_tilde = _mean_phase(_draw_phases(shifts, k_max))
     noise = (noise_re + 1j * noise_im) * np.sqrt(0.5)
     return SequenceSummary(
         c_tilde=template.coeffs * gamma_tilde + (epsilon / math.sqrt(n)) * noise,

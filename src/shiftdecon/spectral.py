@@ -337,13 +337,13 @@ def verify_polynomial_decay(density: ShiftDensity, k_max: int) -> DecayCheck:
 
 
 def _pair_sums(values: np.ndarray, half: int) -> np.ndarray:
-    """Collapse a symmetric band array (length ``2*half + 1``, center index
-    ``half``) into per-step sums: entry 0 is the k=0 value, entry N >= 1 is
-    value(+N) + value(-N)."""
-    out = np.empty(half + 1, dtype=float)
-    out[0] = values[half]
+    """Collapse a symmetric band array (last axis of length ``2*half + 1``,
+    center index ``half``) into per-step sums: entry 0 is the k=0 value,
+    entry N >= 1 is value(+N) + value(-N)."""
+    out = np.empty(values.shape[:-1] + (half + 1,), dtype=float)
+    out[..., 0] = values[..., half]
     if half >= 1:
-        out[1:] = values[half + 1 :] + values[half - 1 :: -1]
+        out[..., 1:] = values[..., half + 1 :] + values[..., half - 1 :: -1]
     return out
 
 

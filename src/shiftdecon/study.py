@@ -17,14 +17,15 @@ Output bytes depend only on the configuration (not on worker count), so a
 bundle can be diffed run-to-run as a regression check.
 
 The replicates themselves run in ``shiftdecon.risk._run_replicates``, the
-same loop :func:`shiftdecon.risk.mc_risk` uses; this module adds the bundle.
-That loop draws each dataset's column means only
-(:func:`shiftdecon.simulate.simulate_summary`).  ``traces.csv`` is computed
-from replicate 0's summary, so its argmins are row 0 of ``selections.csv``.
-Curves exist only in the per-curve draw, so ``sample_curves.csv`` renders
-:func:`shiftdecon.simulate.simulate` at replicate 0's seed: the same shifts,
-hence the same ``gamma_tilde``, but independent noise.  ``meta.csv`` says
-so in its ``sample_curves_draw`` row.
+same engine :func:`shiftdecon.risk.mc_risk` uses, on the same seeds and
+with the same rule of at least 2 replications; this module adds the bundle.
+That engine draws each dataset's column means only, as
+:func:`shiftdecon.simulate.simulate_summary` does, in chunks of seeds.
+``traces.csv`` is computed from replicate 0's summary, so its argmins are
+row 0 of ``selections.csv``.  Curves exist only in the per-curve draw, so
+``sample_curves.csv`` renders :func:`shiftdecon.simulate.simulate` at
+replicate 0's seed: the same shifts, hence the same ``gamma_tilde``, but
+independent noise.  ``meta.csv`` says so in its ``sample_curves_draw`` row.
 """
 
 from __future__ import annotations
@@ -39,7 +40,8 @@ from .config import (ExperimentConfig, build_density, build_template, resolve_lo
                      selection_options)
 from .csvio import write_csv, write_curves_csv, write_risk_report_csv
 from .errors import InvalidParameterError
-from .risk import RiskReport, _run_replicates, risk_report
+from .risk import (RiskReport, _mean_and_stderr, _replicate_seeds, _run_replicates,
+                   risk_report)
 from .selection import CRITERION_ESTIMATORS, compute_m0, criterion_trace
 from .simulate import render_curves, render_grid, simulate, simulate_summary
 from .spectral import synthesize
@@ -72,27 +74,18 @@ class ReplicationStudy:
         return float(np.mean(self.loss_tilde))
 
 
-def _stderr(values: np.ndarray) -> float:
-    if values.size < 2:
-        return float("nan")
-    return float(np.std(values, ddof=1) / np.sqrt(values.size))
-
-
 def run_replication_study(cfg: ExperimentConfig, out_dir, *, grid_size: int = 256,
                        workers: int = 1) -> ReplicationStudy:
     """Run the study described by ``cfg`` and write the CSV bundle to ``out_dir``.
 
     Both adaptive estimators are always evaluated side by side on shared
     datasets (``cfg.criterion`` only steers the single-selection commands).
-    ``workers`` parallelizes replicates without changing any output byte.
+    ``cfg.replications`` must be at least 2, so that ``risk_summary.csv``
+    has a standard error.  ``workers`` must be >= 1; the replicates run
+    serially, in chunks of contiguous seeds in seed order, so it changes no
+    output byte.  Every input is checked before anything is written.
     """
-    if workers < 1:
-        raise InvalidParameterError(f"workers must be >= 1, got {workers}")
-    if cfg.replications < 1:
-        raise InvalidParameterError("study needs at least 1 replication")
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
+    seeds = _replicate_seeds(cfg.seed, cfg.replications)
     template = build_template(cfg)
     density = build_density(cfg)
     log_base = resolve_log_base(cfg)
@@ -108,7 +101,6 @@ def run_replication_study(cfg: ExperimentConfig, out_dir, *, grid_size: int = 25
         raise InvalidParameterError(f"m0={m0_used} exceeds the band k_max={k_max}")
 
     sel_options = selection_options(cfg)
-    seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.replications)
     rules = ("u_bar", "u_tilde")
     reps = _run_replicates(template, density, cfg.n, cfg.epsilon, seeds, rules,
                            m0_used, workers=workers, **sel_options)
@@ -124,6 +116,8 @@ def run_replication_study(cfg: ExperimentConfig, out_dir, *, grid_size: int = 25
     inf_r_tilde = float(np.min(report.r_tilde))
 
     # --- CSV bundle -------------------------------------------------------
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     grid = render_grid(grid_size)
     write_curves_csv(out_dir / "template_curve.csv", grid,
                      synthesize(template, grid_size))
@@ -158,9 +152,9 @@ def run_replication_study(cfg: ExperimentConfig, out_dir, *, grid_size: int = 25
 
     summary_rows = []
     for crit, losses in zip(rules, reps.losses):
-        mean = float(np.mean(losses))
+        mean, stderr = _mean_and_stderr(losses)
         summary_rows.append((
-            CRITERION_ESTIMATORS[crit], crit, mean, _stderr(losses),
+            CRITERION_ESTIMATORS[crit], crit, mean, stderr,
             inf_r, inf_r_bar, inf_r_tilde,
             mean / inf_r if inf_r > 0 else float("nan"),
             mean / inf_r_bar if inf_r_bar > 0 else float("nan"),

@@ -66,6 +66,24 @@ def test_serialize_parse_round_trip():
         assert parse_config(serialize_config(cfg)) == cfg
 
 
+@pytest.mark.parametrize("template", ["a ;b.csv", "a #b.csv", "a\t;b.csv", ";b.csv",
+                                      "#b.csv", " wave", "wave ", "a\nb.csv"])
+def test_serialize_rejects_text_that_would_read_back_otherwise(template, tmp_path):
+    cfg = ExperimentConfig(template=template)
+    with pytest.raises(ConfigError, match="template"):
+        serialize_config(cfg)
+    out = tmp_path / "exp.ini"
+    with pytest.raises(ConfigError):
+        save_config(cfg, out)
+    assert not out.exists()
+
+
+def test_serialize_keeps_comment_characters_without_whitespace_before():
+    for template in ("a;b.csv", "a#b.csv", "a\tb#c.csv"):
+        cfg = ExperimentConfig(template=template)
+        assert parse_config(serialize_config(cfg)) == cfg
+
+
 def test_save_and_load(tmp_path):
     cfg = ExperimentConfig(n=12, seed=5)
     path = save_config(cfg, tmp_path / "exp.ini")
@@ -293,6 +311,56 @@ def test_cli_rate_study_smoke(tmp_path, capsys):
     assert code == 0
     assert "fitted_slope=" in capsys.readouterr().out
     assert out.read_text().splitlines()[0] == "n,mise,stderr"
+
+
+def test_cli_replication_study_needs_two_replications(tmp_path, capsys):
+    # one replication has no standard error: exit 2, and no bundle with a
+    # nan mc_stderr
+    out = tmp_path / "study"
+    code = run_cli("replication-study", "--replications", "1", "--out", str(out))
+    assert code == 2
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload["error"] == "InvalidParameterError"
+    assert "replications must be >= 2" in payload["message"]
+    assert not out.exists()
+
+
+# One non-default value per configuration field that rate-study does not read.
+RATE_STUDY_IGNORED = {"template": "spike", "density_kind": "gaussian",
+                      "density_sigma": "0.3", "density_half_width": "0.3",
+                      "n": "50", "criterion": "u_tilde", "m0_override": "5",
+                      "log_base": "decimal", "penalty_variant": "proof_form"}
+FIELD_BY_NAME = {field.name: field for field in CONFIG_FIELDS}
+TINY_RATE_STUDY = ("--smoothness", "1.0", "--beta", "0.0", "--n-grid", "40,80,160",
+                   "--replications", "3")
+
+
+@pytest.mark.parametrize("name", sorted(RATE_STUDY_IGNORED))
+def test_cli_rate_study_rejects_a_field_it_ignores(name, capsys):
+    field = FIELD_BY_NAME[name]
+    code = run_cli("rate-study", *TINY_RATE_STUDY, field.flag, RATE_STUDY_IGNORED[name])
+    assert code == 2
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload["error"] == "ConfigError"
+    assert field.flag in payload["message"]
+
+
+def test_cli_rate_study_checks_the_config_file(tmp_path, capsys):
+    assert set(RATE_STUDY_IGNORED) | {"epsilon", "replications", "seed", "k_max"} \
+        == set(FIELD_BY_NAME)
+    ini = tmp_path / "gaussian.ini"
+    ini.write_text("[density]\nkind = gaussian\n")
+    code = run_cli("rate-study", *TINY_RATE_STUDY, "--config", str(ini))
+    assert code == 2
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload["error"] == "ConfigError" and "--density" in payload["message"]
+    # a file holding the defaults is fine, and so is the formula cap
+    defaults = tmp_path / "defaults.ini"
+    assert run_cli("write-config", "--out", str(defaults)) == 0
+    code = run_cli("rate-study", *TINY_RATE_STUDY, "--config", str(defaults),
+                   "--m0-override", "none", "--seed", "4")
+    assert code == 0
+    assert "fitted_slope=" in capsys.readouterr().out
 
 
 def test_cli_errors_are_json_on_stderr(tmp_path, capsys):

@@ -10,8 +10,9 @@ from shiftdecon.catalog import sobolev_template, wave_template
 from shiftdecon.errors import VanishingEigenvalueError
 from shiftdecon.risk import _run_replicates, risk_report
 from shiftdecon.selection import (CRITERION_KINDS, PENALTY_VARIANTS,
-                                  criterion_increments, criterion_trace)
-from shiftdecon.simulate import simulate, simulate_summary
+                                  criterion_increments, criterion_trace,
+                                  fraction_negative_theta_hat)
+from shiftdecon.simulate import SequenceSummary, simulate, simulate_summary
 from shiftdecon.spectral import (EIGENVALUE_FLOOR, ShiftDensity, gaussian_density,
                                  laplace_density, point_mass_density,
                                  uniform_density)
@@ -31,6 +32,36 @@ def test_criterion_traces_telescope_bitwise(seed, n, epsilon, kind, n_max, varia
     trace = criterion_trace(obs, LAPLACE, kind, n_max, penalty_variant=variant)
     assert trace[0] == inc[0]
     assert np.array_equal(trace[1:], trace[:-1] + inc[1:])
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(seed=SEEDS, k_max=st.integers(0, 256), lead=st.sampled_from([(1,), (5,), (2, 3)]),
+       n=st.integers(2, 500), epsilon=st.sampled_from([0.0, 0.01, 0.5]),
+       data=st.data())
+def test_row_wise_kernels_equal_the_one_row_case_bitwise(seed, k_max, lead, n, epsilon,
+                                                         data):
+    # a stack of c_tilde rows (widths 1 to 513) against each row alone
+    rng = np.random.default_rng(seed)
+    width = 2 * k_max + 1
+    scale = rng.choice([1e-3, 0.1, 1.0])
+    c_tilde = scale * (rng.standard_normal(lead + (width,))
+                       + 1j * rng.standard_normal(lead + (width,)))
+    stack = SequenceSummary(c_tilde=c_tilde, gamma_tilde=np.ones_like(c_tilde),
+                            n=n, epsilon=epsilon, k_max=k_max)
+    n_max = data.draw(st.integers(0, k_max))
+    traces = {(kind, variant): criterion_trace(stack, LAPLACE, kind, n_max,
+                                               penalty_variant=variant)
+              for kind in CRITERION_KINDS for variant in PENALTY_VARIANTS}
+    fractions = fraction_negative_theta_hat(stack, LAPLACE, n_max)
+    assert fractions.shape == lead
+    for index in np.ndindex(*lead):
+        row = SequenceSummary(c_tilde=c_tilde[index], gamma_tilde=np.ones(width),
+                              n=n, epsilon=epsilon, k_max=k_max)
+        for (kind, variant), trace in traces.items():
+            alone = criterion_trace(row, LAPLACE, kind, n_max, penalty_variant=variant)
+            assert trace[index].tobytes() == alone.tobytes()
+        alone = fraction_negative_theta_hat(row, LAPLACE, n_max)
+        assert type(alone) is float and fractions[index] == alone
 
 
 @settings(max_examples=60, deadline=None, database=None)

@@ -14,7 +14,7 @@ from shiftdecon.risk import (McRisk, RiskReport, _run_replicates, exact_risk,
                              risk_report, theoretical_rate_exponent)
 from shiftdecon.selection import fraction_negative_theta_hat, select_cutoff
 from shiftdecon.simulate import simulate_summary
-from shiftdecon.spectral import (ShiftDensity, Template, laplace_density,
+from shiftdecon.spectral import (ShiftDensity, Template, _tail_energy, laplace_density,
                                  point_mass_density, uniform_density)
 from shiftdecon.study import run_replication_study
 
@@ -217,8 +217,8 @@ def test_replication_study_matches_mc_risk(tmp_path):
 
 
 def test_engine_negative_fractions_match_fraction_negative_theta_hat():
-    # the engine counts t_k < 0 on the band it already holds; the library
-    # function divides by |gamma_k|^2 first: the two must agree bit for bit
+    # the engine applies the library function to a whole chunk of replicates;
+    # each replicate must get what the function gives its summary alone
     seeds = np.random.SeedSequence(31).spawn(6)
     seen = []
     # at epsilon = 0 the spike's zero coefficients give t_k == 0 exactly
@@ -233,6 +233,29 @@ def test_engine_negative_fractions_match_fraction_negative_theta_hat():
         assert reps.negative_fractions.tobytes() == np.array(direct).tobytes()
         seen.extend(direct)
     assert 0.0 < max(seen) < 1.0
+
+
+def test_engine_matches_one_replicate_at_a_time():
+    # reference: simulate_summary, select_cutoff and the loss of the band-N
+    # estimator, one seed at a time; 30 seeds at n = 600 span five chunks
+    template, n, epsilon, m0 = WAVE8, 600, 0.3, 7
+    options = dict(log_base=10.0, penalty_variant="printed_form")
+    rules = ("u_bar", "u_tilde", "u", 4)
+    seeds = np.random.SeedSequence(77).spawn(30)
+    reps = _run_replicates(template, LAPLACE, n, epsilon, seeds, rules, m0,
+                           workers=1, **options)
+    gamma, tail = LAPLACE.gamma_band(m0), _tail_energy(template, m0)
+    for i, seed in enumerate(seeds):
+        obs = simulate_summary(template, LAPLACE, n, epsilon, seed)
+        for j, rule in enumerate(rules):
+            cutoff = rule if isinstance(rule, int) else select_cutoff(
+                obs, LAPLACE, rule, m0=m0, **options).chosen_n
+            band = slice(8 - cutoff, 8 + cutoff + 1)
+            diff = obs.c_tilde[band] / gamma[m0 - cutoff : m0 + cutoff + 1] \
+                - template.coeffs[band]
+            assert reps.cutoffs[j, i] == cutoff
+            assert reps.losses[j, i] == np.sum(np.abs(diff) ** 2) + tail[cutoff]
+    assert len(np.unique(reps.cutoffs[0])) > 1
 
 
 def _read_rows(path):

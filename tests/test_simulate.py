@@ -8,8 +8,8 @@ from shiftdecon.catalog import wave_template
 from shiftdecon.errors import (AliasingError, InvalidParameterError,
                                InvariantViolationError)
 from shiftdecon.simulate import (SequenceObservations, SequenceSummary,
-                                 render_curves, render_grid, simulate,
-                                 simulate_summary)
+                                 _draw_phases, _draw_summaries, render_curves,
+                                 render_grid, simulate, simulate_summary)
 from shiftdecon import spectral
 from shiftdecon.spectral import (ShiftDensity, Template, _synthesis_matrix_t,
                                  gaussian_density, laplace_density,
@@ -276,16 +276,52 @@ def test_summary_gamma_tilde_is_simulate_bit_for_bit():
 
 
 def test_gamma_tilde_is_the_column_mean_of_the_phase_matrix():
-    # reference: average the full Hermitian phase matrix, whose k = 0 column
-    # is exactly 1 (so is its mean); bytes must match, signed zeros included
+    # reference: the phases by recurrence (row 1 is z = exp(-2j pi shift),
+    # row k is row k-1 times z), each row and its conjugate averaged on its
+    # own, the k = 0 mean exactly 1; bytes must match, signed zeros included
     for density in (LAPLACE, point_mass_density()):
         for n in (1, 7, 49, 250):
             obs = simulate(TEMPLATE, density, n, 0.1, seed=n)
-            pos = np.exp(-2j * np.pi * np.outer(obs.shifts, np.arange(K_MAX + 1)))
-            phases = np.concatenate([np.conj(pos[:, 1:])[:, ::-1], pos], axis=1)
-            ref = phases.mean(axis=0)
+            z = np.exp(-2j * np.pi * obs.shifts)
+            rows = [np.ones(n, dtype=complex), z]
+            for _ in range(K_MAX - 1):
+                rows.append(rows[-1] * z)
+            phases = [np.conj(row) for row in rows[:0:-1]] + rows
+            ref = np.array([row.mean() for row in phases])
             ref[K_MAX] = 1.0
             assert obs.gamma_tilde.tobytes() == ref.tobytes()
+
+
+def test_phase_recurrence_is_accurate_at_k_max_256():
+    # the recurrence accumulates one rounding per step; at k = 256 it stays
+    # within 1e-12 of np.exp (about 2.4e-13 was measured), for the phases
+    # and for their means
+    k_max, n = 256, 400
+    template = wave_template(k_max)
+    k = np.arange(k_max + 1)
+    for density in (LAPLACE, gaussian_density(0.3), uniform_density(0.5)):
+        obs = simulate(template, density, n, 0.0, seed=256)
+        exact = np.exp(-2j * np.pi * np.outer(k, obs.shifts))
+        assert np.max(np.abs(_draw_phases(obs.shifts, k_max) - exact)) <= 1e-12
+        mean = exact.mean(axis=1)
+        assert np.max(np.abs(obs.gamma_tilde[k_max:] - mean)) <= 1e-12
+        obs.validate()
+
+
+def test_chunked_draw_matches_each_seed_alone():
+    seeds = np.random.SeedSequence(12).spawn(9)
+    for density, n, epsilon in ((LAPLACE, 1, 0.0), (LAPLACE, 49, 0.2),
+                                (gaussian_density(0.15), 130, 0.05),
+                                (point_mass_density(), 7, 0.3)):
+        stack = _draw_summaries(TEMPLATE, density, n, epsilon, seeds)
+        assert stack.c_tilde.shape == stack.gamma_tilde.shape == (9, 2 * K_MAX + 1)
+        stack.validate()
+        for i, seed in enumerate(seeds):
+            alone = simulate_summary(TEMPLATE, density, n, epsilon, seed)
+            full = simulate(TEMPLATE, density, n, epsilon, seed)
+            assert stack.gamma_tilde[i].tobytes() == alone.gamma_tilde.tobytes()
+            assert stack.gamma_tilde[i].tobytes() == full.gamma_tilde.tobytes()
+            assert stack.c_tilde[i].tobytes() == alone.c_tilde.tobytes()
 
 
 def test_summary_noise_moments_at_n_6400():
