@@ -26,7 +26,7 @@ from .errors import (AliasingError, ConfigError, DegenerateInputError,
                      InvalidParameterError, InvariantViolationError,
                      ShiftDeconError, VanishingEigenvalueError)
 from .risk import (McRisk, RateStudy, RiskBreakdown, RiskReport, exact_risk,
-                   mc_risk, oracle_cutoff, oracle_ratio, rate_study, risk_report,
+                   mc_risk, oracle_ratio, rate_study, risk_report,
                    theoretical_rate_exponent)
 from .selection import (CRITERION_KINDS, CutoffSelection, M0Result,
                         SpectralEstimate, compute_m0, criterion_trace, estimate,
@@ -56,8 +56,8 @@ __all__ = [
     "criterion_trace", "select_cutoff", "estimate",
     # risk
     "RiskBreakdown", "RiskReport", "McRisk", "RateStudy", "risk_report",
-    "exact_risk", "oracle_cutoff", "mc_risk",
-    "oracle_ratio", "rate_study", "theoretical_rate_exponent",
+    "exact_risk", "mc_risk", "oracle_ratio", "rate_study",
+    "theoretical_rate_exponent",
     # catalog
     "wave_template", "sobolev_template", "spike_template", "catalog_template",
     "TEMPLATE_BUILDERS",

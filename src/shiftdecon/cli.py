@@ -51,13 +51,6 @@ def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     return dataclasses.replace(cfg, **overrides) if overrides else cfg
 
 
-def _resolve_m0(cfg: ExperimentConfig, template, density) -> int:
-    if cfg.m0_override is not None:
-        return cfg.m0_override
-    return compute_m0(density, cfg.n, template.k_max,
-                      log_base=resolve_log_base(cfg)).value
-
-
 def cmd_simulate(args) -> int:
     cfg = _resolve_config(args)
     template = build_template(cfg)
@@ -74,8 +67,7 @@ def cmd_select(args) -> int:
     template = build_template(cfg)
     density = build_density(cfg)
     obs = simulate(template, density, cfg.n, cfg.epsilon, cfg.seed)
-    m0 = _resolve_m0(cfg, template, density)
-    sel = select_cutoff(obs, density, cfg.criterion, m0=m0,
+    sel = select_cutoff(obs, density, cfg.criterion, m0=cfg.m0_override,
                         **selection_options(cfg))
     if args.out:
         write_selection_csv(args.out, sel)
@@ -92,8 +84,7 @@ def cmd_estimate(args) -> int:
     if args.cutoff is not None:
         cutoff, kind = args.cutoff, "fixed_n"
     else:
-        m0 = _resolve_m0(cfg, template, density)
-        sel = select_cutoff(obs, density, cfg.criterion, m0=m0,
+        sel = select_cutoff(obs, density, cfg.criterion, m0=cfg.m0_override,
                             **selection_options(cfg))
         cutoff, kind = sel.chosen_n, CRITERION_ESTIMATORS[cfg.criterion]
     est = estimate(obs, density, cutoff, kind)
@@ -117,9 +108,11 @@ def cmd_risk(args) -> int:
     cfg = _resolve_config(args)
     template = build_template(cfg)
     density = build_density(cfg)
-    n_max = args.n_max if args.n_max is not None else _resolve_m0(cfg, template, density)
-    report = risk_report(template, density, cfg.n, cfg.epsilon, n_max,
-                         log_base=resolve_log_base(cfg))
+    log_base = resolve_log_base(cfg)
+    n_max = args.n_max if args.n_max is not None else cfg.m0_override
+    if n_max is None:
+        n_max = compute_m0(density, cfg.n, template.k_max, log_base=log_base).value
+    report = risk_report(template, density, cfg.n, cfg.epsilon, n_max, log_base=log_base)
     if args.out:
         write_risk_report_csv(args.out, report)
         print(f"wrote risk curves to {args.out}")

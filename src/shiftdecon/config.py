@@ -101,8 +101,8 @@ class ExperimentConfig:
             bad("k_max", f"must be an integer >= 1, got {self.k_max!r}")
         if self.criterion not in CRITERION_KINDS:
             bad("criterion", f"must be one of {CRITERION_KINDS}, got {self.criterion!r}")
-        if not (isinstance(self.replications, int) and self.replications >= 1):
-            bad("replications", f"must be an integer >= 1, got {self.replications!r}")
+        if not (isinstance(self.replications, int) and self.replications >= 2):
+            bad("replications", f"must be an integer >= 2, got {self.replications!r}")
         if not (isinstance(self.seed, int) and self.seed >= 0):
             bad("seed", f"must be an integer >= 0, got {self.seed!r}")
         if self.m0_override is not None:

@@ -50,7 +50,7 @@ import numpy as np
 
 from .errors import DegenerateInputError, InvalidParameterError
 from .selection import (CRITERION_ESTIMATORS, ESTIMATE_KINDS, compute_m0, criterion_trace,
-                        fraction_negative_theta_hat)
+                        fraction_negative_theta_hat, log_squared_over_n)
 from .simulate import _draw_summaries
 from .spectral import (ShiftDensity, Template, _pair_sums, _tail_energy, laplace_density,
                        point_mass_density)
@@ -62,7 +62,6 @@ __all__ = [
     "RateStudy",
     "risk_report",
     "exact_risk",
-    "oracle_cutoff",
     "mc_risk",
     "oracle_ratio",
     "rate_study",
@@ -120,8 +119,7 @@ class RiskReport:
 
 
 def risk_report(template: Template, density: ShiftDensity, n: int, epsilon: float,
-                n_max: int, *, log_base: float = math.e,
-                penalty_multiplier: float = 1.0) -> RiskReport:
+                n_max: int, *, log_base: float = math.e) -> RiskReport:
     """Evaluate all risk curves for cutoffs ``0..n_max``.
 
     ``n_max`` may exceed the template band (the tail bias is then zero), but
@@ -153,7 +151,9 @@ def risk_report(template: Template, density: ShiftDensity, n: int, epsilon: floa
     # non-decreasing and shared terms associate identically across curves.
     v1 = (epsilon ** 2 / n) * np.cumsum(v1_steps)
     v2 = (1.0 / n) * np.cumsum(v2_steps)
-    level = penalty_multiplier * (math.log(n) / math.log(log_base)) ** 2 / n if n >= 2 else 0.0
+    # log(1) = 0, so there is no penalty at n = 1; log_squared_over_n, which
+    # refuses n = 1, checks log_base first.
+    level = 0.0 if n == 1 and log_base > 1.0 else log_squared_over_n(n, log_base)
     pen = level * np.cumsum(pen_steps)
 
     base = bias + v1
@@ -175,17 +175,6 @@ def exact_risk(template: Template, density: ShiftDensity, n: int, epsilon: float
         raise InvalidParameterError(f"cutoff must be >= 0, got {cutoff}")
     report = risk_report(template, density, n, epsilon, cutoff)
     return report.point(cutoff)
-
-
-def oracle_cutoff(template: Template, density: ShiftDensity, n: int, epsilon: float,
-                  kind: str, m0: int, *, log_base: float = math.e,
-                  penalty_multiplier: float = 1.0) -> int:
-    """Exhaustive argmin of a theoretical risk curve over ``N = 0..m0``."""
-    if m0 < 0:
-        raise InvalidParameterError(f"m0 must be >= 0, got {m0}")
-    report = risk_report(template, density, n, epsilon, m0,
-                         log_base=log_base, penalty_multiplier=penalty_multiplier)
-    return report.oracle(kind)
 
 
 class McRisk(NamedTuple):
@@ -293,8 +282,7 @@ def mc_risk(template: Template, density: ShiftDensity, n: int, epsilon: float,
             estimator_kind: str, replications: int, seed: int, *,
             cutoff: Optional[int] = None, m0: Optional[int] = None,
             workers: int = 1, log_base: float = math.e,
-            threshold_multiplier: float = 1.0, penalty_multiplier: float = 1.0,
-            penalty_variant: str = "proof_form") -> McRisk:
+            penalty_variant: str = "printed_form") -> McRisk:
     """Monte Carlo estimate of ``E ||theta_hat - theta||^2``.
 
     Parameters
@@ -327,8 +315,7 @@ def mc_risk(template: Template, density: ShiftDensity, n: int, epsilon: float,
         rule: Union[str, int] = band_top
     else:
         if m0 is None:
-            m0 = compute_m0(density, n, template.k_max, log_base=log_base,
-                            threshold_multiplier=threshold_multiplier).value
+            m0 = compute_m0(density, n, template.k_max, log_base=log_base).value
         band_top = int(m0)
         rule = _ESTIMATOR_CRITERIA[estimator_kind]
     if not (0 <= band_top <= template.k_max):
@@ -338,7 +325,6 @@ def mc_risk(template: Template, density: ShiftDensity, n: int, epsilon: float,
 
     reps = _run_replicates(template, density, n, epsilon, seeds, (rule,), band_top,
                            workers=workers, log_base=log_base,
-                           penalty_multiplier=penalty_multiplier,
                            penalty_variant=penalty_variant)
     mean, stderr = _mean_and_stderr(reps.losses[0])
     return McRisk(mean=mean, stderr=stderr, losses=reps.losses[0], cutoffs=reps.cutoffs[0])
@@ -346,29 +332,20 @@ def mc_risk(template: Template, density: ShiftDensity, n: int, epsilon: float,
 
 def oracle_ratio(template: Template, density: ShiftDensity, n: int, epsilon: float,
                  estimator_kind: str, replications: int, seed: int, *,
-                 m0: Optional[int] = None, baseline: Optional[str] = None,
-                 workers: int = 1, log_base: float = math.e,
-                 threshold_multiplier: float = 1.0, penalty_multiplier: float = 1.0,
-                 penalty_variant: str = "proof_form") -> float:
-    """Monte Carlo risk divided by the best theoretical risk ``inf_{N<=m0}``.
-
-    The baseline defaults to the envelope matching the estimator:
-    ``r_bar`` for ``theta_star``, ``r`` for ``theta_tilde`` and ``theta_u``;
-    pass ``baseline`` explicitly to compare against another curve.
-    ``workers`` goes to :func:`mc_risk`.
+                 m0: Optional[int] = None, workers: int = 1,
+                 log_base: float = math.e,
+                 penalty_variant: str = "printed_form") -> float:
+    """Monte Carlo risk divided by the best theoretical risk ``inf_{N<=m0}``
+    of the envelope matching the estimator: ``r_bar`` for ``theta_star``,
+    ``r`` for ``theta_tilde`` and ``theta_u``.  ``workers`` goes to
+    :func:`mc_risk`.
     """
     if estimator_kind == "fixed_n":
         raise InvalidParameterError("oracle_ratio is defined for the adaptive estimators")
-    if baseline is None:
-        baseline = "r_bar" if estimator_kind == "theta_star" else "r"
-    if baseline not in RISK_KINDS:
-        raise InvalidParameterError(f"unknown baseline {baseline!r}; expected one of {RISK_KINDS}")
     if m0 is None:
-        m0 = compute_m0(density, n, template.k_max, log_base=log_base,
-                        threshold_multiplier=threshold_multiplier).value
-    report = risk_report(template, density, n, epsilon, m0, log_base=log_base,
-                         penalty_multiplier=penalty_multiplier)
-    denom = float(np.min(report.column(baseline)))
+        m0 = compute_m0(density, n, template.k_max, log_base=log_base).value
+    report = risk_report(template, density, n, epsilon, m0, log_base=log_base)
+    denom = float(np.min(report.r_bar if estimator_kind == "theta_star" else report.r))
     if denom == 0.0:
         raise DegenerateInputError(
             "oracle risk is exactly zero (noiseless, fully recoverable template); "
@@ -376,8 +353,6 @@ def oracle_ratio(template: Template, density: ShiftDensity, n: int, epsilon: flo
         )
     mc = mc_risk(template, density, n, epsilon, estimator_kind, replications, seed,
                  m0=m0, workers=workers, log_base=log_base,
-                 threshold_multiplier=threshold_multiplier,
-                 penalty_multiplier=penalty_multiplier,
                  penalty_variant=penalty_variant)
     return mc.mean / denom
 
@@ -404,29 +379,19 @@ class RateStudy:
     beta: float
 
 
-def _default_rate_density(beta: float) -> ShiftDensity:
-    if beta == 0.0:
-        return point_mass_density()
-    if beta == 2.0:
-        return laplace_density(0.1)
-    raise InvalidParameterError(
-        f"no built-in shift density with polynomial decay beta={beta}; "
-        f"pass density= explicitly (built-ins cover beta=0 and beta=2)"
-    )
-
-
 def rate_study(s: float, beta: float, radius: float, n_grid: Sequence[int],
                epsilon: float, replications: int, seed: int, *,
-               density: Optional[ShiftDensity] = None, k_max: int = 64,
-               delta: float = 0.01, workers: int = 1) -> RateStudy:
+               k_max: int = 64, workers: int = 1) -> RateStudy:
     """Measure how the adaptive (plain-criterion) estimator's risk scales with n.
 
     A deterministic Sobolev-edge template with smoothness ``s`` and ball
     radius ``radius`` is estimated at every size in ``n_grid``; the slope of
     ``log(mise)`` against ``log(n)`` is fit by least squares and reported next
-    to the minimax exponent ``-2s/(2s + 2 beta + 1)``.  ``workers`` (>= 1)
-    goes to :func:`mc_risk`, which runs the replicates serially in seed
-    order; it changes no result.
+    to the minimax exponent ``-2s/(2s + 2 beta + 1)``.  The shifts are
+    point masses for ``beta = 0`` and Laplace(0.1) for ``beta = 2``; no
+    other ``beta`` has a built-in density.  ``workers`` (>= 1) goes to
+    :func:`mc_risk`, which runs the replicates serially in seed order; it
+    changes no result.
     """
     from .catalog import sobolev_template
 
@@ -439,9 +404,16 @@ def rate_study(s: float, beta: float, radius: float, n_grid: Sequence[int],
         raise InvalidParameterError("n_grid must be strictly increasing")
     if np.any(n_grid_arr < 2):
         raise InvalidParameterError("all n in n_grid must be >= 2")
-    if density is None:
-        density = _default_rate_density(beta)
-    template = sobolev_template(smoothness=s, radius=radius, k_max=k_max, delta=delta)
+    if beta == 0.0:
+        density = point_mass_density()
+    elif beta == 2.0:
+        density = laplace_density(0.1)
+    else:
+        raise InvalidParameterError(
+            f"no built-in shift density with polynomial decay beta={beta} "
+            f"(built-ins cover beta=0 and beta=2)"
+        )
+    template = sobolev_template(smoothness=s, radius=radius, k_max=k_max)
 
     mise = np.empty(n_grid_arr.size, dtype=float)
     stderr = np.empty(n_grid_arr.size, dtype=float)

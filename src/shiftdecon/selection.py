@@ -12,10 +12,12 @@ log by default), the criteria over the band ``|k| <= N`` are
     u_bar:   -            sum t_k/|g_k|^2 + (eps^2/n) sum 1/|g_k|^2 +   L   sum t_k/|g_k|^4
     u_tilde: -            sum t_k/|g_k|^2 + (eps^2/n) sum 1/|g_k|^2
 
-``u_bar``'s penalty summand defaults to ``t_k/|g_k|^4`` (the form that makes
-the penalty an estimate of ``L sum |theta_k|^2/|g_k|^2``); an alternative
-variant with summand ``(|c_tilde_k| - eps^2/n)/|g_k|^2`` is selectable for
-comparison.
+As written, ``u_bar``'s penalty summand ``t_k/|g_k|^4`` is
+``penalty_variant="proof_form"``, the form that makes the penalty an
+estimate of ``L sum |theta_k|^2/|g_k|^2``.  The default, ``"printed_form"``
+(also the default of the configuration and the CLI), has the summand
+``(|c_tilde_k| - eps^2/n)/|g_k|^2``.  The cap ``m0`` is one below the first
+``k`` with ``|g_k|^2 <= L``.
 
 Every function here reads a dataset only through its column means
 (``c_tilde``, ``n``, ``epsilon``, ``k_max``), so it takes a
@@ -80,18 +82,17 @@ class M0Result(NamedTuple):
 
 def log_squared_over_n(n: int, log_base: float = math.e) -> float:
     """``log^2(n) / n`` in the requested base (natural by default)."""
-    if n < 2:
-        raise InvalidParameterError(f"n must be >= 2, got {n}")
     if not (log_base > 1.0):
         raise InvalidParameterError(f"log_base must be > 1, got {log_base}")
+    if n < 2:
+        raise InvalidParameterError(f"n must be >= 2, got {n}")
     return (math.log(n) / math.log(log_base)) ** 2 / n
 
 
 def compute_m0(density: ShiftDensity, n: int, k_max: int, *,
-               log_base: float = math.e,
-               threshold_multiplier: float = 1.0) -> M0Result:
+               log_base: float = math.e) -> M0Result:
     """Largest usable cutoff: one below the first ``k`` with
-    ``|gamma_k|^2 <= threshold_multiplier * log^2(n)/n``.
+    ``|gamma_k|^2 <= log^2(n)/n``.
 
     Scans ``k = 1..k_max``; if no frequency crosses the threshold the value
     saturates at ``k_max`` and the result is flagged accordingly.
@@ -100,11 +101,7 @@ def compute_m0(density: ShiftDensity, n: int, k_max: int, *,
         raise InvalidParameterError(f"n must be >= 2, got {n}")
     if k_max < 1:
         raise InvalidParameterError(f"k_max must be >= 1, got {k_max}")
-    if not (threshold_multiplier > 0.0):
-        raise InvalidParameterError(
-            f"threshold_multiplier must be > 0, got {threshold_multiplier}"
-        )
-    threshold = threshold_multiplier * log_squared_over_n(n, log_base)
+    threshold = log_squared_over_n(n, log_base)
     mags2 = np.abs(density.gamma(np.arange(1, k_max + 1))) ** 2
     crossed = np.nonzero(mags2 <= threshold)[0]
     if crossed.size == 0:
@@ -115,10 +112,15 @@ def compute_m0(density: ShiftDensity, n: int, k_max: int, *,
 def theta_hat_squared(obs: SequenceSummary, density: ShiftDensity,
                       k: int) -> float:
     """Unbiased estimate ``(|c_tilde_k|^2 - eps^2/n) / |gamma_k|^2`` of
-    ``|theta_k|^2``; may be negative, deliberately unclipped."""
+    ``|theta_k|^2``; may be negative, deliberately unclipped.
+
+    ``gamma_k`` is read from :meth:`ShiftDensity.gamma_band` over ``|k'| <= |k|``,
+    so, as for every band estimate, a vanishing eigenvalue anywhere on that
+    band raises :class:`~shiftdecon.errors.VanishingEigenvalueError`.
+    """
     if abs(k) > obs.k_max:
         raise InvalidParameterError(f"|k| must be <= k_max={obs.k_max}, got {k}")
-    g2 = float(np.abs(density._invertible_gamma(k)) ** 2)
+    g2 = float(np.abs(density.gamma_band(abs(k))[k + abs(k)]) ** 2)
     c = obs.c_tilde[obs.coeff_index(k)]
     return float((abs(c) ** 2 - obs.epsilon ** 2 / obs.n) / g2)
 
@@ -146,8 +148,7 @@ def fraction_negative_theta_hat(obs: SequenceSummary, density: ShiftDensity,
 def criterion_increments(obs: SequenceSummary, density: ShiftDensity,
                          kind: str, n_max: int, *,
                          log_base: float = math.e,
-                         penalty_multiplier: float = 1.0,
-                         penalty_variant: str = "proof_form") -> np.ndarray:
+                         penalty_variant: str = "printed_form") -> np.ndarray:
     """Per-step criterion increments ``inc[..., 0..n_max]``, one row per
     dataset of a stack.
 
@@ -176,7 +177,7 @@ def criterion_increments(obs: SequenceSummary, density: ShiftDensity,
         per_k = (-(1.0 - 1.0 / n) * t / g2 + noise_floor / g2
                  + (1.0 / n) * t / (g2 * g2))
     elif kind == "u_bar":
-        level = penalty_multiplier * log_squared_over_n(n, log_base)
+        level = log_squared_over_n(n, log_base)
         if penalty_variant == "proof_form":
             pen = level * t / (g2 * g2)
         else:
@@ -222,27 +223,18 @@ def select_cutoff(obs: SequenceSummary, density: ShiftDensity,
                   kind: str = "u_bar", *,
                   m0: Optional[int] = None,
                   log_base: float = math.e,
-                  threshold_multiplier: float = 1.0,
-                  penalty_multiplier: float = 1.0,
-                  penalty_variant: str = "proof_form") -> CutoffSelection:
+                  penalty_variant: str = "printed_form") -> CutoffSelection:
     """Minimize a criterion over cutoffs ``0..m0``.
 
     ``m0`` defaults to :func:`compute_m0` for the density at the observed
     ``(n, k_max)``; pass an explicit value to override.  Ties are broken
     toward the smallest cutoff (the most regularized choice).
-
-    ``penalty_variant`` defaults to ``"proof_form"`` here, as in
-    :func:`criterion_increments`, :func:`~shiftdecon.risk.mc_risk` and
-    :func:`~shiftdecon.risk.oracle_ratio`, while ``ExperimentConfig`` and the
-    CLI default to ``"printed_form"``.  Only ``u_bar`` reads it.
     """
     if m0 is None:
-        m0 = compute_m0(density, obs.n, obs.k_max, log_base=log_base,
-                        threshold_multiplier=threshold_multiplier).value
+        m0 = compute_m0(density, obs.n, obs.k_max, log_base=log_base).value
     if not (0 <= m0 <= obs.k_max):
         raise InvalidParameterError(f"m0 must be in 0..{obs.k_max}, got {m0}")
     trace = criterion_trace(obs, density, kind, m0, log_base=log_base,
-                            penalty_multiplier=penalty_multiplier,
                             penalty_variant=penalty_variant)
     chosen = int(np.argmin(trace))  # argmin returns the first (smallest-N) minimum
     return CutoffSelection(chosen_n=chosen, m0=int(m0),

@@ -122,7 +122,8 @@ class SequenceObservations(SequenceSummary):
         Row ``j`` holds the coefficients of curve ``j``; ``c_tilde`` is its
         column mean.
     shifts : ndarray of float or None
-        The drawn shifts (kept by default; an estimator never needs them).
+        The drawn shifts (:func:`simulate` keeps them; an estimator never
+        needs them, so a hand-built dataset may leave them out).
     """
 
     per_curve: np.ndarray
@@ -209,7 +210,7 @@ def _mean_phase(pos: np.ndarray) -> np.ndarray:
 
 
 def simulate(template: Template, density: ShiftDensity, n: int, epsilon: float,
-             seed: SeedLike, *, keep_shifts: bool = True) -> SequenceObservations:
+             seed: SeedLike) -> SequenceObservations:
     """Draw one dataset of ``n`` randomly shifted, noisy curves.
 
     Parameters
@@ -224,8 +225,6 @@ def simulate(template: Template, density: ShiftDensity, n: int, epsilon: float,
         Noise level (finite, >= 0); ``epsilon = 0`` gives exact shifted coefficients.
     seed : int, SeedSequence or Generator
         Source of randomness; equal seeds give bit-identical datasets.
-    keep_shifts : bool
-        Store the drawn shifts on the result (handy for diagnostics).
 
     Returns
     -------
@@ -251,7 +250,7 @@ def simulate(template: Template, density: ShiftDensity, n: int, epsilon: float,
         n=n,
         epsilon=float(epsilon),
         k_max=k_max,
-        shifts=shifts if keep_shifts else None,
+        shifts=shifts,
     )
 
 

@@ -195,19 +195,15 @@ class ShiftDensity:
         """
         if k_max < 0:
             raise InvalidParameterError(f"k_max must be >= 0, got {k_max}")
-        return self._invertible_gamma(np.arange(-k_max, k_max + 1))
-
-    def _invertible_gamma(self, k) -> np.ndarray:
-        """``gamma`` at frequencies ``k``, all of which are about to be inverted."""
-        gam = self.gamma(k)
+        gam = self.gamma(np.arange(-k_max, k_max + 1))
         g2 = np.abs(gam) ** 2
         vanishing = np.flatnonzero(g2 <= EIGENVALUE_FLOOR)
         if vanishing.size:
             at = vanishing[0]
             raise VanishingEigenvalueError(
-                f"|gamma_k|^2 = {float(g2.flat[at]):.3e} at "
-                f"k={int(np.ravel(k)[at])} is at or below EIGENVALUE_FLOOR = "
-                f"{EIGENVALUE_FLOOR:.3e}; the frequency cannot be inverted"
+                f"|gamma_k|^2 = {float(g2[at]):.3e} at k={int(at) - k_max} is at "
+                f"or below EIGENVALUE_FLOOR = {EIGENVALUE_FLOOR:.3e}; the "
+                f"frequency cannot be inverted"
             )
         return gam
 

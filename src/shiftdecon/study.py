@@ -122,8 +122,7 @@ def run_replication_study(cfg: ExperimentConfig, out_dir, *, grid_size: int = 25
     write_curves_csv(out_dir / "template_curve.csv", grid,
                      synthesize(template, grid_size))
 
-    curves = simulate(template, density, cfg.n, cfg.epsilon, seeds[0],
-                      keep_shifts=False)
+    curves = simulate(template, density, cfg.n, cfg.epsilon, seeds[0])
     shown = min(_SAMPLE_CURVE_COUNT, cfg.n)
     write_curves_csv(out_dir / "sample_curves.csv", grid,
                      render_curves(curves, grid_size)[:shown])

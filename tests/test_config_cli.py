@@ -45,6 +45,7 @@ def test_default_config_is_the_reference_study():
     ("k_max", 0),
     ("criterion", "aic"),
     ("replications", 0),
+    ("replications", 1),
     ("seed", -1),
     ("m0_override", 41),
     ("log_base", "binary"),
@@ -314,14 +315,14 @@ def test_cli_rate_study_smoke(tmp_path, capsys):
 
 
 def test_cli_replication_study_needs_two_replications(tmp_path, capsys):
-    # one replication has no standard error: exit 2, and no bundle with a
-    # nan mc_stderr
+    # one replication has no standard error: the configuration refuses it,
+    # exit 2, and no bundle with a nan mc_stderr
     out = tmp_path / "study"
     code = run_cli("replication-study", "--replications", "1", "--out", str(out))
     assert code == 2
     payload = json.loads(capsys.readouterr().err.strip())
-    assert payload["error"] == "InvalidParameterError"
-    assert "replications must be >= 2" in payload["message"]
+    assert payload["error"] == "ConfigError"
+    assert "replications" in payload["message"] and ">= 2" in payload["message"]
     assert not out.exists()
 
 

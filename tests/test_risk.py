@@ -1,5 +1,6 @@
 """Risk curves, oracle cutoffs, Monte Carlo risks, and the rate machinery."""
 import csv
+import hashlib
 import math
 
 import numpy as np
@@ -10,9 +11,9 @@ from shiftdecon.config import ExperimentConfig, build_density, build_template
 from shiftdecon.errors import (DegenerateInputError, InvalidParameterError,
                                VanishingEigenvalueError)
 from shiftdecon.risk import (McRisk, RiskReport, _run_replicates, exact_risk,
-                             mc_risk, oracle_cutoff, oracle_ratio, rate_study,
+                             mc_risk, oracle_ratio, rate_study,
                              risk_report, theoretical_rate_exponent)
-from shiftdecon.selection import fraction_negative_theta_hat, select_cutoff
+from shiftdecon.selection import compute_m0, fraction_negative_theta_hat, select_cutoff
 from shiftdecon.simulate import simulate_summary
 from shiftdecon.spectral import (ShiftDensity, Template, _tail_energy, laplace_density,
                                  point_mass_density, uniform_density)
@@ -139,32 +140,50 @@ def test_risk_report_validation():
         risk_report(WAVE8, uniform_density(0.25), 10, 0.1, 4)
 
 
+# sha256 prefixes of r_bar's bytes for WAVE8, Laplace(0.1), epsilon 0.1, N <= 8,
+# frozen before the penalty level moved to selection.log_squared_over_n
+R_BAR_BYTES = {(math.e, 2): "5f3a81c1bf20439d", (math.e, 50): "5b3852c9d290ea9d",
+               (10.0, 2): "0b9d58cb4f94b48e", (10.0, 50): "2e4ac82909edf70f"}
+
+
+def test_risk_report_log_base():
+    for (log_base, n), digest in R_BAR_BYTES.items():
+        r_bar = risk_report(WAVE8, LAPLACE, n, 0.1, 8, log_base=log_base).r_bar
+        assert hashlib.sha256(r_bar.tobytes()).hexdigest()[:16] == digest
+    # log(1) = 0: no penalty at n = 1
+    one = risk_report(WAVE8, LAPLACE, 1, 0.1, 8)
+    assert np.array_equal(one.r_bar, one.r_tilde)
+    for log_base in (1.0, 0.5):
+        for n in (1, 2, 50):
+            with pytest.raises(InvalidParameterError, match="log_base"):
+                risk_report(WAVE8, LAPLACE, n, 0.1, 8, log_base=log_base)
+
+
 # ---------------------------------------------------------------------------
 # oracle cutoffs
 
 
 def test_reference_configuration_oracles_frozen():
     """Scan-derived argmins for the wave/Laplace study parameters."""
-    wave = wave_template(40)
-    assert oracle_cutoff(wave, LAPLACE, 100, 0.015, "r", 32) == 6
-    assert oracle_cutoff(wave, LAPLACE, 100, 0.015, "r_bar", 32) == 2
-    assert oracle_cutoff(wave, LAPLACE, 100, 0.015, "r_tilde", 32) == 9
+    report = risk_report(wave_template(40), LAPLACE, 100, 0.015, 32)
+    assert report.oracle("r") == 6
+    assert report.oracle("r_bar") == 2
+    assert report.oracle("r_tilde") == 9
 
 
 def test_penalized_oracle_never_later_than_plain():
     # the penalty only adds weight to larger bands, so its argmin comes first
     wave = wave_template(40)
     for eps in (0.005, 0.015, 0.05):
-        n0_bar = oracle_cutoff(wave, LAPLACE, 100, eps, "r_bar", 32)
-        n0_tilde = oracle_cutoff(wave, LAPLACE, 100, eps, "r_tilde", 32)
-        assert n0_bar <= n0_tilde
+        report = risk_report(wave, LAPLACE, 100, eps, 32)
+        assert report.oracle("r_bar") <= report.oracle("r_tilde")
 
 
 def test_oracle_cutoff_validation():
     with pytest.raises(InvalidParameterError):
-        oracle_cutoff(WAVE8, LAPLACE, 50, 0.1, "r", -1)
+        risk_report(WAVE8, LAPLACE, 50, 0.1, -1).oracle("r")
     with pytest.raises(InvalidParameterError):
-        oracle_cutoff(WAVE8, LAPLACE, 50, 0.1, "bogus", 5)
+        risk_report(WAVE8, LAPLACE, 50, 0.1, 5).oracle("bogus")
 
 
 # ---------------------------------------------------------------------------
@@ -291,10 +310,6 @@ def test_mc_risk_theta_u_selects_with_criterion_u():
     expected = [select_cutoff(simulate_summary(WAVE8, LAPLACE, 30, 0.05, s),
                               LAPLACE, "u", m0=8).chosen_n for s in seeds]
     assert mc.cutoffs.tolist() == expected
-    args = dict(n=30, epsilon=0.05, estimator_kind="theta_u", replications=10,
-                seed=4, m0=8)
-    assert oracle_ratio(WAVE8, LAPLACE, **args) == \
-        oracle_ratio(WAVE8, LAPLACE, baseline="r", **args)
 
 
 def test_mc_risk_adaptive_not_below_oracle():
@@ -330,15 +345,16 @@ def test_oracle_ratio_reference_smoke():
     assert 0.0 < ratio < 3.0
 
 
-def test_oracle_ratio_baseline_override():
-    args = dict(n=100, epsilon=0.015, estimator_kind="theta_star",
-                replications=50, seed=7)
+def test_oracle_ratio_baseline_follows_the_estimator():
+    # theta_star is compared with inf r_bar, theta_tilde and theta_u with inf r
     t = wave_template(16)
-    default = oracle_ratio(t, LAPLACE, **args)            # baseline r_bar
-    explicit = oracle_ratio(t, LAPLACE, baseline="r_bar", **args)
-    assert default == explicit
-    vs_r = oracle_ratio(t, LAPLACE, baseline="r", **args)
-    assert vs_r > default  # inf r < inf r_bar here
+    report = risk_report(t, LAPLACE, 100, 0.015, compute_m0(LAPLACE, 100, 16).value)
+    for kind, curve in (("theta_star", report.r_bar), ("theta_tilde", report.r),
+                        ("theta_u", report.r)):
+        mc = mc_risk(t, LAPLACE, 100, 0.015, kind, 50, seed=7)
+        ratio = oracle_ratio(t, LAPLACE, 100, 0.015, kind, 50, seed=7)
+        assert ratio == mc.mean / float(np.min(curve))
+    assert np.min(report.r) < np.min(report.r_bar)
 
 
 def test_oracle_ratio_degenerate_denominator():
@@ -350,9 +366,6 @@ def test_oracle_ratio_degenerate_denominator():
 def test_oracle_ratio_rejects_fixed_estimator():
     with pytest.raises(InvalidParameterError):
         oracle_ratio(WAVE8, LAPLACE, 10, 0.1, "fixed_n", 10, seed=0)
-    with pytest.raises(InvalidParameterError):
-        oracle_ratio(WAVE8, LAPLACE, 10, 0.1, "theta_star", 10, seed=0,
-                     baseline="bogus")
 
 
 # ---------------------------------------------------------------------------

@@ -19,10 +19,10 @@ from shiftdecon.spectral import (ShiftDensity, Template, laplace_density,
 LAPLACE = laplace_density(0.1)
 
 
-def brute_m0(density, n, k_max, base=math.e, mult=1.0):
+def brute_m0(density, n, k_max, base=math.e):
     # independent re-derivation: scan k upward, stop one before the first
     # frequency whose squared eigenvalue falls to the threshold
-    thr = mult * (math.log(n) / math.log(base)) ** 2 / n
+    thr = (math.log(n) / math.log(base)) ** 2 / n
     for k in range(1, k_max + 1):
         if abs(complex(density.gamma(k))) ** 2 <= thr:
             return k - 1
@@ -38,8 +38,10 @@ def test_log_squared_over_n():
     assert abs(log_squared_over_n(100, 10.0) - 0.04) < 1e-16
     with pytest.raises(InvalidParameterError):
         log_squared_over_n(1)
-    with pytest.raises(InvalidParameterError):
-        log_squared_over_n(10, log_base=1.0)
+    for log_base in (1.0, 0.5):
+        for n in (1, 10):
+            with pytest.raises(InvalidParameterError, match="log_base"):
+                log_squared_over_n(n, log_base=log_base)
 
 
 @pytest.mark.parametrize("n,expected", [(100, 2), (10**6, 19)])
@@ -55,12 +57,6 @@ def test_m0_decimal_log():
     assert res.value == brute_m0(LAPLACE, 100, 40, base=10.0) == 4
 
 
-def test_m0_threshold_multiplier():
-    loose = compute_m0(LAPLACE, 100, 40, threshold_multiplier=0.01)
-    assert loose.value == brute_m0(LAPLACE, 100, 40, mult=0.01)
-    assert loose.value > compute_m0(LAPLACE, 100, 40).value
-
-
 def test_m0_saturates_when_nothing_crosses():
     res = compute_m0(point_mass_density(), 100, 25)
     assert res.value == 25 and res.saturated
@@ -71,8 +67,6 @@ def test_m0_validation():
         compute_m0(LAPLACE, 1, 10)
     with pytest.raises(InvalidParameterError):
         compute_m0(LAPLACE, 100, 0)
-    with pytest.raises(InvalidParameterError):
-        compute_m0(LAPLACE, 100, 10, threshold_multiplier=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -138,6 +132,9 @@ def test_theta_hat_squared_validation():
                                 label="degenerate")
     with pytest.raises(VanishingEigenvalueError):
         theta_hat_squared(obs, zero_density, 1)
+    # gamma_3 != 0, but gamma_2 = 0 lies on the band |k| <= 3
+    with pytest.raises(VanishingEigenvalueError):
+        theta_hat_squared(obs, uniform_density(0.25), 3)
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +163,7 @@ def test_trace_against_brute_force(kind):
     obs = _toy_obs(seed=123)
     n, eps, K = obs.n, obs.epsilon, obs.k_max
     L = math.log(n) ** 2 / n
-    trace = criterion_trace(obs, LAPLACE, kind, K)
+    trace = criterion_trace(obs, LAPLACE, kind, K, penalty_variant="proof_form")
     for n_cut in (0, 1, 3, 8):
         total = 0.0
         for k in range(-n_cut, n_cut + 1):
@@ -204,16 +201,10 @@ def test_penalized_minus_unbiased_identity():
         sl = slice(K - n_cut, K + n_cut + 1)
         expected = np.sum(-t[sl] / (n * g2[sl])
                           + (L - 1.0 / n) * t[sl] / g2[sl] ** 2)
-        got = (criterion_trace(obs, LAPLACE, "u_bar", n_cut)[n_cut]
+        got = (criterion_trace(obs, LAPLACE, "u_bar", n_cut,
+                               penalty_variant="proof_form")[n_cut]
                - criterion_trace(obs, LAPLACE, "u", n_cut)[n_cut])
         assert abs(got - expected) < 1e-12
-
-
-def test_zero_penalty_multiplier_reduces_u_bar_to_u_tilde():
-    obs = _toy_obs()
-    a = criterion_trace(obs, LAPLACE, "u_bar", 8, penalty_multiplier=0.0)
-    b = criterion_trace(obs, LAPLACE, "u_tilde", 8)
-    assert np.array_equal(a, b)
 
 
 def test_penalty_variants_differ_on_generic_data():

@@ -166,13 +166,6 @@ def test_different_seeds_differ():
     assert not np.array_equal(a.per_curve, b.per_curve)
 
 
-def test_keep_shifts_flag_changes_nothing_else():
-    a = simulate(TEMPLATE, LAPLACE, n=6, epsilon=0.1, seed=5)
-    b = simulate(TEMPLATE, LAPLACE, n=6, epsilon=0.1, seed=5, keep_shifts=False)
-    assert b.shifts is None
-    assert np.array_equal(a.per_curve, b.per_curve)
-
-
 # ---------------------------------------------------------------------------
 # rendering
 
