@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidParameterError
-from .spectral import Template
+from .spectral import Template, _hermitian
 
 __all__ = ["WAVE_DC", "WAVE_HARMONICS", "wave_template", "sobolev_template",
            "spike_template", "TEMPLATE_BUILDERS", "catalog_template"]
@@ -36,6 +36,9 @@ WAVE_HARMONICS = (
 # Tail |coeff_k| = WAVE_TAIL_SCALE / k with phase WAVE_TAIL_PHASE * k, k >= 8.
 WAVE_TAIL_SCALE = 0.3
 WAVE_TAIL_PHASE = 0.9
+# Extra decay exponent delta/2 of the Sobolev template, which keeps its ball
+# membership strict rather than borderline.
+SOBOLEV_DELTA = 0.01
 
 
 def wave_template(k_max: int = 40) -> Template:
@@ -44,59 +47,50 @@ def wave_template(k_max: int = 40) -> Template:
         raise InvalidParameterError(
             f"wave template needs k_max >= 8 to carry its tail, got {k_max}"
         )
-    coeffs = np.zeros(2 * k_max + 1, dtype=np.complex128)
-    coeffs[k_max] = WAVE_DC
+    half = np.zeros(k_max + 1, dtype=np.complex128)
+    half[0] = WAVE_DC
     for i, (a, b) in enumerate(WAVE_HARMONICS, start=1):
-        coeffs[k_max + i] = (a - 1j * b) / 2.0
+        half[i] = (a - 1j * b) / 2.0
     k_tail = np.arange(8, k_max + 1)
-    coeffs[k_max + 8 :] = (WAVE_TAIL_SCALE / k_tail) * np.exp(1j * WAVE_TAIL_PHASE * k_tail)
-    coeffs[:k_max] = np.conj(coeffs[k_max + 1 :][::-1])
-    return Template(coeffs=coeffs, k_max=k_max, real_valued=True, label="wave")
+    half[8:] = (WAVE_TAIL_SCALE / k_tail) * np.exp(1j * WAVE_TAIL_PHASE * k_tail)
+    return Template(coeffs=_hermitian(half), k_max=k_max, label="wave")
 
 
-def sobolev_template(smoothness: float, radius: float, k_max: int = 64, *,
-                     delta: float = 0.01) -> Template:
+def sobolev_template(smoothness: float, radius: float, k_max: int = 64) -> Template:
     """Deterministic member of the Sobolev ball of given smoothness and radius.
 
     The spectrum is ``|coeff_k| = c |k|^{-(s + 1/2 + delta/2)}`` (with
-    ``coeff_0 = c``), all phases zero, and ``c`` chosen so that
-    ``sum_k (1 + |k|^{2s}) |coeff_k|^2`` equals ``radius`` exactly on the
-    carried band.  The small ``delta`` keeps the ball membership strict
-    rather than borderline.
+    ``coeff_0 = c`` and ``delta =`` :data:`SOBOLEV_DELTA`), all phases zero,
+    and ``c`` chosen so that ``sum_k (1 + |k|^{2s}) |coeff_k|^2`` equals
+    ``radius`` exactly on the carried band.
     """
     if not (smoothness > 0.0):
         raise InvalidParameterError(f"smoothness must be > 0, got {smoothness}")
     if not (radius > 0.0):
         raise InvalidParameterError(f"radius must be > 0, got {radius}")
-    if not (delta > 0.0):
-        raise InvalidParameterError(f"delta must be > 0, got {delta}")
     if k_max < 1:
         raise InvalidParameterError(f"k_max must be >= 1, got {k_max}")
     k = np.arange(1, k_max + 1).astype(float)
-    shape = k ** (-(smoothness + 0.5 + delta / 2.0))
+    shape = k ** (-(smoothness + 0.5 + SOBOLEV_DELTA / 2.0))
     weights = 1.0 + k ** (2.0 * smoothness)
     # sum over k of (1 + |k|^{2s}) |coeff_k|^2 = c^2 * (1 + 2 sum_k w_k shape_k^2)
     total = 1.0 + 2.0 * float(np.sum(weights * shape ** 2))
     c = float(np.sqrt(radius / total))
-    coeffs = np.zeros(2 * k_max + 1, dtype=np.complex128)
-    coeffs[k_max] = c
-    coeffs[k_max + 1 :] = c * shape
-    coeffs[:k_max] = np.conj(coeffs[k_max + 1 :][::-1])
-    return Template(coeffs=coeffs, k_max=k_max, real_valued=True,
+    return Template(coeffs=_hermitian(c * np.concatenate(([1.0], shape))), k_max=k_max,
                     label=f"sobolev(s={smoothness})")
 
 
-def spike_template(k_max: int = 40, location: int = 2,
-                   amplitude: float = 1.0) -> Template:
-    """Single cosine ``amplitude * cos(2 pi * location * x)``."""
+def spike_template(k_max: int = 40, location: int = 2) -> Template:
+    """Single cosine ``cos(2 pi * location * x)``."""
     if k_max < 1:
         raise InvalidParameterError(f"k_max must be >= 1, got {k_max}")
     if not (1 <= location <= k_max):
         raise InvalidParameterError(f"location must be in 1..{k_max}, got {location}")
-    coeffs = np.zeros(2 * k_max + 1, dtype=np.complex128)
-    coeffs[k_max + location] = amplitude / 2.0
-    coeffs[k_max - location] = amplitude / 2.0
-    return Template(coeffs=coeffs, k_max=k_max, real_valued=True,
+    half = np.zeros(k_max + 1)
+    half[location] = 0.5
+    # A cosine's coefficients are real; adding 0.0 clears the -0.0 imaginary
+    # parts of the mirror, so the coefficient file holds no "-0.0".
+    return Template(coeffs=_hermitian(half) + 0.0, k_max=k_max,
                     label=f"spike(k={location})")
 
 

@@ -89,14 +89,15 @@ class ExperimentConfig:
             bad("template", "must be a catalog name or a file path")
         if self.density_kind not in DENSITY_KINDS:
             bad("density.kind", f"must be one of {DENSITY_KINDS}, got {self.density_kind!r}")
-        if not (self.density_sigma > 0.0):
-            bad("density.sigma", f"must be > 0, got {self.density_sigma!r}")
-        if not (self.density_half_width > 0.0):
-            bad("density.half_width", f"must be > 0, got {self.density_half_width!r}")
+        if not (0.0 < self.density_sigma < math.inf):
+            bad("density.sigma", f"must be finite and > 0, got {self.density_sigma!r}")
+        if not (0.0 < self.density_half_width < math.inf):
+            bad("density.half_width",
+                f"must be finite and > 0, got {self.density_half_width!r}")
         if not (isinstance(self.n, int) and self.n >= 1):
             bad("n", f"must be an integer >= 1, got {self.n!r}")
-        if not (0.0 <= self.epsilon < math.inf):
-            bad("epsilon", f"must be finite and >= 0, got {self.epsilon!r}")
+        if not (0.0 <= self.epsilon and self.epsilon * self.epsilon < math.inf):
+            bad("epsilon", f"must be >= 0 with a finite square, got {self.epsilon!r}")
         if not (isinstance(self.k_max, int) and self.k_max >= 1):
             bad("k_max", f"must be an integer >= 1, got {self.k_max!r}")
         if self.criterion not in CRITERION_KINDS:

@@ -145,6 +145,6 @@ def read_template_csv(path) -> Template:
     coeffs = np.array([entries[k] for k in range(-k_max, k_max + 1)],
                       dtype=np.complex128)
     try:
-        return Template(coeffs=coeffs, k_max=k_max, real_valued=True, label=str(path.stem))
+        return Template(coeffs=coeffs, k_max=k_max, label=str(path.stem))
     except InvariantViolationError as exc:
         raise InvalidParameterError(f"{path}: {exc}") from None

@@ -51,7 +51,7 @@ import numpy as np
 from .errors import DegenerateInputError, InvalidParameterError
 from .selection import (CRITERION_ESTIMATORS, ESTIMATE_KINDS, compute_m0, criterion_trace,
                         fraction_negative_theta_hat, log_squared_over_n)
-from .simulate import _draw_summaries
+from .simulate import _check_inputs, _draw_summaries
 from .spectral import (ShiftDensity, Template, _pair_sums, _tail_energy, laplace_density,
                        point_mass_density)
 
@@ -126,10 +126,7 @@ def risk_report(template: Template, density: ShiftDensity, n: int, epsilon: floa
     every ``gamma_k`` on ``|k| <= n_max`` must be invertible: see
     :meth:`ShiftDensity.gamma_band`.
     """
-    if n < 1:
-        raise InvalidParameterError(f"n must be >= 1, got {n}")
-    if not (0.0 <= epsilon < math.inf):
-        raise InvalidParameterError(f"epsilon must be finite and >= 0, got {epsilon}")
+    n = _check_inputs(n, epsilon)
     if n_max < 0:
         raise InvalidParameterError(f"n_max must be >= 0, got {n_max}")
     k_max = template.k_max
@@ -306,8 +303,7 @@ def mc_risk(template: Template, density: ShiftDensity, n: int, epsilon: float,
             f"unknown estimator kind {estimator_kind!r}; expected one of {ESTIMATE_KINDS}"
         )
     seeds = _replicate_seeds(seed, replications)
-    if not (0.0 <= epsilon < math.inf):
-        raise InvalidParameterError(f"epsilon must be finite and >= 0, got {epsilon}")
+    _check_inputs(n, epsilon)
     if estimator_kind == "fixed_n":
         if cutoff is None:
             raise InvalidParameterError("fixed_n estimator requires a cutoff")

@@ -126,7 +126,7 @@ def theta_hat_squared(obs: SequenceSummary, density: ShiftDensity,
 
 
 def fraction_negative_theta_hat(obs: SequenceSummary, density: ShiftDensity,
-                                n_max: Optional[int] = None) -> Union[float, np.ndarray]:
+                                n_max: int) -> Union[float, np.ndarray]:
     """Diagnostic: fraction of frequencies ``|k| <= n_max`` whose
     coefficient-energy estimate is negative (i.e. where clipping at zero
     would have altered the criteria).
@@ -134,8 +134,6 @@ def fraction_negative_theta_hat(obs: SequenceSummary, density: ShiftDensity,
     A ``float`` for one dataset; for a stack, an array with one fraction per
     row.
     """
-    if n_max is None:
-        n_max = obs.k_max
     if not (0 <= n_max <= obs.k_max):
         raise InvalidParameterError(f"n_max must be in 0..{obs.k_max}, got {n_max}")
     g2 = np.abs(density.gamma_band(n_max)) ** 2
@@ -269,9 +267,9 @@ class SpectralEstimate:
         return np.arange(-self.k_max, self.k_max + 1)
 
     def render(self, grid_size: int) -> np.ndarray:
-        """Real part of the synthesized estimate on ``x_j = j / grid_size``."""
-        sym = 0.5 * (self.coeffs + np.conj(self.coeffs[::-1]))
-        return _synthesize_rows(sym[np.newaxis, :], self.k_max, grid_size)[0].real
+        """Real part of the synthesized estimate on ``x_j = j / grid_size``:
+        the synthesis of its Hermitian part."""
+        return _synthesize_rows(self.coeffs[np.newaxis, :], self.k_max, grid_size)[0]
 
 
 def estimate(obs: SequenceSummary, density: ShiftDensity, cutoff: int,

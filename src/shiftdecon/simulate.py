@@ -46,7 +46,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import InvalidParameterError, InvariantViolationError
-from .spectral import ShiftDensity, Template, _synthesize_rows
+from .spectral import ShiftDensity, Template, _hermitian, _synthesize_rows
 
 __all__ = ["SequenceSummary", "SequenceObservations", "simulate", "simulate_summary",
            "render_curves", "render_grid"]
@@ -146,10 +146,12 @@ def _resolve_rng(seed: SeedLike) -> np.random.Generator:
 
 
 def _check_inputs(n, epsilon) -> int:
+    """``n`` as an ``int``, once it and ``epsilon`` are checked.  The square of
+    ``epsilon`` must be finite: the estimators and risks use ``epsilon**2 / n``."""
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise InvalidParameterError(f"n must be an integer >= 1, got {n!r}")
-    if not (0.0 <= epsilon < math.inf):
-        raise InvalidParameterError(f"epsilon must be finite and >= 0, got {epsilon!r}")
+    if not (0.0 <= epsilon and epsilon * epsilon < math.inf):
+        raise InvalidParameterError(f"epsilon must be >= 0 with a finite square, got {epsilon!r}")
     return int(n)
 
 
@@ -179,16 +181,6 @@ def _draw_phases(shifts: np.ndarray, k_max: int) -> np.ndarray:
     for k in range(2, k_max + 1):
         np.multiply(pos[k - 1], z, out=pos[k])
     return pos
-
-
-def _hermitian(half: np.ndarray) -> np.ndarray:
-    """Extend values for ``k = 0..k_max`` (last axis) to ``-k_max..k_max`` with
-    exact Hermitian symmetry: ``-k`` holds the conjugate of ``+k``."""
-    k_max = half.shape[-1] - 1
-    full = np.empty(half.shape[:-1] + (2 * k_max + 1,), dtype=np.complex128)
-    full[..., k_max:] = half
-    full[..., :k_max] = np.conj(half[..., :0:-1])
-    return full
 
 
 def _mean_phase(pos: np.ndarray) -> np.ndarray:
@@ -307,18 +299,16 @@ def _draw_summaries(template: Template, density: ShiftDensity, n: int,
 def render_curves(obs: SequenceObservations, grid_size: int) -> np.ndarray:
     """Synthesize each observed curve on the uniform grid ``x_j = j / grid_size``.
 
-    The coefficients of each curve are Hermitian-symmetrized
-    (``0.5 * (c_k + conj(c_{-k}))``) before synthesis, which discards the
-    anti-Hermitian half of the complex noise and yields a real path.  A
-    noiseless curve with no shift renders exactly as ``synthesize`` of its
-    template.
+    Each curve renders its Hermitian part (``0.5 * (c_k + conj(c_{-k}))``),
+    which discards the anti-Hermitian half of the complex noise and yields a
+    real path.  A noiseless curve with no shift renders exactly as
+    ``synthesize`` of its template.
 
     Returns
     -------
     ndarray of float, shape ``(obs.n, grid_size)``
     """
-    sym = 0.5 * (obs.per_curve + np.conj(obs.per_curve[:, ::-1]))
-    return np.ascontiguousarray(_synthesize_rows(sym, obs.k_max, grid_size).real)
+    return _synthesize_rows(obs.per_curve, obs.k_max, grid_size)
 
 
 def render_grid(grid_size: int) -> np.ndarray:

@@ -9,6 +9,13 @@ Conventions used throughout the package:
   stored in a flat complex array of length ``2*k_max + 1``; entry ``i`` holds
   frequency ``k = i - k_max``.
 
+Every curve is real, so every :class:`Template` is exactly Hermitian,
+``coeff(-k) == conj(coeff(k))``: each band the package builds comes from its
+``k >= 0`` half through one mirror, :func:`_hermitian`.  Spectra that need not be Hermitian (a
+noisy curve's coefficients, a deconvolution estimate) are synthesized through
+their Hermitian part ``0.5 * (c_k + conj(c_{-k}))``, the coefficients of the
+curve's real part; :func:`_synthesize_rows` is the one synthesis path.
+
 A shift density is represented by its characteristic function evaluated on the
 integers, ``gamma_k = E exp(-2j*pi*k*tau)``, together with a sampler for the
 shifts themselves and an optional declared polynomial-decay envelope for
@@ -47,7 +54,10 @@ EIGENVALUE_FLOOR = float(np.finfo(float).eps)
 
 @dataclass(frozen=True)
 class Template:
-    """A 1-periodic function stored as Fourier coefficients on ``-k_max..k_max``.
+    """A real 1-periodic function stored as Fourier coefficients on ``-k_max..k_max``.
+
+    The coefficients must be exactly Hermitian, ``coeff(-k) == conj(coeff(k))``,
+    which is what makes the function real.
 
     Parameters
     ----------
@@ -55,17 +65,12 @@ class Template:
         Coefficient at frequency ``k`` sits at index ``k + k_max``.
     k_max : int
         Largest frequency carried (at least 1).
-    real_valued : bool
-        When true, the coefficients must satisfy the Hermitian symmetry
-        ``coeff(-k) == conj(coeff(k))`` exactly; this is what makes the
-        synthesized function real.
     label : str
         Free-form name used in reports and CSV output.
     """
 
     coeffs: np.ndarray
     k_max: int
-    real_valued: bool = True
     label: str = ""
 
     def __post_init__(self):
@@ -79,10 +84,10 @@ class Template:
             )
         if not np.all(np.isfinite(coeffs)):
             raise InvalidParameterError("coeffs must be finite")
-        if self.real_valued and not np.array_equal(np.conj(coeffs[::-1]), coeffs):
+        if not np.array_equal(np.conj(coeffs[::-1]), coeffs):
             raise InvariantViolationError(
-                "template flagged real_valued but coefficients are not exactly "
-                "Hermitian (coeff(-k) != conj(coeff(k)))"
+                "template coefficients are not exactly Hermitian "
+                "(coeff(-k) != conj(coeff(k)))"
             )
         coeffs = coeffs.copy()
         coeffs.setflags(write=False)
@@ -124,12 +129,10 @@ class Template:
             raise InvalidParameterError(
                 f"harmonic list of length {len(cosines)} does not fit k_max={k_max}"
             )
-        coeffs = np.zeros(2 * k_max + 1, dtype=np.complex128)
-        coeffs[k_max] = dc
-        pos = (cosines - 1j * sines) / 2.0
-        coeffs[k_max + 1 : k_max + 1 + len(pos)] = pos
-        coeffs[: k_max] = np.conj(coeffs[k_max + 1 :][::-1])
-        return Template(coeffs=coeffs, k_max=k_max, real_valued=True, label=label)
+        half = np.zeros(k_max + 1, dtype=np.complex128)
+        half[0] = dc
+        half[1 : 1 + len(cosines)] = (cosines - 1j * sines) / 2.0
+        return Template(coeffs=_hermitian(half), k_max=k_max, label=label)
 
 
 @dataclass(frozen=True)
@@ -220,8 +223,8 @@ def laplace_density(sigma: float) -> ShiftDensity:
     with exact envelope constants ``1/(2 sigma^2 pi^2 + 1)`` and
     ``1/(2 sigma^2 pi^2)``.
     """
-    if not (sigma > 0.0):
-        raise InvalidParameterError(f"sigma must be > 0, got {sigma}")
+    if not (0.0 < sigma < math.inf):
+        raise InvalidParameterError(f"sigma must be finite and > 0, got {sigma}")
     coef = 2.0 * sigma * sigma * math.pi * math.pi
     scale = sigma / math.sqrt(2.0)
 
@@ -241,8 +244,8 @@ def gaussian_density(sigma: float) -> ShiftDensity:
 
     Decays faster than any polynomial, so no decay profile is declared.
     """
-    if not (sigma > 0.0):
-        raise InvalidParameterError(f"sigma must be > 0, got {sigma}")
+    if not (0.0 < sigma < math.inf):
+        raise InvalidParameterError(f"sigma must be finite and > 0, got {sigma}")
     coef = 2.0 * math.pi * math.pi * sigma * sigma
 
     def gamma_fn(k):
@@ -262,8 +265,8 @@ def uniform_density(half_width: float) -> ShiftDensity:
     two-sided polynomial envelope is declared.  Those zeros are returned as
     exact ``0`` (``np.sinc`` alone leaves rounding residue of order 1e-17).
     """
-    if not (half_width > 0.0):
-        raise InvalidParameterError(f"half_width must be > 0, got {half_width}")
+    if not (0.0 < half_width < math.inf):
+        raise InvalidParameterError(f"half_width must be finite and > 0, got {half_width}")
     a = float(half_width)
 
     def gamma_fn(k):
@@ -332,6 +335,21 @@ def verify_polynomial_decay(density: ShiftDensity, k_max: int) -> DecayCheck:
     return DecayCheck(ok=True, violating_k=None)
 
 
+def _hermitian(half: np.ndarray) -> np.ndarray:
+    """Extend values for ``k = 0..k_max`` (last axis) to ``-k_max..k_max`` with
+    exact Hermitian symmetry: ``-k`` holds the conjugate of ``+k``.
+
+    The mirror conjugates the complex upper half it has just written, not
+    ``half`` itself: a real ``half`` then gives ``-0.0`` imaginary parts on
+    the negative side, as the conjugate of a complex value does.
+    """
+    k_max = half.shape[-1] - 1
+    full = np.empty(half.shape[:-1] + (2 * k_max + 1,), dtype=np.complex128)
+    full[..., k_max:] = half
+    full[..., :k_max] = np.conj(full[..., :k_max:-1])
+    return full
+
+
 def _pair_sums(values: np.ndarray, half: int) -> np.ndarray:
     """Collapse a symmetric band array (last axis of length ``2*half + 1``,
     center index ``half``) into per-step sums: entry 0 is the k=0 value,
@@ -366,65 +384,65 @@ def _synthesis_matrix_t(k_max: int, grid_size: int) -> np.ndarray:
 
 
 def _synthesize_rows(coeff_rows: np.ndarray, k_max: int, grid_size: int) -> np.ndarray:
-    """Evaluate one synthesis per row of ``coeff_rows`` on the uniform grid.
+    """Real samples of each row's Hermitian part on the grid ``x_j = j / grid_size``.
 
     All synthesis in the package funnels through this helper so that a single
     coefficient vector produces bit-identical samples no matter which public
-    entry point asked for them.  The synthesis matrix is built once per call;
-    each row is then multiplied by it on its own, a ``(1, 2k_max+1)`` product,
-    so a row's samples are bit-identical regardless of how many rows share
-    the call (one ``(n, 2k_max+1)`` product may round differently).
+    entry point asked for them.  Row ``c`` is replaced by its Hermitian part
+    ``0.5 * (c_k + conj(c_{-k}))``, which leaves an exactly Hermitian row as
+    it is and drops the anti-Hermitian half of any other.  The synthesis
+    matrix is built once per call; each row is then multiplied by it on its
+    own, a ``(1, 2k_max+1)`` product, so a row's samples are bit-identical
+    regardless of how many rows share the call (one ``(n, 2k_max+1)`` product
+    may round differently).
+
+    The synthesis is an exact trigonometric-polynomial evaluation, not an FFT
+    on a padded grid, so any ``grid_size >= 2 k_max + 1`` is allowed.  The
+    imaginary residue left by rounding is checked to stay within ``1e-10``
+    times the row's ``sum_k |c_k|`` and then discarded: the result is a
+    C-contiguous float array of shape ``(rows, grid_size)``.
     """
     if grid_size < 2 * k_max + 1:
         raise AliasingError(
             f"grid_size={grid_size} cannot resolve frequencies up to k_max={k_max}; "
             f"need at least {2 * k_max + 1} points"
         )
+    sym = 0.5 * (coeff_rows + np.conj(coeff_rows[:, ::-1]))
+    bound = 1e-10 * np.sum(np.abs(sym), axis=1)
     mat = _synthesis_matrix_t(k_max, grid_size)
-    out = np.empty((coeff_rows.shape[0], grid_size), dtype=np.result_type(coeff_rows, mat))
-    for j in range(coeff_rows.shape[0]):
-        out[j] = coeff_rows[j : j + 1] @ mat
+    out = np.empty((sym.shape[0], grid_size))
+    residue = np.empty(sym.shape[0])
+    for j in range(sym.shape[0]):
+        values = (sym[j : j + 1] @ mat)[0]
+        out[j] = values.real
+        residue[j] = np.max(np.abs(values.imag))
+    over = np.flatnonzero(residue > bound)
+    if over.size:
+        raise InvariantViolationError(
+            f"imaginary residue {residue[over[0]]:.3e} of row {over[0]} exceeds "
+            f"1e-10 * sum |c_k|")
     return out
 
 
 def synthesize(template: Template, grid_size: int) -> np.ndarray:
-    """Sample a real-valued template on the uniform grid ``x_j = j / grid_size``.
+    """Sample a template on the uniform grid ``x_j = j / grid_size``.
 
-    Parameters
-    ----------
-    template : Template
-        Must be flagged ``real_valued``.
-    grid_size : int
-        Number of grid points; must be at least ``2 * k_max + 1`` so the band
-        is fully resolved.
+    ``grid_size`` must be at least ``2 * k_max + 1`` so the band is fully
+    resolved; see :func:`_synthesize_rows`.
 
     Returns
     -------
     ndarray of float, shape ``(grid_size,)``
-
-    Notes
-    -----
-    The synthesis is an exact trigonometric-polynomial evaluation, not an FFT
-    on a padded grid, so any ``grid_size >= 2 k_max + 1`` is allowed.  The
-    imaginary residue left by floating-point cancellation is checked to be
-    below ``1e-10`` in max-norm and then discarded.
     """
-    if not template.real_valued:
-        raise InvalidParameterError("synthesize requires a real_valued template")
-    values = _synthesize_rows(template.coeffs[np.newaxis, :], template.k_max, grid_size)[0]
-    residue = float(np.max(np.abs(values.imag))) if grid_size else 0.0
-    if residue >= 1e-10:
-        raise InvariantViolationError(
-            f"imaginary residue {residue:.3e} exceeds 1e-10 for a real-valued template"
-        )
-    return np.ascontiguousarray(values.real)
+    return _synthesize_rows(template.coeffs[np.newaxis, :], template.k_max, grid_size)[0]
 
 
 def analyze(samples: np.ndarray, k_max: int) -> Template:
     """Recover Fourier coefficients of a real function from uniform samples.
 
     Computes ``coeff_k = mean(samples * exp(-2j pi k x_j))`` over the grid
-    ``x_j = j / grid_size`` for ``k = 0..k_max`` and fills negative
+    ``x_j = j / grid_size`` for ``k = 0..k_max``, the kernel being the
+    conjugated ``k >= 0`` rows of the synthesis matrix, and fills negative
     frequencies by conjugate mirroring, so the result is exactly Hermitian.
     Exact (up to rounding) for trigonometric polynomials of degree ``<= k_max``
     sampled on a grid with ``grid_size >= 2 k_max + 1``.
@@ -445,11 +463,6 @@ def analyze(samples: np.ndarray, k_max: int) -> Template:
             f"k_max={k_max} exceeds the Nyquist limit {(grid_size - 1) // 2} "
             f"of a {grid_size}-point grid"
         )
-    x = np.arange(grid_size) / grid_size
-    k_pos = np.arange(0, k_max + 1)
-    kernel = np.exp(-2j * np.pi * np.outer(k_pos, x))
-    pos = kernel @ samples / grid_size
-    coeffs = np.empty(2 * k_max + 1, dtype=np.complex128)
-    coeffs[k_max:] = pos
-    coeffs[:k_max] = np.conj(pos[1:])[::-1]
-    return Template(coeffs=coeffs, k_max=k_max, real_valued=True, label="analyzed")
+    kernel = np.conj(_synthesis_matrix_t(k_max, grid_size)[k_max:])
+    return Template(coeffs=_hermitian(kernel @ samples / grid_size), k_max=k_max,
+                    label="analyzed")

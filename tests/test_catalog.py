@@ -55,7 +55,7 @@ def test_sobolev_norm_hits_radius_exactly():
 
 def test_sobolev_decay_exponent():
     s = 2.0
-    t = sobolev_template(s, 5.0, k_max=64, delta=0.01)
+    t = sobolev_template(s, 5.0, k_max=64)
     mags = np.abs(t.coeffs[64 + 1 :])
     k = np.arange(1, 65).astype(float)
     slopes = np.diff(np.log(mags)) / np.diff(np.log(k))
@@ -69,15 +69,12 @@ def test_sobolev_validation():
         sobolev_template(1.0, -1.0)
     with pytest.raises(InvalidParameterError):
         sobolev_template(1.0, 1.0, k_max=0)
-    with pytest.raises(InvalidParameterError):
-        sobolev_template(1.0, 1.0, delta=0.0)
 
 
 def test_spike_is_a_single_cosine():
-    t = spike_template(k_max=10, location=3, amplitude=2.0)
+    t = spike_template(k_max=10, location=3)
     x = np.arange(64) / 64
-    assert np.allclose(synthesize(t, 64), 2.0 * np.cos(2 * np.pi * 3 * x),
-                       atol=1e-13)
+    assert np.allclose(synthesize(t, 64), np.cos(2 * np.pi * 3 * x), atol=1e-13)
     nz = np.flatnonzero(t.coeffs != 0.0)
     assert nz.tolist() == [10 - 3, 10 + 3]
 

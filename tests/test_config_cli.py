@@ -39,9 +39,13 @@ def test_default_config_is_the_reference_study():
 @pytest.mark.parametrize("field,value", [
     ("density_kind", "cauchy"),
     ("density_sigma", -0.1),
+    ("density_sigma", math.inf),
+    ("density_sigma", math.nan),
+    ("density_half_width", math.inf),
     ("n", 0),
     ("epsilon", -1.0),
     ("epsilon", math.inf),
+    ("epsilon", 1e155),
     ("k_max", 0),
     ("criterion", "aic"),
     ("replications", 0),
@@ -405,6 +409,36 @@ def test_cli_config_file_rejects_infinite_epsilon(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().err.strip())
     assert payload["error"] == "ConfigError"
     assert "'epsilon'" in payload["message"]
+
+
+@pytest.mark.parametrize("command", ["select", "risk", "replication-study"])
+def test_cli_rejects_an_epsilon_whose_square_overflows(command, tmp_path, capsys):
+    code = run_cli(command, "--epsilon", "1e155", "--out", str(tmp_path / "out"))
+    assert code == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert payload["error"] == "ConfigError"
+    assert "'epsilon'" in payload["message"] and "finite square" in payload["message"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_rejects_non_finite_density_parameters(tmp_path, capsys):
+    for flags, key in (
+        (("--density", "uniform", "--half-width", "inf", "--m0-override", "none"),
+         "'density.half_width'"),
+        (("--sigma", "inf"), "'density.sigma'"),
+        (("--density", "gaussian", "--sigma", "inf"), "'density.sigma'"),
+        (("--sigma", "nan"), "'density.sigma'"),
+    ):
+        code = run_cli("simulate", *flags, "--out", str(tmp_path / "curves.csv"))
+        assert code == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        payload = json.loads(lines[0])
+        assert payload["error"] == "ConfigError"
+        assert key in payload["message"] and "finite" in payload["message"]
+    assert not (tmp_path / "curves.csv").exists()
 
 
 def test_cli_config_file_with_percent_in_template(tmp_path):

@@ -1,8 +1,10 @@
 """CSV formatting: canonical cells, stable bytes, template file round trips."""
+import hashlib
+
 import numpy as np
 import pytest
 
-from shiftdecon.catalog import wave_template
+from shiftdecon.catalog import sobolev_template, spike_template, wave_template
 from shiftdecon.csvio import (format_cell, read_template_csv, write_csv,
                               write_curves_csv, write_risk_report_csv,
                               write_selection_csv, write_template_csv)
@@ -99,6 +101,20 @@ def test_template_file_round_trip(tmp_path):
     assert back.k_max == 12
     assert np.array_equal(back.coeffs, t.coeffs)  # repr round trip is exact
     assert back.label == "wave"
+
+
+@pytest.mark.parametrize("build,digest", [
+    (lambda: wave_template(40),
+     "b10113e6fb4ca0ea32a1b7b532e67af44657350efb3ddea02fbcfc6c72cd614b"),
+    # every negative-frequency imaginary part of this file is -0.0
+    (lambda: sobolev_template(2.0, 1.0, 256),
+     "3d355adc30f5b4e2ddac3a3a01b2bca16bbaa007592469f59bc4dd2d54fd387b"),
+    (lambda: spike_template(40),
+     "e31840328681309739e7d1b9b3ae98e231761b7e2e8aa5d695f34fa0dfe02ece"),
+], ids=["wave", "sobolev", "spike"])
+def test_catalog_template_file_bytes(build, digest, tmp_path):
+    path = write_template_csv(tmp_path / "t.csv", build())
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 def test_read_template_rejects_bad_files(tmp_path):

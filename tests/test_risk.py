@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from shiftdecon.catalog import spike_template, wave_template
+from shiftdecon.catalog import sobolev_template, spike_template, wave_template
 from shiftdecon.config import ExperimentConfig, build_density, build_template
 from shiftdecon.errors import (DegenerateInputError, InvalidParameterError,
                                VanishingEigenvalueError)
@@ -127,7 +127,7 @@ def test_point_helpers_match_report():
 def test_risk_report_validation():
     with pytest.raises(InvalidParameterError):
         risk_report(WAVE8, LAPLACE, 0, 0.1, 4)
-    for epsilon in (-0.1, math.inf):
+    for epsilon in (-0.1, math.inf, 1e155):
         with pytest.raises(InvalidParameterError):
             risk_report(WAVE8, LAPLACE, 10, epsilon, 4)
     with pytest.raises(InvalidParameterError):
@@ -331,8 +331,9 @@ def test_mc_risk_validation():
     with pytest.raises(InvalidParameterError):
         mc_risk(WAVE8, LAPLACE, 10, 0.1, "fixed_n", 10, seed=0, cutoff=2,
                 workers=0)
-    with pytest.raises(InvalidParameterError):
-        mc_risk(WAVE8, LAPLACE, 10, math.inf, "fixed_n", 10, seed=0, cutoff=2)
+    for epsilon in (math.inf, 1e155):
+        with pytest.raises(InvalidParameterError):
+            mc_risk(WAVE8, LAPLACE, 10, epsilon, "fixed_n", 10, seed=0, cutoff=2)
 
 
 # ---------------------------------------------------------------------------
@@ -355,6 +356,23 @@ def test_oracle_ratio_baseline_follows_the_estimator():
         ratio = oracle_ratio(t, LAPLACE, 100, 0.015, kind, 50, seed=7)
         assert ratio == mc.mean / float(np.min(curve))
     assert np.min(report.r) < np.min(report.r_bar)
+
+
+@pytest.mark.parametrize("seed,build,ratio", [
+    (1000, lambda: wave_template(40), 2.04),
+    (1001, lambda: sobolev_template(2.0, 5.0, 40), 3.85),
+    (1002, lambda: spike_template(40), 1.34),
+], ids=["wave", "sobolev", "spike"])
+def test_theta_star_risk_over_inf_r(seed, build, ratio):
+    # Acceptance 4 divides theta_star's risk by inf r_bar, which lies so far
+    # above it on the sobolev and spike templates that only a regression of
+    # about 30x would cross its bound.  inf r is the tighter baseline; the
+    # bound is 1.25 times the ratio measured on acceptance 4's datasets.
+    template = build()
+    m0 = compute_m0(LAPLACE, 100, 40).value
+    mc = mc_risk(template, LAPLACE, 100, 0.015, "theta_star", 200, seed)
+    report = risk_report(template, LAPLACE, 100, 0.015, m0)
+    assert mc.mean / float(np.min(report.r)) <= 1.25 * ratio
 
 
 def test_oracle_ratio_degenerate_denominator():

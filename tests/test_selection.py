@@ -114,11 +114,11 @@ def test_theta_hat_squared_can_go_negative():
 def test_fraction_negative_bounds():
     zero = Template(coeffs=np.zeros(17, dtype=complex), k_max=8)
     obs = simulate(zero, LAPLACE, n=10, epsilon=0.5, seed=3)
-    frac = fraction_negative_theta_hat(obs, LAPLACE)
+    frac = fraction_negative_theta_hat(obs, LAPLACE, 8)
     # P(|c|^2 < eps^2/n) = 1 - 1/e ~ 0.63 per frequency for pure noise
     assert 0.3 < frac < 0.95
     clean = simulate(wave_template(8), LAPLACE, n=4, epsilon=0.0, seed=1)
-    assert fraction_negative_theta_hat(clean, LAPLACE) == 0.0
+    assert fraction_negative_theta_hat(clean, LAPLACE, 8) == 0.0
     with pytest.raises(InvalidParameterError):
         fraction_negative_theta_hat(clean, LAPLACE, 9)
 
