@@ -30,7 +30,7 @@ from .errors import ConfigError, ShiftDeconError
 from .risk import rate_study, risk_report
 from .selection import CRITERION_ESTIMATORS, compute_m0, estimate, select_cutoff
 from .simulate import render_curves, render_grid, simulate
-from .spectral import synthesize
+from .spectral import _synthesize_rows
 from .study import run_replication_study
 
 __all__ = ["main", "build_parser"]
@@ -95,10 +95,10 @@ def cmd_estimate(args) -> int:
         print(f"wrote estimated coefficients to {args.out}")
     if args.grid_out:
         grid = render_grid(args.grid_size)
+        fit, truth = _synthesize_rows(np.stack([est.coeffs, template.coeffs]),
+                                      template.k_max, args.grid_size)
         write_csv(args.grid_out, ["x", "estimate", "truth"],
-                  ((float(x), float(e), float(t)) for x, e, t in
-                   zip(grid, est.render(args.grid_size),
-                       synthesize(template, args.grid_size))))
+                  ((float(x), float(e), float(t)) for x, e, t in zip(grid, fit, truth)))
         print(f"wrote rendered estimate to {args.grid_out}")
     print(f"cutoff={est.cutoff} kind={est.kind}")
     return 0

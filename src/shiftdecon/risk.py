@@ -44,12 +44,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from .catalog import sobolev_template
 from .errors import DegenerateInputError, InvalidParameterError
-from .selection import (CRITERION_ESTIMATORS, ESTIMATE_KINDS, compute_m0, criterion_trace,
+from .selection import (CRITERION_ESTIMATORS, _cutoff_cap, _noise_terms, criterion_trace,
                         fraction_negative_theta_hat, log_squared_over_n)
 from .simulate import _check_inputs, _draw_summaries
 from .spectral import (ShiftDensity, Template, _pair_sums, _tail_energy, laplace_density,
@@ -146,7 +147,8 @@ def risk_report(template: Template, density: ShiftDensity, n: int, epsilon: floa
 
     # Forward recurrences (np.cumsum is sequential), so v1 is exactly
     # non-decreasing and shared terms associate identically across curves.
-    v1 = (epsilon ** 2 / n) * np.cumsum(v1_steps)
+    with _noise_terms(epsilon):
+        v1 = (epsilon ** 2 / n) * np.cumsum(v1_steps)
     v2 = (1.0 / n) * np.cumsum(v2_steps)
     # log(1) = 0, so there is no penalty at n = 1; log_squared_over_n, which
     # refuses n = 1, checks log_base first.
@@ -199,12 +201,13 @@ def _mean_and_stderr(losses: np.ndarray) -> tuple:
 
 
 class _Replicates(NamedTuple):
-    """Per-replicate results in seed order; row ``j`` of ``cutoffs`` and
-    ``losses`` belongs to the ``j``-th rule."""
+    """Per-replicate results in seed order, row ``j`` for the ``j``-th rule;
+    ``traces`` are the rules' criteria over ``0..m0`` on replicate 0 only."""
 
     cutoffs: np.ndarray
     losses: np.ndarray
     negative_fractions: np.ndarray
+    traces: np.ndarray
 
 
 # Phases held by one chunk of the draw, (k_max + 1) per curve: 2**15 complex
@@ -215,18 +218,19 @@ _CHUNK_PHASES = 2 ** 15
 
 def _run_replicates(template: Template, density: ShiftDensity, n: int,
                     epsilon: float, seeds: Sequence[np.random.SeedSequence],
-                    rules: Sequence[Union[str, int]], m0: int, *, workers: int,
+                    rules: Sequence[str], m0: int, *, workers: int,
                     **options) -> _Replicates:
     """The replicate loop behind :func:`mc_risk` and the replication study.
 
     Each seed gives one dataset's column means, as
     :func:`shiftdecon.simulate.simulate_summary` draws them, on which every
-    rule picks a cutoff: a criterion kind is minimized over ``0..m0``
-    (``options`` go to :func:`criterion_trace`; ties go to the smallest
-    cutoff), an ``int`` is a fixed cutoff ``<= m0``.  A cutoff ``N``
-    scores ``||theta_hat - theta||^2`` of the band-``N`` estimator, its tail
-    ``sum_{|k| > N} |theta_k|^2`` taken in closed form.  The negative-energy
-    fraction on ``|k| <= m0`` is :func:`fraction_negative_theta_hat`'s.
+    rule, a criterion kind, picks the cutoff minimizing its criterion over
+    ``0..m0`` (``options`` go to :func:`criterion_trace`; ties go to the
+    smallest cutoff) and keeps the criterion of replicate 0, which the study
+    writes to ``traces.csv``.  A cutoff ``N`` scores ``||theta_hat - theta||^2``
+    of the band-``N`` estimator, its tail ``sum_{|k| > N} |theta_k|^2`` taken
+    in closed form.  The negative-energy fraction on ``|k| <= m0`` is
+    :func:`fraction_negative_theta_hat`'s.
 
     Seeds run in contiguous chunks of at most ``_CHUNK_PHASES`` phases, one
     chunk after the other in seed order: draw the chunk, select with one
@@ -242,21 +246,22 @@ def _run_replicates(template: Template, density: ShiftDensity, n: int,
     cutoffs = np.empty((len(rules), len(seeds)), dtype=int)
     losses = np.empty((len(rules), len(seeds)), dtype=float)
     negative_fractions = np.empty(len(seeds), dtype=float)
+    traces = np.empty((len(rules), m0 + 1), dtype=float)
     step = max(1, _CHUNK_PHASES // ((template.k_max + 1) * n))
     for start in range(0, len(seeds), step):
         chunk = slice(start, start + step)
         obs = _draw_summaries(template, density, n, epsilon, seeds[chunk])
         negative_fractions[chunk] = fraction_negative_theta_hat(obs, density, m0)
         for j, rule in enumerate(rules):
-            if isinstance(rule, int):
-                cutoffs[j, chunk] = rule
-            else:
-                trace = criterion_trace(obs, density, rule, m0, **options)
-                cutoffs[j, chunk] = np.argmin(trace, axis=-1)
-            losses[j, chunk] = _score(template, obs.c_tilde, cutoffs[j, chunk],
-                                      gamma, tail, m0)
+            trace = criterion_trace(obs, density, rule, m0, **options)
+            if start == 0:
+                traces[j] = trace[0]
+            cutoffs[j, chunk] = np.argmin(trace, axis=-1)
+            with _noise_terms(epsilon):
+                losses[j, chunk] = _score(template, obs.c_tilde, cutoffs[j, chunk],
+                                          gamma, tail, m0)
     return _Replicates(cutoffs=cutoffs, losses=losses,
-                       negative_fractions=negative_fractions)
+                       negative_fractions=negative_fractions, traces=traces)
 
 
 def _score(template: Template, c_tilde: np.ndarray, cutoffs: np.ndarray,
@@ -277,19 +282,19 @@ def _score(template: Template, c_tilde: np.ndarray, cutoffs: np.ndarray,
 
 def mc_risk(template: Template, density: ShiftDensity, n: int, epsilon: float,
             estimator_kind: str, replications: int, seed: int, *,
-            cutoff: Optional[int] = None, m0: Optional[int] = None,
-            workers: int = 1, log_base: float = math.e,
+            m0: Optional[int] = None, workers: int = 1, log_base: float = math.e,
             penalty_variant: str = "printed_form") -> McRisk:
-    """Monte Carlo estimate of ``E ||theta_hat - theta||^2``.
+    """Monte Carlo estimate of an adaptive estimator's ``E ||theta_hat - theta||^2``.
 
     Parameters
     ----------
-    estimator_kind : {"theta_u", "theta_star", "theta_tilde", "fixed_n"}
-        An adaptive estimator selects its cutoff with its criterion in
+    estimator_kind : {"theta_u", "theta_star", "theta_tilde"}
+        The estimator selects its cutoff over ``0..m0`` with its criterion in
         :data:`~shiftdecon.selection.CRITERION_ESTIMATORS`: ``theta_star``
         with the penalized ``u_bar``, ``theta_tilde`` with the plain
-        ``u_tilde``, ``theta_u`` with the unbiased ``u``.  ``fixed_n`` uses
-        ``cutoff``.
+        ``u_tilde``, ``theta_u`` with the unbiased ``u``.  A fixed cutoff
+        needs no Monte Carlo: :func:`risk_report` and :func:`exact_risk`
+        give its risk exactly.
     replications : int
         Number of independent datasets (>= 2 so a standard error exists).
     seed : int
@@ -298,28 +303,14 @@ def mc_risk(template: Template, density: ShiftDensity, n: int, epsilon: float,
         Must be >= 1.  Replicates run serially, in chunks of contiguous
         seeds in seed order, so the value changes no result.
     """
-    if estimator_kind not in ESTIMATE_KINDS:
-        raise InvalidParameterError(
-            f"unknown estimator kind {estimator_kind!r}; expected one of {ESTIMATE_KINDS}"
-        )
+    if estimator_kind not in _ESTIMATOR_CRITERIA:
+        raise InvalidParameterError(f"unknown estimator kind {estimator_kind!r}; "
+                                    f"expected one of {tuple(_ESTIMATOR_CRITERIA)}")
     seeds = _replicate_seeds(seed, replications)
     _check_inputs(n, epsilon)
-    if estimator_kind == "fixed_n":
-        if cutoff is None:
-            raise InvalidParameterError("fixed_n estimator requires a cutoff")
-        band_top = int(cutoff)
-        rule: Union[str, int] = band_top
-    else:
-        if m0 is None:
-            m0 = compute_m0(density, n, template.k_max, log_base=log_base).value
-        band_top = int(m0)
-        rule = _ESTIMATOR_CRITERIA[estimator_kind]
-    if not (0 <= band_top <= template.k_max):
-        raise InvalidParameterError(
-            f"cutoff bound must be in 0..{template.k_max}, got {band_top}"
-        )
-
-    reps = _run_replicates(template, density, n, epsilon, seeds, (rule,), band_top,
+    m0 = _cutoff_cap(density, n, template.k_max, m0, log_base)
+    reps = _run_replicates(template, density, n, epsilon, seeds,
+                           (_ESTIMATOR_CRITERIA[estimator_kind],), m0,
                            workers=workers, log_base=log_base,
                            penalty_variant=penalty_variant)
     mean, stderr = _mean_and_stderr(reps.losses[0])
@@ -333,13 +324,10 @@ def oracle_ratio(template: Template, density: ShiftDensity, n: int, epsilon: flo
                  penalty_variant: str = "printed_form") -> float:
     """Monte Carlo risk divided by the best theoretical risk ``inf_{N<=m0}``
     of the envelope matching the estimator: ``r_bar`` for ``theta_star``,
-    ``r`` for ``theta_tilde`` and ``theta_u``.  ``workers`` goes to
-    :func:`mc_risk`.
+    ``r`` for ``theta_tilde`` and ``theta_u``.  ``estimator_kind`` and
+    ``workers`` go to :func:`mc_risk`.
     """
-    if estimator_kind == "fixed_n":
-        raise InvalidParameterError("oracle_ratio is defined for the adaptive estimators")
-    if m0 is None:
-        m0 = compute_m0(density, n, template.k_max, log_base=log_base).value
+    m0 = _cutoff_cap(density, n, template.k_max, m0, log_base)
     report = risk_report(template, density, n, epsilon, m0, log_base=log_base)
     denom = float(np.min(report.r_bar if estimator_kind == "theta_star" else report.r))
     if denom == 0.0:
@@ -389,8 +377,6 @@ def rate_study(s: float, beta: float, radius: float, n_grid: Sequence[int],
     :func:`mc_risk`, which runs the replicates serially in seed order; it
     changes no result.
     """
-    from .catalog import sobolev_template
-
     n_grid_arr = np.asarray(list(n_grid), dtype=int)
     if n_grid_arr.size < 3:
         raise InvalidParameterError(

@@ -38,6 +38,7 @@ point, not just approximately.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
 
@@ -109,6 +110,30 @@ def compute_m0(density: ShiftDensity, n: int, k_max: int, *,
     return M0Result(value=int(crossed[0]), saturated=False, threshold=threshold)
 
 
+def _cutoff_cap(density: ShiftDensity, n: int, k_max: int, m0: Optional[int],
+                log_base: float) -> int:
+    """The cap of every cutoff search: ``m0``, or :func:`compute_m0`'s value
+    when it is ``None``; in ``0..k_max`` either way."""
+    if m0 is None:
+        m0 = compute_m0(density, n, k_max, log_base=log_base).value
+    if not (0 <= m0 <= k_max):
+        raise InvalidParameterError(f"m0 must be in 0..{k_max}, got {m0}")
+    return int(m0)
+
+
+@contextmanager
+def _noise_terms(epsilon: float):
+    """Refuse ``epsilon`` if a noise term ``epsilon**2/(n |gamma_k|^2)`` of the
+    block, a ``|gamma_k|^4`` penalty term or a band sum of them overflows: a
+    finite ``epsilon**2`` does not keep them finite."""
+    try:
+        with np.errstate(over="raise"):
+            yield
+    except FloatingPointError:
+        raise InvalidParameterError(
+            f"epsilon={epsilon!r} is too large: its noise terms overflow") from None
+
+
 def theta_hat_squared(obs: SequenceSummary, density: ShiftDensity,
                       k: int) -> float:
     """Unbiased estimate ``(|c_tilde_k|^2 - eps^2/n) / |gamma_k|^2`` of
@@ -138,8 +163,9 @@ def fraction_negative_theta_hat(obs: SequenceSummary, density: ShiftDensity,
         raise InvalidParameterError(f"n_max must be in 0..{obs.k_max}, got {n_max}")
     g2 = np.abs(density.gamma_band(n_max)) ** 2
     sl = slice(obs.k_max - n_max, obs.k_max + n_max + 1)
-    t = np.abs(obs.c_tilde[..., sl]) ** 2 - obs.epsilon ** 2 / obs.n
-    fraction = np.count_nonzero(t / g2 < 0.0, axis=-1) / (2 * n_max + 1)
+    with _noise_terms(obs.epsilon):
+        t = np.abs(obs.c_tilde[..., sl]) ** 2 - obs.epsilon ** 2 / obs.n
+        fraction = np.count_nonzero(t / g2 < 0.0, axis=-1) / (2 * n_max + 1)
     return float(fraction) if fraction.ndim == 0 else fraction
 
 
@@ -169,29 +195,31 @@ def criterion_increments(obs: SequenceSummary, density: ShiftDensity,
     sl = slice(obs.k_max - n_max, obs.k_max + n_max + 1)
     c_abs = np.abs(obs.c_tilde[..., sl])
     noise_floor = obs.epsilon ** 2 / n
-    t = c_abs ** 2 - noise_floor
 
-    if kind == "u":
-        per_k = (-(1.0 - 1.0 / n) * t / g2 + noise_floor / g2
-                 + (1.0 / n) * t / (g2 * g2))
-    elif kind == "u_bar":
-        level = log_squared_over_n(n, log_base)
-        if penalty_variant == "proof_form":
-            pen = level * t / (g2 * g2)
-        else:
-            pen = level * (c_abs - noise_floor) / g2
-        per_k = -t / g2 + noise_floor / g2 + pen
-    else:  # u_tilde
-        per_k = -t / g2 + noise_floor / g2
-
-    return _pair_sums(per_k, n_max)
+    with _noise_terms(obs.epsilon):
+        t = c_abs ** 2 - noise_floor
+        if kind == "u":
+            per_k = (-(1.0 - 1.0 / n) * t / g2 + noise_floor / g2
+                     + (1.0 / n) * t / (g2 * g2))
+        elif kind == "u_bar":
+            level = log_squared_over_n(n, log_base)
+            if penalty_variant == "proof_form":
+                pen = level * t / (g2 * g2)
+            else:
+                pen = level * (c_abs - noise_floor) / g2
+            per_k = -t / g2 + noise_floor / g2 + pen
+        else:  # u_tilde
+            per_k = -t / g2 + noise_floor / g2
+        return _pair_sums(per_k, n_max)
 
 
 def criterion_trace(obs: SequenceSummary, density: ShiftDensity,
                     kind: str, n_max: int, **options) -> np.ndarray:
     """Criterion values for every cutoff ``N = 0..n_max`` (sequential sum),
     one row per dataset of a stack."""
-    return np.cumsum(criterion_increments(obs, density, kind, n_max, **options), axis=-1)
+    increments = criterion_increments(obs, density, kind, n_max, **options)
+    with _noise_terms(obs.epsilon):
+        return np.cumsum(increments, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -228,14 +256,11 @@ def select_cutoff(obs: SequenceSummary, density: ShiftDensity,
     ``(n, k_max)``; pass an explicit value to override.  Ties are broken
     toward the smallest cutoff (the most regularized choice).
     """
-    if m0 is None:
-        m0 = compute_m0(density, obs.n, obs.k_max, log_base=log_base).value
-    if not (0 <= m0 <= obs.k_max):
-        raise InvalidParameterError(f"m0 must be in 0..{obs.k_max}, got {m0}")
+    m0 = _cutoff_cap(density, obs.n, obs.k_max, m0, log_base)
     trace = criterion_trace(obs, density, kind, m0, log_base=log_base,
                             penalty_variant=penalty_variant)
     chosen = int(np.argmin(trace))  # argmin returns the first (smallest-N) minimum
-    return CutoffSelection(chosen_n=chosen, m0=int(m0),
+    return CutoffSelection(chosen_n=chosen, m0=m0,
                            criterion_values=trace, criterion_kind=kind)
 
 

@@ -139,12 +139,6 @@ class SequenceObservations(SequenceSummary):
         super().validate()
 
 
-def _resolve_rng(seed: SeedLike) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def _check_inputs(n, epsilon) -> int:
     """``n`` as an ``int``, once it and ``epsilon`` are checked.  The square of
     ``epsilon`` must be finite: the estimators and risks use ``epsilon**2 / n``."""
@@ -224,7 +218,7 @@ def simulate(template: Template, density: ShiftDensity, n: int, epsilon: float,
     """
     n = _check_inputs(n, epsilon)
     k_max = template.k_max
-    rng = _resolve_rng(seed)
+    rng = np.random.default_rng(seed)
 
     shifts = _draw_shifts(density, rng, n)
     pos = _draw_phases(shifts, k_max)
@@ -280,7 +274,7 @@ def _draw_summaries(template: Template, density: ShiftDensity, n: int,
     noise_re = np.empty((len(seeds), width))
     noise_im = np.empty((len(seeds), width))
     for i, seed in enumerate(seeds):
-        rng = _resolve_rng(seed)
+        rng = np.random.default_rng(seed)
         shifts[i] = _draw_shifts(density, rng, n)
         noise_re[i] = rng.standard_normal(width)
         noise_im[i] = rng.standard_normal(width)

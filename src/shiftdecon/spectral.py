@@ -223,9 +223,9 @@ def laplace_density(sigma: float) -> ShiftDensity:
     with exact envelope constants ``1/(2 sigma^2 pi^2 + 1)`` and
     ``1/(2 sigma^2 pi^2)``.
     """
-    if not (0.0 < sigma < math.inf):
-        raise InvalidParameterError(f"sigma must be finite and > 0, got {sigma}")
     coef = 2.0 * sigma * sigma * math.pi * math.pi
+    if not (0.0 < sigma and 0.0 < coef < math.inf):  # the envelope divides by coef
+        raise InvalidParameterError(f"sigma and 2 pi^2 sigma^2 must be finite and > 0, got {sigma}")
     scale = sigma / math.sqrt(2.0)
 
     def gamma_fn(k):
@@ -244,9 +244,9 @@ def gaussian_density(sigma: float) -> ShiftDensity:
 
     Decays faster than any polynomial, so no decay profile is declared.
     """
-    if not (0.0 < sigma < math.inf):
-        raise InvalidParameterError(f"sigma must be finite and > 0, got {sigma}")
     coef = 2.0 * math.pi * math.pi * sigma * sigma
+    if not (0.0 < sigma and 0.0 < coef < math.inf):
+        raise InvalidParameterError(f"sigma and 2 pi^2 sigma^2 must be finite and > 0, got {sigma}")
 
     def gamma_fn(k):
         return np.exp(-coef * np.square(k.astype(float))).astype(np.complex128)
@@ -265,8 +265,9 @@ def uniform_density(half_width: float) -> ShiftDensity:
     two-sided polynomial envelope is declared.  Those zeros are returned as
     exact ``0`` (``np.sinc`` alone leaves rounding residue of order 1e-17).
     """
-    if not (0.0 < half_width < math.inf):
-        raise InvalidParameterError(f"half_width must be finite and > 0, got {half_width}")
+    if not (0.0 < half_width and 2.0 * half_width < math.inf):
+        raise InvalidParameterError(
+            f"half_width must be finite and > 0, and 2 * half_width finite, got {half_width}")
     a = float(half_width)
 
     def gamma_fn(k):

@@ -21,10 +21,10 @@ same engine :func:`shiftdecon.risk.mc_risk` uses, on the same seeds and
 with the same rule of at least 2 replications; this module adds the bundle.
 That engine draws each dataset's column means only, as
 :func:`shiftdecon.simulate.simulate_summary` does, in chunks of seeds.
-``traces.csv`` is computed from replicate 0's summary, so its argmins are
-row 0 of ``selections.csv``.  Curves exist only in the per-curve draw, so
-``sample_curves.csv`` renders :func:`shiftdecon.simulate.simulate` at
-replicate 0's seed: the same shifts, hence the same ``gamma_tilde``, but
+``traces.csv`` holds the engine's criterion traces of replicate 0, so its
+argmins are row 0 of ``selections.csv``.  Curves exist only in the per-curve
+draw, so ``sample_curves.csv`` renders :func:`shiftdecon.simulate.simulate`
+at replicate 0's seed: the same shifts, hence the same ``gamma_tilde``, but
 independent noise.  ``meta.csv`` says so in its ``sample_curves_draw`` row.
 """
 
@@ -42,8 +42,8 @@ from .csvio import write_csv, write_curves_csv, write_risk_report_csv
 from .errors import InvalidParameterError
 from .risk import (RiskReport, _mean_and_stderr, _replicate_seeds, _run_replicates,
                    risk_report)
-from .selection import CRITERION_ESTIMATORS, compute_m0, criterion_trace
-from .simulate import render_curves, render_grid, simulate, simulate_summary
+from .selection import CRITERION_ESTIMATORS, _cutoff_cap, compute_m0
+from .simulate import render_curves, render_grid, simulate
 from .spectral import synthesize
 
 __all__ = ["ReplicationStudy", "run_replication_study"]
@@ -96,14 +96,11 @@ def run_replication_study(cfg: ExperimentConfig, out_dir, *, grid_size: int = 25
         )
 
     m0_res = compute_m0(density, cfg.n, k_max, log_base=log_base)
-    m0_used = cfg.m0_override if cfg.m0_override is not None else m0_res.value
-    if m0_used > k_max:
-        raise InvalidParameterError(f"m0={m0_used} exceeds the band k_max={k_max}")
+    m0_used = _cutoff_cap(density, cfg.n, k_max, cfg.m0_override, log_base)
 
-    sel_options = selection_options(cfg)
     rules = ("u_bar", "u_tilde")
     reps = _run_replicates(template, density, cfg.n, cfg.epsilon, seeds, rules,
-                           m0_used, workers=workers, **sel_options)
+                           m0_used, workers=workers, **selection_options(cfg))
     n_star, n_tilde = reps.cutoffs
     loss_star, loss_tilde = reps.losses
     neg_fracs = reps.negative_fractions
@@ -127,12 +124,8 @@ def run_replication_study(cfg: ExperimentConfig, out_dir, *, grid_size: int = 25
     write_curves_csv(out_dir / "sample_curves.csv", grid,
                      render_curves(curves, grid_size)[:shown])
 
-    first = simulate_summary(template, density, cfg.n, cfg.epsilon, seeds[0])
-    trace_star = criterion_trace(first, density, "u_bar", m0_used, **sel_options)
-    trace_tilde = criterion_trace(first, density, "u_tilde", m0_used, **sel_options)
     write_csv(out_dir / "traces.csv", ["n", "u_bar", "u_tilde"],
-              ((n, float(trace_star[n]), float(trace_tilde[n]))
-               for n in range(m0_used + 1)))
+              ((n, *map(float, row)) for n, row in enumerate(reps.traces.T)))
 
     write_csv(out_dir / "selections.csv",
               ["replicate", "n_star", "loss_star", "n_tilde", "loss_tilde",
@@ -187,7 +180,7 @@ def run_replication_study(cfg: ExperimentConfig, out_dir, *, grid_size: int = 25
     ]
     write_csv(out_dir / "meta.csv", ["key", "value"], meta)
 
-    return ReplicationStudy(out_dir=out_dir, m0_used=int(m0_used),
+    return ReplicationStudy(out_dir=out_dir, m0_used=m0_used,
                          m0_formula=m0_res.value, m0_saturated=m0_res.saturated,
                          n_star=n_star, n_tilde=n_tilde,
                          loss_star=loss_star, loss_tilde=loss_tilde,

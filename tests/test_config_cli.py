@@ -423,6 +423,19 @@ def test_cli_rejects_an_epsilon_whose_square_overflows(command, tmp_path, capsys
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["select", "estimate", "risk", "replication-study"])
+def test_cli_rejects_an_epsilon_whose_noise_terms_overflow(command, tmp_path, capsys):
+    # epsilon**2 is finite, epsilon**2/n / |gamma_k|^2 is not
+    code = run_cli(command, "--epsilon", "1.34e154", "--out", str(tmp_path / "out"))
+    assert code == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert payload["error"] == "InvalidParameterError"
+    assert "epsilon=1.34e+154" in payload["message"] and "overflow" in payload["message"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_rejects_non_finite_density_parameters(tmp_path, capsys):
     for flags, key in (
         (("--density", "uniform", "--half-width", "inf", "--m0-override", "none"),

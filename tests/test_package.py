@@ -19,7 +19,6 @@ PUBLIC_KEYWORD_OPTIONS = {
     "catalog.spike_template(location)",
     "catalog.wave_template(k_max)",
     "cli.main(argv)",
-    "risk.mc_risk(cutoff)",
     "risk.mc_risk(log_base)",
     "risk.mc_risk(m0)",
     "risk.mc_risk(penalty_variant)",

@@ -83,8 +83,7 @@ def test_guard_raises_on_any_sub_floor_eigenvalue(k_bad, band, value):
 
 @settings(max_examples=8, deadline=None, database=None)
 @given(seed=SEEDS, n=st.integers(2, 40),
-       rules=st.lists(st.sampled_from(["u", "u_bar", "u_tilde", 0, 3, 6]),
-                      min_size=1, max_size=3))
+       rules=st.lists(st.sampled_from(CRITERION_KINDS), min_size=1, max_size=3))
 def test_replicate_engine_is_worker_invariant(seed, n, rules):
     seeds = np.random.SeedSequence(seed).spawn(7)
     runs = [_run_replicates(WAVE8, LAPLACE, n, 0.05, seeds, rules, 6, workers=w)

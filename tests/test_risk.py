@@ -10,11 +10,11 @@ from shiftdecon.catalog import sobolev_template, spike_template, wave_template
 from shiftdecon.config import ExperimentConfig, build_density, build_template
 from shiftdecon.errors import (DegenerateInputError, InvalidParameterError,
                                VanishingEigenvalueError)
-from shiftdecon.risk import (McRisk, RiskReport, _run_replicates, exact_risk,
-                             mc_risk, oracle_ratio, rate_study,
+from shiftdecon.risk import (McRisk, RiskReport, _mean_and_stderr, _run_replicates,
+                             _score, exact_risk, mc_risk, oracle_ratio, rate_study,
                              risk_report, theoretical_rate_exponent)
 from shiftdecon.selection import compute_m0, fraction_negative_theta_hat, select_cutoff
-from shiftdecon.simulate import simulate_summary
+from shiftdecon.simulate import _draw_summaries, simulate_summary
 from shiftdecon.spectral import (ShiftDensity, Template, _tail_energy, laplace_density,
                                  point_mass_density, uniform_density)
 from shiftdecon.study import run_replication_study
@@ -190,19 +190,21 @@ def test_oracle_cutoff_validation():
 # Monte Carlo risk
 
 
-def test_mc_risk_matches_exact_risk_fixed_cutoff():
+def test_fixed_cutoff_loss_matches_exact_risk():
+    # the engine's draw and scorer at a fixed cutoff estimate exact_risk
     n, eps, N, reps = 20, 0.1, 4, 600
     exact = exact_risk(WAVE8, LAPLACE, n, eps, N).r
-    mc = mc_risk(WAVE8, LAPLACE, n, eps, "fixed_n", reps, seed=314, cutoff=N)
-    assert abs(mc.mean - exact) < 3.0 * mc.stderr
-    assert np.all(mc.cutoffs == N)
-    assert mc.losses.shape == (reps,)
+    obs = _draw_summaries(WAVE8, LAPLACE, n, eps, np.random.SeedSequence(314).spawn(reps))
+    losses = _score(WAVE8, obs.c_tilde, np.full(reps, N), LAPLACE.gamma_band(N),
+                    _tail_energy(WAVE8, N), N)
+    mean, stderr = _mean_and_stderr(losses)
+    assert abs(mean - exact) < 3.0 * stderr
+    assert losses.shape == (reps,)
 
 
 def test_mc_risk_perfect_recovery_degenerate_case():
     # one curve, no noise, no shift: the estimator is exact, every loss is 0
-    mc = mc_risk(WAVE8, point_mass_density(), 1, 0.0, "fixed_n", 5, seed=0,
-                 cutoff=8)
+    mc = mc_risk(WAVE8, point_mass_density(), 1, 0.0, "theta_tilde", 5, seed=0, m0=8)
     assert mc.mean == 0.0 and mc.stderr == 0.0
     assert np.all(mc.losses == 0.0)
 
@@ -244,7 +246,7 @@ def test_engine_negative_fractions_match_fraction_negative_theta_hat():
     for template, n, epsilon, m0 in ((WAVE8, 3, 0.5, 8), (WAVE8, 40, 0.05, 5),
                                      (WAVE8, 200, 0.3, 0),
                                      (spike_template(8, location=1), 5, 0.0, 8)):
-        reps = _run_replicates(template, LAPLACE, n, epsilon, seeds, (0,), m0,
+        reps = _run_replicates(template, LAPLACE, n, epsilon, seeds, ("u_tilde",), m0,
                                workers=1)
         direct = [fraction_negative_theta_hat(
                       simulate_summary(template, LAPLACE, n, epsilon, seed), LAPLACE, m0)
@@ -256,10 +258,11 @@ def test_engine_negative_fractions_match_fraction_negative_theta_hat():
 
 def test_engine_matches_one_replicate_at_a_time():
     # reference: simulate_summary, select_cutoff and the loss of the band-N
-    # estimator, one seed at a time; 30 seeds at n = 600 span five chunks
+    # estimator, one seed at a time; 30 seeds at n = 600 span five chunks.
+    # The engine keeps replicate 0's criterion traces, bit for bit.
     template, n, epsilon, m0 = WAVE8, 600, 0.3, 7
     options = dict(log_base=10.0, penalty_variant="printed_form")
-    rules = ("u_bar", "u_tilde", "u", 4)
+    rules = ("u_bar", "u_tilde", "u")
     seeds = np.random.SeedSequence(77).spawn(30)
     reps = _run_replicates(template, LAPLACE, n, epsilon, seeds, rules, m0,
                            workers=1, **options)
@@ -267,8 +270,10 @@ def test_engine_matches_one_replicate_at_a_time():
     for i, seed in enumerate(seeds):
         obs = simulate_summary(template, LAPLACE, n, epsilon, seed)
         for j, rule in enumerate(rules):
-            cutoff = rule if isinstance(rule, int) else select_cutoff(
-                obs, LAPLACE, rule, m0=m0, **options).chosen_n
+            sel = select_cutoff(obs, LAPLACE, rule, m0=m0, **options)
+            if i == 0:
+                assert reps.traces[j].tobytes() == sel.criterion_values.tobytes()
+            cutoff = sel.chosen_n
             band = slice(8 - cutoff, 8 + cutoff + 1)
             diff = obs.c_tilde[band] / gamma[m0 - cutoff : m0 + cutoff + 1] \
                 - template.coeffs[band]
@@ -321,19 +326,19 @@ def test_mc_risk_adaptive_not_below_oracle():
 
 def test_mc_risk_validation():
     with pytest.raises(InvalidParameterError):
-        mc_risk(WAVE8, LAPLACE, 10, 0.1, "fixed_n", 1, seed=0, cutoff=2)
+        mc_risk(WAVE8, LAPLACE, 10, 0.1, "theta_tilde", 1, seed=0, m0=2)
     with pytest.raises(InvalidParameterError):
-        mc_risk(WAVE8, LAPLACE, 10, 0.1, "fixed_n", 10, seed=0)
+        mc_risk(WAVE8, LAPLACE, 10, 0.1, "bogus", 10, seed=0, m0=2)
     with pytest.raises(InvalidParameterError):
-        mc_risk(WAVE8, LAPLACE, 10, 0.1, "bogus", 10, seed=0, cutoff=2)
+        mc_risk(WAVE8, LAPLACE, 10, 0.1, "theta_tilde", 10, seed=0, m0=9)
     with pytest.raises(InvalidParameterError):
-        mc_risk(WAVE8, LAPLACE, 10, 0.1, "fixed_n", 10, seed=0, cutoff=9)
-    with pytest.raises(InvalidParameterError):
-        mc_risk(WAVE8, LAPLACE, 10, 0.1, "fixed_n", 10, seed=0, cutoff=2,
-                workers=0)
-    for epsilon in (math.inf, 1e155):
+        mc_risk(WAVE8, LAPLACE, 10, 0.1, "theta_tilde", 10, seed=0, m0=2, workers=0)
+    for epsilon in (math.inf, 1e155, 1.34e154):
         with pytest.raises(InvalidParameterError):
-            mc_risk(WAVE8, LAPLACE, 10, epsilon, "fixed_n", 10, seed=0, cutoff=2)
+            mc_risk(WAVE8, LAPLACE, 10, epsilon, "theta_tilde", 10, seed=0, m0=2)
+    # a fixed cutoff's risk is exact: risk_report / exact_risk give it
+    with pytest.raises(InvalidParameterError, match="unknown estimator kind 'fixed_n'"):
+        mc_risk(WAVE8, LAPLACE, 10, 0.1, "fixed_n", 10, seed=0, m0=2)
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +387,8 @@ def test_oracle_ratio_degenerate_denominator():
 
 
 def test_oracle_ratio_rejects_fixed_estimator():
-    with pytest.raises(InvalidParameterError):
+    # mc_risk's kind check
+    with pytest.raises(InvalidParameterError, match="unknown estimator kind 'fixed_n'"):
         oracle_ratio(WAVE8, LAPLACE, 10, 0.1, "fixed_n", 10, seed=0)
 
 

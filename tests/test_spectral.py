@@ -1,5 +1,6 @@
 """Fourier-side basics: densities, decay checks, synthesis/analysis round trips."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -83,14 +84,27 @@ def test_point_mass_sampler_and_gamma():
     assert np.all(d.gamma(np.arange(-7, 8)) == 1.0)
 
 
-@pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan, 1e308])
 def test_density_scale_must_be_positive(bad):
+    # 1e308 is finite, but 2 pi^2 sigma^2 and 2a overflow
     with pytest.raises(InvalidParameterError, match="must be finite and > 0"):
         laplace_density(bad)
     with pytest.raises(InvalidParameterError, match="must be finite and > 0"):
         gaussian_density(bad)
     with pytest.raises(InvalidParameterError, match="must be finite and > 0"):
         uniform_density(bad)
+
+
+@pytest.mark.parametrize("build,scale,message", [
+    (laplace_density, 1e200, "sigma and 2 pi^2 sigma^2 must be finite and > 0"),
+    # 2 pi^2 sigma^2 underflows to 0, and the Laplace envelope divides by it
+    (laplace_density, 1e-200, "sigma and 2 pi^2 sigma^2 must be finite and > 0"),
+    (gaussian_density, 1e154, "sigma and 2 pi^2 sigma^2 must be finite and > 0"),
+    (uniform_density, 1e308, "half_width must be finite and > 0, and 2 * half_width finite"),
+], ids=["laplace-1e200", "laplace-1e-200", "gaussian-1e154", "uniform-1e308"])
+def test_density_scale_coefficient_must_be_finite(build, scale, message):
+    with pytest.raises(InvalidParameterError, match=re.escape(message)):
+        build(scale)
 
 
 # ---------------------------------------------------------------------------
