@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .config import (CONFIG_FIELDS, ExperimentConfig, build_density, build_template,
-                     load_config, resolve_log_base, save_config, selection_options)
+                     load_config, save_config)
 from .csvio import (write_csv, write_curves_csv, write_rate_study_csv,
                     write_risk_report_csv, write_selection_csv)
 from .errors import ConfigError, ShiftDeconError
@@ -68,7 +68,7 @@ def cmd_select(args) -> int:
     density = build_density(cfg)
     obs = simulate(template, density, cfg.n, cfg.epsilon, cfg.seed)
     sel = select_cutoff(obs, density, cfg.criterion, m0=cfg.m0_override,
-                        **selection_options(cfg))
+                        penalty_variant=cfg.penalty_variant)
     if args.out:
         write_selection_csv(args.out, sel)
         print(f"wrote criterion trace to {args.out}")
@@ -85,7 +85,7 @@ def cmd_estimate(args) -> int:
         cutoff, kind = args.cutoff, "fixed_n"
     else:
         sel = select_cutoff(obs, density, cfg.criterion, m0=cfg.m0_override,
-                            **selection_options(cfg))
+                            penalty_variant=cfg.penalty_variant)
         cutoff, kind = sel.chosen_n, CRITERION_ESTIMATORS[cfg.criterion]
     est = estimate(obs, density, cutoff, kind)
     if args.out:
@@ -108,11 +108,10 @@ def cmd_risk(args) -> int:
     cfg = _resolve_config(args)
     template = build_template(cfg)
     density = build_density(cfg)
-    log_base = resolve_log_base(cfg)
     n_max = args.n_max if args.n_max is not None else cfg.m0_override
     if n_max is None:
-        n_max = compute_m0(density, cfg.n, template.k_max, log_base=log_base).value
-    report = risk_report(template, density, cfg.n, cfg.epsilon, n_max, log_base=log_base)
+        n_max = compute_m0(density, cfg.n, template.k_max).value
+    report = risk_report(template, density, cfg.n, cfg.epsilon, n_max)
     if args.out:
         write_risk_report_csv(args.out, report)
         print(f"wrote risk curves to {args.out}")

@@ -23,7 +23,6 @@ sections or keys are rejected; ``%`` is literal, there is no interpolation)::
     replications = 100
     seed = 1
     m0_override = 32           ; an integer, or none / formula (or empty) for the computed cap
-    log_base = natural         ; natural | decimal
     penalty_variant = printed_form  ; proof_form | printed_form
 
     [density]
@@ -49,8 +48,7 @@ from .spectral import (ShiftDensity, Template, gaussian_density, laplace_density
                        point_mass_density, uniform_density)
 
 __all__ = ["ExperimentConfig", "CONFIG_FIELDS", "parse_config", "load_config",
-           "serialize_config", "save_config", "build_density", "build_template",
-           "resolve_log_base", "selection_options"]
+           "serialize_config", "save_config", "build_density", "build_template"]
 
 _DENSITY_BUILDERS = {
     "laplace": lambda cfg: laplace_density(cfg.density_sigma),
@@ -59,7 +57,6 @@ _DENSITY_BUILDERS = {
     "point_mass": lambda cfg: point_mass_density(),
 }
 DENSITY_KINDS = tuple(_DENSITY_BUILDERS)
-LOG_BASES = ("natural", "decimal")
 
 
 @dataclass(frozen=True)
@@ -75,7 +72,6 @@ class ExperimentConfig:
     replications: int = 100
     seed: int = 1
     m0_override: Optional[int] = 32
-    log_base: str = "natural"
     penalty_variant: str = "printed_form"
 
     def __post_init__(self):
@@ -110,20 +106,8 @@ class ExperimentConfig:
             if not (isinstance(self.m0_override, int)
                     and 0 <= self.m0_override <= self.k_max):
                 bad("m0_override", f"must be in 0..k_max={self.k_max}, got {self.m0_override!r}")
-        if self.log_base not in LOG_BASES:
-            bad("log_base", f"must be one of {LOG_BASES}, got {self.log_base!r}")
         if self.penalty_variant not in PENALTY_VARIANTS:
             bad("penalty_variant", f"must be one of {PENALTY_VARIANTS}, got {self.penalty_variant!r}")
-
-
-def resolve_log_base(cfg: ExperimentConfig) -> float:
-    return math.e if cfg.log_base == "natural" else 10.0
-
-
-def selection_options(cfg: ExperimentConfig) -> dict:
-    """Keyword options that :func:`~shiftdecon.selection.select_cutoff` and
-    :func:`~shiftdecon.selection.criterion_trace` take from a configuration."""
-    return dict(log_base=resolve_log_base(cfg), penalty_variant=cfg.penalty_variant)
 
 
 def build_density(cfg: ExperimentConfig) -> ShiftDensity:
@@ -212,8 +196,6 @@ CONFIG_FIELDS = (
     ConfigField("m0_override", "experiment", "m0_override", "--m0-override",
                 "fix the selection cap (integer), or none / formula for the computed cap",
                 _m0_override),
-    ConfigField("log_base", "experiment", "log_base", "--log-base",
-                f"logarithm base in threshold and penalty: {' | '.join(LOG_BASES)}", _text),
     ConfigField("penalty_variant", "experiment", "penalty_variant", "--penalty-variant",
                 f"penalty summand variant for the penalized criterion: "
                 f"{' | '.join(PENALTY_VARIANTS)}", _text),

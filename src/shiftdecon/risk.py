@@ -69,7 +69,6 @@ __all__ = [
     "theoretical_rate_exponent",
 ]
 
-RISK_KINDS = ("r", "r_bar", "r_tilde")
 _ESTIMATOR_CRITERIA = {est: crit for crit, est in CRITERION_ESTIMATORS.items()}
 
 
@@ -108,19 +107,9 @@ class RiskReport:
         return RiskBreakdown(bias=float(self.bias[cutoff]), v1=float(self.v1[cutoff]),
                              v2=float(self.v2[cutoff]), r=float(self.r[cutoff]))
 
-    def column(self, kind: str) -> np.ndarray:
-        if kind not in RISK_KINDS:
-            raise InvalidParameterError(f"unknown risk kind {kind!r}; expected one of {RISK_KINDS}")
-        return getattr(self, kind)
-
-    def oracle(self, kind: str) -> int:
-        if kind not in RISK_KINDS:
-            raise InvalidParameterError(f"unknown risk kind {kind!r}; expected one of {RISK_KINDS}")
-        return getattr(self, "oracle_" + kind)
-
 
 def risk_report(template: Template, density: ShiftDensity, n: int, epsilon: float,
-                n_max: int, *, log_base: float = math.e) -> RiskReport:
+                n_max: int) -> RiskReport:
     """Evaluate all risk curves for cutoffs ``0..n_max``.
 
     ``n_max`` may exceed the template band (the tail bias is then zero), but
@@ -150,9 +139,8 @@ def risk_report(template: Template, density: ShiftDensity, n: int, epsilon: floa
     with _noise_terms(epsilon):
         v1 = (epsilon ** 2 / n) * np.cumsum(v1_steps)
     v2 = (1.0 / n) * np.cumsum(v2_steps)
-    # log(1) = 0, so there is no penalty at n = 1; log_squared_over_n, which
-    # refuses n = 1, checks log_base first.
-    level = 0.0 if n == 1 and log_base > 1.0 else log_squared_over_n(n, log_base)
+    # log(1) = 0, so there is no penalty at n = 1, which log_squared_over_n refuses.
+    level = 0.0 if n == 1 else log_squared_over_n(n)
     pen = level * np.cumsum(pen_steps)
 
     base = bias + v1
@@ -194,10 +182,12 @@ def _replicate_seeds(seed: int, replications: int) -> list:
     return np.random.SeedSequence(seed).spawn(replications)
 
 
-def _mean_and_stderr(losses: np.ndarray) -> tuple:
-    """Monte Carlo mean of per-replicate ``losses`` and its standard error."""
-    return (float(np.mean(losses)),
-            float(np.std(losses, ddof=1) / math.sqrt(losses.size)))
+def _mean_and_stderr(losses: np.ndarray, epsilon: float) -> tuple:
+    """Monte Carlo mean of per-replicate ``losses`` and its standard error;
+    ``epsilon`` is refused if the squared deviations of its losses overflow."""
+    with _noise_terms(epsilon):
+        return (float(np.mean(losses)),
+                float(np.std(losses, ddof=1) / math.sqrt(losses.size)))
 
 
 class _Replicates(NamedTuple):
@@ -282,7 +272,7 @@ def _score(template: Template, c_tilde: np.ndarray, cutoffs: np.ndarray,
 
 def mc_risk(template: Template, density: ShiftDensity, n: int, epsilon: float,
             estimator_kind: str, replications: int, seed: int, *,
-            m0: Optional[int] = None, workers: int = 1, log_base: float = math.e,
+            m0: Optional[int] = None, workers: int = 1,
             penalty_variant: str = "printed_form") -> McRisk:
     """Monte Carlo estimate of an adaptive estimator's ``E ||theta_hat - theta||^2``.
 
@@ -308,27 +298,25 @@ def mc_risk(template: Template, density: ShiftDensity, n: int, epsilon: float,
                                     f"expected one of {tuple(_ESTIMATOR_CRITERIA)}")
     seeds = _replicate_seeds(seed, replications)
     _check_inputs(n, epsilon)
-    m0 = _cutoff_cap(density, n, template.k_max, m0, log_base)
+    m0 = _cutoff_cap(density, n, template.k_max, m0)
     reps = _run_replicates(template, density, n, epsilon, seeds,
                            (_ESTIMATOR_CRITERIA[estimator_kind],), m0,
-                           workers=workers, log_base=log_base,
-                           penalty_variant=penalty_variant)
-    mean, stderr = _mean_and_stderr(reps.losses[0])
+                           workers=workers, penalty_variant=penalty_variant)
+    mean, stderr = _mean_and_stderr(reps.losses[0], epsilon)
     return McRisk(mean=mean, stderr=stderr, losses=reps.losses[0], cutoffs=reps.cutoffs[0])
 
 
 def oracle_ratio(template: Template, density: ShiftDensity, n: int, epsilon: float,
                  estimator_kind: str, replications: int, seed: int, *,
                  m0: Optional[int] = None, workers: int = 1,
-                 log_base: float = math.e,
                  penalty_variant: str = "printed_form") -> float:
     """Monte Carlo risk divided by the best theoretical risk ``inf_{N<=m0}``
     of the envelope matching the estimator: ``r_bar`` for ``theta_star``,
     ``r`` for ``theta_tilde`` and ``theta_u``.  ``estimator_kind`` and
     ``workers`` go to :func:`mc_risk`.
     """
-    m0 = _cutoff_cap(density, n, template.k_max, m0, log_base)
-    report = risk_report(template, density, n, epsilon, m0, log_base=log_base)
+    m0 = _cutoff_cap(density, n, template.k_max, m0)
+    report = risk_report(template, density, n, epsilon, m0)
     denom = float(np.min(report.r_bar if estimator_kind == "theta_star" else report.r))
     if denom == 0.0:
         raise DegenerateInputError(
@@ -336,8 +324,7 @@ def oracle_ratio(template: Template, density: ShiftDensity, n: int, epsilon: flo
             "the ratio is undefined"
         )
     mc = mc_risk(template, density, n, epsilon, estimator_kind, replications, seed,
-                 m0=m0, workers=workers, log_base=log_base,
-                 penalty_variant=penalty_variant)
+                 m0=m0, workers=workers, penalty_variant=penalty_variant)
     return mc.mean / denom
 
 

@@ -6,7 +6,7 @@ selection criteria (unbiased risk ``u``, penalized ``u_bar``, plain quadratic
 deconvolution estimators.
 
 Writing ``t_k = |c_tilde_k|^2 - epsilon^2/n`` and ``L = log^2(n)/n`` (natural
-log by default), the criteria over the band ``|k| <= N`` are
+log), the criteria over the band ``|k| <= N`` are
 
     u:       -(1 - 1/n) sum t_k/|g_k|^2 + (eps^2/n) sum 1/|g_k|^2 + (1/n) sum t_k/|g_k|^4
     u_bar:   -            sum t_k/|g_k|^2 + (eps^2/n) sum 1/|g_k|^2 +   L   sum t_k/|g_k|^4
@@ -81,17 +81,14 @@ class M0Result(NamedTuple):
     threshold: float
 
 
-def log_squared_over_n(n: int, log_base: float = math.e) -> float:
-    """``log^2(n) / n`` in the requested base (natural by default)."""
-    if not (log_base > 1.0):
-        raise InvalidParameterError(f"log_base must be > 1, got {log_base}")
+def log_squared_over_n(n: int) -> float:
+    """``log^2(n) / n``, natural log: the cap threshold and the penalty level."""
     if n < 2:
         raise InvalidParameterError(f"n must be >= 2, got {n}")
-    return (math.log(n) / math.log(log_base)) ** 2 / n
+    return math.log(n) ** 2 / n
 
 
-def compute_m0(density: ShiftDensity, n: int, k_max: int, *,
-               log_base: float = math.e) -> M0Result:
+def compute_m0(density: ShiftDensity, n: int, k_max: int) -> M0Result:
     """Largest usable cutoff: one below the first ``k`` with
     ``|gamma_k|^2 <= log^2(n)/n``.
 
@@ -102,7 +99,7 @@ def compute_m0(density: ShiftDensity, n: int, k_max: int, *,
         raise InvalidParameterError(f"n must be >= 2, got {n}")
     if k_max < 1:
         raise InvalidParameterError(f"k_max must be >= 1, got {k_max}")
-    threshold = log_squared_over_n(n, log_base)
+    threshold = log_squared_over_n(n)
     mags2 = np.abs(density.gamma(np.arange(1, k_max + 1))) ** 2
     crossed = np.nonzero(mags2 <= threshold)[0]
     if crossed.size == 0:
@@ -110,12 +107,11 @@ def compute_m0(density: ShiftDensity, n: int, k_max: int, *,
     return M0Result(value=int(crossed[0]), saturated=False, threshold=threshold)
 
 
-def _cutoff_cap(density: ShiftDensity, n: int, k_max: int, m0: Optional[int],
-                log_base: float) -> int:
+def _cutoff_cap(density: ShiftDensity, n: int, k_max: int, m0: Optional[int]) -> int:
     """The cap of every cutoff search: ``m0``, or :func:`compute_m0`'s value
     when it is ``None``; in ``0..k_max`` either way."""
     if m0 is None:
-        m0 = compute_m0(density, n, k_max, log_base=log_base).value
+        m0 = compute_m0(density, n, k_max).value
     if not (0 <= m0 <= k_max):
         raise InvalidParameterError(f"m0 must be in 0..{k_max}, got {m0}")
     return int(m0)
@@ -171,7 +167,6 @@ def fraction_negative_theta_hat(obs: SequenceSummary, density: ShiftDensity,
 
 def criterion_increments(obs: SequenceSummary, density: ShiftDensity,
                          kind: str, n_max: int, *,
-                         log_base: float = math.e,
                          penalty_variant: str = "printed_form") -> np.ndarray:
     """Per-step criterion increments ``inc[..., 0..n_max]``, one row per
     dataset of a stack.
@@ -202,7 +197,7 @@ def criterion_increments(obs: SequenceSummary, density: ShiftDensity,
             per_k = (-(1.0 - 1.0 / n) * t / g2 + noise_floor / g2
                      + (1.0 / n) * t / (g2 * g2))
         elif kind == "u_bar":
-            level = log_squared_over_n(n, log_base)
+            level = log_squared_over_n(n)
             if penalty_variant == "proof_form":
                 pen = level * t / (g2 * g2)
             else:
@@ -248,7 +243,6 @@ class CutoffSelection:
 def select_cutoff(obs: SequenceSummary, density: ShiftDensity,
                   kind: str = "u_bar", *,
                   m0: Optional[int] = None,
-                  log_base: float = math.e,
                   penalty_variant: str = "printed_form") -> CutoffSelection:
     """Minimize a criterion over cutoffs ``0..m0``.
 
@@ -256,9 +250,8 @@ def select_cutoff(obs: SequenceSummary, density: ShiftDensity,
     ``(n, k_max)``; pass an explicit value to override.  Ties are broken
     toward the smallest cutoff (the most regularized choice).
     """
-    m0 = _cutoff_cap(density, obs.n, obs.k_max, m0, log_base)
-    trace = criterion_trace(obs, density, kind, m0, log_base=log_base,
-                            penalty_variant=penalty_variant)
+    m0 = _cutoff_cap(density, obs.n, obs.k_max, m0)
+    trace = criterion_trace(obs, density, kind, m0, penalty_variant=penalty_variant)
     chosen = int(np.argmin(trace))  # argmin returns the first (smallest-N) minimum
     return CutoffSelection(chosen_n=chosen, m0=m0,
                            criterion_values=trace, criterion_kind=kind)

@@ -182,10 +182,14 @@ class ShiftDensity:
     label: str = ""
 
     def gamma(self, k) -> np.ndarray:
-        """Fourier coefficient(s) of the shift density at frequencies ``k``."""
-        k_arr = np.asarray(k)
-        out = np.asarray(self.gamma_fn(k_arr), dtype=np.complex128)
-        return out
+        """Fourier coefficient(s) of the shift density at frequencies ``k``.
+
+        A value whose computation overflows takes its limit, ``|gamma_k| = 0``
+        (an argument ``inf`` may make it ``nan``); :meth:`gamma_band`
+        refuses both.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.asarray(self.gamma_fn(np.asarray(k)), dtype=np.complex128)
 
     def gamma_band(self, k_max: int) -> np.ndarray:
         """``gamma_k`` for ``k = -k_max..k_max`` as a flat array, safe to invert.
@@ -195,16 +199,23 @@ class ShiftDensity:
         VanishingEigenvalueError
             If some ``|gamma_k|^2`` on the band is at or below
             :data:`EIGENVALUE_FLOOR`.
+        InvariantViolationError
+            If some ``|gamma_k|^2`` on the band is not finite.
         """
         if k_max < 0:
             raise InvalidParameterError(f"k_max must be >= 0, got {k_max}")
         gam = self.gamma(np.arange(-k_max, k_max + 1))
         g2 = np.abs(gam) ** 2
-        vanishing = np.flatnonzero(g2 <= EIGENVALUE_FLOOR)
-        if vanishing.size:
-            at = vanishing[0]
+        unusable = np.flatnonzero(~((g2 > EIGENVALUE_FLOOR) & (g2 < math.inf)))
+        if unusable.size:
+            at = unusable[0]
+            value, k = float(g2[at]), int(at) - k_max
+            if not math.isfinite(value):
+                raise InvariantViolationError(
+                    f"|gamma_k|^2 = {value} at k={k} is not finite; a shift "
+                    f"density's Fourier coefficients are at most 1 in modulus")
             raise VanishingEigenvalueError(
-                f"|gamma_k|^2 = {float(g2[at]):.3e} at k={int(at) - k_max} is at "
+                f"|gamma_k|^2 = {value:.3e} at k={k} is at "
                 f"or below EIGENVALUE_FLOOR = {EIGENVALUE_FLOOR:.3e}; the "
                 f"frequency cannot be inverted"
             )

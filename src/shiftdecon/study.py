@@ -36,8 +36,7 @@ from typing import Optional
 
 import numpy as np
 
-from .config import (ExperimentConfig, build_density, build_template, resolve_log_base,
-                     selection_options)
+from .config import ExperimentConfig, build_density, build_template
 from .csvio import write_csv, write_curves_csv, write_risk_report_csv
 from .errors import InvalidParameterError
 from .risk import (RiskReport, _mean_and_stderr, _replicate_seeds, _run_replicates,
@@ -88,29 +87,39 @@ def run_replication_study(cfg: ExperimentConfig, out_dir, *, grid_size: int = 25
     seeds = _replicate_seeds(cfg.seed, cfg.replications)
     template = build_template(cfg)
     density = build_density(cfg)
-    log_base = resolve_log_base(cfg)
     k_max = template.k_max
     if grid_size < 2 * k_max + 1:
         raise InvalidParameterError(
             f"grid_size={grid_size} cannot render the band |k| <= {k_max}"
         )
 
-    m0_res = compute_m0(density, cfg.n, k_max, log_base=log_base)
-    m0_used = _cutoff_cap(density, cfg.n, k_max, cfg.m0_override, log_base)
+    m0_res = compute_m0(density, cfg.n, k_max)
+    m0_used = _cutoff_cap(density, cfg.n, k_max, cfg.m0_override)
 
     rules = ("u_bar", "u_tilde")
     reps = _run_replicates(template, density, cfg.n, cfg.epsilon, seeds, rules,
-                           m0_used, workers=workers, **selection_options(cfg))
+                           m0_used, workers=workers,
+                           penalty_variant=cfg.penalty_variant)
     n_star, n_tilde = reps.cutoffs
     loss_star, loss_tilde = reps.losses
     neg_fracs = reps.negative_fractions
 
     # Theoretical risk curves over the scan band, for the summary ratios.
-    report = risk_report(template, density, cfg.n, cfg.epsilon, m0_used,
-                         log_base=log_base)
+    report = risk_report(template, density, cfg.n, cfg.epsilon, m0_used)
     inf_r = float(np.min(report.r))
     inf_r_bar = float(np.min(report.r_bar))
     inf_r_tilde = float(np.min(report.r_tilde))
+
+    summary_rows = []
+    for crit, losses in zip(rules, reps.losses):
+        mean, stderr = _mean_and_stderr(losses, cfg.epsilon)
+        summary_rows.append((
+            CRITERION_ESTIMATORS[crit], crit, mean, stderr,
+            inf_r, inf_r_bar, inf_r_tilde,
+            mean / inf_r if inf_r > 0 else float("nan"),
+            mean / inf_r_bar if inf_r_bar > 0 else float("nan"),
+            mean / inf_r_tilde if inf_r_tilde > 0 else float("nan"),
+        ))
 
     # --- CSV bundle -------------------------------------------------------
     out_dir = Path(out_dir)
@@ -142,16 +151,6 @@ def run_replication_study(cfg: ExperimentConfig, out_dir, *, grid_size: int = 25
 
     write_risk_report_csv(out_dir / "risk_curves.csv", report)
 
-    summary_rows = []
-    for crit, losses in zip(rules, reps.losses):
-        mean, stderr = _mean_and_stderr(losses)
-        summary_rows.append((
-            CRITERION_ESTIMATORS[crit], crit, mean, stderr,
-            inf_r, inf_r_bar, inf_r_tilde,
-            mean / inf_r if inf_r > 0 else float("nan"),
-            mean / inf_r_bar if inf_r_bar > 0 else float("nan"),
-            mean / inf_r_tilde if inf_r_tilde > 0 else float("nan"),
-        ))
     write_csv(out_dir / "risk_summary.csv",
               ["estimator", "criterion", "mc_mean", "mc_stderr", "inf_r",
                "inf_r_bar", "inf_r_tilde", "ratio_vs_r", "ratio_vs_r_bar",
@@ -172,7 +171,6 @@ def run_replication_study(cfg: ExperimentConfig, out_dir, *, grid_size: int = 25
         ("m0_formula", m0_res.value),
         ("m0_formula_saturated", m0_res.saturated),
         ("m0_threshold", m0_res.threshold),
-        ("log_base", cfg.log_base),
         ("penalty_variant", cfg.penalty_variant),
         ("mean_negative_energy_fraction", float(np.mean(neg_fracs))),
         ("sample_curves_draw", "simulate at the seed of replicate 0: same shifts "

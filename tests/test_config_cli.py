@@ -11,7 +11,7 @@ import pytest
 from shiftdecon.cli import _resolve_config, build_parser, main
 from shiftdecon.config import (CONFIG_FIELDS, ExperimentConfig, build_density,
                                build_template, load_config, parse_config,
-                               resolve_log_base, save_config, serialize_config)
+                               save_config, serialize_config)
 from shiftdecon.csvio import write_template_csv
 from shiftdecon.errors import ConfigError
 from shiftdecon.catalog import wave_template
@@ -32,7 +32,6 @@ def test_default_config_is_the_reference_study():
     assert (cfg.n, cfg.epsilon, cfg.k_max) == (100, 0.015, 40)
     assert cfg.replications == 100 and cfg.seed == 1
     assert cfg.m0_override == 32
-    assert cfg.log_base == "natural"
     assert cfg.penalty_variant == "printed_form"
 
 
@@ -52,7 +51,6 @@ def test_default_config_is_the_reference_study():
     ("replications", 1),
     ("seed", -1),
     ("m0_override", 41),
-    ("log_base", "binary"),
     ("penalty_variant", "other"),
 ])
 def test_config_validation(field, value):
@@ -65,7 +63,7 @@ def test_serialize_parse_round_trip():
                 ExperimentConfig(template="spike", density_kind="uniform",
                                  density_half_width=0.2, n=37, epsilon=0.25,
                                  k_max=11, criterion="u", replications=3,
-                                 seed=99, m0_override=None, log_base="decimal",
+                                 seed=99, m0_override=None,
                                  penalty_variant="proof_form"),
                 ExperimentConfig(template="a%b.csv")):
         assert parse_config(serialize_config(cfg)) == cfg
@@ -114,6 +112,9 @@ def test_parse_rejects_unknown_names():
         parse_config("[experiment]\nbandwidth = 2\n")
     with pytest.raises(ConfigError):
         parse_config("[density]\nrate = 2\n")
+    # the logarithm is always natural: the former log_base key is refused by name
+    with pytest.raises(ConfigError, match="'log_base'"):
+        parse_config("[experiment]\nlog_base = natural\n")
 
 
 def test_parse_rejects_bad_values():
@@ -141,7 +142,7 @@ _NON_DEFAULT = {
     "template": "spike", "density_kind": "gaussian", "density_sigma": "0.2",
     "density_half_width": "0.3", "n": "37", "epsilon": "0.25", "k_max": "50",
     "criterion": "u", "replications": "3", "seed": "99", "m0_override": "formula",
-    "log_base": "decimal", "penalty_variant": "proof_form",
+    "penalty_variant": "proof_form",
 }
 
 
@@ -179,12 +180,6 @@ def test_build_template_catalog_and_file(tmp_path):
         build_template(ExperimentConfig(template=str(tmp_path / "missing.csv")))
     with pytest.raises(ConfigError):
         build_template(ExperimentConfig(template="sawtooth"))
-
-
-def test_resolve_log_base():
-    import math
-    assert resolve_log_base(ExperimentConfig()) == math.e
-    assert resolve_log_base(ExperimentConfig(log_base="decimal")) == 10.0
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +278,16 @@ def test_cli_write_config_round_trip(tmp_path):
     assert cfg.penalty_variant == "proof_form"
 
 
+def test_cli_refuses_the_log_base_flag(tmp_path, capsys):
+    # an unknown flag is an argparse usage error, not ignored
+    out = tmp_path / "exp.ini"
+    with pytest.raises(SystemExit) as exc:
+        run_cli("write-config", "--log-base", "decimal", "--out", str(out))
+    assert exc.value.code == 2
+    assert "--log-base" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_config_file_with_flag_overrides(tmp_path):
     ini = tmp_path / "base.ini"
     ini.write_text("[experiment]\nn = 7\nseed = 4\n")
@@ -334,7 +339,7 @@ def test_cli_replication_study_needs_two_replications(tmp_path, capsys):
 RATE_STUDY_IGNORED = {"template": "spike", "density_kind": "gaussian",
                       "density_sigma": "0.3", "density_half_width": "0.3",
                       "n": "50", "criterion": "u_tilde", "m0_override": "5",
-                      "log_base": "decimal", "penalty_variant": "proof_form"}
+                      "penalty_variant": "proof_form"}
 FIELD_BY_NAME = {field.name: field for field in CONFIG_FIELDS}
 TINY_RATE_STUDY = ("--smoothness", "1.0", "--beta", "0.0", "--n-grid", "40,80,160",
                    "--replications", "3")
@@ -434,6 +439,30 @@ def test_cli_rejects_an_epsilon_whose_noise_terms_overflow(command, tmp_path, ca
     assert payload["error"] == "InvalidParameterError"
     assert "epsilon=1.34e+154" in payload["message"] and "overflow" in payload["message"]
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_study_refuses_an_epsilon_whose_stderr_overflows(tmp_path, capsys):
+    # the losses are finite, their squared deviations are not: refused before
+    # the bundle directory exists, not written as mc_stderr = inf
+    out = tmp_path / "study"
+    code = run_cli("replication-study", "--epsilon", "1e80", "--replications", "50",
+                   "--out", str(out))
+    assert code == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert payload["error"] == "InvalidParameterError"
+    assert "epsilon=1e+80" in payload["message"] and "overflow" in payload["message"]
+    assert not out.exists()
+
+
+def test_cli_refuses_a_density_scale_whose_gamma_overflows(capsys):
+    # coef * k^2 overflows before the eigenvalue guard sees |gamma_k| = 0
+    code = run_cli("select", "--sigma", "1e152")
+    assert code == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "VanishingEigenvalueError"
 
 
 def test_cli_rejects_non_finite_density_parameters(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """The public surface: every exported name exists, and the keyword options
-are exactly the listed ones."""
+and the CLI flags are exactly the listed ones."""
+import argparse
 import importlib
 import inspect
 import pkgutil
@@ -7,6 +8,7 @@ import pkgutil
 import pytest
 
 import shiftdecon
+from shiftdecon.cli import build_parser
 
 MODULES = ["shiftdecon", *(f"shiftdecon.{info.name}"
                            for info in pkgutil.iter_modules(shiftdecon.__path__))]
@@ -19,23 +21,17 @@ PUBLIC_KEYWORD_OPTIONS = {
     "catalog.spike_template(location)",
     "catalog.wave_template(k_max)",
     "cli.main(argv)",
-    "risk.mc_risk(log_base)",
     "risk.mc_risk(m0)",
     "risk.mc_risk(penalty_variant)",
     "risk.mc_risk(workers)",
-    "risk.oracle_ratio(log_base)",
     "risk.oracle_ratio(m0)",
     "risk.oracle_ratio(penalty_variant)",
     "risk.oracle_ratio(workers)",
     "risk.rate_study(k_max)",
     "risk.rate_study(workers)",
-    "risk.risk_report(log_base)",
-    "selection.compute_m0(log_base)",
-    "selection.criterion_increments(log_base)",
     "selection.criterion_increments(penalty_variant)",
     "selection.estimate(kind)",
     "selection.select_cutoff(kind)",
-    "selection.select_cutoff(log_base)",
     "selection.select_cutoff(m0)",
     "selection.select_cutoff(penalty_variant)",
     "study.run_replication_study(grid_size)",
@@ -63,3 +59,30 @@ def test_public_keyword_options_are_the_listed_ones():
                       for p in inspect.signature(func).parameters.values()
                       if p.default is not inspect.Parameter.empty}
     assert found == PUBLIC_KEYWORD_OPTIONS
+
+
+# The flags of every subcommand: the configuration flags, which all share,
+# and each subcommand's own.  A new or removed flag has to be listed here.
+CONFIG_FLAGS = {"--config", "--template", "--density", "--sigma", "--half-width", "--n",
+                "--epsilon", "--k-max", "--criterion", "--replications", "--seed",
+                "--m0-override", "--penalty-variant"}
+SUBCOMMAND_FLAGS = {
+    "simulate": {"--grid-size", "--out"},
+    "select": {"--out"},
+    "estimate": {"--cutoff", "--grid-size", "--out", "--grid-out"},
+    "risk": {"--n-max", "--out"},
+    "replication-study": {"--grid-size", "--workers", "--out"},
+    "rate-study": {"--smoothness", "--beta", "--radius", "--n-grid", "--workers", "--out"},
+    "write-config": {"--out"},
+}
+
+
+def test_cli_flags_are_the_listed_ones():
+    parser = build_parser()
+    subparsers = next(action for action in parser._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    assert set(subparsers.choices) == set(SUBCOMMAND_FLAGS)
+    for command, sub in subparsers.choices.items():
+        flags = {flag for action in sub._actions for flag in action.option_strings
+                 if flag not in ("-h", "--help")}
+        assert flags == CONFIG_FLAGS | SUBCOMMAND_FLAGS[command], command

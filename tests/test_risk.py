@@ -9,7 +9,7 @@ import pytest
 from shiftdecon.catalog import sobolev_template, spike_template, wave_template
 from shiftdecon.config import ExperimentConfig, build_density, build_template
 from shiftdecon.errors import (DegenerateInputError, InvalidParameterError,
-                               VanishingEigenvalueError)
+                               InvariantViolationError, VanishingEigenvalueError)
 from shiftdecon.risk import (McRisk, RiskReport, _mean_and_stderr, _run_replicates,
                              _score, exact_risk, mc_risk, oracle_ratio, rate_study,
                              risk_report, theoretical_rate_exponent)
@@ -108,12 +108,8 @@ def test_report_accessors():
     rep = risk_report(WAVE8, LAPLACE, 50, 0.1, 8)
     pt = rep.point(3)
     assert pt.r == rep.r[3] and pt.bias == rep.bias[3]
-    assert np.array_equal(rep.column("r_bar"), rep.r_bar)
-    assert rep.oracle("r_tilde") == rep.oracle_r_tilde
-    with pytest.raises(InvalidParameterError):
-        rep.column("loss")
-    with pytest.raises(InvalidParameterError):
-        rep.oracle("loss")
+    assert (pt.v1, pt.v2) == (rep.v1[3], rep.v2[3])
+    assert rep.n_max == 8
 
 
 def test_point_helpers_match_report():
@@ -138,25 +134,25 @@ def test_risk_report_validation():
         risk_report(WAVE8, zero_density, 10, 0.1, 4)
     with pytest.raises(VanishingEigenvalueError):
         risk_report(WAVE8, uniform_density(0.25), 10, 0.1, 4)
+    nan_at_2 = ShiftDensity(gamma_fn=lambda k: np.where(k == 2, np.nan, 1.0),
+                            sampler=lambda rng, size: np.zeros(size))
+    with pytest.raises(InvariantViolationError, match="at k=2 is not finite"):
+        risk_report(WAVE8, nan_at_2, 10, 0.1, 3)
 
 
 # sha256 prefixes of r_bar's bytes for WAVE8, Laplace(0.1), epsilon 0.1, N <= 8,
 # frozen before the penalty level moved to selection.log_squared_over_n
-R_BAR_BYTES = {(math.e, 2): "5f3a81c1bf20439d", (math.e, 50): "5b3852c9d290ea9d",
-               (10.0, 2): "0b9d58cb4f94b48e", (10.0, 50): "2e4ac82909edf70f"}
+R_BAR_BYTES = {2: "5f3a81c1bf20439d", 50: "5b3852c9d290ea9d"}
 
 
 def test_risk_report_log_base():
-    for (log_base, n), digest in R_BAR_BYTES.items():
-        r_bar = risk_report(WAVE8, LAPLACE, n, 0.1, 8, log_base=log_base).r_bar
+    # the penalty level is log^2(n)/n with the natural log
+    for n, digest in R_BAR_BYTES.items():
+        r_bar = risk_report(WAVE8, LAPLACE, n, 0.1, 8).r_bar
         assert hashlib.sha256(r_bar.tobytes()).hexdigest()[:16] == digest
     # log(1) = 0: no penalty at n = 1
     one = risk_report(WAVE8, LAPLACE, 1, 0.1, 8)
     assert np.array_equal(one.r_bar, one.r_tilde)
-    for log_base in (1.0, 0.5):
-        for n in (1, 2, 50):
-            with pytest.raises(InvalidParameterError, match="log_base"):
-                risk_report(WAVE8, LAPLACE, n, 0.1, 8, log_base=log_base)
 
 
 # ---------------------------------------------------------------------------
@@ -166,9 +162,9 @@ def test_risk_report_log_base():
 def test_reference_configuration_oracles_frozen():
     """Scan-derived argmins for the wave/Laplace study parameters."""
     report = risk_report(wave_template(40), LAPLACE, 100, 0.015, 32)
-    assert report.oracle("r") == 6
-    assert report.oracle("r_bar") == 2
-    assert report.oracle("r_tilde") == 9
+    assert report.oracle_r == 6
+    assert report.oracle_r_bar == 2
+    assert report.oracle_r_tilde == 9
 
 
 def test_penalized_oracle_never_later_than_plain():
@@ -176,14 +172,17 @@ def test_penalized_oracle_never_later_than_plain():
     wave = wave_template(40)
     for eps in (0.005, 0.015, 0.05):
         report = risk_report(wave, LAPLACE, 100, eps, 32)
-        assert report.oracle("r_bar") <= report.oracle("r_tilde")
+        assert report.oracle_r_bar <= report.oracle_r_tilde
 
 
 def test_oracle_cutoff_validation():
+    # no oracle below cutoff 0, and each oracle lies in the tabulated band
     with pytest.raises(InvalidParameterError):
-        risk_report(WAVE8, LAPLACE, 50, 0.1, -1).oracle("r")
-    with pytest.raises(InvalidParameterError):
-        risk_report(WAVE8, LAPLACE, 50, 0.1, 5).oracle("bogus")
+        risk_report(WAVE8, LAPLACE, 50, 0.1, -1)
+    report = risk_report(WAVE8, LAPLACE, 50, 0.1, 5)
+    for oracle, curve in ((report.oracle_r, report.r), (report.oracle_r_bar, report.r_bar),
+                          (report.oracle_r_tilde, report.r_tilde)):
+        assert 0 <= oracle <= 5 and curve[oracle] == curve.min()
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +196,7 @@ def test_fixed_cutoff_loss_matches_exact_risk():
     obs = _draw_summaries(WAVE8, LAPLACE, n, eps, np.random.SeedSequence(314).spawn(reps))
     losses = _score(WAVE8, obs.c_tilde, np.full(reps, N), LAPLACE.gamma_band(N),
                     _tail_energy(WAVE8, N), N)
-    mean, stderr = _mean_and_stderr(losses)
+    mean, stderr = _mean_and_stderr(losses, eps)
     assert abs(mean - exact) < 3.0 * stderr
     assert losses.shape == (reps,)
 
@@ -261,7 +260,7 @@ def test_engine_matches_one_replicate_at_a_time():
     # estimator, one seed at a time; 30 seeds at n = 600 span five chunks.
     # The engine keeps replicate 0's criterion traces, bit for bit.
     template, n, epsilon, m0 = WAVE8, 600, 0.3, 7
-    options = dict(log_base=10.0, penalty_variant="printed_form")
+    options = dict(penalty_variant="proof_form")
     rules = ("u_bar", "u_tilde", "u")
     seeds = np.random.SeedSequence(77).spawn(30)
     reps = _run_replicates(template, LAPLACE, n, epsilon, seeds, rules, m0,
@@ -303,6 +302,21 @@ def test_study_traces_are_replicate_zero(tmp_path):
         assert "independent noise" in meta["sample_curves_draw"]
 
 
+# meta.csv's keys, in order: a new or removed row has to be listed here
+META_KEYS = ["template", "density", "n", "epsilon", "k_max", "criterion", "replications",
+             "seed", "grid_size", "m0_used", "m0_formula", "m0_formula_saturated",
+             "m0_threshold", "penalty_variant", "mean_negative_energy_fraction",
+             "sample_curves_draw"]
+
+
+def test_study_meta_keys(tmp_path):
+    run_replication_study(ExperimentConfig(replications=2), tmp_path)
+    rows = _read_rows(tmp_path / "meta.csv")
+    assert [row["key"] for row in rows] == META_KEYS
+    # the level of the cap and the penalty, natural log
+    assert float(rows[META_KEYS.index("m0_threshold")]["value"]) == math.log(100) ** 2 / 100
+
+
 def test_mc_risk_adaptive_uses_selected_cutoffs():
     mc = mc_risk(WAVE8, LAPLACE, 30, 0.05, "theta_tilde", 30, seed=4, m0=8)
     assert np.all((0 <= mc.cutoffs) & (mc.cutoffs <= 8))
@@ -339,6 +353,12 @@ def test_mc_risk_validation():
     # a fixed cutoff's risk is exact: risk_report / exact_risk give it
     with pytest.raises(InvalidParameterError, match="unknown estimator kind 'fixed_n'"):
         mc_risk(WAVE8, LAPLACE, 10, 0.1, "fixed_n", 10, seed=0, m0=2)
+
+
+def test_mc_risk_refuses_an_epsilon_whose_losses_overflow_the_stderr():
+    # every loss is finite, but their squared deviations from the mean are not
+    with pytest.raises(InvalidParameterError, match="epsilon=1e\\+80 .*overflow"):
+        mc_risk(WAVE8, LAPLACE, 10, 1e80, "theta_tilde", 10, seed=0, m0=2)
 
 
 # ---------------------------------------------------------------------------

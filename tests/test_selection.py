@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from shiftdecon.catalog import wave_template
-from shiftdecon.errors import InvalidParameterError, VanishingEigenvalueError
+from shiftdecon.errors import (InvalidParameterError, InvariantViolationError,
+                               VanishingEigenvalueError)
 from shiftdecon.selection import (CRITERION_KINDS, CutoffSelection, compute_m0,
                                   criterion_increments, criterion_trace,
                                   estimate,
@@ -19,10 +20,10 @@ from shiftdecon.spectral import (ShiftDensity, Template, laplace_density,
 LAPLACE = laplace_density(0.1)
 
 
-def brute_m0(density, n, k_max, base=math.e):
+def brute_m0(density, n, k_max):
     # independent re-derivation: scan k upward, stop one before the first
     # frequency whose squared eigenvalue falls to the threshold
-    thr = (math.log(n) / math.log(base)) ** 2 / n
+    thr = math.log(n) ** 2 / n
     for k in range(1, k_max + 1):
         if abs(complex(density.gamma(k))) ** 2 <= thr:
             return k - 1
@@ -35,13 +36,8 @@ def brute_m0(density, n, k_max, base=math.e):
 
 def test_log_squared_over_n():
     assert abs(log_squared_over_n(100) - math.log(100) ** 2 / 100) < 1e-16
-    assert abs(log_squared_over_n(100, 10.0) - 0.04) < 1e-16
     with pytest.raises(InvalidParameterError):
         log_squared_over_n(1)
-    for log_base in (1.0, 0.5):
-        for n in (1, 10):
-            with pytest.raises(InvalidParameterError, match="log_base"):
-                log_squared_over_n(n, log_base=log_base)
 
 
 @pytest.mark.parametrize("n,expected", [(100, 2), (10**6, 19)])
@@ -50,11 +46,6 @@ def test_m0_laplace_reference_values(n, expected):
     assert res.value == expected == brute_m0(LAPLACE, n, 40)
     assert not res.saturated
     assert abs(res.threshold - math.log(n) ** 2 / n) < 1e-16
-
-
-def test_m0_decimal_log():
-    res = compute_m0(LAPLACE, 100, 40, log_base=10.0)
-    assert res.value == brute_m0(LAPLACE, 100, 40, base=10.0) == 4
 
 
 def test_m0_saturates_when_nothing_crosses():
@@ -376,3 +367,8 @@ def test_estimate_validation():
         estimate(obs, zero_density, cutoff=1)
     with pytest.raises(VanishingEigenvalueError):
         estimate(obs, uniform_density(0.25), cutoff=4)
+    # NaN passes no comparison, so "not above the floor" is what catches it
+    nan_at_2 = ShiftDensity(gamma_fn=lambda k: np.where(k == 2, np.nan, 1.0),
+                            sampler=lambda rng, size: np.zeros(size))
+    with pytest.raises(InvariantViolationError, match="at k=2 is not finite"):
+        estimate(obs, nan_at_2, cutoff=3)

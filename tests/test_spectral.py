@@ -7,7 +7,7 @@ import pytest
 
 from shiftdecon.catalog import wave_template
 from shiftdecon.errors import (AliasingError, InvalidParameterError,
-                               InvariantViolationError)
+                               InvariantViolationError, VanishingEigenvalueError)
 from shiftdecon.spectral import (DecayProfile, ShiftDensity, Template, analyze,
                                  gaussian_density, laplace_density,
                                  point_mass_density, synthesize,
@@ -105,6 +105,27 @@ def test_density_scale_must_be_positive(bad):
 def test_density_scale_coefficient_must_be_finite(build, scale, message):
     with pytest.raises(InvalidParameterError, match=re.escape(message)):
         build(scale)
+
+
+@pytest.mark.parametrize("density,k_max", [
+    (laplace_density(1e153), 4),
+    (uniform_density(4.5e307), 3),
+    (gaussian_density(1e150), 20000),
+], ids=["laplace", "uniform", "gaussian"])
+def test_gamma_that_overflows_is_a_vanishing_eigenvalue(density, k_max):
+    # coef * k^2 (or 2 a k) overflows; the limit |gamma_k| = 0 is refused,
+    # with no numpy warning on the way
+    with pytest.raises(VanishingEigenvalueError, match="EIGENVALUE_FLOOR"):
+        density.gamma_band(k_max)
+
+
+def test_gamma_band_refuses_a_non_finite_gamma():
+    for bad in (math.nan, math.inf):
+        density = ShiftDensity(gamma_fn=lambda k, bad=bad: np.where(k == 2, bad, 1.0),
+                               sampler=lambda rng, size: np.zeros(size))
+        assert np.array_equal(density.gamma_band(1), np.ones(3))
+        with pytest.raises(InvariantViolationError, match="at k=2 is not finite"):
+            density.gamma_band(3)
 
 
 # ---------------------------------------------------------------------------
