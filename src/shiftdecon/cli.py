@@ -28,7 +28,7 @@ from .csvio import (write_csv, write_curves_csv, write_rate_study_csv,
                     write_risk_report_csv, write_selection_csv)
 from .errors import ConfigError, ShiftDeconError
 from .risk import rate_study, risk_report
-from .selection import CRITERION_ESTIMATORS, compute_m0, estimate, select_cutoff
+from .selection import CRITERION_ESTIMATORS, _cutoff_cap, estimate, select_cutoff
 from .simulate import render_curves, render_grid, simulate
 from .spectral import _synthesize_rows
 from .study import run_replication_study
@@ -108,9 +108,8 @@ def cmd_risk(args) -> int:
     cfg = _resolve_config(args)
     template = build_template(cfg)
     density = build_density(cfg)
-    n_max = args.n_max if args.n_max is not None else cfg.m0_override
-    if n_max is None:
-        n_max = compute_m0(density, cfg.n, template.k_max).value
+    n_max = (args.n_max if args.n_max is not None
+             else _cutoff_cap(density, cfg.n, template.k_max, cfg.m0_override))
     report = risk_report(template, density, cfg.n, cfg.epsilon, n_max)
     if args.out:
         write_risk_report_csv(args.out, report)
@@ -183,6 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    workers_help = "must be >= 1; replicates run serially in seed order, so it changes no result"
 
     p = sub.add_parser("simulate", help="simulate one dataset and render its curves")
     _add_config_flags(p)
@@ -215,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("replication-study", help="full replication study as a CSV bundle")
     _add_config_flags(p)
     p.add_argument("--grid-size", type=int, default=256, dest="grid_size")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help=workers_help)
     p.add_argument("--out", default="study_out")
     p.set_defaults(func=cmd_replication_study)
 
@@ -225,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, default=2.0)
     p.add_argument("--radius", type=float, default=5.0)
     p.add_argument("--n-grid", dest="n_grid", default="200,400,800,1600,3200,6400")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help=workers_help)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_rate_study)
 

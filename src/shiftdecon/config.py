@@ -34,16 +34,16 @@ sections or keys are rejected; ``%`` is literal, there is no interpolation)::
 from __future__ import annotations
 
 import configparser
-import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
 from .catalog import TEMPLATE_BUILDERS, catalog_template
-from .csvio import read_template_csv
-from .errors import ConfigError
+from .csvio import format_cell, read_template_csv
+from .errors import ConfigError, InvalidParameterError
 from .selection import CRITERION_KINDS, PENALTY_VARIANTS
+from .simulate import _check_inputs
 from .spectral import (ShiftDensity, Template, gaussian_density, laplace_density,
                        point_mass_density, uniform_density)
 
@@ -81,19 +81,20 @@ class ExperimentConfig:
         def bad(key, msg):
             raise ConfigError(f"config key {key!r}: {msg}")
 
+        def library(key, check, *args):
+            try:
+                check(*args)
+            except InvalidParameterError as exc:
+                bad(key, str(exc))
+
         if not self.template:
             bad("template", "must be a catalog name or a file path")
         if self.density_kind not in DENSITY_KINDS:
             bad("density.kind", f"must be one of {DENSITY_KINDS}, got {self.density_kind!r}")
-        if not (0.0 < self.density_sigma < math.inf):
-            bad("density.sigma", f"must be finite and > 0, got {self.density_sigma!r}")
-        if not (0.0 < self.density_half_width < math.inf):
-            bad("density.half_width",
-                f"must be finite and > 0, got {self.density_half_width!r}")
-        if not (isinstance(self.n, int) and self.n >= 1):
-            bad("n", f"must be an integer >= 1, got {self.n!r}")
-        if not (0.0 <= self.epsilon and self.epsilon * self.epsilon < math.inf):
-            bad("epsilon", f"must be >= 0 with a finite square, got {self.epsilon!r}")
+        library("density.sigma", laplace_density, self.density_sigma)
+        library("density.half_width", uniform_density, self.density_half_width)
+        library("n", _check_inputs, self.n, 0.0)
+        library("epsilon", _check_inputs, 1, self.epsilon)
         if not (isinstance(self.k_max, int) and self.k_max >= 1):
             bad("k_max", f"must be an integer >= 1, got {self.k_max!r}")
         if self.criterion not in CRITERION_KINDS:
@@ -102,10 +103,9 @@ class ExperimentConfig:
             bad("replications", f"must be an integer >= 2, got {self.replications!r}")
         if not (isinstance(self.seed, int) and self.seed >= 0):
             bad("seed", f"must be an integer >= 0, got {self.seed!r}")
-        if self.m0_override is not None:
-            if not (isinstance(self.m0_override, int)
-                    and 0 <= self.m0_override <= self.k_max):
-                bad("m0_override", f"must be in 0..k_max={self.k_max}, got {self.m0_override!r}")
+        # its range, 0..k_max of the built template's band, is checked at use
+        if not (self.m0_override is None or isinstance(self.m0_override, int)):
+            bad("m0_override", f"must be an integer or none, got {self.m0_override!r}")
         if self.penalty_variant not in PENALTY_VARIANTS:
             bad("penalty_variant", f"must be one of {PENALTY_VARIANTS}, got {self.penalty_variant!r}")
 
@@ -244,7 +244,7 @@ def _format(field: ConfigField, value) -> str:
     if value is None:
         return "none"
     if not isinstance(value, str):
-        return repr(value)
+        return format_cell(value)
     if value != value.strip() or _UNREADABLE_TEXT.search(" " + value):
         raise ConfigError(
             f"config key {field.key!r}: {value!r} cannot be written to an INI file "

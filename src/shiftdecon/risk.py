@@ -139,9 +139,7 @@ def risk_report(template: Template, density: ShiftDensity, n: int, epsilon: floa
     with _noise_terms(epsilon):
         v1 = (epsilon ** 2 / n) * np.cumsum(v1_steps)
     v2 = (1.0 / n) * np.cumsum(v2_steps)
-    # log(1) = 0, so there is no penalty at n = 1, which log_squared_over_n refuses.
-    level = 0.0 if n == 1 else log_squared_over_n(n)
-    pen = level * np.cumsum(pen_steps)
+    pen = log_squared_over_n(n) * np.cumsum(pen_steps)
 
     base = bias + v1
     r = base + v2
@@ -371,8 +369,6 @@ def rate_study(s: float, beta: float, radius: float, n_grid: Sequence[int],
         )
     if np.any(np.diff(n_grid_arr) <= 0):
         raise InvalidParameterError("n_grid must be strictly increasing")
-    if np.any(n_grid_arr < 2):
-        raise InvalidParameterError("all n in n_grid must be >= 2")
     if beta == 0.0:
         density = point_mass_density()
     elif beta == 2.0:

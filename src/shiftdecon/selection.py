@@ -19,6 +19,10 @@ estimate of ``L sum |theta_k|^2/|g_k|^2``.  The default, ``"printed_form"``
 ``(|c_tilde_k| - eps^2/n)/|g_k|^2``.  The cap ``m0`` is one below the first
 ``k`` with ``|g_k|^2 <= L``.
 
+``t_k`` over a band has one kernel, ``_band_energy``; :func:`theta_hat_squared`
+is its scalar reference.  At ``n = 1``, ``L`` is 0: ``u_bar`` has no
+penalty, and the cap saturates at ``k_max`` unless a ``g_k`` is exactly 0.
+
 Every function here reads a dataset only through its column means
 (``c_tilde``, ``n``, ``epsilon``, ``k_max``), so it takes a
 :class:`~shiftdecon.simulate.SequenceSummary`: the summary-only draw or a
@@ -45,7 +49,7 @@ from typing import NamedTuple, Optional, Union
 import numpy as np
 
 from .errors import InvalidParameterError
-from .simulate import SequenceSummary
+from .simulate import SequenceSummary, _check_inputs
 from .spectral import ShiftDensity, _pair_sums, _synthesize_rows
 
 __all__ = [
@@ -82,9 +86,9 @@ class M0Result(NamedTuple):
 
 
 def log_squared_over_n(n: int) -> float:
-    """``log^2(n) / n``, natural log: the cap threshold and the penalty level."""
-    if n < 2:
-        raise InvalidParameterError(f"n must be >= 2, got {n}")
+    """``log^2(n) / n``, natural log: the cap threshold and the penalty level;
+    0.0 at ``n = 1``."""
+    n = _check_inputs(n, 0.0)
     return math.log(n) ** 2 / n
 
 
@@ -95,8 +99,6 @@ def compute_m0(density: ShiftDensity, n: int, k_max: int) -> M0Result:
     Scans ``k = 1..k_max``; if no frequency crosses the threshold the value
     saturates at ``k_max`` and the result is flagged accordingly.
     """
-    if n < 2:
-        raise InvalidParameterError(f"n must be >= 2, got {n}")
     if k_max < 1:
         raise InvalidParameterError(f"k_max must be >= 1, got {k_max}")
     threshold = log_squared_over_n(n)
@@ -138,12 +140,24 @@ def theta_hat_squared(obs: SequenceSummary, density: ShiftDensity,
     ``gamma_k`` is read from :meth:`ShiftDensity.gamma_band` over ``|k'| <= |k|``,
     so, as for every band estimate, a vanishing eigenvalue anywhere on that
     band raises :class:`~shiftdecon.errors.VanishingEigenvalueError`.
+    ``|c|`` is Python's ``abs``, which may differ from ``np.abs`` in the last bit.
     """
     if abs(k) > obs.k_max:
         raise InvalidParameterError(f"|k| must be <= k_max={obs.k_max}, got {k}")
     g2 = float(np.abs(density.gamma_band(abs(k))[k + abs(k)]) ** 2)
     c = obs.c_tilde[obs.coeff_index(k)]
     return float((abs(c) ** 2 - obs.epsilon ** 2 / obs.n) / g2)
+
+
+def _band_energy(obs: SequenceSummary, density: ShiftDensity, n_max: int) -> tuple:
+    """``|c_tilde_k|``, ``t_k = |c_tilde_k|^2 - eps^2/n`` and ``|gamma_k|^2`` on
+    ``|k| <= n_max``, row by row, for the criteria and the diagnostic."""
+    if not (0 <= n_max <= obs.k_max):
+        raise InvalidParameterError(f"n_max must be in 0..{obs.k_max}, got {n_max}")
+    g2 = np.abs(density.gamma_band(n_max)) ** 2
+    c_abs = np.abs(obs.c_tilde[..., obs.k_max - n_max : obs.k_max + n_max + 1])
+    with _noise_terms(obs.epsilon):
+        return c_abs, c_abs ** 2 - obs.epsilon ** 2 / obs.n, g2
 
 
 def fraction_negative_theta_hat(obs: SequenceSummary, density: ShiftDensity,
@@ -155,12 +169,8 @@ def fraction_negative_theta_hat(obs: SequenceSummary, density: ShiftDensity,
     A ``float`` for one dataset; for a stack, an array with one fraction per
     row.
     """
-    if not (0 <= n_max <= obs.k_max):
-        raise InvalidParameterError(f"n_max must be in 0..{obs.k_max}, got {n_max}")
-    g2 = np.abs(density.gamma_band(n_max)) ** 2
-    sl = slice(obs.k_max - n_max, obs.k_max + n_max + 1)
+    _, t, g2 = _band_energy(obs, density, n_max)
     with _noise_terms(obs.epsilon):
-        t = np.abs(obs.c_tilde[..., sl]) ** 2 - obs.epsilon ** 2 / obs.n
         fraction = np.count_nonzero(t / g2 < 0.0, axis=-1) / (2 * n_max + 1)
     return float(fraction) if fraction.ndim == 0 else fraction
 
@@ -181,18 +191,11 @@ def criterion_increments(obs: SequenceSummary, density: ShiftDensity,
         raise InvalidParameterError(
             f"unknown penalty_variant {penalty_variant!r}; expected one of {PENALTY_VARIANTS}"
         )
-    if not (0 <= n_max <= obs.k_max):
-        raise InvalidParameterError(
-            f"n_max must be in 0..{obs.k_max}, got {n_max}"
-        )
+    c_abs, t, g2 = _band_energy(obs, density, n_max)
     n = obs.n
-    g2 = np.abs(density.gamma_band(n_max)) ** 2
-    sl = slice(obs.k_max - n_max, obs.k_max + n_max + 1)
-    c_abs = np.abs(obs.c_tilde[..., sl])
     noise_floor = obs.epsilon ** 2 / n
 
     with _noise_terms(obs.epsilon):
-        t = c_abs ** 2 - noise_floor
         if kind == "u":
             per_k = (-(1.0 - 1.0 / n) * t / g2 + noise_floor / g2
                      + (1.0 / n) * t / (g2 * g2))

@@ -1,4 +1,5 @@
 """Configuration parsing and the command-line front end."""
+import csv
 import dataclasses
 import json
 import math
@@ -50,12 +51,36 @@ def test_default_config_is_the_reference_study():
     ("replications", 0),
     ("replications", 1),
     ("seed", -1),
-    ("m0_override", 41),
+    ("m0_override", 1.5),
     ("penalty_variant", "other"),
 ])
 def test_config_validation(field, value):
     with pytest.raises(ConfigError):
         ExperimentConfig(**{field: value})
+
+
+def test_m0_override_range_is_checked_against_the_built_band(capsys):
+    # the config takes any integer cap; a command that selects refuses one
+    # outside 0..k_max of the template it builds, and risk defaults to that cap
+    assert ExperimentConfig(m0_override=41).m0_override == 41
+    for argv in (("select", "--m0-override", "41"), ("risk", "--k-max", "16")):
+        assert run_cli(*argv) == 2
+        payload = json.loads(capsys.readouterr().err.strip())
+        assert payload["error"] == "InvalidParameterError"
+        assert "m0 must be in 0.." in payload["message"]
+    # an explicit --n-max may still pass the band
+    assert run_cli("risk", "--k-max", "16", "--n-max", "20") == 0
+
+
+def test_serialize_round_trips_numpy_scalars():
+    for cfg in (ExperimentConfig(epsilon=np.float64(0.015)),
+                ExperimentConfig(density_sigma=np.float32(0.1)),
+                ExperimentConfig(n=np.int64(7))):
+        text = serialize_config(cfg)
+        assert "np." not in text
+        assert parse_config(text) == cfg
+    assert serialize_config(ExperimentConfig(epsilon=np.float64(0.015))) \
+        == serialize_config(ExperimentConfig())
 
 
 def test_serialize_parse_round_trip():
@@ -321,6 +346,49 @@ def test_cli_rate_study_smoke(tmp_path, capsys):
     assert code == 0
     assert "fitted_slope=" in capsys.readouterr().out
     assert out.read_text().splitlines()[0] == "n,mise,stderr"
+
+
+@pytest.mark.parametrize("argv", [
+    *(("select", "--criterion", kind) for kind in CRITERION_ESTIMATORS),
+    ("estimate",), ("risk",),
+], ids=" ".join)
+def test_cli_runs_at_one_curve(argv, capsys):
+    # log^2(1)/1 = 0: no penalty, and the formula cap saturates at k_max
+    assert run_cli(*argv, "--n", "1") == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_cli_studies_run_at_one_curve(tmp_path, capsys):
+    out = tmp_path / "study"
+    assert run_cli("replication-study", "--n", "1", "--replications", "2",
+                   "--out", str(out)) == 0
+    with open(out / "meta.csv", newline="") as fh:
+        meta = dict(csv.reader(fh))
+    assert meta["m0_threshold"] == "0.0" and meta["m0_formula_saturated"] == "true"
+    assert meta["m0_formula"] == "40"
+    assert run_cli("rate-study", "--n-grid", "1,2,4") == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_cli_coefficient_file_band_governs_the_cap(tmp_path, capsys):
+    wide = write_template_csv(tmp_path / "wide.csv", wave_template(60))
+    assert run_cli("select", "--template", str(wide), "--m0-override", "50") == 0
+    assert "m0=50" in capsys.readouterr().out
+    # a 9-band file under the default cap 32
+    narrow = write_template_csv(tmp_path / "narrow.csv", wave_template(9))
+    assert run_cli("select", "--template", str(narrow)) == 2
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload["error"] == "InvalidParameterError"
+    assert "m0" in payload["message"] and "32" in payload["message"]
+
+
+def test_cli_write_config_refuses_a_scale_every_command_would(tmp_path, capsys):
+    out = tmp_path / "exp.ini"
+    assert run_cli("write-config", "--sigma", "1e160", "--out", str(out)) == 2
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload["error"] == "ConfigError"
+    assert "'density.sigma'" in payload["message"]
+    assert not out.exists()
 
 
 def test_cli_replication_study_needs_two_replications(tmp_path, capsys):

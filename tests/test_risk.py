@@ -431,7 +431,7 @@ def test_rate_study_validation():
     with pytest.raises(InvalidParameterError):
         rate_study(2.0, 2.0, 5.0, [100, 100, 200], 0.01, 10, seed=0)
     with pytest.raises(InvalidParameterError):
-        rate_study(2.0, 2.0, 5.0, [1, 100, 200], 0.01, 10, seed=0)
+        rate_study(2.0, 2.0, 5.0, [0, 100, 200], 0.01, 10, seed=0)
     with pytest.raises(InvalidParameterError):
         # no built-in density decays at this exponent
         rate_study(2.0, 1.5, 5.0, [50, 100, 200], 0.01, 10, seed=0)

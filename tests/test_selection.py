@@ -36,8 +36,9 @@ def brute_m0(density, n, k_max):
 
 def test_log_squared_over_n():
     assert abs(log_squared_over_n(100) - math.log(100) ** 2 / 100) < 1e-16
+    assert log_squared_over_n(1) == 0.0  # log(1) = 0: no penalty, no cap
     with pytest.raises(InvalidParameterError):
-        log_squared_over_n(1)
+        log_squared_over_n(0)
 
 
 @pytest.mark.parametrize("n,expected", [(100, 2), (10**6, 19)])
@@ -54,8 +55,10 @@ def test_m0_saturates_when_nothing_crosses():
 
 
 def test_m0_validation():
+    # at n = 1 the threshold is 0, so the cap saturates
+    assert compute_m0(LAPLACE, 1, 10) == (10, True, 0.0)
     with pytest.raises(InvalidParameterError):
-        compute_m0(LAPLACE, 1, 10)
+        compute_m0(LAPLACE, 0, 10)
     with pytest.raises(InvalidParameterError):
         compute_m0(LAPLACE, 100, 0)
 
