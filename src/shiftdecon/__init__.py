@@ -34,9 +34,9 @@ from .selection import (CRITERION_KINDS, CutoffSelection, M0Result,
                         theta_hat_squared)
 from .simulate import (SequenceObservations, SequenceSummary, render_curves,
                        render_grid, simulate, simulate_summary)
-from .spectral import (DecayCheck, DecayProfile, ShiftDensity, Template, analyze,
-                       gaussian_density, laplace_density, point_mass_density,
-                       synthesize, uniform_density, verify_polynomial_decay)
+from .spectral import (ShiftDensity, Template, analyze, gaussian_density,
+                       laplace_density, point_mass_density, synthesize,
+                       uniform_density)
 from .study import ReplicationStudy, run_replication_study
 
 __version__ = "0.1.0"
@@ -44,9 +44,8 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # spectral
-    "Template", "DecayProfile", "DecayCheck", "ShiftDensity",
-    "laplace_density", "gaussian_density", "uniform_density",
-    "point_mass_density", "verify_polynomial_decay", "synthesize", "analyze",
+    "Template", "ShiftDensity", "laplace_density", "gaussian_density",
+    "uniform_density", "point_mass_density", "synthesize", "analyze",
     # simulate
     "SequenceSummary", "SequenceObservations", "simulate", "simulate_summary",
     "render_curves", "render_grid",

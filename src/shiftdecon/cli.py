@@ -25,7 +25,7 @@ from . import __version__
 from .config import (CONFIG_FIELDS, ExperimentConfig, build_density, build_template,
                      load_config, save_config)
 from .csvio import (write_csv, write_curves_csv, write_rate_study_csv,
-                    write_risk_report_csv, write_selection_csv)
+                    write_risk_report_csv, write_selection_csv, write_template_csv)
 from .errors import ConfigError, ShiftDeconError
 from .risk import rate_study, risk_report
 from .selection import CRITERION_ESTIMATORS, _cutoff_cap, estimate, select_cutoff
@@ -89,9 +89,7 @@ def cmd_estimate(args) -> int:
         cutoff, kind = sel.chosen_n, CRITERION_ESTIMATORS[cfg.criterion]
     est = estimate(obs, density, cutoff, kind)
     if args.out:
-        write_csv(args.out, ["k", "re", "im"],
-                  ((int(k), float(c.real), float(c.imag))
-                   for k, c in zip(est.k_values, est.coeffs)))
+        write_template_csv(args.out, est)
         print(f"wrote estimated coefficients to {args.out}")
     if args.grid_out:
         grid = render_grid(args.grid_size)

@@ -87,6 +87,12 @@ class ExperimentConfig:
             except InvalidParameterError as exc:
                 bad(key, str(exc))
 
+        # a bool passes every numeric check, but is written back as "true"
+        for field in CONFIG_FIELDS:
+            value = getattr(self, field.name)
+            if isinstance(value, bool):
+                key = field.key if field.section == "experiment" else f"{field.section}.{field.key}"
+                bad(key, f"must not be a bool, got {value!r}")
         if not self.template:
             bad("template", "must be a catalog name or a file path")
         if self.density_kind not in DENSITY_KINDS:

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import InvalidParameterError, InvariantViolationError
-from .selection import CutoffSelection
+from .selection import CutoffSelection, SpectralEstimate
 from .spectral import Template
 
 __all__ = [
@@ -94,8 +94,8 @@ def write_rate_study_csv(path, study) -> Path:
     return write_csv(path, ["n", "mise", "stderr"], rows)
 
 
-def write_template_csv(path, template: Template) -> Path:
-    """Coefficient table of a template: rows of (k, re, im)."""
+def write_template_csv(path, template: Template | SpectralEstimate) -> Path:
+    """Coefficient table of a template or an estimate: rows of (k, re, im)."""
     rows = (
         (int(k), float(c.real), float(c.imag))
         for k, c in zip(template.k_values, template.coeffs)

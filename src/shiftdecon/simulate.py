@@ -142,7 +142,7 @@ class SequenceObservations(SequenceSummary):
 def _check_inputs(n, epsilon) -> int:
     """``n`` as an ``int``, once it and ``epsilon`` are checked.  The square of
     ``epsilon`` must be finite: the estimators and risks use ``epsilon**2 / n``."""
-    if not isinstance(n, (int, np.integer)) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
         raise InvalidParameterError(f"n must be an integer >= 1, got {n!r}")
     if not (0.0 <= epsilon and epsilon * epsilon < math.inf):
         raise InvalidParameterError(f"epsilon must be >= 0 with a finite square, got {epsilon!r}")

@@ -18,15 +18,14 @@ curve's real part; :func:`_synthesize_rows` is the one synthesis path.
 
 A shift density is represented by its characteristic function evaluated on the
 integers, ``gamma_k = E exp(-2j*pi*k*tau)``, together with a sampler for the
-shifts themselves and an optional declared polynomial-decay envelope for
-``|gamma_k|``.
+shifts themselves.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -35,14 +34,11 @@ from .errors import (AliasingError, InvalidParameterError, InvariantViolationErr
 
 __all__ = [
     "Template",
-    "DecayProfile",
     "ShiftDensity",
-    "DecayCheck",
     "laplace_density",
     "gaussian_density",
     "uniform_density",
     "point_mass_density",
-    "verify_polynomial_decay",
     "synthesize",
     "analyze",
 ]
@@ -136,27 +132,6 @@ class Template:
 
 
 @dataclass(frozen=True)
-class DecayProfile:
-    """Declared two-sided polynomial envelope for ``|gamma_k|``.
-
-    Asserts ``c_min * |k|**-beta <= |gamma_k| <= c_max * |k|**-beta`` for all
-    ``k != 0``.
-    """
-
-    beta: float
-    c_min: float
-    c_max: float
-
-    def __post_init__(self):
-        if not (self.beta >= 0.0):
-            raise InvalidParameterError(f"beta must be >= 0, got {self.beta}")
-        if not (0.0 < self.c_min <= self.c_max):
-            raise InvalidParameterError(
-                f"need 0 < c_min <= c_max, got c_min={self.c_min}, c_max={self.c_max}"
-            )
-
-
-@dataclass(frozen=True)
 class ShiftDensity:
     """A distribution of random shifts, seen through its Fourier transform.
 
@@ -168,17 +143,12 @@ class ShiftDensity:
     sampler : callable
         ``sampler(rng, size)`` draws that many shifts with the given
         ``numpy.random.Generator``.
-    decay : DecayProfile or None
-        Declared polynomial envelope for ``|gamma_k|``; ``None`` when no honest
-        two-sided polynomial bound exists (e.g. super-polynomial decay, or
-        zeros of ``gamma``).
     label : str
         Free-form name.
     """
 
     gamma_fn: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     sampler: Callable[[np.random.Generator, int], np.ndarray] = field(repr=False)
-    decay: Optional[DecayProfile] = None
     label: str = ""
 
     def gamma(self, k) -> np.ndarray:
@@ -230,14 +200,14 @@ def laplace_density(sigma: float) -> ShiftDensity:
     """Centered Laplace shifts with standard deviation ``sigma``.
 
     The density is ``(1 / (sqrt(2) sigma)) exp(-sqrt(2) |x| / sigma)``, so
-    ``gamma_k = 1 / (1 + 2 sigma^2 pi^2 k^2)``: polynomial decay of degree 2
-    with exact envelope constants ``1/(2 sigma^2 pi^2 + 1)`` and
-    ``1/(2 sigma^2 pi^2)``.
+    ``gamma_k = 1 / (1 + 2 sigma^2 pi^2 k^2)``: polynomial decay of degree 2.
+    The arithmetic is in Python floats, whatever the type of ``sigma``.
     """
-    coef = 2.0 * sigma * sigma * math.pi * math.pi
-    if not (0.0 < sigma and 0.0 < coef < math.inf):  # the envelope divides by coef
+    s = float(sigma)
+    coef = 2.0 * s * s * math.pi * math.pi
+    if not (0.0 < sigma and 0.0 < coef < math.inf):
         raise InvalidParameterError(f"sigma and 2 pi^2 sigma^2 must be finite and > 0, got {sigma}")
-    scale = sigma / math.sqrt(2.0)
+    scale = s / math.sqrt(2.0)
 
     def gamma_fn(k):
         return (1.0 / (1.0 + coef * np.square(k.astype(float)))).astype(np.complex128)
@@ -245,17 +215,17 @@ def laplace_density(sigma: float) -> ShiftDensity:
     def sampler(rng, size):
         return rng.laplace(0.0, scale, size)
 
-    decay = DecayProfile(beta=2.0, c_min=1.0 / (coef + 1.0), c_max=1.0 / coef)
-    return ShiftDensity(gamma_fn=gamma_fn, sampler=sampler, decay=decay,
-                        label=f"laplace(sigma={sigma})")
+    return ShiftDensity(gamma_fn=gamma_fn, sampler=sampler, label=f"laplace(sigma={sigma})")
 
 
 def gaussian_density(sigma: float) -> ShiftDensity:
     """Centered Gaussian shifts; ``gamma_k = exp(-2 pi^2 k^2 sigma^2)``.
 
-    Decays faster than any polynomial, so no decay profile is declared.
+    Decays faster than any polynomial.  The arithmetic is in Python floats,
+    whatever the type of ``sigma``.
     """
-    coef = 2.0 * math.pi * math.pi * sigma * sigma
+    s = float(sigma)
+    coef = 2.0 * math.pi * math.pi * s * s
     if not (0.0 < sigma and 0.0 < coef < math.inf):
         raise InvalidParameterError(f"sigma and 2 pi^2 sigma^2 must be finite and > 0, got {sigma}")
 
@@ -265,21 +235,20 @@ def gaussian_density(sigma: float) -> ShiftDensity:
     def sampler(rng, size):
         return rng.normal(0.0, sigma, size)
 
-    return ShiftDensity(gamma_fn=gamma_fn, sampler=sampler, decay=None,
-                        label=f"gaussian(sigma={sigma})")
+    return ShiftDensity(gamma_fn=gamma_fn, sampler=sampler, label=f"gaussian(sigma={sigma})")
 
 
 def uniform_density(half_width: float) -> ShiftDensity:
     """Uniform shifts on ``[-a, a]``; ``gamma_k = sin(2 pi k a) / (2 pi k a)``.
 
-    ``gamma`` has zeros whenever ``2 k a`` is a nonzero integer, so no
-    two-sided polynomial envelope is declared.  Those zeros are returned as
-    exact ``0`` (``np.sinc`` alone leaves rounding residue of order 1e-17).
+    ``|gamma_k| <= 1 / (2 pi |k| a)``, with zeros whenever ``2 k a`` is a
+    nonzero integer.  Those zeros are returned as exact ``0`` (``np.sinc``
+    alone leaves rounding residue of order 1e-17).
     """
-    if not (0.0 < half_width and 2.0 * half_width < math.inf):
+    a = float(half_width)
+    if not (0.0 < half_width and 2.0 * a < math.inf):
         raise InvalidParameterError(
             f"half_width must be finite and > 0, and 2 * half_width finite, got {half_width}")
-    a = float(half_width)
 
     def gamma_fn(k):
         x = 2.0 * a * k.astype(float)
@@ -289,15 +258,14 @@ def uniform_density(half_width: float) -> ShiftDensity:
     def sampler(rng, size):
         return rng.uniform(-a, a, size)
 
-    return ShiftDensity(gamma_fn=gamma_fn, sampler=sampler, decay=None,
+    return ShiftDensity(gamma_fn=gamma_fn, sampler=sampler,
                         label=f"uniform(half_width={half_width})")
 
 
 def point_mass_density() -> ShiftDensity:
     """Degenerate density with all mass at 0: ``gamma_k = 1``, shifts are 0.
 
-    Useful as the no-shift limit; the declared decay profile is the trivial
-    ``beta = 0`` envelope with constants 1.
+    Useful as the no-shift limit: ``|gamma_k|`` does not decay at all.
     """
 
     def gamma_fn(k):
@@ -306,45 +274,7 @@ def point_mass_density() -> ShiftDensity:
     def sampler(rng, size):
         return np.zeros(size, dtype=float)
 
-    return ShiftDensity(gamma_fn=gamma_fn, sampler=sampler,
-                        decay=DecayProfile(beta=0.0, c_min=1.0, c_max=1.0),
-                        label="point_mass")
-
-
-class DecayCheck(NamedTuple):
-    """Result of a polynomial-decay verification scan."""
-
-    ok: bool
-    violating_k: Optional[int]
-
-
-def verify_polynomial_decay(density: ShiftDensity, k_max: int) -> DecayCheck:
-    """Check the declared envelope ``c_min |k|^-beta <= |gamma_k| <= c_max |k|^-beta``.
-
-    Scans ``k = 1, -1, 2, -2, ..`` up to ``|k| = k_max`` and reports the first
-    violating frequency, or ``(True, None)`` when every check passes.
-
-    Raises
-    ------
-    InvalidParameterError
-        If ``k_max < 1`` or the density declares no decay profile.
-    """
-    if k_max < 1:
-        raise InvalidParameterError(f"k_max must be >= 1, got {k_max}")
-    if density.decay is None:
-        raise InvalidParameterError(
-            f"density {density.label!r} declares no polynomial decay profile"
-        )
-    prof = density.decay
-    for k in range(1, k_max + 1):
-        envelope = float(k) ** (-prof.beta)
-        lo = prof.c_min * envelope
-        hi = prof.c_max * envelope
-        for signed_k in (k, -k):
-            mag = float(np.abs(density.gamma(signed_k)))
-            if not (lo <= mag <= hi):
-                return DecayCheck(ok=False, violating_k=signed_k)
-    return DecayCheck(ok=True, violating_k=None)
+    return ShiftDensity(gamma_fn=gamma_fn, sampler=sampler, label="point_mass")
 
 
 def _hermitian(half: np.ndarray) -> np.ndarray:

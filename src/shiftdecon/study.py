@@ -42,8 +42,8 @@ from .errors import InvalidParameterError
 from .risk import (RiskReport, _mean_and_stderr, _replicate_seeds, _run_replicates,
                    risk_report)
 from .selection import CRITERION_ESTIMATORS, _cutoff_cap, compute_m0
-from .simulate import render_curves, render_grid, simulate
-from .spectral import synthesize
+from .simulate import render_grid, simulate
+from .spectral import _synthesize_rows, synthesize
 
 __all__ = ["ReplicationStudy", "run_replication_study"]
 
@@ -129,9 +129,9 @@ def run_replication_study(cfg: ExperimentConfig, out_dir, *, grid_size: int = 25
                      synthesize(template, grid_size))
 
     curves = simulate(template, density, cfg.n, cfg.epsilon, seeds[0])
-    shown = min(_SAMPLE_CURVE_COUNT, cfg.n)
     write_curves_csv(out_dir / "sample_curves.csv", grid,
-                     render_curves(curves, grid_size)[:shown])
+                     _synthesize_rows(curves.per_curve[:_SAMPLE_CURVE_COUNT],
+                                      curves.k_max, grid_size))
 
     write_csv(out_dir / "traces.csv", ["n", "u_bar", "u_tilde"],
               ((n, *map(float, row)) for n, row in enumerate(reps.traces.T)))

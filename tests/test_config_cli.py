@@ -53,6 +53,14 @@ def test_default_config_is_the_reference_study():
     ("seed", -1),
     ("m0_override", 1.5),
     ("penalty_variant", "other"),
+    # a bool would pass as a number and be written back as "true"
+    ("n", True),
+    ("k_max", True),
+    ("seed", True),
+    ("m0_override", True),
+    ("epsilon", True),
+    ("density_sigma", True),
+    ("density_half_width", True),
 ])
 def test_config_validation(field, value):
     with pytest.raises(ConfigError):

@@ -1,5 +1,5 @@
-"""The public surface: every exported name exists, and the keyword options
-and the CLI flags are exactly the listed ones."""
+"""The public surface: every exported name exists, and the package's exported
+names, the keyword options and the CLI flags are exactly the listed ones."""
 import argparse
 import importlib
 import inspect
@@ -12,6 +12,36 @@ from shiftdecon.cli import build_parser
 
 MODULES = ["shiftdecon", *(f"shiftdecon.{info.name}"
                            for info in pkgutil.iter_modules(shiftdecon.__path__))]
+
+# shiftdecon.__all__.  A name added or removed has to be listed here.
+PUBLIC_NAMES = {
+    "__version__",
+    # spectral
+    "Template", "ShiftDensity", "laplace_density", "gaussian_density",
+    "uniform_density", "point_mass_density", "synthesize", "analyze",
+    # simulate
+    "SequenceSummary", "SequenceObservations", "simulate", "simulate_summary",
+    "render_curves", "render_grid",
+    # selection
+    "CRITERION_KINDS", "M0Result", "CutoffSelection", "SpectralEstimate",
+    "compute_m0", "theta_hat_squared", "fraction_negative_theta_hat",
+    "criterion_trace", "select_cutoff", "estimate",
+    # risk
+    "RiskBreakdown", "RiskReport", "McRisk", "RateStudy", "risk_report",
+    "exact_risk", "mc_risk", "oracle_ratio", "rate_study",
+    "theoretical_rate_exponent",
+    # catalog
+    "wave_template", "sobolev_template", "spike_template", "catalog_template",
+    "TEMPLATE_BUILDERS",
+    # config / study
+    "ExperimentConfig", "parse_config", "load_config", "serialize_config",
+    "save_config", "build_density", "build_template",
+    "ReplicationStudy", "run_replication_study",
+    # errors
+    "ShiftDeconError", "InvalidParameterError", "AliasingError",
+    "InvariantViolationError", "VanishingEigenvalueError",
+    "DegenerateInputError", "ConfigError",
+}
 
 # Every parameter with a default, over the functions in the modules' __all__.
 # A new option has to be added here.
@@ -44,6 +74,11 @@ def test_every_exported_name_resolves(module):
     mod = importlib.import_module(module)
     missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
     assert not missing, f"{module}.__all__ names missing attributes: {missing}"
+
+
+def test_public_names_are_the_listed_ones():
+    assert len(shiftdecon.__all__) == len(set(shiftdecon.__all__))
+    assert set(shiftdecon.__all__) == PUBLIC_NAMES
 
 
 def test_public_keyword_options_are_the_listed_ones():

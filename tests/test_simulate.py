@@ -63,8 +63,9 @@ def test_validate_catches_tampering():
 
 
 def test_parameter_validation():
-    with pytest.raises(InvalidParameterError):
-        simulate(TEMPLATE, LAPLACE, n=0, epsilon=0.1, seed=0)
+    for n in (0, True):
+        with pytest.raises(InvalidParameterError):
+            simulate(TEMPLATE, LAPLACE, n=n, epsilon=0.1, seed=0)
     for epsilon in (-0.1, math.inf, 1e155):
         with pytest.raises(InvalidParameterError):
             simulate(TEMPLATE, LAPLACE, n=4, epsilon=epsilon, seed=0)

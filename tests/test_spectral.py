@@ -1,6 +1,7 @@
-"""Fourier-side basics: densities, decay checks, synthesis/analysis round trips."""
+"""Fourier-side basics: densities, synthesis/analysis round trips."""
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -8,10 +9,9 @@ import pytest
 from shiftdecon.catalog import wave_template
 from shiftdecon.errors import (AliasingError, InvalidParameterError,
                                InvariantViolationError, VanishingEigenvalueError)
-from shiftdecon.spectral import (DecayProfile, ShiftDensity, Template, analyze,
-                                 gaussian_density, laplace_density,
-                                 point_mass_density, synthesize,
-                                 uniform_density, verify_polynomial_decay)
+from shiftdecon.spectral import (ShiftDensity, Template, analyze, gaussian_density,
+                                 laplace_density, point_mass_density, synthesize,
+                                 uniform_density)
 
 SIGMA = 0.1
 N_SAMPLER = 10_000
@@ -97,7 +97,8 @@ def test_density_scale_must_be_positive(bad):
 
 @pytest.mark.parametrize("build,scale,message", [
     (laplace_density, 1e200, "sigma and 2 pi^2 sigma^2 must be finite and > 0"),
-    # 2 pi^2 sigma^2 underflows to 0, and the Laplace envelope divides by it
+    # 2 pi^2 sigma^2 underflows to 0: gamma_k would be 1 at every k, a point
+    # mass under the Laplace label
     (laplace_density, 1e-200, "sigma and 2 pi^2 sigma^2 must be finite and > 0"),
     (gaussian_density, 1e154, "sigma and 2 pi^2 sigma^2 must be finite and > 0"),
     (uniform_density, 1e308, "half_width must be finite and > 0, and 2 * half_width finite"),
@@ -105,6 +106,19 @@ def test_density_scale_must_be_positive(bad):
 def test_density_scale_coefficient_must_be_finite(build, scale, message):
     with pytest.raises(InvalidParameterError, match=re.escape(message)):
         build(scale)
+
+
+@pytest.mark.parametrize("build,scale", [
+    (laplace_density, 1e20), (gaussian_density, 1e20), (uniform_density, 3e38),
+], ids=["laplace", "gaussian", "uniform"])
+def test_numpy_float32_scale_is_computed_as_a_python_float(build, scale):
+    # 2 pi^2 sigma^2 (2 * half_width) overflows float32 but not float64
+    k = np.arange(-3, 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        density = build(np.float32(scale))
+        gamma = density.gamma(k)
+    assert np.array_equal(gamma, build(float(np.float32(scale))).gamma(k))
 
 
 @pytest.mark.parametrize("density,k_max", [
@@ -153,50 +167,6 @@ def test_laplace_sample_variance():
     # Var = sigma^2; the sample variance of a Laplace has stdev ~ sigma^2*sqrt(5/n)
     assert abs(np.var(tau) - SIGMA**2) < 5.0 * SIGMA**2 * math.sqrt(5.0 / N_SAMPLER)
     assert abs(np.mean(tau)) < 5.0 * SIGMA / math.sqrt(N_SAMPLER)
-
-
-# ---------------------------------------------------------------------------
-# decay verification
-
-
-def test_laplace_decay_profile_holds():
-    d = laplace_density(SIGMA)
-    check = verify_polynomial_decay(d, 200)
-    assert check.ok and check.violating_k is None
-    assert d.decay.beta == 2.0
-
-
-def test_point_mass_decay_profile_holds():
-    assert verify_polynomial_decay(point_mass_density(), 50).ok
-
-
-def test_wrong_exponent_is_caught_at_first_bad_frequency():
-    # Same gamma as Laplace(0.1) but advertised with beta=0.5: k=1 passes
-    # (envelope is scale-free there), k=2 already violates the lower bound.
-    lap = laplace_density(SIGMA)
-    wrong = ShiftDensity(gamma_fn=lap.gamma_fn, sampler=lap.sampler,
-                         decay=DecayProfile(beta=0.5, c_min=lap.decay.c_min,
-                                            c_max=lap.decay.c_max),
-                         label="mislabeled")
-    check = verify_polynomial_decay(wrong, 50)
-    assert not check.ok
-    assert check.violating_k == 2
-
-
-def test_decay_check_requires_a_profile():
-    with pytest.raises(InvalidParameterError):
-        verify_polynomial_decay(gaussian_density(0.1), 10)
-    with pytest.raises(InvalidParameterError):
-        verify_polynomial_decay(laplace_density(0.1), 0)
-
-
-def test_decay_profile_validation():
-    with pytest.raises(InvalidParameterError):
-        DecayProfile(beta=-1.0, c_min=0.5, c_max=1.0)
-    with pytest.raises(InvalidParameterError):
-        DecayProfile(beta=1.0, c_min=0.0, c_max=1.0)
-    with pytest.raises(InvalidParameterError):
-        DecayProfile(beta=1.0, c_min=2.0, c_max=1.0)
 
 
 # ---------------------------------------------------------------------------
