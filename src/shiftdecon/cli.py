@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 
 import numpy as np
@@ -163,6 +164,9 @@ def cmd_rate_study(args) -> int:
         print(f"wrote rate table to {args.out}")
     print(f"fitted_slope={study.fitted_slope!r} "
           f"theoretical_slope={study.theoretical_slope!r}")
+    gap = study.fitted_slope - study.theoretical_slope
+    z = gap / study.slope_stderr if study.slope_stderr > 0 else math.nan
+    print(f"slope_stderr={study.slope_stderr!r} gap_to_theory={gap:+.3g} ({z:+.2f} stderr)")
     return 0
 
 
@@ -180,7 +184,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    workers_help = "must be >= 1; replicates run serially in seed order, so it changes no result"
+    workers_help = ("worker processes (an integer >= 1), capped at the cores; serial where "
+                    "the fork start method is unavailable; never changes a result")
 
     p = sub.add_parser("simulate", help="simulate one dataset and render its curves")
     _add_config_flags(p)

@@ -39,6 +39,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
+import numpy as np
+
 from .catalog import TEMPLATE_BUILDERS, catalog_template
 from .csvio import format_cell, read_template_csv
 from .errors import ConfigError, InvalidParameterError
@@ -87,12 +89,16 @@ class ExperimentConfig:
             except InvalidParameterError as exc:
                 bad(key, str(exc))
 
-        # a bool passes every numeric check, but is written back as "true"
+        # Each value must have the type its parser gives: a string or None
+        # would reach the range checks below as a bare TypeError, a number in
+        # a text field is written back as text, and a bool passes as a number
+        # but is written back as "true".
         for field in CONFIG_FIELDS:
             value = getattr(self, field.name)
-            if isinstance(value, bool):
+            types, kind = _VALUE_TYPES[field.parse]
+            if isinstance(value, bool) or not isinstance(value, types):
                 key = field.key if field.section == "experiment" else f"{field.section}.{field.key}"
-                bad(key, f"must not be a bool, got {value!r}")
+                bad(key, f"must be {kind}, got {value!r}")
         if not self.template:
             bad("template", "must be a catalog name or a file path")
         if self.density_kind not in DENSITY_KINDS:
@@ -101,17 +107,15 @@ class ExperimentConfig:
         library("density.half_width", uniform_density, self.density_half_width)
         library("n", _check_inputs, self.n, 0.0)
         library("epsilon", _check_inputs, 1, self.epsilon)
-        if not (isinstance(self.k_max, int) and self.k_max >= 1):
+        if self.k_max < 1:
             bad("k_max", f"must be an integer >= 1, got {self.k_max!r}")
         if self.criterion not in CRITERION_KINDS:
             bad("criterion", f"must be one of {CRITERION_KINDS}, got {self.criterion!r}")
-        if not (isinstance(self.replications, int) and self.replications >= 2):
+        if self.replications < 2:
             bad("replications", f"must be an integer >= 2, got {self.replications!r}")
-        if not (isinstance(self.seed, int) and self.seed >= 0):
+        if self.seed < 0:
             bad("seed", f"must be an integer >= 0, got {self.seed!r}")
-        # its range, 0..k_max of the built template's band, is checked at use
-        if not (self.m0_override is None or isinstance(self.m0_override, int)):
-            bad("m0_override", f"must be an integer or none, got {self.m0_override!r}")
+        # m0_override's range, 0..k_max of the built template's band, is checked at use
         if self.penalty_variant not in PENALTY_VARIANTS:
             bad("penalty_variant", f"must be one of {PENALTY_VARIANTS}, got {self.penalty_variant!r}")
 
@@ -166,6 +170,15 @@ def _m0_override(raw: str, where: str) -> Optional[int]:
     if raw.lower() in ("", "none", "formula"):
         return None
     return _int(raw, where)
+
+
+# The values each parser gives, and how a ConfigError names them.
+_VALUE_TYPES = {
+    _text: (str, "a string"),
+    _int: ((int, np.integer), "an integer"),
+    _float: ((int, float, np.integer, np.floating), "a number"),
+    _m0_override: ((int, np.integer, type(None)), "an integer or none"),
+}
 
 
 class ConfigField(NamedTuple):

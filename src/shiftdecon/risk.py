@@ -38,11 +38,19 @@ Per chunk it runs three steps:
 
 Each step treats a replicate's row as if it were alone, so results are
 bit-identical for any chunking and any ``workers`` value.
+
+``workers`` is a number of processes.  ``_fork_map`` runs independent units
+in a ``fork`` pool of ``min(workers, os.cpu_count(), units)`` processes and
+returns their results in unit order; the units are :func:`rate_study`'s grid
+points and, in the engine, contiguous blocks of seeds.  Where ``fork`` is
+unavailable, or the pool would hold one process, the units run serially in
+this process, so ``workers`` never changes a result.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
@@ -188,6 +196,55 @@ def _mean_and_stderr(losses: np.ndarray, epsilon: float) -> tuple:
                 float(np.std(losses, ddof=1) / math.sqrt(losses.size)))
 
 
+def _pool_size(workers, units: int) -> int:
+    """Processes for ``units`` independent units of work: ``workers`` capped at
+    the cores and at ``units``, and 1 where the ``fork`` start method is
+    unavailable.  ``workers`` must be an integer >= 1."""
+    if isinstance(workers, bool) or not isinstance(workers, (int, np.integer)):
+        raise InvalidParameterError(f"workers must be an integer, got {workers!r}")
+    if workers < 1:
+        raise InvalidParameterError(f"workers must be >= 1, got {workers}")
+    size = min(int(workers), os.cpu_count() or 1, units)
+    if size > 1:
+        import multiprocessing  # only a pool needs it, so the package imports without it
+        if "fork" not in multiprocessing.get_all_start_methods():
+            return 1
+    return size
+
+
+# The work of a pool process, ``(fn, units)``.  The pool's initializer sets it
+# in each child; under ``fork`` the initializer's arguments are inherited, not
+# pickled, so ``fn`` may be a closure.  It stays ``None`` in the parent.
+_pool_job = None
+
+
+def _set_pool_job(job) -> None:
+    global _pool_job
+    _pool_job = job
+
+
+def _run_pool_unit(index: int):
+    fn, units = _pool_job
+    return fn(units[index])
+
+
+def _fork_map(fn, units: Sequence, workers) -> list:
+    """``[fn(unit) for unit in units]``, in unit order.
+
+    The units run in a ``fork`` pool of ``_pool_size(workers, len(units))``
+    processes, or serially in this process when that is 1.  Only unit indices
+    and results cross between processes.  An exception raised by ``fn`` in a
+    pool process is raised here, with its type and message.
+    """
+    size = _pool_size(workers, len(units))
+    if size <= 1:
+        return [fn(unit) for unit in units]
+    import multiprocessing
+    with multiprocessing.get_context("fork").Pool(size, initializer=_set_pool_job,
+                                                  initargs=((fn, units),)) as pool:
+        return pool.map(_run_pool_unit, range(len(units)), chunksize=1)
+
+
 class _Replicates(NamedTuple):
     """Per-replicate results in seed order, row ``j`` for the ``j``-th rule;
     ``traces`` are the rules' criteria over ``0..m0`` on replicate 0 only."""
@@ -220,15 +277,38 @@ def _run_replicates(template: Template, density: ShiftDensity, n: int,
     in closed form.  The negative-energy fraction on ``|k| <= m0`` is
     :func:`fraction_negative_theta_hat`'s.
 
-    Seeds run in contiguous chunks of at most ``_CHUNK_PHASES`` phases, one
-    chunk after the other in seed order: draw the chunk, select with one
-    row-wise criterion trace and argmin per rule, score the rows that share
-    a cutoff together.  Every step works row by row, so a replicate's
-    results do not depend on its chunk.  ``workers`` must be ``>= 1`` and
-    changes nothing: the chunks run serially.
+    The seeds are cut into one contiguous block per pool process (see
+    :func:`_pool_size`; ``workers`` is a process count, must be an integer
+    >= 1, is capped at the cores, and means one block where ``fork`` is
+    unavailable).  Each block runs in contiguous chunks of at most
+    ``_CHUNK_PHASES`` phases, one chunk after the other in seed order: draw
+    the chunk, select with one row-wise criterion trace and argmin per rule,
+    score the rows that share a cutoff together.  The blocks are joined in
+    seed order.  Every step works row by row, so a replicate's results
+    depend on neither its chunk nor its block, and ``workers`` changes no
+    result.
     """
-    if workers < 1:
-        raise InvalidParameterError(f"workers must be >= 1, got {workers}")
+    blocks = _pool_size(workers, len(seeds))
+    bounds = [len(seeds) * b // blocks for b in range(blocks + 1)]
+
+    def block(b):
+        return _replicate_block(template, density, n, epsilon,
+                                seeds[bounds[b] : bounds[b + 1]], rules, m0, options)
+
+    parts = _fork_map(block, range(blocks), workers)
+    if len(parts) == 1:
+        return parts[0]
+    return _Replicates(
+        cutoffs=np.concatenate([part.cutoffs for part in parts], axis=1),
+        losses=np.concatenate([part.losses for part in parts], axis=1),
+        negative_fractions=np.concatenate([part.negative_fractions for part in parts]),
+        traces=parts[0].traces)
+
+
+def _replicate_block(template: Template, density: ShiftDensity, n: int,
+                     epsilon: float, seeds: Sequence[np.random.SeedSequence],
+                     rules: Sequence[str], m0: int, options: dict) -> _Replicates:
+    """:func:`_run_replicates` on one block of seeds, chunk after chunk."""
     gamma = density.gamma_band(m0)
     tail = _tail_energy(template, m0)
     cutoffs = np.empty((len(rules), len(seeds)), dtype=int)
@@ -288,8 +368,10 @@ def mc_risk(template: Template, density: ShiftDensity, n: int, epsilon: float,
     seed : int
         Base seed; replicate ``i`` runs on the ``i``-th spawned substream.
     workers : int
-        Must be >= 1.  Replicates run serially, in chunks of contiguous
-        seeds in seed order, so the value changes no result.
+        Processes, an integer >= 1: the replicates run in one contiguous
+        block of seeds per process of a ``fork`` pool, capped at the cores,
+        and serially where ``fork`` is unavailable.  Every replicate is
+        computed as if alone, so the value changes no result.
     """
     if estimator_kind not in _ESTIMATOR_CRITERIA:
         raise InvalidParameterError(f"unknown estimator kind {estimator_kind!r}; "
@@ -311,7 +393,8 @@ def oracle_ratio(template: Template, density: ShiftDensity, n: int, epsilon: flo
     """Monte Carlo risk divided by the best theoretical risk ``inf_{N<=m0}``
     of the envelope matching the estimator: ``r_bar`` for ``theta_star``,
     ``r`` for ``theta_tilde`` and ``theta_u``.  ``estimator_kind`` and
-    ``workers`` go to :func:`mc_risk`.
+    ``workers`` (a process count, which changes no result) go to
+    :func:`mc_risk`.
     """
     m0 = _cutoff_cap(density, n, template.k_max, m0)
     report = risk_report(template, density, n, epsilon, m0)
@@ -337,12 +420,20 @@ def theoretical_rate_exponent(s: float, beta: float) -> float:
 
 @dataclass(frozen=True)
 class RateStudy:
-    """Decay of the adaptive estimator's risk along a grid of sample sizes."""
+    """Decay of the adaptive estimator's risk along a grid of sample sizes.
+
+    ``fitted_slope`` is the unweighted least-squares slope of ``log(mise)``
+    against ``log(n)``.  ``slope_stderr`` is its standard error, propagated
+    from each point's ``mise_stderr``: ``fitted_slope`` is a fixed linear
+    combination of the ``log(mise)``, whose standard errors are
+    ``mise_stderr / mise`` to first order.
+    """
 
     n_grid: np.ndarray
     mise: np.ndarray
     mise_stderr: np.ndarray
     fitted_slope: float
+    slope_stderr: float
     theoretical_slope: float
     s: float
     beta: float
@@ -358,9 +449,13 @@ def rate_study(s: float, beta: float, radius: float, n_grid: Sequence[int],
     ``log(mise)`` against ``log(n)`` is fit by least squares and reported next
     to the minimax exponent ``-2s/(2s + 2 beta + 1)``.  The shifts are
     point masses for ``beta = 0`` and Laplace(0.1) for ``beta = 2``; no
-    other ``beta`` has a built-in density.  ``workers`` (>= 1) goes to
-    :func:`mc_risk`, which runs the replicates serially in seed order; it
-    changes no result.
+    other ``beta`` has a built-in density.
+
+    ``workers`` is a process count, an integer >= 1: the grid points run in
+    a ``fork`` pool of at most that many processes, capped at the cores,
+    largest ``n`` first, each point on its own seed ``seed + i`` with
+    :func:`mc_risk` at ``workers=1``.  Without ``fork`` they run serially.
+    Every point is computed as if alone, so the value changes no result.
     """
     n_grid_arr = np.asarray(list(n_grid), dtype=int)
     if n_grid_arr.size < 3:
@@ -380,17 +475,22 @@ def rate_study(s: float, beta: float, radius: float, n_grid: Sequence[int],
         )
     template = sobolev_template(smoothness=s, radius=radius, k_max=k_max)
 
-    mise = np.empty(n_grid_arr.size, dtype=float)
-    stderr = np.empty(n_grid_arr.size, dtype=float)
-    for i, n in enumerate(n_grid_arr):
-        mc = mc_risk(template, density, int(n), epsilon, "theta_tilde",
-                     replications, seed + i, workers=workers)
-        mise[i] = mc.mean
-        stderr[i] = mc.stderr
+    def point(i):
+        mc = mc_risk(template, density, int(n_grid_arr[i]), epsilon, "theta_tilde",
+                     replications, seed + i, workers=1)
+        return mc.mean, mc.stderr
+
+    # n_grid increases, so this runs the largest n first
+    order = range(n_grid_arr.size - 1, -1, -1)
+    mise, stderr = np.array(_fork_map(point, order, workers)[::-1]).T.copy()
     if np.any(mise <= 0.0):
         raise DegenerateInputError("Monte Carlo risk is not positive; cannot fit a log-log slope")
-    slope = float(np.polyfit(np.log(n_grid_arr.astype(float)), np.log(mise), 1)[0])
+    log_n = np.log(n_grid_arr.astype(float))
+    slope = float(np.polyfit(log_n, np.log(mise), 1)[0])
+    # fitted_slope = sum(lever * log(mise)), the least-squares slope written out
+    lever = (log_n - np.mean(log_n)) / np.sum((log_n - np.mean(log_n)) ** 2)
+    slope_stderr = float(np.sqrt(np.sum((lever * stderr / mise) ** 2)))
     return RateStudy(n_grid=n_grid_arr, mise=mise, mise_stderr=stderr,
-                     fitted_slope=slope,
+                     fitted_slope=slope, slope_stderr=slope_stderr,
                      theoretical_slope=theoretical_rate_exponent(s, beta),
                      s=float(s), beta=float(beta))

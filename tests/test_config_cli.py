@@ -67,6 +67,21 @@ def test_config_validation(field, value):
         ExperimentConfig(**{field: value})
 
 
+@pytest.mark.parametrize("field, value, key", [
+    ("density_sigma", "0.1", "'density.sigma'"),
+    ("epsilon", None, "'epsilon'"),
+    ("template", 5, "'template'"),
+    ("density_kind", None, "'density.kind'"),
+    ("k_max", 40.0, "'k_max'"),
+    ("seed", "1", "'seed'"),
+])
+def test_config_refuses_a_wrongly_typed_value_naming_the_key(field, value, key):
+    # not a bare TypeError from a comparison, nor a value that would be
+    # written back as another type (template = 5 would read back as '5')
+    with pytest.raises(ConfigError, match=key):
+        ExperimentConfig(**{field: value})
+
+
 def test_m0_override_range_is_checked_against_the_built_band(capsys):
     # the config takes any integer cap; a command that selects refuses one
     # outside 0..k_max of the template it builds, and risk defaults to that cap
@@ -397,6 +412,17 @@ def test_cli_write_config_refuses_a_scale_every_command_would(tmp_path, capsys):
     assert payload["error"] == "ConfigError"
     assert "'density.sigma'" in payload["message"]
     assert not out.exists()
+
+
+def test_cli_rate_study_reports_the_slope_stderr(capsys):
+    assert run_cli("rate-study", *TINY_RATE_STUDY) == 0
+    fitted, stderr = capsys.readouterr().out.splitlines()[-2:]
+    slope = float(fitted.split()[0].removeprefix("fitted_slope="))
+    theory = float(fitted.split()[1].removeprefix("theoretical_slope="))
+    se = float(stderr.split()[0].removeprefix("slope_stderr="))
+    assert se > 0.0
+    assert stderr.split()[1] == f"gap_to_theory={slope - theory:+.3g}"
+    assert stderr.split()[2] == f"({(slope - theory) / se:+.2f}"
 
 
 def test_cli_replication_study_needs_two_replications(tmp_path, capsys):

@@ -3,7 +3,10 @@ names, the keyword options and the CLI flags are exactly the listed ones."""
 import argparse
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -121,3 +124,12 @@ def test_cli_flags_are_the_listed_ones():
         flags = {flag for action in sub._actions for flag in action.option_strings
                  if flag not in ("-h", "--help")}
         assert flags == CONFIG_FLAGS | SUBCOMMAND_FLAGS[command], command
+
+
+def test_importing_the_package_leaves_multiprocessing_out():
+    # only a worker pool imports multiprocessing, so the import stays lean
+    code = "import sys, shiftdecon.cli; print('multiprocessing' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60, check=True)
+    assert done.stdout.strip() == "False"

@@ -2,6 +2,8 @@
 import csv
 import hashlib
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -10,9 +12,10 @@ from shiftdecon.catalog import sobolev_template, spike_template, wave_template
 from shiftdecon.config import ExperimentConfig, build_density, build_template
 from shiftdecon.errors import (DegenerateInputError, InvalidParameterError,
                                InvariantViolationError, VanishingEigenvalueError)
-from shiftdecon.risk import (McRisk, RiskReport, _mean_and_stderr, _run_replicates,
-                             _score, exact_risk, mc_risk, oracle_ratio, rate_study,
-                             risk_report, theoretical_rate_exponent)
+from shiftdecon import risk as risk_module
+from shiftdecon.risk import (McRisk, RiskReport, _fork_map, _mean_and_stderr,
+                             _run_replicates, _score, exact_risk, mc_risk, oracle_ratio,
+                             rate_study, risk_report, theoretical_rate_exponent)
 from shiftdecon.selection import compute_m0, fraction_negative_theta_hat, select_cutoff
 from shiftdecon.simulate import _draw_summaries, simulate_summary
 from shiftdecon.spectral import (ShiftDensity, Template, _tail_energy, laplace_density,
@@ -445,3 +448,123 @@ def test_rate_study_no_shift_smoke():
     assert np.all(np.diff(study.mise) < 0.0)  # strictly decreasing risk
     assert -1.2 < study.fitted_slope < -0.3
     assert study.n_grid.tolist() == [50, 100, 200]
+
+
+def test_rate_study_slope_stderr_propagates_the_point_stderrs():
+    study = rate_study(1.0, 0.0, 2.0, [50, 100, 200, 400], 0.05, 12, seed=3, k_max=16)
+    # the slope is linear in log(mise): its derivative along each point, from
+    # the fit itself, times that point's stderr of log(mise)
+    log_n = np.log(study.n_grid.astype(float))
+    partials = [np.polyfit(log_n, np.eye(4)[i], 1)[0] for i in range(4)]
+    expected = math.sqrt(sum((d * se / m) ** 2 for d, se, m
+                             in zip(partials, study.mise_stderr, study.mise)))
+    assert study.slope_stderr == pytest.approx(expected, rel=1e-12)
+    assert study.fitted_slope == float(np.polyfit(log_n, np.log(study.mise), 1)[0])
+
+
+# ---------------------------------------------------------------------------
+# the worker pool
+
+SMALL_RATE = (1.0, 0.0, 2.0, [40, 80, 160, 320], 0.05, 6)
+
+
+def _rate_bytes(study):
+    return (study.mise.tobytes(), study.mise_stderr.tobytes(),
+            repr(study.fitted_slope), repr(study.slope_stderr))
+
+
+def test_rate_study_is_bit_identical_for_any_worker_count():
+    runs = [_rate_bytes(rate_study(*SMALL_RATE, seed=5, k_max=16, workers=w))
+            for w in (1, 2, 3)]
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
+def test_fork_map_runs_units_in_pool_processes():
+    pids = _fork_map(lambda unit: (unit, os.getpid()), range(4), 2)
+    assert [unit for unit, _ in pids] == [0, 1, 2, 3]
+    pooled = (os.cpu_count() or 1) >= 2 and "fork" in multiprocessing.get_all_start_methods()
+    assert all((pid != os.getpid()) == pooled for _, pid in pids)
+
+
+def test_replicate_blocks_join_in_seed_order(monkeypatch):
+    # three uneven blocks of 7 seeds, whatever the cores here
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    seeds = np.random.SeedSequence(8).spawn(7)
+    args = (WAVE8, LAPLACE, 20, 0.05, seeds, ("u_bar", "u_tilde"), 6)
+    serial = _run_replicates(*args, workers=1)
+    pooled = _run_replicates(*args, workers=3)
+    for got, want in zip(pooled, serial):
+        assert got.tobytes() == want.tobytes() and got.shape == want.shape
+
+
+def test_pool_is_serial_without_fork(monkeypatch):
+    reference = _rate_bytes(rate_study(*SMALL_RATE, seed=2, k_max=16))
+
+    def no_pool(method=None):
+        raise AssertionError("a pool was started without the fork start method")
+
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+    assert _rate_bytes(rate_study(*SMALL_RATE, seed=2, k_max=16, workers=3)) == reference
+    reps = mc_risk(WAVE8, LAPLACE, 15, 0.05, "theta_star", 24, seed=9, m0=6, workers=3)
+    assert reps.losses.tobytes() == \
+        mc_risk(WAVE8, LAPLACE, 15, 0.05, "theta_star", 24, seed=9, m0=6).losses.tobytes()
+
+
+class _RecordingPool:
+    """Stands in for a fork pool: records its size and runs in this process."""
+
+    sizes = []
+
+    def __init__(self, processes, initializer, initargs):
+        self.sizes.append(processes)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, func, iterable, chunksize):
+        return [func(item) for item in iterable]
+
+
+class _RecordingContext:
+    Pool = _RecordingPool
+
+
+def test_pool_size_is_capped_at_the_cores(monkeypatch):
+    monkeypatch.setattr(risk_module, "_pool_job", None)  # the fake pool sets it here
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["fork", "spawn"])
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: _RecordingContext)
+    assert _fork_map(lambda u: u * u, range(10), 10 ** 6) == [u * u for u in range(10)]
+    reference = _rate_bytes(rate_study(*SMALL_RATE, seed=4, k_max=16))
+    assert _rate_bytes(rate_study(*SMALL_RATE, seed=4, k_max=16, workers=10 ** 6)) == reference
+    # a pool never holds more processes than units: four grid points, two seeds
+    assert _fork_map(abs, [-1, 2], 10 ** 6) == [1, 2]
+    assert _RecordingPool.sizes == [3, 3, 2]
+
+
+def test_an_error_in_a_pool_process_keeps_its_type_and_message():
+    caught = []
+    for workers in (1, 2):
+        with pytest.raises(InvalidParameterError, match="noise terms overflow") as info:
+            rate_study(*SMALL_RATE[:4], 1e153, 6, seed=0, k_max=16, workers=workers)
+        caught.append((type(info.value), str(info.value)))
+    assert caught[0] == caught[1]
+
+
+@pytest.mark.parametrize("workers", [0, -1, True, False, 2.5, "2", None])
+def test_workers_must_be_a_positive_integer(workers, monkeypatch):
+    with pytest.raises(InvalidParameterError, match="workers must be"):
+        mc_risk(WAVE8, LAPLACE, 10, 0.1, "theta_tilde", 10, seed=0, m0=2, workers=workers)
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("rate_study drew before checking workers")
+
+    monkeypatch.setattr(risk_module, "mc_risk", no_draw)
+    with pytest.raises(InvalidParameterError, match="workers must be"):
+        rate_study(*SMALL_RATE, seed=0, k_max=16, workers=workers)
