@@ -184,8 +184,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    workers_help = ("worker processes (an integer >= 1), capped at the cores; serial where "
-                    "the fork start method is unavailable; never changes a result")
+    workers_help = ("an integer >= 1: rate-study runs its grid points in up to this many "
+                    "forked processes, capped at the usable CPUs (serially off Linux); "
+                    "replication-study runs serially; never changes a result")
 
     p = sub.add_parser("simulate", help="simulate one dataset and render its curves")
     _add_config_flags(p)

@@ -40,17 +40,20 @@ Each step treats a replicate's row as if it were alone, so results are
 bit-identical for any chunking and any ``workers`` value.
 
 ``workers`` is a number of processes.  ``_fork_map`` runs independent units
-in a ``fork`` pool of ``min(workers, os.cpu_count(), units)`` processes and
-returns their results in unit order; the units are :func:`rate_study`'s grid
-points and, in the engine, contiguous blocks of seeds.  Where ``fork`` is
-unavailable, or the pool would hold one process, the units run serially in
-this process, so ``workers`` never changes a result.
+in a ``fork`` pool of at most ``workers`` processes, capped at the units and
+at the CPUs this process may use, and returns their results in unit order;
+the units are :func:`rate_study`'s grid points.  Off Linux, or while the
+caller runs other Python threads, the units run serially in this process.
+The replicate engine always runs in this process: at 200 replicates a
+pool's start-up costs more than the split saves.  ``workers`` never changes
+a result.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
@@ -196,20 +199,28 @@ def _mean_and_stderr(losses: np.ndarray, epsilon: float) -> tuple:
                 float(np.std(losses, ddof=1) / math.sqrt(losses.size)))
 
 
-def _pool_size(workers, units: int) -> int:
-    """Processes for ``units`` independent units of work: ``workers`` capped at
-    the cores and at ``units``, and 1 where the ``fork`` start method is
-    unavailable.  ``workers`` must be an integer >= 1."""
+def _check_workers(workers) -> int:
+    """``workers``, a process count, as an int; it must be an integer >= 1."""
     if isinstance(workers, bool) or not isinstance(workers, (int, np.integer)):
         raise InvalidParameterError(f"workers must be an integer, got {workers!r}")
     if workers < 1:
         raise InvalidParameterError(f"workers must be >= 1, got {workers}")
-    size = min(int(workers), os.cpu_count() or 1, units)
-    if size > 1:
-        import multiprocessing  # only a pool needs it, so the package imports without it
-        if "fork" not in multiprocessing.get_all_start_methods():
-            return 1
-    return size
+    return int(workers)
+
+
+def _pool_size(workers, units: int) -> int:
+    """Processes for ``units`` independent units of work: ``workers`` capped at
+    ``units`` and at the CPUs this process may run on.  It is 1 off Linux,
+    where ``fork`` is unavailable, and while the calling process runs other
+    Python threads, which a forked child could find holding a lock."""
+    size = min(_check_workers(workers), units)
+    if size <= 1 or sys.platform != "linux":
+        return min(size, 1)
+    import multiprocessing  # only a pool needs it, so the package imports without it
+    import threading
+    if "fork" not in multiprocessing.get_all_start_methods() or threading.active_count() > 1:
+        return 1
+    return min(size, len(os.sched_getaffinity(0)))
 
 
 # The work of a pool process, ``(fn, units)``.  The pool's initializer sets it
@@ -234,15 +245,18 @@ def _fork_map(fn, units: Sequence, workers) -> list:
     The units run in a ``fork`` pool of ``_pool_size(workers, len(units))``
     processes, or serially in this process when that is 1.  Only unit indices
     and results cross between processes.  An exception raised by ``fn`` in a
-    pool process is raised here, with its type and message.
+    pool process is raised here, with its type and message; a pool process
+    that dies raises ``BrokenProcessPool``.
     """
     size = _pool_size(workers, len(units))
     if size <= 1:
         return [fn(unit) for unit in units]
+    import concurrent.futures
     import multiprocessing
-    with multiprocessing.get_context("fork").Pool(size, initializer=_set_pool_job,
-                                                  initargs=((fn, units),)) as pool:
-        return pool.map(_run_pool_unit, range(len(units)), chunksize=1)
+    with concurrent.futures.ProcessPoolExecutor(
+            size, mp_context=multiprocessing.get_context("fork"),
+            initializer=_set_pool_job, initargs=((fn, units),)) as pool:
+        return list(pool.map(_run_pool_unit, range(len(units))))
 
 
 class _Replicates(NamedTuple):
@@ -277,38 +291,16 @@ def _run_replicates(template: Template, density: ShiftDensity, n: int,
     in closed form.  The negative-energy fraction on ``|k| <= m0`` is
     :func:`fraction_negative_theta_hat`'s.
 
-    The seeds are cut into one contiguous block per pool process (see
-    :func:`_pool_size`; ``workers`` is a process count, must be an integer
-    >= 1, is capped at the cores, and means one block where ``fork`` is
-    unavailable).  Each block runs in contiguous chunks of at most
-    ``_CHUNK_PHASES`` phases, one chunk after the other in seed order: draw
-    the chunk, select with one row-wise criterion trace and argmin per rule,
-    score the rows that share a cutoff together.  The blocks are joined in
-    seed order.  Every step works row by row, so a replicate's results
-    depend on neither its chunk nor its block, and ``workers`` changes no
-    result.
+    Seeds run in contiguous chunks of at most ``_CHUNK_PHASES`` phases, one
+    chunk after the other in seed order: draw the chunk, select with one
+    row-wise criterion trace and argmin per rule, score the rows that share
+    a cutoff together.  Every step works row by row, so a replicate's
+    results do not depend on its chunk.  ``workers`` is checked (an integer
+    >= 1) and changes nothing: the chunks run in this process, because a
+    pool's start-up costs more than it saves at the usual 100 to 200
+    replicates.
     """
-    blocks = _pool_size(workers, len(seeds))
-    bounds = [len(seeds) * b // blocks for b in range(blocks + 1)]
-
-    def block(b):
-        return _replicate_block(template, density, n, epsilon,
-                                seeds[bounds[b] : bounds[b + 1]], rules, m0, options)
-
-    parts = _fork_map(block, range(blocks), workers)
-    if len(parts) == 1:
-        return parts[0]
-    return _Replicates(
-        cutoffs=np.concatenate([part.cutoffs for part in parts], axis=1),
-        losses=np.concatenate([part.losses for part in parts], axis=1),
-        negative_fractions=np.concatenate([part.negative_fractions for part in parts]),
-        traces=parts[0].traces)
-
-
-def _replicate_block(template: Template, density: ShiftDensity, n: int,
-                     epsilon: float, seeds: Sequence[np.random.SeedSequence],
-                     rules: Sequence[str], m0: int, options: dict) -> _Replicates:
-    """:func:`_run_replicates` on one block of seeds, chunk after chunk."""
+    _check_workers(workers)
     gamma = density.gamma_band(m0)
     tail = _tail_energy(template, m0)
     cutoffs = np.empty((len(rules), len(seeds)), dtype=int)
@@ -368,10 +360,8 @@ def mc_risk(template: Template, density: ShiftDensity, n: int, epsilon: float,
     seed : int
         Base seed; replicate ``i`` runs on the ``i``-th spawned substream.
     workers : int
-        Processes, an integer >= 1: the replicates run in one contiguous
-        block of seeds per process of a ``fork`` pool, capped at the cores,
-        and serially where ``fork`` is unavailable.  Every replicate is
-        computed as if alone, so the value changes no result.
+        Must be an integer >= 1.  Replicates run serially, in chunks of
+        contiguous seeds in seed order, so the value changes no result.
     """
     if estimator_kind not in _ESTIMATOR_CRITERIA:
         raise InvalidParameterError(f"unknown estimator kind {estimator_kind!r}; "
@@ -393,8 +383,7 @@ def oracle_ratio(template: Template, density: ShiftDensity, n: int, epsilon: flo
     """Monte Carlo risk divided by the best theoretical risk ``inf_{N<=m0}``
     of the envelope matching the estimator: ``r_bar`` for ``theta_star``,
     ``r`` for ``theta_tilde`` and ``theta_u``.  ``estimator_kind`` and
-    ``workers`` (a process count, which changes no result) go to
-    :func:`mc_risk`.
+    ``workers`` go to :func:`mc_risk`.
     """
     m0 = _cutoff_cap(density, n, template.k_max, m0)
     report = risk_report(template, density, n, epsilon, m0)
@@ -452,10 +441,11 @@ def rate_study(s: float, beta: float, radius: float, n_grid: Sequence[int],
     other ``beta`` has a built-in density.
 
     ``workers`` is a process count, an integer >= 1: the grid points run in
-    a ``fork`` pool of at most that many processes, capped at the cores,
-    largest ``n`` first, each point on its own seed ``seed + i`` with
-    :func:`mc_risk` at ``workers=1``.  Without ``fork`` they run serially.
-    Every point is computed as if alone, so the value changes no result.
+    a ``fork`` pool of at most that many processes, capped at the CPUs this
+    process may use, largest ``n`` first, each point on its own seed
+    ``seed + i``.  Off Linux, or while the caller runs other Python threads,
+    they run serially.  Every point is computed as if alone, so the value
+    changes no result.
     """
     n_grid_arr = np.asarray(list(n_grid), dtype=int)
     if n_grid_arr.size < 3:
@@ -477,7 +467,7 @@ def rate_study(s: float, beta: float, radius: float, n_grid: Sequence[int],
 
     def point(i):
         mc = mc_risk(template, density, int(n_grid_arr[i]), epsilon, "theta_tilde",
-                     replications, seed + i, workers=1)
+                     replications, seed + i)
         return mc.mean, mc.stderr
 
     # n_grid increases, so this runs the largest n first

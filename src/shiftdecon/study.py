@@ -13,8 +13,8 @@ cutoff selections (penalized and plain) on each, and writes plot-ready CSVs:
 * ``risk_curves.csv``      — the exact risk decomposition over the scan band;
 * ``meta.csv``             — every parameter actually used, including the cap.
 
-Output bytes depend only on the configuration, not on the number of worker
-processes, so a bundle can be diffed run-to-run as a regression check.
+Output bytes depend only on the configuration (not on worker count), so a
+bundle can be diffed run-to-run as a regression check.
 
 The replicates themselves run in ``shiftdecon.risk._run_replicates``, the
 same engine :func:`shiftdecon.risk.mc_risk` uses, on the same seeds and
@@ -80,12 +80,10 @@ def run_replication_study(cfg: ExperimentConfig, out_dir, *, grid_size: int = 25
     Both adaptive estimators are always evaluated side by side on shared
     datasets (``cfg.criterion`` only steers the single-selection commands).
     ``cfg.replications`` must be at least 2, so that ``risk_summary.csv``
-    has a standard error.  ``workers`` is a process count, an integer >= 1:
-    the replicates run in one contiguous block of seeds per process of a
-    ``fork`` pool, capped at the cores, and serially where ``fork`` is
-    unavailable.  Every replicate is computed as if alone, so the value
-    changes no output byte.  Every input is checked before anything is
-    written.
+    has a standard error.  ``workers`` must be an integer >= 1;
+    the replicates run serially, in chunks of contiguous seeds in seed
+    order, so it changes no output byte.  Every input is checked before
+    anything is written.
     """
     seeds = _replicate_seeds(cfg.seed, cfg.replications)
     template = build_template(cfg)

@@ -2,8 +2,12 @@
 import csv
 import hashlib
 import math
+import concurrent.futures
 import multiprocessing
 import os
+import sys
+import threading
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -479,36 +483,63 @@ def test_rate_study_is_bit_identical_for_any_worker_count():
     assert runs[1] == runs[0] and runs[2] == runs[0]
 
 
+def _pooled_here():
+    return sys.platform == "linux" and len(os.sched_getaffinity(0)) >= 2
+
+
 def test_fork_map_runs_units_in_pool_processes():
-    pids = _fork_map(lambda unit: (unit, os.getpid()), range(4), 2)
-    assert [unit for unit, _ in pids] == [0, 1, 2, 3]
-    pooled = (os.cpu_count() or 1) >= 2 and "fork" in multiprocessing.get_all_start_methods()
-    assert all((pid != os.getpid()) == pooled for _, pid in pids)
+    # twice: the first pool's threads are gone when it returns, so the second pools too
+    for _ in range(2):
+        pids = _fork_map(lambda unit: (unit, os.getpid()), range(4), 2)
+        assert [unit for unit, _ in pids] == [0, 1, 2, 3]
+        assert all((pid != os.getpid()) == _pooled_here() for _, pid in pids)
 
 
-def test_replicate_blocks_join_in_seed_order(monkeypatch):
-    # three uneven blocks of 7 seeds, whatever the cores here
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    seeds = np.random.SeedSequence(8).spawn(7)
-    args = (WAVE8, LAPLACE, 20, 0.05, seeds, ("u_bar", "u_tilde"), 6)
-    serial = _run_replicates(*args, workers=1)
-    pooled = _run_replicates(*args, workers=3)
-    for got, want in zip(pooled, serial):
-        assert got.tobytes() == want.tobytes() and got.shape == want.shape
+@pytest.mark.skipif(not _pooled_here(), reason="the pool runs on Linux with 2 usable CPUs")
+def test_a_dead_pool_process_raises_instead_of_hanging():
+    parent = os.getpid()
+
+    def unit(u):
+        if u == 1 and os.getpid() != parent:
+            os._exit(1)
+        return u
+
+    with pytest.raises(BrokenProcessPool):
+        _fork_map(unit, range(2), 2)
 
 
-def test_pool_is_serial_without_fork(monkeypatch):
+def test_mc_risk_checks_workers_and_runs_serially(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("the replicate engine started a pool")
+
+    monkeypatch.setattr(risk_module, "_fork_map", no_pool)
+    args = (WAVE8, LAPLACE, 15, 0.05, "theta_star", 24)
+    assert mc_risk(*args, seed=9, m0=6, workers=3).losses.tobytes() == \
+        mc_risk(*args, seed=9, m0=6).losses.tobytes()
+
+
+@pytest.mark.parametrize("setting", ["spawn only", "not linux", "a thread running"])
+def test_pool_is_serial_where_forking_is_unsafe(setting, monkeypatch):
     reference = _rate_bytes(rate_study(*SMALL_RATE, seed=2, k_max=16))
 
     def no_pool(method=None):
-        raise AssertionError("a pool was started without the fork start method")
+        raise AssertionError("a pool was started where forking is unsafe")
 
-    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
     monkeypatch.setattr(multiprocessing, "get_context", no_pool)
-    assert _rate_bytes(rate_study(*SMALL_RATE, seed=2, k_max=16, workers=3)) == reference
-    reps = mc_risk(WAVE8, LAPLACE, 15, 0.05, "theta_star", 24, seed=9, m0=6, workers=3)
-    assert reps.losses.tobytes() == \
-        mc_risk(WAVE8, LAPLACE, 15, 0.05, "theta_star", 24, seed=9, m0=6).losses.tobytes()
+    if setting == "spawn only":
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    elif setting == "not linux":
+        monkeypatch.setattr(sys, "platform", "darwin")
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    if setting == "a thread running":
+        thread.start()
+    try:
+        assert _rate_bytes(rate_study(*SMALL_RATE, seed=2, k_max=16, workers=3)) == reference
+    finally:
+        stop.set()
+        if thread.is_alive():
+            thread.join()
 
 
 class _RecordingPool:
@@ -516,8 +547,8 @@ class _RecordingPool:
 
     sizes = []
 
-    def __init__(self, processes, initializer, initargs):
-        self.sizes.append(processes)
+    def __init__(self, max_workers, mp_context, initializer, initargs):
+        self.sizes.append(max_workers)
         initializer(*initargs)
 
     def __enter__(self):
@@ -526,24 +557,21 @@ class _RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, func, iterable, chunksize):
-        return [func(item) for item in iterable]
+    def map(self, func, iterable):
+        return map(func, iterable)
 
 
-class _RecordingContext:
-    Pool = _RecordingPool
-
-
-def test_pool_size_is_capped_at_the_cores(monkeypatch):
+def test_pool_size_is_capped_at_the_usable_cpus(monkeypatch):
     monkeypatch.setattr(risk_module, "_pool_job", None)  # the fake pool sets it here
     monkeypatch.setattr(_RecordingPool, "sizes", [])
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(sys, "platform", "linux")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
     monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["fork", "spawn"])
-    monkeypatch.setattr(multiprocessing, "get_context", lambda method: _RecordingContext)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     assert _fork_map(lambda u: u * u, range(10), 10 ** 6) == [u * u for u in range(10)]
     reference = _rate_bytes(rate_study(*SMALL_RATE, seed=4, k_max=16))
     assert _rate_bytes(rate_study(*SMALL_RATE, seed=4, k_max=16, workers=10 ** 6)) == reference
-    # a pool never holds more processes than units: four grid points, two seeds
+    # a pool never holds more processes than units: four grid points, two units
     assert _fork_map(abs, [-1, 2], 10 ** 6) == [1, 2]
     assert _RecordingPool.sizes == [3, 3, 2]
 
