@@ -26,13 +26,17 @@ loss read nothing else, and the noise mean is drawn from its exact
 ``CN(0, epsilon^2/n)`` law instead of averaged from ``n`` curves.
 
 The engine works on contiguous chunks of seeds, one chunk after the other
-in seed order, so its memory does not grow with the number of replicates.
-Per chunk it runs three steps:
+in seed order, so its memory does not grow with the number of replicates: a
+chunk holds what its seeds need during the draw, ``n + 2*k_max + 1`` values
+each, and the seeds themselves are made when their chunk runs.  Per chunk
+it runs three steps:
 
 * draw: every seed's shifts and noise from its own generator, then the
-  phases of the whole chunk at once;
-* select: one row-wise criterion trace (a cumulative sum) and one argmin per
-  rule, with the criteria of :mod:`shiftdecon.selection`;
+  phases of the whole chunk, one frequency at a time, keeping only their
+  means;
+* select: the band energy once for the negative-energy diagnostic and
+  every rule, then one row-wise criterion trace (a cumulative sum) and one
+  argmin per rule, with the criteria of :mod:`shiftdecon.selection`;
 * score: the losses of the rows that chose the same cutoff, summed together
   over equal-width rows.
 
@@ -61,8 +65,8 @@ import numpy as np
 
 from .catalog import sobolev_template
 from .errors import DegenerateInputError, InvalidParameterError
-from .selection import (CRITERION_ESTIMATORS, _cutoff_cap, _noise_terms, criterion_trace,
-                        fraction_negative_theta_hat, log_squared_over_n)
+from .selection import (CRITERION_ESTIMATORS, _band_energy, _criterion_trace, _cutoff_cap,
+                        _negative_fraction, _noise_terms, log_squared_over_n)
 from .simulate import _check_inputs, _draw_summaries
 from .spectral import (ShiftDensity, Template, _pair_sums, _tail_energy, laplace_density,
                        point_mass_density)
@@ -183,12 +187,32 @@ class McRisk(NamedTuple):
     cutoffs: np.ndarray
 
 
-def _replicate_seeds(seed: int, replications: int) -> list:
+class _ReplicateSeeds:
+    """``SeedSequence(seed).spawn(replications)`` without the list: each child
+    is made when it is read, as ``spawn`` makes it, so it gives the same
+    stream; an index or a slice reads them."""
+
+    def __init__(self, seed: int, replications: int):
+        self._root = np.random.SeedSequence(seed)
+        self._indices = range(replications)
+
+    def __len__(self) -> int:
+        return len(self._indices)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in self._indices[index]]
+        root = self._root
+        return np.random.SeedSequence(root.entropy, pool_size=root.pool_size,
+                                      spawn_key=root.spawn_key + (self._indices[index],))
+
+
+def _replicate_seeds(seed: int, replications: int) -> _ReplicateSeeds:
     """The seed of every replicate: ``replications`` substreams spawned from
     ``seed``.  At least 2, so that a standard error exists."""
     if replications < 2:
         raise InvalidParameterError(f"replications must be >= 2, got {replications}")
-    return np.random.SeedSequence(seed).spawn(replications)
+    return _ReplicateSeeds(seed, replications)
 
 
 def _mean_and_stderr(losses: np.ndarray, epsilon: float) -> tuple:
@@ -269,10 +293,14 @@ class _Replicates(NamedTuple):
     traces: np.ndarray
 
 
-# Phases held by one chunk of the draw, (k_max + 1) per curve: 2**15 complex
-# values are 512 kB, whatever the number of replicates.  A larger chunk
-# raises the peak memory of a study above that of its CSV rendering.
-_CHUNK_PHASES = 2 ** 15
+# The values a chunk of the draw may hold, at n + 2*k_max + 1 per seed: n for
+# its shifts and its row of phases, 2*k_max + 1 for its band of noise and
+# coefficients.  The bound holds whatever the number of replicates: at the
+# default configuration (n = 100, k_max = 40) 45 seeds, and a traced peak of
+# about 0.5 MB for the whole engine at 2000 replicates.  Larger chunks save
+# per-chunk calls but raise the peak memory of a study above that of its CSV
+# rendering.
+_CHUNK_VALUES = 2 ** 13
 
 
 def _run_replicates(template: Template, density: ShiftDensity, n: int,
@@ -284,21 +312,23 @@ def _run_replicates(template: Template, density: ShiftDensity, n: int,
     Each seed gives one dataset's column means, as
     :func:`shiftdecon.simulate.simulate_summary` draws them, on which every
     rule, a criterion kind, picks the cutoff minimizing its criterion over
-    ``0..m0`` (``options`` go to :func:`criterion_trace`; ties go to the
-    smallest cutoff) and keeps the criterion of replicate 0, which the study
+    ``0..m0`` (``options`` go to
+    :func:`~shiftdecon.selection.criterion_trace`; ties go to the smallest
+    cutoff) and keeps the criterion of replicate 0, which the study
     writes to ``traces.csv``.  A cutoff ``N`` scores ``||theta_hat - theta||^2``
     of the band-``N`` estimator, its tail ``sum_{|k| > N} |theta_k|^2`` taken
     in closed form.  The negative-energy fraction on ``|k| <= m0`` is
-    :func:`fraction_negative_theta_hat`'s.
+    :func:`~shiftdecon.selection.fraction_negative_theta_hat`'s.
 
-    Seeds run in contiguous chunks of at most ``_CHUNK_PHASES`` phases, one
-    chunk after the other in seed order: draw the chunk, select with one
-    row-wise criterion trace and argmin per rule, score the rows that share
-    a cutoff together.  Every step works row by row, so a replicate's
-    results do not depend on its chunk.  ``workers`` is checked (an integer
-    >= 1) and changes nothing: the chunks run in this process, because a
-    pool's start-up costs more than it saves at the usual 100 to 200
-    replicates.
+    Seeds run in contiguous chunks of at most ``_CHUNK_VALUES`` values, at
+    ``n + 2*k_max + 1`` per seed, one chunk after the other in seed order:
+    draw the chunk, take its band energy once for the diagnostic and every
+    rule, select with one row-wise criterion trace and argmin per rule,
+    score the rows that share a cutoff together.  ``gamma_band`` is read
+    once per run.  Every step works row by row, so a replicate's results do
+    not depend on its chunk.  ``workers`` is checked (an integer >= 1) and
+    changes nothing: the chunks run in this process, because a pool's
+    start-up costs more than it saves at the usual 100 to 200 replicates.
     """
     _check_workers(workers)
     gamma = density.gamma_band(m0)
@@ -307,19 +337,21 @@ def _run_replicates(template: Template, density: ShiftDensity, n: int,
     losses = np.empty((len(rules), len(seeds)), dtype=float)
     negative_fractions = np.empty(len(seeds), dtype=float)
     traces = np.empty((len(rules), m0 + 1), dtype=float)
-    step = max(1, _CHUNK_PHASES // ((template.k_max + 1) * n))
+    step = max(1, _CHUNK_VALUES // (n + 2 * template.k_max + 1))
     for start in range(0, len(seeds), step):
         chunk = slice(start, start + step)
         obs = _draw_summaries(template, density, n, epsilon, seeds[chunk])
-        negative_fractions[chunk] = fraction_negative_theta_hat(obs, density, m0)
+        energy = _band_energy(obs, gamma)
+        negative_fractions[chunk] = _negative_fraction(energy)
         for j, rule in enumerate(rules):
-            trace = criterion_trace(obs, density, rule, m0, **options)
+            trace = _criterion_trace(energy, rule, **options)
             if start == 0:
                 traces[j] = trace[0]
             cutoffs[j, chunk] = np.argmin(trace, axis=-1)
             with _noise_terms(epsilon):
                 losses[j, chunk] = _score(template, obs.c_tilde, cutoffs[j, chunk],
                                           gamma, tail, m0)
+        del obs, energy  # so that the next draw does not share the peak with them
     return _Replicates(cutoffs=cutoffs, losses=losses,
                        negative_fractions=negative_fractions, traces=traces)
 
@@ -436,7 +468,8 @@ def rate_study(s: float, beta: float, radius: float, n_grid: Sequence[int],
     A deterministic Sobolev-edge template with smoothness ``s`` and ball
     radius ``radius`` is estimated at every size in ``n_grid``; the slope of
     ``log(mise)`` against ``log(n)`` is fit by least squares and reported next
-    to the minimax exponent ``-2s/(2s + 2 beta + 1)``.  The shifts are
+    to the minimax exponent ``-2s/(2s + 2 beta + 1)``.  Each size must be an
+    integer >= 1, as for :func:`mc_risk`; none is rounded.  The shifts are
     point masses for ``beta = 0`` and Laplace(0.1) for ``beta = 2``; no
     other ``beta`` has a built-in density.
 
@@ -447,7 +480,7 @@ def rate_study(s: float, beta: float, radius: float, n_grid: Sequence[int],
     they run serially.  Every point is computed as if alone, so the value
     changes no result.
     """
-    n_grid_arr = np.asarray(list(n_grid), dtype=int)
+    n_grid_arr = np.array([_check_inputs(n, epsilon) for n in n_grid], dtype=int)
     if n_grid_arr.size < 3:
         raise InvalidParameterError(
             f"n_grid needs at least 3 points for a slope fit, got {n_grid_arr.size}"

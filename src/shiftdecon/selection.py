@@ -20,7 +20,10 @@ estimate of ``L sum |theta_k|^2/|g_k|^2``.  The default, ``"printed_form"``
 ``k`` with ``|g_k|^2 <= L``.
 
 ``t_k`` over a band has one kernel, ``_band_energy``; :func:`theta_hat_squared`
-is its scalar reference.  At ``n = 1``, ``L`` is 0: ``u_bar`` has no
+is its scalar reference.  The diagnostic and the criteria each have a
+private twin that reads a band energy made once (``_negative_fraction``,
+``_increments``, ``_criterion_trace``), so the Monte Carlo engine takes the
+energy of a chunk once for all of them.  At ``n = 1``, ``L`` is 0: ``u_bar`` has no
 penalty, and the cap saturates at ``k_max`` unless a ``g_k`` is exactly 0.
 
 Every function here reads a dataset only through its column means
@@ -149,15 +152,39 @@ def theta_hat_squared(obs: SequenceSummary, density: ShiftDensity,
     return float((abs(c) ** 2 - obs.epsilon ** 2 / obs.n) / g2)
 
 
-def _band_energy(obs: SequenceSummary, density: ShiftDensity, n_max: int) -> tuple:
+class _BandEnergy(NamedTuple):
     """``|c_tilde_k|``, ``t_k = |c_tilde_k|^2 - eps^2/n`` and ``|gamma_k|^2`` on
-    ``|k| <= n_max``, row by row, for the criteria and the diagnostic."""
-    if not (0 <= n_max <= obs.k_max):
-        raise InvalidParameterError(f"n_max must be in 0..{obs.k_max}, got {n_max}")
-    g2 = np.abs(density.gamma_band(n_max)) ** 2
+    ``|k| <= n_max``, row by row, with the ``n`` and ``epsilon`` of the data:
+    all that the criteria and the diagnostic read."""
+
+    c_abs: np.ndarray
+    t: np.ndarray
+    g2: np.ndarray
+    n: int
+    epsilon: float
+
+
+def _band_energy(obs: SequenceSummary, gamma: np.ndarray) -> _BandEnergy:
+    """The band energy of ``obs`` on the band of ``gamma``, which is
+    :meth:`ShiftDensity.gamma_band` over ``|k| <= n_max``."""
+    n_max = len(gamma) // 2
     c_abs = np.abs(obs.c_tilde[..., obs.k_max - n_max : obs.k_max + n_max + 1])
     with _noise_terms(obs.epsilon):
-        return c_abs, c_abs ** 2 - obs.epsilon ** 2 / obs.n, g2
+        return _BandEnergy(c_abs=c_abs, t=c_abs ** 2 - obs.epsilon ** 2 / obs.n,
+                           g2=np.abs(gamma) ** 2, n=obs.n, epsilon=obs.epsilon)
+
+
+def _energy_on(obs: SequenceSummary, density: ShiftDensity, n_max: int) -> _BandEnergy:
+    """:func:`_band_energy` on ``|k| <= n_max``, once ``n_max`` is checked."""
+    if not (0 <= n_max <= obs.k_max):
+        raise InvalidParameterError(f"n_max must be in 0..{obs.k_max}, got {n_max}")
+    return _band_energy(obs, density.gamma_band(n_max))
+
+
+def _negative_fraction(energy: _BandEnergy) -> np.ndarray:
+    """:func:`fraction_negative_theta_hat` of a band energy, one per row."""
+    with _noise_terms(energy.epsilon):
+        return np.count_nonzero(energy.t / energy.g2 < 0.0, axis=-1) / energy.g2.size
 
 
 def fraction_negative_theta_hat(obs: SequenceSummary, density: ShiftDensity,
@@ -169,33 +196,23 @@ def fraction_negative_theta_hat(obs: SequenceSummary, density: ShiftDensity,
     A ``float`` for one dataset; for a stack, an array with one fraction per
     row.
     """
-    _, t, g2 = _band_energy(obs, density, n_max)
-    with _noise_terms(obs.epsilon):
-        fraction = np.count_nonzero(t / g2 < 0.0, axis=-1) / (2 * n_max + 1)
+    fraction = _negative_fraction(_energy_on(obs, density, n_max))
     return float(fraction) if fraction.ndim == 0 else fraction
 
 
-def criterion_increments(obs: SequenceSummary, density: ShiftDensity,
-                         kind: str, n_max: int, *,
-                         penalty_variant: str = "printed_form") -> np.ndarray:
-    """Per-step criterion increments ``inc[..., 0..n_max]``, one row per
-    dataset of a stack.
-
-    ``inc[0]`` is the ``k = 0`` term and ``inc[N]`` (``N >= 1``) is the summed
-    contribution of ``k = +N`` and ``k = -N``, so the criterion at cutoff
-    ``N`` is the cumulative sum of ``inc[0..N]``.
-    """
+def _increments(energy: _BandEnergy, kind: str,
+                penalty_variant: str = "printed_form") -> np.ndarray:
+    """:func:`criterion_increments` of a band energy."""
     if kind not in CRITERION_KINDS:
         raise InvalidParameterError(f"unknown criterion kind {kind!r}; expected one of {CRITERION_KINDS}")
     if penalty_variant not in PENALTY_VARIANTS:
         raise InvalidParameterError(
             f"unknown penalty_variant {penalty_variant!r}; expected one of {PENALTY_VARIANTS}"
         )
-    c_abs, t, g2 = _band_energy(obs, density, n_max)
-    n = obs.n
-    noise_floor = obs.epsilon ** 2 / n
+    c_abs, t, g2, n, epsilon = energy
+    noise_floor = epsilon ** 2 / n
 
-    with _noise_terms(obs.epsilon):
+    with _noise_terms(epsilon):
         if kind == "u":
             per_k = (-(1.0 - 1.0 / n) * t / g2 + noise_floor / g2
                      + (1.0 / n) * t / (g2 * g2))
@@ -208,16 +225,34 @@ def criterion_increments(obs: SequenceSummary, density: ShiftDensity,
             per_k = -t / g2 + noise_floor / g2 + pen
         else:  # u_tilde
             per_k = -t / g2 + noise_floor / g2
-        return _pair_sums(per_k, n_max)
+        return _pair_sums(per_k, len(g2) // 2)
+
+
+def _criterion_trace(energy: _BandEnergy, kind: str, **options) -> np.ndarray:
+    """:func:`criterion_trace` of a band energy."""
+    increments = _increments(energy, kind, **options)
+    with _noise_terms(energy.epsilon):
+        return np.cumsum(increments, axis=-1)
+
+
+def criterion_increments(obs: SequenceSummary, density: ShiftDensity,
+                         kind: str, n_max: int, *,
+                         penalty_variant: str = "printed_form") -> np.ndarray:
+    """Per-step criterion increments ``inc[..., 0..n_max]``, one row per
+    dataset of a stack.
+
+    ``inc[0]`` is the ``k = 0`` term and ``inc[N]`` (``N >= 1``) is the summed
+    contribution of ``k = +N`` and ``k = -N``, so the criterion at cutoff
+    ``N`` is the cumulative sum of ``inc[0..N]``.
+    """
+    return _increments(_energy_on(obs, density, n_max), kind, penalty_variant)
 
 
 def criterion_trace(obs: SequenceSummary, density: ShiftDensity,
                     kind: str, n_max: int, **options) -> np.ndarray:
     """Criterion values for every cutoff ``N = 0..n_max`` (sequential sum),
     one row per dataset of a stack."""
-    increments = criterion_increments(obs, density, kind, n_max, **options)
-    with _noise_terms(obs.epsilon):
-        return np.cumsum(increments, axis=-1)
+    return _criterion_trace(_energy_on(obs, density, n_max), kind, **options)
 
 
 @dataclass(frozen=True)

@@ -12,13 +12,13 @@ in :func:`render_curves`, which synthesizes curves on a grid for display.
 
 The shift phases are built by recurrence, not by one complex exponential
 per ``(j, k)``: ``z_j = exp(-2j*pi*shift_j)`` is computed once per shift,
-and a ``(k_max + 1, n)`` array is filled row by row, row ``k`` being row
-``k - 1`` times ``z`` (one contiguous multiply per frequency).
-``gamma_tilde`` is the mean of each row.  Both simulators build the phases
-and their means with the same two helpers:
+and row ``k`` of the phases is row ``k - 1`` times ``z`` (one contiguous
+multiply per frequency, in :func:`_phase_rows`, the one recurrence).
+``gamma_tilde`` is the mean of each row.  Both simulators use it:
 
 * :func:`simulate` draws every curve (shifts, then real noise parts, then
-  imaginary noise parts, each ``n x (2*k_max + 1)``) and averages them.
+  imaginary noise parts, each ``n x (2*k_max + 1)``) and averages them; it
+  keeps every row of the phases, a ``(k_max + 1, n)`` array.
 * :func:`simulate_summary` draws only what the estimators read, the column
   means.  The mean of ``n`` i.i.d. ``CN(0, 1)`` noise rows is exactly
   ``CN(0, 1/n)``, so after the same shifts it adds one ``(2*k_max + 1)``
@@ -28,10 +28,12 @@ and their means with the same two helpers:
 
 The Monte Carlo engine in :mod:`shiftdecon.risk` draws summaries a chunk
 of seeds at a time (``_draw_summaries``): each seed's shifts and noise come
-from its own generator in the order above, and the phases of the whole
-chunk are built at once, in a ``(k_max + 1, seeds, n)`` array.  Every step
-after the draw is elementwise or reduces one row, so each seed gets the
-bytes :func:`simulate_summary` gives it alone.
+from its own generator in the order above.  The phases of the whole chunk
+are then streamed, one ``(seeds, n)`` row per frequency, and only each
+row's mean is kept, so the chunk holds ``n + 2*k_max + 1`` values per seed
+rather than ``(k_max + 1) * n``.  Every step after the draw is elementwise
+or reduces one row, so each seed gets the bytes :func:`simulate_summary`
+gives it alone.
 
 Draw order per dataset is fixed, so a seed pins the entire dataset
 bit-for-bit.
@@ -159,40 +161,65 @@ def _draw_shifts(density: ShiftDensity, rng: np.random.Generator, n: int) -> np.
     return shifts
 
 
-def _draw_phases(shifts: np.ndarray, k_max: int) -> np.ndarray:
-    """The phases ``exp(-2j*pi*k*shifts)`` for ``k = 0..k_max``, shape
-    ``(k_max + 1,) + shifts.shape``.
+def _phase_rows(shifts: np.ndarray, k_max: int):
+    """Yield the phases ``exp(-2j*pi*k*shifts)`` for ``k = 1..k_max``, one
+    row of shape ``shifts.shape`` at a time; at ``k = 0`` they are exactly 1.
 
     ``z = exp(-2j*pi*shifts)`` is the only exponential; row ``k`` is row
     ``k - 1`` times ``z``.  Row ``k`` differs from ``np.exp`` by rounding
-    that grows with ``k`` (about ``2e-13`` at ``k = 256``).
+    that grows with ``k`` (about ``2e-13`` at ``k = 256``).  From ``k = 2``
+    the rows alternate between two buffers, so a row is overwritten two
+    steps after it is yielded.  The product never writes over one of its
+    own operands: an in-place multiply rounds differently at ``n = 1``.
     """
+    if k_max < 1:
+        return
     z = np.exp(-2j * np.pi * shifts)
-    pos = np.empty((k_max + 1,) + z.shape, dtype=np.complex128)
-    pos[0] = 1.0
-    if k_max >= 1:
-        pos[1] = z
+    yield z
+    row, buffers = z, (np.empty_like(z), np.empty_like(z))
     for k in range(2, k_max + 1):
-        np.multiply(pos[k - 1], z, out=pos[k])
+        row = np.multiply(row, z, out=buffers[k % 2])
+        yield row
+
+
+def _draw_phases(shifts: np.ndarray, k_max: int) -> np.ndarray:
+    """The phases for ``k = 0..k_max`` in one array, shape
+    ``(k_max + 1,) + shifts.shape``: the per-curve draw needs them all."""
+    pos = np.empty((k_max + 1,) + shifts.shape, dtype=np.complex128)
+    pos[0] = 1.0
+    for k, row in enumerate(_phase_rows(shifts, k_max), start=1):
+        pos[k] = row
     return pos
 
 
-def _mean_phase(pos: np.ndarray) -> np.ndarray:
-    """``gamma_tilde`` from :func:`_draw_phases`: the mean of each row over
-    the curves (the last axis), with ``k`` moved last and extended to the
-    full band.  Each mean reduces one contiguous row, so a dataset's
-    ``gamma_tilde`` does not depend on how many datasets share ``pos``.
+def _phase_means(shifts: np.ndarray, k_max: int) -> np.ndarray:
+    """The mean over the curves (the last axis) of each row of
+    :func:`_phase_rows`, with ``k = 0..k_max`` moved last.  The rows are
+    never stored together: ``z`` and two rows exist at a time."""
+    half = np.ones(shifts.shape[:-1] + (k_max + 1,), dtype=np.complex128)
+    for k, row in enumerate(_phase_rows(shifts, k_max), start=1):
+        half[..., k] = np.add.reduce(row, axis=-1)
+    # numpy's mean, whose bits the per-curve draw gets: the sum, then a
+    # division by the count; one division for all rows saves a call per row
+    np.true_divide(half[..., 1:], shifts.shape[-1], out=half[..., 1:])
+    return half
+
+
+def _mean_phase(half: np.ndarray) -> np.ndarray:
+    """``gamma_tilde`` from the means of the phase rows over the curves,
+    ``k = 0..k_max`` on the last axis: extended to the full band.
 
     The ``k = 0`` phases are exactly 1, and so is their mean; numpy's complex
     mean multiplies the sum by ``1/n``, which rounds below 1 at some ``n``
     (49, 98, 103, ...).  Conjugating a mean gives the mean of the conjugated
     row bit for bit, except for the sign of a zero: a numpy sum is never
     ``-0.0``, its conjugate can be.  Adding ``0.0`` turns ``-0.0`` into
-    ``0.0`` and leaves every other value as it is.
+    ``0.0`` and leaves every other value as it is.  Each mean reduces one
+    contiguous row of one dataset, so it does not depend on how many
+    datasets were drawn with it.
     """
-    mean = np.moveaxis(pos.mean(axis=-1), 0, -1)
-    mean[..., 0] = 1.0
-    return _hermitian(mean) + 0.0
+    half[..., 0] = 1.0
+    return _hermitian(half) + 0.0
 
 
 def simulate(template: Template, density: ShiftDensity, n: int, epsilon: float,
@@ -232,7 +259,7 @@ def simulate(template: Template, density: ShiftDensity, n: int, epsilon: float,
     return SequenceObservations(
         per_curve=per_curve,
         c_tilde=per_curve.mean(axis=0),
-        gamma_tilde=_mean_phase(pos),
+        gamma_tilde=_mean_phase(pos.mean(axis=-1)),
         n=n,
         epsilon=float(epsilon),
         k_max=k_max,
@@ -249,8 +276,9 @@ def simulate_summary(template: Template, density: ShiftDensity, n: int,
     Then ``c_tilde_k = coeff_k * gamma_tilde_k + (epsilon/sqrt(n)) xi_k``
     with one ``(2*k_max + 1)`` vector of i.i.d. ``CN(0, 1)`` noise ``xi``
     (real parts, then imaginary parts), independent across all frequencies,
-    ``-k`` and ``+k`` included.  The cost is one ``(k_max + 1) x n`` phase
-    matrix instead of :func:`simulate`'s ``n x (2*k_max + 1)`` draws.
+    ``-k`` and ``+k`` included.  The cost is ``k_max`` rows of ``n`` phases,
+    made one at a time, instead of :func:`simulate`'s ``n x (2*k_max + 1)``
+    draws.
     """
     stack = _draw_summaries(template, density, n, epsilon, [seed])
     return SequenceSummary(c_tilde=stack.c_tilde[0], gamma_tilde=stack.gamma_tilde[0],
@@ -263,9 +291,10 @@ def _draw_summaries(template: Template, density: ShiftDensity, n: int,
     :func:`simulate_summary` is the one-seed case.
 
     Each seed's generator draws its shifts, then its real and imaginary noise
-    parts; the phases of all seeds are then built in one
-    ``(k_max + 1, len(seeds), n)`` array.  Every later step is elementwise or
-    reduces one row, so row ``i`` does not depend on the other seeds.
+    parts.  The phases of all seeds are then made one frequency at a time, a
+    ``(len(seeds), n)`` row each, and only each row's mean is kept.  Every
+    later step is elementwise or reduces one row, so row ``i`` does not
+    depend on the other seeds.
     """
     n = _check_inputs(n, epsilon)
     k_max = template.k_max
@@ -279,7 +308,7 @@ def _draw_summaries(template: Template, density: ShiftDensity, n: int,
         noise_re[i] = rng.standard_normal(width)
         noise_im[i] = rng.standard_normal(width)
 
-    gamma_tilde = _mean_phase(_draw_phases(shifts, k_max))
+    gamma_tilde = _mean_phase(_phase_means(shifts, k_max))
     noise = (noise_re + 1j * noise_im) * np.sqrt(0.5)
     return SequenceSummary(
         c_tilde=template.coeffs * gamma_tilde + (epsilon / math.sqrt(n)) * noise,

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from shiftdecon.catalog import sobolev_template, wave_template
 from shiftdecon.errors import VanishingEigenvalueError
+from shiftdecon import risk
 from shiftdecon.risk import _run_replicates, risk_report
 from shiftdecon.selection import (CRITERION_KINDS, PENALTY_VARIANTS, _band_energy,
                                   criterion_increments, criterion_trace,
@@ -81,7 +82,8 @@ def test_band_energy_matches_its_scalar_reference(seed, k_max, lead, n, epsilon,
     stack = SequenceSummary(c_tilde=c_tilde, gamma_tilde=np.ones_like(c_tilde),
                             n=n, epsilon=epsilon, k_max=k_max)
     n_max = data.draw(st.integers(0, k_max))
-    _, t, g2 = _band_energy(stack, density, n_max)
+    band = _band_energy(stack, density.gamma_band(n_max))
+    t, g2 = band.t, band.g2
     energy = t / g2
     for index in np.ndindex(*lead):
         row = SequenceSummary(c_tilde=c_tilde[index], gamma_tilde=np.ones(width),
@@ -120,6 +122,28 @@ def test_replicate_engine_is_worker_invariant(seed, n, rules):
     for other in runs[1:]:
         for field, ref in zip(other, runs[0]):
             assert np.array_equal(field, ref)
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(seed=SEEDS, n=st.integers(1, 700), k_max=st.integers(1, 24),
+       replications=st.integers(2, 40), data=st.data())
+def test_replicate_engine_does_not_depend_on_the_chunk_size(seed, n, k_max, replications,
+                                                            data):
+    # one seed per chunk, a few seeds per chunk and the default chunks agree
+    # byte for byte on every result
+    template = sobolev_template(1.5, 1.0, k_max)
+    m0 = data.draw(st.integers(0, k_max))
+    seeds = np.random.SeedSequence(seed).spawn(replications)
+    budgets = (1, data.draw(st.integers(1, 4 * (n + 2 * k_max + 1))), risk._CHUNK_VALUES)
+    runs = []
+    for budget in budgets:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(risk, "_CHUNK_VALUES", budget)
+            runs.append(_run_replicates(template, LAPLACE, n, 0.1, seeds, CRITERION_KINDS,
+                                        m0, workers=1))
+    for other in runs[1:]:
+        for field, ref in zip(other, runs[0]):
+            assert field.tobytes() == ref.tobytes()
 
 
 DENSITIES = (LAPLACE, laplace_density(0.4), gaussian_density(0.15),

@@ -7,6 +7,7 @@ import multiprocessing
 import os
 import sys
 import threading
+import tracemalloc
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
@@ -262,16 +263,44 @@ def test_engine_negative_fractions_match_fraction_negative_theta_hat():
     assert 0.0 < max(seen) < 1.0
 
 
-def test_engine_matches_one_replicate_at_a_time():
+def test_replicate_seeds_are_the_spawned_children():
+    # made one at a time, each gives the stream of SeedSequence.spawn's child
+    seeds = risk_module._replicate_seeds(42, 5)
+    spawned = np.random.SeedSequence(42).spawn(5)
+    assert len(seeds) == 5
+    assert [s.state for s in seeds[:]] == [s.state for s in spawned]
+    assert [s.state for s in seeds[1:4]] == [s.state for s in spawned[1:4]]
+    assert seeds[-1].state == spawned[-1].state
+    assert np.random.default_rng(seeds[3]).random(4).tobytes() == \
+        np.random.default_rng(spawned[3]).random(4).tobytes()
+    with pytest.raises(IndexError):
+        seeds[5]
+
+
+def _chunk_sizes(monkeypatch) -> list:
+    """The number of seeds of each chunk the engine draws from now on."""
+    sizes = []
+
+    def draw(template, density, n, epsilon, seeds):
+        sizes.append(len(seeds))
+        return _draw_summaries(template, density, n, epsilon, seeds)
+
+    monkeypatch.setattr(risk_module, "_draw_summaries", draw)
+    return sizes
+
+
+def test_engine_matches_one_replicate_at_a_time(monkeypatch):
     # reference: simulate_summary, select_cutoff and the loss of the band-N
-    # estimator, one seed at a time; 30 seeds at n = 600 span five chunks.
-    # The engine keeps replicate 0's criterion traces, bit for bit.
+    # estimator, one seed at a time.  The engine keeps replicate 0's
+    # criterion traces, bit for bit.
     template, n, epsilon, m0 = WAVE8, 600, 0.3, 7
     options = dict(penalty_variant="proof_form")
     rules = ("u_bar", "u_tilde", "u")
     seeds = np.random.SeedSequence(77).spawn(30)
+    chunks = _chunk_sizes(monkeypatch)
     reps = _run_replicates(template, LAPLACE, n, epsilon, seeds, rules, m0,
                            workers=1, **options)
+    assert len(chunks) > 1 and sum(chunks) == len(seeds)
     gamma, tail = LAPLACE.gamma_band(m0), _tail_energy(template, m0)
     for i, seed in enumerate(seeds):
         obs = simulate_summary(template, LAPLACE, n, epsilon, seed)
@@ -286,6 +315,53 @@ def test_engine_matches_one_replicate_at_a_time():
             assert reps.cutoffs[j, i] == cutoff
             assert reps.losses[j, i] == np.sum(np.abs(diff) ** 2) + tail[cutoff]
     assert len(np.unique(reps.cutoffs[0])) > 1
+
+
+@pytest.mark.parametrize("density", [LAPLACE, uniform_density(0.05)],
+                         ids=["laplace", "uniform"])
+def test_engine_results_do_not_depend_on_the_chunk_size(density, monkeypatch):
+    # one seed per chunk against the default chunks: at n = 600 the 40 seeds
+    # span several of them, at n = 1 they share one
+    seeds = np.random.SeedSequence(2024).spawn(40)
+    rules = ("u", "u_bar", "u_tilde")
+    for n in (1, 7, 100, 600):
+        for m0 in (0, WAVE8.k_max):
+            chunks = _chunk_sizes(monkeypatch)
+            default = _run_replicates(WAVE8, density, n, 0.2, seeds, rules, m0, workers=1)
+            with monkeypatch.context() as patch:
+                patch.setattr(risk_module, "_CHUNK_VALUES", 1)
+                alone = _run_replicates(WAVE8, density, n, 0.2, seeds, rules, m0,
+                                        workers=1)
+            assert chunks[-len(seeds):] == [1] * len(seeds)
+            if n == 600:
+                assert len(chunks) - len(seeds) > 1
+            for field, ref in zip(default, alone):
+                assert field.tobytes() == ref.tobytes()
+
+
+def test_engine_memory_is_one_chunk_and_the_results():
+    # at the default configuration the engine's traced peak stays at or below
+    # 0.60 MB, and from 200 to 4000 replicates it grows by the per-replicate
+    # results only: a cutoff and a loss per rule, and a negative fraction
+    cfg = ExperimentConfig()
+    template, density = build_template(cfg), build_density(cfg)
+    rules = ("u_bar", "u_tilde")
+
+    def peak(replications):
+        seeds = risk_module._replicate_seeds(cfg.seed, replications)
+        tracemalloc.start()
+        try:
+            _run_replicates(template, density, cfg.n, cfg.epsilon, seeds, rules,
+                            cfg.m0_override, workers=1, penalty_variant=cfg.penalty_variant)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(2)  # numpy's first calls allocate what they keep
+    small, default, large = peak(200), peak(2000), peak(4000)
+    assert default <= 600_000
+    per_replicate = len(rules) * (8 + 8) + 8
+    assert large - small <= per_replicate * (4000 - 200) + 20_000
 
 
 def _read_rows(path):
@@ -442,6 +518,15 @@ def test_rate_study_validation():
     with pytest.raises(InvalidParameterError):
         # no built-in density decays at this exponent
         rate_study(2.0, 1.5, 5.0, [50, 100, 200], 0.01, 10, seed=0)
+
+
+def test_rate_study_refuses_a_grid_size_that_mc_risk_refuses():
+    # each size is checked as it is given, not truncated to an int first
+    for n_grid in ([2.9, 3.5, 4.99], [True, 2, 3], [2, 3, np.float64(4.0)]):
+        with pytest.raises(InvalidParameterError, match="n must be an integer"):
+            rate_study(1.0, 0.0, 2.0, n_grid, 0.05, 2, seed=0, k_max=4)
+    study = rate_study(1.0, 0.0, 2.0, np.arange(2, 5), 0.05, 2, seed=0, k_max=4)
+    assert study.n_grid.tolist() == [2, 3, 4]
 
 
 def test_rate_study_no_shift_smoke():
