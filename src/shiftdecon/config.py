@@ -46,8 +46,8 @@ from .csvio import format_cell, read_template_csv
 from .errors import ConfigError, InvalidParameterError
 from .selection import CRITERION_KINDS, PENALTY_VARIANTS
 from .simulate import _check_inputs
-from .spectral import (ShiftDensity, Template, gaussian_density, laplace_density,
-                       point_mass_density, uniform_density)
+from .spectral import (ShiftDensity, Template, _check_integer, gaussian_density,
+                       laplace_density, point_mass_density, uniform_density)
 
 __all__ = ["ExperimentConfig", "CONFIG_FIELDS", "parse_config", "load_config",
            "serialize_config", "save_config", "build_density", "build_template"]
@@ -107,14 +107,11 @@ class ExperimentConfig:
         library("density.half_width", uniform_density, self.density_half_width)
         library("n", _check_inputs, self.n, 0.0)
         library("epsilon", _check_inputs, 1, self.epsilon)
-        if self.k_max < 1:
-            bad("k_max", f"must be an integer >= 1, got {self.k_max!r}")
+        library("k_max", _check_integer, "k_max", self.k_max, 1)
         if self.criterion not in CRITERION_KINDS:
             bad("criterion", f"must be one of {CRITERION_KINDS}, got {self.criterion!r}")
-        if self.replications < 2:
-            bad("replications", f"must be an integer >= 2, got {self.replications!r}")
-        if self.seed < 0:
-            bad("seed", f"must be an integer >= 0, got {self.seed!r}")
+        library("replications", _check_integer, "replications", self.replications, 2)
+        library("seed", _check_integer, "seed", self.seed, 0)
         # m0_override's range, 0..k_max of the built template's band, is checked at use
         if self.penalty_variant not in PENALTY_VARIANTS:
             bad("penalty_variant", f"must be one of {PENALTY_VARIANTS}, got {self.penalty_variant!r}")

@@ -25,10 +25,12 @@ on shared datasets.  Each replicate draws only the column means, as
 loss read nothing else, and the noise mean is drawn from its exact
 ``CN(0, epsilon^2/n)`` law instead of averaged from ``n`` curves.
 
-The engine works on contiguous chunks of seeds, one chunk after the other
-in seed order, so its memory does not grow with the number of replicates: a
-chunk holds what its seeds need during the draw, ``n + 2*k_max + 1`` values
-each, and the seeds themselves are made when their chunk runs.  Per chunk
+Replicate ``i`` runs on child ``i`` of ``SeedSequence(seed).spawn``.  The
+engine works on contiguous chunks of replicates, one chunk after the other
+in replicate order, so its memory does not grow with the number of
+replicates: a chunk holds what its replicates need during the draw,
+``n + 2*k_max + 1`` values each, and it spawns its seeds from the one root
+when it runs (``spawn`` numbers children on from its last call).  Per chunk
 it runs three steps:
 
 * draw: every seed's shifts and noise from its own generator, then the
@@ -37,8 +39,9 @@ it runs three steps:
 * select: the band energy once for the negative-energy diagnostic and
   every rule, then one row-wise criterion trace (a cumulative sum) and one
   argmin per rule, with the criteria of :mod:`shiftdecon.selection`;
-* score: the losses of the rows that chose the same cutoff, summed together
-  over equal-width rows.
+* score: one row-wise loss trace for every rule, ``loss[N]`` the squared
+  error of the band-``N`` estimator for every ``N = 0..m0``, built as the
+  criteria are; each rule reads its rows' losses at their cutoffs.
 
 Each step treats a replicate's row as if it were alone, so results are
 bit-identical for any chunking and any ``workers`` value.
@@ -68,8 +71,8 @@ from .errors import DegenerateInputError, InvalidParameterError
 from .selection import (CRITERION_ESTIMATORS, _band_energy, _criterion_trace, _cutoff_cap,
                         _negative_fraction, _noise_terms, log_squared_over_n)
 from .simulate import _check_inputs, _draw_summaries
-from .spectral import (ShiftDensity, Template, _pair_sums, _tail_energy, laplace_density,
-                       point_mass_density)
+from .spectral import (ShiftDensity, Template, _check_integer, _pair_sums, _tail_energy,
+                       laplace_density, point_mass_density)
 
 __all__ = [
     "RiskBreakdown",
@@ -187,32 +190,11 @@ class McRisk(NamedTuple):
     cutoffs: np.ndarray
 
 
-class _ReplicateSeeds:
-    """``SeedSequence(seed).spawn(replications)`` without the list: each child
-    is made when it is read, as ``spawn`` makes it, so it gives the same
-    stream; an index or a slice reads them."""
-
-    def __init__(self, seed: int, replications: int):
-        self._root = np.random.SeedSequence(seed)
-        self._indices = range(replications)
-
-    def __len__(self) -> int:
-        return len(self._indices)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in self._indices[index]]
-        root = self._root
-        return np.random.SeedSequence(root.entropy, pool_size=root.pool_size,
-                                      spawn_key=root.spawn_key + (self._indices[index],))
-
-
-def _replicate_seeds(seed: int, replications: int) -> _ReplicateSeeds:
-    """The seed of every replicate: ``replications`` substreams spawned from
-    ``seed``.  At least 2, so that a standard error exists."""
-    if replications < 2:
-        raise InvalidParameterError(f"replications must be >= 2, got {replications}")
-    return _ReplicateSeeds(seed, replications)
+def _check_replicates(seed, replications) -> tuple:
+    """``(seed, replications)`` of a Monte Carlo run as ints: integers, the
+    seed >= 0 and at least 2 replicates, so that a standard error exists.
+    Replicate ``i`` runs on child ``i`` of ``SeedSequence(seed).spawn``."""
+    return _check_integer("seed", seed, 0), _check_integer("replications", replications, 2)
 
 
 def _mean_and_stderr(losses: np.ndarray, epsilon: float) -> tuple:
@@ -223,21 +205,12 @@ def _mean_and_stderr(losses: np.ndarray, epsilon: float) -> tuple:
                 float(np.std(losses, ddof=1) / math.sqrt(losses.size)))
 
 
-def _check_workers(workers) -> int:
-    """``workers``, a process count, as an int; it must be an integer >= 1."""
-    if isinstance(workers, bool) or not isinstance(workers, (int, np.integer)):
-        raise InvalidParameterError(f"workers must be an integer, got {workers!r}")
-    if workers < 1:
-        raise InvalidParameterError(f"workers must be >= 1, got {workers}")
-    return int(workers)
-
-
 def _pool_size(workers, units: int) -> int:
     """Processes for ``units`` independent units of work: ``workers`` capped at
     ``units`` and at the CPUs this process may run on.  It is 1 off Linux,
     where ``fork`` is unavailable, and while the calling process runs other
     Python threads, which a forked child could find holding a lock."""
-    size = min(_check_workers(workers), units)
+    size = min(_check_integer("workers", workers, 1), units)
     if size <= 1 or sys.platform != "linux":
         return min(size, 1)
     import multiprocessing  # only a pool needs it, so the package imports without it
@@ -304,72 +277,82 @@ _CHUNK_VALUES = 2 ** 13
 
 
 def _run_replicates(template: Template, density: ShiftDensity, n: int,
-                    epsilon: float, seeds: Sequence[np.random.SeedSequence],
+                    epsilon: float, seed: int, replications: int,
                     rules: Sequence[str], m0: int, *, workers: int,
                     **options) -> _Replicates:
     """The replicate loop behind :func:`mc_risk` and the replication study.
 
-    Each seed gives one dataset's column means, as
+    Replicate ``i`` runs on child ``i`` of ``SeedSequence(seed).spawn``; its
+    seed gives one dataset's column means, as
     :func:`shiftdecon.simulate.simulate_summary` draws them, on which every
     rule, a criterion kind, picks the cutoff minimizing its criterion over
     ``0..m0`` (``options`` go to
     :func:`~shiftdecon.selection.criterion_trace`; ties go to the smallest
     cutoff) and keeps the criterion of replicate 0, which the study
-    writes to ``traces.csv``.  A cutoff ``N`` scores ``||theta_hat - theta||^2``
-    of the band-``N`` estimator, its tail ``sum_{|k| > N} |theta_k|^2`` taken
-    in closed form.  The negative-energy fraction on ``|k| <= m0`` is
-    :func:`~shiftdecon.selection.fraction_negative_theta_hat`'s.
+    writes to ``traces.csv``.  A cutoff ``N`` scores ``loss[N]``, the
+    replicate's :func:`_loss_trace`.  The negative-energy fraction on
+    ``|k| <= m0`` is :func:`~shiftdecon.selection.fraction_negative_theta_hat`'s.
 
-    Seeds run in contiguous chunks of at most ``_CHUNK_VALUES`` values, at
-    ``n + 2*k_max + 1`` per seed, one chunk after the other in seed order:
-    draw the chunk, take its band energy once for the diagnostic and every
-    rule, select with one row-wise criterion trace and argmin per rule,
-    score the rows that share a cutoff together.  ``gamma_band`` is read
-    once per run.  Every step works row by row, so a replicate's results do
-    not depend on its chunk.  ``workers`` is checked (an integer >= 1) and
-    changes nothing: the chunks run in this process, because a pool's
-    start-up costs more than it saves at the usual 100 to 200 replicates.
+    Replicates run in contiguous chunks of at most ``_CHUNK_VALUES`` values,
+    at ``n + 2*k_max + 1`` per replicate, one chunk after the other in
+    replicate order: spawn the chunk's seeds and draw it, take its band
+    energy and its loss trace once for the diagnostic and every rule, select with one row-wise criterion trace and
+    argmin per rule, and read each row's loss at its cutoff.  ``gamma_band``
+    is read once per run.  Every step works row by row, so a replicate's
+    results do not depend on its chunk.  ``workers`` is checked (an integer
+    >= 1) and changes nothing: the chunks run in this process, because a
+    pool's start-up costs more than it saves at the usual 100 to 200
+    replicates.
     """
-    _check_workers(workers)
+    _check_integer("workers", workers, 1)
     gamma = density.gamma_band(m0)
     tail = _tail_energy(template, m0)
-    cutoffs = np.empty((len(rules), len(seeds)), dtype=int)
-    losses = np.empty((len(rules), len(seeds)), dtype=float)
-    negative_fractions = np.empty(len(seeds), dtype=float)
+    root = np.random.SeedSequence(seed)
+    cutoffs = np.empty((len(rules), replications), dtype=int)
+    losses = np.empty((len(rules), replications), dtype=float)
+    negative_fractions = np.empty(replications, dtype=float)
     traces = np.empty((len(rules), m0 + 1), dtype=float)
     step = max(1, _CHUNK_VALUES // (n + 2 * template.k_max + 1))
-    for start in range(0, len(seeds), step):
-        chunk = slice(start, start + step)
-        obs = _draw_summaries(template, density, n, epsilon, seeds[chunk])
+    for start in range(0, replications, step):
+        chunk = slice(start, min(start + step, replications))
+        # spawn numbers children on from its last call: these are start, start + 1, ...
+        obs = _draw_summaries(template, density, n, epsilon, root.spawn(chunk.stop - start))
         energy = _band_energy(obs, gamma)
+        loss = _loss_trace(template, obs.c_tilde, gamma, tail, epsilon)
         negative_fractions[chunk] = _negative_fraction(energy)
         for j, rule in enumerate(rules):
             trace = _criterion_trace(energy, rule, **options)
             if start == 0:
                 traces[j] = trace[0]
             cutoffs[j, chunk] = np.argmin(trace, axis=-1)
-            with _noise_terms(epsilon):
-                losses[j, chunk] = _score(template, obs.c_tilde, cutoffs[j, chunk],
-                                          gamma, tail, m0)
-        del obs, energy  # so that the next draw does not share the peak with them
+            losses[j, chunk] = np.take_along_axis(loss, cutoffs[j, chunk, None], -1)[:, 0]
+        del obs, energy, loss  # so that the next draw does not share the peak with them
     return _Replicates(cutoffs=cutoffs, losses=losses,
                        negative_fractions=negative_fractions, traces=traces)
 
 
-def _score(template: Template, c_tilde: np.ndarray, cutoffs: np.ndarray,
-           gamma: np.ndarray, tail: np.ndarray, m0: int) -> np.ndarray:
-    """Loss of the band-``cutoffs[i]`` estimator on row ``i`` of ``c_tilde``;
-    ``gamma`` spans ``|k| <= m0`` and ``tail`` is ``_tail_energy(template, m0)``.
-    The rows sharing a cutoff are summed in one call over equal-width rows."""
-    k_max = template.k_max
-    losses = np.empty(len(cutoffs), dtype=float)
-    for cutoff in set(cutoffs.tolist()):
-        rows = np.flatnonzero(cutoffs == cutoff)
-        band = slice(k_max - cutoff, k_max + cutoff + 1)
-        theta_hat = c_tilde[rows, band] / gamma[m0 - cutoff : m0 + cutoff + 1]
-        diff = theta_hat - template.coeffs[band]
-        losses[rows] = np.sum(np.abs(diff) ** 2, axis=1) + tail[cutoff]
-    return losses
+def _loss_trace(template: Template, c_tilde: np.ndarray, gamma: np.ndarray,
+                tail: np.ndarray, epsilon: float) -> np.ndarray:
+    """``loss[..., N] = ||theta_hat_N - theta||^2`` of the band-``N``
+    estimator for every ``N = 0..m0``, one row per row of ``c_tilde``;
+    ``gamma`` is :meth:`ShiftDensity.gamma_band` over ``|k| <= m0`` and
+    ``tail`` is ``_tail_energy(template, m0)``.  As the criteria are, it is
+    an in-order cumulative sum of per-step pair sums, plus the tail
+    ``sum_{|k| > N} |theta_k|^2`` in closed form.  Its expectation is
+    :func:`risk_report`'s ``r``."""
+    m0 = len(gamma) // 2
+    band = slice(template.k_max - m0, template.k_max + m0 + 1)
+    with _noise_terms(epsilon):
+        error = np.abs(c_tilde[..., band] / gamma - template.coeffs[band]) ** 2
+        return np.cumsum(_pair_sums(error, m0), axis=-1) + tail
+
+
+def _criterion_of(estimator_kind: str) -> str:
+    """The criterion kind that selects the cutoff of ``estimator_kind``."""
+    if estimator_kind not in _ESTIMATOR_CRITERIA:
+        raise InvalidParameterError(f"unknown estimator kind {estimator_kind!r}; "
+                                    f"expected one of {tuple(_ESTIMATOR_CRITERIA)}")
+    return _ESTIMATOR_CRITERIA[estimator_kind]
 
 
 def mc_risk(template: Template, density: ShiftDensity, n: int, epsilon: float,
@@ -388,21 +371,21 @@ def mc_risk(template: Template, density: ShiftDensity, n: int, epsilon: float,
         needs no Monte Carlo: :func:`risk_report` and :func:`exact_risk`
         give its risk exactly.
     replications : int
-        Number of independent datasets (>= 2 so a standard error exists).
+        Number of independent datasets, an integer >= 2 so that a standard
+        error exists.
     seed : int
-        Base seed; replicate ``i`` runs on the ``i``-th spawned substream.
+        Base seed, an integer >= 0; replicate ``i`` runs on child ``i`` of
+        ``numpy.random.SeedSequence(seed).spawn``.  ``None``, a ``bool`` or a
+        float is refused, so every run can be reproduced.
     workers : int
         Must be an integer >= 1.  Replicates run serially, in chunks of
         contiguous seeds in seed order, so the value changes no result.
     """
-    if estimator_kind not in _ESTIMATOR_CRITERIA:
-        raise InvalidParameterError(f"unknown estimator kind {estimator_kind!r}; "
-                                    f"expected one of {tuple(_ESTIMATOR_CRITERIA)}")
-    seeds = _replicate_seeds(seed, replications)
+    rule = _criterion_of(estimator_kind)
+    seed, replications = _check_replicates(seed, replications)
     _check_inputs(n, epsilon)
     m0 = _cutoff_cap(density, n, template.k_max, m0)
-    reps = _run_replicates(template, density, n, epsilon, seeds,
-                           (_ESTIMATOR_CRITERIA[estimator_kind],), m0,
+    reps = _run_replicates(template, density, n, epsilon, seed, replications, (rule,), m0,
                            workers=workers, penalty_variant=penalty_variant)
     mean, stderr = _mean_and_stderr(reps.losses[0], epsilon)
     return McRisk(mean=mean, stderr=stderr, losses=reps.losses[0], cutoffs=reps.cutoffs[0])
@@ -417,6 +400,8 @@ def oracle_ratio(template: Template, density: ShiftDensity, n: int, epsilon: flo
     ``r`` for ``theta_tilde`` and ``theta_u``.  ``estimator_kind`` and
     ``workers`` go to :func:`mc_risk`.
     """
+    _criterion_of(estimator_kind)
+    _check_replicates(seed, replications)
     m0 = _cutoff_cap(density, n, template.k_max, m0)
     report = risk_report(template, density, n, epsilon, m0)
     denom = float(np.min(report.r_bar if estimator_kind == "theta_star" else report.r))
@@ -469,7 +454,9 @@ def rate_study(s: float, beta: float, radius: float, n_grid: Sequence[int],
     radius ``radius`` is estimated at every size in ``n_grid``; the slope of
     ``log(mise)`` against ``log(n)`` is fit by least squares and reported next
     to the minimax exponent ``-2s/(2s + 2 beta + 1)``.  Each size must be an
-    integer >= 1, as for :func:`mc_risk`; none is rounded.  The shifts are
+    integer >= 1, as for :func:`mc_risk`; none is rounded.  ``seed`` and
+    ``replications`` are checked as :func:`mc_risk` checks them, before any
+    grid point runs.  The shifts are
     point masses for ``beta = 0`` and Laplace(0.1) for ``beta = 2``; no
     other ``beta`` has a built-in density.
 
@@ -480,6 +467,7 @@ def rate_study(s: float, beta: float, radius: float, n_grid: Sequence[int],
     they run serially.  Every point is computed as if alone, so the value
     changes no result.
     """
+    seed, replications = _check_replicates(seed, replications)
     n_grid_arr = np.array([_check_inputs(n, epsilon) for n in n_grid], dtype=int)
     if n_grid_arr.size < 3:
         raise InvalidParameterError(

@@ -53,7 +53,7 @@ import numpy as np
 
 from .errors import InvalidParameterError
 from .simulate import SequenceSummary, _check_inputs
-from .spectral import ShiftDensity, _pair_sums, _synthesize_rows
+from .spectral import ShiftDensity, _check_integer, _pair_sums, _synthesize_rows
 
 __all__ = [
     "CRITERION_ESTIMATORS",
@@ -117,9 +117,7 @@ def _cutoff_cap(density: ShiftDensity, n: int, k_max: int, m0: Optional[int]) ->
     when it is ``None``; in ``0..k_max`` either way."""
     if m0 is None:
         m0 = compute_m0(density, n, k_max).value
-    if not (0 <= m0 <= k_max):
-        raise InvalidParameterError(f"m0 must be in 0..{k_max}, got {m0}")
-    return int(m0)
+    return _check_integer("m0", m0, 0, k_max)
 
 
 @contextmanager

@@ -48,7 +48,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import InvalidParameterError, InvariantViolationError
-from .spectral import ShiftDensity, Template, _hermitian, _synthesize_rows
+from .spectral import ShiftDensity, Template, _check_integer, _hermitian, _synthesize_rows
 
 __all__ = ["SequenceSummary", "SequenceObservations", "simulate", "simulate_summary",
            "render_curves", "render_grid"]
@@ -144,11 +144,10 @@ class SequenceObservations(SequenceSummary):
 def _check_inputs(n, epsilon) -> int:
     """``n`` as an ``int``, once it and ``epsilon`` are checked.  The square of
     ``epsilon`` must be finite: the estimators and risks use ``epsilon**2 / n``."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-        raise InvalidParameterError(f"n must be an integer >= 1, got {n!r}")
+    n = _check_integer("n", n, 1)
     if not (0.0 <= epsilon and epsilon * epsilon < math.inf):
         raise InvalidParameterError(f"epsilon must be >= 0 with a finite square, got {epsilon!r}")
-    return int(n)
+    return n
 
 
 def _draw_shifts(density: ShiftDensity, rng: np.random.Generator, n: int) -> np.ndarray:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -46,6 +46,18 @@ __all__ = [
 #: ``|gamma_k|^2`` at or below this (machine epsilon) counts as a vanishing
 #: eigenvalue: inverting it would amplify rounding noise past any signal.
 EIGENVALUE_FLOOR = float(np.finfo(float).eps)
+
+
+def _check_integer(name: str, value, low: int, high: Optional[int] = None) -> int:
+    """``value`` as an ``int``: a Python or numpy integer, not a ``bool``, in
+    ``low..high`` (no upper bound when ``high`` is ``None``).  Counts, seeds
+    and band indices are checked here, so none is truncated or rounded."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
+    if value < low or (high is not None and value > high):
+        bound = f">= {low}" if high is None else f"in {low}..{high}"
+        raise InvalidParameterError(f"{name} must be {bound}, got {value}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -70,8 +82,7 @@ class Template:
     label: str = ""
 
     def __post_init__(self):
-        if not isinstance(self.k_max, (int, np.integer)) or self.k_max < 1:
-            raise InvalidParameterError(f"k_max must be an integer >= 1, got {self.k_max!r}")
+        _check_integer("k_max", self.k_max, 1)
         coeffs = np.asarray(self.coeffs, dtype=np.complex128)
         if coeffs.shape != (2 * self.k_max + 1,):
             raise InvalidParameterError(
@@ -172,8 +183,7 @@ class ShiftDensity:
         InvariantViolationError
             If some ``|gamma_k|^2`` on the band is not finite.
         """
-        if k_max < 0:
-            raise InvalidParameterError(f"k_max must be >= 0, got {k_max}")
+        k_max = _check_integer("the band's largest |k|", k_max, 0)
         gam = self.gamma(np.arange(-k_max, k_max + 1))
         g2 = np.abs(gam) ** 2
         unusable = np.flatnonzero(~((g2 > EIGENVALUE_FLOOR) & (g2 < math.inf)))

@@ -39,7 +39,7 @@ import numpy as np
 from .config import ExperimentConfig, build_density, build_template
 from .csvio import write_csv, write_curves_csv, write_risk_report_csv
 from .errors import InvalidParameterError
-from .risk import (RiskReport, _mean_and_stderr, _replicate_seeds, _run_replicates,
+from .risk import (RiskReport, _check_replicates, _mean_and_stderr, _run_replicates,
                    risk_report)
 from .selection import CRITERION_ESTIMATORS, _cutoff_cap, compute_m0
 from .simulate import render_grid, simulate
@@ -85,7 +85,7 @@ def run_replication_study(cfg: ExperimentConfig, out_dir, *, grid_size: int = 25
     order, so it changes no output byte.  Every input is checked before
     anything is written.
     """
-    seeds = _replicate_seeds(cfg.seed, cfg.replications)
+    seed, replications = _check_replicates(cfg.seed, cfg.replications)
     template = build_template(cfg)
     density = build_density(cfg)
     k_max = template.k_max
@@ -98,8 +98,8 @@ def run_replication_study(cfg: ExperimentConfig, out_dir, *, grid_size: int = 25
     m0_used = _cutoff_cap(density, cfg.n, k_max, cfg.m0_override)
 
     rules = ("u_bar", "u_tilde")
-    reps = _run_replicates(template, density, cfg.n, cfg.epsilon, seeds, rules,
-                           m0_used, workers=workers,
+    reps = _run_replicates(template, density, cfg.n, cfg.epsilon, seed, replications,
+                           rules, m0_used, workers=workers,
                            penalty_variant=cfg.penalty_variant)
     n_star, n_tilde = reps.cutoffs
     loss_star, loss_tilde = reps.losses
@@ -129,7 +129,8 @@ def run_replication_study(cfg: ExperimentConfig, out_dir, *, grid_size: int = 25
     write_curves_csv(out_dir / "template_curve.csv", grid,
                      synthesize(template, grid_size))
 
-    curves = simulate(template, density, cfg.n, cfg.epsilon, seeds[0])
+    curves = simulate(template, density, cfg.n, cfg.epsilon,
+                      np.random.SeedSequence(seed).spawn(1)[0])
     write_curves_csv(out_dir / "sample_curves.csv", grid,
                      _synthesize_rows(curves.per_curve[:_SAMPLE_CURVE_COUNT],
                                       curves.k_max, grid_size))
@@ -142,7 +143,7 @@ def run_replication_study(cfg: ExperimentConfig, out_dir, *, grid_size: int = 25
                "negative_energy_fraction"],
               ((i, int(n_star[i]), float(loss_star[i]), int(n_tilde[i]),
                 float(loss_tilde[i]), float(neg_fracs[i]))
-               for i in range(cfg.replications)))
+               for i in range(replications)))
 
     counts_star = np.bincount(n_star, minlength=m0_used + 1)
     counts_tilde = np.bincount(n_tilde, minlength=m0_used + 1)

@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -597,8 +598,9 @@ def test_cli_config_file_with_percent_in_template(tmp_path):
 
 def test_cli_module_entry_point(tmp_path):
     # the module runs as a subprocess program, stdout/stderr contract included
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     proc = subprocess.run(
         [sys.executable, "-m", "shiftdecon.cli", "risk", "--n-max", "4"],
-        capture_output=True, text=True, timeout=120)
+        capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0
     assert "oracle_r=" in proc.stdout

@@ -116,8 +116,7 @@ def test_guard_raises_on_any_sub_floor_eigenvalue(k_bad, band, value):
 @given(seed=SEEDS, n=st.integers(1, 40),
        rules=st.lists(st.sampled_from(CRITERION_KINDS), min_size=1, max_size=3))
 def test_replicate_engine_is_worker_invariant(seed, n, rules):
-    seeds = np.random.SeedSequence(seed).spawn(7)
-    runs = [_run_replicates(WAVE8, LAPLACE, n, 0.05, seeds, rules, 6, workers=w)
+    runs = [_run_replicates(WAVE8, LAPLACE, n, 0.05, seed, 7, rules, 6, workers=w)
             for w in (1, 2, 3)]
     for other in runs[1:]:
         for field, ref in zip(other, runs[0]):
@@ -133,14 +132,13 @@ def test_replicate_engine_does_not_depend_on_the_chunk_size(seed, n, k_max, repl
     # byte for byte on every result
     template = sobolev_template(1.5, 1.0, k_max)
     m0 = data.draw(st.integers(0, k_max))
-    seeds = np.random.SeedSequence(seed).spawn(replications)
     budgets = (1, data.draw(st.integers(1, 4 * (n + 2 * k_max + 1))), risk._CHUNK_VALUES)
     runs = []
     for budget in budgets:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(risk, "_CHUNK_VALUES", budget)
-            runs.append(_run_replicates(template, LAPLACE, n, 0.1, seeds, CRITERION_KINDS,
-                                        m0, workers=1))
+            runs.append(_run_replicates(template, LAPLACE, n, 0.1, seed, replications,
+                                        CRITERION_KINDS, m0, workers=1))
     for other in runs[1:]:
         for field, ref in zip(other, runs[0]):
             assert field.tobytes() == ref.tobytes()

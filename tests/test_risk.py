@@ -19,7 +19,7 @@ from shiftdecon.errors import (DegenerateInputError, InvalidParameterError,
                                InvariantViolationError, VanishingEigenvalueError)
 from shiftdecon import risk as risk_module
 from shiftdecon.risk import (McRisk, RiskReport, _fork_map, _mean_and_stderr,
-                             _run_replicates, _score, exact_risk, mc_risk, oracle_ratio,
+                             _loss_trace, _run_replicates, exact_risk, mc_risk, oracle_ratio,
                              rate_study, risk_report, theoretical_rate_exponent)
 from shiftdecon.selection import compute_m0, fraction_negative_theta_hat, select_cutoff
 from shiftdecon.simulate import _draw_summaries, simulate_summary
@@ -198,15 +198,17 @@ def test_oracle_cutoff_validation():
 
 
 def test_fixed_cutoff_loss_matches_exact_risk():
-    # the engine's draw and scorer at a fixed cutoff estimate exact_risk
-    n, eps, N, reps = 20, 0.1, 4, 600
-    exact = exact_risk(WAVE8, LAPLACE, n, eps, N).r
+    # the engine's draw and loss trace estimate risk_report's r at every
+    # fixed cutoff N = 0..m0
+    n, eps, m0, reps = 20, 0.1, 8, 600
+    exact = risk_report(WAVE8, LAPLACE, n, eps, m0).r
     obs = _draw_summaries(WAVE8, LAPLACE, n, eps, np.random.SeedSequence(314).spawn(reps))
-    losses = _score(WAVE8, obs.c_tilde, np.full(reps, N), LAPLACE.gamma_band(N),
-                    _tail_energy(WAVE8, N), N)
-    mean, stderr = _mean_and_stderr(losses, eps)
-    assert abs(mean - exact) < 3.0 * stderr
-    assert losses.shape == (reps,)
+    loss = _loss_trace(WAVE8, obs.c_tilde, LAPLACE.gamma_band(m0), _tail_energy(WAVE8, m0),
+                       eps)
+    assert loss.shape == (reps, m0 + 1)
+    for N in range(m0 + 1):
+        mean, stderr = _mean_and_stderr(loss[:, N], eps)
+        assert abs(mean - exact[N]) < 3.0 * stderr, N
 
 
 def test_mc_risk_perfect_recovery_degenerate_case():
@@ -253,28 +255,14 @@ def test_engine_negative_fractions_match_fraction_negative_theta_hat():
     for template, n, epsilon, m0 in ((WAVE8, 3, 0.5, 8), (WAVE8, 40, 0.05, 5),
                                      (WAVE8, 200, 0.3, 0),
                                      (spike_template(8, location=1), 5, 0.0, 8)):
-        reps = _run_replicates(template, LAPLACE, n, epsilon, seeds, ("u_tilde",), m0,
-                               workers=1)
+        reps = _run_replicates(template, LAPLACE, n, epsilon, 31, len(seeds), ("u_tilde",),
+                               m0, workers=1)
         direct = [fraction_negative_theta_hat(
                       simulate_summary(template, LAPLACE, n, epsilon, seed), LAPLACE, m0)
                   for seed in seeds]
         assert reps.negative_fractions.tobytes() == np.array(direct).tobytes()
         seen.extend(direct)
     assert 0.0 < max(seen) < 1.0
-
-
-def test_replicate_seeds_are_the_spawned_children():
-    # made one at a time, each gives the stream of SeedSequence.spawn's child
-    seeds = risk_module._replicate_seeds(42, 5)
-    spawned = np.random.SeedSequence(42).spawn(5)
-    assert len(seeds) == 5
-    assert [s.state for s in seeds[:]] == [s.state for s in spawned]
-    assert [s.state for s in seeds[1:4]] == [s.state for s in spawned[1:4]]
-    assert seeds[-1].state == spawned[-1].state
-    assert np.random.default_rng(seeds[3]).random(4).tobytes() == \
-        np.random.default_rng(spawned[3]).random(4).tobytes()
-    with pytest.raises(IndexError):
-        seeds[5]
 
 
 def _chunk_sizes(monkeypatch) -> list:
@@ -290,30 +278,35 @@ def _chunk_sizes(monkeypatch) -> list:
 
 
 def test_engine_matches_one_replicate_at_a_time(monkeypatch):
-    # reference: simulate_summary, select_cutoff and the loss of the band-N
-    # estimator, one seed at a time.  The engine keeps replicate 0's
-    # criterion traces, bit for bit.
+    # reference: simulate_summary, select_cutoff and the replicate's own
+    # one-row loss trace, one seed at a time, each seed spawned from the
+    # engine's root.  The engine keeps replicate 0's criterion traces, bit
+    # for bit.
     template, n, epsilon, m0 = WAVE8, 600, 0.3, 7
     options = dict(penalty_variant="proof_form")
     rules = ("u_bar", "u_tilde", "u")
     seeds = np.random.SeedSequence(77).spawn(30)
     chunks = _chunk_sizes(monkeypatch)
-    reps = _run_replicates(template, LAPLACE, n, epsilon, seeds, rules, m0,
+    reps = _run_replicates(template, LAPLACE, n, epsilon, 77, len(seeds), rules, m0,
                            workers=1, **options)
     assert len(chunks) > 1 and sum(chunks) == len(seeds)
     gamma, tail = LAPLACE.gamma_band(m0), _tail_energy(template, m0)
+    band = slice(8 - m0, 8 + m0 + 1)
     for i, seed in enumerate(seeds):
         obs = simulate_summary(template, LAPLACE, n, epsilon, seed)
+        error = np.abs(obs.c_tilde[band] / gamma - template.coeffs[band]) ** 2
+        pairs = np.concatenate(([error[m0]], error[m0 + 1:] + error[m0 - 1::-1]))
+        loss = np.cumsum(pairs) + tail
         for j, rule in enumerate(rules):
             sel = select_cutoff(obs, LAPLACE, rule, m0=m0, **options)
             if i == 0:
                 assert reps.traces[j].tobytes() == sel.criterion_values.tobytes()
             cutoff = sel.chosen_n
-            band = slice(8 - cutoff, 8 + cutoff + 1)
-            diff = obs.c_tilde[band] / gamma[m0 - cutoff : m0 + cutoff + 1] \
-                - template.coeffs[band]
             assert reps.cutoffs[j, i] == cutoff
-            assert reps.losses[j, i] == np.sum(np.abs(diff) ** 2) + tail[cutoff]
+            assert reps.losses[j, i] == loss[cutoff]
+            # the direct sum over the band, in numpy's own order, agrees to 8 ulp
+            direct = np.sum(error[m0 - cutoff : m0 + cutoff + 1]) + tail[cutoff]
+            assert abs(reps.losses[j, i] - direct) <= 8 * np.spacing(direct)
     assert len(np.unique(reps.cutoffs[0])) > 1
 
 
@@ -322,19 +315,20 @@ def test_engine_matches_one_replicate_at_a_time(monkeypatch):
 def test_engine_results_do_not_depend_on_the_chunk_size(density, monkeypatch):
     # one seed per chunk against the default chunks: at n = 600 the 40 seeds
     # span several of them, at n = 1 they share one
-    seeds = np.random.SeedSequence(2024).spawn(40)
+    replications = 40
     rules = ("u", "u_bar", "u_tilde")
     for n in (1, 7, 100, 600):
         for m0 in (0, WAVE8.k_max):
             chunks = _chunk_sizes(monkeypatch)
-            default = _run_replicates(WAVE8, density, n, 0.2, seeds, rules, m0, workers=1)
+            default = _run_replicates(WAVE8, density, n, 0.2, 2024, replications, rules, m0,
+                                      workers=1)
             with monkeypatch.context() as patch:
                 patch.setattr(risk_module, "_CHUNK_VALUES", 1)
-                alone = _run_replicates(WAVE8, density, n, 0.2, seeds, rules, m0,
-                                        workers=1)
-            assert chunks[-len(seeds):] == [1] * len(seeds)
+                alone = _run_replicates(WAVE8, density, n, 0.2, 2024, replications, rules,
+                                        m0, workers=1)
+            assert chunks[-replications:] == [1] * replications
             if n == 600:
-                assert len(chunks) - len(seeds) > 1
+                assert len(chunks) - replications > 1
             for field, ref in zip(default, alone):
                 assert field.tobytes() == ref.tobytes()
 
@@ -348,11 +342,11 @@ def test_engine_memory_is_one_chunk_and_the_results():
     rules = ("u_bar", "u_tilde")
 
     def peak(replications):
-        seeds = risk_module._replicate_seeds(cfg.seed, replications)
         tracemalloc.start()
         try:
-            _run_replicates(template, density, cfg.n, cfg.epsilon, seeds, rules,
-                            cfg.m0_override, workers=1, penalty_variant=cfg.penalty_variant)
+            _run_replicates(template, density, cfg.n, cfg.epsilon, cfg.seed, replications,
+                            rules, cfg.m0_override, workers=1,
+                            penalty_variant=cfg.penalty_variant)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -493,6 +487,43 @@ def test_oracle_ratio_rejects_fixed_estimator():
     # mc_risk's kind check
     with pytest.raises(InvalidParameterError, match="unknown estimator kind 'fixed_n'"):
         oracle_ratio(WAVE8, LAPLACE, 10, 0.1, "fixed_n", 10, seed=0)
+
+
+def test_oracle_ratio_checks_the_kind_before_the_oracle_risk():
+    # at a zero oracle risk a bad kind is still reported as a bad kind
+    for kind in ("bogus", "fixed_n"):
+        with pytest.raises(InvalidParameterError, match="unknown estimator kind"):
+            oracle_ratio(WAVE8, point_mass_density(), 5, 0.0, kind, 10, seed=0)
+
+
+_BAD_REPLICATES = [("seed", None), ("seed", True), ("seed", -1), ("seed", 1.5),
+                   ("seed", np.float64(2.0)), ("replications", 3.0),
+                   ("replications", "4"), ("replications", None),
+                   ("replications", False), ("replications", 1)]
+
+
+@pytest.mark.parametrize("entry", ["mc_risk", "oracle_ratio", "rate_study"])
+@pytest.mark.parametrize("name,value", _BAD_REPLICATES,
+                         ids=[f"{name}={value!r}" for name, value in _BAD_REPLICATES])
+def test_bad_seed_or_replications_is_refused_before_any_draw(entry, name, value,
+                                                             monkeypatch):
+    # seed=None would seed from OS entropy and True would run as seed 1; each
+    # is refused with the value given (rate_study's point i runs at seed + i)
+    def refuse(*args, **kwargs):
+        raise AssertionError("drew or started a pool")
+
+    monkeypatch.setattr(risk_module, "_draw_summaries", refuse)
+    monkeypatch.setattr(risk_module, "_fork_map", refuse)
+    args = {"seed": 2, "replications": 4, name: value}
+    calls = {
+        "mc_risk": lambda: mc_risk(WAVE8, LAPLACE, 10, 0.1, "theta_tilde", **args, m0=2),
+        "oracle_ratio": lambda: oracle_ratio(WAVE8, LAPLACE, 10, 0.1, "theta_star", **args),
+        "rate_study": lambda: rate_study(1.0, 0.0, 2.0, [2, 3, 4], 0.05, **args, k_max=4),
+    }
+    with pytest.raises(InvalidParameterError) as info:
+        calls[entry]()
+    assert str(info.value).startswith(f"{name} must be")
+    assert str(info.value).endswith(f"got {value!r}")
 
 
 # ---------------------------------------------------------------------------

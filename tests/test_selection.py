@@ -13,6 +13,7 @@ from shiftdecon.selection import (CRITERION_KINDS, CutoffSelection, compute_m0,
                                   fraction_negative_theta_hat,
                                   log_squared_over_n, select_cutoff,
                                   theta_hat_squared)
+from shiftdecon.risk import exact_risk, mc_risk, oracle_ratio, risk_report
 from shiftdecon.simulate import simulate
 from shiftdecon.spectral import (ShiftDensity, Template, laplace_density,
                                  point_mass_density, synthesize, uniform_density)
@@ -302,6 +303,44 @@ def test_select_cutoff_validation():
     # gamma vanishes at k = 2, 4, ..; np.sinc alone leaves ~4e-17 there
     with pytest.raises(VanishingEigenvalueError):
         select_cutoff(obs, uniform_density(0.25), "u_tilde", m0=8)
+
+
+# Every entry point that takes a band index or a cap, with the index in place
+# of ``v``, and an array of its result; each reaches ``ShiftDensity.gamma_band``
+# or ``selection._cutoff_cap``.
+_BAND_ENTRIES = {
+    "gamma_band": lambda v: LAPLACE.gamma_band(v),
+    "select_cutoff": lambda v: select_cutoff(_toy_obs(), LAPLACE, m0=v).criterion_values,
+    "mc_risk": lambda v: mc_risk(wave_template(8), LAPLACE, 10, 0.1, "theta_tilde", 3, 0,
+                                 m0=v).losses,
+    "oracle_ratio": lambda v: oracle_ratio(wave_template(8), LAPLACE, 10, 0.1,
+                                           "theta_tilde", 3, 0, m0=v),
+    "estimate": lambda v: estimate(_toy_obs(), LAPLACE, cutoff=v).coeffs,
+    "risk_report": lambda v: risk_report(wave_template(8), LAPLACE, 10, 0.1, n_max=v).r,
+    "exact_risk": lambda v: exact_risk(wave_template(8), LAPLACE, 10, 0.1, cutoff=v),
+    "criterion_trace": lambda v: criterion_trace(_toy_obs(), LAPLACE, "u", n_max=v),
+    "theta_hat_squared": lambda v: theta_hat_squared(_toy_obs(), LAPLACE, k=v),
+}
+_BAD_BAND_INDICES = [(entry, value) for entry in _BAND_ENTRIES
+                     for value in (2.5, np.float64(2.0))] + [
+    # theta_hat_squared reads gamma_band(abs(k)), and abs(True) is the int 1
+    (entry, True) for entry in _BAND_ENTRIES if entry != "theta_hat_squared"] + [
+    ("select_cutoff", 2.9), ("mc_risk", 2.9), ("oracle_ratio", 2.9)]
+
+
+@pytest.mark.parametrize("entry,value", _BAD_BAND_INDICES,
+                         ids=[f"{entry}-{value!r}" for entry, value in _BAD_BAND_INDICES])
+def test_a_band_index_that_is_not_an_integer_is_refused(entry, value):
+    # none is truncated (m0=2.9 ran as 2, True as 1) or used at half-integer
+    # frequencies (gamma_band(2.5)), and none fails with a bare TypeError
+    with pytest.raises(InvalidParameterError, match="must be an integer"):
+        _BAND_ENTRIES[entry](value)
+
+
+@pytest.mark.parametrize("entry", _BAND_ENTRIES)
+def test_a_numpy_integer_band_index_is_an_integer(entry):
+    for integer in (np.int64(2), np.int32(2), np.uint8(2)):
+        assert np.array_equal(_BAND_ENTRIES[entry](integer), _BAND_ENTRIES[entry](2))
 
 
 def test_cutoff_selection_container_validation():
