@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidParameterError
-from .spectral import Template, _hermitian
+from .spectral import Template, _check_integer, _check_real, _hermitian
 
 __all__ = ["WAVE_DC", "WAVE_HARMONICS", "wave_template", "sobolev_template",
            "spike_template", "TEMPLATE_BUILDERS", "catalog_template"]
@@ -43,10 +43,7 @@ SOBOLEV_DELTA = 0.01
 
 def wave_template(k_max: int = 40) -> Template:
     """The standard test wave on the band ``-k_max..k_max`` (``k_max >= 8``)."""
-    if k_max < 8:
-        raise InvalidParameterError(
-            f"wave template needs k_max >= 8 to carry its tail, got {k_max}"
-        )
+    k_max = _check_integer("k_max", k_max, 8)
     half = np.zeros(k_max + 1, dtype=np.complex128)
     half[0] = WAVE_DC
     for i, (a, b) in enumerate(WAVE_HARMONICS, start=1):
@@ -62,17 +59,18 @@ def sobolev_template(smoothness: float, radius: float, k_max: int = 64) -> Templ
     The spectrum is ``|coeff_k| = c |k|^{-(s + 1/2 + delta/2)}`` (with
     ``coeff_0 = c`` and ``delta =`` :data:`SOBOLEV_DELTA`), all phases zero,
     and ``c`` chosen so that ``sum_k (1 + |k|^{2s}) |coeff_k|^2`` equals
-    ``radius`` exactly on the carried band.
+    ``radius`` exactly on the carried band; ``k_max^{2s}`` must be finite.
     """
-    if not (smoothness > 0.0):
-        raise InvalidParameterError(f"smoothness must be > 0, got {smoothness}")
-    if not (radius > 0.0):
-        raise InvalidParameterError(f"radius must be > 0, got {radius}")
-    if k_max < 1:
-        raise InvalidParameterError(f"k_max must be >= 1, got {k_max}")
+    smoothness = _check_real("smoothness", smoothness, 0.0, strict=True)
+    radius = _check_real("radius", radius, 0.0, strict=True)
+    k_max = _check_integer("k_max", k_max, 1)
     k = np.arange(1, k_max + 1).astype(float)
     shape = k ** (-(smoothness + 0.5 + SOBOLEV_DELTA / 2.0))
-    weights = 1.0 + k ** (2.0 * smoothness)
+    try:
+        with np.errstate(over="raise"):
+            weights = 1.0 + k ** (2.0 * smoothness)
+    except FloatingPointError:
+        raise InvalidParameterError(f"k_max**(2 * smoothness) overflows at {smoothness=}") from None
     # sum over k of (1 + |k|^{2s}) |coeff_k|^2 = c^2 * (1 + 2 sum_k w_k shape_k^2)
     total = 1.0 + 2.0 * float(np.sum(weights * shape ** 2))
     c = float(np.sqrt(radius / total))
@@ -82,10 +80,8 @@ def sobolev_template(smoothness: float, radius: float, k_max: int = 64) -> Templ
 
 def spike_template(k_max: int = 40, location: int = 2) -> Template:
     """Single cosine ``cos(2 pi * location * x)``."""
-    if k_max < 1:
-        raise InvalidParameterError(f"k_max must be >= 1, got {k_max}")
-    if not (1 <= location <= k_max):
-        raise InvalidParameterError(f"location must be in 1..{k_max}, got {location}")
+    k_max = _check_integer("k_max", k_max, 1)
+    location = _check_integer("location", location, 1, k_max)
     half = np.zeros(k_max + 1)
     half[location] = 0.5
     # A cosine's coefficients are real; adding 0.0 clears the -0.0 imaginary

@@ -39,8 +39,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
-import numpy as np
-
 from .catalog import TEMPLATE_BUILDERS, catalog_template
 from .csvio import format_cell, read_template_csv
 from .errors import ConfigError, InvalidParameterError
@@ -89,18 +87,11 @@ class ExperimentConfig:
             except InvalidParameterError as exc:
                 bad(key, str(exc))
 
-        # Each value must have the type its parser gives: a string or None
-        # would reach the range checks below as a bare TypeError, a number in
-        # a text field is written back as text, and a bool passes as a number
-        # but is written back as "true".
-        for field in CONFIG_FIELDS:
-            value = getattr(self, field.name)
-            types, kind = _VALUE_TYPES[field.parse]
-            if isinstance(value, bool) or not isinstance(value, types):
-                key = field.key if field.section == "experiment" else f"{field.section}.{field.key}"
-                bad(key, f"must be {kind}, got {value!r}")
-        if not self.template:
-            bad("template", "must be a catalog name or a file path")
+        # Each value must have its parser's type, or it is written back as
+        # another: the library checks refuse a number of the wrong type, and
+        # the membership tests a text field that is not one of its choices.
+        if not (isinstance(self.template, str) and self.template):
+            bad("template", f"must be a catalog name or a file path, got {self.template!r}")
         if self.density_kind not in DENSITY_KINDS:
             bad("density.kind", f"must be one of {DENSITY_KINDS}, got {self.density_kind!r}")
         library("density.sigma", laplace_density, self.density_sigma)
@@ -111,8 +102,10 @@ class ExperimentConfig:
         if self.criterion not in CRITERION_KINDS:
             bad("criterion", f"must be one of {CRITERION_KINDS}, got {self.criterion!r}")
         library("replications", _check_integer, "replications", self.replications, 2)
-        library("seed", _check_integer, "seed", self.seed, 0)
-        # m0_override's range, 0..k_max of the built template's band, is checked at use
+        library("seed", _check_integer, "seed", self.seed, 0, None)
+        if self.m0_override is not None:
+            # its upper bound, the k_max of the built template's band, is checked at use
+            library("m0_override", _check_integer, "m0_override", self.m0_override, 0)
         if self.penalty_variant not in PENALTY_VARIANTS:
             bad("penalty_variant", f"must be one of {PENALTY_VARIANTS}, got {self.penalty_variant!r}")
 
@@ -167,15 +160,6 @@ def _m0_override(raw: str, where: str) -> Optional[int]:
     if raw.lower() in ("", "none", "formula"):
         return None
     return _int(raw, where)
-
-
-# The values each parser gives, and how a ConfigError names them.
-_VALUE_TYPES = {
-    _text: (str, "a string"),
-    _int: ((int, np.integer), "an integer"),
-    _float: ((int, float, np.integer, np.floating), "a number"),
-    _m0_override: ((int, np.integer, type(None)), "an integer or none"),
-}
 
 
 class ConfigField(NamedTuple):

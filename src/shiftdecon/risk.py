@@ -71,8 +71,8 @@ from .errors import DegenerateInputError, InvalidParameterError
 from .selection import (CRITERION_ESTIMATORS, _band_energy, _criterion_trace, _cutoff_cap,
                         _negative_fraction, _noise_terms, log_squared_over_n)
 from .simulate import _check_inputs, _draw_summaries
-from .spectral import (ShiftDensity, Template, _check_integer, _pair_sums, _tail_energy,
-                       laplace_density, point_mass_density)
+from .spectral import (ShiftDensity, Template, _check_integer, _check_real, _pair_sums,
+                       _tail_energy, laplace_density, point_mass_density)
 
 __all__ = [
     "RiskBreakdown",
@@ -134,9 +134,8 @@ def risk_report(template: Template, density: ShiftDensity, n: int, epsilon: floa
     every ``gamma_k`` on ``|k| <= n_max`` must be invertible: see
     :meth:`ShiftDensity.gamma_band`.
     """
-    n = _check_inputs(n, epsilon)
-    if n_max < 0:
-        raise InvalidParameterError(f"n_max must be >= 0, got {n_max}")
+    n, epsilon = _check_inputs(n, epsilon)
+    n_max = _check_integer("n_max", n_max, 0)
     k_max = template.k_max
     g2inv = 1.0 / np.abs(density.gamma_band(n_max)) ** 2
 
@@ -174,8 +173,7 @@ def risk_report(template: Template, density: ShiftDensity, n: int, epsilon: floa
 def exact_risk(template: Template, density: ShiftDensity, n: int, epsilon: float,
                cutoff: int) -> RiskBreakdown:
     """Exact risk decomposition of the band-``cutoff`` estimator."""
-    if cutoff < 0:
-        raise InvalidParameterError(f"cutoff must be >= 0, got {cutoff}")
+    cutoff = _check_integer("cutoff", cutoff, 0)
     report = risk_report(template, density, n, epsilon, cutoff)
     return report.point(cutoff)
 
@@ -191,10 +189,10 @@ class McRisk(NamedTuple):
 
 
 def _check_replicates(seed, replications) -> tuple:
-    """``(seed, replications)`` of a Monte Carlo run as ints: integers, the
-    seed >= 0 and at least 2 replicates, so that a standard error exists.
-    Replicate ``i`` runs on child ``i`` of ``SeedSequence(seed).spawn``."""
-    return _check_integer("seed", seed, 0), _check_integer("replications", replications, 2)
+    """``(seed, replications)`` of a Monte Carlo run as ints: any seed >= 0 and
+    at least 2 replicates, so that a standard error exists.  Replicate ``i``
+    runs on child ``i`` of ``SeedSequence(seed).spawn``."""
+    return _check_integer("seed", seed, 0, None), _check_integer("replications", replications, 2)
 
 
 def _mean_and_stderr(losses: np.ndarray, epsilon: float) -> tuple:
@@ -278,8 +276,7 @@ _CHUNK_VALUES = 2 ** 13
 
 def _run_replicates(template: Template, density: ShiftDensity, n: int,
                     epsilon: float, seed: int, replications: int,
-                    rules: Sequence[str], m0: int, *, workers: int,
-                    **options) -> _Replicates:
+                    rules: Sequence[str], m0: int, **options) -> _Replicates:
     """The replicate loop behind :func:`mc_risk` and the replication study.
 
     Replicate ``i`` runs on child ``i`` of ``SeedSequence(seed).spawn``; its
@@ -299,12 +296,10 @@ def _run_replicates(template: Template, density: ShiftDensity, n: int,
     energy and its loss trace once for the diagnostic and every rule, select with one row-wise criterion trace and
     argmin per rule, and read each row's loss at its cutoff.  ``gamma_band``
     is read once per run.  Every step works row by row, so a replicate's
-    results do not depend on its chunk.  ``workers`` is checked (an integer
-    >= 1) and changes nothing: the chunks run in this process, because a
-    pool's start-up costs more than it saves at the usual 100 to 200
-    replicates.
+    results do not depend on its chunk.  The chunks run in this process,
+    because a pool's start-up costs more than it saves at the usual 100 to
+    200 replicates.
     """
-    _check_integer("workers", workers, 1)
     gamma = density.gamma_band(m0)
     tail = _tail_energy(template, m0)
     root = np.random.SeedSequence(seed)
@@ -383,10 +378,11 @@ def mc_risk(template: Template, density: ShiftDensity, n: int, epsilon: float,
     """
     rule = _criterion_of(estimator_kind)
     seed, replications = _check_replicates(seed, replications)
-    _check_inputs(n, epsilon)
+    n, epsilon = _check_inputs(n, epsilon)
+    _check_integer("workers", workers, 1)
     m0 = _cutoff_cap(density, n, template.k_max, m0)
     reps = _run_replicates(template, density, n, epsilon, seed, replications, (rule,), m0,
-                           workers=workers, penalty_variant=penalty_variant)
+                           penalty_variant=penalty_variant)
     mean, stderr = _mean_and_stderr(reps.losses[0], epsilon)
     return McRisk(mean=mean, stderr=stderr, losses=reps.losses[0], cutoffs=reps.cutoffs[0])
 
@@ -417,10 +413,8 @@ def oracle_ratio(template: Template, density: ShiftDensity, n: int, epsilon: flo
 
 def theoretical_rate_exponent(s: float, beta: float) -> float:
     """Minimax rate exponent ``-2s / (2s + 2*beta + 1)``."""
-    if not (s > 0.0):
-        raise InvalidParameterError(f"s must be > 0, got {s}")
-    if not (beta >= 0.0):
-        raise InvalidParameterError(f"beta must be >= 0, got {beta}")
+    s = _check_real("s", s, 0.0, strict=True)
+    beta = _check_real("beta", beta, 0.0, strict=False)
     return -2.0 * s / (2.0 * s + 2.0 * beta + 1.0)
 
 
@@ -455,9 +449,9 @@ def rate_study(s: float, beta: float, radius: float, n_grid: Sequence[int],
     ``log(mise)`` against ``log(n)`` is fit by least squares and reported next
     to the minimax exponent ``-2s/(2s + 2 beta + 1)``.  Each size must be an
     integer >= 1, as for :func:`mc_risk`; none is rounded.  ``seed`` and
-    ``replications`` are checked as :func:`mc_risk` checks them, before any
-    grid point runs.  The shifts are
-    point masses for ``beta = 0`` and Laplace(0.1) for ``beta = 2``; no
+    ``replications`` are checked as :func:`mc_risk` checks them, and ``s``,
+    ``beta`` and ``radius`` as reals, before any grid point runs.  The shifts
+    are point masses for ``beta = 0`` and Laplace(0.1) for ``beta = 2``; no
     other ``beta`` has a built-in density.
 
     ``workers`` is a process count, an integer >= 1: the grid points run in
@@ -468,7 +462,8 @@ def rate_study(s: float, beta: float, radius: float, n_grid: Sequence[int],
     changes no result.
     """
     seed, replications = _check_replicates(seed, replications)
-    n_grid_arr = np.array([_check_inputs(n, epsilon) for n in n_grid], dtype=int)
+    theoretical_slope = theoretical_rate_exponent(s, beta)
+    n_grid_arr = np.array([_check_inputs(n, epsilon)[0] for n in n_grid], dtype=int)
     if n_grid_arr.size < 3:
         raise InvalidParameterError(
             f"n_grid needs at least 3 points for a slope fit, got {n_grid_arr.size}"
@@ -503,5 +498,5 @@ def rate_study(s: float, beta: float, radius: float, n_grid: Sequence[int],
     slope_stderr = float(np.sqrt(np.sum((lever * stderr / mise) ** 2)))
     return RateStudy(n_grid=n_grid_arr, mise=mise, mise_stderr=stderr,
                      fitted_slope=slope, slope_stderr=slope_stderr,
-                     theoretical_slope=theoretical_rate_exponent(s, beta),
+                     theoretical_slope=theoretical_slope,
                      s=float(s), beta=float(beta))

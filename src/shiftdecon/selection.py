@@ -91,7 +91,7 @@ class M0Result(NamedTuple):
 def log_squared_over_n(n: int) -> float:
     """``log^2(n) / n``, natural log: the cap threshold and the penalty level;
     0.0 at ``n = 1``."""
-    n = _check_inputs(n, 0.0)
+    n, _ = _check_inputs(n, 0.0)
     return math.log(n) ** 2 / n
 
 
@@ -102,8 +102,7 @@ def compute_m0(density: ShiftDensity, n: int, k_max: int) -> M0Result:
     Scans ``k = 1..k_max``; if no frequency crosses the threshold the value
     saturates at ``k_max`` and the result is flagged accordingly.
     """
-    if k_max < 1:
-        raise InvalidParameterError(f"k_max must be >= 1, got {k_max}")
+    k_max = _check_integer("k_max", k_max, 1)
     threshold = log_squared_over_n(n)
     mags2 = np.abs(density.gamma(np.arange(1, k_max + 1))) ** 2
     crossed = np.nonzero(mags2 <= threshold)[0]
@@ -143,8 +142,7 @@ def theta_hat_squared(obs: SequenceSummary, density: ShiftDensity,
     band raises :class:`~shiftdecon.errors.VanishingEigenvalueError`.
     ``|c|`` is Python's ``abs``, which may differ from ``np.abs`` in the last bit.
     """
-    if abs(k) > obs.k_max:
-        raise InvalidParameterError(f"|k| must be <= k_max={obs.k_max}, got {k}")
+    k = _check_integer("k", k, -obs.k_max, obs.k_max)
     g2 = float(np.abs(density.gamma_band(abs(k))[k + abs(k)]) ** 2)
     c = obs.c_tilde[obs.coeff_index(k)]
     return float((abs(c) ** 2 - obs.epsilon ** 2 / obs.n) / g2)
@@ -174,9 +172,7 @@ def _band_energy(obs: SequenceSummary, gamma: np.ndarray) -> _BandEnergy:
 
 def _energy_on(obs: SequenceSummary, density: ShiftDensity, n_max: int) -> _BandEnergy:
     """:func:`_band_energy` on ``|k| <= n_max``, once ``n_max`` is checked."""
-    if not (0 <= n_max <= obs.k_max):
-        raise InvalidParameterError(f"n_max must be in 0..{obs.k_max}, got {n_max}")
-    return _band_energy(obs, density.gamma_band(n_max))
+    return _band_energy(obs, density.gamma_band(_check_integer("n_max", n_max, 0, obs.k_max)))
 
 
 def _negative_fraction(energy: _BandEnergy) -> np.ndarray:
@@ -266,10 +262,7 @@ class CutoffSelection:
         values = np.asarray(self.criterion_values, dtype=float)
         values.setflags(write=False)
         object.__setattr__(self, "criterion_values", values)
-        if not (0 <= self.chosen_n <= self.m0):
-            raise InvalidParameterError(
-                f"chosen_n={self.chosen_n} outside 0..m0={self.m0}"
-            )
+        object.__setattr__(self, "chosen_n", _check_integer("chosen_n", self.chosen_n, 0, self.m0))
         if values.shape != (self.m0 + 1,):
             raise InvalidParameterError(
                 f"criterion_values must have length m0+1={self.m0 + 1}, got {values.shape}"
@@ -311,10 +304,7 @@ class SpectralEstimate:
             raise InvalidParameterError(
                 f"coeffs must have length {2 * self.k_max + 1}, got {coeffs.shape}"
             )
-        if not (0 <= self.cutoff <= self.k_max):
-            raise InvalidParameterError(
-                f"cutoff must be in 0..{self.k_max}, got {self.cutoff}"
-            )
+        object.__setattr__(self, "cutoff", _check_integer("cutoff", self.cutoff, 0, self.k_max))
 
     @property
     def k_values(self) -> np.ndarray:
@@ -331,11 +321,10 @@ def estimate(obs: SequenceSummary, density: ShiftDensity, cutoff: int,
     """Deconvolve the averaged coefficients on the symmetric band ``|k| <= cutoff``."""
     if kind not in ESTIMATE_KINDS:
         raise InvalidParameterError(f"unknown estimate kind {kind!r}; expected one of {ESTIMATE_KINDS}")
-    if not (0 <= cutoff <= obs.k_max):
-        raise InvalidParameterError(f"cutoff must be in 0..{obs.k_max}, got {cutoff}")
+    cutoff = _check_integer("cutoff", cutoff, 0, obs.k_max)
     gam = density.gamma_band(cutoff)
     coeffs = np.zeros(2 * obs.k_max + 1, dtype=np.complex128)
     sl = slice(obs.k_max - cutoff, obs.k_max + cutoff + 1)
     coeffs[sl] = obs.c_tilde[sl] / gam
-    return SpectralEstimate(coeffs=coeffs, cutoff=int(cutoff), k_max=obs.k_max,
+    return SpectralEstimate(coeffs=coeffs, cutoff=cutoff, k_max=obs.k_max,
                             kind=kind)

@@ -48,7 +48,8 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import InvalidParameterError, InvariantViolationError
-from .spectral import ShiftDensity, Template, _check_integer, _hermitian, _synthesize_rows
+from .spectral import (ShiftDensity, Template, _check_integer, _check_real, _hermitian,
+                       _synthesize_rows)
 
 __all__ = ["SequenceSummary", "SequenceObservations", "simulate", "simulate_summary",
            "render_curves", "render_grid"]
@@ -88,9 +89,7 @@ class SequenceSummary:
         return np.arange(-self.k_max, self.k_max + 1)
 
     def coeff_index(self, k: int) -> int:
-        if abs(k) > self.k_max:
-            raise InvalidParameterError(f"|k| must be <= k_max={self.k_max}, got {k}")
-        return k + self.k_max
+        return _check_integer("k", k, -self.k_max, self.k_max) + self.k_max
 
     def validate(self) -> None:
         """Re-check structural invariants, on every row of a stack; raise on
@@ -141,13 +140,21 @@ class SequenceObservations(SequenceSummary):
         super().validate()
 
 
-def _check_inputs(n, epsilon) -> int:
-    """``n`` as an ``int``, once it and ``epsilon`` are checked.  The square of
-    ``epsilon`` must be finite: the estimators and risks use ``epsilon**2 / n``."""
+def _check_inputs(n, epsilon) -> tuple:
+    """``(n, epsilon)`` as an ``int`` and a ``float``.  ``epsilon * epsilon``
+    must be finite (``epsilon ** 2`` would raise ``OverflowError``)."""
     n = _check_integer("n", n, 1)
-    if not (0.0 <= epsilon and epsilon * epsilon < math.inf):
-        raise InvalidParameterError(f"epsilon must be >= 0 with a finite square, got {epsilon!r}")
-    return n
+    epsilon = _check_real("epsilon", epsilon, 0.0, strict=False)
+    if not epsilon * epsilon < math.inf:
+        raise InvalidParameterError(f"epsilon must have a finite square, got {epsilon!r}")
+    return n, epsilon
+
+
+def _check_seed(seed) -> SeedLike:
+    """A ``SeedSequence`` or ``Generator`` as it is, else an integer >= 0."""
+    if isinstance(seed, (np.random.SeedSequence, np.random.Generator)):
+        return seed
+    return _check_integer("seed", seed, 0, None)
 
 
 def _draw_shifts(density: ShiftDensity, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -236,15 +243,16 @@ def simulate(template: Template, density: ShiftDensity, n: int, epsilon: float,
     epsilon : float
         Noise level (finite, >= 0); ``epsilon = 0`` gives exact shifted coefficients.
     seed : int, SeedSequence or Generator
-        Source of randomness; equal seeds give bit-identical datasets.
+        Source of randomness; equal seeds give bit-identical datasets.  An
+        integer must be >= 0; ``None``, which would not reproduce, is refused.
 
     Returns
     -------
     SequenceObservations
     """
-    n = _check_inputs(n, epsilon)
+    n, epsilon = _check_inputs(n, epsilon)
     k_max = template.k_max
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_seed(seed))
 
     shifts = _draw_shifts(density, rng, n)
     pos = _draw_phases(shifts, k_max)
@@ -260,7 +268,7 @@ def simulate(template: Template, density: ShiftDensity, n: int, epsilon: float,
         c_tilde=per_curve.mean(axis=0),
         gamma_tilde=_mean_phase(pos.mean(axis=-1)),
         n=n,
-        epsilon=float(epsilon),
+        epsilon=epsilon,
         k_max=k_max,
         shifts=shifts,
     )
@@ -279,7 +287,7 @@ def simulate_summary(template: Template, density: ShiftDensity, n: int,
     made one at a time, instead of :func:`simulate`'s ``n x (2*k_max + 1)``
     draws.
     """
-    stack = _draw_summaries(template, density, n, epsilon, [seed])
+    stack = _draw_summaries(template, density, n, epsilon, [_check_seed(seed)])
     return SequenceSummary(c_tilde=stack.c_tilde[0], gamma_tilde=stack.gamma_tilde[0],
                            n=stack.n, epsilon=stack.epsilon, k_max=stack.k_max)
 
@@ -295,7 +303,7 @@ def _draw_summaries(template: Template, density: ShiftDensity, n: int,
     later step is elementwise or reduces one row, so row ``i`` does not
     depend on the other seeds.
     """
-    n = _check_inputs(n, epsilon)
+    n, epsilon = _check_inputs(n, epsilon)
     k_max = template.k_max
     width = 2 * k_max + 1
     shifts = np.empty((len(seeds), n))
@@ -313,7 +321,7 @@ def _draw_summaries(template: Template, density: ShiftDensity, n: int,
         c_tilde=template.coeffs * gamma_tilde + (epsilon / math.sqrt(n)) * noise,
         gamma_tilde=gamma_tilde,
         n=n,
-        epsilon=float(epsilon),
+        epsilon=epsilon,
         k_max=k_max,
     )
 
@@ -335,6 +343,5 @@ def render_curves(obs: SequenceObservations, grid_size: int) -> np.ndarray:
 
 def render_grid(grid_size: int) -> np.ndarray:
     """Abscissae ``x_j = j / grid_size`` used by :func:`render_curves`."""
-    if grid_size < 1:
-        raise InvalidParameterError(f"grid_size must be >= 1, got {grid_size}")
+    grid_size = _check_integer("grid_size", grid_size, 1)
     return np.arange(grid_size) / grid_size

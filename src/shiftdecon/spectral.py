@@ -48,16 +48,36 @@ __all__ = [
 EIGENVALUE_FLOOR = float(np.finfo(float).eps)
 
 
-def _check_integer(name: str, value, low: int, high: Optional[int] = None) -> int:
+#: The largest array dimension numpy allows.
+_MAX_SIZE = int(np.iinfo(np.intp).max)
+
+
+def _check_integer(name: str, value, low: int, high: Optional[int] = _MAX_SIZE) -> int:
     """``value`` as an ``int``: a Python or numpy integer, not a ``bool``, in
-    ``low..high`` (no upper bound when ``high`` is ``None``).  Counts, seeds
-    and band indices are checked here, so none is truncated or rounded."""
+    ``low..high``, by default up to the largest array size (no bound when
+    ``high`` is ``None``, as for a seed).  Nothing is truncated or rounded."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
     if value < low or (high is not None and value > high):
-        bound = f">= {low}" if high is None else f"in {low}..{high}"
+        bound = f">= {low}" if value < low and high in (None, _MAX_SIZE) else f"in {low}..{high}"
         raise InvalidParameterError(f"{name} must be {bound}, got {value}")
     return int(value)
+
+
+def _check_real(name: str, value, low: float, *, strict: bool) -> float:
+    """``value`` as a ``float``: a Python or numpy real, not a ``bool``, finite,
+    and ``> low`` if ``strict``, else ``>= low``.  It is checked before any
+    arithmetic, so no warning fires first."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise InvalidParameterError(f"{name} must be a real number, got {value!r}")
+    try:
+        real = float(value)
+    except OverflowError:  # an int past the largest float
+        real = math.inf
+    if not (math.isfinite(real) and (real > low if strict else real >= low)):
+        raise InvalidParameterError(
+            f"{name} must be finite and {'>' if strict else '>='} {low:g}, got {value!r}")
+    return real
 
 
 @dataclass(frozen=True)
@@ -82,7 +102,7 @@ class Template:
     label: str = ""
 
     def __post_init__(self):
-        _check_integer("k_max", self.k_max, 1)
+        object.__setattr__(self, "k_max", _check_integer("k_max", self.k_max, 1))
         coeffs = np.asarray(self.coeffs, dtype=np.complex128)
         if coeffs.shape != (2 * self.k_max + 1,):
             raise InvalidParameterError(
@@ -99,7 +119,6 @@ class Template:
         coeffs = coeffs.copy()
         coeffs.setflags(write=False)
         object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "k_max", int(self.k_max))
 
     @property
     def k_values(self) -> np.ndarray:
@@ -108,9 +127,7 @@ class Template:
 
     def coeff(self, k: int) -> complex:
         """Coefficient at a single frequency ``k``."""
-        if abs(k) > self.k_max:
-            raise InvalidParameterError(f"|k| must be <= k_max={self.k_max}, got {k}")
-        return complex(self.coeffs[k + self.k_max])
+        return complex(self.coeffs[_check_integer("k", k, -self.k_max, self.k_max) + self.k_max])
 
     @property
     def norm_squared(self) -> float:
@@ -132,10 +149,7 @@ class Template:
         sines = np.asarray(sines, dtype=float)
         if cosines.shape != sines.shape or cosines.ndim != 1:
             raise InvalidParameterError("cosines and sines must be 1-d arrays of equal length")
-        if len(cosines) > k_max:
-            raise InvalidParameterError(
-                f"harmonic list of length {len(cosines)} does not fit k_max={k_max}"
-            )
+        k_max = _check_integer("k_max", k_max, len(cosines))
         half = np.zeros(k_max + 1, dtype=np.complex128)
         half[0] = dc
         half[1 : 1 + len(cosines)] = (cosines - 1j * sines) / 2.0
@@ -213,9 +227,9 @@ def laplace_density(sigma: float) -> ShiftDensity:
     ``gamma_k = 1 / (1 + 2 sigma^2 pi^2 k^2)``: polynomial decay of degree 2.
     The arithmetic is in Python floats, whatever the type of ``sigma``.
     """
-    s = float(sigma)
+    s = _check_real("sigma", sigma, 0.0, strict=True)
     coef = 2.0 * s * s * math.pi * math.pi
-    if not (0.0 < sigma and 0.0 < coef < math.inf):
+    if not 0.0 < coef < math.inf:
         raise InvalidParameterError(f"sigma and 2 pi^2 sigma^2 must be finite and > 0, got {sigma}")
     scale = s / math.sqrt(2.0)
 
@@ -234,9 +248,9 @@ def gaussian_density(sigma: float) -> ShiftDensity:
     Decays faster than any polynomial.  The arithmetic is in Python floats,
     whatever the type of ``sigma``.
     """
-    s = float(sigma)
+    s = _check_real("sigma", sigma, 0.0, strict=True)
     coef = 2.0 * math.pi * math.pi * s * s
-    if not (0.0 < sigma and 0.0 < coef < math.inf):
+    if not 0.0 < coef < math.inf:
         raise InvalidParameterError(f"sigma and 2 pi^2 sigma^2 must be finite and > 0, got {sigma}")
 
     def gamma_fn(k):
@@ -255,8 +269,8 @@ def uniform_density(half_width: float) -> ShiftDensity:
     nonzero integer.  Those zeros are returned as exact ``0`` (``np.sinc``
     alone leaves rounding residue of order 1e-17).
     """
-    a = float(half_width)
-    if not (0.0 < half_width and 2.0 * a < math.inf):
+    a = _check_real("half_width", half_width, 0.0, strict=True)
+    if not 2.0 * a < math.inf:
         raise InvalidParameterError(
             f"half_width must be finite and > 0, and 2 * half_width finite, got {half_width}")
 
@@ -354,6 +368,7 @@ def _synthesize_rows(coeff_rows: np.ndarray, k_max: int, grid_size: int) -> np.n
     times the row's ``sum_k |c_k|`` and then discarded: the result is a
     C-contiguous float array of shape ``(rows, grid_size)``.
     """
+    grid_size = _check_integer("grid_size", grid_size, 1)
     if grid_size < 2 * k_max + 1:
         raise AliasingError(
             f"grid_size={grid_size} cannot resolve frequencies up to k_max={k_max}; "
@@ -407,8 +422,7 @@ def analyze(samples: np.ndarray, k_max: int) -> Template:
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 1 or samples.size < 3:
         raise InvalidParameterError("samples must be a 1-d array with at least 3 points")
-    if k_max < 1:
-        raise InvalidParameterError(f"k_max must be >= 1, got {k_max}")
+    k_max = _check_integer("k_max", k_max, 1)
     grid_size = samples.size
     if k_max > (grid_size - 1) // 2:
         raise AliasingError(

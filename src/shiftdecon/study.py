@@ -38,12 +38,11 @@ import numpy as np
 
 from .config import ExperimentConfig, build_density, build_template
 from .csvio import write_csv, write_curves_csv, write_risk_report_csv
-from .errors import InvalidParameterError
 from .risk import (RiskReport, _check_replicates, _mean_and_stderr, _run_replicates,
                    risk_report)
 from .selection import CRITERION_ESTIMATORS, _cutoff_cap, compute_m0
-from .simulate import render_grid, simulate
-from .spectral import _synthesize_rows, synthesize
+from .simulate import _check_inputs, render_grid, simulate
+from .spectral import _check_integer, _synthesize_rows, synthesize
 
 __all__ = ["ReplicationStudy", "run_replication_study"]
 
@@ -86,34 +85,32 @@ def run_replication_study(cfg: ExperimentConfig, out_dir, *, grid_size: int = 25
     anything is written.
     """
     seed, replications = _check_replicates(cfg.seed, cfg.replications)
+    n, epsilon = _check_inputs(cfg.n, cfg.epsilon)
     template = build_template(cfg)
     density = build_density(cfg)
     k_max = template.k_max
-    if grid_size < 2 * k_max + 1:
-        raise InvalidParameterError(
-            f"grid_size={grid_size} cannot render the band |k| <= {k_max}"
-        )
+    grid_size = _check_integer("grid_size", grid_size, 2 * k_max + 1)
+    _check_integer("workers", workers, 1)
 
-    m0_res = compute_m0(density, cfg.n, k_max)
-    m0_used = _cutoff_cap(density, cfg.n, k_max, cfg.m0_override)
+    m0_res = compute_m0(density, n, k_max)
+    m0_used = _cutoff_cap(density, n, k_max, cfg.m0_override)
 
     rules = ("u_bar", "u_tilde")
-    reps = _run_replicates(template, density, cfg.n, cfg.epsilon, seed, replications,
-                           rules, m0_used, workers=workers,
-                           penalty_variant=cfg.penalty_variant)
+    reps = _run_replicates(template, density, n, epsilon, seed, replications,
+                           rules, m0_used, penalty_variant=cfg.penalty_variant)
     n_star, n_tilde = reps.cutoffs
     loss_star, loss_tilde = reps.losses
     neg_fracs = reps.negative_fractions
 
     # Theoretical risk curves over the scan band, for the summary ratios.
-    report = risk_report(template, density, cfg.n, cfg.epsilon, m0_used)
+    report = risk_report(template, density, n, epsilon, m0_used)
     inf_r = float(np.min(report.r))
     inf_r_bar = float(np.min(report.r_bar))
     inf_r_tilde = float(np.min(report.r_tilde))
 
     summary_rows = []
     for crit, losses in zip(rules, reps.losses):
-        mean, stderr = _mean_and_stderr(losses, cfg.epsilon)
+        mean, stderr = _mean_and_stderr(losses, epsilon)
         summary_rows.append((
             CRITERION_ESTIMATORS[crit], crit, mean, stderr,
             inf_r, inf_r_bar, inf_r_tilde,
@@ -129,7 +126,7 @@ def run_replication_study(cfg: ExperimentConfig, out_dir, *, grid_size: int = 25
     write_curves_csv(out_dir / "template_curve.csv", grid,
                      synthesize(template, grid_size))
 
-    curves = simulate(template, density, cfg.n, cfg.epsilon,
+    curves = simulate(template, density, n, epsilon,
                       np.random.SeedSequence(seed).spawn(1)[0])
     write_curves_csv(out_dir / "sample_curves.csv", grid,
                      _synthesize_rows(curves.per_curve[:_SAMPLE_CURVE_COUNT],

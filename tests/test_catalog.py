@@ -69,6 +69,11 @@ def test_sobolev_validation():
         sobolev_template(1.0, -1.0)
     with pytest.raises(InvalidParameterError):
         sobolev_template(1.0, 1.0, k_max=0)
+    # at 87, 64**174 overflows but 64**-175 is a subnormal float, not 0, so the
+    # template would be scaled to all zeros
+    for smoothness in (87.0, 200.0):
+        with pytest.raises(InvalidParameterError, match="overflows"):
+            sobolev_template(smoothness, 1.0, k_max=64)
 
 
 def test_spike_is_a_single_cosine():

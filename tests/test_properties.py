@@ -1,17 +1,24 @@
 """Property tests: exact identities and guards over generated inputs."""
+import dataclasses
+import inspect
 import math
+import os
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import shiftdecon
 from shiftdecon.catalog import sobolev_template, wave_template
-from shiftdecon.errors import VanishingEigenvalueError
+from shiftdecon.config import ExperimentConfig
+from shiftdecon.errors import InvalidParameterError, ShiftDeconError, VanishingEigenvalueError
 from shiftdecon import risk
-from shiftdecon.risk import _run_replicates, risk_report
-from shiftdecon.selection import (CRITERION_KINDS, PENALTY_VARIANTS, _band_energy,
-                                  criterion_increments, criterion_trace,
+from shiftdecon.risk import _run_replicates, mc_risk, risk_report
+from shiftdecon.selection import (CRITERION_ESTIMATORS, CRITERION_KINDS, PENALTY_VARIANTS,
+                                  _band_energy, criterion_increments, criterion_trace,
                                   fraction_negative_theta_hat, theta_hat_squared)
 from shiftdecon.simulate import SequenceSummary, simulate, simulate_summary
 from shiftdecon.spectral import (EIGENVALUE_FLOOR, ShiftDensity, gaussian_density,
@@ -23,7 +30,7 @@ WAVE8 = wave_template(8)
 SEEDS = st.integers(0, 2**32 - 1)
 
 
-@settings(max_examples=40, deadline=None, database=None)
+@settings(max_examples=40)
 @given(seed=SEEDS, n=st.integers(1, 50), epsilon=st.sampled_from([0.0, 0.01, 0.5]),
        kind=st.sampled_from(CRITERION_KINDS), n_max=st.integers(0, 8),
        variant=st.sampled_from(PENALTY_VARIANTS))
@@ -35,7 +42,7 @@ def test_criterion_traces_telescope_bitwise(seed, n, epsilon, kind, n_max, varia
     assert np.array_equal(trace[1:], trace[:-1] + inc[1:])
 
 
-@settings(max_examples=40, deadline=None, database=None)
+@settings(max_examples=40)
 @given(seed=SEEDS, k_max=st.integers(0, 256), lead=st.sampled_from([(1,), (5,), (2, 3)]),
        n=st.integers(1, 500), epsilon=st.sampled_from([0.0, 0.01, 0.5]),
        data=st.data())
@@ -65,7 +72,7 @@ def test_row_wise_kernels_equal_the_one_row_case_bitwise(seed, k_max, lead, n, e
         assert type(alone) is float and fractions[index] == alone
 
 
-@settings(max_examples=40, deadline=None, database=None)
+@settings(max_examples=40)
 @given(seed=SEEDS, k_max=st.integers(0, 24), lead=st.sampled_from([(1,), (3,), (2, 2)]),
        n=st.integers(1, 500), epsilon=st.sampled_from([0.0, 0.01, 0.5]),
        density=st.sampled_from([LAPLACE, laplace_density(0.4), point_mass_density()]),
@@ -95,7 +102,7 @@ def test_band_energy_matches_its_scalar_reference(seed, k_max, lead, n, epsilon,
                        - theta_hat_squared(row, density, k)) <= 8 * ulp
 
 
-@settings(max_examples=60, deadline=None, database=None)
+@settings(max_examples=60)
 @given(k_bad=st.integers(-10, 10), band=st.integers(0, 10),
        value=st.one_of(st.floats(0.0, 1.5e-8), st.floats(1.5e-8, 1.0)))
 def test_guard_raises_on_any_sub_floor_eigenvalue(k_bad, band, value):
@@ -112,18 +119,19 @@ def test_guard_raises_on_any_sub_floor_eigenvalue(k_bad, band, value):
         assert math.isfinite(risk_report(WAVE8, density, 10, 0.1, band).r[band])
 
 
-@settings(max_examples=8, deadline=None, database=None)
+@settings(max_examples=8)
 @given(seed=SEEDS, n=st.integers(1, 40),
        rules=st.lists(st.sampled_from(CRITERION_KINDS), min_size=1, max_size=3))
 def test_replicate_engine_is_worker_invariant(seed, n, rules):
-    runs = [_run_replicates(WAVE8, LAPLACE, n, 0.05, seed, 7, rules, 6, workers=w)
-            for w in (1, 2, 3)]
-    for other in runs[1:]:
-        for field, ref in zip(other, runs[0]):
-            assert np.array_equal(field, ref)
+    for rule in rules:
+        runs = [mc_risk(WAVE8, LAPLACE, n, 0.05, CRITERION_ESTIMATORS[rule], 7, seed, m0=6,
+                        workers=w) for w in (1, 2, 3)]
+        for other in runs[1:]:
+            for field, ref in zip(other, runs[0]):
+                assert np.array_equal(field, ref)
 
 
-@settings(max_examples=25, deadline=None, database=None)
+@settings(max_examples=25)
 @given(seed=SEEDS, n=st.integers(1, 700), k_max=st.integers(1, 24),
        replications=st.integers(2, 40), data=st.data())
 def test_replicate_engine_does_not_depend_on_the_chunk_size(seed, n, k_max, replications,
@@ -138,7 +146,7 @@ def test_replicate_engine_does_not_depend_on_the_chunk_size(seed, n, k_max, repl
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(risk, "_CHUNK_VALUES", budget)
             runs.append(_run_replicates(template, LAPLACE, n, 0.1, seed, replications,
-                                        CRITERION_KINDS, m0, workers=1))
+                                        CRITERION_KINDS, m0))
     for other in runs[1:]:
         for field, ref in zip(other, runs[0]):
             assert field.tobytes() == ref.tobytes()
@@ -148,7 +156,7 @@ DENSITIES = (LAPLACE, laplace_density(0.4), gaussian_density(0.15),
              uniform_density(0.2), point_mass_density())
 
 
-@settings(max_examples=40, deadline=None, database=None)
+@settings(max_examples=40)
 @given(seed=SEEDS, density=st.sampled_from(DENSITIES), k_max=st.integers(1, 24),
        n=st.integers(1, 400), epsilon=st.sampled_from([0.0, 0.01, 0.5]))
 @example(seed=0, density=LAPLACE, k_max=1, n=49, epsilon=0.0)  # 49 * (1/49) < 1
@@ -160,3 +168,131 @@ def test_simulated_spectra_are_hermitian(seed, density, k_max, n, epsilon):
         assert np.array_equal(np.conj(gt[::-1]), gt)
     noiseless = simulate(template, density, n, 0.0, seed).per_curve
     assert np.array_equal(np.conj(noiseless[:, ::-1]), noiseless)
+
+
+# One valid call per function in shiftdecon.__all__: its keyword arguments and
+# the names of its integer and real parameters.  Object parameters (a template,
+# a density, a dataset, a configuration) keep their values.
+OBS = simulate(WAVE8, LAPLACE, 20, 0.05, 0)
+CFG = ExperimentConfig(k_max=8, n=5, replications=2, m0_override=4)
+DRAW = dict(template=WAVE8, density=LAPLACE, n=5, epsilon=0.05, seed=0)
+MONTE_CARLO = (dict(DRAW, estimator_kind="theta_tilde", replications=2, m0=4, workers=1),
+               ("n", "epsilon", "replications", "seed", "m0", "workers"))
+RISK = dict(template=WAVE8, density=LAPLACE, n=20, epsilon=0.05)
+OUT_DIR = object()  # stands for a fresh directory at each call
+PUBLIC_CALLS = {
+    "laplace_density": (dict(sigma=0.1), ("sigma",)),
+    "gaussian_density": (dict(sigma=0.1), ("sigma",)),
+    "uniform_density": (dict(half_width=0.2), ("half_width",)),
+    "point_mass_density": ({}, ()),
+    "synthesize": (dict(template=WAVE8, grid_size=17), ("grid_size",)),
+    "analyze": (dict(samples=np.cos(np.arange(17)), k_max=8), ("k_max",)),
+    "simulate": (DRAW, ("n", "epsilon", "seed")),
+    "simulate_summary": (DRAW, ("n", "epsilon", "seed")),
+    "render_curves": (dict(obs=OBS, grid_size=17), ("grid_size",)),
+    "render_grid": (dict(grid_size=17), ("grid_size",)),
+    "compute_m0": (dict(density=LAPLACE, n=20, k_max=8), ("n", "k_max")),
+    "theta_hat_squared": (dict(obs=OBS, density=LAPLACE, k=2), ("k",)),
+    "fraction_negative_theta_hat": (dict(obs=OBS, density=LAPLACE, n_max=4), ("n_max",)),
+    "criterion_trace": (dict(obs=OBS, density=LAPLACE, kind="u", n_max=4), ("n_max",)),
+    "select_cutoff": (dict(obs=OBS, density=LAPLACE, m0=4), ("m0",)),
+    "estimate": (dict(obs=OBS, density=LAPLACE, cutoff=2), ("cutoff",)),
+    "risk_report": (dict(RISK, n_max=4), ("n", "epsilon", "n_max")),
+    "exact_risk": (dict(RISK, cutoff=2), ("n", "epsilon", "cutoff")),
+    "mc_risk": MONTE_CARLO,
+    "oracle_ratio": MONTE_CARLO,
+    "rate_study": (dict(s=1.0, beta=0.0, radius=2.0, n_grid=[2, 3, 4], epsilon=0.05,
+                        replications=2, seed=0, k_max=4, workers=1),
+                   ("s", "beta", "radius", "epsilon", "replications", "seed", "k_max",
+                    "workers")),
+    "theoretical_rate_exponent": (dict(s=2.0, beta=2.0), ("s", "beta")),
+    "wave_template": (dict(k_max=8), ("k_max",)),
+    "sobolev_template": (dict(smoothness=1.5, radius=1.0, k_max=8),
+                         ("smoothness", "radius", "k_max")),
+    "spike_template": (dict(k_max=8, location=2), ("k_max", "location")),
+    "catalog_template": (dict(name="sobolev", k_max=8), ("k_max",)),
+    "parse_config": (dict(text="[experiment]\nn = 5\n"), ()),
+    "load_config": (dict(path=os.devnull), ()),
+    "serialize_config": (dict(cfg=CFG), ()),
+    "save_config": (dict(cfg=CFG, path=os.devnull), ()),
+    "build_density": (dict(cfg=CFG), ()),
+    "build_template": (dict(cfg=CFG), ()),
+    "run_replication_study": (dict(cfg=CFG, out_dir=OUT_DIR, grid_size=17, workers=1),
+                              ("grid_size", "workers")),
+}
+NUMERIC_PARAMETERS = [(name, param) for name, (_, params) in PUBLIC_CALLS.items()
+                      for param in params]
+HOSTILE = (None, True, "2", 2.5, math.nan, math.inf, -math.inf, -1, 10 ** 30, np.uint8(3),
+           np.float32(0.1))
+
+
+def _call(name, **swap):
+    """The table's call of ``name`` with the arguments in ``swap`` replaced,
+    under warnings as errors."""
+    kwargs, _ = PUBLIC_CALLS[name]
+    with tempfile.TemporaryDirectory() as fresh_dir, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        kwargs = {key: fresh_dir if value is OUT_DIR else value
+                  for key, value in {**kwargs, **swap}.items()}
+        return getattr(shiftdecon, name)(**kwargs)
+
+
+def _finite(result) -> bool:
+    """Every number in ``result`` is finite: the fields of a dataclass or a
+    tuple, the entries of an array; text, paths and callables hold none."""
+    if dataclasses.is_dataclass(result):
+        return all(_finite(getattr(result, f.name)) for f in dataclasses.fields(result))
+    if isinstance(result, tuple):
+        return all(map(_finite, result))
+    if isinstance(result, (np.ndarray, np.number, int, float, complex)):
+        return bool(np.all(np.isfinite(result)))
+    return True
+
+
+def test_the_table_holds_one_valid_call_per_public_function():
+    functions = {name for name in shiftdecon.__all__
+                 if inspect.isfunction(getattr(shiftdecon, name))}
+    assert functions == set(PUBLIC_CALLS)
+    for name in PUBLIC_CALLS:
+        assert _finite(_call(name)), name
+
+
+# Hypothesis draws no pair twice, so as many examples as pairs try every one.
+@settings(max_examples=len(NUMERIC_PARAMETERS) * len(HOSTILE))
+@given(site=st.sampled_from(NUMERIC_PARAMETERS), value=st.sampled_from(HOSTILE))
+def test_a_hostile_number_gives_a_finite_result_or_a_typed_refusal(site, value):
+    # no bare TypeError, IndexError or ValueError, no warning, no non-finite
+    # result; a workers value that passes starts at most min(units, CPUs)
+    # processes, in rate_study's pool of 3 grid points
+    name, param = site
+    try:
+        result = _call(name, **{param: value})
+    except ShiftDeconError:
+        return
+    assert _finite(result), (name, param, value)
+
+
+# Values a comparison, an index or numpy would otherwise see first: a string or
+# None compared, True taken as 1, 2.5 truncated, an infinite smoothness raised
+# to a power, a size too large for an array allocated.  Each is refused.
+REFUSED = [("estimate", "cutoff", "2"), ("criterion_trace", "n_max", "2"),
+           ("risk_report", "n_max", None), ("exact_risk", "cutoff", None),
+           ("synthesize", "grid_size", "8"), ("theta_hat_squared", "k", True),
+           ("render_grid", "grid_size", 2.5), ("compute_m0", "k_max", 3.5),
+           ("spike_template", "location", 1.5), ("sobolev_template", "smoothness", math.inf),
+           ("sobolev_template", "smoothness", 10 ** 30), ("simulate", "seed", None),
+           ("simulate", "n", 10 ** 30), ("render_grid", "grid_size", 10 ** 30),
+           ("wave_template", "k_max", 10 ** 30), ("mc_risk", "replications", 10 ** 30),
+           ("risk_report", "n_max", 10 ** 30), ("run_replication_study", "grid_size", 10 ** 30)]
+
+
+@pytest.mark.parametrize("name,param,value", REFUSED,
+                         ids=[f"{name}-{param}-{value!r}" for name, param, value in REFUSED])
+def test_a_bad_number_is_refused_before_any_warning(name, param, value):
+    with pytest.raises(InvalidParameterError):
+        _call(name, **{param: value})
+
+
+def test_a_seed_of_any_size_is_a_seed():
+    for name in ("simulate", "simulate_summary", "mc_risk", "rate_study"):
+        assert _finite(_call(name, seed=10 ** 30))

@@ -256,7 +256,7 @@ def test_engine_negative_fractions_match_fraction_negative_theta_hat():
                                      (WAVE8, 200, 0.3, 0),
                                      (spike_template(8, location=1), 5, 0.0, 8)):
         reps = _run_replicates(template, LAPLACE, n, epsilon, 31, len(seeds), ("u_tilde",),
-                               m0, workers=1)
+                               m0)
         direct = [fraction_negative_theta_hat(
                       simulate_summary(template, LAPLACE, n, epsilon, seed), LAPLACE, m0)
                   for seed in seeds]
@@ -288,7 +288,7 @@ def test_engine_matches_one_replicate_at_a_time(monkeypatch):
     seeds = np.random.SeedSequence(77).spawn(30)
     chunks = _chunk_sizes(monkeypatch)
     reps = _run_replicates(template, LAPLACE, n, epsilon, 77, len(seeds), rules, m0,
-                           workers=1, **options)
+                           **options)
     assert len(chunks) > 1 and sum(chunks) == len(seeds)
     gamma, tail = LAPLACE.gamma_band(m0), _tail_energy(template, m0)
     band = slice(8 - m0, 8 + m0 + 1)
@@ -320,12 +320,11 @@ def test_engine_results_do_not_depend_on_the_chunk_size(density, monkeypatch):
     for n in (1, 7, 100, 600):
         for m0 in (0, WAVE8.k_max):
             chunks = _chunk_sizes(monkeypatch)
-            default = _run_replicates(WAVE8, density, n, 0.2, 2024, replications, rules, m0,
-                                      workers=1)
+            default = _run_replicates(WAVE8, density, n, 0.2, 2024, replications, rules, m0)
             with monkeypatch.context() as patch:
                 patch.setattr(risk_module, "_CHUNK_VALUES", 1)
                 alone = _run_replicates(WAVE8, density, n, 0.2, 2024, replications, rules,
-                                        m0, workers=1)
+                                        m0)
             assert chunks[-replications:] == [1] * replications
             if n == 600:
                 assert len(chunks) - replications > 1
@@ -345,8 +344,7 @@ def test_engine_memory_is_one_chunk_and_the_results():
         tracemalloc.start()
         try:
             _run_replicates(template, density, cfg.n, cfg.epsilon, cfg.seed, replications,
-                            rules, cfg.m0_override, workers=1,
-                            penalty_variant=cfg.penalty_variant)
+                            rules, cfg.m0_override, penalty_variant=cfg.penalty_variant)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -377,6 +375,16 @@ def test_study_traces_are_replicate_zero(tmp_path):
             assert int(np.argmin(values)) == int(row0[chosen])
         meta = {row["key"]: row["value"] for row in _read_rows(out / "meta.csv")}
         assert "independent noise" in meta["sample_curves_draw"]
+
+
+def test_study_of_numpy_scalars_writes_the_bundle_of_python_numbers(tmp_path):
+    # the config keeps n as an np.uint8, in which n + 2*k_max + 1 would wrap
+    bundles = []
+    for i, (n, epsilon) in enumerate(((200, 0.5), (np.uint8(200), np.float32(0.5)))):
+        run_replication_study(ExperimentConfig(n=n, epsilon=epsilon, replications=2),
+                              tmp_path / str(i))
+        bundles.append({f.name: f.read_bytes() for f in (tmp_path / str(i)).iterdir()})
+    assert bundles[0] == bundles[1]
 
 
 # meta.csv's keys, in order: a new or removed row has to be listed here

@@ -75,8 +75,9 @@ def test_coeff_index_bounds():
     obs = simulate(TEMPLATE, LAPLACE, n=2, epsilon=0.0, seed=0)
     assert obs.coeff_index(0) == K_MAX
     assert obs.coeff_index(-K_MAX) == 0
-    with pytest.raises(InvalidParameterError):
-        obs.coeff_index(K_MAX + 1)
+    for bad in (K_MAX + 1, 1.5, True):
+        with pytest.raises(InvalidParameterError):
+            obs.coeff_index(bad)
 
 
 # ---------------------------------------------------------------------------

@@ -180,8 +180,10 @@ def test_template_coeff_accessor_and_band():
     assert t.coeff(-2) == np.conj(t.coeff(2))
     assert t.coeff(2) == 0.0 + 1.0j          # sine amplitude -2 -> -i*(-2)/2
     assert np.array_equal(t.k_values, np.arange(-3, 4))
-    with pytest.raises(InvalidParameterError):
-        t.coeff(4)
+    assert t.coeff(np.uint8(1)) == t.coeff(1)
+    for bad in (4, -4, 1.5, True, "1"):
+        with pytest.raises(InvalidParameterError, match="k must be"):
+            t.coeff(bad)
 
 
 def test_template_requires_exact_hermitian_symmetry():
