@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidParameterError
-from .spectral import Template, _check_integer, _check_real, _hermitian
+from .spectral import Template, _check_integer, _check_real, _hermitian, _sobolev_weights
 
 __all__ = ["WAVE_DC", "WAVE_HARMONICS", "wave_template", "sobolev_template",
            "spike_template", "TEMPLATE_BUILDERS", "catalog_template"]
@@ -66,11 +66,7 @@ def sobolev_template(smoothness: float, radius: float, k_max: int = 64) -> Templ
     k_max = _check_integer("k_max", k_max, 1)
     k = np.arange(1, k_max + 1).astype(float)
     shape = k ** (-(smoothness + 0.5 + SOBOLEV_DELTA / 2.0))
-    try:
-        with np.errstate(over="raise"):
-            weights = 1.0 + k ** (2.0 * smoothness)
-    except FloatingPointError:
-        raise InvalidParameterError(f"k_max**(2 * smoothness) overflows at {smoothness=}") from None
+    weights = _sobolev_weights(k, smoothness)
     # sum over k of (1 + |k|^{2s}) |coeff_k|^2 = c^2 * (1 + 2 sum_k w_k shape_k^2)
     total = 1.0 + 2.0 * float(np.sum(weights * shape ** 2))
     c = float(np.sqrt(radius / total))

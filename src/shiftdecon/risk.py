@@ -25,13 +25,13 @@ on shared datasets.  Each replicate draws only the column means, as
 loss read nothing else, and the noise mean is drawn from its exact
 ``CN(0, epsilon^2/n)`` law instead of averaged from ``n`` curves.
 
-Replicate ``i`` runs on child ``i`` of ``SeedSequence(seed).spawn``.  The
-engine works on contiguous chunks of replicates, one chunk after the other
-in replicate order, so its memory does not grow with the number of
+Replicate ``i`` of a run at ``seed`` draws from
+``SeedSequence(seed, spawn_key=(i,))``, which is child ``i`` of
+``SeedSequence(seed).spawn``: it depends on ``(seed, i)`` and nothing else.
+The engine works on contiguous chunks of replicates, one chunk after the
+other in replicate order, so its memory does not grow with the number of
 replicates: a chunk holds what its replicates need during the draw,
-``n + 2*k_max + 1`` values each, and it spawns its seeds from the one root
-when it runs (``spawn`` numbers children on from its last call).  Per chunk
-it runs three steps:
+``n + 2*k_max + 1`` values each.  Per chunk it runs three steps:
 
 * draw: every seed's shifts and noise from its own generator, then the
   phases of the whole chunk, one frequency at a time, keeping only their
@@ -49,11 +49,11 @@ bit-identical for any chunking and any ``workers`` value.
 ``workers`` is a number of processes.  ``_fork_map`` runs independent units
 in a ``fork`` pool of at most ``workers`` processes, capped at the units and
 at the CPUs this process may use, and returns their results in unit order;
-the units are :func:`rate_study`'s grid points.  Off Linux, or while the
-caller runs other Python threads, the units run serially in this process.
-The replicate engine always runs in this process: at 200 replicates a
-pool's start-up costs more than the split saves.  ``workers`` never changes
-a result.
+the units are :func:`rate_study`'s grid points, each a function of its own
+arguments.  Off Linux, or while the caller runs other Python threads, the
+units run serially in this process.  The replicate engine always runs in
+this process: at 200 replicates a pool's start-up costs more than the split
+saves.  ``workers`` never changes a result.
 """
 
 from __future__ import annotations
@@ -190,9 +190,13 @@ class McRisk(NamedTuple):
 
 def _check_replicates(seed, replications) -> tuple:
     """``(seed, replications)`` of a Monte Carlo run as ints: any seed >= 0 and
-    at least 2 replicates, so that a standard error exists.  Replicate ``i``
-    runs on child ``i`` of ``SeedSequence(seed).spawn``."""
+    at least 2 replicates, so that a standard error exists."""
     return _check_integer("seed", seed, 0, None), _check_integer("replications", replications, 2)
+
+
+def _replicate_seed(seed: int, i: int) -> np.random.SeedSequence:
+    """The seed of replicate ``i`` of a run at ``seed``."""
+    return np.random.SeedSequence(seed, spawn_key=(i,))
 
 
 def _mean_and_stderr(losses: np.ndarray, epsilon: float) -> tuple:
@@ -218,30 +222,14 @@ def _pool_size(workers, units: int) -> int:
     return min(size, len(os.sched_getaffinity(0)))
 
 
-# The work of a pool process, ``(fn, units)``.  The pool's initializer sets it
-# in each child; under ``fork`` the initializer's arguments are inherited, not
-# pickled, so ``fn`` may be a closure.  It stays ``None`` in the parent.
-_pool_job = None
-
-
-def _set_pool_job(job) -> None:
-    global _pool_job
-    _pool_job = job
-
-
-def _run_pool_unit(index: int):
-    fn, units = _pool_job
-    return fn(units[index])
-
-
 def _fork_map(fn, units: Sequence, workers) -> list:
     """``[fn(unit) for unit in units]``, in unit order.
 
     The units run in a ``fork`` pool of ``_pool_size(workers, len(units))``
-    processes, or serially in this process when that is 1.  Only unit indices
-    and results cross between processes.  An exception raised by ``fn`` in a
-    pool process is raised here, with its type and message; a pool process
-    that dies raises ``BrokenProcessPool``.
+    processes, or serially in this process when that is 1.  Jobs and results
+    are pickled, so ``fn`` is a module-level function.  An exception raised
+    by ``fn`` in a pool process is raised here, with its type and message; a
+    pool process that dies raises ``BrokenProcessPool``.
     """
     size = _pool_size(workers, len(units))
     if size <= 1:
@@ -249,19 +237,16 @@ def _fork_map(fn, units: Sequence, workers) -> list:
     import concurrent.futures
     import multiprocessing
     with concurrent.futures.ProcessPoolExecutor(
-            size, mp_context=multiprocessing.get_context("fork"),
-            initializer=_set_pool_job, initargs=((fn, units),)) as pool:
-        return list(pool.map(_run_pool_unit, range(len(units))))
+            size, mp_context=multiprocessing.get_context("fork")) as pool:
+        return list(pool.map(fn, units))
 
 
 class _Replicates(NamedTuple):
-    """Per-replicate results in seed order, row ``j`` for the ``j``-th rule;
-    ``traces`` are the rules' criteria over ``0..m0`` on replicate 0 only."""
+    """Per-replicate results in seed order, row ``j`` for the ``j``-th rule."""
 
     cutoffs: np.ndarray
     losses: np.ndarray
     negative_fractions: np.ndarray
-    traces: np.ndarray
 
 
 # The values a chunk of the draw may hold, at n + 2*k_max + 1 per seed: n for
@@ -279,51 +264,42 @@ def _run_replicates(template: Template, density: ShiftDensity, n: int,
                     rules: Sequence[str], m0: int, **options) -> _Replicates:
     """The replicate loop behind :func:`mc_risk` and the replication study.
 
-    Replicate ``i`` runs on child ``i`` of ``SeedSequence(seed).spawn``; its
-    seed gives one dataset's column means, as
+    Replicate ``i`` draws one dataset's column means from
+    ``_replicate_seed(seed, i)``, as
     :func:`shiftdecon.simulate.simulate_summary` draws them, on which every
     rule, a criterion kind, picks the cutoff minimizing its criterion over
     ``0..m0`` (``options`` go to
     :func:`~shiftdecon.selection.criterion_trace`; ties go to the smallest
-    cutoff) and keeps the criterion of replicate 0, which the study
-    writes to ``traces.csv``.  A cutoff ``N`` scores ``loss[N]``, the
-    replicate's :func:`_loss_trace`.  The negative-energy fraction on
+    cutoff).  A cutoff ``N`` scores ``loss[N]``, the replicate's
+    :func:`_loss_trace`.  The negative-energy fraction on
     ``|k| <= m0`` is :func:`~shiftdecon.selection.fraction_negative_theta_hat`'s.
 
     Replicates run in contiguous chunks of at most ``_CHUNK_VALUES`` values,
     at ``n + 2*k_max + 1`` per replicate, one chunk after the other in
-    replicate order: spawn the chunk's seeds and draw it, take its band
-    energy and its loss trace once for the diagnostic and every rule, select with one row-wise criterion trace and
-    argmin per rule, and read each row's loss at its cutoff.  ``gamma_band``
-    is read once per run.  Every step works row by row, so a replicate's
-    results do not depend on its chunk.  The chunks run in this process,
-    because a pool's start-up costs more than it saves at the usual 100 to
-    200 replicates.
+    replicate order: draw the chunk, take its band energy and its loss trace
+    once for the diagnostic and every rule, select with one row-wise
+    criterion trace and argmin per rule, and read each row's loss at its
+    cutoff.  ``gamma_band`` is read once per run.  Every step works row by
+    row, so a replicate's results do not depend on its chunk.
     """
     gamma = density.gamma_band(m0)
     tail = _tail_energy(template, m0)
-    root = np.random.SeedSequence(seed)
     cutoffs = np.empty((len(rules), replications), dtype=int)
     losses = np.empty((len(rules), replications), dtype=float)
     negative_fractions = np.empty(replications, dtype=float)
-    traces = np.empty((len(rules), m0 + 1), dtype=float)
     step = max(1, _CHUNK_VALUES // (n + 2 * template.k_max + 1))
     for start in range(0, replications, step):
         chunk = slice(start, min(start + step, replications))
-        # spawn numbers children on from its last call: these are start, start + 1, ...
-        obs = _draw_summaries(template, density, n, epsilon, root.spawn(chunk.stop - start))
+        seeds = [_replicate_seed(seed, i) for i in range(chunk.start, chunk.stop)]
+        obs = _draw_summaries(template, density, n, epsilon, seeds)
         energy = _band_energy(obs, gamma)
         loss = _loss_trace(template, obs.c_tilde, gamma, tail, epsilon)
         negative_fractions[chunk] = _negative_fraction(energy)
         for j, rule in enumerate(rules):
-            trace = _criterion_trace(energy, rule, **options)
-            if start == 0:
-                traces[j] = trace[0]
-            cutoffs[j, chunk] = np.argmin(trace, axis=-1)
+            cutoffs[j, chunk] = np.argmin(_criterion_trace(energy, rule, **options), axis=-1)
             losses[j, chunk] = np.take_along_axis(loss, cutoffs[j, chunk, None], -1)[:, 0]
         del obs, energy, loss  # so that the next draw does not share the peak with them
-    return _Replicates(cutoffs=cutoffs, losses=losses,
-                       negative_fractions=negative_fractions, traces=traces)
+    return _Replicates(cutoffs=cutoffs, losses=losses, negative_fractions=negative_fractions)
 
 
 def _loss_trace(template: Template, c_tilde: np.ndarray, gamma: np.ndarray,
@@ -369,9 +345,9 @@ def mc_risk(template: Template, density: ShiftDensity, n: int, epsilon: float,
         Number of independent datasets, an integer >= 2 so that a standard
         error exists.
     seed : int
-        Base seed, an integer >= 0; replicate ``i`` runs on child ``i`` of
-        ``numpy.random.SeedSequence(seed).spawn``.  ``None``, a ``bool`` or a
-        float is refused, so every run can be reproduced.
+        Base seed, an integer >= 0; replicate ``i`` draws from
+        ``numpy.random.SeedSequence(seed, spawn_key=(i,))``.  ``None``, a
+        ``bool`` or a float is refused, so every run can be reproduced.
     workers : int
         Must be an integer >= 1.  Replicates run serially, in chunks of
         contiguous seeds in seed order, so the value changes no result.
@@ -416,6 +392,26 @@ def theoretical_rate_exponent(s: float, beta: float) -> float:
     s = _check_real("s", s, 0.0, strict=True)
     beta = _check_real("beta", beta, 0.0, strict=False)
     return -2.0 * s / (2.0 * s + 2.0 * beta + 1.0)
+
+
+def _rate_density(beta: float) -> ShiftDensity:
+    """The shift density of :func:`rate_study` at decay ``beta``."""
+    if beta == 0.0:
+        return point_mass_density()
+    if beta == 2.0:
+        return laplace_density(0.1)
+    raise InvalidParameterError(
+        f"no built-in shift density with polynomial decay beta={beta} "
+        f"(built-ins cover beta=0 and beta=2)"
+    )
+
+
+def _rate_point(job: tuple) -> tuple:
+    """``(mise, stderr)`` of one :func:`rate_study` grid point; a density
+    holds closures and does not pickle, so it is built here from ``beta``."""
+    template, beta, n, epsilon, replications, seed = job
+    mc = mc_risk(template, _rate_density(beta), n, epsilon, "theta_tilde", replications, seed)
+    return mc.mean, mc.stderr
 
 
 @dataclass(frozen=True)
@@ -470,25 +466,12 @@ def rate_study(s: float, beta: float, radius: float, n_grid: Sequence[int],
         )
     if np.any(np.diff(n_grid_arr) <= 0):
         raise InvalidParameterError("n_grid must be strictly increasing")
-    if beta == 0.0:
-        density = point_mass_density()
-    elif beta == 2.0:
-        density = laplace_density(0.1)
-    else:
-        raise InvalidParameterError(
-            f"no built-in shift density with polynomial decay beta={beta} "
-            f"(built-ins cover beta=0 and beta=2)"
-        )
+    _rate_density(beta)  # a beta with no density is refused before any point runs
     template = sobolev_template(smoothness=s, radius=radius, k_max=k_max)
-
-    def point(i):
-        mc = mc_risk(template, density, int(n_grid_arr[i]), epsilon, "theta_tilde",
-                     replications, seed + i)
-        return mc.mean, mc.stderr
-
+    jobs = [(template, beta, int(n), epsilon, replications, seed + i)
+            for i, n in enumerate(n_grid_arr)]
     # n_grid increases, so this runs the largest n first
-    order = range(n_grid_arr.size - 1, -1, -1)
-    mise, stderr = np.array(_fork_map(point, order, workers)[::-1]).T.copy()
+    mise, stderr = np.array(_fork_map(_rate_point, jobs[::-1], workers)[::-1]).T.copy()
     if np.any(mise <= 0.0):
         raise DegenerateInputError("Monte Carlo risk is not positive; cannot fit a log-log slope")
     log_n = np.log(n_grid_arr.astype(float))

@@ -171,20 +171,14 @@ def _phase_rows(shifts: np.ndarray, k_max: int):
     """Yield the phases ``exp(-2j*pi*k*shifts)`` for ``k = 1..k_max``, one
     row of shape ``shifts.shape`` at a time; at ``k = 0`` they are exactly 1.
 
-    ``z = exp(-2j*pi*shifts)`` is the only exponential; row ``k`` is row
-    ``k - 1`` times ``z``.  Row ``k`` differs from ``np.exp`` by rounding
-    that grows with ``k`` (about ``2e-13`` at ``k = 256``).  From ``k = 2``
-    the rows alternate between two buffers, so a row is overwritten two
-    steps after it is yielded.  The product never writes over one of its
-    own operands: an in-place multiply rounds differently at ``n = 1``.
+    ``z = exp(-2j*pi*shifts)`` is the only exponential; row ``k`` is a new
+    array, row ``k - 1`` times ``z``.  Row ``k`` differs from ``np.exp`` by
+    rounding that grows with ``k`` (about ``2e-13`` at ``k = 256``).
     """
-    if k_max < 1:
-        return
-    z = np.exp(-2j * np.pi * shifts)
+    row = z = np.exp(-2j * np.pi * shifts)
     yield z
-    row, buffers = z, (np.empty_like(z), np.empty_like(z))
-    for k in range(2, k_max + 1):
-        row = np.multiply(row, z, out=buffers[k % 2])
+    for _ in range(2, k_max + 1):
+        row = row * z
         yield row
 
 

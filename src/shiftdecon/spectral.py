@@ -80,6 +80,15 @@ def _check_real(name: str, value, low: float, *, strict: bool) -> float:
     return real
 
 
+def _sobolev_weights(k: np.ndarray, smoothness: float) -> np.ndarray:
+    """``1 + |k|^{2s}``, refused if ``k_max^{2s}`` overflows."""
+    try:
+        with np.errstate(over="raise"):
+            return 1.0 + np.abs(k) ** (2.0 * smoothness)
+    except FloatingPointError:
+        raise InvalidParameterError(f"k_max**(2 * smoothness) overflows at {smoothness=}") from None
+
+
 @dataclass(frozen=True)
 class Template:
     """A real 1-periodic function stored as Fourier coefficients on ``-k_max..k_max``.
@@ -135,9 +144,10 @@ class Template:
         return float(np.sum(np.abs(self.coeffs) ** 2))
 
     def sobolev_norm_squared(self, smoothness: float) -> float:
-        """``sum_k (1 + |k|^{2s}) |coeff_k|^2`` for smoothness ``s``."""
-        k = np.abs(self.k_values).astype(float)
-        return float(np.sum((1.0 + k ** (2.0 * smoothness)) * np.abs(self.coeffs) ** 2))
+        """``sum_k (1 + |k|^{2s}) |coeff_k|^2`` for smoothness ``s > 0``."""
+        smoothness = _check_real("smoothness", smoothness, 0.0, strict=True)
+        weights = _sobolev_weights(self.k_values.astype(float), smoothness)
+        return float(np.sum(weights * np.abs(self.coeffs) ** 2))
 
     @staticmethod
     def from_harmonics(dc: float, cosines, sines, k_max: int, label: str = "") -> "Template":

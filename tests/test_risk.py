@@ -19,9 +19,11 @@ from shiftdecon.errors import (DegenerateInputError, InvalidParameterError,
                                InvariantViolationError, VanishingEigenvalueError)
 from shiftdecon import risk as risk_module
 from shiftdecon.risk import (McRisk, RiskReport, _fork_map, _mean_and_stderr,
-                             _loss_trace, _run_replicates, exact_risk, mc_risk, oracle_ratio,
-                             rate_study, risk_report, theoretical_rate_exponent)
-from shiftdecon.selection import compute_m0, fraction_negative_theta_hat, select_cutoff
+                             _loss_trace, _replicate_seed, _run_replicates, exact_risk,
+                             mc_risk, oracle_ratio, rate_study, risk_report,
+                             theoretical_rate_exponent)
+from shiftdecon.selection import (compute_m0, criterion_trace, fraction_negative_theta_hat,
+                                  select_cutoff)
 from shiftdecon.simulate import _draw_summaries, simulate_summary
 from shiftdecon.spectral import (ShiftDensity, Template, _tail_energy, laplace_density,
                                  point_mass_density, uniform_density)
@@ -277,11 +279,21 @@ def _chunk_sizes(monkeypatch) -> list:
     return sizes
 
 
+@pytest.mark.parametrize("seed", [0, 1, 10 ** 30])
+def test_replicate_seed_is_the_spawned_child(seed):
+    # against a root that spawns in two calls, as a chunked loop would: 44 and
+    # 45 straddle the default chunk of 45 seeds
+    root = np.random.SeedSequence(seed)
+    children = root.spawn(45) + root.spawn(1955)
+    for i in (0, 44, 45, 1999):
+        assert (_replicate_seed(seed, i).generate_state(8).tobytes()
+                == children[i].generate_state(8).tobytes())
+
+
 def test_engine_matches_one_replicate_at_a_time(monkeypatch):
     # reference: simulate_summary, select_cutoff and the replicate's own
-    # one-row loss trace, one seed at a time, each seed spawned from the
-    # engine's root.  The engine keeps replicate 0's criterion traces, bit
-    # for bit.
+    # one-row loss trace, one seed at a time, each seed child i of
+    # SeedSequence(77).spawn
     template, n, epsilon, m0 = WAVE8, 600, 0.3, 7
     options = dict(penalty_variant="proof_form")
     rules = ("u_bar", "u_tilde", "u")
@@ -298,10 +310,7 @@ def test_engine_matches_one_replicate_at_a_time(monkeypatch):
         pairs = np.concatenate(([error[m0]], error[m0 + 1:] + error[m0 - 1::-1]))
         loss = np.cumsum(pairs) + tail
         for j, rule in enumerate(rules):
-            sel = select_cutoff(obs, LAPLACE, rule, m0=m0, **options)
-            if i == 0:
-                assert reps.traces[j].tobytes() == sel.criterion_values.tobytes()
-            cutoff = sel.chosen_n
+            cutoff = select_cutoff(obs, LAPLACE, rule, m0=m0, **options).chosen_n
             assert reps.cutoffs[j, i] == cutoff
             assert reps.losses[j, i] == loss[cutoff]
             # the direct sum over the band, in numpy's own order, agrees to 8 ulp
@@ -362,16 +371,25 @@ def _read_rows(path):
 
 
 def test_study_traces_are_replicate_zero(tmp_path):
-    # traces.csv and row 0 of selections.csv describe the same draw
+    # traces.csv and row 0 of selections.csv describe the same draw, the
+    # first child spawned from the seed, and each column is that draw's
+    # criterion trace value for value
     for i, cfg in enumerate((ExperimentConfig(replications=3),
                              ExperimentConfig(replications=2, seed=8, m0_override=None,
                                               penalty_variant="proof_form"))):
         out = tmp_path / str(i)
-        run_replication_study(cfg, out)
+        study = run_replication_study(cfg, out)
+        template, density = build_template(cfg), build_density(cfg)
+        obs = simulate_summary(template, density, cfg.n, cfg.epsilon,
+                               np.random.SeedSequence(cfg.seed).spawn(1)[0])
         traces = _read_rows(out / "traces.csv")
         row0 = _read_rows(out / "selections.csv")[0]
+        assert [int(row["n"]) for row in traces] == list(range(study.m0_used + 1))
         for column, chosen in (("u_bar", "n_star"), ("u_tilde", "n_tilde")):
             values = [float(row[column]) for row in traces]
+            expected = criterion_trace(obs, density, column, study.m0_used,
+                                       penalty_variant=cfg.penalty_variant)
+            assert values == expected.tolist()
             assert int(np.argmin(values)) == int(row0[chosen])
         meta = {row["key"]: row["value"] for row in _read_rows(out / "meta.csv")}
         assert "independent noise" in meta["sample_curves_draw"]
@@ -568,6 +586,13 @@ def test_rate_study_refuses_a_grid_size_that_mc_risk_refuses():
     assert study.n_grid.tolist() == [2, 3, 4]
 
 
+def test_rate_study_refuses_a_zero_risk_after_the_points_run():
+    # noiseless point-mass data lets u_tilde pick k_max, whose loss is 0; the
+    # points run in pool processes, each building its density from beta
+    with pytest.raises(DegenerateInputError, match="Monte Carlo risk is not positive"):
+        rate_study(1.0, 0.0, 2.0, [40, 80, 160], 0.0, 2, 0, k_max=8, workers=2)
+
+
 def test_rate_study_no_shift_smoke():
     """beta=0: risk should fall roughly like n^{-2/3} for s=1."""
     study = rate_study(1.0, 0.0, 2.0, [50, 100, 200], 0.05, 40, seed=11,
@@ -611,25 +636,29 @@ def _pooled_here():
     return sys.platform == "linux" and len(os.sched_getaffinity(0)) >= 2
 
 
+def _unit_and_pid(unit):
+    return unit, os.getpid()
+
+
 def test_fork_map_runs_units_in_pool_processes():
     # twice: the first pool's threads are gone when it returns, so the second pools too
     for _ in range(2):
-        pids = _fork_map(lambda unit: (unit, os.getpid()), range(4), 2)
+        pids = _fork_map(_unit_and_pid, range(4), 2)
         assert [unit for unit, _ in pids] == [0, 1, 2, 3]
         assert all((pid != os.getpid()) == _pooled_here() for _, pid in pids)
 
 
+def _die_in_a_child_at_one(job):
+    unit, parent = job
+    if unit == 1 and os.getpid() != parent:
+        os._exit(1)
+    return unit
+
+
 @pytest.mark.skipif(not _pooled_here(), reason="the pool runs on Linux with 2 usable CPUs")
 def test_a_dead_pool_process_raises_instead_of_hanging():
-    parent = os.getpid()
-
-    def unit(u):
-        if u == 1 and os.getpid() != parent:
-            os._exit(1)
-        return u
-
     with pytest.raises(BrokenProcessPool):
-        _fork_map(unit, range(2), 2)
+        _fork_map(_die_in_a_child_at_one, [(u, os.getpid()) for u in range(2)], 2)
 
 
 def test_mc_risk_checks_workers_and_runs_serially(monkeypatch):
@@ -671,9 +700,8 @@ class _RecordingPool:
 
     sizes = []
 
-    def __init__(self, max_workers, mp_context, initializer, initargs):
+    def __init__(self, max_workers, mp_context):
         self.sizes.append(max_workers)
-        initializer(*initargs)
 
     def __enter__(self):
         return self
@@ -685,14 +713,17 @@ class _RecordingPool:
         return map(func, iterable)
 
 
+def _square(u):
+    return u * u
+
+
 def test_pool_size_is_capped_at_the_usable_cpus(monkeypatch):
-    monkeypatch.setattr(risk_module, "_pool_job", None)  # the fake pool sets it here
     monkeypatch.setattr(_RecordingPool, "sizes", [])
     monkeypatch.setattr(sys, "platform", "linux")
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
     monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["fork", "spawn"])
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
-    assert _fork_map(lambda u: u * u, range(10), 10 ** 6) == [u * u for u in range(10)]
+    assert _fork_map(_square, range(10), 10 ** 6) == [u * u for u in range(10)]
     reference = _rate_bytes(rate_study(*SMALL_RATE, seed=4, k_max=16))
     assert _rate_bytes(rate_study(*SMALL_RATE, seed=4, k_max=16, workers=10 ** 6)) == reference
     # a pool never holds more processes than units: four grid points, two units

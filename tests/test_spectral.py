@@ -218,6 +218,16 @@ def test_norms():
     assert abs(t.sobolev_norm_squared(1.0) - 4.25) < 1e-15
 
 
+@pytest.mark.parametrize("smoothness,message", [
+    (1e30, "overflows"), ("2", "must be a real number"), (math.nan, "must be finite"),
+    (True, "must be a real number"), (0.0, "must be finite and > 0")])
+def test_sobolev_norm_refuses_a_bad_smoothness_before_any_warning(smoothness, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidParameterError, match=message):
+            wave_template(8).sobolev_norm_squared(smoothness)
+
+
 def test_from_harmonics_validation():
     with pytest.raises(InvalidParameterError):
         Template.from_harmonics(0.0, [1.0, 2.0], [0.0], k_max=3)
