@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidParameterError
-from .spectral import Template, _check_integer, _check_real, _hermitian, _sobolev_weights
+from .spectral import (Template, _check_choice, _check_integer, _check_real, _hermitian,
+                       _sobolev_weights)
 
 __all__ = ["WAVE_DC", "WAVE_HARMONICS", "wave_template", "sobolev_template",
            "spike_template", "TEMPLATE_BUILDERS", "catalog_template"]
@@ -95,10 +95,4 @@ TEMPLATE_BUILDERS = {
 
 def catalog_template(name: str, k_max: int) -> Template:
     """Look up a catalog template by name at the requested band width."""
-    try:
-        builder = TEMPLATE_BUILDERS[name]
-    except KeyError:
-        raise InvalidParameterError(
-            f"unknown template {name!r}; catalog names: {sorted(TEMPLATE_BUILDERS)}"
-        ) from None
-    return builder(k_max)
+    return TEMPLATE_BUILDERS[_check_choice("template", name, TEMPLATE_BUILDERS)](k_max)

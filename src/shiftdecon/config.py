@@ -44,7 +44,7 @@ from .csvio import format_cell, read_template_csv
 from .errors import ConfigError, InvalidParameterError
 from .selection import CRITERION_KINDS, PENALTY_VARIANTS
 from .simulate import _check_inputs
-from .spectral import (ShiftDensity, Template, _check_integer, gaussian_density,
+from .spectral import (ShiftDensity, Template, _check_choice, _check_integer, gaussian_density,
                        laplace_density, point_mass_density, uniform_density)
 
 __all__ = ["ExperimentConfig", "CONFIG_FIELDS", "parse_config", "load_config",
@@ -78,36 +78,31 @@ class ExperimentConfig:
         self.validate()
 
     def validate(self) -> None:
-        def bad(key, msg):
-            raise ConfigError(f"config key {key!r}: {msg}")
-
         def library(key, check, *args):
             try:
                 check(*args)
             except InvalidParameterError as exc:
-                bad(key, str(exc))
+                raise ConfigError(f"config key {key!r}: {exc}") from None
 
         # Each value must have its parser's type, or it is written back as
-        # another: the library checks refuse a number of the wrong type, and
-        # the membership tests a text field that is not one of its choices.
+        # another: the library checks refuse a number or a text of the wrong type.
         if not (isinstance(self.template, str) and self.template):
-            bad("template", f"must be a catalog name or a file path, got {self.template!r}")
-        if self.density_kind not in DENSITY_KINDS:
-            bad("density.kind", f"must be one of {DENSITY_KINDS}, got {self.density_kind!r}")
+            raise ConfigError(f"config key 'template': must be a catalog name or a file path, "
+                              f"got {self.template!r}")
+        library("density.kind", _check_choice, "density kind", self.density_kind, DENSITY_KINDS)
         library("density.sigma", laplace_density, self.density_sigma)
         library("density.half_width", uniform_density, self.density_half_width)
         library("n", _check_inputs, self.n, 0.0)
         library("epsilon", _check_inputs, 1, self.epsilon)
         library("k_max", _check_integer, "k_max", self.k_max, 1)
-        if self.criterion not in CRITERION_KINDS:
-            bad("criterion", f"must be one of {CRITERION_KINDS}, got {self.criterion!r}")
+        library("criterion", _check_choice, "criterion", self.criterion, CRITERION_KINDS)
         library("replications", _check_integer, "replications", self.replications, 2)
         library("seed", _check_integer, "seed", self.seed, 0, None)
         if self.m0_override is not None:
             # its upper bound, the k_max of the built template's band, is checked at use
             library("m0_override", _check_integer, "m0_override", self.m0_override, 0)
-        if self.penalty_variant not in PENALTY_VARIANTS:
-            bad("penalty_variant", f"must be one of {PENALTY_VARIANTS}, got {self.penalty_variant!r}")
+        library("penalty_variant", _check_choice, "penalty_variant", self.penalty_variant,
+                PENALTY_VARIANTS)
 
 
 def build_density(cfg: ExperimentConfig) -> ShiftDensity:

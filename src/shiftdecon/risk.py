@@ -71,8 +71,8 @@ from .errors import DegenerateInputError, InvalidParameterError
 from .selection import (CRITERION_ESTIMATORS, _band_energy, _criterion_trace, _cutoff_cap,
                         _negative_fraction, _noise_terms, log_squared_over_n)
 from .simulate import _check_inputs, _draw_summaries
-from .spectral import (ShiftDensity, Template, _check_integer, _check_real, _pair_sums,
-                       _tail_energy, laplace_density, point_mass_density)
+from .spectral import (ShiftDensity, Template, _check_choice, _check_integer, _check_real,
+                       _pair_sums, _tail_energy, laplace_density, point_mass_density)
 
 __all__ = [
     "RiskBreakdown",
@@ -259,16 +259,16 @@ class _Replicates(NamedTuple):
 _CHUNK_VALUES = 2 ** 13
 
 
-def _run_replicates(template: Template, density: ShiftDensity, n: int,
-                    epsilon: float, seed: int, replications: int,
-                    rules: Sequence[str], m0: int, **options) -> _Replicates:
+def _run_replicates(template: Template, density: ShiftDensity, n: int, epsilon: float,
+                    seed: int, replications: int, rules: Sequence[str], m0: int, *,
+                    penalty_variant: str = "printed_form") -> _Replicates:
     """The replicate loop behind :func:`mc_risk` and the replication study.
 
     Replicate ``i`` draws one dataset's column means from
     ``_replicate_seed(seed, i)``, as
     :func:`shiftdecon.simulate.simulate_summary` draws them, on which every
     rule, a criterion kind, picks the cutoff minimizing its criterion over
-    ``0..m0`` (``options`` go to
+    ``0..m0`` (``penalty_variant`` goes to
     :func:`~shiftdecon.selection.criterion_trace`; ties go to the smallest
     cutoff).  A cutoff ``N`` scores ``loss[N]``, the replicate's
     :func:`_loss_trace`.  The negative-energy fraction on
@@ -296,7 +296,8 @@ def _run_replicates(template: Template, density: ShiftDensity, n: int,
         loss = _loss_trace(template, obs.c_tilde, gamma, tail, epsilon)
         negative_fractions[chunk] = _negative_fraction(energy)
         for j, rule in enumerate(rules):
-            cutoffs[j, chunk] = np.argmin(_criterion_trace(energy, rule, **options), axis=-1)
+            trace = _criterion_trace(energy, rule, penalty_variant=penalty_variant)
+            cutoffs[j, chunk] = np.argmin(trace, axis=-1)
             losses[j, chunk] = np.take_along_axis(loss, cutoffs[j, chunk, None], -1)[:, 0]
         del obs, energy, loss  # so that the next draw does not share the peak with them
     return _Replicates(cutoffs=cutoffs, losses=losses, negative_fractions=negative_fractions)
@@ -316,14 +317,6 @@ def _loss_trace(template: Template, c_tilde: np.ndarray, gamma: np.ndarray,
     with _noise_terms(epsilon):
         error = np.abs(c_tilde[..., band] / gamma - template.coeffs[band]) ** 2
         return np.cumsum(_pair_sums(error, m0), axis=-1) + tail
-
-
-def _criterion_of(estimator_kind: str) -> str:
-    """The criterion kind that selects the cutoff of ``estimator_kind``."""
-    if estimator_kind not in _ESTIMATOR_CRITERIA:
-        raise InvalidParameterError(f"unknown estimator kind {estimator_kind!r}; "
-                                    f"expected one of {tuple(_ESTIMATOR_CRITERIA)}")
-    return _ESTIMATOR_CRITERIA[estimator_kind]
 
 
 def mc_risk(template: Template, density: ShiftDensity, n: int, epsilon: float,
@@ -352,7 +345,8 @@ def mc_risk(template: Template, density: ShiftDensity, n: int, epsilon: float,
         Must be an integer >= 1.  Replicates run serially, in chunks of
         contiguous seeds in seed order, so the value changes no result.
     """
-    rule = _criterion_of(estimator_kind)
+    rule = _ESTIMATOR_CRITERIA[_check_choice("estimator kind", estimator_kind,
+                                             _ESTIMATOR_CRITERIA)]
     seed, replications = _check_replicates(seed, replications)
     n, epsilon = _check_inputs(n, epsilon)
     _check_integer("workers", workers, 1)
@@ -372,7 +366,7 @@ def oracle_ratio(template: Template, density: ShiftDensity, n: int, epsilon: flo
     ``r`` for ``theta_tilde`` and ``theta_u``.  ``estimator_kind`` and
     ``workers`` go to :func:`mc_risk`.
     """
-    _criterion_of(estimator_kind)
+    _check_choice("estimator kind", estimator_kind, _ESTIMATOR_CRITERIA)
     _check_replicates(seed, replications)
     m0 = _cutoff_cap(density, n, template.k_max, m0)
     report = risk_report(template, density, n, epsilon, m0)

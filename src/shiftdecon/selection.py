@@ -45,7 +45,6 @@ point, not just approximately.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
 
@@ -53,7 +52,8 @@ import numpy as np
 
 from .errors import InvalidParameterError
 from .simulate import SequenceSummary, _check_inputs
-from .spectral import ShiftDensity, _check_integer, _pair_sums, _synthesize_rows
+from .spectral import (ShiftDensity, _check_choice, _check_integer, _pair_sums,
+                       _refuse_overflow, _synthesize_rows)
 
 __all__ = [
     "CRITERION_ESTIMATORS",
@@ -119,17 +119,11 @@ def _cutoff_cap(density: ShiftDensity, n: int, k_max: int, m0: Optional[int]) ->
     return _check_integer("m0", m0, 0, k_max)
 
 
-@contextmanager
 def _noise_terms(epsilon: float):
     """Refuse ``epsilon`` if a noise term ``epsilon**2/(n |gamma_k|^2)`` of the
     block, a ``|gamma_k|^4`` penalty term or a band sum of them overflows: a
     finite ``epsilon**2`` does not keep them finite."""
-    try:
-        with np.errstate(over="raise"):
-            yield
-    except FloatingPointError:
-        raise InvalidParameterError(
-            f"epsilon={epsilon!r} is too large: its noise terms overflow") from None
+    return _refuse_overflow(f"epsilon={epsilon!r} is too large: its noise terms overflow")
 
 
 def theta_hat_squared(obs: SequenceSummary, density: ShiftDensity,
@@ -197,12 +191,8 @@ def fraction_negative_theta_hat(obs: SequenceSummary, density: ShiftDensity,
 def _increments(energy: _BandEnergy, kind: str,
                 penalty_variant: str = "printed_form") -> np.ndarray:
     """:func:`criterion_increments` of a band energy."""
-    if kind not in CRITERION_KINDS:
-        raise InvalidParameterError(f"unknown criterion kind {kind!r}; expected one of {CRITERION_KINDS}")
-    if penalty_variant not in PENALTY_VARIANTS:
-        raise InvalidParameterError(
-            f"unknown penalty_variant {penalty_variant!r}; expected one of {PENALTY_VARIANTS}"
-        )
+    kind = _check_choice("criterion kind", kind, CRITERION_KINDS)
+    penalty_variant = _check_choice("penalty_variant", penalty_variant, PENALTY_VARIANTS)
     c_abs, t, g2, n, epsilon = energy
     noise_floor = epsilon ** 2 / n
 
@@ -222,9 +212,10 @@ def _increments(energy: _BandEnergy, kind: str,
         return _pair_sums(per_k, len(g2) // 2)
 
 
-def _criterion_trace(energy: _BandEnergy, kind: str, **options) -> np.ndarray:
+def _criterion_trace(energy: _BandEnergy, kind: str, *,
+                     penalty_variant: str = "printed_form") -> np.ndarray:
     """:func:`criterion_trace` of a band energy."""
-    increments = _increments(energy, kind, **options)
+    increments = _increments(energy, kind, penalty_variant)
     with _noise_terms(energy.epsilon):
         return np.cumsum(increments, axis=-1)
 
@@ -242,11 +233,12 @@ def criterion_increments(obs: SequenceSummary, density: ShiftDensity,
     return _increments(_energy_on(obs, density, n_max), kind, penalty_variant)
 
 
-def criterion_trace(obs: SequenceSummary, density: ShiftDensity,
-                    kind: str, n_max: int, **options) -> np.ndarray:
+def criterion_trace(obs: SequenceSummary, density: ShiftDensity, kind: str, n_max: int, *,
+                    penalty_variant: str = "printed_form") -> np.ndarray:
     """Criterion values for every cutoff ``N = 0..n_max`` (sequential sum),
     one row per dataset of a stack."""
-    return _criterion_trace(_energy_on(obs, density, n_max), kind, **options)
+    return _criterion_trace(_energy_on(obs, density, n_max), kind,
+                            penalty_variant=penalty_variant)
 
 
 @dataclass(frozen=True)
@@ -319,8 +311,7 @@ class SpectralEstimate:
 def estimate(obs: SequenceSummary, density: ShiftDensity, cutoff: int,
              kind: str = "fixed_n") -> SpectralEstimate:
     """Deconvolve the averaged coefficients on the symmetric band ``|k| <= cutoff``."""
-    if kind not in ESTIMATE_KINDS:
-        raise InvalidParameterError(f"unknown estimate kind {kind!r}; expected one of {ESTIMATE_KINDS}")
+    kind = _check_choice("estimate kind", kind, ESTIMATE_KINDS)
     cutoff = _check_integer("cutoff", cutoff, 0, obs.k_max)
     gam = density.gamma_band(cutoff)
     coeffs = np.zeros(2 * obs.k_max + 1, dtype=np.complex128)

@@ -42,7 +42,7 @@ bit-for-bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -75,7 +75,7 @@ class SequenceSummary:
     ``epsilon`` and ``k_max``: ``c_tilde`` and ``gamma_tilde`` then have
     shape ``(..., 2*k_max + 1)``, one dataset per row, as the Monte Carlo
     engine draws them.  The criteria in :mod:`shiftdecon.selection` work row
-    by row on such a stack.
+    by row on such a stack.  Each field is checked when the summary is built.
     """
 
     c_tilde: np.ndarray
@@ -83,6 +83,18 @@ class SequenceSummary:
     n: int
     epsilon: float
     k_max: int
+
+    def __post_init__(self):
+        k_max = _check_integer("k_max", self.k_max, 0)
+        n, epsilon = _check_inputs(self.n, self.epsilon)
+        c_tilde, gt = np.asarray(self.c_tilde), np.asarray(self.gamma_tilde)
+        if c_tilde.shape[-1:] != (2 * k_max + 1,) or gt.shape != c_tilde.shape:
+            raise InvalidParameterError(
+                f"c_tilde and gamma_tilde must have one shape (..., {2 * k_max + 1}), "
+                f"got {c_tilde.shape} and {gt.shape}")
+        if not np.all(np.isfinite(c_tilde)):
+            raise InvalidParameterError("c_tilde must be finite")
+        vars(self).update(c_tilde=c_tilde, gamma_tilde=gt, n=n, epsilon=epsilon, k_max=k_max)
 
     @property
     def k_values(self) -> np.ndarray:
@@ -95,16 +107,11 @@ class SequenceSummary:
         """Re-check structural invariants, on every row of a stack; raise on
         violation.
 
-        ``c_tilde`` and ``gamma_tilde`` must span the band, and
         ``gamma_tilde`` must be exactly Hermitian with ``gamma_tilde[0] == 1``
         and magnitudes at most 1 (a 1e-12 rounding slack is allowed on the
-        magnitude bound).
+        magnitude bound).  The shapes were checked when the summary was built.
         """
-        if self.c_tilde.shape[-1:] != (2 * self.k_max + 1,):
-            raise InvariantViolationError("c_tilde has the wrong shape")
         gt = self.gamma_tilde
-        if gt.shape != self.c_tilde.shape:
-            raise InvariantViolationError("gamma_tilde has the wrong shape")
         if not np.all(gt[..., self.k_max] == 1.0):
             raise InvariantViolationError("gamma_tilde at k=0 must be exactly 1")
         if not np.array_equal(np.conj(gt[..., ::-1]), gt):
@@ -282,8 +289,7 @@ def simulate_summary(template: Template, density: ShiftDensity, n: int,
     draws.
     """
     stack = _draw_summaries(template, density, n, epsilon, [_check_seed(seed)])
-    return SequenceSummary(c_tilde=stack.c_tilde[0], gamma_tilde=stack.gamma_tilde[0],
-                           n=stack.n, epsilon=stack.epsilon, k_max=stack.k_max)
+    return replace(stack, c_tilde=stack.c_tilde[0], gamma_tilde=stack.gamma_tilde[0])
 
 
 def _draw_summaries(template: Template, density: ShiftDensity, n: int,

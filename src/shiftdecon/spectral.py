@@ -24,6 +24,7 @@ shifts themselves.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -80,13 +81,27 @@ def _check_real(name: str, value, low: float, *, strict: bool) -> float:
     return real
 
 
-def _sobolev_weights(k: np.ndarray, smoothness: float) -> np.ndarray:
-    """``1 + |k|^{2s}``, refused if ``k_max^{2s}`` overflows."""
+def _check_choice(name: str, value, choices) -> str:
+    """``value`` if it is a ``str`` in ``choices``, checked before any comparison or hash."""
+    if not (isinstance(value, str) and value in choices):
+        raise InvalidParameterError(f"unknown {name} {value!r}; expected one of {tuple(choices)}")
+    return value
+
+
+@contextmanager
+def _refuse_overflow(message: str):
+    """Raise ``InvalidParameterError(message)`` for an overflow in the block, not a warning."""
     try:
         with np.errstate(over="raise"):
-            return 1.0 + np.abs(k) ** (2.0 * smoothness)
+            yield
     except FloatingPointError:
-        raise InvalidParameterError(f"k_max**(2 * smoothness) overflows at {smoothness=}") from None
+        raise InvalidParameterError(message) from None
+
+
+def _sobolev_weights(k: np.ndarray, smoothness: float) -> np.ndarray:
+    """``1 + |k|^{2s}``, refused if ``k_max^{2s}`` overflows."""
+    with _refuse_overflow(f"k_max**(2 * smoothness) overflows at {smoothness=}"):
+        return 1.0 + np.abs(k) ** (2.0 * smoothness)
 
 
 @dataclass(frozen=True)
@@ -118,8 +133,9 @@ class Template:
                 f"coeffs must have shape ({2 * self.k_max + 1},) for k_max={self.k_max}, "
                 f"got {coeffs.shape}"
             )
-        if not np.all(np.isfinite(coeffs)):
-            raise InvalidParameterError("coeffs must be finite")
+        with _refuse_overflow("the energy sum |c_k|^2 of coeffs overflows"):
+            if not math.isfinite(np.sum(np.abs(coeffs) ** 2)):
+                raise InvalidParameterError("coeffs must be finite")
         if not np.array_equal(np.conj(coeffs[::-1]), coeffs):
             raise InvariantViolationError(
                 "template coefficients are not exactly Hermitian "
@@ -147,7 +163,8 @@ class Template:
         """``sum_k (1 + |k|^{2s}) |coeff_k|^2`` for smoothness ``s > 0``."""
         smoothness = _check_real("smoothness", smoothness, 0.0, strict=True)
         weights = _sobolev_weights(self.k_values.astype(float), smoothness)
-        return float(np.sum(weights * np.abs(self.coeffs) ** 2))
+        with _refuse_overflow(f"the Sobolev norm overflows at {smoothness=}"):
+            return float(np.sum(weights * np.abs(self.coeffs) ** 2))
 
     @staticmethod
     def from_harmonics(dc: float, cosines, sines, k_max: int, label: str = "") -> "Template":

@@ -63,6 +63,7 @@ PUBLIC_KEYWORD_OPTIONS = {
     "risk.rate_study(k_max)",
     "risk.rate_study(workers)",
     "selection.criterion_increments(penalty_variant)",
+    "selection.criterion_trace(penalty_variant)",
     "selection.estimate(kind)",
     "selection.select_cutoff(kind)",
     "selection.select_cutoff(m0)",

@@ -14,13 +14,14 @@ from hypothesis import strategies as st
 import shiftdecon
 from shiftdecon.catalog import sobolev_template, wave_template
 from shiftdecon.config import ExperimentConfig
-from shiftdecon.errors import InvalidParameterError, ShiftDeconError, VanishingEigenvalueError
+from shiftdecon.errors import (ConfigError, InvalidParameterError, ShiftDeconError,
+                               VanishingEigenvalueError)
 from shiftdecon import risk
 from shiftdecon.risk import _run_replicates, mc_risk, risk_report
 from shiftdecon.selection import (CRITERION_ESTIMATORS, CRITERION_KINDS, PENALTY_VARIANTS,
                                   _band_energy, criterion_increments, criterion_trace,
                                   fraction_negative_theta_hat, theta_hat_squared)
-from shiftdecon.simulate import SequenceSummary, simulate, simulate_summary
+from shiftdecon.simulate import SequenceObservations, SequenceSummary, simulate, simulate_summary
 from shiftdecon.spectral import (EIGENVALUE_FLOOR, ShiftDensity, gaussian_density,
                                  laplace_density, point_mass_density,
                                  uniform_density)
@@ -226,7 +227,7 @@ HOSTILE = (None, True, "2", 2.5, math.nan, math.inf, -math.inf, -1, 10 ** 30, np
            np.float32(0.1))
 
 
-def _call(name, **swap):
+def _call(name, /, **swap):
     """The table's call of ``name`` with the arguments in ``swap`` replaced,
     under warnings as errors."""
     kwargs, _ = PUBLIC_CALLS[name]
@@ -296,3 +297,61 @@ def test_a_bad_number_is_refused_before_any_warning(name, param, value):
 def test_a_seed_of_any_size_is_a_seed():
     for name in ("simulate", "simulate_summary", "mc_risk", "rate_study"):
         assert _finite(_call(name, seed=10 ** 30))
+
+
+# The named choices of the public functions, each tried with values that an
+# `in` test, a dict lookup or a comparison would otherwise see first: a list,
+# a dict or an array is unhashable, and an array compared with a name has no
+# truth value.
+CHOICE_PARAMETERS = [("criterion_trace", "kind"), ("select_cutoff", "kind"),
+                     ("select_cutoff", "penalty_variant"), ("estimate", "kind"),
+                     ("mc_risk", "estimator_kind"), ("mc_risk", "penalty_variant"),
+                     ("oracle_ratio", "estimator_kind"), ("oracle_ratio", "penalty_variant"),
+                     ("catalog_template", "name")]
+BAD_CHOICES = (None, 1, b"u", ["u"], {"u": 1}, np.array(["u", "u"]), "U", "")
+BAD_CHOICE_IDS = ["None", "1", "bytes", "list", "dict", "array", "U", "empty"]
+
+
+@pytest.mark.parametrize("value", BAD_CHOICES, ids=BAD_CHOICE_IDS)
+@pytest.mark.parametrize("name,param", CHOICE_PARAMETERS,
+                         ids=[f"{name}-{param}" for name, param in CHOICE_PARAMETERS])
+def test_a_bad_choice_is_a_typed_refusal(name, param, value):
+    with pytest.raises(ShiftDeconError, match="unknown .*expected one of"):
+        _call(name, **{param: value})
+
+
+@pytest.mark.parametrize("value", BAD_CHOICES, ids=BAD_CHOICE_IDS)
+@pytest.mark.parametrize("field,key", [("criterion", "'criterion'"),
+                                       ("density_kind", "'density.kind'"),
+                                       ("penalty_variant", "'penalty_variant'")])
+def test_a_bad_config_choice_is_a_config_error(field, key, value):
+    with pytest.raises(ConfigError, match=key):
+        ExperimentConfig(**{field: value})
+
+
+# A hand-built dataset of 17 columns (k_max = 8) and the fields that spoil it;
+# each is refused when it is built, not by whichever criterion reads it first.
+DATASET = dict(c_tilde=OBS.c_tilde, gamma_tilde=OBS.gamma_tilde, n=20, epsilon=0.05, k_max=8)
+NAN_COLUMN, INF_COLUMN = OBS.c_tilde.copy(), OBS.c_tilde.copy()
+NAN_COLUMN[3], INF_COLUMN[12] = np.nan, math.inf
+BAD_DATASETS = {
+    "n=0": dict(n=0), "n=-3": dict(n=-3), "n=2.5": dict(n=2.5), "n=True": dict(n=True),
+    "n='20'": dict(n="20"), "n=10**30": dict(n=10 ** 30), "epsilon='0.1'": dict(epsilon="0.1"),
+    "epsilon=None": dict(epsilon=None), "epsilon=nan": dict(epsilon=math.nan),
+    "epsilon=-0.1": dict(epsilon=-0.1), "epsilon=1e200": dict(epsilon=1e200),
+    "k_max=2.0": dict(k_max=2.0), "k_max=7": dict(k_max=7), "k_max=9": dict(k_max=9),
+    "k_max=-1": dict(k_max=-1), "c_tilde-nan": dict(c_tilde=NAN_COLUMN),
+    "c_tilde-inf": dict(c_tilde=INF_COLUMN),
+    "gamma_tilde-short": dict(gamma_tilde=OBS.gamma_tilde[:-1]),
+    "c_tilde-stacked": dict(c_tilde=OBS.c_tilde[None, :]),
+    "c_tilde-scalar": dict(c_tilde=OBS.c_tilde[0]),
+}
+
+
+@pytest.mark.parametrize("cls", [SequenceSummary, SequenceObservations])
+@pytest.mark.parametrize("spoil", BAD_DATASETS.values(), ids=BAD_DATASETS)
+def test_a_bad_dataset_is_refused_when_built(cls, spoil):
+    extra = dict(per_curve=OBS.per_curve) if cls is SequenceObservations else {}
+    cls(**DATASET, **extra).validate()
+    with pytest.raises(InvalidParameterError):
+        cls(**{**DATASET, **spoil}, **extra)

@@ -228,6 +228,21 @@ def test_sobolev_norm_refuses_a_bad_smoothness_before_any_warning(smoothness, me
             wave_template(8).sobolev_norm_squared(smoothness)
 
 
+def test_template_energy_that_overflows_is_refused_before_any_warning():
+    # |1e200|^2 overflows, so the template is refused when it is built and
+    # neither its norms nor risk_report ever square it; 2e150 at k = 10 has a
+    # finite energy, and only the Sobolev weight 1 + 10**200 makes its sum overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidParameterError, match="energy"):
+            Template.from_harmonics(0.0, [1e200], [0.0], k_max=1)
+        wide = Template.from_harmonics(0.0, [0.0] * 9 + [2e150], [0.0] * 10, k_max=10)
+        assert math.isfinite(wide.norm_squared)
+        assert math.isfinite(wide.sobolev_norm_squared(1.0))
+        with pytest.raises(InvalidParameterError, match="Sobolev norm overflows"):
+            wide.sobolev_norm_squared(100.0)
+
+
 def test_from_harmonics_validation():
     with pytest.raises(InvalidParameterError):
         Template.from_harmonics(0.0, [1.0, 2.0], [0.0], k_max=3)

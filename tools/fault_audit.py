@@ -70,6 +70,23 @@ FAULTS = [
           "return list(pool.map(fn, units))", "return list(pool.map(fn, units))[::-1]"),
     Fault("phase rows multiplied in place", "simulate.py",
           "        row = row * z\n", "        row *= z\n"),
+    # one admission rule for every named choice, and datasets admitted when built
+    Fault("a choice admitted without its str test", "spectral.py",
+          "    if not (isinstance(value, str) and value in choices):\n",
+          "    if value not in choices:\n"),
+    Fault("an unknown penalty_variant runs as printed_form", "selection.py",
+          '    penalty_variant = _check_choice("penalty_variant", penalty_variant, '
+          'PENALTY_VARIANTS)\n', ""),
+    Fault("a dataset's n and epsilon admitted unchecked", "simulate.py",
+          "        n, epsilon = _check_inputs(self.n, self.epsilon)\n",
+          "        n, epsilon = self.n, self.epsilon\n"),
+    Fault("a dataset's c_tilde admitted when not finite", "simulate.py",
+          "        if not np.all(np.isfinite(c_tilde)):\n",
+          "        if False:\n"),
+    Fault("a template admitted when its energy overflows", "spectral.py",
+          '        with _refuse_overflow("the energy sum |c_k|^2 of coeffs overflows"):\n'
+          "            if not math.isfinite(np.sum(np.abs(coeffs) ** 2)):\n",
+          "        if not np.all(np.isfinite(coeffs)):\n"),
 ]
 
 _FIRST_FAILURE = re.compile(r"^(?:FAILED|ERROR) (\S+)", re.MULTILINE)
