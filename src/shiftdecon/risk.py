@@ -36,9 +36,10 @@ replicates: a chunk holds what its replicates need during the draw,
 * draw: every seed's shifts and noise from its own generator, then the
   phases of the whole chunk, one frequency at a time, keeping only their
   means;
-* select: the band energy once for the negative-energy diagnostic and
-  every rule, then one row-wise criterion trace (a cumulative sum) and one
-  argmin per rule, with the criteria of :mod:`shiftdecon.selection`;
+* select: :func:`~shiftdecon.selection.fraction_negative_theta_hat` for
+  the negative-energy diagnostic, then per rule one row-wise
+  :func:`~shiftdecon.selection.criterion_trace` and one argmin: the public
+  criteria of :mod:`shiftdecon.selection`, called on the whole chunk;
 * score: one row-wise loss trace for every rule, ``loss[N]`` the squared
   error of the band-``N`` estimator for every ``N = 0..m0``, built as the
   criteria are; each rule reads its rows' losses at their cutoffs.
@@ -68,8 +69,8 @@ import numpy as np
 
 from .catalog import sobolev_template
 from .errors import DegenerateInputError, InvalidParameterError
-from .selection import (CRITERION_ESTIMATORS, _band_energy, _criterion_trace, _cutoff_cap,
-                        _negative_fraction, _noise_terms, log_squared_over_n)
+from .selection import (CRITERION_ESTIMATORS, _cutoff_cap, _noise_terms, criterion_trace,
+                        fraction_negative_theta_hat, log_squared_over_n)
 from .simulate import _check_inputs, _draw_summaries
 from .spectral import (ShiftDensity, Template, _check_choice, _check_integer, _check_real,
                        _pair_sums, _tail_energy, laplace_density, point_mass_density)
@@ -261,7 +262,7 @@ _CHUNK_VALUES = 2 ** 13
 
 def _run_replicates(template: Template, density: ShiftDensity, n: int, epsilon: float,
                     seed: int, replications: int, rules: Sequence[str], m0: int, *,
-                    penalty_variant: str = "printed_form") -> _Replicates:
+                    penalty_variant: str) -> _Replicates:
     """The replicate loop behind :func:`mc_risk` and the replication study.
 
     Replicate ``i`` draws one dataset's column means from
@@ -276,11 +277,12 @@ def _run_replicates(template: Template, density: ShiftDensity, n: int, epsilon: 
 
     Replicates run in contiguous chunks of at most ``_CHUNK_VALUES`` values,
     at ``n + 2*k_max + 1`` per replicate, one chunk after the other in
-    replicate order: draw the chunk, take its band energy and its loss trace
-    once for the diagnostic and every rule, select with one row-wise
-    criterion trace and argmin per rule, and read each row's loss at its
-    cutoff.  ``gamma_band`` is read once per run.  Every step works row by
-    row, so a replicate's results do not depend on its chunk.
+    replicate order: draw the chunk, take its loss trace and its
+    negative-energy fraction once, select with one row-wise criterion trace
+    and argmin per rule, and read each row's loss at its cutoff.  The
+    ``gamma_band`` and tail energy of the loss trace are read once per run.
+    Every step works row by row, so a replicate's results do not depend on
+    its chunk.
     """
     gamma = density.gamma_band(m0)
     tail = _tail_energy(template, m0)
@@ -292,14 +294,13 @@ def _run_replicates(template: Template, density: ShiftDensity, n: int, epsilon: 
         chunk = slice(start, min(start + step, replications))
         seeds = [_replicate_seed(seed, i) for i in range(chunk.start, chunk.stop)]
         obs = _draw_summaries(template, density, n, epsilon, seeds)
-        energy = _band_energy(obs, gamma)
         loss = _loss_trace(template, obs.c_tilde, gamma, tail, epsilon)
-        negative_fractions[chunk] = _negative_fraction(energy)
+        negative_fractions[chunk] = fraction_negative_theta_hat(obs, density, m0)
         for j, rule in enumerate(rules):
-            trace = _criterion_trace(energy, rule, penalty_variant=penalty_variant)
+            trace = criterion_trace(obs, density, rule, m0, penalty_variant=penalty_variant)
             cutoffs[j, chunk] = np.argmin(trace, axis=-1)
             losses[j, chunk] = np.take_along_axis(loss, cutoffs[j, chunk, None], -1)[:, 0]
-        del obs, energy, loss  # so that the next draw does not share the peak with them
+        del obs, loss  # so that the next draw does not share the peak with them
     return _Replicates(cutoffs=cutoffs, losses=losses, negative_fractions=negative_fractions)
 
 

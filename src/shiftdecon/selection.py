@@ -20,10 +20,7 @@ estimate of ``L sum |theta_k|^2/|g_k|^2``.  The default, ``"printed_form"``
 ``k`` with ``|g_k|^2 <= L``.
 
 ``t_k`` over a band has one kernel, ``_band_energy``; :func:`theta_hat_squared`
-is its scalar reference.  The diagnostic and the criteria each have a
-private twin that reads a band energy made once (``_negative_fraction``,
-``_increments``, ``_criterion_trace``), so the Monte Carlo engine takes the
-energy of a chunk once for all of them.  At ``n = 1``, ``L`` is 0: ``u_bar`` has no
+is its scalar reference.  At ``n = 1``, ``L`` is 0: ``u_bar`` has no
 penalty, and the cap saturates at ``k_max`` unless a ``g_k`` is exactly 0.
 
 Every function here reads a dataset only through its column means
@@ -142,37 +139,14 @@ def theta_hat_squared(obs: SequenceSummary, density: ShiftDensity,
     return float((abs(c) ** 2 - obs.epsilon ** 2 / obs.n) / g2)
 
 
-class _BandEnergy(NamedTuple):
-    """``|c_tilde_k|``, ``t_k = |c_tilde_k|^2 - eps^2/n`` and ``|gamma_k|^2`` on
-    ``|k| <= n_max``, row by row, with the ``n`` and ``epsilon`` of the data:
-    all that the criteria and the diagnostic read."""
-
-    c_abs: np.ndarray
-    t: np.ndarray
-    g2: np.ndarray
-    n: int
-    epsilon: float
-
-
-def _band_energy(obs: SequenceSummary, gamma: np.ndarray) -> _BandEnergy:
-    """The band energy of ``obs`` on the band of ``gamma``, which is
-    :meth:`ShiftDensity.gamma_band` over ``|k| <= n_max``."""
-    n_max = len(gamma) // 2
+def _band_energy(obs: SequenceSummary, density: ShiftDensity, n_max: int) -> tuple:
+    """``(|c_tilde_k|, t_k, |gamma_k|^2)`` on ``|k| <= n_max``, row by row,
+    once ``n_max`` is checked: all that the criteria and the diagnostic read."""
+    n_max = _check_integer("n_max", n_max, 0, obs.k_max)
+    g2 = np.abs(density.gamma_band(n_max)) ** 2
     c_abs = np.abs(obs.c_tilde[..., obs.k_max - n_max : obs.k_max + n_max + 1])
     with _noise_terms(obs.epsilon):
-        return _BandEnergy(c_abs=c_abs, t=c_abs ** 2 - obs.epsilon ** 2 / obs.n,
-                           g2=np.abs(gamma) ** 2, n=obs.n, epsilon=obs.epsilon)
-
-
-def _energy_on(obs: SequenceSummary, density: ShiftDensity, n_max: int) -> _BandEnergy:
-    """:func:`_band_energy` on ``|k| <= n_max``, once ``n_max`` is checked."""
-    return _band_energy(obs, density.gamma_band(_check_integer("n_max", n_max, 0, obs.k_max)))
-
-
-def _negative_fraction(energy: _BandEnergy) -> np.ndarray:
-    """:func:`fraction_negative_theta_hat` of a band energy, one per row."""
-    with _noise_terms(energy.epsilon):
-        return np.count_nonzero(energy.t / energy.g2 < 0.0, axis=-1) / energy.g2.size
+        return c_abs, c_abs ** 2 - obs.epsilon ** 2 / obs.n, g2
 
 
 def fraction_negative_theta_hat(obs: SequenceSummary, density: ShiftDensity,
@@ -184,16 +158,26 @@ def fraction_negative_theta_hat(obs: SequenceSummary, density: ShiftDensity,
     A ``float`` for one dataset; for a stack, an array with one fraction per
     row.
     """
-    fraction = _negative_fraction(_energy_on(obs, density, n_max))
+    _, t, g2 = _band_energy(obs, density, n_max)
+    with _noise_terms(obs.epsilon):
+        fraction = np.count_nonzero(t / g2 < 0.0, axis=-1) / g2.size
     return float(fraction) if fraction.ndim == 0 else fraction
 
 
-def _increments(energy: _BandEnergy, kind: str,
-                penalty_variant: str = "printed_form") -> np.ndarray:
-    """:func:`criterion_increments` of a band energy."""
+def criterion_increments(obs: SequenceSummary, density: ShiftDensity,
+                         kind: str, n_max: int, *,
+                         penalty_variant: str = "printed_form") -> np.ndarray:
+    """Per-step criterion increments ``inc[..., 0..n_max]``, one row per
+    dataset of a stack.
+
+    ``inc[0]`` is the ``k = 0`` term and ``inc[N]`` (``N >= 1``) is the summed
+    contribution of ``k = +N`` and ``k = -N``, so the criterion at cutoff
+    ``N`` is the cumulative sum of ``inc[0..N]``.
+    """
+    c_abs, t, g2 = _band_energy(obs, density, n_max)
     kind = _check_choice("criterion kind", kind, CRITERION_KINDS)
     penalty_variant = _check_choice("penalty_variant", penalty_variant, PENALTY_VARIANTS)
-    c_abs, t, g2, n, epsilon = energy
+    n, epsilon = obs.n, obs.epsilon
     noise_floor = epsilon ** 2 / n
 
     with _noise_terms(epsilon):
@@ -212,33 +196,14 @@ def _increments(energy: _BandEnergy, kind: str,
         return _pair_sums(per_k, len(g2) // 2)
 
 
-def _criterion_trace(energy: _BandEnergy, kind: str, *,
-                     penalty_variant: str = "printed_form") -> np.ndarray:
-    """:func:`criterion_trace` of a band energy."""
-    increments = _increments(energy, kind, penalty_variant)
-    with _noise_terms(energy.epsilon):
-        return np.cumsum(increments, axis=-1)
-
-
-def criterion_increments(obs: SequenceSummary, density: ShiftDensity,
-                         kind: str, n_max: int, *,
-                         penalty_variant: str = "printed_form") -> np.ndarray:
-    """Per-step criterion increments ``inc[..., 0..n_max]``, one row per
-    dataset of a stack.
-
-    ``inc[0]`` is the ``k = 0`` term and ``inc[N]`` (``N >= 1``) is the summed
-    contribution of ``k = +N`` and ``k = -N``, so the criterion at cutoff
-    ``N`` is the cumulative sum of ``inc[0..N]``.
-    """
-    return _increments(_energy_on(obs, density, n_max), kind, penalty_variant)
-
-
 def criterion_trace(obs: SequenceSummary, density: ShiftDensity, kind: str, n_max: int, *,
                     penalty_variant: str = "printed_form") -> np.ndarray:
     """Criterion values for every cutoff ``N = 0..n_max`` (sequential sum),
     one row per dataset of a stack."""
-    return _criterion_trace(_energy_on(obs, density, n_max), kind,
-                            penalty_variant=penalty_variant)
+    increments = criterion_increments(obs, density, kind, n_max,
+                                      penalty_variant=penalty_variant)
+    with _noise_terms(obs.epsilon):
+        return np.cumsum(increments, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -255,6 +220,8 @@ class CutoffSelection:
         values.setflags(write=False)
         object.__setattr__(self, "criterion_values", values)
         object.__setattr__(self, "chosen_n", _check_integer("chosen_n", self.chosen_n, 0, self.m0))
+        object.__setattr__(self, "criterion_kind",
+                           _check_choice("criterion kind", self.criterion_kind, CRITERION_KINDS))
         if values.shape != (self.m0 + 1,):
             raise InvalidParameterError(
                 f"criterion_values must have length m0+1={self.m0 + 1}, got {values.shape}"
@@ -297,6 +264,7 @@ class SpectralEstimate:
                 f"coeffs must have length {2 * self.k_max + 1}, got {coeffs.shape}"
             )
         object.__setattr__(self, "cutoff", _check_integer("cutoff", self.cutoff, 0, self.k_max))
+        object.__setattr__(self, "kind", _check_choice("estimate kind", self.kind, ESTIMATE_KINDS))
 
     @property
     def k_values(self) -> np.ndarray:
@@ -311,7 +279,6 @@ class SpectralEstimate:
 def estimate(obs: SequenceSummary, density: ShiftDensity, cutoff: int,
              kind: str = "fixed_n") -> SpectralEstimate:
     """Deconvolve the averaged coefficients on the symmetric band ``|k| <= cutoff``."""
-    kind = _check_choice("estimate kind", kind, ESTIMATE_KINDS)
     cutoff = _check_integer("cutoff", cutoff, 0, obs.k_max)
     gam = density.gamma_band(cutoff)
     coeffs = np.zeros(2 * obs.k_max + 1, dtype=np.complex128)

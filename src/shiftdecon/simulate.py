@@ -128,7 +128,8 @@ class SequenceObservations(SequenceSummary):
     ----------
     per_curve : ndarray of complex, shape ``(n, 2*k_max + 1)``
         Row ``j`` holds the coefficients of curve ``j``; ``c_tilde`` is its
-        column mean.
+        column mean.  Its shape and finiteness are checked when the dataset
+        is built.
     shifts : ndarray of float or None
         The drawn shifts (:func:`simulate` keeps them; an estimator never
         needs them, so a hand-built dataset may leave them out).
@@ -137,11 +138,20 @@ class SequenceObservations(SequenceSummary):
     per_curve: np.ndarray
     shifts: Optional[np.ndarray] = None
 
+    def __post_init__(self):
+        super().__post_init__()
+        per_curve = np.asarray(self.per_curve)
+        if per_curve.shape != (self.n, 2 * self.k_max + 1):
+            raise InvalidParameterError(
+                f"per_curve must have shape (n, 2*k_max + 1) = "
+                f"({self.n}, {2 * self.k_max + 1}), got {per_curve.shape}")
+        if not np.all(np.isfinite(per_curve)):
+            raise InvalidParameterError("per_curve must be finite")
+        vars(self)["per_curve"] = per_curve
+
     def validate(self) -> None:
         """As :meth:`SequenceSummary.validate`, and ``c_tilde`` must also
         equal the column mean of ``per_curve`` bit-for-bit."""
-        if self.per_curve.shape != (self.n, 2 * self.k_max + 1):
-            raise InvariantViolationError("per_curve shape does not match (n, 2*k_max+1)")
         if not np.array_equal(self.per_curve.mean(axis=0), self.c_tilde):
             raise InvariantViolationError("c_tilde is not the exact column mean of per_curve")
         super().validate()

@@ -94,9 +94,9 @@ def run_replication_study(cfg: ExperimentConfig, out_dir, *, grid_size: int = 25
     m0_res = compute_m0(density, n, k_max)
     m0_used = _cutoff_cap(density, n, k_max, cfg.m0_override)
 
-    rules, options = ("u_bar", "u_tilde"), {"penalty_variant": cfg.penalty_variant}
+    rules = ("u_bar", "u_tilde")
     reps = _run_replicates(template, density, n, epsilon, seed, replications,
-                           rules, m0_used, **options)
+                           rules, m0_used, penalty_variant=cfg.penalty_variant)
     n_star, n_tilde = reps.cutoffs
     loss_star, loss_tilde = reps.losses
     neg_fracs = reps.negative_fractions
@@ -132,7 +132,8 @@ def run_replication_study(cfg: ExperimentConfig, out_dir, *, grid_size: int = 25
                                       curves.k_max, grid_size))
 
     summary0 = simulate_summary(template, density, n, epsilon, seed0)
-    traces = [criterion_trace(summary0, density, rule, m0_used, **options) for rule in rules]
+    traces = [criterion_trace(summary0, density, rule, m0_used,
+                              penalty_variant=cfg.penalty_variant) for rule in rules]
     write_csv(out_dir / "traces.csv", ["n", *rules],
               ((n, *map(float, row)) for n, row in enumerate(zip(*traces))))
 

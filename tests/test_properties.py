@@ -90,8 +90,7 @@ def test_band_energy_matches_its_scalar_reference(seed, k_max, lead, n, epsilon,
     stack = SequenceSummary(c_tilde=c_tilde, gamma_tilde=np.ones_like(c_tilde),
                             n=n, epsilon=epsilon, k_max=k_max)
     n_max = data.draw(st.integers(0, k_max))
-    band = _band_energy(stack, density.gamma_band(n_max))
-    t, g2 = band.t, band.g2
+    _, t, g2 = _band_energy(stack, density, n_max)
     energy = t / g2
     for index in np.ndindex(*lead):
         row = SequenceSummary(c_tilde=c_tilde[index], gamma_tilde=np.ones(width),
@@ -147,7 +146,7 @@ def test_replicate_engine_does_not_depend_on_the_chunk_size(seed, n, k_max, repl
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(risk, "_CHUNK_VALUES", budget)
             runs.append(_run_replicates(template, LAPLACE, n, 0.1, seed, replications,
-                                        CRITERION_KINDS, m0))
+                                        CRITERION_KINDS, m0, penalty_variant="printed_form"))
     for other in runs[1:]:
         for field, ref in zip(other, runs[0]):
             assert field.tobytes() == ref.tobytes()
@@ -355,3 +354,17 @@ def test_a_bad_dataset_is_refused_when_built(cls, spoil):
     cls(**DATASET, **extra).validate()
     with pytest.raises(InvalidParameterError):
         cls(**{**DATASET, **spoil}, **extra)
+
+
+NAN_CURVE = OBS.per_curve.copy()
+NAN_CURVE[4, 2] = np.nan
+BAD_PER_CURVES = {"one-column-short": OBS.per_curve[:, :-1], "[[1]]": [[1]],
+                  "one-curve-short": OBS.per_curve[:-1], "transposed": OBS.per_curve.T,
+                  "nan": NAN_CURVE}
+
+
+@pytest.mark.parametrize("per_curve", BAD_PER_CURVES.values(), ids=BAD_PER_CURVES)
+def test_a_bad_per_curve_is_refused_when_built(per_curve):
+    # at construction, not as a bare numpy error in render_curves
+    with pytest.raises(InvalidParameterError, match="per_curve"):
+        SequenceObservations(**DATASET, per_curve=per_curve)

@@ -258,7 +258,7 @@ def test_engine_negative_fractions_match_fraction_negative_theta_hat():
                                      (WAVE8, 200, 0.3, 0),
                                      (spike_template(8, location=1), 5, 0.0, 8)):
         reps = _run_replicates(template, LAPLACE, n, epsilon, 31, len(seeds), ("u_tilde",),
-                               m0)
+                               m0, penalty_variant="printed_form")
         direct = [fraction_negative_theta_hat(
                       simulate_summary(template, LAPLACE, n, epsilon, seed), LAPLACE, m0)
                   for seed in seeds]
@@ -319,6 +319,22 @@ def test_engine_matches_one_replicate_at_a_time(monkeypatch):
     assert len(np.unique(reps.cutoffs[0])) > 1
 
 
+def test_engine_breaks_ties_toward_the_smallest_cutoff():
+    # at epsilon = 0 the spike's zero coefficients add exact zeros to every
+    # criterion past k = 1, so each trace is flat from its minimum to m0
+    template, n, m0, rules = spike_template(8, location=1), 100, 8, ("u", "u_bar", "u_tilde")
+    reps = _run_replicates(template, LAPLACE, n, 0.0, 31, 6, rules, m0,
+                           penalty_variant="printed_form")
+    for i in range(6):
+        obs = simulate_summary(template, LAPLACE, n, 0.0, _replicate_seed(31, i))
+        for j, rule in enumerate(rules):
+            trace = criterion_trace(obs, LAPLACE, rule, m0)
+            ties = np.flatnonzero(trace == trace.min())
+            assert ties.size > 1
+            assert reps.cutoffs[j, i] == ties[0] == select_cutoff(obs, LAPLACE, rule,
+                                                                  m0=m0).chosen_n
+
+
 @pytest.mark.parametrize("density", [LAPLACE, uniform_density(0.05)],
                          ids=["laplace", "uniform"])
 def test_engine_results_do_not_depend_on_the_chunk_size(density, monkeypatch):
@@ -329,11 +345,12 @@ def test_engine_results_do_not_depend_on_the_chunk_size(density, monkeypatch):
     for n in (1, 7, 100, 600):
         for m0 in (0, WAVE8.k_max):
             chunks = _chunk_sizes(monkeypatch)
-            default = _run_replicates(WAVE8, density, n, 0.2, 2024, replications, rules, m0)
+            default = _run_replicates(WAVE8, density, n, 0.2, 2024, replications, rules, m0,
+                                      penalty_variant="printed_form")
             with monkeypatch.context() as patch:
                 patch.setattr(risk_module, "_CHUNK_VALUES", 1)
                 alone = _run_replicates(WAVE8, density, n, 0.2, 2024, replications, rules,
-                                        m0)
+                                        m0, penalty_variant="printed_form")
             assert chunks[-replications:] == [1] * replications
             if n == 600:
                 assert len(chunks) - replications > 1

@@ -7,7 +7,8 @@ import pytest
 from shiftdecon.catalog import wave_template
 from shiftdecon.errors import (InvalidParameterError, InvariantViolationError,
                                VanishingEigenvalueError)
-from shiftdecon.selection import (CRITERION_KINDS, CutoffSelection, compute_m0,
+from shiftdecon.selection import (CRITERION_KINDS, CutoffSelection, SpectralEstimate,
+                                  compute_m0,
                                   criterion_increments, criterion_trace,
                                   estimate,
                                   fraction_negative_theta_hat,
@@ -350,6 +351,18 @@ def test_cutoff_selection_container_validation():
     with pytest.raises(InvalidParameterError):
         CutoffSelection(chosen_n=1, m0=2, criterion_values=np.zeros(2),
                         criterion_kind="u")
+    for kind in (["junk"], "junk", None, "theta_star"):
+        with pytest.raises(InvalidParameterError, match="unknown criterion kind"):
+            CutoffSelection(chosen_n=1, m0=2, criterion_values=np.zeros(3),
+                            criterion_kind=kind)
+
+
+@pytest.mark.parametrize("kind", [["junk"], "junk", None, "u_bar"])
+def test_spectral_estimate_kind_is_checked_when_built(kind):
+    with pytest.raises(InvalidParameterError, match="unknown estimate kind"):
+        SpectralEstimate(coeffs=np.zeros(17), cutoff=2, k_max=8, kind=kind)
+    assert SpectralEstimate(coeffs=np.zeros(17), cutoff=2, k_max=8,
+                            kind="theta_star").kind == "theta_star"
 
 
 def test_selected_cutoffs_regression():

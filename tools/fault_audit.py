@@ -87,6 +87,33 @@ FAULTS = [
           '        with _refuse_overflow("the energy sum |c_k|^2 of coeffs overflows"):\n'
           "            if not math.isfinite(np.sum(np.abs(coeffs) ** 2)):\n",
           "        if not np.all(np.isfinite(coeffs)):\n"),
+    # one selection path: the engine selects through the public criteria
+    Fault("the engine's criterion trace without its penalty_variant", "risk.py",
+          "criterion_trace(obs, density, rule, m0, penalty_variant=penalty_variant)",
+          "criterion_trace(obs, density, rule, m0)"),
+    Fault("the engine's negative fraction read on |k| <= m0 - 1", "risk.py",
+          "fraction_negative_theta_hat(obs, density, m0)",
+          "fraction_negative_theta_hat(obs, density, max(m0 - 1, 0))"),
+    Fault("select_cutoff breaks ties toward the largest N", "selection.py",
+          "    chosen = int(np.argmin(trace))",
+          "    chosen = len(trace) - 1 - int(np.argmin(trace[::-1]))"),
+    Fault("the engine breaks ties toward the largest N", "risk.py",
+          "cutoffs[j, chunk] = np.argmin(trace, axis=-1)",
+          "cutoffs[j, chunk] = m0 - np.argmin(trace[..., ::-1], axis=-1)"),
+    Fault("tail energy off by one frequency", "spectral.py",
+          "    return tail[1 : n_max + 2]\n", "    return tail[: n_max + 1]\n"),
+    Fault("a dataset's per_curve admitted in any shape", "simulate.py",
+          "        if per_curve.shape != (self.n, 2 * self.k_max + 1):\n",
+          "        if per_curve.ndim != 2:\n"),
+    Fault("a dataset's per_curve admitted when not finite", "simulate.py",
+          "        if not np.all(np.isfinite(per_curve)):\n", "        if False:\n"),
+    Fault("an estimate's kind admitted unchecked", "selection.py",
+          '        object.__setattr__(self, "kind", _check_choice("estimate kind", self.kind, '
+          'ESTIMATE_KINDS))\n', ""),
+    Fault("a selection's criterion kind admitted unchecked", "selection.py",
+          '                           _check_choice("criterion kind", self.criterion_kind, '
+          'CRITERION_KINDS))\n',
+          "                           self.criterion_kind)\n"),
 ]
 
 _FIRST_FAILURE = re.compile(r"^(?:FAILED|ERROR) (\S+)", re.MULTILINE)
