@@ -30,12 +30,15 @@ Replicate ``i`` of a run at ``seed`` draws from
 ``SeedSequence(seed).spawn``: it depends on ``(seed, i)`` and nothing else.
 The engine works on contiguous chunks of replicates, one chunk after the
 other in replicate order, so its memory does not grow with the number of
-replicates: a chunk holds what its replicates need during the draw,
-``n + 2*k_max + 1`` values each.  Per chunk it runs three steps:
+replicates.  Two bounds share one budget of ``_CHUNK_VALUES`` values: a
+chunk holds two band rows per replicate, ``2 * (2*k_max + 1)`` values, so
+its size does not depend on ``n``; the draw inside it holds ``n`` values
+per seed, so it runs in blocks of ``_CHUNK_VALUES // n`` seeds.  Per chunk
+the engine runs three steps:
 
-* draw: every seed's shifts and noise from its own generator, then the
-  phases of the whole chunk, one frequency at a time, keeping only their
-  means;
+* draw: block by block, every seed's shifts and noise from its own
+  generator, then the phases of the block, one frequency at a time,
+  keeping only their means;
 * select: :func:`~shiftdecon.selection.fraction_negative_theta_hat` for
   the negative-energy diagnostic, then per rule one row-wise
   :func:`~shiftdecon.selection.criterion_trace` and one argmin: the public
@@ -250,13 +253,15 @@ class _Replicates(NamedTuple):
     negative_fractions: np.ndarray
 
 
-# The values a chunk of the draw may hold, at n + 2*k_max + 1 per seed: n for
-# its shifts and its row of phases, 2*k_max + 1 for its band of noise and
-# coefficients.  The bound holds whatever the number of replicates: at the
-# default configuration (n = 100, k_max = 40) 45 seeds, and a traced peak of
-# about 0.5 MB for the whole engine at 2000 replicates.  Larger chunks save
-# per-chunk calls but raise the peak memory of a study above that of its CSV
-# rendering.
+# The budget of values for each of two bounds: a chunk, at 2 * (2*k_max + 1)
+# per seed for its c_tilde and gamma_tilde, which the select and score steps
+# read; and a block of the draw, at n per seed for its shifts and its row of
+# phases.  The bounds hold whatever the number of replicates: at the default
+# configuration (n = 100, k_max = 40) a chunk is 50 seeds drawn in one block,
+# and the whole engine's traced peak is about 0.53 MB at 2000 replicates.  At
+# n = 6400 and k_max = 24 a chunk is 83 seeds, drawn one at a time.  Larger
+# chunks save per-chunk calls but raise the peak memory of a study above that
+# of its CSV rendering.
 _CHUNK_VALUES = 2 ** 13
 
 
@@ -275,25 +280,26 @@ def _run_replicates(template: Template, density: ShiftDensity, n: int, epsilon: 
     :func:`_loss_trace`.  The negative-energy fraction on
     ``|k| <= m0`` is :func:`~shiftdecon.selection.fraction_negative_theta_hat`'s.
 
-    Replicates run in contiguous chunks of at most ``_CHUNK_VALUES`` values,
-    at ``n + 2*k_max + 1`` per replicate, one chunk after the other in
-    replicate order: draw the chunk, take its loss trace and its
-    negative-energy fraction once, select with one row-wise criterion trace
-    and argmin per rule, and read each row's loss at its cutoff.  The
-    ``gamma_band`` and tail energy of the loss trace are read once per run.
-    Every step works row by row, so a replicate's results do not depend on
-    its chunk.
+    Replicates run in contiguous chunks of ``_CHUNK_VALUES`` values at
+    ``2 * (2*k_max + 1)`` per replicate, one chunk after the other in
+    replicate order: draw the chunk in blocks of ``_CHUNK_VALUES // n``
+    seeds, take its loss trace and its negative-energy fraction once, select
+    with one row-wise criterion trace and argmin per rule, and read each
+    row's loss at its cutoff.  The ``gamma_band`` and tail energy of the loss
+    trace are read once per run.  Every step works row by row, so a
+    replicate's results do not depend on its chunk or its block.
     """
     gamma = density.gamma_band(m0)
     tail = _tail_energy(template, m0)
     cutoffs = np.empty((len(rules), replications), dtype=int)
     losses = np.empty((len(rules), replications), dtype=float)
     negative_fractions = np.empty(replications, dtype=float)
-    step = max(1, _CHUNK_VALUES // (n + 2 * template.k_max + 1))
+    step = max(1, _CHUNK_VALUES // (2 * (2 * template.k_max + 1)))
+    block = max(1, _CHUNK_VALUES // n)
     for start in range(0, replications, step):
         chunk = slice(start, min(start + step, replications))
         seeds = [_replicate_seed(seed, i) for i in range(chunk.start, chunk.stop)]
-        obs = _draw_summaries(template, density, n, epsilon, seeds)
+        obs = _draw_summaries(template, density, n, epsilon, seeds, block)
         loss = _loss_trace(template, obs.c_tilde, gamma, tail, epsilon)
         negative_fractions[chunk] = fraction_negative_theta_hat(obs, density, m0)
         for j, rule in enumerate(rules):

@@ -216,15 +216,17 @@ class CutoffSelection:
     criterion_kind: str
 
     def __post_init__(self):
+        m0 = _check_integer("m0", self.m0, 0)
+        object.__setattr__(self, "m0", m0)
         values = np.asarray(self.criterion_values, dtype=float)
         values.setflags(write=False)
         object.__setattr__(self, "criterion_values", values)
-        object.__setattr__(self, "chosen_n", _check_integer("chosen_n", self.chosen_n, 0, self.m0))
+        object.__setattr__(self, "chosen_n", _check_integer("chosen_n", self.chosen_n, 0, m0))
         object.__setattr__(self, "criterion_kind",
                            _check_choice("criterion kind", self.criterion_kind, CRITERION_KINDS))
-        if values.shape != (self.m0 + 1,):
+        if values.shape != (m0 + 1,):
             raise InvalidParameterError(
-                f"criterion_values must have length m0+1={self.m0 + 1}, got {values.shape}"
+                f"criterion_values must have length m0+1={m0 + 1}, got {values.shape}"
             )
 
 
@@ -256,14 +258,16 @@ class SpectralEstimate:
     kind: str
 
     def __post_init__(self):
+        k_max = _check_integer("k_max", self.k_max, 0)
+        object.__setattr__(self, "k_max", k_max)
         coeffs = np.asarray(self.coeffs, dtype=np.complex128)
         coeffs.setflags(write=False)
         object.__setattr__(self, "coeffs", coeffs)
-        if coeffs.shape != (2 * self.k_max + 1,):
+        if coeffs.shape != (2 * k_max + 1,):
             raise InvalidParameterError(
-                f"coeffs must have length {2 * self.k_max + 1}, got {coeffs.shape}"
+                f"coeffs must have length {2 * k_max + 1}, got {coeffs.shape}"
             )
-        object.__setattr__(self, "cutoff", _check_integer("cutoff", self.cutoff, 0, self.k_max))
+        object.__setattr__(self, "cutoff", _check_integer("cutoff", self.cutoff, 0, k_max))
         object.__setattr__(self, "kind", _check_choice("estimate kind", self.kind, ESTIMATE_KINDS))
 
     @property

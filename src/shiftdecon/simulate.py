@@ -27,13 +27,15 @@ multiply per frequency, in :func:`_phase_rows`, the one recurrence).
   bit for bit, and a ``c_tilde`` with the same law but from other draws.
 
 The Monte Carlo engine in :mod:`shiftdecon.risk` draws summaries a chunk
-of seeds at a time (``_draw_summaries``): each seed's shifts and noise come
-from its own generator in the order above.  The phases of the whole chunk
-are then streamed, one ``(seeds, n)`` row per frequency, and only each
-row's mean is kept, so the chunk holds ``n + 2*k_max + 1`` values per seed
-rather than ``(k_max + 1) * n``.  Every step after the draw is elementwise
-or reduces one row, so each seed gets the bytes :func:`simulate_summary`
-gives it alone.
+of seeds at a time (``_draw_summaries``), in blocks of seeds whose size the
+engine sets from ``n``: each seed's shifts and noise come from its own
+generator in the order above.  The phases of a block are then streamed,
+one ``(block, n)`` row per frequency, and only each row's mean is kept, so
+a block holds ``n`` shifts per seed and a few phase rows rather than
+``(k_max + 1) * n`` phases, and the chunk keeps ``k_max + 1`` phase means
+and a band of noise per seed.  Every step after the draw is
+elementwise or reduces one row, so each seed gets the bytes
+:func:`simulate_summary` gives it alone, whatever its chunk and its block.
 
 Draw order per dataset is fixed, so a seed pins the entire dataset
 bit-for-bit.
@@ -298,35 +300,38 @@ def simulate_summary(template: Template, density: ShiftDensity, n: int,
     made one at a time, instead of :func:`simulate`'s ``n x (2*k_max + 1)``
     draws.
     """
-    stack = _draw_summaries(template, density, n, epsilon, [_check_seed(seed)])
+    stack = _draw_summaries(template, density, n, epsilon, [_check_seed(seed)], 1)
     return replace(stack, c_tilde=stack.c_tilde[0], gamma_tilde=stack.gamma_tilde[0])
 
 
 def _draw_summaries(template: Template, density: ShiftDensity, n: int,
-                    epsilon: float, seeds: Sequence[SeedLike]) -> SequenceSummary:
+                    epsilon: float, seeds: Sequence[SeedLike], block: int) -> SequenceSummary:
     """The column means of one dataset per seed, stacked in seed order;
     :func:`simulate_summary` is the one-seed case.
 
-    Each seed's generator draws its shifts, then its real and imaginary noise
-    parts.  The phases of all seeds are then made one frequency at a time, a
-    ``(len(seeds), n)`` row each, and only each row's mean is kept.  Every
+    The seeds are drawn in blocks of ``block`` seeds, in seed order.  In a
+    block each seed's generator draws its shifts, then its real and imaginary
+    noise parts; the phases of the block are then made one frequency at a
+    time, a ``(block, n)`` row each, and only each row's mean is kept.  Every
     later step is elementwise or reduces one row, so row ``i`` does not
-    depend on the other seeds.
+    depend on the other seeds or on ``block``.
     """
     n, epsilon = _check_inputs(n, epsilon)
     k_max = template.k_max
     width = 2 * k_max + 1
-    shifts = np.empty((len(seeds), n))
-    noise_re = np.empty((len(seeds), width))
-    noise_im = np.empty((len(seeds), width))
-    for i, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
-        shifts[i] = _draw_shifts(density, rng, n)
-        noise_re[i] = rng.standard_normal(width)
-        noise_im[i] = rng.standard_normal(width)
+    half = np.empty((len(seeds), k_max + 1), dtype=np.complex128)
+    noise = np.empty((len(seeds), 2, width))
+    shifts = np.empty((min(block, len(seeds)), n))
+    for start in range(0, len(seeds), block):
+        stop = min(start + block, len(seeds))
+        for i, seed in enumerate(seeds[start:stop]):
+            rng = np.random.default_rng(seed)
+            shifts[i] = _draw_shifts(density, rng, n)
+            noise[start + i] = rng.standard_normal((2, width))
+        half[start:stop] = _phase_means(shifts[: stop - start], k_max)
 
-    gamma_tilde = _mean_phase(_phase_means(shifts, k_max))
-    noise = (noise_re + 1j * noise_im) * np.sqrt(0.5)
+    gamma_tilde = _mean_phase(half)
+    noise = (noise[:, 0] + 1j * noise[:, 1]) * np.sqrt(0.5)
     return SequenceSummary(
         c_tilde=template.coeffs * gamma_tilde + (epsilon / math.sqrt(n)) * noise,
         gamma_tilde=gamma_tilde,

@@ -19,6 +19,7 @@ from shiftdecon.errors import (ConfigError, InvalidParameterError, ShiftDeconErr
 from shiftdecon import risk
 from shiftdecon.risk import _run_replicates, mc_risk, risk_report
 from shiftdecon.selection import (CRITERION_ESTIMATORS, CRITERION_KINDS, PENALTY_VARIANTS,
+                                  CutoffSelection, SpectralEstimate,
                                   _band_energy, criterion_increments, criterion_trace,
                                   fraction_negative_theta_hat, theta_hat_squared)
 from shiftdecon.simulate import SequenceObservations, SequenceSummary, simulate, simulate_summary
@@ -368,3 +369,21 @@ def test_a_bad_per_curve_is_refused_when_built(per_curve):
     # at construction, not as a bare numpy error in render_curves
     with pytest.raises(InvalidParameterError, match="per_curve"):
         SequenceObservations(**DATASET, per_curve=per_curve)
+
+
+# The sizes of the result containers: each is admitted before it sizes an
+# array or bounds a cutoff, so a float, a string or None is refused by name
+# and none is kept as a float.
+BAD_SIZES = {"'2'": "2", "None": None, "2.5": 2.5, "2.0": 2.0, "True": True, "-1": -1}
+
+
+@pytest.mark.parametrize("size", BAD_SIZES.values(), ids=BAD_SIZES)
+def test_a_result_container_admits_an_integer_size(size):
+    selection = dict(chosen_n=1, criterion_values=np.zeros(3), criterion_kind="u")
+    assert CutoffSelection(m0=np.int64(2), **selection).m0 == 2
+    with pytest.raises(InvalidParameterError, match="m0 must be"):
+        CutoffSelection(m0=size, **selection)
+    estimate = dict(coeffs=np.zeros(5), cutoff=1, kind="theta_star")
+    assert type(SpectralEstimate(k_max=np.int32(2), **estimate).k_max) is int
+    with pytest.raises(InvalidParameterError, match="k_max must be"):
+        SpectralEstimate(k_max=size, **estimate)

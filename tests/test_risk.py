@@ -204,7 +204,8 @@ def test_fixed_cutoff_loss_matches_exact_risk():
     # fixed cutoff N = 0..m0
     n, eps, m0, reps = 20, 0.1, 8, 600
     exact = risk_report(WAVE8, LAPLACE, n, eps, m0).r
-    obs = _draw_summaries(WAVE8, LAPLACE, n, eps, np.random.SeedSequence(314).spawn(reps))
+    obs = _draw_summaries(WAVE8, LAPLACE, n, eps, np.random.SeedSequence(314).spawn(reps),
+                          reps)
     loss = _loss_trace(WAVE8, obs.c_tilde, LAPLACE.gamma_band(m0), _tail_energy(WAVE8, m0),
                        eps)
     assert loss.shape == (reps, m0 + 1)
@@ -268,12 +269,13 @@ def test_engine_negative_fractions_match_fraction_negative_theta_hat():
 
 
 def _chunk_sizes(monkeypatch) -> list:
-    """The number of seeds of each chunk the engine draws from now on."""
+    """``(seeds, block)`` of each chunk the engine draws from now on: its
+    number of seeds and the seeds per draw block."""
     sizes = []
 
-    def draw(template, density, n, epsilon, seeds):
-        sizes.append(len(seeds))
-        return _draw_summaries(template, density, n, epsilon, seeds)
+    def draw(template, density, n, epsilon, seeds, block):
+        sizes.append((len(seeds), block))
+        return _draw_summaries(template, density, n, epsilon, seeds, block)
 
     monkeypatch.setattr(risk_module, "_draw_summaries", draw)
     return sizes
@@ -281,11 +283,11 @@ def _chunk_sizes(monkeypatch) -> list:
 
 @pytest.mark.parametrize("seed", [0, 1, 10 ** 30])
 def test_replicate_seed_is_the_spawned_child(seed):
-    # against a root that spawns in two calls, as a chunked loop would: 44 and
-    # 45 straddle the default chunk of 45 seeds
+    # against a root that spawns in two calls, as a chunked loop would: 49 and
+    # 50 straddle the default chunk of 50 seeds
     root = np.random.SeedSequence(seed)
-    children = root.spawn(45) + root.spawn(1955)
-    for i in (0, 44, 45, 1999):
+    children = root.spawn(50) + root.spawn(1950)
+    for i in (0, 49, 50, 1999):
         assert (_replicate_seed(seed, i).generate_state(8).tobytes()
                 == children[i].generate_state(8).tobytes())
 
@@ -293,15 +295,17 @@ def test_replicate_seed_is_the_spawned_child(seed):
 def test_engine_matches_one_replicate_at_a_time(monkeypatch):
     # reference: simulate_summary, select_cutoff and the replicate's own
     # one-row loss trace, one seed at a time, each seed child i of
-    # SeedSequence(77).spawn
+    # SeedSequence(77).spawn.  A budget of 1200 values makes chunks of 35
+    # seeds, each drawn in blocks of 2 at n = 600
     template, n, epsilon, m0 = WAVE8, 600, 0.3, 7
     options = dict(penalty_variant="proof_form")
     rules = ("u_bar", "u_tilde", "u")
-    seeds = np.random.SeedSequence(77).spawn(30)
+    seeds = np.random.SeedSequence(77).spawn(80)
     chunks = _chunk_sizes(monkeypatch)
+    monkeypatch.setattr(risk_module, "_CHUNK_VALUES", 1200)
     reps = _run_replicates(template, LAPLACE, n, epsilon, 77, len(seeds), rules, m0,
                            **options)
-    assert len(chunks) > 1 and sum(chunks) == len(seeds)
+    assert chunks == [(35, 2), (35, 2), (10, 2)]
     gamma, tail = LAPLACE.gamma_band(m0), _tail_energy(template, m0)
     band = slice(8 - m0, 8 + m0 + 1)
     for i, seed in enumerate(seeds):
@@ -338,24 +342,38 @@ def test_engine_breaks_ties_toward_the_smallest_cutoff():
 @pytest.mark.parametrize("density", [LAPLACE, uniform_density(0.05)],
                          ids=["laplace", "uniform"])
 def test_engine_results_do_not_depend_on_the_chunk_size(density, monkeypatch):
-    # one seed per chunk against the default chunks: at n = 600 the 40 seeds
-    # span several of them, at n = 1 they share one
+    # the default chunks, one seed per chunk, and a budget of 1200 values:
+    # chunks of 35 seeds, so the 40 seeds span two, drawn in blocks of 12 at
+    # n = 100 and of 2 at n = 600; at n = 1 and n = 7 a chunk is one block
     replications = 40
     rules = ("u", "u_bar", "u_tilde")
     for n in (1, 7, 100, 600):
         for m0 in (0, WAVE8.k_max):
-            chunks = _chunk_sizes(monkeypatch)
-            default = _run_replicates(WAVE8, density, n, 0.2, 2024, replications, rules, m0,
-                                      penalty_variant="printed_form")
-            with monkeypatch.context() as patch:
-                patch.setattr(risk_module, "_CHUNK_VALUES", 1)
-                alone = _run_replicates(WAVE8, density, n, 0.2, 2024, replications, rules,
-                                        m0, penalty_variant="printed_form")
-            assert chunks[-replications:] == [1] * replications
-            if n == 600:
-                assert len(chunks) - replications > 1
-            for field, ref in zip(default, alone):
-                assert field.tobytes() == ref.tobytes()
+            runs = []
+            for budget in (risk_module._CHUNK_VALUES, 1, 1200):
+                with monkeypatch.context() as patch:
+                    chunks = _chunk_sizes(patch)
+                    patch.setattr(risk_module, "_CHUNK_VALUES", budget)
+                    runs.append(_run_replicates(WAVE8, density, n, 0.2, 2024, replications,
+                                                rules, m0, penalty_variant="printed_form"))
+            assert chunks == [(35, max(1, 1200 // n)), (5, max(1, 1200 // n))]
+            for other in runs[1:]:
+                for field, ref in zip(other, runs[0]):
+                    assert field.tobytes() == ref.tobytes()
+
+
+def test_rate_study_point_at_n_6400_runs_in_three_chunks(monkeypatch):
+    # the largest rate-study point: the chunk size depends on k_max, not on
+    # n, so its 200 replicates take 3 chunks of at most 83 seeds, each drawn
+    # one seed at a time
+    chunks = _chunk_sizes(monkeypatch)
+    template = sobolev_template(2.0, 1.0, 24)
+    m0 = compute_m0(LAPLACE, 6400, 24).value
+    _run_replicates(template, LAPLACE, 6400, 0.2, 5, 200, ("u_tilde",), m0,
+                    penalty_variant="printed_form")
+    assert len(chunks) <= 3
+    assert sum(seeds for seeds, _ in chunks) == 200
+    assert all(block == 1 for _, block in chunks)
 
 
 def test_engine_memory_is_one_chunk_and_the_results():

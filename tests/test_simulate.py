@@ -308,7 +308,7 @@ def test_chunked_draw_matches_each_seed_alone():
     for density, n, epsilon in ((LAPLACE, 1, 0.0), (LAPLACE, 49, 0.2),
                                 (gaussian_density(0.15), 130, 0.05),
                                 (point_mass_density(), 7, 0.3)):
-        stack = _draw_summaries(TEMPLATE, density, n, epsilon, seeds)
+        stack = _draw_summaries(TEMPLATE, density, n, epsilon, seeds, len(seeds))
         assert stack.c_tilde.shape == stack.gamma_tilde.shape == (9, 2 * K_MAX + 1)
         stack.validate()
         for i, seed in enumerate(seeds):
@@ -317,6 +317,34 @@ def test_chunked_draw_matches_each_seed_alone():
             assert stack.gamma_tilde[i].tobytes() == alone.gamma_tilde.tobytes()
             assert stack.gamma_tilde[i].tobytes() == full.gamma_tilde.tobytes()
             assert stack.c_tilde[i].tobytes() == alone.c_tilde.tobytes()
+
+
+def test_a_draw_split_into_blocks_is_the_unsplit_draw():
+    # 1-seed blocks, 4-seed blocks with a ragged last one, and a block larger
+    # than the seed count agree byte for byte with the unsplit draw
+    seeds = np.random.SeedSequence(21).spawn(11)
+    for density, n, epsilon in ((LAPLACE, 1, 0.2), (LAPLACE, 600, 0.05),
+                                (uniform_density(0.2), 49, 0.3)):
+        whole = _draw_summaries(TEMPLATE, density, n, epsilon, seeds, len(seeds))
+        for block in (1, 4, 50):
+            split = _draw_summaries(TEMPLATE, density, n, epsilon, seeds, block)
+            assert split.gamma_tilde.tobytes() == whole.gamma_tilde.tobytes()
+            assert split.c_tilde.tobytes() == whole.c_tilde.tobytes()
+
+
+def test_summary_noise_is_the_real_then_the_imaginary_parts():
+    # after its shifts, each seed's generator gives width real parts, then
+    # width imaginary parts, as two separate calls would draw them
+    seeds = np.random.SeedSequence(50).spawn(50)
+    n, epsilon, width = 30, 0.4, 2 * K_MAX + 1
+    stack = _draw_summaries(TEMPLATE, LAPLACE, n, epsilon, seeds, 7)
+    for i, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        LAPLACE.sample(rng, n)
+        noise_re, noise_im = rng.standard_normal(width), rng.standard_normal(width)
+        noise = (noise_re + 1j * noise_im) * np.sqrt(0.5)
+        expected = TEMPLATE.coeffs * stack.gamma_tilde[i] + (epsilon / math.sqrt(n)) * noise
+        assert stack.c_tilde[i].tobytes() == expected.tobytes()
 
 
 def test_summary_noise_moments_at_n_6400():

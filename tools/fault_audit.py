@@ -114,6 +114,19 @@ FAULTS = [
           '                           _check_choice("criterion kind", self.criterion_kind, '
           'CRITERION_KINDS))\n',
           "                           self.criterion_kind)\n"),
+    # engine chunks sized by the band, the draw streamed in blocks sized by n
+    Fault("a draw block's phase means written to its rows in reverse", "simulate.py",
+          "        half[start:stop] = _phase_means(shifts[: stop - start], k_max)\n",
+          "        half[start:stop] = _phase_means(shifts[: stop - start], k_max)[::-1]\n"),
+    Fault("a shift row written at the chunk index, not the block index", "simulate.py",
+          "            shifts[i] = _draw_shifts(density, rng, n)\n",
+          "            shifts[start + i] = _draw_shifts(density, rng, n)\n"),
+    Fault("a noise row written at the block index, not the chunk index", "simulate.py",
+          "            noise[start + i] = rng.standard_normal((2, width))\n",
+          "            noise[i] = rng.standard_normal((2, width))\n"),
+    Fault("engine chunks sized by n again", "risk.py",
+          "    step = max(1, _CHUNK_VALUES // (2 * (2 * template.k_max + 1)))\n",
+          "    step = max(1, _CHUNK_VALUES // (n + 2 * template.k_max + 1))\n"),
 ]
 
 _FIRST_FAILURE = re.compile(r"^(?:FAILED|ERROR) (\S+)", re.MULTILINE)
