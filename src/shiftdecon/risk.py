@@ -53,7 +53,7 @@ bit-identical for any chunking and any ``workers`` value.
 ``workers`` is a number of processes.  ``_fork_map`` runs independent units
 in a ``fork`` pool of at most ``workers`` processes, capped at the units and
 at the CPUs this process may use, and returns their results in unit order;
-the units are :func:`rate_study`'s grid points, each a function of its own
+the units are :func:`rate_study`'s grid points, each :func:`mc_risk`'s own
 arguments.  Off Linux, or while the caller runs other Python threads, the
 units run serially in this process.  The replicate engine always runs in
 this process: at 200 replicates a pool's start-up costs more than the split
@@ -231,7 +231,8 @@ def _fork_map(fn, units: Sequence, workers) -> list:
 
     The units run in a ``fork`` pool of ``_pool_size(workers, len(units))``
     processes, or serially in this process when that is 1.  Jobs and results
-    are pickled, so ``fn`` is a module-level function.  An exception raised
+    are pickled, so ``fn`` is a module-level function and a unit holds values
+    that pickle, as a built-in density does.  An exception raised
     by ``fn`` in a pool process is raised here, with its type and message; a
     pool process that dies raises ``BrokenProcessPool``.
     """
@@ -395,23 +396,10 @@ def theoretical_rate_exponent(s: float, beta: float) -> float:
     return -2.0 * s / (2.0 * s + 2.0 * beta + 1.0)
 
 
-def _rate_density(beta: float) -> ShiftDensity:
-    """The shift density of :func:`rate_study` at decay ``beta``."""
-    if beta == 0.0:
-        return point_mass_density()
-    if beta == 2.0:
-        return laplace_density(0.1)
-    raise InvalidParameterError(
-        f"no built-in shift density with polynomial decay beta={beta} "
-        f"(built-ins cover beta=0 and beta=2)"
-    )
-
-
 def _rate_point(job: tuple) -> tuple:
-    """``(mise, stderr)`` of one :func:`rate_study` grid point; a density
-    holds closures and does not pickle, so it is built here from ``beta``."""
-    template, beta, n, epsilon, replications, seed = job
-    mc = mc_risk(template, _rate_density(beta), n, epsilon, "theta_tilde", replications, seed)
+    """``(mise, stderr)`` of one :func:`rate_study` grid point; ``job`` holds
+    :func:`mc_risk`'s positional arguments."""
+    mc = mc_risk(*job)
     return mc.mean, mc.stderr
 
 
@@ -467,9 +455,15 @@ def rate_study(s: float, beta: float, radius: float, n_grid: Sequence[int],
         )
     if np.any(np.diff(n_grid_arr) <= 0):
         raise InvalidParameterError("n_grid must be strictly increasing")
-    _rate_density(beta)  # a beta with no density is refused before any point runs
+    if beta == 0.0:  # a beta with no density is refused before any point runs
+        density = point_mass_density()
+    elif beta == 2.0:
+        density = laplace_density(0.1)
+    else:
+        raise InvalidParameterError(f"no built-in shift density with polynomial decay "
+                                    f"beta={beta} (built-ins cover beta=0 and beta=2)")
     template = sobolev_template(smoothness=s, radius=radius, k_max=k_max)
-    jobs = [(template, beta, int(n), epsilon, replications, seed + i)
+    jobs = [(template, density, int(n), epsilon, "theta_tilde", replications, seed + i)
             for i, n in enumerate(n_grid_arr)]
     # n_grid increases, so this runs the largest n first
     mise, stderr = np.array(_fork_map(_rate_point, jobs[::-1], workers)[::-1]).T.copy()

@@ -18,7 +18,7 @@ curve's real part; :func:`_synthesize_rows` is the one synthesis path.
 
 A shift density is represented by its characteristic function evaluated on the
 integers, ``gamma_k = E exp(-2j*pi*k*tau)``, together with a sampler for the
-shifts themselves.
+shifts themselves; the built-ins bind module-level kernels, so they pickle.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -208,10 +209,15 @@ class ShiftDensity:
 
         A value whose computation overflows takes its limit, ``|gamma_k| = 0``
         (an argument ``inf`` may make it ``nan``); :meth:`gamma_band`
-        refuses both.
+        refuses both.  ``gamma_fn`` must return one value per frequency.
         """
+        k = np.asarray(k)
         with np.errstate(over="ignore", invalid="ignore"):
-            return np.asarray(self.gamma_fn(np.asarray(k)), dtype=np.complex128)
+            gam = np.asarray(self.gamma_fn(k), dtype=np.complex128)
+        if gam.shape != k.shape:
+            raise InvariantViolationError(
+                f"gamma_fn returned shape {gam.shape} for frequencies of shape {k.shape}")
+        return gam
 
     def gamma_band(self, k_max: int) -> np.ndarray:
         """``gamma_k`` for ``k = -k_max..k_max`` as a flat array, safe to invert.
@@ -222,19 +228,21 @@ class ShiftDensity:
             If some ``|gamma_k|^2`` on the band is at or below
             :data:`EIGENVALUE_FLOOR`.
         InvariantViolationError
-            If some ``|gamma_k|^2`` on the band is not finite.
+            If some ``|gamma_k|^2`` on the band is not finite or exceeds 1
+            by more than the ``1e-12`` rounding slack that
+            :meth:`~shiftdecon.simulate.SequenceSummary.validate` allows.
         """
         k_max = _check_integer("the band's largest |k|", k_max, 0)
         gam = self.gamma(np.arange(-k_max, k_max + 1))
         g2 = np.abs(gam) ** 2
-        unusable = np.flatnonzero(~((g2 > EIGENVALUE_FLOOR) & (g2 < math.inf)))
+        unusable = np.flatnonzero(~((g2 > EIGENVALUE_FLOOR) & (g2 <= 1.0 + 1e-12)))
         if unusable.size:
             at = unusable[0]
             value, k = float(g2[at]), int(at) - k_max
-            if not math.isfinite(value):
+            if not value <= 1.0:  # nan, inf, or past the slack
                 raise InvariantViolationError(
-                    f"|gamma_k|^2 = {value} at k={k} is not finite; a shift "
-                    f"density's Fourier coefficients are at most 1 in modulus")
+                    f"|gamma_k|^2 = {value} at k={k} is not finite or exceeds 1 + 1e-12; "
+                    f"a shift density's Fourier coefficients are at most 1 in modulus")
             raise VanishingEigenvalueError(
                 f"|gamma_k|^2 = {value:.3e} at k={k} is at "
                 f"or below EIGENVALUE_FLOOR = {EIGENVALUE_FLOOR:.3e}; the "
@@ -245,6 +253,33 @@ class ShiftDensity:
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw ``size`` shifts."""
         return np.asarray(self.sampler(rng, size), dtype=float)
+
+
+def _laplace_gamma(coef: float, k: np.ndarray) -> np.ndarray:
+    return (1.0 / (1.0 + coef * np.square(k.astype(float)))).astype(np.complex128)
+
+
+def _gaussian_gamma(coef: float, k: np.ndarray) -> np.ndarray:
+    return np.exp(-coef * np.square(k.astype(float))).astype(np.complex128)
+
+
+def _uniform_gamma(a: float, k: np.ndarray) -> np.ndarray:
+    x = 2.0 * a * k.astype(float)
+    zero = (x == np.round(x)) & (x != 0.0)
+    return np.where(zero, 0.0, np.sinc(x)).astype(np.complex128)
+
+
+def _point_mass_gamma(k) -> np.ndarray:
+    return np.ones(np.shape(k), dtype=np.complex128)
+
+
+def _point_mass_sample(rng: np.random.Generator, size: int) -> np.ndarray:
+    return np.zeros(size, dtype=float)
+
+
+def _sample(method: str, first, second, rng: np.random.Generator, size: int) -> np.ndarray:
+    """``size`` draws of the generator's ``method`` with its two parameters."""
+    return getattr(rng, method)(first, second, size)
 
 
 def laplace_density(sigma: float) -> ShiftDensity:
@@ -258,15 +293,9 @@ def laplace_density(sigma: float) -> ShiftDensity:
     coef = 2.0 * s * s * math.pi * math.pi
     if not 0.0 < coef < math.inf:
         raise InvalidParameterError(f"sigma and 2 pi^2 sigma^2 must be finite and > 0, got {sigma}")
-    scale = s / math.sqrt(2.0)
-
-    def gamma_fn(k):
-        return (1.0 / (1.0 + coef * np.square(k.astype(float)))).astype(np.complex128)
-
-    def sampler(rng, size):
-        return rng.laplace(0.0, scale, size)
-
-    return ShiftDensity(gamma_fn=gamma_fn, sampler=sampler, label=f"laplace(sigma={sigma})")
+    return ShiftDensity(gamma_fn=partial(_laplace_gamma, coef),
+                        sampler=partial(_sample, "laplace", 0.0, s / math.sqrt(2.0)),
+                        label=f"laplace(sigma={sigma})")
 
 
 def gaussian_density(sigma: float) -> ShiftDensity:
@@ -279,14 +308,9 @@ def gaussian_density(sigma: float) -> ShiftDensity:
     coef = 2.0 * math.pi * math.pi * s * s
     if not 0.0 < coef < math.inf:
         raise InvalidParameterError(f"sigma and 2 pi^2 sigma^2 must be finite and > 0, got {sigma}")
-
-    def gamma_fn(k):
-        return np.exp(-coef * np.square(k.astype(float))).astype(np.complex128)
-
-    def sampler(rng, size):
-        return rng.normal(0.0, sigma, size)
-
-    return ShiftDensity(gamma_fn=gamma_fn, sampler=sampler, label=f"gaussian(sigma={sigma})")
+    return ShiftDensity(gamma_fn=partial(_gaussian_gamma, coef),
+                        sampler=partial(_sample, "normal", 0.0, sigma),
+                        label=f"gaussian(sigma={sigma})")
 
 
 def uniform_density(half_width: float) -> ShiftDensity:
@@ -300,16 +324,8 @@ def uniform_density(half_width: float) -> ShiftDensity:
     if not 2.0 * a < math.inf:
         raise InvalidParameterError(
             f"half_width must be finite and > 0, and 2 * half_width finite, got {half_width}")
-
-    def gamma_fn(k):
-        x = 2.0 * a * k.astype(float)
-        zero = (x == np.round(x)) & (x != 0.0)
-        return np.where(zero, 0.0, np.sinc(x)).astype(np.complex128)
-
-    def sampler(rng, size):
-        return rng.uniform(-a, a, size)
-
-    return ShiftDensity(gamma_fn=gamma_fn, sampler=sampler,
+    return ShiftDensity(gamma_fn=partial(_uniform_gamma, a),
+                        sampler=partial(_sample, "uniform", -a, a),
                         label=f"uniform(half_width={half_width})")
 
 
@@ -318,14 +334,8 @@ def point_mass_density() -> ShiftDensity:
 
     Useful as the no-shift limit: ``|gamma_k|`` does not decay at all.
     """
-
-    def gamma_fn(k):
-        return np.ones(np.shape(k), dtype=np.complex128)
-
-    def sampler(rng, size):
-        return np.zeros(size, dtype=float)
-
-    return ShiftDensity(gamma_fn=gamma_fn, sampler=sampler, label="point_mass")
+    return ShiftDensity(gamma_fn=_point_mass_gamma, sampler=_point_mass_sample,
+                        label="point_mass")
 
 
 def _hermitian(half: np.ndarray) -> np.ndarray:

@@ -249,6 +249,17 @@ def test_cli_simulate_writes_curves(tmp_path, capsys):
     assert "wrote 5 rendered curves" in capsys.readouterr().out
 
 
+def test_cli_reports_an_unwritable_output_as_one_json_line(tmp_path, capsys):
+    out = tmp_path / "missing" / "curves.csv"
+    code = run_cli("simulate", "--n", "5", "--k-max", "10", "--m0-override", "none",
+                   "--grid-size", "64", "--out", str(out))
+    assert code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert payload["error"] == "OSError" and str(out) in payload["message"]
+
+
 def test_cli_simulate_is_deterministic(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     run_cli("simulate", "--n", "4", "--k-max", "12", "--m0-override", "none",

@@ -117,6 +117,14 @@ def test_catalog_template_file_bytes(build, digest, tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
+def test_read_template_skips_a_blank_row(tmp_path):
+    t = wave_template(8)
+    lines = write_template_csv(tmp_path / "wave.csv", t).read_text().splitlines(keepends=True)
+    gap = tmp_path / "gap.csv"
+    gap.write_text("".join(lines[:3] + ["\n"] + lines[3:] + ["\n"]))
+    assert np.array_equal(read_template_csv(gap).coeffs, t.coeffs)
+
+
 def test_read_template_rejects_bad_files(tmp_path):
     def attempt(text):
         p = tmp_path / "bad.csv"

@@ -223,8 +223,8 @@ PUBLIC_CALLS = {
 }
 NUMERIC_PARAMETERS = [(name, param) for name, (_, params) in PUBLIC_CALLS.items()
                       for param in params]
-HOSTILE = (None, True, "2", 2.5, math.nan, math.inf, -math.inf, -1, 10 ** 30, np.uint8(3),
-           np.float32(0.1))
+HOSTILE = (None, True, "2", 2.5, math.nan, math.inf, -math.inf, -1, 10 ** 30, 10 ** 400,
+           np.uint8(3), np.float32(0.1))
 
 
 def _call(name, /, **swap):

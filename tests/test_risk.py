@@ -623,7 +623,7 @@ def test_rate_study_refuses_a_grid_size_that_mc_risk_refuses():
 
 def test_rate_study_refuses_a_zero_risk_after_the_points_run():
     # noiseless point-mass data lets u_tilde pick k_max, whose loss is 0; the
-    # points run in pool processes, each building its density from beta
+    # points run in pool processes, each sent the density rate_study built
     with pytest.raises(DegenerateInputError, match="Monte Carlo risk is not positive"):
         rate_study(1.0, 0.0, 2.0, [40, 80, 160], 0.0, 2, 0, k_max=8, workers=2)
 
@@ -665,6 +665,33 @@ def test_rate_study_is_bit_identical_for_any_worker_count():
     runs = [_rate_bytes(rate_study(*SMALL_RATE, seed=5, k_max=16, workers=w))
             for w in (1, 2, 3)]
     assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
+def test_rate_study_builds_its_density_once_and_sends_it_to_the_pool(monkeypatch):
+    # each job is mc_risk's own positional arguments, the density included,
+    # and no pool process builds a density
+    parent, built, jobs = os.getpid(), [], []
+
+    def build(sigma):
+        assert os.getpid() == parent, "a pool process built a density"
+        built.append(sigma)
+        return laplace_density(sigma)
+
+    fork_map = risk_module._fork_map
+
+    def record(fn, units, workers):
+        jobs.extend(units)
+        return fork_map(fn, units, workers)
+
+    monkeypatch.setattr(risk_module, "laplace_density", build)
+    monkeypatch.setattr(risk_module, "_fork_map", record)
+    study = rate_study(2.0, 2.0, 1.0, [40, 80, 160], 0.2, 4, seed=3, k_max=8, workers=2)
+    assert built == [0.1]
+    assert [job[2] for job in jobs] == [160, 80, 40]
+    assert all(job[1] is jobs[0][1] and job[4:] == ("theta_tilde", 4, 5 - i)
+               for i, job in enumerate(jobs))
+    assert np.array([mc_risk(*job).mean for job in jobs[::-1]]).tobytes() == \
+        study.mise.tobytes()
 
 
 def _pooled_here():

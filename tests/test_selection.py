@@ -365,6 +365,13 @@ def test_spectral_estimate_kind_is_checked_when_built(kind):
                             kind="theta_star").kind == "theta_star"
 
 
+@pytest.mark.parametrize("coeffs", [np.zeros(16), np.zeros(19), np.zeros((1, 17))],
+                         ids=["short", "long", "2-d"])
+def test_spectral_estimate_coeffs_must_span_the_band(coeffs):
+    with pytest.raises(InvalidParameterError, match="coeffs must have length 17"):
+        SpectralEstimate(coeffs=coeffs, cutoff=2, k_max=8, kind="fixed_n")
+
+
 def test_selected_cutoffs_regression():
     """Frozen selections for one pinned dataset (catches silent drift)."""
     obs = simulate(wave_template(40), LAPLACE, n=100, epsilon=0.015, seed=2024)

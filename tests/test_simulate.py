@@ -62,6 +62,38 @@ def test_validate_catches_tampering():
         bad.validate()
 
 
+def _tamper_k0(gt):
+    gt[K_MAX] = 0.5
+
+
+def _tamper_one_side(gt):
+    gt[K_MAX + 1] += 1e-9
+
+
+def _tamper_modulus(gt):
+    gt[K_MAX + 1] = gt[K_MAX - 1] = 1.0 + 1e-11
+
+
+@pytest.mark.parametrize("tamper,message", [
+    (_tamper_k0, "at k=0 must be exactly 1"),
+    (_tamper_one_side, "not exactly Hermitian"),
+    (_tamper_modulus, "exceeds 1 beyond rounding slack"),
+], ids=["k0", "hermitian", "modulus"])
+def test_summary_validate_refuses_each_broken_invariant_on_any_row(tamper, message):
+    # the second row of a stack of two is tampered with; |gamma_tilde| may
+    # pass 1 by 1e-12, not more
+    summary = simulate_summary(TEMPLATE, LAPLACE, n=6, epsilon=0.05, seed=1)
+    gamma_tilde = np.stack([summary.gamma_tilde, summary.gamma_tilde])
+    tamper(gamma_tilde[1])
+    stack = SequenceSummary(c_tilde=np.stack([summary.c_tilde] * 2), gamma_tilde=gamma_tilde,
+                            n=6, epsilon=0.05, k_max=K_MAX)
+    with pytest.raises(InvariantViolationError, match=message):
+        stack.validate()
+    gamma_tilde[1, K_MAX + 1] = gamma_tilde[1, K_MAX - 1] = 1.0 + 5e-13
+    gamma_tilde[1, K_MAX] = 1.0
+    stack.validate()
+
+
 def test_parameter_validation():
     for n in (0, True):
         with pytest.raises(InvalidParameterError):

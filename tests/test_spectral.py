@@ -1,5 +1,6 @@
 """Fourier-side basics: densities, synthesis/analysis round trips."""
 import math
+import pickle
 import re
 import warnings
 
@@ -9,6 +10,8 @@ import pytest
 from shiftdecon.catalog import wave_template
 from shiftdecon.errors import (AliasingError, InvalidParameterError,
                                InvariantViolationError, VanishingEigenvalueError)
+from shiftdecon.risk import mc_risk, risk_report
+from shiftdecon.selection import compute_m0
 from shiftdecon.spectral import (ShiftDensity, Template, analyze, gaussian_density,
                                  laplace_density, point_mass_density, synthesize,
                                  uniform_density)
@@ -140,6 +143,55 @@ def test_gamma_band_refuses_a_non_finite_gamma():
         assert np.array_equal(density.gamma_band(1), np.ones(3))
         with pytest.raises(InvariantViolationError, match="at k=2 is not finite"):
             density.gamma_band(3)
+
+
+def _constant_density(value):
+    return ShiftDensity(gamma_fn=lambda k: np.full(np.shape(k), value),
+                        sampler=lambda rng, size: np.zeros(size))
+
+
+def test_gamma_band_refuses_a_modulus_above_one():
+    # |gamma_k|^2 may pass 1 by the 1e-12 rounding slack that
+    # SequenceSummary.validate allows, and no further: a band of 2s gave
+    # finite but meaningless risks
+    assert np.array_equal(_constant_density(1.0 + 1e-13).gamma_band(3), np.full(7, 1.0 + 1e-13))
+    for value in (2.0, 1.0 + 1e-11, -1.5, 1.5j):
+        with pytest.raises(InvariantViolationError, match=r"at k=-3 .* exceeds 1 \+ 1e-12"):
+            _constant_density(value).gamma_band(3)
+    wave = wave_template(8)
+    with pytest.raises(InvariantViolationError, match="exceeds 1"):
+        risk_report(wave, _constant_density(2.0), 20, 0.1, 3)
+    with pytest.raises(InvariantViolationError, match="exceeds 1"):
+        mc_risk(wave, _constant_density(2.0), 20, 0.1, "theta_tilde", 4, seed=0, m0=3)
+
+
+@pytest.mark.parametrize("gamma_fn", [lambda k: 0.5, lambda k: np.ones(3),
+                                      lambda k: np.ones((np.size(k), 1))],
+                         ids=["scalar", "fixed length", "column"])
+def test_gamma_refuses_a_result_not_shaped_as_its_frequencies(gamma_fn):
+    # each of these escaped as a bare TypeError, IndexError or ValueError
+    density = ShiftDensity(gamma_fn=gamma_fn, sampler=lambda rng, size: np.zeros(size))
+    wave = wave_template(8)
+    calls = (lambda: density.gamma(np.arange(4)), lambda: density.gamma_band(2),
+             lambda: compute_m0(density, 20, 8), lambda: risk_report(wave, density, 20, 0.1, 2),
+             lambda: mc_risk(wave, density, 20, 0.1, "theta_tilde", 4, seed=0, m0=2))
+    for call in calls:
+        with pytest.raises(InvariantViolationError, match="gamma_fn returned shape"):
+            call()
+    assert laplace_density(SIGMA).gamma(5).shape == ()
+
+
+@pytest.mark.parametrize("density", [laplace_density(SIGMA), gaussian_density(0.1),
+                                     uniform_density(0.25), point_mass_density()],
+                         ids=["laplace", "gaussian", "uniform", "point_mass"])
+def test_a_built_in_density_survives_pickle(density):
+    # so that a pool job can carry it
+    copy = pickle.loads(pickle.dumps(density))
+    k = np.arange(-30, 31)
+    assert copy.label == density.label
+    assert copy.gamma(k).tobytes() == density.gamma(k).tobytes()
+    assert copy.sample(np.random.default_rng(5), 40).tobytes() == \
+        density.sample(np.random.default_rng(5), 40).tobytes()
 
 
 # ---------------------------------------------------------------------------

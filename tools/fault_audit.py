@@ -127,6 +127,27 @@ FAULTS = [
     Fault("engine chunks sized by n again", "risk.py",
           "    step = max(1, _CHUNK_VALUES // (2 * (2 * template.k_max + 1)))\n",
           "    step = max(1, _CHUNK_VALUES // (n + 2 * template.k_max + 1))\n"),
+    # the identities of the exact risk, the criteria and the spectra
+    Fault("v2 increments without the - 1", "risk.py",
+          "_pair_sums(theta2_band * (g2inv - 1.0), n_max)",
+          "_pair_sums(theta2_band * g2inv, n_max)"),
+    Fault("one criterion increment skipped in the cumulative sum", "selection.py",
+          "        return np.cumsum(increments, axis=-1)\n",
+          "        skip = np.arange(increments.shape[-1]) != 1\n"
+          "        return np.cumsum(increments * skip, axis=-1)\n"),
+    Fault("the Hermitian mirror one index off", "spectral.py",
+          "full[..., :k_max] = np.conj(full[..., :k_max:-1])",
+          "full[..., :k_max] = np.conj(full[..., -2 : k_max - 1 : -1])"),
+    # picklable densities, and a band that is a characteristic function's band
+    Fault("a gamma_fn result of any shape admitted", "spectral.py",
+          "        if gam.shape != k.shape:\n", "        if False:\n"),
+    Fault("a |gamma_k| above 1 admitted", "spectral.py",
+          "(g2 <= 1.0 + 1e-12)", "(g2 < math.inf)"),
+    Fault("a summary's |gamma_tilde| above 1 admitted", "simulate.py",
+          "        if float(np.max(np.abs(gt))) > 1.0 + 1e-12:\n", "        if False:\n"),
+    Fault("the Laplace sampler bound to sigma, not sigma / sqrt(2)", "spectral.py",
+          'partial(_sample, "laplace", 0.0, s / math.sqrt(2.0))',
+          'partial(_sample, "laplace", 0.0, s)'),
 ]
 
 _FIRST_FAILURE = re.compile(r"^(?:FAILED|ERROR) (\S+)", re.MULTILINE)
