@@ -107,7 +107,8 @@ def read_template_csv(path) -> Template:
     """Load a coefficient table written by :func:`write_template_csv`.
 
     The file must list every frequency ``-k_max..k_max`` exactly once and the
-    coefficients must form an exactly Hermitian (real-valued) spectrum.
+    coefficients must form an exactly Hermitian (real-valued) spectrum.  Every
+    refusal is an ``InvalidParameterError`` that names the file.
     """
     path = Path(path)
     entries = {}
@@ -146,5 +147,5 @@ def read_template_csv(path) -> Template:
                       dtype=np.complex128)
     try:
         return Template(coeffs=coeffs, k_max=k_max, label=str(path.stem))
-    except InvariantViolationError as exc:
+    except (InvalidParameterError, InvariantViolationError) as exc:
         raise InvalidParameterError(f"{path}: {exc}") from None

@@ -176,16 +176,6 @@ def _check_seed(seed) -> SeedLike:
     return _check_integer("seed", seed, 0, None)
 
 
-def _draw_shifts(density: ShiftDensity, rng: np.random.Generator, n: int) -> np.ndarray:
-    """The first draw of every dataset: ``n`` shifts."""
-    shifts = density.sample(rng, n)
-    if shifts.shape != (n,):
-        raise InvariantViolationError(
-            f"density sampler returned shape {shifts.shape}, expected ({n},)"
-        )
-    return shifts
-
-
 def _phase_rows(shifts: np.ndarray, k_max: int):
     """Yield the phases ``exp(-2j*pi*k*shifts)`` for ``k = 1..k_max``, one
     row of shape ``shifts.shape`` at a time; at ``k = 0`` they are exactly 1.
@@ -267,7 +257,7 @@ def simulate(template: Template, density: ShiftDensity, n: int, epsilon: float,
     k_max = template.k_max
     rng = np.random.default_rng(_check_seed(seed))
 
-    shifts = _draw_shifts(density, rng, n)
+    shifts = density.sample(rng, n)
     pos = _draw_phases(shifts, k_max)
     width = 2 * k_max + 1
     noise_re = rng.standard_normal((n, width))
@@ -326,7 +316,7 @@ def _draw_summaries(template: Template, density: ShiftDensity, n: int,
         stop = min(start + block, len(seeds))
         for i, seed in enumerate(seeds[start:stop]):
             rng = np.random.default_rng(seed)
-            shifts[i] = _draw_shifts(density, rng, n)
+            shifts[i] = density.sample(rng, n)
             noise[start + i] = rng.standard_normal((2, width))
         half[start:stop] = _phase_means(shifts[: stop - start], k_max)
 

@@ -19,6 +19,8 @@ curve's real part; :func:`_synthesize_rows` is the one synthesis path.
 A shift density is represented by its characteristic function evaluated on the
 integers, ``gamma_k = E exp(-2j*pi*k*tau)``, together with a sampler for the
 shifts themselves; the built-ins bind module-level kernels, so they pickle.
+Both are user code, so :class:`ShiftDensity` checks every result it returns;
+no other module checks them.
 """
 
 from __future__ import annotations
@@ -204,12 +206,18 @@ class ShiftDensity:
     sampler: Callable[[np.random.Generator, int], np.ndarray] = field(repr=False)
     label: str = ""
 
-    def gamma(self, k) -> np.ndarray:
-        """Fourier coefficient(s) of the shift density at frequencies ``k``.
+    def __post_init__(self):
+        for name in ("gamma_fn", "sampler"):
+            if not callable(getattr(self, name)):
+                raise InvalidParameterError(
+                    f"{name} must be callable, got {getattr(self, name)!r}")
 
-        A value whose computation overflows takes its limit, ``|gamma_k| = 0``
-        (an argument ``inf`` may make it ``nan``); :meth:`gamma_band`
-        refuses both.  ``gamma_fn`` must return one value per frequency.
+    def gamma(self, k) -> np.ndarray:
+        """``gamma_k`` at frequencies ``k``: one value per frequency, each with
+        ``|gamma_k|^2`` finite and at most ``1 + 1e-12`` (the rounding slack of
+        :meth:`~shiftdecon.simulate.SequenceSummary.validate`), else
+        :class:`InvariantViolationError`.  A value whose computation overflows
+        takes its limit, ``|gamma_k| = 0``.
         """
         k = np.asarray(k)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -217,42 +225,42 @@ class ShiftDensity:
         if gam.shape != k.shape:
             raise InvariantViolationError(
                 f"gamma_fn returned shape {gam.shape} for frequencies of shape {k.shape}")
+        g2 = np.abs(gam) ** 2
+        unusable = np.flatnonzero(~(g2 <= 1.0 + 1e-12))
+        if unusable.size:
+            at = unusable[0]
+            raise InvariantViolationError(
+                f"|gamma_k|^2 = {float(g2.flat[at])} at k={k.flat[at]} is not finite or "
+                f"exceeds 1 + 1e-12; a shift density's Fourier coefficients are at most "
+                f"1 in modulus")
         return gam
 
     def gamma_band(self, k_max: int) -> np.ndarray:
-        """``gamma_k`` for ``k = -k_max..k_max`` as a flat array, safe to invert.
-
-        Raises
-        ------
-        VanishingEigenvalueError
-            If some ``|gamma_k|^2`` on the band is at or below
-            :data:`EIGENVALUE_FLOOR`.
-        InvariantViolationError
-            If some ``|gamma_k|^2`` on the band is not finite or exceeds 1
-            by more than the ``1e-12`` rounding slack that
-            :meth:`~shiftdecon.simulate.SequenceSummary.validate` allows.
-        """
+        """:meth:`gamma` on ``k = -k_max..k_max``, refused with
+        :class:`VanishingEigenvalueError` if some ``|gamma_k|^2`` is at or below
+        :data:`EIGENVALUE_FLOOR`: safe to invert."""
         k_max = _check_integer("the band's largest |k|", k_max, 0)
         gam = self.gamma(np.arange(-k_max, k_max + 1))
-        g2 = np.abs(gam) ** 2
-        unusable = np.flatnonzero(~((g2 > EIGENVALUE_FLOOR) & (g2 <= 1.0 + 1e-12)))
-        if unusable.size:
-            at = unusable[0]
-            value, k = float(g2[at]), int(at) - k_max
-            if not value <= 1.0:  # nan, inf, or past the slack
-                raise InvariantViolationError(
-                    f"|gamma_k|^2 = {value} at k={k} is not finite or exceeds 1 + 1e-12; "
-                    f"a shift density's Fourier coefficients are at most 1 in modulus")
+        vanishing = np.flatnonzero(np.abs(gam) ** 2 <= EIGENVALUE_FLOOR)
+        if vanishing.size:
+            at = vanishing[0]
             raise VanishingEigenvalueError(
-                f"|gamma_k|^2 = {value:.3e} at k={k} is at "
+                f"|gamma_k|^2 = {abs(gam[at]) ** 2:.3e} at k={at - k_max} is at "
                 f"or below EIGENVALUE_FLOOR = {EIGENVALUE_FLOOR:.3e}; the "
                 f"frequency cannot be inverted"
             )
         return gam
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Draw ``size`` shifts."""
-        return np.asarray(self.sampler(rng, size), dtype=float)
+        """``size`` shifts as floats: the sampler must return ``size`` finite
+        reals, else :class:`InvariantViolationError`."""
+        shifts = np.asarray(self.sampler(rng, size))
+        if not (shifts.shape == (size,) and shifts.dtype.kind in "iuf"
+                and np.isfinite(shifts).all()):
+            raise InvariantViolationError(
+                f"density sampler returned shape {shifts.shape} of {shifts.dtype}, "
+                f"expected ({size},) of finite reals")
+        return shifts.astype(float, copy=False)
 
 
 def _laplace_gamma(coef: float, k: np.ndarray) -> np.ndarray:

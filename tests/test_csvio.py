@@ -1,5 +1,6 @@
 """CSV formatting: canonical cells, stable bytes, template file round trips."""
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -129,7 +130,7 @@ def test_read_template_rejects_bad_files(tmp_path):
     def attempt(text):
         p = tmp_path / "bad.csv"
         p.write_text(text)
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidParameterError, match=re.escape(str(p))):
             read_template_csv(p)
 
     attempt("x,y,z\n0,1,0\n")                          # wrong header
@@ -140,6 +141,8 @@ def test_read_template_rejects_bad_files(tmp_path):
     attempt("k,re,im\n")                               # no rows
     attempt("k,re,im\n0,1,0\n")                        # band too narrow
     attempt("k,re,im\n-1,1,0.5\n0,1,0\n1,1,0.5\n")     # not Hermitian
+    attempt("k,re,im\n-1,nan,0\n0,1,0\n1,nan,0\n")     # not finite
+    attempt("k,re,im\n-1,1e200,0\n0,1,0\n1,1e200,0\n") # energy overflows
 
 
 def test_read_template_diagnostics_name_the_line(tmp_path):

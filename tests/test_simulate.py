@@ -422,8 +422,15 @@ def test_summary_parameter_validation():
     for epsilon in (-0.1, math.inf, math.nan):
         with pytest.raises(InvalidParameterError):
             simulate_summary(TEMPLATE, LAPLACE, n=4, epsilon=epsilon, seed=0)
-    short = ShiftDensity(gamma_fn=lambda k: np.ones(np.shape(k), dtype=complex),
-                         sampler=lambda rng, size: np.zeros(size - 1))
-    for draw in (simulate, simulate_summary):
-        with pytest.raises(InvariantViolationError, match="shape"):
-            draw(TEMPLATE, short, n=3, epsilon=0.1, seed=0)
+    # a sampler's result must be n finite reals: complex shifts lost their
+    # imaginary part with a ComplexWarning, strings escaped as a bare
+    # ValueError, and inf shifts warned, then blamed c_tilde
+    for sampler in (lambda rng, size: np.zeros(size - 1),
+                    lambda rng, size: np.full(size, 0.1j),
+                    lambda rng, size: ["a"] * size,
+                    lambda rng, size: np.full(size, np.inf)):
+        bad = ShiftDensity(gamma_fn=lambda k: np.ones(np.shape(k), dtype=complex),
+                           sampler=sampler)
+        for draw in (simulate, simulate_summary):
+            with pytest.raises(InvariantViolationError, match="density sampler returned shape"):
+                draw(TEMPLATE, bad, n=3, epsilon=0.1, seed=0)

@@ -143,6 +143,10 @@ def test_gamma_band_refuses_a_non_finite_gamma():
         assert np.array_equal(density.gamma_band(1), np.ones(3))
         with pytest.raises(InvariantViolationError, match="at k=2 is not finite"):
             density.gamma_band(3)
+        # compute_m0 reads gamma, not gamma_band, to scan past vanishing
+        # eigenvalues; it must still refuse, not return a saturated cap
+        with pytest.raises(InvariantViolationError, match="at k=2 is not finite"):
+            compute_m0(density, 100, 8)
 
 
 def _constant_density(value):
@@ -158,6 +162,8 @@ def test_gamma_band_refuses_a_modulus_above_one():
     for value in (2.0, 1.0 + 1e-11, -1.5, 1.5j):
         with pytest.raises(InvariantViolationError, match=r"at k=-3 .* exceeds 1 \+ 1e-12"):
             _constant_density(value).gamma_band(3)
+        with pytest.raises(InvariantViolationError, match=r"at k=1 .* exceeds 1 \+ 1e-12"):
+            compute_m0(_constant_density(value), 100, 8)
     wave = wave_template(8)
     with pytest.raises(InvariantViolationError, match="exceeds 1"):
         risk_report(wave, _constant_density(2.0), 20, 0.1, 3)
@@ -179,6 +185,15 @@ def test_gamma_refuses_a_result_not_shaped_as_its_frequencies(gamma_fn):
         with pytest.raises(InvariantViolationError, match="gamma_fn returned shape"):
             call()
     assert laplace_density(SIGMA).gamma(5).shape == ()
+
+
+@pytest.mark.parametrize("name,value", [("gamma_fn", 3), ("sampler", None)])
+def test_a_density_refuses_a_field_that_is_not_callable(name, value):
+    # gamma_fn=3 escaped from mc_risk as a bare TypeError; sampler=None gave
+    # compute_m0 a cap and simulate a bare TypeError
+    fields = dict(gamma_fn=np.ones_like, sampler=lambda rng, size: np.zeros(size))
+    with pytest.raises(InvalidParameterError, match=f"{name} must be callable, got {value}"):
+        ShiftDensity(**dict(fields, **{name: value}))
 
 
 @pytest.mark.parametrize("density", [laplace_density(SIGMA), gaussian_density(0.1),

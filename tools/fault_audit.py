@@ -119,8 +119,8 @@ FAULTS = [
           "        half[start:stop] = _phase_means(shifts[: stop - start], k_max)\n",
           "        half[start:stop] = _phase_means(shifts[: stop - start], k_max)[::-1]\n"),
     Fault("a shift row written at the chunk index, not the block index", "simulate.py",
-          "            shifts[i] = _draw_shifts(density, rng, n)\n",
-          "            shifts[start + i] = _draw_shifts(density, rng, n)\n"),
+          "            shifts[i] = density.sample(rng, n)\n",
+          "            shifts[start + i] = density.sample(rng, n)\n"),
     Fault("a noise row written at the block index, not the chunk index", "simulate.py",
           "            noise[start + i] = rng.standard_normal((2, width))\n",
           "            noise[i] = rng.standard_normal((2, width))\n"),
@@ -148,6 +148,36 @@ FAULTS = [
     Fault("the Laplace sampler bound to sigma, not sigma / sqrt(2)", "spectral.py",
           'partial(_sample, "laplace", 0.0, s / math.sqrt(2.0))',
           'partial(_sample, "laplace", 0.0, s)'),
+    # a shift density checks everything it returns
+    Fault("gamma without its modulus check", "spectral.py",
+          "        if unusable.size:\n", "        if False:\n"),
+    Fault("a sampler result of any shape admitted", "spectral.py",
+          "shifts.shape == (size,) and ", ""),
+    Fault("a sampler result of any dtype admitted", "spectral.py",
+          'shifts.dtype.kind in "iuf"', "True"),
+    Fault("a sampler result admitted when not finite", "spectral.py",
+          "                and np.isfinite(shifts).all()):\n", "                ):\n"),
+    Fault("a density admitted with fields that are not callable", "spectral.py",
+          "            if not callable(getattr(self, name)):\n", "            if False:\n"),
+    Fault("a template file's Template refusals without the file's path", "csvio.py",
+          "    except (InvalidParameterError, InvariantViolationError) as exc:\n",
+          "    except InvariantViolationError as exc:\n"),
+    # the random stream and the cap
+    Fault("a seed's noise drawn before its shifts", "simulate.py",
+          "            shifts[i] = density.sample(rng, n)\n"
+          "            noise[start + i] = rng.standard_normal((2, width))\n",
+          "            noise[start + i] = rng.standard_normal((2, width))\n"
+          "            shifts[i] = density.sample(rng, n)\n"),
+    Fault("compute_m0 one below its value, two below the first crossing", "selection.py",
+          "value=int(crossed[0]),", "value=int(crossed[0]) - 1,"),
+    Fault("compute_m0 one above its value, at the first crossing", "selection.py",
+          "value=int(crossed[0]),", "value=int(crossed[0]) + 1,"),
+    Fault("a saturated cap reported as not saturated", "selection.py",
+          "value=k_max, saturated=True,", "value=k_max, saturated=False,"),
+    Fault("the noise terms without their overflow guard", "selection.py",
+          '    return _refuse_overflow(f"epsilon={epsilon!r} is too large: '
+          'its noise terms overflow")\n',
+          "    import contextlib\n    return contextlib.nullcontext()\n"),
 ]
 
 _FIRST_FAILURE = re.compile(r"^(?:FAILED|ERROR) (\S+)", re.MULTILINE)
