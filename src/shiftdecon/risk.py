@@ -247,11 +247,13 @@ def _fork_map(fn, units: Sequence, workers) -> list:
 
 
 class _Replicates(NamedTuple):
-    """Per-replicate results in seed order, row ``j`` for the ``j``-th rule."""
+    """Per-replicate results in seed order, row ``j`` for the ``j``-th rule;
+    ``traces`` holds each rule's criterion trace of replicate 0."""
 
     cutoffs: np.ndarray
     losses: np.ndarray
     negative_fractions: np.ndarray
+    traces: np.ndarray
 
 
 # The budget of values for each of two bounds: a chunk, at 2 * (2*k_max + 1)
@@ -272,14 +274,14 @@ def _run_replicates(template: Template, density: ShiftDensity, n: int, epsilon: 
     """The replicate loop behind :func:`mc_risk` and the replication study.
 
     Replicate ``i`` draws one dataset's column means from
-    ``_replicate_seed(seed, i)``, as
-    :func:`shiftdecon.simulate.simulate_summary` draws them, on which every
-    rule, a criterion kind, picks the cutoff minimizing its criterion over
-    ``0..m0`` (``penalty_variant`` goes to
+    ``_replicate_seed(seed, i)``, as :func:`shiftdecon.simulate.simulate_summary`
+    draws them, on which every rule, a criterion kind, picks the cutoff
+    minimizing its criterion over ``0..m0`` (``penalty_variant`` goes to
     :func:`~shiftdecon.selection.criterion_trace`; ties go to the smallest
-    cutoff).  A cutoff ``N`` scores ``loss[N]``, the replicate's
-    :func:`_loss_trace`.  The negative-energy fraction on
-    ``|k| <= m0`` is :func:`~shiftdecon.selection.fraction_negative_theta_hat`'s.
+    cutoff); ``traces`` keeps each rule's criterion trace of replicate 0.  A
+    cutoff ``N`` scores ``loss[N]``, the replicate's :func:`_loss_trace`.  The
+    negative-energy fraction on ``|k| <= m0`` is
+    :func:`~shiftdecon.selection.fraction_negative_theta_hat`'s.
 
     Replicates run in contiguous chunks of ``_CHUNK_VALUES`` values at
     ``2 * (2*k_max + 1)`` per replicate, one chunk after the other in
@@ -295,6 +297,7 @@ def _run_replicates(template: Template, density: ShiftDensity, n: int, epsilon: 
     cutoffs = np.empty((len(rules), replications), dtype=int)
     losses = np.empty((len(rules), replications), dtype=float)
     negative_fractions = np.empty(replications, dtype=float)
+    traces = np.empty((len(rules), m0 + 1), dtype=float)
     step = max(1, _CHUNK_VALUES // (2 * (2 * template.k_max + 1)))
     block = max(1, _CHUNK_VALUES // n)
     for start in range(0, replications, step):
@@ -306,9 +309,11 @@ def _run_replicates(template: Template, density: ShiftDensity, n: int, epsilon: 
         for j, rule in enumerate(rules):
             trace = criterion_trace(obs, density, rule, m0, penalty_variant=penalty_variant)
             cutoffs[j, chunk] = np.argmin(trace, axis=-1)
+            if start == 0:
+                traces[j] = trace[0]
             losses[j, chunk] = np.take_along_axis(loss, cutoffs[j, chunk, None], -1)[:, 0]
         del obs, loss  # so that the next draw does not share the peak with them
-    return _Replicates(cutoffs=cutoffs, losses=losses, negative_fractions=negative_fractions)
+    return _Replicates(cutoffs, losses, negative_fractions, traces)
 
 
 def _loss_trace(template: Template, c_tilde: np.ndarray, gamma: np.ndarray,

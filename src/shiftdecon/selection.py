@@ -96,13 +96,15 @@ def compute_m0(density: ShiftDensity, n: int, k_max: int) -> M0Result:
     """Largest usable cutoff: one below the first ``k`` with
     ``|gamma_k|^2 <= log^2(n)/n``.
 
-    Scans ``k = 1..k_max``; if no frequency crosses the threshold the value
-    saturates at ``k_max`` and the result is flagged accordingly.
+    Reads :meth:`ShiftDensity.gamma` on ``k = 0..k_max``, so ``gamma_0`` is
+    checked too, and scans ``k = 1..k_max``; if no frequency crosses the
+    threshold the value saturates at ``k_max`` and the result is flagged
+    accordingly.
     """
     k_max = _check_integer("k_max", k_max, 1)
     threshold = log_squared_over_n(n)
-    mags2 = np.abs(density.gamma(np.arange(1, k_max + 1))) ** 2
-    crossed = np.nonzero(mags2 <= threshold)[0]
+    mags2 = np.abs(density.gamma(np.arange(k_max + 1))) ** 2
+    crossed = np.nonzero(mags2[1:] <= threshold)[0]
     if crossed.size == 0:
         return M0Result(value=k_max, saturated=True, threshold=threshold)
     return M0Result(value=int(crossed[0]), saturated=False, threshold=threshold)

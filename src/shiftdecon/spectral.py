@@ -215,9 +215,10 @@ class ShiftDensity:
     def gamma(self, k) -> np.ndarray:
         """``gamma_k`` at frequencies ``k``: one value per frequency, each with
         ``|gamma_k|^2`` finite and at most ``1 + 1e-12`` (the rounding slack of
-        :meth:`~shiftdecon.simulate.SequenceSummary.validate`), else
-        :class:`InvariantViolationError`.  A value whose computation overflows
-        takes its limit, ``|gamma_k| = 0``.
+        :meth:`~shiftdecon.simulate.SequenceSummary.validate`), and
+        ``gamma_0`` within ``1e-12`` of 1, as for every characteristic
+        function, else :class:`InvariantViolationError`.  A value whose
+        computation overflows takes its limit, ``|gamma_k| = 0``.
         """
         k = np.asarray(k)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -233,14 +234,30 @@ class ShiftDensity:
                 f"|gamma_k|^2 = {float(g2.flat[at])} at k={k.flat[at]} is not finite or "
                 f"exceeds 1 + 1e-12; a shift density's Fourier coefficients are at most "
                 f"1 in modulus")
+        not_one = np.flatnonzero((k == 0) & ~(np.abs(gam - 1.0) <= 1e-12))
+        if not_one.size:
+            at = not_one[0]
+            raise InvariantViolationError(
+                f"gamma_0 = {complex(gam.flat[at])} at k=0 differs from 1 by more than "
+                f"1e-12; a shift density's Fourier coefficient at k=0 is 1")
         return gam
 
     def gamma_band(self, k_max: int) -> np.ndarray:
         """:meth:`gamma` on ``k = -k_max..k_max``, refused with
+        :class:`InvariantViolationError` if some ``|gamma_(-k) - conj(gamma_k)|``
+        exceeds ``1e-12`` (the shifts are real), and with
         :class:`VanishingEigenvalueError` if some ``|gamma_k|^2`` is at or below
         :data:`EIGENVALUE_FLOOR`: safe to invert."""
         k_max = _check_integer("the band's largest |k|", k_max, 0)
         gam = self.gamma(np.arange(-k_max, k_max + 1))
+        asymmetry = np.abs(gam[::-1] - np.conj(gam))
+        not_hermitian = np.flatnonzero(~(asymmetry <= 1e-12))
+        if not_hermitian.size:
+            at = not_hermitian[0]
+            raise InvariantViolationError(
+                f"|gamma_(-k) - conj(gamma_k)| = {float(asymmetry[at])} at k={at - k_max} "
+                f"exceeds 1e-12; the shifts are real, so their Fourier coefficients are "
+                f"Hermitian")
         vanishing = np.flatnonzero(np.abs(gam) ** 2 <= EIGENVALUE_FLOOR)
         if vanishing.size:
             at = vanishing[0]

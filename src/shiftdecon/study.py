@@ -18,13 +18,12 @@ bundle can be diffed run-to-run as a regression check.
 
 The replicates themselves run in ``shiftdecon.risk._run_replicates``, the
 engine of :func:`shiftdecon.risk.mc_risk`, on the same seeds; it returns
-per-replicate rows only, and this module adds the bundle.  ``traces.csv``
-holds the criterion traces of replicate 0's summary, drawn again at its
-seed, so its argmins are row 0 of ``selections.csv``.  Curves exist only in
-the per-curve draw, so ``sample_curves.csv`` renders
-:func:`shiftdecon.simulate.simulate` at replicate 0's seed: the same
-shifts, hence the same ``gamma_tilde``, but independent noise.
-``meta.csv`` says so in its ``sample_curves_draw`` row.
+per-replicate rows and replicate 0's criterion traces, whose argmins are row
+0 of ``selections.csv``, and this module writes the bundle.  Curves exist
+only in the per-curve draw, so ``sample_curves.csv`` renders
+:func:`shiftdecon.simulate.simulate` at replicate 0's seed: the same shifts,
+hence the same ``gamma_tilde``, but independent noise.  ``meta.csv`` says so
+in its ``sample_curves_draw`` row.
 """
 
 from __future__ import annotations
@@ -39,8 +38,8 @@ from .config import ExperimentConfig, build_density, build_template
 from .csvio import write_csv, write_curves_csv, write_risk_report_csv
 from .risk import (RiskReport, _check_replicates, _mean_and_stderr, _replicate_seed,
                    _run_replicates, risk_report)
-from .selection import CRITERION_ESTIMATORS, _cutoff_cap, compute_m0, criterion_trace
-from .simulate import _check_inputs, render_grid, simulate, simulate_summary
+from .selection import CRITERION_ESTIMATORS, _cutoff_cap, compute_m0
+from .simulate import _check_inputs, render_grid, simulate
 from .spectral import _check_integer, _synthesize_rows, synthesize
 
 __all__ = ["ReplicationStudy", "run_replication_study"]
@@ -125,17 +124,13 @@ def run_replication_study(cfg: ExperimentConfig, out_dir, *, grid_size: int = 25
     write_curves_csv(out_dir / "template_curve.csv", grid,
                      synthesize(template, grid_size))
 
-    seed0 = _replicate_seed(seed, 0)
-    curves = simulate(template, density, n, epsilon, seed0)
+    curves = simulate(template, density, n, epsilon, _replicate_seed(seed, 0))
     write_curves_csv(out_dir / "sample_curves.csv", grid,
                      _synthesize_rows(curves.per_curve[:_SAMPLE_CURVE_COUNT],
                                       curves.k_max, grid_size))
 
-    summary0 = simulate_summary(template, density, n, epsilon, seed0)
-    traces = [criterion_trace(summary0, density, rule, m0_used,
-                              penalty_variant=cfg.penalty_variant) for rule in rules]
     write_csv(out_dir / "traces.csv", ["n", *rules],
-              ((n, *map(float, row)) for n, row in enumerate(zip(*traces))))
+              ((n, *map(float, row)) for n, row in enumerate(reps.traces.T)))
 
     write_csv(out_dir / "selections.csv",
               ["replicate", "n_star", "loss_star", "n_tilde", "loss_tilde",

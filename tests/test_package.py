@@ -2,11 +2,13 @@
 names, the keyword options and the CLI flags are exactly the listed ones."""
 import argparse
 import importlib
+import importlib.util
 import inspect
 import os
 import pkgutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -134,3 +136,13 @@ def test_importing_the_package_leaves_multiprocessing_out():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=60, check=True)
     assert done.stdout.strip() == "False"
+
+
+def test_every_audited_fault_finds_its_line():
+    # tools/fault_audit.py injects each fault as an exact text replacement, so
+    # a change that moves a faulted line must move the fault with it
+    path = Path(__file__).resolve().parents[1] / "tools" / "fault_audit.py"
+    spec = importlib.util.spec_from_file_location("fault_audit", path)
+    audit = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(audit)
+    assert audit.check_faults(audit.FAULTS) == []

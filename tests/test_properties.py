@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 import shiftdecon
 from shiftdecon.catalog import sobolev_template, wave_template
 from shiftdecon.config import ExperimentConfig
-from shiftdecon.errors import (ConfigError, InvalidParameterError, ShiftDeconError,
-                               VanishingEigenvalueError)
+from shiftdecon.errors import (ConfigError, InvalidParameterError, InvariantViolationError,
+                               ShiftDeconError, VanishingEigenvalueError)
 from shiftdecon import risk
 from shiftdecon.risk import _run_replicates, mc_risk, risk_report
 from shiftdecon.selection import (CRITERION_ESTIMATORS, CRITERION_KINDS, PENALTY_VARIANTS,
@@ -107,10 +107,17 @@ def test_band_energy_matches_its_scalar_reference(seed, k_max, lead, n, epsilon,
 @given(k_bad=st.integers(-10, 10), band=st.integers(0, 10),
        value=st.one_of(st.floats(0.0, 1.5e-8), st.floats(1.5e-8, 1.0)))
 def test_guard_raises_on_any_sub_floor_eigenvalue(k_bad, band, value):
+    # gamma_k and gamma_(-k) move together, as for any real shifts
     density = ShiftDensity(
-        gamma_fn=lambda k: np.where(k == k_bad, value, 1.0).astype(complex),
+        gamma_fn=lambda k: np.where(np.abs(k) == abs(k_bad), value, 1.0).astype(complex),
         sampler=lambda rng, size: np.zeros(size))
-    if abs(k_bad) <= band and value * value <= EIGENVALUE_FLOOR:
+    if k_bad == 0 and abs(value - 1.0) > 1e-12:
+        # no characteristic function has gamma_0 != 1
+        with pytest.raises(InvariantViolationError, match="at k=0 differs from 1"):
+            density.gamma_band(band)
+        with pytest.raises(InvariantViolationError, match="at k=0 differs from 1"):
+            risk_report(WAVE8, density, 10, 0.1, band)
+    elif abs(k_bad) <= band and value * value <= EIGENVALUE_FLOOR:
         with pytest.raises(VanishingEigenvalueError, match="EIGENVALUE_FLOOR"):
             density.gamma_band(band)
         with pytest.raises(VanishingEigenvalueError):

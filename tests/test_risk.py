@@ -138,10 +138,11 @@ def test_risk_report_validation():
             risk_report(WAVE8, LAPLACE, 10, epsilon, 4)
     with pytest.raises(InvalidParameterError):
         risk_report(WAVE8, LAPLACE, 10, 0.1, -1)
-    zero_density = ShiftDensity(gamma_fn=lambda k: np.zeros(np.shape(k), dtype=complex),
-                                sampler=lambda rng, size: np.zeros(size))
+    # shifts uniform on the circle: gamma_k = 0 for every k != 0
+    circle = ShiftDensity(gamma_fn=lambda k: (k == 0).astype(complex),
+                          sampler=lambda rng, size: rng.uniform(0.0, 1.0, size))
     with pytest.raises(VanishingEigenvalueError):
-        risk_report(WAVE8, zero_density, 10, 0.1, 4)
+        risk_report(WAVE8, circle, 10, 0.1, 4)
     with pytest.raises(VanishingEigenvalueError):
         risk_report(WAVE8, uniform_density(0.25), 10, 0.1, 4)
     nan_at_2 = ShiftDensity(gamma_fn=lambda k: np.where(k == 2, np.nan, 1.0),
@@ -428,6 +429,20 @@ def test_study_traces_are_replicate_zero(tmp_path):
             assert int(np.argmin(values)) == int(row0[chosen])
         meta = {row["key"]: row["value"] for row in _read_rows(out / "meta.csv")}
         assert "independent noise" in meta["sample_curves_draw"]
+
+
+def test_study_draws_each_replicate_once(tmp_path, monkeypatch):
+    # R summaries and the sample-curve draw; traces.csv reuses the engine's
+    # replicate 0 instead of drawing it again
+    calls = []
+    sample = ShiftDensity.sample
+    monkeypatch.setattr(ShiftDensity, "sample",
+                        lambda self, rng, size: calls.append(size) or sample(self, rng, size))
+    for replications in (2, 7):
+        calls.clear()
+        run_replication_study(ExperimentConfig(replications=replications),
+                              tmp_path / str(replications))
+        assert len(calls) == replications + 1
 
 
 def test_study_of_numpy_scalars_writes_the_bundle_of_python_numbers(tmp_path):

@@ -123,11 +123,12 @@ def test_theta_hat_squared_validation():
     obs = simulate(wave_template(8), LAPLACE, n=2, epsilon=0.1, seed=0)
     with pytest.raises(InvalidParameterError):
         theta_hat_squared(obs, LAPLACE, 9)
-    zero_density = ShiftDensity(gamma_fn=lambda k: np.zeros(np.shape(k), dtype=complex),
-                                sampler=lambda rng, size: np.zeros(size),
-                                label="degenerate")
+    # shifts uniform on the circle: gamma_k = 0 for every k != 0
+    circle = ShiftDensity(gamma_fn=lambda k: (k == 0).astype(complex),
+                          sampler=lambda rng, size: rng.uniform(0.0, 1.0, size),
+                          label="degenerate")
     with pytest.raises(VanishingEigenvalueError):
-        theta_hat_squared(obs, zero_density, 1)
+        theta_hat_squared(obs, circle, 1)
     # gamma_3 != 0, but gamma_2 = 0 lies on the band |k| <= 3
     with pytest.raises(VanishingEigenvalueError):
         theta_hat_squared(obs, uniform_density(0.25), 3)
@@ -422,11 +423,12 @@ def test_estimate_validation():
         estimate(obs, LAPLACE, cutoff=9)
     with pytest.raises(InvalidParameterError):
         estimate(obs, LAPLACE, cutoff=2, kind="bogus")
-    zero_density = ShiftDensity(gamma_fn=lambda k: np.zeros(np.shape(k), dtype=complex),
-                                sampler=lambda rng, size: np.zeros(size),
-                                label="degenerate")
+    # shifts uniform on the circle: gamma_k = 0 for every k != 0
+    circle = ShiftDensity(gamma_fn=lambda k: (k == 0).astype(complex),
+                          sampler=lambda rng, size: rng.uniform(0.0, 1.0, size),
+                          label="degenerate")
     with pytest.raises(VanishingEigenvalueError):
-        estimate(obs, zero_density, cutoff=1)
+        estimate(obs, circle, cutoff=1)
     with pytest.raises(VanishingEigenvalueError):
         estimate(obs, uniform_density(0.25), cutoff=4)
     # NaN passes no comparison, so "not above the floor" is what catches it

@@ -11,7 +11,8 @@ from shiftdecon.catalog import wave_template
 from shiftdecon.errors import (AliasingError, InvalidParameterError,
                                InvariantViolationError, VanishingEigenvalueError)
 from shiftdecon.risk import mc_risk, risk_report
-from shiftdecon.selection import compute_m0
+from shiftdecon.selection import compute_m0, select_cutoff
+from shiftdecon.simulate import simulate_summary
 from shiftdecon.spectral import (ShiftDensity, Template, analyze, gaussian_density,
                                  laplace_density, point_mass_density, synthesize,
                                  uniform_density)
@@ -162,13 +163,55 @@ def test_gamma_band_refuses_a_modulus_above_one():
     for value in (2.0, 1.0 + 1e-11, -1.5, 1.5j):
         with pytest.raises(InvariantViolationError, match=r"at k=-3 .* exceeds 1 \+ 1e-12"):
             _constant_density(value).gamma_band(3)
-        with pytest.raises(InvariantViolationError, match=r"at k=1 .* exceeds 1 \+ 1e-12"):
+        # compute_m0 reads gamma from k=0, so its refusal names k=0
+        with pytest.raises(InvariantViolationError, match=r"at k=0 .* exceeds 1 \+ 1e-12"):
             compute_m0(_constant_density(value), 100, 8)
     wave = wave_template(8)
     with pytest.raises(InvariantViolationError, match="exceeds 1"):
         risk_report(wave, _constant_density(2.0), 20, 0.1, 3)
     with pytest.raises(InvariantViolationError, match="exceeds 1"):
         mc_risk(wave, _constant_density(2.0), 20, 0.1, "theta_tilde", 4, seed=0, m0=3)
+
+
+def _shifted_laplace(k):
+    # Laplace(0.1) shifts moved by 0.3: gamma_k is complex and Hermitian
+    return np.exp(-0.6j * np.pi * k) / (1.0 + 0.2 * np.pi ** 2 * np.square(k.astype(float)))
+
+
+@pytest.mark.parametrize("gamma_fn,match", [
+    (lambda k: np.full(np.shape(k), 0.5), r"gamma_0 = \(0\.5\+0j\) at k=0 differs from 1"),
+    (lambda k: np.zeros(np.shape(k)), r"gamma_0 = 0j at k=0 differs from 1"),
+    (lambda k: np.full(np.shape(k), 1.0 - 1e-11), "at k=0 differs from 1 by more than 1e-12"),
+    (lambda k: np.where(k < 0, 0.5, 1.0 / (1.0 + 0.2 * np.square(k.astype(float)))),
+     r"\|gamma_\(-k\) - conj\(gamma_k\)\| = .* at k=-4 exceeds 1e-12"),
+    (lambda k: _shifted_laplace(np.abs(k)), "at k=-4 exceeds 1e-12"),
+], ids=["half", "zero", "one_minus_1e-11", "asymmetric", "even_not_hermitian"])
+def test_a_density_that_is_not_a_law_is_refused(gamma_fn, match):
+    # with point-mass shifts and gamma == 0.5, risk_report's r[4] was 0.050
+    # against an MC mean of 0.957, and compute_m0 returned a saturated cap;
+    # with the asymmetric band, r[4] was 0.046 against 0.853
+    density = ShiftDensity(gamma_fn=gamma_fn, sampler=lambda rng, size: np.zeros(size))
+    wave = wave_template(8)
+    obs = simulate_summary(wave, laplace_density(SIGMA), 100, 0.1, 0)
+    calls = [lambda: density.gamma_band(4), lambda: risk_report(wave, density, 100, 0.1, 4),
+             lambda: mc_risk(wave, density, 100, 0.1, "theta_tilde", 20, seed=0, m0=4),
+             lambda: select_cutoff(obs, density, "u_bar", m0=4)]
+    if "k=0" in match:  # compute_m0 reads k >= 0 only
+        calls += [lambda: density.gamma(0), lambda: compute_m0(density, 100, 8),
+                  lambda: select_cutoff(obs, density, "u_tilde")]
+    for call in calls:
+        with pytest.raises(InvariantViolationError, match=match):
+            call()
+
+
+def test_a_law_within_the_rounding_slack_is_accepted():
+    # gamma_0 may miss 1, and gamma_(-k) miss conj(gamma_k), by up to 1e-12
+    slack = ShiftDensity(gamma_fn=lambda k: np.where(k < 0, 9e-13, 0.0) + 1.0 - 4.5e-13,
+                         sampler=lambda rng, size: np.zeros(size))
+    assert compute_m0(slack, 100, 8).saturated
+    shifted = ShiftDensity(gamma_fn=_shifted_laplace, sampler=lambda rng, size: np.zeros(size))
+    band = shifted.gamma_band(4)
+    assert np.array_equal(band[::-1], np.conj(band)) and band.imag.any()
 
 
 @pytest.mark.parametrize("gamma_fn", [lambda k: 0.5, lambda k: np.ones(3),

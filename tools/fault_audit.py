@@ -63,9 +63,8 @@ FAULTS = [
     Fault("replicate seed off by one child", "risk.py",
           "return np.random.SeedSequence(seed, spawn_key=(i,))",
           "return np.random.SeedSequence(seed, spawn_key=(i + 1,))"),
-    Fault("study traces drawn at replicate 1's seed", "study.py",
-          "simulate_summary(template, density, n, epsilon, seed0)",
-          "simulate_summary(template, density, n, epsilon, _replicate_seed(seed, 1))"),
+    Fault("study traces drawn at replicate 1's seed", "risk.py",
+          "traces[j] = trace[0]", "traces[j] = trace[min(1, len(trace) - 1)]"),
     Fault("pool results reversed", "risk.py",
           "return list(pool.map(fn, units))", "return list(pool.map(fn, units))[::-1]"),
     Fault("phase rows multiplied in place", "simulate.py",
@@ -174,6 +173,16 @@ FAULTS = [
           "value=int(crossed[0]),", "value=int(crossed[0]) + 1,"),
     Fault("a saturated cap reported as not saturated", "selection.py",
           "value=k_max, saturated=True,", "value=k_max, saturated=False,"),
+    # a density is a characteristic function
+    Fault("a gamma_0 other than 1 admitted", "spectral.py",
+          "        if not_one.size:\n", "        if False:\n"),
+    Fault("a band that is not Hermitian admitted", "spectral.py",
+          "        if not_hermitian.size:\n", "        if False:\n"),
+    Fault("compute_m0 reads gamma from k = 1 again", "selection.py",
+          "    mags2 = np.abs(density.gamma(np.arange(k_max + 1))) ** 2\n"
+          "    crossed = np.nonzero(mags2[1:] <= threshold)[0]\n",
+          "    mags2 = np.abs(density.gamma(np.arange(1, k_max + 1))) ** 2\n"
+          "    crossed = np.nonzero(mags2 <= threshold)[0]\n"),
     Fault("the noise terms without their overflow guard", "selection.py",
           '    return _refuse_overflow(f"epsilon={epsilon!r} is too large: '
           'its noise terms overflow")\n',
