@@ -1,8 +1,11 @@
 """Command-line front end.
 
-Every subcommand is a thin shell over the library: parse flags into an
-:class:`ExperimentConfig`, call the matching library function, write CSVs.
-Failures print a single machine-readable JSON line to stderr and exit 2.
+Every subcommand is a thin shell over the library: call the matching
+library function on the :class:`ExperimentConfig`, write CSVs.  All share
+one set of configuration flags, which :func:`main` resolves once, before the
+subcommand runs; ``simulate``, ``select`` and ``estimate`` act on the one
+dataset drawn at the configured seed.  Failures print a single
+machine-readable JSON line to stderr and exit 2.
 
     shiftdecon simulate --out curves.csv
     shiftdecon select --criterion u_tilde
@@ -37,12 +40,6 @@ from .study import run_replication_study
 __all__ = ["main", "build_parser"]
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", metavar="FILE", help="INI config file; flags override it")
-    for field in CONFIG_FIELDS:
-        parser.add_argument(field.flag, dest=field.name, help=field.help)
-
-
 def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     """The ``--config`` file (or the defaults), then each given flag, parsed by
     its field's parser."""
@@ -52,22 +49,22 @@ def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     return dataclasses.replace(cfg, **overrides) if overrides else cfg
 
 
-def cmd_simulate(args) -> int:
-    cfg = _resolve_config(args)
-    template = build_template(cfg)
-    density = build_density(cfg)
-    obs = simulate(template, density, cfg.n, cfg.epsilon, cfg.seed)
+def _dataset(cfg: ExperimentConfig):
+    """The configured template and density, and the dataset drawn at ``cfg.seed``."""
+    template, density = build_template(cfg), build_density(cfg)
+    return template, density, simulate(template, density, cfg.n, cfg.epsilon, cfg.seed)
+
+
+def cmd_simulate(args, cfg) -> int:
+    _, _, obs = _dataset(cfg)
     curves = render_curves(obs, args.grid_size)
     out = write_curves_csv(args.out, render_grid(args.grid_size), curves)
     print(f"wrote {obs.n} rendered curves ({args.grid_size} points) to {out}")
     return 0
 
 
-def cmd_select(args) -> int:
-    cfg = _resolve_config(args)
-    template = build_template(cfg)
-    density = build_density(cfg)
-    obs = simulate(template, density, cfg.n, cfg.epsilon, cfg.seed)
+def cmd_select(args, cfg) -> int:
+    _, density, obs = _dataset(cfg)
     sel = select_cutoff(obs, density, cfg.criterion, m0=cfg.m0_override,
                         penalty_variant=cfg.penalty_variant)
     if args.out:
@@ -77,11 +74,8 @@ def cmd_select(args) -> int:
     return 0
 
 
-def cmd_estimate(args) -> int:
-    cfg = _resolve_config(args)
-    template = build_template(cfg)
-    density = build_density(cfg)
-    obs = simulate(template, density, cfg.n, cfg.epsilon, cfg.seed)
+def cmd_estimate(args, cfg) -> int:
+    template, density, obs = _dataset(cfg)
     if args.cutoff is not None:
         cutoff, kind = args.cutoff, "fixed_n"
     else:
@@ -103,8 +97,7 @@ def cmd_estimate(args) -> int:
     return 0
 
 
-def cmd_risk(args) -> int:
-    cfg = _resolve_config(args)
+def cmd_risk(args, cfg) -> int:
     template = build_template(cfg)
     density = build_density(cfg)
     n_max = (args.n_max if args.n_max is not None
@@ -118,8 +111,7 @@ def cmd_risk(args) -> int:
     return 0
 
 
-def cmd_replication_study(args) -> int:
-    cfg = _resolve_config(args)
+def cmd_replication_study(args, cfg) -> int:
     study = run_replication_study(cfg, args.out, grid_size=args.grid_size,
                                   workers=args.workers)
     print(f"study bundle written to {study.out_dir}")
@@ -139,8 +131,7 @@ def cmd_replication_study(args) -> int:
 _RATE_STUDY_FIELDS = ("epsilon", "replications", "seed", "k_max")
 
 
-def cmd_rate_study(args) -> int:
-    cfg = _resolve_config(args)
+def cmd_rate_study(args, cfg) -> int:
     default = ExperimentConfig()
     ignored = [field for field in CONFIG_FIELDS
                if field.name not in _RATE_STUDY_FIELDS
@@ -170,8 +161,7 @@ def cmd_rate_study(args) -> int:
     return 0
 
 
-def cmd_write_config(args) -> int:
-    cfg = _resolve_config(args)
+def cmd_write_config(args, cfg) -> int:
     save_config(cfg, args.out)
     print(f"wrote config to {args.out}")
     return 0
@@ -184,23 +174,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", metavar="FILE", help="INI config file; flags override it")
+    for field in CONFIG_FIELDS:
+        config.add_argument(field.flag, dest=field.name, help=field.help)
     workers_help = ("an integer >= 1: rate-study runs its grid points in up to this many "
                     "forked processes, capped at the usable CPUs (serially off Linux); "
                     "replication-study runs serially; never changes a result")
 
-    p = sub.add_parser("simulate", help="simulate one dataset and render its curves")
-    _add_config_flags(p)
+    p = sub.add_parser("simulate", parents=[config],
+                       help="simulate one dataset and render its curves")
     p.add_argument("--grid-size", type=int, default=256, dest="grid_size")
     p.add_argument("--out", default="curves.csv")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("select", help="run one cutoff selection")
-    _add_config_flags(p)
+    p = sub.add_parser("select", parents=[config], help="run one cutoff selection")
     p.add_argument("--out", default=None, help="write the criterion trace CSV here")
     p.set_defaults(func=cmd_select)
 
-    p = sub.add_parser("estimate", help="estimate the template from one dataset")
-    _add_config_flags(p)
+    p = sub.add_parser("estimate", parents=[config], help="estimate the template from one dataset")
     p.add_argument("--cutoff", type=int, default=None,
                    help="fixed cutoff (default: select adaptively per --criterion)")
     p.add_argument("--grid-size", type=int, default=256, dest="grid_size")
@@ -209,22 +201,21 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write (x, estimate, truth) curve CSV here")
     p.set_defaults(func=cmd_estimate)
 
-    p = sub.add_parser("risk", help="exact risk curves for the configured problem")
-    _add_config_flags(p)
+    p = sub.add_parser("risk", parents=[config],
+                       help="exact risk curves for the configured problem")
     p.add_argument("--n-max", type=int, default=None, dest="n_max",
                    help="largest cutoff to tabulate (default: the m0 cap)")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_risk)
 
-    p = sub.add_parser("replication-study", help="full replication study as a CSV bundle")
-    _add_config_flags(p)
+    p = sub.add_parser("replication-study", parents=[config],
+                       help="full replication study as a CSV bundle")
     p.add_argument("--grid-size", type=int, default=256, dest="grid_size")
     p.add_argument("--workers", type=int, default=1, help=workers_help)
     p.add_argument("--out", default="study_out")
     p.set_defaults(func=cmd_replication_study)
 
-    p = sub.add_parser("rate-study", help="risk decay against sample size")
-    _add_config_flags(p)
+    p = sub.add_parser("rate-study", parents=[config], help="risk decay against sample size")
     p.add_argument("--smoothness", type=float, default=2.0)
     p.add_argument("--beta", type=float, default=2.0)
     p.add_argument("--radius", type=float, default=5.0)
@@ -233,8 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_rate_study)
 
-    p = sub.add_parser("write-config", help="write the resolved configuration to a file")
-    _add_config_flags(p)
+    p = sub.add_parser("write-config", parents=[config],
+                       help="write the resolved configuration to a file")
     p.add_argument("--out", default="experiment.ini")
     p.set_defaults(func=cmd_write_config)
 
@@ -245,7 +236,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, _resolve_config(args))
     except ShiftDeconError as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)

@@ -14,13 +14,14 @@ from shiftdecon.cli import _resolve_config, build_parser, main
 from shiftdecon.config import (CONFIG_FIELDS, ExperimentConfig, build_density,
                                build_template, load_config, parse_config,
                                save_config, serialize_config)
-from shiftdecon.csvio import write_template_csv
+from shiftdecon.csvio import write_curves_csv, write_selection_csv, write_template_csv
 from shiftdecon.errors import ConfigError
 from shiftdecon.catalog import wave_template
 from shiftdecon.risk import risk_report
-from shiftdecon.selection import CRITERION_ESTIMATORS
-from shiftdecon.simulate import simulate
-from shiftdecon.spectral import _synthesis_matrix_t, laplace_density
+from shiftdecon.selection import CRITERION_ESTIMATORS, estimate, select_cutoff
+from shiftdecon.simulate import render_curves, render_grid, simulate
+from shiftdecon.spectral import (_synthesis_matrix_t, _synthesize_rows, laplace_density,
+                                 synthesize)
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +151,8 @@ def test_parse_fragments_and_comments():
 
 
 def test_parse_m0_override_none():
-    assert parse_config("[experiment]\nm0_override = none\n").m0_override is None
+    for raw in ("none", "formula", "", "None", "FORMULA"):
+        assert parse_config(f"[experiment]\nm0_override = {raw}\n").m0_override is None
     assert parse_config("[experiment]\nm0_override = 7\n").m0_override == 7
 
 
@@ -308,6 +310,36 @@ def test_cli_estimate_fixed_cutoff(tmp_path, capsys):
     assert fit.read_text().splitlines()[0] == "x,estimate,truth"
 
 
+def test_cli_simulate_select_and_estimate_act_on_one_dataset(tmp_path):
+    # at one seed the three commands take the same draw: the library's
+    # simulate at that seed, selected and estimated as the library does
+    flags = ("--n", "12", "--k-max", "16", "--seed", "5", "--criterion", "u_tilde",
+             "--m0-override", "10")
+    paths = {name: tmp_path / f"{name}.csv" for name in ("curves", "trace", "coeffs", "fit")}
+    assert run_cli("simulate", *flags, "--grid-size", "64", "--out", str(paths["curves"])) == 0
+    assert run_cli("select", *flags, "--out", str(paths["trace"])) == 0
+    assert run_cli("estimate", *flags, "--grid-size", "64", "--out", str(paths["coeffs"]),
+                   "--grid-out", str(paths["fit"])) == 0
+    cfg = ExperimentConfig(n=12, k_max=16, seed=5, criterion="u_tilde", m0_override=10)
+    template, density = build_template(cfg), build_density(cfg)
+    obs = simulate(template, density, cfg.n, cfg.epsilon, cfg.seed)
+    sel = select_cutoff(obs, density, "u_tilde", m0=10)
+    est = estimate(obs, density, sel.chosen_n, "theta_tilde")
+    expected = tmp_path / "expected"
+    expected.mkdir()
+    write_curves_csv(expected / "curves.csv", render_grid(64), render_curves(obs, 64))
+    write_selection_csv(expected / "trace.csv", sel)
+    write_template_csv(expected / "coeffs.csv", est)
+    for name in ("curves", "trace", "coeffs"):
+        assert paths[name].read_bytes() == (expected / f"{name}.csv").read_bytes(), name
+    with open(paths["fit"], newline="") as fh:
+        fit = np.array([[float(v) for v in row] for row in list(csv.reader(fh))[1:]])
+    # a row's samples do not depend on the rows synthesized with it
+    assert np.array_equal(fit[:, 0], render_grid(64))
+    assert np.array_equal(fit[:, 1], _synthesize_rows(est.coeffs[None], est.k_max, 64)[0])
+    assert np.array_equal(fit[:, 2], synthesize(template, 64))
+
+
 def test_cli_estimate_labels_the_selecting_criterion(capsys):
     for criterion, kind in CRITERION_ESTIMATORS.items():
         code = run_cli("estimate", "--criterion", criterion, "--seed", "1")
@@ -437,16 +469,30 @@ def test_cli_rate_study_reports_the_slope_stderr(capsys):
     assert stderr.split()[2] == f"({(slope - theory) / se:+.2f}"
 
 
-def test_cli_replication_study_needs_two_replications(tmp_path, capsys):
-    # one replication has no standard error: the configuration refuses it,
-    # exit 2, and no bundle with a nan mc_stderr
-    out = tmp_path / "study"
-    code = run_cli("replication-study", "--replications", "1", "--out", str(out))
+# Every subcommand with each output path it can write.
+OUTPUT_FLAGS = {"simulate": ("--out",), "select": ("--out",),
+                "estimate": ("--out", "--grid-out"), "risk": ("--out",),
+                "replication-study": ("--out",), "rate-study": ("--out",),
+                "write-config": ("--out",)}
+
+
+@pytest.mark.parametrize("command", list(OUTPUT_FLAGS))
+def test_cli_refuses_one_replication_before_writing(command, tmp_path, capsys):
+    # one replication has no standard error: the configuration refuses it
+    # before any subcommand runs, exit 2, and nothing is written (no study
+    # bundle with a nan mc_stderr)
+    outs = {flag: tmp_path / flag.strip("-") for flag in OUTPUT_FLAGS[command]}
+    code = run_cli(command, "--replications", "1",
+                   *(arg for flag, out in outs.items() for arg in (flag, str(out))))
     assert code == 2
-    payload = json.loads(capsys.readouterr().err.strip())
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
     assert payload["error"] == "ConfigError"
     assert "replications" in payload["message"] and ">= 2" in payload["message"]
-    assert not out.exists()
+    assert not any(out.exists() for out in outs.values())
 
 
 # One non-default value per configuration field that rate-study does not read.

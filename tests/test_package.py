@@ -138,11 +138,24 @@ def test_importing_the_package_leaves_multiprocessing_out():
     assert done.stdout.strip() == "False"
 
 
-def test_every_audited_fault_finds_its_line():
-    # tools/fault_audit.py injects each fault as an exact text replacement, so
-    # a change that moves a faulted line must move the fault with it
+def _fault_audit():
     path = Path(__file__).resolve().parents[1] / "tools" / "fault_audit.py"
     spec = importlib.util.spec_from_file_location("fault_audit", path)
     audit = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(audit)
+    return audit
+
+
+def test_every_audited_fault_finds_its_line():
+    # tools/fault_audit.py injects each fault as an exact text replacement, so
+    # a change that moves a faulted line must move the fault with it
+    audit = _fault_audit()
     assert audit.check_faults(audit.FAULTS) == []
+
+
+def test_every_module_is_audited():
+    # each module with logic of its own carries at least one audited fault
+    audit = _fault_audit()
+    modules = {path.name for path in (audit.SRC / "shiftdecon").glob("*.py")}
+    unaudited = modules - {"__init__.py", "errors.py"} - {f.module for f in audit.FAULTS}
+    assert not unaudited, f"modules without an audited fault: {sorted(unaudited)}"

@@ -431,6 +431,21 @@ def test_study_traces_are_replicate_zero(tmp_path):
         assert "independent noise" in meta["sample_curves_draw"]
 
 
+def test_study_bundle_rows_are_the_returned_study(tmp_path):
+    # selections.csv holds each rule's cutoffs and losses under that rule's
+    # columns, and meta.csv the cap the replicates ran under, not the formula's
+    study = run_replication_study(ExperimentConfig(replications=5), tmp_path)
+    rows = _read_rows(tmp_path / "selections.csv")
+    assert [int(row["replicate"]) for row in rows] == list(range(5))
+    for column, values in (("n_star", study.n_star), ("loss_star", study.loss_star),
+                           ("n_tilde", study.n_tilde), ("loss_tilde", study.loss_tilde)):
+        assert [float(row[column]) for row in rows] == values.tolist(), column
+    assert not np.array_equal(study.loss_star, study.loss_tilde)
+    meta = {row["key"]: row["value"] for row in _read_rows(tmp_path / "meta.csv")}
+    assert (meta["m0_used"], meta["m0_formula"]) == ("32", "2")
+    assert (study.m0_used, study.m0_formula) == (32, 2)
+
+
 def test_study_draws_each_replicate_once(tmp_path, monkeypatch):
     # R summaries and the sample-curve draw; traces.csv reuses the engine's
     # replicate 0 instead of drawing it again

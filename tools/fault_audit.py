@@ -187,6 +187,32 @@ FAULTS = [
           '    return _refuse_overflow(f"epsilon={epsilon!r} is too large: '
           'its noise terms overflow")\n',
           "    import contextlib\n    return contextlib.nullcontext()\n"),
+    # one entry path for the CLI, and the modules above the library
+    Fault("main hands every subcommand the default configuration", "cli.py",
+          "return args.func(args, _resolve_config(args))",
+          "return args.func(args, ExperimentConfig())"),
+    Fault("the commands' dataset drawn one seed on", "cli.py",
+          "cfg.epsilon, cfg.seed)\n", "cfg.epsilon, cfg.seed + 1)\n"),
+    Fault("rate-study's refusal admits a non-default template", "cli.py",
+          '_RATE_STUDY_FIELDS = ("epsilon", "replications", "seed", "k_max")',
+          '_RATE_STUDY_FIELDS = ("epsilon", "replications", "seed", "k_max", "template")'),
+    Fault("estimate's grid file with its estimate and truth swapped", "cli.py",
+          "np.stack([est.coeffs, template.coeffs])", "np.stack([template.coeffs, est.coeffs])"),
+    Fault("m0_override formula read as 0", "config.py",
+          '    if raw.lower() in ("", "none", "formula"):\n',
+          '    if raw.lower() == "formula":\n        return 0\n'
+          '    if raw.lower() in ("", "none"):\n'),
+    Fault("a configuration of one replication admitted", "config.py",
+          '"replications", self.replications, 2)', '"replications", self.replications, 1)'),
+    Fault("selections.csv with loss_star and loss_tilde swapped", "study.py",
+          "float(loss_star[i]), int(n_tilde[i]),\n                float(loss_tilde[i])",
+          "float(loss_tilde[i]), int(n_tilde[i]),\n                float(loss_star[i])"),
+    Fault("meta.csv's m0_used written from the formula value", "study.py",
+          '("m0_used", m0_used)', '("m0_used", m0_res.value)'),
+    Fault("the wave template's tail phase with its sign flipped", "catalog.py",
+          "np.exp(1j * WAVE_TAIL_PHASE * k_tail)", "np.exp(-1j * WAVE_TAIL_PHASE * k_tail)"),
+    Fault("the Sobolev template scaled by sqrt(radius) / total", "catalog.py",
+          "np.sqrt(radius / total)", "np.sqrt(radius) / total"),
 ]
 
 _FIRST_FAILURE = re.compile(r"^(?:FAILED|ERROR) (\S+)", re.MULTILINE)
