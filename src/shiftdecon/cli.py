@@ -83,13 +83,14 @@ def cmd_estimate(args, cfg) -> int:
                             penalty_variant=cfg.penalty_variant)
         cutoff, kind = sel.chosen_n, CRITERION_ESTIMATORS[cfg.criterion]
     est = estimate(obs, density, cutoff, kind)
+    if args.grid_out:  # synthesized first, so that a grid that aliases writes no file
+        grid = render_grid(args.grid_size)
+        fit, truth = _synthesize_rows(np.stack([est.coeffs, template.coeffs]),
+                                      template.k_max, args.grid_size)
     if args.out:
         write_template_csv(args.out, est)
         print(f"wrote estimated coefficients to {args.out}")
     if args.grid_out:
-        grid = render_grid(args.grid_size)
-        fit, truth = _synthesize_rows(np.stack([est.coeffs, template.coeffs]),
-                                      template.k_max, args.grid_size)
         write_csv(args.grid_out, ["x", "estimate", "truth"],
                   ((float(x), float(e), float(t)) for x, e, t in zip(grid, fit, truth)))
         print(f"wrote rendered estimate to {args.grid_out}")

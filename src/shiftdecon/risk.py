@@ -17,8 +17,9 @@ All curves over ``N`` are built from per-frequency increments accumulated by
 sequential recurrences, which keeps the identity ``r = (bias + v1) + v2`` and
 the monotonicity of ``bias`` and ``v1`` exact in floating point.
 
-The Monte Carlo replicate engine lives here once, in ``_run_replicates``:
-:func:`mc_risk` runs it with one selection rule, and
+The Monte Carlo run path lives here once, in ``_run_replicates``, which checks
+the inputs, resolves the cap and returns each rule's mean and standard error:
+:func:`mc_risk` and :func:`oracle_ratio` run it with one selection rule, and
 :func:`shiftdecon.study.run_replication_study` with both adaptive criteria
 on shared datasets.  Each replicate draws only the column means, as
 :func:`shiftdecon.simulate.simulate_summary` does: the selections and the
@@ -248,12 +249,15 @@ def _fork_map(fn, units: Sequence, workers) -> list:
 
 class _Replicates(NamedTuple):
     """Per-replicate results in seed order, row ``j`` for the ``j``-th rule;
-    ``traces`` holds each rule's criterion trace of replicate 0."""
+    ``traces`` holds each rule's criterion trace of replicate 0, ``m0`` the
+    resolved cap and ``summaries`` each rule's ``(mean, stderr)``."""
 
     cutoffs: np.ndarray
     losses: np.ndarray
     negative_fractions: np.ndarray
     traces: np.ndarray
+    m0: int
+    summaries: tuple
 
 
 # The budget of values for each of two bounds: a chunk, at 2 * (2*k_max + 1)
@@ -269,9 +273,13 @@ _CHUNK_VALUES = 2 ** 13
 
 
 def _run_replicates(template: Template, density: ShiftDensity, n: int, epsilon: float,
-                    seed: int, replications: int, rules: Sequence[str], m0: int, *,
-                    penalty_variant: str) -> _Replicates:
-    """The replicate loop behind :func:`mc_risk` and the replication study.
+                    seed: int, replications: int, rules: Sequence[str], m0: Optional[int],
+                    *, penalty_variant: str, workers: int = 1) -> _Replicates:
+    """The Monte Carlo run behind :func:`mc_risk`, :func:`oracle_ratio` and the
+    replication study.  Before any draw it checks ``seed``, ``replications``,
+    ``n``, ``epsilon`` and ``workers`` (which changes no result), and resolves
+    the cap ``m0``, ``compute_m0``'s value for ``None``; it returns that cap
+    and each rule's :func:`_mean_and_stderr` with the rows.
 
     Replicate ``i`` draws one dataset's column means from
     ``_replicate_seed(seed, i)``, as :func:`shiftdecon.simulate.simulate_summary`
@@ -292,6 +300,10 @@ def _run_replicates(template: Template, density: ShiftDensity, n: int, epsilon: 
     trace are read once per run.  Every step works row by row, so a
     replicate's results do not depend on its chunk or its block.
     """
+    seed, replications = _check_replicates(seed, replications)
+    n, epsilon = _check_inputs(n, epsilon)
+    _check_integer("workers", workers, 1)
+    m0 = _cutoff_cap(density, n, template.k_max, m0)
     gamma = density.gamma_band(m0)
     tail = _tail_energy(template, m0)
     cutoffs = np.empty((len(rules), replications), dtype=int)
@@ -313,7 +325,8 @@ def _run_replicates(template: Template, density: ShiftDensity, n: int, epsilon: 
                 traces[j] = trace[0]
             losses[j, chunk] = np.take_along_axis(loss, cutoffs[j, chunk, None], -1)[:, 0]
         del obs, loss  # so that the next draw does not share the peak with them
-    return _Replicates(cutoffs, losses, negative_fractions, traces)
+    summaries = tuple(_mean_and_stderr(row, epsilon) for row in losses)
+    return _Replicates(cutoffs, losses, negative_fractions, traces, m0, summaries)
 
 
 def _loss_trace(template: Template, c_tilde: np.ndarray, gamma: np.ndarray,
@@ -360,13 +373,9 @@ def mc_risk(template: Template, density: ShiftDensity, n: int, epsilon: float,
     """
     rule = _ESTIMATOR_CRITERIA[_check_choice("estimator kind", estimator_kind,
                                              _ESTIMATOR_CRITERIA)]
-    seed, replications = _check_replicates(seed, replications)
-    n, epsilon = _check_inputs(n, epsilon)
-    _check_integer("workers", workers, 1)
-    m0 = _cutoff_cap(density, n, template.k_max, m0)
     reps = _run_replicates(template, density, n, epsilon, seed, replications, (rule,), m0,
-                           penalty_variant=penalty_variant)
-    mean, stderr = _mean_and_stderr(reps.losses[0], epsilon)
+                           penalty_variant=penalty_variant, workers=workers)
+    mean, stderr = reps.summaries[0]
     return McRisk(mean=mean, stderr=stderr, losses=reps.losses[0], cutoffs=reps.cutoffs[0])
 
 
@@ -376,22 +385,22 @@ def oracle_ratio(template: Template, density: ShiftDensity, n: int, epsilon: flo
                  penalty_variant: str = "printed_form") -> float:
     """Monte Carlo risk divided by the best theoretical risk ``inf_{N<=m0}``
     of the envelope matching the estimator: ``r_bar`` for ``theta_star``,
-    ``r`` for ``theta_tilde`` and ``theta_u``.  ``estimator_kind`` and
-    ``workers`` go to :func:`mc_risk`.
+    ``r`` for ``theta_tilde`` and ``theta_u``, over the run's cap.  The
+    arguments are checked as :func:`mc_risk` checks them; a zero oracle risk
+    raises :class:`DegenerateInputError` after the run.
     """
     _check_choice("estimator kind", estimator_kind, _ESTIMATOR_CRITERIA)
-    _check_replicates(seed, replications)
-    m0 = _cutoff_cap(density, n, template.k_max, m0)
-    report = risk_report(template, density, n, epsilon, m0)
+    reps = _run_replicates(template, density, n, epsilon, seed, replications,
+                           (_ESTIMATOR_CRITERIA[estimator_kind],), m0,
+                           penalty_variant=penalty_variant, workers=workers)
+    report = risk_report(template, density, n, epsilon, reps.m0)
     denom = float(np.min(report.r_bar if estimator_kind == "theta_star" else report.r))
     if denom == 0.0:
         raise DegenerateInputError(
             "oracle risk is exactly zero (noiseless, fully recoverable template); "
             "the ratio is undefined"
         )
-    mc = mc_risk(template, density, n, epsilon, estimator_kind, replications, seed,
-                 m0=m0, workers=workers, penalty_variant=penalty_variant)
-    return mc.mean / denom
+    return reps.summaries[0][0] / denom
 
 
 def theoretical_rate_exponent(s: float, beta: float) -> float:

@@ -16,10 +16,11 @@ cutoff selections (penalized and plain) on each, and writes plot-ready CSVs:
 Output bytes depend only on the configuration (not on worker count), so a
 bundle can be diffed run-to-run as a regression check.
 
-The replicates themselves run in ``shiftdecon.risk._run_replicates``, the
-engine of :func:`shiftdecon.risk.mc_risk`, on the same seeds; it returns
-per-replicate rows and replicate 0's criterion traces, whose argmins are row
-0 of ``selections.csv``, and this module writes the bundle.  Curves exist
+The replicates run in ``shiftdecon.risk._run_replicates``, the run path of
+:func:`shiftdecon.risk.mc_risk`, on the same seeds.  It checks the inputs
+and returns the cap, each rule's mean and standard error, the per-replicate
+rows and replicate 0's criterion traces, whose argmins are row 0 of
+``selections.csv``; this module writes them as the bundle.  Curves exist
 only in the per-curve draw, so ``sample_curves.csv`` renders
 :func:`shiftdecon.simulate.simulate` at replicate 0's seed: the same shifts,
 hence the same ``gamma_tilde``, but independent noise.  ``meta.csv`` says so
@@ -36,11 +37,10 @@ import numpy as np
 
 from .config import ExperimentConfig, build_density, build_template
 from .csvio import write_csv, write_curves_csv, write_risk_report_csv
-from .risk import (RiskReport, _check_replicates, _mean_and_stderr, _replicate_seed,
-                   _run_replicates, risk_report)
-from .selection import CRITERION_ESTIMATORS, _cutoff_cap, compute_m0
-from .simulate import _check_inputs, render_grid, simulate
-from .spectral import _check_integer, _synthesize_rows, synthesize
+from .risk import RiskReport, _replicate_seed, _run_replicates, risk_report
+from .selection import CRITERION_ESTIMATORS, compute_m0
+from .simulate import render_grid, simulate
+from .spectral import _synthesize_rows, synthesize
 
 __all__ = ["ReplicationStudy", "run_replication_study"]
 
@@ -79,52 +79,40 @@ def run_replication_study(cfg: ExperimentConfig, out_dir, *, grid_size: int = 25
     ``cfg.replications`` must be at least 2, so that ``risk_summary.csv``
     has a standard error.  ``workers`` must be an integer >= 1;
     the replicates run serially, in chunks of contiguous seeds in seed
-    order, so it changes no output byte.  Every input is checked before
-    anything is written.
+    order, so it changes no output byte.  A ``grid_size`` that cannot
+    resolve the template's band raises
+    :class:`~shiftdecon.errors.AliasingError`.  Every input is checked
+    before anything is written.
     """
-    seed, replications = _check_replicates(cfg.seed, cfg.replications)
-    n, epsilon = _check_inputs(cfg.n, cfg.epsilon)
     template = build_template(cfg)
     density = build_density(cfg)
     k_max = template.k_max
-    grid_size = _check_integer("grid_size", grid_size, 2 * k_max + 1)
-    _check_integer("workers", workers, 1)
-
-    m0_res = compute_m0(density, n, k_max)
-    m0_used = _cutoff_cap(density, n, k_max, cfg.m0_override)
+    template_curve = synthesize(template, grid_size)
+    m0_res = compute_m0(density, cfg.n, k_max)
 
     rules = ("u_bar", "u_tilde")
-    reps = _run_replicates(template, density, n, epsilon, seed, replications,
-                           rules, m0_used, penalty_variant=cfg.penalty_variant)
+    reps = _run_replicates(template, density, cfg.n, cfg.epsilon, cfg.seed, cfg.replications,
+                           rules, cfg.m0_override, penalty_variant=cfg.penalty_variant,
+                           workers=workers)
+    m0_used = reps.m0
     n_star, n_tilde = reps.cutoffs
     loss_star, loss_tilde = reps.losses
     neg_fracs = reps.negative_fractions
 
     # Theoretical risk curves over the scan band, for the summary ratios.
-    report = risk_report(template, density, n, epsilon, m0_used)
-    inf_r = float(np.min(report.r))
-    inf_r_bar = float(np.min(report.r_bar))
-    inf_r_tilde = float(np.min(report.r_tilde))
-
-    summary_rows = []
-    for crit, losses in zip(rules, reps.losses):
-        mean, stderr = _mean_and_stderr(losses, epsilon)
-        summary_rows.append((
-            CRITERION_ESTIMATORS[crit], crit, mean, stderr,
-            inf_r, inf_r_bar, inf_r_tilde,
-            mean / inf_r if inf_r > 0 else float("nan"),
-            mean / inf_r_bar if inf_r_bar > 0 else float("nan"),
-            mean / inf_r_tilde if inf_r_tilde > 0 else float("nan"),
-        ))
+    report = risk_report(template, density, cfg.n, cfg.epsilon, m0_used)
+    infs = [float(np.min(curve)) for curve in (report.r, report.r_bar, report.r_tilde)]
+    summary_rows = [(CRITERION_ESTIMATORS[crit], crit, mean, stderr, *infs,
+                     *(mean / inf if inf > 0 else float("nan") for inf in infs))
+                    for crit, (mean, stderr) in zip(rules, reps.summaries)]
 
     # --- CSV bundle -------------------------------------------------------
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     grid = render_grid(grid_size)
-    write_curves_csv(out_dir / "template_curve.csv", grid,
-                     synthesize(template, grid_size))
+    write_curves_csv(out_dir / "template_curve.csv", grid, template_curve)
 
-    curves = simulate(template, density, n, epsilon, _replicate_seed(seed, 0))
+    curves = simulate(template, density, cfg.n, cfg.epsilon, _replicate_seed(cfg.seed, 0))
     write_curves_csv(out_dir / "sample_curves.csv", grid,
                      _synthesize_rows(curves.per_curve[:_SAMPLE_CURVE_COUNT],
                                       curves.k_max, grid_size))
@@ -137,7 +125,7 @@ def run_replication_study(cfg: ExperimentConfig, out_dir, *, grid_size: int = 25
                "negative_energy_fraction"],
               ((i, int(n_star[i]), float(loss_star[i]), int(n_tilde[i]),
                 float(loss_tilde[i]), float(neg_fracs[i]))
-               for i in range(replications)))
+               for i in range(cfg.replications)))
 
     counts_star = np.bincount(n_star, minlength=m0_used + 1)
     counts_tilde = np.bincount(n_tilde, minlength=m0_used + 1)

@@ -495,6 +495,24 @@ def test_cli_refuses_one_replication_before_writing(command, tmp_path, capsys):
     assert not any(out.exists() for out in outs.values())
 
 
+@pytest.mark.parametrize("command", ["estimate", "replication-study"])
+def test_cli_refuses_a_grid_that_aliases_before_writing(command, tmp_path, capsys):
+    # 3 points cannot resolve the default band |k| <= 40: exit 2, one
+    # AliasingError, and no output path, estimate's --out included
+    outs = {flag: tmp_path / flag.strip("-") for flag in OUTPUT_FLAGS[command]}
+    code = run_cli(command, "--grid-size", "3",
+                   *(arg for flag, out in outs.items() for arg in (flag, str(out))))
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert payload["error"] == "AliasingError"
+    assert "grid_size=3" in payload["message"]
+    assert not any(out.exists() for out in outs.values())
+
+
 # One non-default value per configuration field that rate-study does not read.
 RATE_STUDY_IGNORED = {"template": "spike", "density_kind": "gaussian",
                       "density_sigma": "0.3", "density_half_width": "0.3",

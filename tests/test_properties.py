@@ -157,7 +157,7 @@ def test_replicate_engine_does_not_depend_on_the_chunk_size(seed, n, k_max, repl
                                         CRITERION_KINDS, m0, penalty_variant="printed_form"))
     for other in runs[1:]:
         for field, ref in zip(other, runs[0]):
-            assert field.tobytes() == ref.tobytes()
+            assert np.asarray(field).tobytes() == np.asarray(ref).tobytes()
 
 
 DENSITIES = (LAPLACE, laplace_density(0.4), gaussian_density(0.15),

@@ -340,6 +340,21 @@ def test_engine_breaks_ties_toward_the_smallest_cutoff():
                                                                   m0=m0).chosen_n
 
 
+def test_engine_resolves_its_cap_and_summarizes_each_rule():
+    # the cap given, or compute_m0's value for None (1 here), and per rule the
+    # mean of its losses and their standard error with ddof=1
+    rules, replications = ("u_bar", "u_tilde", "u"), 12
+    for m0, cap in ((5, 5), (None, compute_m0(LAPLACE, 30, 8).value)):
+        reps = _run_replicates(WAVE8, LAPLACE, 30, 0.05, 3, replications, rules, m0,
+                               penalty_variant="printed_form")
+        assert reps.m0 == cap and reps.traces.shape == (len(rules), cap + 1)
+        assert len(reps.summaries) == len(rules)
+        for losses, (mean, stderr) in zip(reps.losses, reps.summaries):
+            assert mean == float(np.mean(losses))
+            assert stderr == float(np.std(losses, ddof=1) / math.sqrt(replications))
+    assert cap == 1
+
+
 @pytest.mark.parametrize("density", [LAPLACE, uniform_density(0.05)],
                          ids=["laplace", "uniform"])
 def test_engine_results_do_not_depend_on_the_chunk_size(density, monkeypatch):
@@ -360,7 +375,7 @@ def test_engine_results_do_not_depend_on_the_chunk_size(density, monkeypatch):
             assert chunks == [(35, max(1, 1200 // n)), (5, max(1, 1200 // n))]
             for other in runs[1:]:
                 for field, ref in zip(other, runs[0]):
-                    assert field.tobytes() == ref.tobytes()
+                    assert np.asarray(field).tobytes() == np.asarray(ref).tobytes()
 
 
 def test_rate_study_point_at_n_6400_runs_in_three_chunks(monkeypatch):
@@ -444,6 +459,24 @@ def test_study_bundle_rows_are_the_returned_study(tmp_path):
     meta = {row["key"]: row["value"] for row in _read_rows(tmp_path / "meta.csv")}
     assert (meta["m0_used"], meta["m0_formula"]) == ("32", "2")
     assert (study.m0_used, study.m0_formula) == (32, 2)
+
+
+def test_study_risk_summary_is_each_rules_losses_over_the_oracle_risks(tmp_path):
+    # one row per adaptive estimator: the mean and standard error (ddof=1) of
+    # its selections.csv losses, over the minima of the study's risk curves
+    study = run_replication_study(ExperimentConfig(replications=6), tmp_path)
+    rows = _read_rows(tmp_path / "risk_summary.csv")
+    infs = {name: float(np.min(getattr(study.report, name)))
+            for name in ("r", "r_bar", "r_tilde")}
+    assert [(row["estimator"], row["criterion"]) for row in rows] == \
+        [("theta_star", "u_bar"), ("theta_tilde", "u_tilde")]
+    for row, losses in zip(rows, (study.loss_star, study.loss_tilde)):
+        mean = float(np.mean(losses))
+        assert float(row["mc_mean"]) == mean
+        assert float(row["mc_stderr"]) == float(np.std(losses, ddof=1) / math.sqrt(6))
+        for name, inf in infs.items():
+            assert float(row[f"inf_{name}"]) == inf
+            assert float(row[f"ratio_vs_{name}"]) == mean / inf
 
 
 def test_study_draws_each_replicate_once(tmp_path, monkeypatch):
@@ -540,15 +573,18 @@ def test_oracle_ratio_reference_smoke():
 
 
 def test_oracle_ratio_baseline_follows_the_estimator():
-    # theta_star is compared with inf r_bar, theta_tilde and theta_u with inf r
+    # theta_star is compared with inf r_bar, theta_tilde and theta_u with inf r,
+    # each over the cap of the run: the formula's (2 here) or the one given
     t = wave_template(16)
-    report = risk_report(t, LAPLACE, 100, 0.015, compute_m0(LAPLACE, 100, 16).value)
-    for kind, curve in (("theta_star", report.r_bar), ("theta_tilde", report.r),
-                        ("theta_u", report.r)):
-        mc = mc_risk(t, LAPLACE, 100, 0.015, kind, 50, seed=7)
-        ratio = oracle_ratio(t, LAPLACE, 100, 0.015, kind, 50, seed=7)
-        assert ratio == mc.mean / float(np.min(curve))
-    assert np.min(report.r) < np.min(report.r_bar)
+    for m0, cap in ((None, compute_m0(LAPLACE, 100, 16).value), (9, 9)):
+        report = risk_report(t, LAPLACE, 100, 0.015, cap)
+        for kind, curve in (("theta_star", report.r_bar), ("theta_tilde", report.r),
+                            ("theta_u", report.r)):
+            mc = mc_risk(t, LAPLACE, 100, 0.015, kind, 50, seed=7, m0=m0)
+            ratio = oracle_ratio(t, LAPLACE, 100, 0.015, kind, 50, seed=7, m0=m0)
+            assert ratio == mc.mean / float(np.min(curve))
+        assert np.min(report.r) < np.min(report.r_bar)
+    assert np.min(report.r) < np.min(report.r[:3])
 
 
 @pytest.mark.parametrize("seed,build,ratio", [
@@ -833,12 +869,26 @@ def test_an_error_in_a_pool_process_keeps_its_type_and_message():
 
 
 @pytest.mark.parametrize("workers", [0, -1, True, False, 2.5, "2", None])
-def test_workers_must_be_a_positive_integer(workers, monkeypatch):
-    with pytest.raises(InvalidParameterError, match="workers must be"):
-        mc_risk(WAVE8, LAPLACE, 10, 0.1, "theta_tilde", 10, seed=0, m0=2, workers=workers)
-
+def test_workers_must_be_a_positive_integer(workers, monkeypatch, tmp_path):
+    # each of the four entry points refuses it before any draw; the study
+    # also before its bundle directory exists
     def no_draw(*args, **kwargs):
-        raise AssertionError("rate_study drew before checking workers")
+        raise AssertionError("drew before checking workers")
+
+    monkeypatch.setattr(risk_module, "_draw_summaries", no_draw)
+    out = tmp_path / "bundle"
+    calls = [
+        lambda: mc_risk(WAVE8, LAPLACE, 10, 0.1, "theta_tilde", 10, seed=0, m0=2,
+                        workers=workers),
+        lambda: oracle_ratio(WAVE8, LAPLACE, 10, 0.1, "theta_star", 10, seed=0,
+                             workers=workers),
+        lambda: run_replication_study(ExperimentConfig(replications=2), out,
+                                      workers=workers),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidParameterError, match="workers must be"):
+            call()
+    assert not out.exists()
 
     monkeypatch.setattr(risk_module, "mc_risk", no_draw)
     with pytest.raises(InvalidParameterError, match="workers must be"):

@@ -213,6 +213,26 @@ FAULTS = [
           "np.exp(1j * WAVE_TAIL_PHASE * k_tail)", "np.exp(-1j * WAVE_TAIL_PHASE * k_tail)"),
     Fault("the Sobolev template scaled by sqrt(radius) / total", "catalog.py",
           "np.sqrt(radius / total)", "np.sqrt(radius) / total"),
+    # one Monte Carlo run path: the engine checks, caps and summarizes
+    Fault("the engine ignores a given m0", "risk.py",
+          "    m0 = _cutoff_cap(density, n, template.k_max, m0)\n",
+          "    m0 = _cutoff_cap(density, n, template.k_max, None)\n"),
+    Fault("the engine admits any workers", "risk.py",
+          '    _check_integer("workers", workers, 1)\n', ""),
+    Fault("the engine's standard error with ddof=0", "risk.py",
+          "np.std(losses, ddof=1)", "np.std(losses, ddof=0)"),
+    Fault("oracle_ratio divides theta_star's risk by inf r", "risk.py",
+          'report.r_bar if estimator_kind == "theta_star" else report.r', "report.r"),
+    Fault("oracle_ratio's oracle risk over the formula cap", "risk.py",
+          "risk_report(template, density, n, epsilon, reps.m0)",
+          "risk_report(template, density, n, epsilon, _cutoff_cap(density, n, "
+          "template.k_max, None))"),
+    Fault("risk_summary.csv with the rules' summaries swapped", "study.py",
+          "zip(rules, reps.summaries)", "zip(rules, reps.summaries[::-1])"),
+    Fault("estimate writes --out before it synthesizes its grid", "cli.py",
+          "    est = estimate(obs, density, cutoff, kind)\n",
+          "    est = estimate(obs, density, cutoff, kind)\n"
+          "    if args.out:\n        write_template_csv(args.out, est)\n"),
 ]
 
 _FIRST_FAILURE = re.compile(r"^(?:FAILED|ERROR) (\S+)", re.MULTILINE)
