@@ -26,7 +26,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .config import (CONFIG_FIELDS, ExperimentConfig, build_density, build_template,
+from .config import (CONFIG_FIELDS, ExperimentConfig, _int, build_density, build_template,
                      load_config, save_config)
 from .csvio import (write_csv, write_curves_csv, write_rate_study_csv,
                     write_risk_report_csv, write_selection_csv, write_template_csv)
@@ -91,8 +91,7 @@ def cmd_estimate(args, cfg) -> int:
         write_template_csv(args.out, est)
         print(f"wrote estimated coefficients to {args.out}")
     if args.grid_out:
-        write_csv(args.grid_out, ["x", "estimate", "truth"],
-                  ((float(x), float(e), float(t)) for x, e, t in zip(grid, fit, truth)))
+        write_csv(args.grid_out, ["x", "estimate", "truth"], zip(grid, fit, truth))
         print(f"wrote rendered estimate to {args.grid_out}")
     print(f"cutoff={est.cutoff} kind={est.kind}")
     return 0
@@ -144,10 +143,7 @@ def cmd_rate_study(args, cfg) -> int:
             f"configuration; it would ignore " + ", ".join(
                 f"{field.flag} ({field.key} = {getattr(cfg, field.name)!r})"
                 for field in ignored))
-    try:
-        n_grid = [int(part) for part in args.n_grid.split(",") if part.strip()]
-    except ValueError:
-        raise ShiftDeconError(f"--n-grid must be a comma list of integers, got {args.n_grid!r}")
+    n_grid = [_int(part, "--n-grid") for part in args.n_grid.split(",")]
     study = rate_study(args.smoothness, args.beta, args.radius, n_grid,
                        cfg.epsilon, cfg.replications, cfg.seed,
                        k_max=cfg.k_max, workers=args.workers)

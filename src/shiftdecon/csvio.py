@@ -1,11 +1,13 @@
 """Deterministic CSV emission and template coefficient files.
 
-All floats are written with ``repr``, the shortest round-trip representation,
-so a given value always serializes to the same bytes and files diff cleanly
-across runs.  Plain Python floats take a fast path straight to ``repr``; numpy
-floating scalars and float subclasses are converted with ``float`` first, which
-gives the same text.  Files are written with ``\n`` line endings regardless of
-platform.
+Callers hand over the values they hold, numpy scalars included, and
+:func:`format_cell` alone turns them into text.  All floats are written with
+``repr``, the shortest round-trip representation, so a given value always
+serializes to the same bytes and files diff cleanly across runs.  Plain
+Python floats take a fast path straight to ``repr``; numpy floating scalars
+and float subclasses are converted with ``float`` first, which gives the same
+text, and numpy integers with ``int``.  Files are written with ``\n`` line
+endings regardless of platform.
 """
 
 from __future__ import annotations
@@ -36,14 +38,14 @@ def format_cell(value) -> str:
     """Canonical text for one CSV cell."""
     if type(value) is float:
         return repr(value)
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
     if isinstance(value, str):
         return value
-    if isinstance(value, (bool, np.bool_)):
+    if isinstance(value, (bool, np.bool_)):  # before int: bool is an int
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
     raise InvalidParameterError(f"cannot format {type(value).__name__} into a CSV cell")
 
 
@@ -65,42 +67,32 @@ def write_curves_csv(path, grid: np.ndarray, curves: np.ndarray) -> Path:
         raise InvalidParameterError(
             f"curves have {curves.shape[1]} columns but grid has {len(grid)} points"
         )
-    header = [format_cell(float(x)) for x in grid]
+    header = [format_cell(x) for x in grid]
     return write_csv(path, header, (row.tolist() for row in curves))
 
 
 def write_selection_csv(path, selection: CutoffSelection) -> Path:
     """Criterion trace of one cutoff selection: rows of (N, criterion value)."""
-    rows = [(int(n), float(v)) for n, v in enumerate(selection.criterion_values)]
-    return write_csv(path, ["n", "criterion"], rows)
+    return write_csv(path, ["n", "criterion"], enumerate(selection.criterion_values))
 
 
 def write_risk_report_csv(path, report) -> Path:
     """Risk curves: one row per cutoff."""
-    rows = (
-        (n, float(report.bias[n]), float(report.v1[n]), float(report.v2[n]),
-         float(report.r[n]), float(report.r_bar[n]), float(report.r_tilde[n]))
-        for n in range(report.n_max + 1)
-    )
+    rows = zip(range(report.n_max + 1), report.bias, report.v1, report.v2,
+               report.r, report.r_bar, report.r_tilde)
     return write_csv(path, ["n", "bias", "v1", "v2", "r", "r_bar", "r_tilde"], rows)
 
 
 def write_rate_study_csv(path, study) -> Path:
     """Rate table: one row per sample size."""
-    rows = (
-        (int(n), float(m), float(se))
-        for n, m, se in zip(study.n_grid, study.mise, study.mise_stderr)
-    )
-    return write_csv(path, ["n", "mise", "stderr"], rows)
+    return write_csv(path, ["n", "mise", "stderr"],
+                     zip(study.n_grid, study.mise, study.mise_stderr))
 
 
 def write_template_csv(path, template: Template | SpectralEstimate) -> Path:
     """Coefficient table of a template or an estimate: rows of (k, re, im)."""
-    rows = (
-        (int(k), float(c.real), float(c.imag))
-        for k, c in zip(template.k_values, template.coeffs)
-    )
-    return write_csv(path, ["k", "re", "im"], rows)
+    return write_csv(path, ["k", "re", "im"],
+                     zip(template.k_values, template.coeffs.real, template.coeffs.imag))
 
 
 def read_template_csv(path) -> Template:

@@ -73,8 +73,8 @@ import numpy as np
 
 from .catalog import sobolev_template
 from .errors import DegenerateInputError, InvalidParameterError
-from .selection import (CRITERION_ESTIMATORS, _cutoff_cap, _noise_terms, criterion_trace,
-                        fraction_negative_theta_hat, log_squared_over_n)
+from .selection import (CRITERION_ESTIMATORS, PENALTY_VARIANTS, _cutoff_cap, _noise_terms,
+                        criterion_trace, fraction_negative_theta_hat, log_squared_over_n)
 from .simulate import _check_inputs, _draw_summaries
 from .spectral import (ShiftDensity, Template, _check_choice, _check_integer, _check_real,
                        _pair_sums, _tail_energy, laplace_density, point_mass_density)
@@ -277,9 +277,10 @@ def _run_replicates(template: Template, density: ShiftDensity, n: int, epsilon: 
                     *, penalty_variant: str, workers: int = 1) -> _Replicates:
     """The Monte Carlo run behind :func:`mc_risk`, :func:`oracle_ratio` and the
     replication study.  Before any draw it checks ``seed``, ``replications``,
-    ``n``, ``epsilon`` and ``workers`` (which changes no result), and resolves
-    the cap ``m0``, ``compute_m0``'s value for ``None``; it returns that cap
-    and each rule's :func:`_mean_and_stderr` with the rows.
+    ``n``, ``epsilon``, ``workers`` (which changes no result) and
+    ``penalty_variant``, and resolves the cap ``m0``, ``compute_m0``'s value
+    for ``None``; it returns that cap and each rule's :func:`_mean_and_stderr`
+    with the rows.
 
     Replicate ``i`` draws one dataset's column means from
     ``_replicate_seed(seed, i)``, as :func:`shiftdecon.simulate.simulate_summary`
@@ -303,6 +304,7 @@ def _run_replicates(template: Template, density: ShiftDensity, n: int, epsilon: 
     seed, replications = _check_replicates(seed, replications)
     n, epsilon = _check_inputs(n, epsilon)
     _check_integer("workers", workers, 1)
+    _check_choice("penalty_variant", penalty_variant, PENALTY_VARIANTS)
     m0 = _cutoff_cap(density, n, template.k_max, m0)
     gamma = density.gamma_band(m0)
     tail = _tail_energy(template, m0)

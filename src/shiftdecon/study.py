@@ -25,6 +25,11 @@ only in the per-curve draw, so ``sample_curves.csv`` renders
 :func:`shiftdecon.simulate.simulate` at replicate 0's seed: the same shifts,
 hence the same ``gamma_tilde``, but independent noise.  ``meta.csv`` says so
 in its ``sample_curves_draw`` row.
+
+Nothing is written before every array of the bundle exists: the replicates,
+the risk curves, the sample curves and the histograms are computed first, so
+a refusal from any of them leaves no ``out_dir`` behind.  The tables go to
+:mod:`shiftdecon.csvio` as the numpy values they hold.
 """
 
 from __future__ import annotations
@@ -81,8 +86,8 @@ def run_replication_study(cfg: ExperimentConfig, out_dir, *, grid_size: int = 25
     the replicates run serially, in chunks of contiguous seeds in seed
     order, so it changes no output byte.  A ``grid_size`` that cannot
     resolve the template's band raises
-    :class:`~shiftdecon.errors.AliasingError`.  Every input is checked
-    before anything is written.
+    :class:`~shiftdecon.errors.AliasingError`.  Every input is checked,
+    and every array computed, before ``out_dir`` is created.
     """
     template = build_template(cfg)
     density = build_density(cfg)
@@ -101,37 +106,35 @@ def run_replication_study(cfg: ExperimentConfig, out_dir, *, grid_size: int = 25
 
     # Theoretical risk curves over the scan band, for the summary ratios.
     report = risk_report(template, density, cfg.n, cfg.epsilon, m0_used)
-    infs = [float(np.min(curve)) for curve in (report.r, report.r_bar, report.r_tilde)]
+    infs = [np.min(curve) for curve in (report.r, report.r_bar, report.r_tilde)]
     summary_rows = [(CRITERION_ESTIMATORS[crit], crit, mean, stderr, *infs,
                      *(mean / inf if inf > 0 else float("nan") for inf in infs))
                     for crit, (mean, stderr) in zip(rules, reps.summaries)]
 
-    # --- CSV bundle -------------------------------------------------------
+    grid = render_grid(grid_size)
+    sample_curves = _synthesize_rows(
+        simulate(template, density, cfg.n, cfg.epsilon,
+                 _replicate_seed(cfg.seed, 0)).per_curve[:_SAMPLE_CURVE_COUNT],
+        k_max, grid_size)
+    counts_star = np.bincount(n_star, minlength=m0_used + 1)
+    counts_tilde = np.bincount(n_tilde, minlength=m0_used + 1)
+
+    # --- CSV bundle: every array exists, so only a failing write stops it ---
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    grid = render_grid(grid_size)
     write_curves_csv(out_dir / "template_curve.csv", grid, template_curve)
-
-    curves = simulate(template, density, cfg.n, cfg.epsilon, _replicate_seed(cfg.seed, 0))
-    write_curves_csv(out_dir / "sample_curves.csv", grid,
-                     _synthesize_rows(curves.per_curve[:_SAMPLE_CURVE_COUNT],
-                                      curves.k_max, grid_size))
+    write_curves_csv(out_dir / "sample_curves.csv", grid, sample_curves)
 
     write_csv(out_dir / "traces.csv", ["n", *rules],
-              ((n, *map(float, row)) for n, row in enumerate(reps.traces.T)))
+              ((n, *row) for n, row in enumerate(reps.traces.T)))
 
     write_csv(out_dir / "selections.csv",
               ["replicate", "n_star", "loss_star", "n_tilde", "loss_tilde",
                "negative_energy_fraction"],
-              ((i, int(n_star[i]), float(loss_star[i]), int(n_tilde[i]),
-                float(loss_tilde[i]), float(neg_fracs[i]))
-               for i in range(cfg.replications)))
+              zip(range(cfg.replications), n_star, loss_star, n_tilde, loss_tilde, neg_fracs))
 
-    counts_star = np.bincount(n_star, minlength=m0_used + 1)
-    counts_tilde = np.bincount(n_tilde, minlength=m0_used + 1)
     write_csv(out_dir / "histograms.csv", ["n", "count_n_star", "count_n_tilde"],
-              ((n, int(counts_star[n]), int(counts_tilde[n]))
-               for n in range(m0_used + 1)))
+              zip(range(m0_used + 1), counts_star, counts_tilde))
 
     write_risk_report_csv(out_dir / "risk_curves.csv", report)
 
@@ -156,7 +159,7 @@ def run_replication_study(cfg: ExperimentConfig, out_dir, *, grid_size: int = 25
         ("m0_formula_saturated", m0_res.saturated),
         ("m0_threshold", m0_res.threshold),
         ("penalty_variant", cfg.penalty_variant),
-        ("mean_negative_energy_fraction", float(np.mean(neg_fracs))),
+        ("mean_negative_energy_fraction", np.mean(neg_fracs)),
         ("sample_curves_draw", "simulate at the seed of replicate 0: same shifts "
                                "and gamma_tilde; independent noise"),
     ]

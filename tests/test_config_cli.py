@@ -563,9 +563,13 @@ def test_cli_errors_are_json_on_stderr(tmp_path, capsys):
     assert code == 2
     assert json.loads(capsys.readouterr().err.strip())["error"] == "ConfigError"
 
-    code = run_cli("rate-study", "--n-grid", "10,abc")
-    assert code == 2
-    assert json.loads(capsys.readouterr().err.strip())["error"] == "ShiftDeconError"
+    # --n-grid items go through the config's integer parser; an empty item is refused
+    for raw, item in (("10,abc", "abc"), ("10,,20", ""), ("10,20,", "")):
+        code = run_cli("rate-study", "--n-grid", raw)
+        assert code == 2
+        payload = json.loads(capsys.readouterr().err.strip())
+        assert payload == {"error": "ConfigError",
+                           "message": f"--n-grid: expected an integer, got {item!r}"}
 
     # uniform(0.25) has gamma zeros inside the default cap m0 = 32
     code = run_cli("replication-study", "--density", "uniform",

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import shiftdecon
 from shiftdecon.catalog import sobolev_template, wave_template
 from shiftdecon.config import ExperimentConfig
+from shiftdecon.csvio import format_cell
 from shiftdecon.errors import (ConfigError, InvalidParameterError, InvariantViolationError,
                                ShiftDeconError, VanishingEigenvalueError)
 from shiftdecon import risk
@@ -394,3 +395,29 @@ def test_a_result_container_admits_an_integer_size(size):
     assert type(SpectralEstimate(k_max=np.int32(2), **estimate).k_max) is int
     with pytest.raises(InvalidParameterError, match="k_max must be"):
         SpectralEstimate(k_max=size, **estimate)
+
+
+# Every table writer hands csvio the numpy values it holds, so a numpy cell
+# must give the text of the Python number it stands for, byte for byte.
+@settings(max_examples=300)
+@given(x=st.floats())
+@example(x=0.0)
+@example(x=-0.0)
+@example(x=math.nan)
+@example(x=math.inf)
+@example(x=-math.inf)
+@example(x=5e-324)
+@example(x=1e16)
+@example(x=1e-5)
+def test_a_numpy_float_cell_is_the_python_floats_cell(x):
+    assert format_cell(np.float64(x)) == format_cell(float(x)) == repr(x)
+
+
+@settings(max_examples=300)
+@given(i=st.integers(-2**63, 2**63 - 1))
+@example(i=-2**63)
+@example(i=2**63 - 1)
+@example(i=0)
+def test_a_numpy_int_cell_is_the_python_ints_cell(i):
+    assert format_cell(np.int64(i)) == format_cell(int(i)) == str(i)
+

@@ -503,6 +503,19 @@ def test_study_of_numpy_scalars_writes_the_bundle_of_python_numbers(tmp_path):
     assert bundles[0] == bundles[1]
 
 
+def test_a_refused_study_leaves_no_directory(monkeypatch, tmp_path):
+    # the sample curves are the last array of the bundle; a refusal there
+    # comes before out_dir exists
+    def refuse(*args, **kwargs):
+        raise InvariantViolationError("refused by the test")
+
+    monkeypatch.setattr("shiftdecon.study._synthesize_rows", refuse)
+    out = tmp_path / "bundle"
+    with pytest.raises(InvariantViolationError, match="refused by the test"):
+        run_replication_study(ExperimentConfig(replications=2), out)
+    assert not out.exists()
+
+
 # meta.csv's keys, in order: a new or removed row has to be listed here
 META_KEYS = ["template", "density", "n", "epsilon", "k_max", "criterion", "replications",
              "seed", "grid_size", "m0_used", "m0_formula", "m0_formula_saturated",
@@ -866,6 +879,22 @@ def test_an_error_in_a_pool_process_keeps_its_type_and_message():
             rate_study(*SMALL_RATE[:4], 1e153, 6, seed=0, k_max=16, workers=workers)
         caught.append((type(info.value), str(info.value)))
     assert caught[0] == caught[1]
+
+
+def test_the_engine_refuses_a_bad_penalty_variant_before_any_draw(monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew before checking penalty_variant")
+
+    monkeypatch.setattr(risk_module, "_draw_summaries", no_draw)
+    calls = [
+        lambda: mc_risk(WAVE8, LAPLACE, 10, 0.1, "theta_tilde", 10, seed=0,
+                        penalty_variant="bogus"),
+        lambda: oracle_ratio(WAVE8, LAPLACE, 10, 0.1, "theta_star", 10, seed=0,
+                             penalty_variant="bogus"),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidParameterError, match="unknown penalty_variant 'bogus'"):
+            call()
 
 
 @pytest.mark.parametrize("workers", [0, -1, True, False, 2.5, "2", None])

@@ -205,8 +205,8 @@ FAULTS = [
     Fault("a configuration of one replication admitted", "config.py",
           '"replications", self.replications, 2)', '"replications", self.replications, 1)'),
     Fault("selections.csv with loss_star and loss_tilde swapped", "study.py",
-          "float(loss_star[i]), int(n_tilde[i]),\n                float(loss_tilde[i])",
-          "float(loss_tilde[i]), int(n_tilde[i]),\n                float(loss_star[i])"),
+          "n_star, loss_star, n_tilde, loss_tilde, neg_fracs",
+          "n_star, loss_tilde, n_tilde, loss_star, neg_fracs"),
     Fault("meta.csv's m0_used written from the formula value", "study.py",
           '("m0_used", m0_used)', '("m0_used", m0_res.value)'),
     Fault("the wave template's tail phase with its sign flipped", "catalog.py",
@@ -233,6 +233,18 @@ FAULTS = [
           "    est = estimate(obs, density, cutoff, kind)\n",
           "    est = estimate(obs, density, cutoff, kind)\n"
           "    if args.out:\n        write_template_csv(args.out, est)\n"),
+    # only csvio turns numbers into text; nothing is written before it can all be
+    Fault("format_cell writes a numpy float with numpy's repr", "csvio.py",
+          "        return repr(float(value))\n", "        return repr(value)\n"),
+    Fault("the study creates out_dir before its sample curves", "study.py",
+          "    grid = render_grid(grid_size)\n",
+          "    Path(out_dir).mkdir(parents=True, exist_ok=True)\n"
+          "    grid = render_grid(grid_size)\n"),
+    Fault("the engine without its penalty_variant check", "risk.py",
+          '    _check_choice("penalty_variant", penalty_variant, PENALTY_VARIANTS)\n', ""),
+    Fault("--n-grid skips empty items", "cli.py",
+          'for part in args.n_grid.split(",")]',
+          'for part in args.n_grid.split(",") if part.strip()]'),
 ]
 
 _FIRST_FAILURE = re.compile(r"^(?:FAILED|ERROR) (\S+)", re.MULTILINE)
