@@ -6,8 +6,9 @@ Callers hand over the values they hold, numpy scalars included, and
 serializes to the same bytes and files diff cleanly across runs.  Plain
 Python floats take a fast path straight to ``repr``; numpy floating scalars
 and float subclasses are converted with ``float`` first, which gives the same
-text, and numpy integers with ``int``.  Files are written with ``\n`` line
-endings regardless of platform.
+text, and numpy integers with ``int``.  :func:`write_curves_csv` writes its
+float rows straight through ``repr``, one row at a time.  Files are written
+with ``\n`` line endings regardless of platform.
 """
 
 from __future__ import annotations
@@ -61,14 +62,27 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> Path:
 
 
 def write_curves_csv(path, grid: np.ndarray, curves: np.ndarray) -> Path:
-    """Rendered curves, one row per curve; the header carries the abscissae."""
-    curves = np.atleast_2d(np.asarray(curves, dtype=float))
+    """Rendered curves, one row per curve; the header carries the abscissae.
+
+    Each row goes straight to ``repr``, one row at a time.  Complex curves,
+    stacks of more than 2 dimensions and grid values :func:`format_cell`
+    cannot write are refused before the file is opened.
+    """
+    curves = np.asarray(curves)
+    if curves.ndim > 2 or np.iscomplexobj(curves):
+        raise InvalidParameterError(
+            f"curves must be real and 1-d or 2-d, got {curves.dtype} {curves.shape}")
+    curves = np.atleast_2d(curves.astype(float, copy=False))
     if curves.shape[1] != len(grid):
         raise InvalidParameterError(
             f"curves have {curves.shape[1]} columns but grid has {len(grid)} points"
         )
     header = [format_cell(x) for x in grid]
-    return write_csv(path, header, (row.tolist() for row in curves))
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerow(header)
+        for row in curves:
+            fh.write(",".join(map(repr, row.tolist())) + "\n")
+    return Path(path)
 
 
 def write_selection_csv(path, selection: CutoffSelection) -> Path:

@@ -405,10 +405,14 @@ def _tail_energy(template: Template, n_max: int) -> np.ndarray:
 
 def _synthesis_matrix_t(k_max: int, grid_size: int) -> np.ndarray:
     """Transposed synthesis matrix: entry ``[i, j] = exp(+2j pi (i - k_max) x_j)``
-    on the uniform grid ``x_j = j / grid_size``."""
-    k = np.arange(-k_max, k_max + 1)
+    on the uniform grid ``x_j = j / grid_size``, built in place one frequency row
+    at a time: the bits of ``np.exp(2j * np.pi * np.outer(k, x))``, without its
+    full-size temporaries."""
     x = np.arange(grid_size) / grid_size
-    return np.exp(2j * np.pi * np.outer(k, x))
+    mat = np.empty((2 * k_max + 1, grid_size), dtype=np.complex128)
+    for row, k in zip(mat, range(-k_max, k_max + 1)):
+        np.exp(2j * np.pi * (k * x), out=row)
+    return mat
 
 
 def _synthesize_rows(coeff_rows: np.ndarray, k_max: int, grid_size: int) -> np.ndarray:
@@ -419,8 +423,9 @@ def _synthesize_rows(coeff_rows: np.ndarray, k_max: int, grid_size: int) -> np.n
     entry point asked for them.  Row ``c`` is replaced by its Hermitian part
     ``0.5 * (c_k + conj(c_{-k}))``, which leaves an exactly Hermitian row as
     it is and drops the anti-Hermitian half of any other.  The synthesis
-    matrix is built once per call; each row is then multiplied by it on its
-    own, a ``(1, 2k_max+1)`` product, so a row's samples are bit-identical
+    matrix is built once per call, in place, so a call peaks at that matrix
+    plus a few ``(rows, grid_size)`` arrays.  Each row is multiplied by it on
+    its own, a ``(1, 2k_max+1)`` product, so a row's samples are bit-identical
     regardless of how many rows share the call (one ``(n, 2k_max+1)`` product
     may round differently).
 

@@ -1,9 +1,17 @@
 """CSV formatting: canonical cells, stable bytes, template file round trips."""
+import csv
 import hashlib
+import io
 import re
+import tempfile
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from shiftdecon.catalog import sobolev_template, spike_template, wave_template
 from shiftdecon.csvio import (format_cell, read_template_csv, write_csv,
@@ -12,7 +20,7 @@ from shiftdecon.csvio import (format_cell, read_template_csv, write_csv,
 from shiftdecon.errors import InvalidParameterError
 from shiftdecon.risk import risk_report
 from shiftdecon.selection import select_cutoff
-from shiftdecon.simulate import simulate
+from shiftdecon.simulate import render_curves, render_grid, simulate
 from shiftdecon.spectral import laplace_density
 
 
@@ -47,16 +55,68 @@ def _reference_curves_bytes(grid, curves):
     return ("\n".join(lines) + "\n").encode()
 
 
+def _csv_writer_curves_bytes(grid, curves):
+    # what write_csv writes: a csv.writer row of format_cell cells per curve
+    out = io.StringIO(newline="")
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow([format_cell(x) for x in grid])
+    for row in np.atleast_2d(curves):
+        writer.writerow([format_cell(v) for v in row])
+    return out.getvalue().encode()
+
+
 def test_write_curves_csv_matches_per_cell_float_repr(tmp_path):
     grid = np.arange(5) / 5
-    special = [0.0, -0.0, 5e-324, 1e16, float("inf"), float("-inf"), float("nan")]
+    special = [0.0, -0.0, 5e-324, 1e16, 1e-5, float("inf"), float("-inf"),
+               float("nan")]
     rng = np.random.default_rng(0)
-    f64 = np.vstack([np.array(special[:5]), np.array(special[2:]),
+    f64 = np.vstack([np.array(special[:5]), np.array(special[3:]),
                      rng.standard_normal((3, 5))])
     f32 = f64.astype(np.float32)
     for curves in (f64, f32, f64[0]):
         path = write_curves_csv(tmp_path / "c.csv", grid, curves)
         assert path.read_bytes() == _reference_curves_bytes(grid, curves)
+        assert path.read_bytes() == _csv_writer_curves_bytes(grid, curves)
+
+
+@settings(max_examples=200)
+@given(curves=hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2,
+                                                       max_side=6),
+                         elements=st.floats(allow_subnormal=True)))
+@example(curves=np.array([[-0.0, 5e-324, 1e16, 1e-5, -np.inf, np.nan]]))
+def test_write_curves_csv_bytes_are_the_per_cell_writers(curves):
+    grid = np.arange(curves.shape[1]) / curves.shape[1]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_curves_csv(Path(tmp) / "c.csv", grid, curves)
+        assert path.read_bytes() == _csv_writer_curves_bytes(grid, curves)
+
+
+@pytest.mark.parametrize("curves", [np.zeros((2, 4, 4)), np.zeros((2, 4), dtype=complex),
+                                    np.zeros(4, dtype=np.complex64), [[1j, 0, 0, 0]]])
+def test_write_curves_csv_refuses_before_it_opens_the_file(tmp_path, curves):
+    # a (2, G, G) stack passes the column check; complex curves would be
+    # written as their real parts
+    with pytest.raises(InvalidParameterError, match="real and 1-d or 2-d"):
+        write_curves_csv(tmp_path / "c.csv", np.arange(4) / 4, curves)
+    assert not (tmp_path / "c.csv").exists()
+
+
+def test_write_curves_csv_memory_is_one_row_at_a_time(tmp_path):
+    # the 100 x 1024 curves of a k_max = 256 render: turning the whole matrix
+    # into Python floats at once would add about 3 MB
+    obs = simulate(wave_template(256), laplace_density(0.1), n=100, epsilon=0.05, seed=5)
+    grid, curves = render_grid(1024), render_curves(obs, 1024)
+
+    def peak():
+        tracemalloc.start()
+        try:
+            write_curves_csv(tmp_path / "c.csv", grid, curves)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak()  # the first call allocates what the csv and io modules keep
+    assert peak() <= 300_000
 
 
 def test_write_csv_exact_bytes(tmp_path):
@@ -75,6 +135,9 @@ def test_write_curves_csv_shape_check(tmp_path):
     grid = np.arange(4) / 4
     with pytest.raises(InvalidParameterError):
         write_curves_csv(tmp_path / "c.csv", grid, np.zeros((2, 5)))
+    with pytest.raises(InvalidParameterError, match="cannot format complex"):
+        write_curves_csv(tmp_path / "c.csv", grid * 1j, np.zeros((2, 4)))
+    assert not (tmp_path / "c.csv").exists()
     path = write_curves_csv(tmp_path / "c.csv", grid, np.zeros((2, 4)))
     lines = path.read_text().splitlines()
     assert lines[0] == "0.0,0.25,0.5,0.75"

@@ -245,6 +245,15 @@ FAULTS = [
     Fault("--n-grid skips empty items", "cli.py",
           'for part in args.n_grid.split(",")]',
           'for part in args.n_grid.split(",") if part.strip()]'),
+    # the synthesis matrix built in place; curve rows written straight to repr
+    Fault("the synthesis matrix without its last frequency row", "spectral.py",
+          "zip(mat, range(-k_max, k_max + 1))", "zip(mat, range(-k_max, k_max))"),
+    Fault("curve rows written with 15 significant digits", "csvio.py",
+          'map(repr, row.tolist())', '(format(v, ".15g") for v in row.tolist())'),
+    Fault("curves of any dimension or dtype written", "csvio.py",
+          "    if curves.ndim > 2 or np.iscomplexobj(curves):\n        raise InvalidParameterError(\n"
+          '            f"curves must be real and 1-d or 2-d, got {curves.dtype} {curves.shape}")\n',
+          ""),
 ]
 
 _FIRST_FAILURE = re.compile(r"^(?:FAILED|ERROR) (\S+)", re.MULTILINE)
