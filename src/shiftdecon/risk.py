@@ -23,23 +23,26 @@ the inputs, resolves the cap and returns each rule's mean and standard error:
 :func:`shiftdecon.study.run_replication_study` with both adaptive criteria
 on shared datasets.  Each replicate draws only the column means, as
 :func:`shiftdecon.simulate.simulate_summary` does: the selections and the
-loss read nothing else, and the noise mean is drawn from its exact
-``CN(0, epsilon^2/n)`` law instead of averaged from ``n`` curves.
+loss read nothing else, and the noise mean is drawn from its exact law,
+one noise row of a real curve times ``epsilon/sqrt(n)``, instead of
+averaged from ``n`` curves.
 
-Replicate ``i`` of a run at ``seed`` draws from
-``SeedSequence(seed, spawn_key=(i,))``, which is child ``i`` of
-``SeedSequence(seed).spawn``: it depends on ``(seed, i)`` and nothing else.
-The engine works on contiguous chunks of replicates, one chunk after the
-other in replicate order, so its memory does not grow with the number of
-replicates.  Two bounds share one budget of ``_CHUNK_VALUES`` values: a
-chunk holds two band rows per replicate, ``2 * (2*k_max + 1)`` values, so
-its size does not depend on ``n``; the draw inside it holds ``n`` values
-per seed, so it runs in blocks of ``_CHUNK_VALUES // n`` seeds.  Per chunk
-the engine runs three steps:
+A run at ``seed`` reads one counter-based stream: a ``numpy.random.Philox``
+generator keyed by ``SeedSequence(seed).generate_state(2, numpy.uint64)``.
+Replicate ``i`` owns the ``M`` uniforms from counter ``i * M / 4`` on,
+``M = n * uniforms_per_shift + 2*k_max + 2`` rounded up to a multiple of 4
+(see :mod:`shiftdecon.simulate`), so it depends on ``(seed, i)`` and
+nothing else.  The engine works on contiguous chunks of replicates, one
+chunk after the other in replicate order, so its memory does not grow with
+the number of replicates.  Two bounds share one budget of ``_CHUNK_VALUES``
+values: a chunk holds two band rows per replicate, ``2 * (2*k_max + 1)``
+values, so its size does not depend on ``n``; the draw inside it holds
+``n`` values per replicate, so it runs in blocks of ``_CHUNK_VALUES // n``
+replicates.  Per chunk the engine runs three steps:
 
-* draw: block by block, every seed's shifts and noise from its own
-  generator, then the phases of the block, one frequency at a time,
-  keeping only their means;
+* draw: one generator set to the chunk's first replicate; block by block,
+  the block's uniforms in one call, mapped to shifts and noise, then the
+  phases of the block, one frequency at a time, keeping only their means;
 * select: :func:`~shiftdecon.selection.fraction_negative_theta_hat` for
   the negative-energy diagnostic, then per rule one row-wise
   :func:`~shiftdecon.selection.criterion_trace` and one argmin: the public
@@ -199,11 +202,6 @@ def _check_replicates(seed, replications) -> tuple:
     return _check_integer("seed", seed, 0, None), _check_integer("replications", replications, 2)
 
 
-def _replicate_seed(seed: int, i: int) -> np.random.SeedSequence:
-    """The seed of replicate ``i`` of a run at ``seed``."""
-    return np.random.SeedSequence(seed, spawn_key=(i,))
-
-
 def _mean_and_stderr(losses: np.ndarray, epsilon: float) -> tuple:
     """Monte Carlo mean of per-replicate ``losses`` and its standard error;
     ``epsilon`` is refused if the squared deviations of its losses overflow."""
@@ -248,7 +246,7 @@ def _fork_map(fn, units: Sequence, workers) -> list:
 
 
 class _Replicates(NamedTuple):
-    """Per-replicate results in seed order, row ``j`` for the ``j``-th rule;
+    """Per-replicate results in replicate order, row ``j`` for the ``j``-th rule;
     ``traces`` holds each rule's criterion trace of replicate 0, ``m0`` the
     resolved cap and ``summaries`` each rule's ``(mean, stderr)``."""
 
@@ -261,14 +259,14 @@ class _Replicates(NamedTuple):
 
 
 # The budget of values for each of two bounds: a chunk, at 2 * (2*k_max + 1)
-# per seed for its c_tilde and gamma_tilde, which the select and score steps
-# read; and a block of the draw, at n per seed for its shifts and its row of
-# phases.  The bounds hold whatever the number of replicates: at the default
-# configuration (n = 100, k_max = 40) a chunk is 50 seeds drawn in one block,
-# and the whole engine's traced peak is about 0.53 MB at 2000 replicates.  At
-# n = 6400 and k_max = 24 a chunk is 83 seeds, drawn one at a time.  Larger
-# chunks save per-chunk calls but raise the peak memory of a study above that
-# of its CSV rendering.
+# per replicate for its c_tilde and gamma_tilde, which the select and score
+# steps read; and a block of the draw, at n per replicate for its shifts and
+# its row of phases.  The bounds hold whatever the number of replicates: at
+# the default configuration (n = 100, k_max = 40) a chunk is 50 replicates
+# drawn in one block, and the whole engine's traced peak is about 0.55 MB at
+# 2000 replicates.  At n = 6400 and k_max = 24 a chunk is 83 replicates,
+# drawn one at a time.  Larger chunks save per-chunk calls but raise the peak
+# memory of a study above that of its CSV rendering.
 _CHUNK_VALUES = 2 ** 13
 
 
@@ -282,9 +280,9 @@ def _run_replicates(template: Template, density: ShiftDensity, n: int, epsilon: 
     for ``None``; it returns that cap and each rule's :func:`_mean_and_stderr`
     with the rows.
 
-    Replicate ``i`` draws one dataset's column means from
-    ``_replicate_seed(seed, i)``, as :func:`shiftdecon.simulate.simulate_summary`
-    draws them, on which every rule, a criterion kind, picks the cutoff
+    Replicate ``i`` draws one dataset's column means from its own run of
+    ``seed``'s stream, as :func:`shiftdecon.simulate.simulate_summary` draws
+    replicate 0's, on which every rule, a criterion kind, picks the cutoff
     minimizing its criterion over ``0..m0`` (``penalty_variant`` goes to
     :func:`~shiftdecon.selection.criterion_trace`; ties go to the smallest
     cutoff); ``traces`` keeps each rule's criterion trace of replicate 0.  A
@@ -295,7 +293,7 @@ def _run_replicates(template: Template, density: ShiftDensity, n: int, epsilon: 
     Replicates run in contiguous chunks of ``_CHUNK_VALUES`` values at
     ``2 * (2*k_max + 1)`` per replicate, one chunk after the other in
     replicate order: draw the chunk in blocks of ``_CHUNK_VALUES // n``
-    seeds, take its loss trace and its negative-energy fraction once, select
+    replicates, take its loss trace and its negative-energy fraction once, select
     with one row-wise criterion trace and argmin per rule, and read each
     row's loss at its cutoff.  The ``gamma_band`` and tail energy of the loss
     trace are read once per run.  Every step works row by row, so a
@@ -316,8 +314,8 @@ def _run_replicates(template: Template, density: ShiftDensity, n: int, epsilon: 
     block = max(1, _CHUNK_VALUES // n)
     for start in range(0, replications, step):
         chunk = slice(start, min(start + step, replications))
-        seeds = [_replicate_seed(seed, i) for i in range(chunk.start, chunk.stop)]
-        obs = _draw_summaries(template, density, n, epsilon, seeds, block)
+        obs = _draw_summaries(template, density, n, epsilon, seed, start, chunk.stop - start,
+                              block)
         loss = _loss_trace(template, obs.c_tilde, gamma, tail, epsilon)
         negative_fractions[chunk] = fraction_negative_theta_hat(obs, density, m0)
         for j, rule in enumerate(rules):
@@ -366,12 +364,16 @@ def mc_risk(template: Template, density: ShiftDensity, n: int, epsilon: float,
         Number of independent datasets, an integer >= 2 so that a standard
         error exists.
     seed : int
-        Base seed, an integer >= 0; replicate ``i`` draws from
-        ``numpy.random.SeedSequence(seed, spawn_key=(i,))``.  ``None``, a
-        ``bool`` or a float is refused, so every run can be reproduced.
+        Base seed, an integer >= 0; it keys one ``numpy.random.Philox``
+        stream, ``SeedSequence(seed).generate_state(2, numpy.uint64)``, and
+        replicate ``i`` reads its ``M`` uniforms from counter ``i * M / 4``
+        on (``M``, the uniforms of one replicate, is set in
+        :mod:`shiftdecon.simulate`).  ``None``, a ``bool`` or a float is
+        refused, so every run can be reproduced.
     workers : int
         Must be an integer >= 1.  Replicates run serially, in chunks of
-        contiguous seeds in seed order, so the value changes no result.
+        contiguous replicates in replicate order, so the value changes no
+        result.
     """
     rule = _ESTIMATOR_CRITERIA[_check_choice("estimator kind", estimator_kind,
                                              _ESTIMATOR_CRITERIA)]

@@ -4,11 +4,15 @@ Each observed curve ``j`` is carried by its Fourier coefficients
 
     c[j, k] = coeff_k * exp(-2j*pi*k*shift_j) + epsilon * z[j, k]
 
-where the shifts are i.i.d. draws from a shift density and ``z`` is complex
-white noise with ``E|z|^2 = 1`` (independent real and imaginary parts, each
-``N(0, 1/2)``), independent across curves and across all frequencies.  The
-simulation is exact in sequence space; a time-domain sample path exists only
-in :func:`render_curves`, which synthesizes curves on a grid for display.
+where the shifts are i.i.d. draws from a shift density and ``z`` is the
+noise of a real curve in white noise, independent across curves: ``z[j, 0]``
+is real ``N(0, 1)``; for ``k >= 1`` the real and imaginary parts of
+``z[j, k]`` are independent ``N(0, 1/2)``, independent across ``k``; and
+``z[j, -k] = conj(z[j, k])``.  So ``E|z|^2 = 1`` at every ``k`` and every
+curve's coefficients are exactly Hermitian.  :func:`_noise` is the one
+draw of that law.  The simulation is exact in sequence space; a time-domain
+sample path exists only in :func:`render_curves`, which synthesizes curves
+on a grid for display.
 
 The shift phases are built by recurrence, not by one complex exponential
 per ``(j, k)``: ``z_j = exp(-2j*pi*shift_j)`` is computed once per shift,
@@ -16,42 +20,55 @@ and row ``k`` of the phases is row ``k - 1`` times ``z`` (one contiguous
 multiply per frequency, in :func:`_phase_rows`, the one recurrence).
 ``gamma_tilde`` is the mean of each row.  Both simulators use it:
 
-* :func:`simulate` draws every curve (shifts, then real noise parts, then
-  imaginary noise parts, each ``n x (2*k_max + 1)``) and averages them; it
-  keeps every row of the phases, a ``(k_max + 1, n)`` array.
+* :func:`simulate` draws every curve and averages them; it keeps every row
+  of the phases, a ``(k_max + 1, n)`` array.
 * :func:`simulate_summary` draws only what the estimators read, the column
-  means.  The mean of ``n`` i.i.d. ``CN(0, 1)`` noise rows is exactly
-  ``CN(0, 1/n)``, so after the same shifts it adds one ``(2*k_max + 1)``
-  vector of ``CN(0, epsilon^2/n)`` noise to ``coeff_k * gamma_tilde_k``.
-  It gives the same ``gamma_tilde`` as :func:`simulate` at the same seed,
-  bit for bit, and a ``c_tilde`` with the same law but from other draws.
+  means.  The mean of ``n`` i.i.d. noise rows of the law above is one row
+  of that law scaled by ``1/sqrt(n)``, so after the same shifts it adds one
+  ``(2*k_max + 1)`` noise row times ``epsilon/sqrt(n)`` to
+  ``coeff_k * gamma_tilde_k``.  It gives the same ``gamma_tilde`` as
+  :func:`simulate` at the same seed, bit for bit, and a ``c_tilde`` with
+  the same law but from other draws.
 
-The Monte Carlo engine in :mod:`shiftdecon.risk` draws summaries a chunk
-of seeds at a time (``_draw_summaries``), in blocks of seeds whose size the
-engine sets from ``n``: each seed's shifts and noise come from its own
-generator in the order above.  The phases of a block are then streamed,
-one ``(block, n)`` row per frequency, and only each row's mean is kept, so
-a block holds ``n`` shifts per seed and a few phase rows rather than
-``(k_max + 1) * n`` phases, and the chunk keeps ``k_max + 1`` phase means
-and a band of noise per seed.  Every step after the draw is
-elementwise or reduces one row, so each seed gets the bytes
-:func:`simulate_summary` gives it alone, whatever its chunk and its block.
+Every value comes from one counter-based stream per seed: a
+``numpy.random.Philox`` generator keyed by
+``SeedSequence(seed).generate_state(2, numpy.uint64)``, which gives four
+uniforms on ``[0, 1)`` per counter step.  Replicate ``i`` of a Monte Carlo
+run owns the run of ``M = _run_length(density, n, k_max)`` uniforms that
+starts at counter ``i * M / 4``: ``n * uniforms_per_shift`` for its shifts
+(shift ``j`` from its own ``uniforms_per_shift`` of them), then
+``2*k_max + 2`` whose Box-Muller normals (the first ``2*k_max + 1`` of
+them) make its noise row, then the padding up to a multiple of 4.  So every
+replicate consumes the same uniforms, whatever its values.
+:func:`simulate` draws replicate 0's shifts, and its per-curve noise, one
+row of ``2*k_max + 1`` standard normals per curve, from counter
+``2**192``, which no run of replicates reaches.  A ``Generator`` passed as
+the seed is read from where it stands instead, shifts first.
 
-Draw order per dataset is fixed, so a seed pins the entire dataset
-bit-for-bit.
+The Monte Carlo engine in :mod:`shiftdecon.risk` draws the summaries of a
+chunk of replicates at a time (``_draw_summaries``), in blocks of
+replicates whose size the engine sets from ``n``: one generator per chunk,
+set to the chunk's first replicate, draws each block's ``(block, M)``
+uniforms in one call.  The phases of a block are then streamed, one
+``(block, n)`` row per frequency, and only each row's mean is kept, so a
+block holds its uniforms, ``n`` shifts per replicate and a few phase rows
+rather than ``(k_max + 1) * n`` phases, and the chunk keeps ``k_max + 1``
+phase means and a band of noise per replicate.  Every step after the draw
+is elementwise or reduces one row, so each replicate gets the bytes it
+gets alone, whatever its chunk and its block.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
 from .errors import InvalidParameterError, InvariantViolationError
-from .spectral import (ShiftDensity, Template, _check_integer, _check_real, _hermitian,
-                       _synthesize_rows)
+from .spectral import (ShiftDensity, Template, _box_muller, _check_integer, _check_real,
+                       _hermitian, _synthesize_rows)
 
 __all__ = ["SequenceSummary", "SequenceObservations", "simulate", "simulate_summary",
            "render_curves", "render_grid"]
@@ -176,6 +193,47 @@ def _check_seed(seed) -> SeedLike:
     return _check_integer("seed", seed, 0, None)
 
 
+#: The counter of :func:`simulate`'s per-curve noise: the top word of
+#: Philox's four-word counter set to 1, past every replicate's run.
+_CURVE_NOISE_COUNTER = 1 << 192
+
+
+def _stream(seed: SeedLike, counter: int) -> np.random.Generator:
+    """The generator of ``seed``'s uniforms from ``counter`` on, four per
+    counter step: Philox keyed by the first two 64-bit words of the seed's
+    ``SeedSequence`` state; a ``Generator`` seed as it stands."""
+    if isinstance(seed, np.random.Generator):
+        return seed
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = np.random.SeedSequence(seed)
+    return np.random.Generator(
+        np.random.Philox(key=seed.generate_state(2, np.uint64), counter=counter))
+
+
+def _run_length(density: ShiftDensity, n: int, k_max: int) -> int:
+    """``M``, the uniforms of one replicate: its shifts' and its noise row's,
+    padded to a whole Philox counter step of 4."""
+    return -(-(n * density.uniforms_per_shift + 2 * k_max + 2) // 4) * 4
+
+
+def _noise(normals: np.ndarray) -> np.ndarray:
+    """One noise row of a real curve per row of ``normals``, i.i.d. standard
+    normals of shape ``(..., 2*k_max + 1)``: the band ``-k_max..k_max``,
+    exactly Hermitian, with ``E|z_k|^2 = 1`` at every ``k``.
+
+    ``z_0`` is normal 0, real.  For ``k = 1..k_max`` the real part of
+    ``z_k`` is normal ``k`` and its imaginary part normal ``k_max + k``,
+    each times ``sqrt(1/2)``.  The negative frequencies are the conjugates,
+    through :func:`_hermitian`.
+    """
+    k_max = normals.shape[-1] // 2
+    half = np.zeros(normals.shape[:-1] + (k_max + 1,), dtype=np.complex128)
+    half.real[..., 0] = normals[..., 0]
+    half.real[..., 1:] = math.sqrt(0.5) * normals[..., 1 : k_max + 1]
+    half.imag[..., 1:] = math.sqrt(0.5) * normals[..., k_max + 1 :]
+    return _hermitian(half)
+
+
 def _phase_rows(shifts: np.ndarray, k_max: int):
     """Yield the phases ``exp(-2j*pi*k*shifts)`` for ``k = 1..k_max``, one
     row of shape ``shifts.shape`` at a time; at ``k = 0`` they are exactly 1.
@@ -248,6 +306,10 @@ def simulate(template: Template, density: ShiftDensity, n: int, epsilon: float,
     seed : int, SeedSequence or Generator
         Source of randomness; equal seeds give bit-identical datasets.  An
         integer must be >= 0; ``None``, which would not reproduce, is refused.
+        The shifts are those of replicate 0 of a Monte Carlo run at the
+        seed, so ``gamma_tilde`` is :func:`simulate_summary`'s bit for bit;
+        the per-curve noise is :func:`_noise` of one row of standard
+        normals per curve from the seed's stream at counter ``2**192``.
 
     Returns
     -------
@@ -255,15 +317,11 @@ def simulate(template: Template, density: ShiftDensity, n: int, epsilon: float,
     """
     n, epsilon = _check_inputs(n, epsilon)
     k_max = template.k_max
-    rng = np.random.default_rng(_check_seed(seed))
+    seed = _check_seed(seed)
 
-    shifts = density.sample(rng, n)
+    shifts = density.sample(_stream(seed, 0).random((n, density.uniforms_per_shift)))
     pos = _draw_phases(shifts, k_max)
-    width = 2 * k_max + 1
-    noise_re = rng.standard_normal((n, width))
-    noise_im = rng.standard_normal((n, width))
-
-    noise = (noise_re + 1j * noise_im) * np.sqrt(0.5)
+    noise = _noise(_stream(seed, _CURVE_NOISE_COUNTER).standard_normal((n, 2 * k_max + 1)))
     per_curve = template.coeffs[np.newaxis, :] * _hermitian(pos.T) + epsilon * noise
 
     return SequenceObservations(
@@ -284,44 +342,48 @@ def simulate_summary(template: Template, density: ShiftDensity, n: int,
     Takes the arguments of :func:`simulate` and draws the same shifts from the
     same seed, so ``gamma_tilde`` is bit-identical to :func:`simulate`'s.
     Then ``c_tilde_k = coeff_k * gamma_tilde_k + (epsilon/sqrt(n)) xi_k``
-    with one ``(2*k_max + 1)`` vector of i.i.d. ``CN(0, 1)`` noise ``xi``
-    (real parts, then imaginary parts), independent across all frequencies,
-    ``-k`` and ``+k`` included.  The cost is ``k_max`` rows of ``n`` phases,
-    made one at a time, instead of :func:`simulate`'s ``n x (2*k_max + 1)``
-    draws.
+    with one :func:`_noise` row ``xi`` of Box-Muller normals from the
+    uniforms after the shifts: replicate 0 of a Monte Carlo run at the seed.  The cost is
+    ``k_max`` rows of ``n`` phases, made one at a time, instead of
+    :func:`simulate`'s ``n x (2*k_max + 1)`` noise.
     """
-    stack = _draw_summaries(template, density, n, epsilon, [_check_seed(seed)], 1)
+    stack = _draw_summaries(template, density, n, epsilon, _check_seed(seed), 0, 1, 1)
     return replace(stack, c_tilde=stack.c_tilde[0], gamma_tilde=stack.gamma_tilde[0])
 
 
-def _draw_summaries(template: Template, density: ShiftDensity, n: int,
-                    epsilon: float, seeds: Sequence[SeedLike], block: int) -> SequenceSummary:
-    """The column means of one dataset per seed, stacked in seed order;
-    :func:`simulate_summary` is the one-seed case.
+def _draw_summaries(template: Template, density: ShiftDensity, n: int, epsilon: float,
+                    seed: SeedLike, start: int, rows: int, block: int) -> SequenceSummary:
+    """The column means of replicates ``start .. start + rows - 1`` of a run
+    at ``seed``, stacked in replicate order; :func:`simulate_summary` is
+    replicate 0 alone.
 
-    The seeds are drawn in blocks of ``block`` seeds, in seed order.  In a
-    block each seed's generator draws its shifts, then its real and imaginary
-    noise parts; the phases of the block are then made one frequency at a
-    time, a ``(block, n)`` row each, and only each row's mean is kept.  Every
-    later step is elementwise or reduces one row, so row ``i`` does not
-    depend on the other seeds or on ``block``.
+    One generator, set to replicate ``start``'s counter, draws the
+    replicates' uniforms in blocks of ``block`` replicates, ``(block, M)``
+    per call.  In a block the noise rows come from the Box-Muller normals of
+    each replicate's noise uniforms and the shifts from its shift uniforms; the phases of the block
+    are then made one frequency at a time, a ``(block, n)`` row each, and
+    only each row's mean is kept.  Every later step is elementwise or
+    reduces one row, so row ``i`` does not depend on the other replicates or
+    on ``block``.
     """
     n, epsilon = _check_inputs(n, epsilon)
     k_max = template.k_max
-    width = 2 * k_max + 1
-    half = np.empty((len(seeds), k_max + 1), dtype=np.complex128)
-    noise = np.empty((len(seeds), 2, width))
-    shifts = np.empty((min(block, len(seeds)), n))
-    for start in range(0, len(seeds), block):
-        stop = min(start + block, len(seeds))
-        for i, seed in enumerate(seeds[start:stop]):
-            rng = np.random.default_rng(seed)
-            shifts[i] = density.sample(rng, n)
-            noise[start + i] = rng.standard_normal((2, width))
-        half[start:stop] = _phase_means(shifts[: stop - start], k_max)
+    per_shift = density.uniforms_per_shift
+    width = n * per_shift
+    run = _run_length(density, n, k_max)
+    generator = _stream(seed, start * run // 4)
+    half = np.empty((rows, k_max + 1), dtype=np.complex128)
+    noise = np.empty((rows, 2 * k_max + 1), dtype=np.complex128)
+    for first in range(0, rows, block):
+        stop = min(first + block, rows)
+        uniforms = generator.random((stop - first, run))
+        normals = _box_muller(uniforms[:, width : width + 2 * k_max + 2])
+        noise[first:stop] = _noise(normals[:, : 2 * k_max + 1])
+        shifts = density.sample(uniforms[:, :width].reshape(stop - first, n, per_shift))
+        del uniforms  # so that the phases do not share the peak with them
+        half[first:stop] = _phase_means(shifts, k_max)
 
     gamma_tilde = _mean_phase(half)
-    noise = (noise[:, 0] + 1j * noise[:, 1]) * np.sqrt(0.5)
     return SequenceSummary(
         c_tilde=template.coeffs * gamma_tilde + (epsilon / math.sqrt(n)) * noise,
         gamma_tilde=gamma_tilde,
@@ -334,10 +396,11 @@ def _draw_summaries(template: Template, density: ShiftDensity, n: int,
 def render_curves(obs: SequenceObservations, grid_size: int) -> np.ndarray:
     """Synthesize each observed curve on the uniform grid ``x_j = j / grid_size``.
 
-    Each curve renders its Hermitian part (``0.5 * (c_k + conj(c_{-k}))``),
-    which discards the anti-Hermitian half of the complex noise and yields a
-    real path.  A noiseless curve with no shift renders exactly as
-    ``synthesize`` of its template.
+    Each curve renders its Hermitian part (``0.5 * (c_k + conj(c_{-k}))``).
+    A drawn curve's coefficients are exactly Hermitian, so that drops only
+    rounding: :func:`~shiftdecon.spectral.analyze` of a rendered curve gives
+    back its coefficients to rounding.  A noiseless curve with no shift
+    renders exactly as ``synthesize`` of its template.
 
     Returns
     -------

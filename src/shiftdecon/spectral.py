@@ -11,14 +11,16 @@ Conventions used throughout the package:
 
 Every curve is real, so every :class:`Template` is exactly Hermitian,
 ``coeff(-k) == conj(coeff(k))``: each band the package builds comes from its
-``k >= 0`` half through one mirror, :func:`_hermitian`.  Spectra that need not be Hermitian (a
-noisy curve's coefficients, a deconvolution estimate) are synthesized through
-their Hermitian part ``0.5 * (c_k + conj(c_{-k}))``, the coefficients of the
+``k >= 0`` half through one mirror, :func:`_hermitian`; so does the noise of
+each simulated curve.  Spectra that need not be Hermitian (a deconvolution
+estimate, coefficients built by hand) are synthesized through their
+Hermitian part ``0.5 * (c_k + conj(c_{-k}))``, the coefficients of the
 curve's real part; :func:`_synthesize_rows` is the one synthesis path.
 
 A shift density is represented by its characteristic function evaluated on the
-integers, ``gamma_k = E exp(-2j*pi*k*tau)``, together with a sampler for the
-shifts themselves; the built-ins bind module-level kernels, so they pickle.
+integers, ``gamma_k = E exp(-2j*pi*k*tau)``, together with a sampler that maps
+a fixed number of uniforms to each shift, so that a shift's value depends only
+on its own uniforms; the built-ins bind module-level kernels, so they pickle.
 Both are user code, so :class:`ShiftDensity` checks every result it returns;
 no other module checks them.
 """
@@ -196,21 +198,29 @@ class ShiftDensity:
         Vectorized map from integer frequencies to the complex values
         ``gamma_k = E exp(-2j*pi*k*tau)``.
     sampler : callable
-        ``sampler(rng, size)`` draws that many shifts with the given
-        ``numpy.random.Generator``.
+        ``sampler(uniforms)`` maps independent uniforms on ``[0, 1)``, an
+        array of shape ``(..., size, uniforms_per_shift)``, to the shifts,
+        shape ``(..., size)``: each shift from its own row of
+        ``uniforms_per_shift`` uniforms and nothing else, with no rejection,
+        so every shift consumes the same number of uniforms.
     label : str
         Free-form name.
+    uniforms_per_shift : int
+        The uniforms the sampler reads per shift, at least 1.
     """
 
     gamma_fn: Callable[[np.ndarray], np.ndarray] = field(repr=False)
-    sampler: Callable[[np.random.Generator, int], np.ndarray] = field(repr=False)
+    sampler: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     label: str = ""
+    uniforms_per_shift: int = 1
 
     def __post_init__(self):
         for name in ("gamma_fn", "sampler"):
             if not callable(getattr(self, name)):
                 raise InvalidParameterError(
                     f"{name} must be callable, got {getattr(self, name)!r}")
+        object.__setattr__(self, "uniforms_per_shift",
+                           _check_integer("uniforms_per_shift", self.uniforms_per_shift, 1))
 
     def gamma(self, k) -> np.ndarray:
         """``gamma_k`` at frequencies ``k``: one value per frequency, each with
@@ -268,15 +278,17 @@ class ShiftDensity:
             )
         return gam
 
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """``size`` shifts as floats: the sampler must return ``size`` finite
-        reals, else :class:`InvariantViolationError`."""
-        shifts = np.asarray(self.sampler(rng, size))
-        if not (shifts.shape == (size,) and shifts.dtype.kind in "iuf"
+    def sample(self, uniforms: np.ndarray) -> np.ndarray:
+        """The sampler's shifts for ``uniforms`` of shape
+        ``(..., size, uniforms_per_shift)``, as floats: the sampler must
+        return finite reals of shape ``(..., size)``, else
+        :class:`InvariantViolationError`."""
+        shifts = np.asarray(self.sampler(uniforms))
+        if not (shifts.shape == uniforms.shape[:-1] and shifts.dtype.kind in "iuf"
                 and np.isfinite(shifts).all()):
             raise InvariantViolationError(
                 f"density sampler returned shape {shifts.shape} of {shifts.dtype}, "
-                f"expected ({size},) of finite reals")
+                f"expected {uniforms.shape[:-1]} of finite reals")
         return shifts.astype(float, copy=False)
 
 
@@ -298,13 +310,37 @@ def _point_mass_gamma(k) -> np.ndarray:
     return np.ones(np.shape(k), dtype=np.complex128)
 
 
-def _point_mass_sample(rng: np.random.Generator, size: int) -> np.ndarray:
-    return np.zeros(size, dtype=float)
+def _point_mass_shifts(uniforms: np.ndarray) -> np.ndarray:
+    return np.zeros(uniforms.shape[:-1])
 
 
-def _sample(method: str, first, second, rng: np.random.Generator, size: int) -> np.ndarray:
-    """``size`` draws of the generator's ``method`` with its two parameters."""
-    return getattr(rng, method)(first, second, size)
+def _laplace_shifts(scale: float, uniforms: np.ndarray) -> np.ndarray:
+    """Laplace shifts of scale ``scale`` by the inverse CDF, folded: the half
+    of ``[0, 1)`` holding the uniform ``u`` gives the sign, and ``frac(2u)``
+    the magnitude ``-scale * log(1 - frac(2u))``.  ``1 - frac(2u)`` lies in
+    ``(0, 1]``, so no uniform maps to an infinite shift."""
+    frac, upper = np.modf(2.0 * uniforms[..., 0])
+    return np.where(upper, scale, -scale) * np.log1p(-frac)
+
+
+def _box_muller(uniforms: np.ndarray) -> np.ndarray:
+    """Independent standard normals, as many as ``uniforms`` holds on its
+    last axis, an even count ``2m``: pair ``j`` takes the radius
+    ``sqrt(-2 log(1 - u_j))``, finite on ``[0, 1)``, from uniform ``j`` and
+    the angle ``2 pi u_(m+j)`` from uniform ``m + j``, and gives normal ``j``,
+    its cosine side, and normal ``m + j``, its sine side."""
+    m = uniforms.shape[-1] // 2
+    radius = np.sqrt(-2.0 * np.log1p(-uniforms[..., :m]))
+    angle = 2.0 * np.pi * uniforms[..., m:]
+    return np.concatenate([radius * np.cos(angle), radius * np.sin(angle)], axis=-1)
+
+
+def _gaussian_shifts(sigma: float, uniforms: np.ndarray) -> np.ndarray:
+    return sigma * _box_muller(uniforms)[..., 0]
+
+
+def _uniform_shifts(a: float, uniforms: np.ndarray) -> np.ndarray:
+    return a * (2.0 * uniforms[..., 0] - 1.0)
 
 
 def laplace_density(sigma: float) -> ShiftDensity:
@@ -319,7 +355,7 @@ def laplace_density(sigma: float) -> ShiftDensity:
     if not 0.0 < coef < math.inf:
         raise InvalidParameterError(f"sigma and 2 pi^2 sigma^2 must be finite and > 0, got {sigma}")
     return ShiftDensity(gamma_fn=partial(_laplace_gamma, coef),
-                        sampler=partial(_sample, "laplace", 0.0, s / math.sqrt(2.0)),
+                        sampler=partial(_laplace_shifts, s / math.sqrt(2.0)),
                         label=f"laplace(sigma={sigma})")
 
 
@@ -334,8 +370,8 @@ def gaussian_density(sigma: float) -> ShiftDensity:
     if not 0.0 < coef < math.inf:
         raise InvalidParameterError(f"sigma and 2 pi^2 sigma^2 must be finite and > 0, got {sigma}")
     return ShiftDensity(gamma_fn=partial(_gaussian_gamma, coef),
-                        sampler=partial(_sample, "normal", 0.0, sigma),
-                        label=f"gaussian(sigma={sigma})")
+                        sampler=partial(_gaussian_shifts, s),
+                        label=f"gaussian(sigma={sigma})", uniforms_per_shift=2)
 
 
 def uniform_density(half_width: float) -> ShiftDensity:
@@ -350,7 +386,7 @@ def uniform_density(half_width: float) -> ShiftDensity:
         raise InvalidParameterError(
             f"half_width must be finite and > 0, and 2 * half_width finite, got {half_width}")
     return ShiftDensity(gamma_fn=partial(_uniform_gamma, a),
-                        sampler=partial(_sample, "uniform", -a, a),
+                        sampler=partial(_uniform_shifts, a),
                         label=f"uniform(half_width={half_width})")
 
 
@@ -359,7 +395,7 @@ def point_mass_density() -> ShiftDensity:
 
     Useful as the no-shift limit: ``|gamma_k|`` does not decay at all.
     """
-    return ShiftDensity(gamma_fn=_point_mass_gamma, sampler=_point_mass_sample,
+    return ShiftDensity(gamma_fn=_point_mass_gamma, sampler=_point_mass_shifts,
                         label="point_mass")
 
 

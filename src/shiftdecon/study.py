@@ -17,14 +17,17 @@ Output bytes depend only on the configuration (not on worker count), so a
 bundle can be diffed run-to-run as a regression check.
 
 The replicates run in ``shiftdecon.risk._run_replicates``, the run path of
-:func:`shiftdecon.risk.mc_risk`, on the same seeds.  It checks the inputs
+:func:`shiftdecon.risk.mc_risk`, on the same seed.  It checks the inputs
 and returns the cap, each rule's mean and standard error, the per-replicate
 rows and replicate 0's criterion traces, whose argmins are row 0 of
 ``selections.csv``; this module writes them as the bundle.  Curves exist
 only in the per-curve draw, so ``sample_curves.csv`` renders
-:func:`shiftdecon.simulate.simulate` at replicate 0's seed: the same shifts,
-hence the same ``gamma_tilde``, but independent noise.  ``meta.csv`` says so
-in its ``sample_curves_draw`` row.
+:func:`shiftdecon.simulate.simulate` at the study's seed: replicate 0's
+shifts, hence its ``gamma_tilde``, but independent noise.  ``meta.csv`` says
+so in its ``sample_curves_draw`` row.  The template and the sample curves
+are synthesized in one call, the template's row first; each row is its own
+product, so the template's samples are those of
+:func:`shiftdecon.spectral.synthesize`.
 
 Nothing is written before every array of the bundle exists: the replicates,
 the risk curves, the sample curves and the histograms are computed first, so
@@ -42,10 +45,10 @@ import numpy as np
 
 from .config import ExperimentConfig, build_density, build_template
 from .csvio import write_csv, write_curves_csv, write_risk_report_csv
-from .risk import RiskReport, _replicate_seed, _run_replicates, risk_report
+from .risk import RiskReport, _run_replicates, risk_report
 from .selection import CRITERION_ESTIMATORS, compute_m0
 from .simulate import render_grid, simulate
-from .spectral import _synthesize_rows, synthesize
+from .spectral import _synthesize_rows
 
 __all__ = ["ReplicationStudy", "run_replication_study"]
 
@@ -83,8 +86,8 @@ def run_replication_study(cfg: ExperimentConfig, out_dir, *, grid_size: int = 25
     datasets (``cfg.criterion`` only steers the single-selection commands).
     ``cfg.replications`` must be at least 2, so that ``risk_summary.csv``
     has a standard error.  ``workers`` must be an integer >= 1;
-    the replicates run serially, in chunks of contiguous seeds in seed
-    order, so it changes no output byte.  A ``grid_size`` that cannot
+    the replicates run serially, in chunks of contiguous replicates in
+    replicate order, so it changes no output byte.  A ``grid_size`` that cannot
     resolve the template's band raises
     :class:`~shiftdecon.errors.AliasingError`.  Every input is checked,
     and every array computed, before ``out_dir`` is created.
@@ -92,7 +95,10 @@ def run_replication_study(cfg: ExperimentConfig, out_dir, *, grid_size: int = 25
     template = build_template(cfg)
     density = build_density(cfg)
     k_max = template.k_max
-    template_curve = synthesize(template, grid_size)
+    sample = simulate(template, density, cfg.n, cfg.epsilon, cfg.seed).per_curve
+    curves = _synthesize_rows(np.vstack([template.coeffs, sample[:_SAMPLE_CURVE_COUNT]]),
+                              k_max, grid_size)
+    template_curve, sample_curves = curves[0], curves[1:]
     m0_res = compute_m0(density, cfg.n, k_max)
 
     rules = ("u_bar", "u_tilde")
@@ -112,10 +118,6 @@ def run_replication_study(cfg: ExperimentConfig, out_dir, *, grid_size: int = 25
                     for crit, (mean, stderr) in zip(rules, reps.summaries)]
 
     grid = render_grid(grid_size)
-    sample_curves = _synthesize_rows(
-        simulate(template, density, cfg.n, cfg.epsilon,
-                 _replicate_seed(cfg.seed, 0)).per_curve[:_SAMPLE_CURVE_COUNT],
-        k_max, grid_size)
     counts_star = np.bincount(n_star, minlength=m0_used + 1)
     counts_tilde = np.bincount(n_tilde, minlength=m0_used + 1)
 
@@ -160,7 +162,7 @@ def run_replication_study(cfg: ExperimentConfig, out_dir, *, grid_size: int = 25
         ("m0_threshold", m0_res.threshold),
         ("penalty_variant", cfg.penalty_variant),
         ("mean_negative_energy_fraction", np.mean(neg_fracs)),
-        ("sample_curves_draw", "simulate at the seed of replicate 0: same shifts "
+        ("sample_curves_draw", "simulate at the seed: replicate 0's shifts "
                                "and gamma_tilde; independent noise"),
     ]
     write_csv(out_dir / "meta.csv", ["key", "value"], meta)

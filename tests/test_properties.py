@@ -111,7 +111,7 @@ def test_guard_raises_on_any_sub_floor_eigenvalue(k_bad, band, value):
     # gamma_k and gamma_(-k) move together, as for any real shifts
     density = ShiftDensity(
         gamma_fn=lambda k: np.where(np.abs(k) == abs(k_bad), value, 1.0).astype(complex),
-        sampler=lambda rng, size: np.zeros(size))
+        sampler=lambda u: np.zeros(u.shape[:-1]))
     if k_bad == 0 and abs(value - 1.0) > 1e-12:
         # no characteristic function has gamma_0 != 1
         with pytest.raises(InvariantViolationError, match="at k=0 differs from 1"):

@@ -19,18 +19,28 @@ from shiftdecon.errors import (DegenerateInputError, InvalidParameterError,
                                InvariantViolationError, VanishingEigenvalueError)
 from shiftdecon import risk as risk_module
 from shiftdecon.risk import (McRisk, RiskReport, _fork_map, _mean_and_stderr,
-                             _loss_trace, _replicate_seed, _run_replicates, exact_risk,
+                             _loss_trace, _run_replicates, exact_risk,
                              mc_risk, oracle_ratio, rate_study, risk_report,
                              theoretical_rate_exponent)
 from shiftdecon.selection import (compute_m0, criterion_trace, fraction_negative_theta_hat,
                                   select_cutoff)
-from shiftdecon.simulate import _draw_summaries, simulate_summary
+from shiftdecon import spectral
+from shiftdecon.csvio import write_curves_csv
+from shiftdecon.simulate import (SequenceSummary, _draw_summaries, render_curves, render_grid,
+                                 simulate, simulate_summary)
 from shiftdecon.spectral import (ShiftDensity, Template, _tail_energy, laplace_density,
-                                 point_mass_density, uniform_density)
+                                 point_mass_density, synthesize, uniform_density)
 from shiftdecon.study import run_replication_study
 
 LAPLACE = laplace_density(0.1)
 WAVE8 = wave_template(8)
+
+
+def _replicate(template, density, n, epsilon, seed, i) -> SequenceSummary:
+    """Replicate ``i`` of a run at ``seed``, drawn alone."""
+    stack = _draw_summaries(template, density, n, epsilon, seed, i, 1, 1)
+    return SequenceSummary(c_tilde=stack.c_tilde[0], gamma_tilde=stack.gamma_tilde[0],
+                           n=n, epsilon=epsilon, k_max=template.k_max)
 
 
 # ---------------------------------------------------------------------------
@@ -140,13 +150,13 @@ def test_risk_report_validation():
         risk_report(WAVE8, LAPLACE, 10, 0.1, -1)
     # shifts uniform on the circle: gamma_k = 0 for every k != 0
     circle = ShiftDensity(gamma_fn=lambda k: (k == 0).astype(complex),
-                          sampler=lambda rng, size: rng.uniform(0.0, 1.0, size))
+                          sampler=lambda u: u[..., 0])
     with pytest.raises(VanishingEigenvalueError):
         risk_report(WAVE8, circle, 10, 0.1, 4)
     with pytest.raises(VanishingEigenvalueError):
         risk_report(WAVE8, uniform_density(0.25), 10, 0.1, 4)
     nan_at_2 = ShiftDensity(gamma_fn=lambda k: np.where(k == 2, np.nan, 1.0),
-                            sampler=lambda rng, size: np.zeros(size))
+                            sampler=lambda u: np.zeros(u.shape[:-1]))
     with pytest.raises(InvariantViolationError, match="at k=2 is not finite"):
         risk_report(WAVE8, nan_at_2, 10, 0.1, 3)
 
@@ -205,8 +215,7 @@ def test_fixed_cutoff_loss_matches_exact_risk():
     # fixed cutoff N = 0..m0
     n, eps, m0, reps = 20, 0.1, 8, 600
     exact = risk_report(WAVE8, LAPLACE, n, eps, m0).r
-    obs = _draw_summaries(WAVE8, LAPLACE, n, eps, np.random.SeedSequence(314).spawn(reps),
-                          reps)
+    obs = _draw_summaries(WAVE8, LAPLACE, n, eps, 314, 0, reps, reps)
     loss = _loss_trace(WAVE8, obs.c_tilde, LAPLACE.gamma_band(m0), _tail_energy(WAVE8, m0),
                        eps)
     assert loss.shape == (reps, m0 + 1)
@@ -253,64 +262,80 @@ def test_replication_study_matches_mc_risk(tmp_path):
 def test_engine_negative_fractions_match_fraction_negative_theta_hat():
     # the engine applies the library function to a whole chunk of replicates;
     # each replicate must get what the function gives its summary alone
-    seeds = np.random.SeedSequence(31).spawn(6)
+    replications = 6
     seen = []
     # at epsilon = 0 the spike's zero coefficients give t_k == 0 exactly
     for template, n, epsilon, m0 in ((WAVE8, 3, 0.5, 8), (WAVE8, 40, 0.05, 5),
                                      (WAVE8, 200, 0.3, 0),
                                      (spike_template(8, location=1), 5, 0.0, 8)):
-        reps = _run_replicates(template, LAPLACE, n, epsilon, 31, len(seeds), ("u_tilde",),
+        reps = _run_replicates(template, LAPLACE, n, epsilon, 31, replications, ("u_tilde",),
                                m0, penalty_variant="printed_form")
         direct = [fraction_negative_theta_hat(
-                      simulate_summary(template, LAPLACE, n, epsilon, seed), LAPLACE, m0)
-                  for seed in seeds]
+                      _replicate(template, LAPLACE, n, epsilon, 31, i), LAPLACE, m0)
+                  for i in range(replications)]
         assert reps.negative_fractions.tobytes() == np.array(direct).tobytes()
         seen.extend(direct)
     assert 0.0 < max(seen) < 1.0
 
 
-def _chunk_sizes(monkeypatch) -> list:
-    """``(seeds, block)`` of each chunk the engine draws from now on: its
-    number of seeds and the seeds per draw block."""
+def _chunk_sizes(monkeypatch, stacks=None) -> list:
+    """``(replicates, block)`` of each chunk the engine draws from now on:
+    its number of replicates and the replicates per draw block; each drawn
+    stack is appended to ``stacks`` if given."""
     sizes = []
 
-    def draw(template, density, n, epsilon, seeds, block):
-        sizes.append((len(seeds), block))
-        return _draw_summaries(template, density, n, epsilon, seeds, block)
+    def draw(template, density, n, epsilon, seed, start, rows, block):
+        sizes.append((rows, block))
+        stack = _draw_summaries(template, density, n, epsilon, seed, start, rows, block)
+        if stacks is not None:
+            stacks.append(stack)
+        return stack
 
     monkeypatch.setattr(risk_module, "_draw_summaries", draw)
     return sizes
 
 
 @pytest.mark.parametrize("seed", [0, 1, 10 ** 30])
-def test_replicate_seed_is_the_spawned_child(seed):
-    # against a root that spawns in two calls, as a chunked loop would: 49 and
-    # 50 straddle the default chunk of 50 seeds
-    root = np.random.SeedSequence(seed)
-    children = root.spawn(50) + root.spawn(1950)
-    for i in (0, 49, 50, 1999):
-        assert (_replicate_seed(seed, i).generate_state(8).tobytes()
-                == children[i].generate_state(8).tobytes())
+def test_replicate_stream_is_its_run_alone(seed, monkeypatch):
+    # replicate i drawn alone is row i of a 2000-replicate run, whatever the
+    # chunks and blocks: at the default budget a chunk is 240 replicates in
+    # blocks of 13 (n = 600), at 1200 values 35 replicates in blocks of 2;
+    # 34, 35, 239 and 240 straddle chunk and block edges
+    n, epsilon = 600, 0.2
+    for budget in (risk_module._CHUNK_VALUES, 1200):
+        stacks = []
+        with monkeypatch.context() as patch:
+            chunks = _chunk_sizes(patch, stacks)
+            patch.setattr(risk_module, "_CHUNK_VALUES", budget)
+            _run_replicates(WAVE8, LAPLACE, n, epsilon, seed, 2000, ("u_tilde",), 4,
+                            penalty_variant="printed_form")
+        assert chunks[0] == ((240, 13) if budget == risk_module._CHUNK_VALUES else (35, 2))
+        c_tilde = np.concatenate([stack.c_tilde for stack in stacks])
+        gamma_tilde = np.concatenate([stack.gamma_tilde for stack in stacks])
+        for i in (0, 1, 34, 35, 239, 240, 1999):
+            alone = _replicate(WAVE8, LAPLACE, n, epsilon, seed, i)
+            assert c_tilde[i].tobytes() == alone.c_tilde.tobytes()
+            assert gamma_tilde[i].tobytes() == alone.gamma_tilde.tobytes()
 
 
 def test_engine_matches_one_replicate_at_a_time(monkeypatch):
-    # reference: simulate_summary, select_cutoff and the replicate's own
-    # one-row loss trace, one seed at a time, each seed child i of
-    # SeedSequence(77).spawn.  A budget of 1200 values makes chunks of 35
-    # seeds, each drawn in blocks of 2 at n = 600
+    # reference: each replicate drawn alone, select_cutoff and the
+    # replicate's own one-row loss trace, one replicate at a time.  A budget
+    # of 1200 values makes chunks of 35 replicates, each drawn in blocks of 2
+    # at n = 600
     template, n, epsilon, m0 = WAVE8, 600, 0.3, 7
     options = dict(penalty_variant="proof_form")
     rules = ("u_bar", "u_tilde", "u")
-    seeds = np.random.SeedSequence(77).spawn(80)
+    replications = 80
     chunks = _chunk_sizes(monkeypatch)
     monkeypatch.setattr(risk_module, "_CHUNK_VALUES", 1200)
-    reps = _run_replicates(template, LAPLACE, n, epsilon, 77, len(seeds), rules, m0,
+    reps = _run_replicates(template, LAPLACE, n, epsilon, 77, replications, rules, m0,
                            **options)
     assert chunks == [(35, 2), (35, 2), (10, 2)]
     gamma, tail = LAPLACE.gamma_band(m0), _tail_energy(template, m0)
     band = slice(8 - m0, 8 + m0 + 1)
-    for i, seed in enumerate(seeds):
-        obs = simulate_summary(template, LAPLACE, n, epsilon, seed)
+    for i in range(replications):
+        obs = _replicate(template, LAPLACE, n, epsilon, 77, i)
         error = np.abs(obs.c_tilde[band] / gamma - template.coeffs[band]) ** 2
         pairs = np.concatenate(([error[m0]], error[m0 + 1:] + error[m0 - 1::-1]))
         loss = np.cumsum(pairs) + tail
@@ -331,7 +356,7 @@ def test_engine_breaks_ties_toward_the_smallest_cutoff():
     reps = _run_replicates(template, LAPLACE, n, 0.0, 31, 6, rules, m0,
                            penalty_variant="printed_form")
     for i in range(6):
-        obs = simulate_summary(template, LAPLACE, n, 0.0, _replicate_seed(31, i))
+        obs = _replicate(template, LAPLACE, n, 0.0, 31, i)
         for j, rule in enumerate(rules):
             trace = criterion_trace(obs, LAPLACE, rule, m0)
             ties = np.flatnonzero(trace == trace.min())
@@ -422,17 +447,16 @@ def _read_rows(path):
 
 
 def test_study_traces_are_replicate_zero(tmp_path):
-    # traces.csv and row 0 of selections.csv describe the same draw, the
-    # first child spawned from the seed, and each column is that draw's
-    # criterion trace value for value
+    # traces.csv and row 0 of selections.csv describe the same draw,
+    # replicate 0, simulate_summary's draw at the seed, and each column is
+    # that draw's criterion trace value for value
     for i, cfg in enumerate((ExperimentConfig(replications=3),
                              ExperimentConfig(replications=2, seed=8, m0_override=None,
                                               penalty_variant="proof_form"))):
         out = tmp_path / str(i)
         study = run_replication_study(cfg, out)
         template, density = build_template(cfg), build_density(cfg)
-        obs = simulate_summary(template, density, cfg.n, cfg.epsilon,
-                               np.random.SeedSequence(cfg.seed).spawn(1)[0])
+        obs = simulate_summary(template, density, cfg.n, cfg.epsilon, cfg.seed)
         traces = _read_rows(out / "traces.csv")
         row0 = _read_rows(out / "selections.csv")[0]
         assert [int(row["n"]) for row in traces] == list(range(study.m0_used + 1))
@@ -480,17 +504,19 @@ def test_study_risk_summary_is_each_rules_losses_over_the_oracle_risks(tmp_path)
 
 
 def test_study_draws_each_replicate_once(tmp_path, monkeypatch):
-    # R summaries and the sample-curve draw; traces.csv reuses the engine's
-    # replicate 0 instead of drawing it again
-    calls = []
+    # the shifts of R summaries and of the sample-curve draw; traces.csv
+    # reuses the engine's replicate 0 instead of drawing it again
+    shapes = []
     sample = ShiftDensity.sample
     monkeypatch.setattr(ShiftDensity, "sample",
-                        lambda self, rng, size: calls.append(size) or sample(self, rng, size))
+                        lambda self, uniforms: shapes.append(uniforms.shape[:-1])
+                        or sample(self, uniforms))
     for replications in (2, 7):
-        calls.clear()
-        run_replication_study(ExperimentConfig(replications=replications),
-                              tmp_path / str(replications))
-        assert len(calls) == replications + 1
+        shapes.clear()
+        cfg = ExperimentConfig(replications=replications)
+        run_replication_study(cfg, tmp_path / str(replications))
+        assert sum(math.prod(shape) for shape in shapes) == (replications + 1) * cfg.n
+        assert all(shape[-1] == cfg.n for shape in shapes)
 
 
 def test_study_of_numpy_scalars_writes_the_bundle_of_python_numbers(tmp_path):
@@ -504,7 +530,7 @@ def test_study_of_numpy_scalars_writes_the_bundle_of_python_numbers(tmp_path):
 
 
 def test_a_refused_study_leaves_no_directory(monkeypatch, tmp_path):
-    # the sample curves are the last array of the bundle; a refusal there
+    # the template and sample curves are synthesized first; a refusal there
     # comes before out_dir exists
     def refuse(*args, **kwargs):
         raise InvariantViolationError("refused by the test")
@@ -514,6 +540,28 @@ def test_a_refused_study_leaves_no_directory(monkeypatch, tmp_path):
     with pytest.raises(InvariantViolationError, match="refused by the test"):
         run_replication_study(ExperimentConfig(replications=2), out)
     assert not out.exists()
+
+
+def test_study_curves_are_one_synthesis_of_the_template_and_simulate_at_the_seed(
+        tmp_path, monkeypatch):
+    # one synthesis matrix per study; the template's row has synthesize's
+    # bytes, and the sample curves render simulate at the study's seed,
+    # whose shifts are replicate 0's
+    matrices = []
+    build = spectral._synthesis_matrix_t
+    monkeypatch.setattr(spectral, "_synthesis_matrix_t",
+                        lambda *args: matrices.append(args) or build(*args))
+    cfg = ExperimentConfig(replications=2)
+    run_replication_study(cfg, tmp_path / "bundle", grid_size=128)
+    assert matrices == [(40, 128)]
+    monkeypatch.undo()
+    template, density = build_template(cfg), build_density(cfg)
+    obs = simulate(template, density, cfg.n, cfg.epsilon, cfg.seed)
+    grid = render_grid(128)
+    write_curves_csv(tmp_path / "template_curve.csv", grid, synthesize(template, 128))
+    write_curves_csv(tmp_path / "sample_curves.csv", grid, render_curves(obs, 128)[:10])
+    for name in ("template_curve.csv", "sample_curves.csv"):
+        assert (tmp_path / "bundle" / name).read_bytes() == (tmp_path / name).read_bytes()
 
 
 # meta.csv's keys, in order: a new or removed row has to be listed here
@@ -539,9 +587,8 @@ def test_mc_risk_adaptive_uses_selected_cutoffs():
 
 def test_mc_risk_theta_u_selects_with_criterion_u():
     mc = mc_risk(WAVE8, LAPLACE, 30, 0.05, "theta_u", 10, seed=4, m0=8)
-    seeds = np.random.SeedSequence(4).spawn(10)
-    expected = [select_cutoff(simulate_summary(WAVE8, LAPLACE, 30, 0.05, s),
-                              LAPLACE, "u", m0=8).chosen_n for s in seeds]
+    expected = [select_cutoff(_replicate(WAVE8, LAPLACE, 30, 0.05, 4, i),
+                              LAPLACE, "u", m0=8).chosen_n for i in range(10)]
     assert mc.cutoffs.tolist() == expected
 
 

@@ -125,7 +125,7 @@ def test_theta_hat_squared_validation():
         theta_hat_squared(obs, LAPLACE, 9)
     # shifts uniform on the circle: gamma_k = 0 for every k != 0
     circle = ShiftDensity(gamma_fn=lambda k: (k == 0).astype(complex),
-                          sampler=lambda rng, size: rng.uniform(0.0, 1.0, size),
+                          sampler=lambda u: u[..., 0],
                           label="degenerate")
     with pytest.raises(VanishingEigenvalueError):
         theta_hat_squared(obs, circle, 1)
@@ -379,7 +379,7 @@ def test_selected_cutoffs_regression():
     star = select_cutoff(obs, LAPLACE, "u_bar", m0=32,
                          penalty_variant="printed_form")
     tilde = select_cutoff(obs, LAPLACE, "u_tilde", m0=32)
-    assert (star.chosen_n, tilde.chosen_n) == (1, 9)
+    assert (star.chosen_n, tilde.chosen_n) == (1, 16)
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +425,7 @@ def test_estimate_validation():
         estimate(obs, LAPLACE, cutoff=2, kind="bogus")
     # shifts uniform on the circle: gamma_k = 0 for every k != 0
     circle = ShiftDensity(gamma_fn=lambda k: (k == 0).astype(complex),
-                          sampler=lambda rng, size: rng.uniform(0.0, 1.0, size),
+                          sampler=lambda u: u[..., 0],
                           label="degenerate")
     with pytest.raises(VanishingEigenvalueError):
         estimate(obs, circle, cutoff=1)
@@ -433,6 +433,6 @@ def test_estimate_validation():
         estimate(obs, uniform_density(0.25), cutoff=4)
     # NaN passes no comparison, so "not above the floor" is what catches it
     nan_at_2 = ShiftDensity(gamma_fn=lambda k: np.where(k == 2, np.nan, 1.0),
-                            sampler=lambda rng, size: np.zeros(size))
+                            sampler=lambda u: np.zeros(u.shape[:-1]))
     with pytest.raises(InvariantViolationError, match="at k=2 is not finite"):
         estimate(obs, nan_at_2, cutoff=3)

@@ -8,12 +8,13 @@ import pytest
 from shiftdecon.catalog import wave_template
 from shiftdecon.errors import (AliasingError, InvalidParameterError,
                                InvariantViolationError)
+from shiftdecon.selection import select_cutoff
 from shiftdecon.simulate import (SequenceObservations, SequenceSummary,
-                                 _draw_phases, _draw_summaries, render_curves,
+                                 _draw_phases, _draw_summaries, _noise, render_curves,
                                  render_grid, simulate, simulate_summary)
 from shiftdecon import spectral
-from shiftdecon.spectral import (ShiftDensity, Template, _synthesis_matrix_t,
-                                 gaussian_density, laplace_density,
+from shiftdecon.spectral import (ShiftDensity, Template, _box_muller, _synthesis_matrix_t,
+                                 analyze, gaussian_density, laplace_density,
                                  point_mass_density, synthesize,
                                  uniform_density)
 
@@ -303,14 +304,34 @@ def test_render_builds_the_synthesis_matrix_once(monkeypatch):
 
 
 def test_rendered_noise_scale():
-    # pointwise variance of a rendered pure-noise curve is eps^2 (2K+1)/2:
-    # symmetrizing halves the variance of each of the 2K+1 complex entries
+    # pointwise variance of a rendered pure-noise curve is eps^2 (2K+1): each
+    # curve's noise is Hermitian, so rendering keeps all of its 2K+1 entries
     eps, n = 0.5, 200
     zero = Template(coeffs=np.zeros(2 * K_MAX + 1, dtype=complex), k_max=K_MAX)
     obs = simulate(zero, point_mass_density(), n=n, epsilon=eps, seed=21)
     rows = render_curves(obs, 50)
-    expected = eps**2 * (2 * K_MAX + 1) / 2.0
+    expected = eps**2 * (2 * K_MAX + 1)
     assert abs(np.mean(rows**2) / expected - 1.0) < 0.05
+
+
+@pytest.mark.parametrize("density", [LAPLACE, gaussian_density(0.02)],
+                         ids=["laplace", "gaussian"])
+def test_analyzing_rendered_curves_gives_back_the_draw(density):
+    # a drawn curve is real, so rendering drops only rounding: analyze gives
+    # back each row of per_curve within 1e-12, and the analyzed curves select
+    # the cutoffs the draw selects (the reference study's setting)
+    template, grid = wave_template(40), 256
+    for seed in range(6):
+        obs = simulate(template, density, 100, 0.015, seed)
+        rows = render_curves(obs, grid)
+        per_curve = np.array([analyze(row, 40).coeffs for row in rows])
+        assert np.max(np.abs(per_curve - obs.per_curve)) <= 1e-12
+        analyzed = SequenceObservations(per_curve=per_curve, c_tilde=per_curve.mean(axis=0),
+                                        gamma_tilde=obs.gamma_tilde, n=obs.n,
+                                        epsilon=obs.epsilon, k_max=obs.k_max)
+        for rule in ("u_bar", "u_tilde"):
+            assert (select_cutoff(analyzed, density, rule, m0=32).chosen_n
+                    == select_cutoff(obs, density, rule, m0=32).chosen_n)
 
 
 # ---------------------------------------------------------------------------
@@ -365,69 +386,161 @@ def test_phase_recurrence_is_accurate_at_k_max_256():
 
 
 def test_chunked_draw_matches_each_seed_alone():
-    seeds = np.random.SeedSequence(12).spawn(9)
+    # each replicate of a chunk drawn alone, at its own start; replicate 0 is
+    # simulate_summary's draw, and its gamma_tilde simulate's
     for density, n, epsilon in ((LAPLACE, 1, 0.0), (LAPLACE, 49, 0.2),
                                 (gaussian_density(0.15), 130, 0.05),
                                 (point_mass_density(), 7, 0.3)):
-        stack = _draw_summaries(TEMPLATE, density, n, epsilon, seeds, len(seeds))
+        stack = _draw_summaries(TEMPLATE, density, n, epsilon, 12, 0, 9, 9)
         assert stack.c_tilde.shape == stack.gamma_tilde.shape == (9, 2 * K_MAX + 1)
         stack.validate()
-        for i, seed in enumerate(seeds):
-            alone = simulate_summary(TEMPLATE, density, n, epsilon, seed)
-            full = simulate(TEMPLATE, density, n, epsilon, seed)
-            assert stack.gamma_tilde[i].tobytes() == alone.gamma_tilde.tobytes()
-            assert stack.gamma_tilde[i].tobytes() == full.gamma_tilde.tobytes()
-            assert stack.c_tilde[i].tobytes() == alone.c_tilde.tobytes()
+        for i in range(9):
+            alone = _draw_summaries(TEMPLATE, density, n, epsilon, 12, i, 1, 1)
+            assert stack.gamma_tilde[i].tobytes() == alone.gamma_tilde[0].tobytes()
+            assert stack.c_tilde[i].tobytes() == alone.c_tilde[0].tobytes()
+        first = simulate_summary(TEMPLATE, density, n, epsilon, 12)
+        assert stack.c_tilde[0].tobytes() == first.c_tilde.tobytes()
+        assert (stack.gamma_tilde[0].tobytes()
+                == simulate(TEMPLATE, density, n, epsilon, 12).gamma_tilde.tobytes())
 
 
 def test_a_draw_split_into_blocks_is_the_unsplit_draw():
-    # 1-seed blocks, 4-seed blocks with a ragged last one, and a block larger
-    # than the seed count agree byte for byte with the unsplit draw
-    seeds = np.random.SeedSequence(21).spawn(11)
+    # 1-replicate blocks, 4-replicate blocks with a ragged last one, and a
+    # block larger than the chunk agree byte for byte with the unsplit draw,
+    # for a chunk at replicate 0 and one further on
     for density, n, epsilon in ((LAPLACE, 1, 0.2), (LAPLACE, 600, 0.05),
-                                (uniform_density(0.2), 49, 0.3)):
-        whole = _draw_summaries(TEMPLATE, density, n, epsilon, seeds, len(seeds))
-        for block in (1, 4, 50):
-            split = _draw_summaries(TEMPLATE, density, n, epsilon, seeds, block)
-            assert split.gamma_tilde.tobytes() == whole.gamma_tilde.tobytes()
-            assert split.c_tilde.tobytes() == whole.c_tilde.tobytes()
+                                (uniform_density(0.2), 49, 0.3),
+                                (gaussian_density(0.15), 30, 0.1)):
+        for start in (0, 37):
+            whole = _draw_summaries(TEMPLATE, density, n, epsilon, 21, start, 11, 11)
+            for block in (1, 4, 50):
+                split = _draw_summaries(TEMPLATE, density, n, epsilon, 21, start, 11, block)
+                assert split.gamma_tilde.tobytes() == whole.gamma_tilde.tobytes()
+                assert split.c_tilde.tobytes() == whole.c_tilde.tobytes()
 
 
-def test_summary_noise_is_the_real_then_the_imaginary_parts():
-    # after its shifts, each seed's generator gives width real parts, then
-    # width imaginary parts, as two separate calls would draw them
-    seeds = np.random.SeedSequence(50).spawn(50)
-    n, epsilon, width = 30, 0.4, 2 * K_MAX + 1
-    stack = _draw_summaries(TEMPLATE, LAPLACE, n, epsilon, seeds, 7)
-    for i, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
-        LAPLACE.sample(rng, n)
-        noise_re, noise_im = rng.standard_normal(width), rng.standard_normal(width)
-        noise = (noise_re + 1j * noise_im) * np.sqrt(0.5)
-        expected = TEMPLATE.coeffs * stack.gamma_tilde[i] + (epsilon / math.sqrt(n)) * noise
-        assert stack.c_tilde[i].tobytes() == expected.tobytes()
+def _philox(seed, counter):
+    """``seed``'s stream from ``counter`` on, by hand."""
+    key = np.random.SeedSequence(seed).generate_state(2, np.uint64)
+    return np.random.Generator(np.random.Philox(key=key, counter=counter))
+
+
+def _reference_normals(uniforms):
+    """Box-Muller by hand: of 2m uniforms the first m give the radii and the
+    last m the angles; the cosine sides come first, then the sine sides."""
+    m = uniforms.shape[-1] // 2
+    radius = np.sqrt(-2.0 * np.log1p(-uniforms[..., :m]))
+    angle = 2.0 * np.pi * uniforms[..., m:]
+    return np.concatenate([radius * np.cos(angle), radius * np.sin(angle)], axis=-1)
+
+
+def _reference_noise(normals):
+    """The documented noise law of one curve: z_0 real, then the real parts
+    and the imaginary parts of k = 1..K times sqrt(1/2), the negative half
+    mirrored."""
+    k_max = normals.shape[-1] // 2
+    half = normals[..., 1 : k_max + 1] * math.sqrt(0.5) + 1j * (
+        normals[..., k_max + 1 :] * math.sqrt(0.5))
+    full = np.empty(normals.shape[:-1] + (2 * k_max + 1,), dtype=complex)
+    full[..., k_max] = normals[..., 0]
+    full[..., k_max + 1 :] = half
+    full[..., :k_max] = np.conj(half[..., ::-1])
+    return full
+
+
+def test_summary_noise_is_the_uniforms_after_the_shifts():
+    # replicate i reads M = n * uniforms_per_shift + 2 K + 2, rounded up to a
+    # multiple of 4, uniforms from counter i M / 4 of the Philox stream keyed
+    # by SeedSequence(seed): its shifts, then the 2 K + 2 uniforms of its
+    # noise row's Box-Muller normals, of which it keeps the first 2 K + 1
+    n, epsilon, width = 30, 0.4, 2 * K_MAX + 2
+    for density in (LAPLACE, gaussian_density(0.15)):
+        per_shift = density.uniforms_per_shift
+        run = -(-(n * per_shift + width) // 4) * 4
+        stack = _draw_summaries(TEMPLATE, density, n, epsilon, 50, 3, 20, 7)
+        for i in range(20):
+            uniforms = _philox(50, (3 + i) * run // 4).random(run)
+            shifts = density.sample(uniforms[: n * per_shift].reshape(n, per_shift))
+            normals = _reference_normals(uniforms[n * per_shift : n * per_shift + width])
+            noise = _reference_noise(normals[: width - 1])
+            z = np.exp(-2j * np.pi * shifts)
+            assert abs(stack.gamma_tilde[i][K_MAX + 1] - z.mean()) <= 1e-15
+            expected = TEMPLATE.coeffs * stack.gamma_tilde[i] + (epsilon / math.sqrt(n)) * noise
+            assert stack.c_tilde[i].tobytes() == expected.tobytes()
+
+
+def test_simulate_reads_replicate_zeros_shifts_and_its_own_noise():
+    # the shifts are replicate 0's uniforms; the per-curve noise is one row of
+    # 2 K + 1 standard normals per curve from counter 2**192 of the same
+    # stream; a Generator is read from where it stands, shifts first
+    n, epsilon, width = 9, 0.3, 2 * K_MAX + 1
+    zero = Template(coeffs=np.zeros(2 * K_MAX + 1, dtype=complex), k_max=K_MAX)
+    for density in (LAPLACE, gaussian_density(0.15)):
+        per_shift = density.uniforms_per_shift
+        obs = simulate(zero, density, n, epsilon, 8)
+        shifts = density.sample(_philox(8, 0).random((n, per_shift)))
+        assert obs.shifts.tobytes() == shifts.tobytes()
+        normals = _philox(8, 1 << 192).standard_normal((n, width))
+        assert obs.per_curve.tobytes() == (epsilon * _reference_noise(normals)).tobytes()
+        rng = np.random.default_rng(4)
+        obs = simulate(zero, density, n, epsilon, np.random.default_rng(4))
+        assert obs.shifts.tobytes() == density.sample(rng.random((n, per_shift))).tobytes()
+        assert obs.per_curve.tobytes() == (epsilon * _reference_noise(
+            rng.standard_normal((n, width)))).tobytes()
+
+
+def test_noise_law_of_a_real_curve():
+    # the summary's noise row, Box-Muller normals through _noise: z_0 is real
+    # N(0, 1); for k >= 1 the real and imaginary parts are N(0, 1/2);
+    # E|z_k|^2 = 1 at every k; each row is exactly Hermitian
+    k_max, rows = 6, 40_000
+    uniforms = np.random.default_rng(12).random((rows, 2 * k_max + 2))
+    z = _noise(_box_muller(uniforms)[:, : 2 * k_max + 1])
+    assert z.shape == (rows, 2 * k_max + 1)
+    assert np.array_equal(np.conj(z[:, ::-1]), z)
+    assert np.all(z[:, k_max].imag == 0.0)
+    energy = np.abs(z) ** 2  # Var |z_0|^2 = 2, Var |z_k|^2 = 1 for k >= 1
+    stderr = np.sqrt(np.where(np.arange(-k_max, k_max + 1) == 0, 2.0, 1.0) / rows)
+    assert np.all(np.abs(energy.mean(axis=0) - 1.0) <= 4.0 * stderr)
+    for part in (z[:, k_max + 1:].real, z[:, k_max + 1:].imag):
+        assert np.all(np.abs(part.mean(axis=0)) <= 4.0 * math.sqrt(0.5 / rows))
+        assert np.all(np.abs((part ** 2).mean(axis=0) - 0.5) <= 4.0 * math.sqrt(0.5 / rows))
+
+
+def test_per_curve_noise_is_hermitian_with_unit_energy_at_every_k():
+    eps, n = 0.5, 4000
+    zero = Template(coeffs=np.zeros(2 * K_MAX + 1, dtype=complex), k_max=K_MAX)
+    obs = simulate(zero, LAPLACE, n=n, epsilon=eps, seed=31)
+    assert np.array_equal(np.conj(obs.per_curve[:, ::-1]), obs.per_curve)
+    assert np.all(obs.per_curve[:, K_MAX].imag == 0.0)
+    energy = np.mean(np.abs(obs.per_curve / eps) ** 2, axis=0)
+    stderr = np.sqrt(np.where(np.arange(-K_MAX, K_MAX + 1) == 0, 2.0, 1.0) / n)
+    assert np.all(np.abs(energy - 1.0) <= 4.0 * stderr)
 
 
 def test_summary_noise_moments_at_n_6400():
-    """c_tilde - theta * gamma_tilde is CN(0, eps^2/n), i.i.d. over all k.
+    """c_tilde - theta * gamma_tilde is eps/sqrt(n) times one noise row of
+    a real curve.
 
-    Scaled by sqrt(n)/eps the residuals must have real and imaginary parts
-    of variance 1/2 each (per coordinate and pooled), no mean, no real-imag
-    correlation, and no correlation between k and -k: per-curve noise is
-    independent across frequencies, so c_tilde must not be Hermitian.
+    Scaled by sqrt(n)/eps the residuals are exactly Hermitian, with a real
+    z_0 of variance 1, and for k >= 1 real and imaginary parts of variance
+    1/2 each (per coordinate and pooled), no mean, no real-imag correlation,
+    and no correlation between neighbouring frequencies.
     """
     n, eps, reps = 6400, 0.2, 400
-    seeds = np.random.SeedSequence(6400).spawn(reps)
-    z = np.empty((reps, 2 * K_MAX + 1), dtype=complex)
-    for r, seed in enumerate(seeds):
-        obs = simulate_summary(TEMPLATE, LAPLACE, n, eps, seed)
-        z[r] = (obs.c_tilde - TEMPLATE.coeffs * obs.gamma_tilde) * math.sqrt(n) / eps
-    assert not np.array_equal(np.conj(obs.c_tilde[::-1]), obs.c_tilde)
+    obs = _draw_summaries(TEMPLATE, LAPLACE, n, eps, 6400, 0, reps, 1)
+    z = (obs.c_tilde - TEMPLATE.coeffs * obs.gamma_tilde) * math.sqrt(n) / eps
+    assert np.array_equal(np.conj(obs.c_tilde[:, ::-1]), obs.c_tilde)
 
     def zscore(samples, expected, variance):
         return abs(np.mean(samples) - expected) / math.sqrt(variance / samples.size)
 
-    re, im = z.real, z.imag
+    z0 = z[:, K_MAX]
+    assert np.all(z0.imag == 0.0)
+    assert zscore(z0.real, 0.0, 1.0) <= 4.0
+    assert zscore(z0.real ** 2, 1.0, 2.0) <= 4.0
+    plus = z[:, K_MAX + 1:]
+    re, im = plus.real, plus.imag
     # x ~ N(0, 1/2): E x = 0, Var x = 1/2; E x^2 = 1/2, Var x^2 = 1/2
     for part in (re, im):
         assert zscore(part, 0.0, 0.5) <= 4.0
@@ -435,12 +548,10 @@ def test_summary_noise_moments_at_n_6400():
         for col in part.T:
             assert zscore(col ** 2, 0.5, 0.5) <= 4.0
     assert zscore(re * im, 0.0, 0.25) <= 4.0
-    # k and -k: E z_k z_{-k} = 0 and E z_k conj(z_{-k}) = 0, real and
-    # imaginary parts each of variance 1/2 (a Hermitian draw gives |z_k|^2)
-    plus, minus = z[:, K_MAX + 1:], z[:, K_MAX - 1::-1]
-    for prod in (plus * minus, plus * np.conj(minus)):
-        assert zscore(prod.real, 0.0, 0.5) <= 4.0
-        assert zscore(prod.imag, 0.0, 0.5) <= 4.0
+    # k and k + 1 independent CN(0, 1): their product's parts have variance 1/2
+    prod = plus[:, 1:] * plus[:, :-1]
+    assert zscore(prod.real, 0.0, 0.5) <= 4.0
+    assert zscore(prod.imag, 0.0, 0.5) <= 4.0
 
 
 def test_summary_parameter_validation():
@@ -454,10 +565,10 @@ def test_summary_parameter_validation():
     # a sampler's result must be n finite reals: complex shifts lost their
     # imaginary part with a ComplexWarning, strings escaped as a bare
     # ValueError, and inf shifts warned, then blamed c_tilde
-    for sampler in (lambda rng, size: np.zeros(size - 1),
-                    lambda rng, size: np.full(size, 0.1j),
-                    lambda rng, size: ["a"] * size,
-                    lambda rng, size: np.full(size, np.inf)):
+    for sampler in (lambda u: np.zeros(u.shape[-2] - 1),
+                    lambda u: np.full(u.shape[:-1], 0.1j),
+                    lambda u: np.full(u.shape[:-1], "a"),
+                    lambda u: np.full(u.shape[:-1], np.inf)):
         bad = ShiftDensity(gamma_fn=lambda k: np.ones(np.shape(k), dtype=complex),
                            sampler=sampler)
         for draw in (simulate, simulate_summary):

@@ -83,8 +83,8 @@ def test_uniform_gamma_quarter_width_values():
 
 def test_point_mass_sampler_and_gamma():
     d = point_mass_density()
-    rng = np.random.default_rng(0)
-    assert np.all(d.sample(rng, 50) == 0.0)
+    uniforms = np.random.default_rng(0).random((3, 50, 1))
+    assert d.sample(uniforms).tobytes() == np.zeros((3, 50)).tobytes()
     assert np.all(d.gamma(np.arange(-7, 8)) == 1.0)
 
 
@@ -140,7 +140,7 @@ def test_gamma_that_overflows_is_a_vanishing_eigenvalue(density, k_max):
 def test_gamma_band_refuses_a_non_finite_gamma():
     for bad in (math.nan, math.inf):
         density = ShiftDensity(gamma_fn=lambda k, bad=bad: np.where(k == 2, bad, 1.0),
-                               sampler=lambda rng, size: np.zeros(size))
+                               sampler=lambda u: np.zeros(u.shape[:-1]))
         assert np.array_equal(density.gamma_band(1), np.ones(3))
         with pytest.raises(InvariantViolationError, match="at k=2 is not finite"):
             density.gamma_band(3)
@@ -152,7 +152,7 @@ def test_gamma_band_refuses_a_non_finite_gamma():
 
 def _constant_density(value):
     return ShiftDensity(gamma_fn=lambda k: np.full(np.shape(k), value),
-                        sampler=lambda rng, size: np.zeros(size))
+                        sampler=lambda u: np.zeros(u.shape[:-1]))
 
 
 def test_gamma_band_refuses_a_modulus_above_one():
@@ -190,7 +190,7 @@ def test_a_density_that_is_not_a_law_is_refused(gamma_fn, match):
     # with point-mass shifts and gamma == 0.5, risk_report's r[4] was 0.050
     # against an MC mean of 0.957, and compute_m0 returned a saturated cap;
     # with the asymmetric band, r[4] was 0.046 against 0.853
-    density = ShiftDensity(gamma_fn=gamma_fn, sampler=lambda rng, size: np.zeros(size))
+    density = ShiftDensity(gamma_fn=gamma_fn, sampler=lambda u: np.zeros(u.shape[:-1]))
     wave = wave_template(8)
     obs = simulate_summary(wave, laplace_density(SIGMA), 100, 0.1, 0)
     calls = [lambda: density.gamma_band(4), lambda: risk_report(wave, density, 100, 0.1, 4),
@@ -207,9 +207,9 @@ def test_a_density_that_is_not_a_law_is_refused(gamma_fn, match):
 def test_a_law_within_the_rounding_slack_is_accepted():
     # gamma_0 may miss 1, and gamma_(-k) miss conj(gamma_k), by up to 1e-12
     slack = ShiftDensity(gamma_fn=lambda k: np.where(k < 0, 9e-13, 0.0) + 1.0 - 4.5e-13,
-                         sampler=lambda rng, size: np.zeros(size))
+                         sampler=lambda u: np.zeros(u.shape[:-1]))
     assert compute_m0(slack, 100, 8).saturated
-    shifted = ShiftDensity(gamma_fn=_shifted_laplace, sampler=lambda rng, size: np.zeros(size))
+    shifted = ShiftDensity(gamma_fn=_shifted_laplace, sampler=lambda u: np.zeros(u.shape[:-1]))
     band = shifted.gamma_band(4)
     assert np.array_equal(band[::-1], np.conj(band)) and band.imag.any()
 
@@ -219,7 +219,7 @@ def test_a_law_within_the_rounding_slack_is_accepted():
                          ids=["scalar", "fixed length", "column"])
 def test_gamma_refuses_a_result_not_shaped_as_its_frequencies(gamma_fn):
     # each of these escaped as a bare TypeError, IndexError or ValueError
-    density = ShiftDensity(gamma_fn=gamma_fn, sampler=lambda rng, size: np.zeros(size))
+    density = ShiftDensity(gamma_fn=gamma_fn, sampler=lambda u: np.zeros(u.shape[:-1]))
     wave = wave_template(8)
     calls = (lambda: density.gamma(np.arange(4)), lambda: density.gamma_band(2),
              lambda: compute_m0(density, 20, 8), lambda: risk_report(wave, density, 20, 0.1, 2),
@@ -234,9 +234,16 @@ def test_gamma_refuses_a_result_not_shaped_as_its_frequencies(gamma_fn):
 def test_a_density_refuses_a_field_that_is_not_callable(name, value):
     # gamma_fn=3 escaped from mc_risk as a bare TypeError; sampler=None gave
     # compute_m0 a cap and simulate a bare TypeError
-    fields = dict(gamma_fn=np.ones_like, sampler=lambda rng, size: np.zeros(size))
+    fields = dict(gamma_fn=np.ones_like, sampler=lambda u: np.zeros(u.shape[:-1]))
     with pytest.raises(InvalidParameterError, match=f"{name} must be callable, got {value}"):
         ShiftDensity(**dict(fields, **{name: value}))
+
+
+@pytest.mark.parametrize("value", [0, -1, True, 1.0, "2", None])
+def test_a_density_refuses_a_uniform_count_that_is_not_a_positive_integer(value):
+    with pytest.raises(InvalidParameterError, match="uniforms_per_shift must be"):
+        ShiftDensity(gamma_fn=np.ones_like, sampler=lambda u: np.zeros(u.shape[:-1]),
+                     uniforms_per_shift=value)
 
 
 @pytest.mark.parametrize("density", [laplace_density(SIGMA), gaussian_density(0.1),
@@ -248,12 +255,18 @@ def test_a_built_in_density_survives_pickle(density):
     k = np.arange(-30, 31)
     assert copy.label == density.label
     assert copy.gamma(k).tobytes() == density.gamma(k).tobytes()
-    assert copy.sample(np.random.default_rng(5), 40).tobytes() == \
-        density.sample(np.random.default_rng(5), 40).tobytes()
+    uniforms = _uniforms(np.random.default_rng(5), density, 40)
+    assert copy.uniforms_per_shift == density.uniforms_per_shift
+    assert copy.sample(uniforms).tobytes() == density.sample(uniforms).tobytes()
 
 
 # ---------------------------------------------------------------------------
 # sampler vs characteristic function (Monte Carlo)
+
+
+def _uniforms(rng, density, size):
+    """The uniforms of ``size`` shifts of ``density``, one row per shift."""
+    return rng.random((size, density.uniforms_per_shift))
 
 
 @pytest.mark.parametrize("density,seed", [
@@ -263,8 +276,7 @@ def test_a_built_in_density_survives_pickle(density):
 ])
 def test_sampler_matches_gamma(density, seed):
     """Empirical char. function of n draws ~= gamma_k within 5 sigma."""
-    rng = np.random.default_rng(seed)
-    tau = density.sample(rng, N_SAMPLER)
+    tau = density.sample(_uniforms(np.random.default_rng(seed), density, N_SAMPLER))
     k = np.arange(1, 11)
     emp = np.exp(-2j * np.pi * np.outer(tau, k)).mean(axis=0)
     # |e^{-2 pi i k tau}| = 1, so each complex mean has stderr <= 1/sqrt(n)
@@ -272,11 +284,43 @@ def test_sampler_matches_gamma(density, seed):
 
 
 def test_laplace_sample_variance():
-    rng = np.random.default_rng(7)
-    tau = laplace_density(SIGMA).sample(rng, N_SAMPLER)
+    density = laplace_density(SIGMA)
+    tau = density.sample(_uniforms(np.random.default_rng(7), density, N_SAMPLER))
     # Var = sigma^2; the sample variance of a Laplace has stdev ~ sigma^2*sqrt(5/n)
     assert abs(np.var(tau) - SIGMA**2) < 5.0 * SIGMA**2 * math.sqrt(5.0 / N_SAMPLER)
     assert abs(np.mean(tau)) < 5.0 * SIGMA / math.sqrt(N_SAMPLER)
+
+
+@pytest.mark.parametrize("density,variance,kurtosis,seed", [
+    (laplace_density(SIGMA), SIGMA ** 2, 6.0, 21),
+    (gaussian_density(0.1), 0.1 ** 2, 3.0, 22),
+    (uniform_density(0.25), 0.25 ** 2 / 3.0, 9.0 / 5.0, 23),
+], ids=["laplace", "gaussian", "uniform"])
+def test_each_uniform_map_has_its_laws_mean_and_variance(density, variance, kurtosis, seed):
+    # mean 0 and variance sigma^2 (a^2 / 3 for the uniform) within 5 standard
+    # errors; the sample variance has variance (E tau^4 - sigma^4) / n
+    tau = density.sample(_uniforms(np.random.default_rng(seed), density, 4 * N_SAMPLER))
+    assert tau.shape == (4 * N_SAMPLER,) and np.isfinite(tau).all()
+    assert abs(np.mean(tau)) < 5.0 * math.sqrt(variance / tau.size)
+    assert abs(np.var(tau) - variance) < 5.0 * variance * math.sqrt((kurtosis - 1.0) / tau.size)
+
+
+@pytest.mark.parametrize("density", [laplace_density(SIGMA), gaussian_density(0.1),
+                                     uniform_density(0.25), point_mass_density()],
+                         ids=["laplace", "gaussian", "uniform", "point_mass"])
+def test_each_uniform_map_is_finite_at_both_ends_and_elementwise(density):
+    # 0 is a uniform the generator can give, and the largest double below 1
+    # too: neither maps to an infinite shift; a shift reads its own uniforms
+    # only, so a stack of rows maps row by row, bit for bit
+    ends = np.array([0.0, 0.5, np.nextafter(1.0, 0.0)])
+    grid = np.stack(np.meshgrid(*[ends] * density.uniforms_per_shift), -1).reshape(
+        -1, density.uniforms_per_shift)
+    assert np.isfinite(density.sample(grid)).all()
+    rows = _uniforms(np.random.default_rng(3), density, 60).reshape(
+        4, 15, density.uniforms_per_shift)
+    stacked = density.sample(rows)
+    for i, row in enumerate(rows):
+        assert stacked[i].tobytes() == density.sample(row).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -60,9 +60,9 @@ FAULTS = [
           "(epsilon / math.sqrt(n)) * noise",
           "(epsilon * math.sqrt(2.0 / n)) * noise"),
     # the Monte Carlo path without hidden state
-    Fault("replicate seed off by one child", "risk.py",
-          "return np.random.SeedSequence(seed, spawn_key=(i,))",
-          "return np.random.SeedSequence(seed, spawn_key=(i + 1,))"),
+    Fault("a chunk's stream set one replicate on", "simulate.py",
+          "    generator = _stream(seed, start * run // 4)\n",
+          "    generator = _stream(seed, (start + 1) * run // 4)\n"),
     Fault("study traces drawn at replicate 1's seed", "risk.py",
           "traces[j] = trace[0]", "traces[j] = trace[min(1, len(trace) - 1)]"),
     Fault("pool results reversed", "risk.py",
@@ -115,14 +115,12 @@ FAULTS = [
           "                           self.criterion_kind)\n"),
     # engine chunks sized by the band, the draw streamed in blocks sized by n
     Fault("a draw block's phase means written to its rows in reverse", "simulate.py",
-          "        half[start:stop] = _phase_means(shifts[: stop - start], k_max)\n",
-          "        half[start:stop] = _phase_means(shifts[: stop - start], k_max)[::-1]\n"),
-    Fault("a shift row written at the chunk index, not the block index", "simulate.py",
-          "            shifts[i] = density.sample(rng, n)\n",
-          "            shifts[start + i] = density.sample(rng, n)\n"),
-    Fault("a noise row written at the block index, not the chunk index", "simulate.py",
-          "            noise[start + i] = rng.standard_normal((2, width))\n",
-          "            noise[i] = rng.standard_normal((2, width))\n"),
+          "        half[first:stop] = _phase_means(shifts, k_max)\n",
+          "        half[first:stop] = _phase_means(shifts, k_max)[::-1]\n"),
+    Fault("a block's shifts read one uniform on", "simulate.py",
+          "uniforms[:, :width]", "uniforms[:, 1 : width + 1]"),
+    Fault("a noise block written at the chunk's first rows", "simulate.py",
+          "        noise[first:stop] = _noise(", "        noise[: stop - first] = _noise("),
     Fault("engine chunks sized by n again", "risk.py",
           "    step = max(1, _CHUNK_VALUES // (2 * (2 * template.k_max + 1)))\n",
           "    step = max(1, _CHUNK_VALUES // (n + 2 * template.k_max + 1))\n"),
@@ -144,14 +142,13 @@ FAULTS = [
           "(g2 <= 1.0 + 1e-12)", "(g2 < math.inf)"),
     Fault("a summary's |gamma_tilde| above 1 admitted", "simulate.py",
           "        if float(np.max(np.abs(gt))) > 1.0 + 1e-12:\n", "        if False:\n"),
-    Fault("the Laplace sampler bound to sigma, not sigma / sqrt(2)", "spectral.py",
-          'partial(_sample, "laplace", 0.0, s / math.sqrt(2.0))',
-          'partial(_sample, "laplace", 0.0, s)'),
+    Fault("the Laplace inverse CDF at scale sigma, not sigma / sqrt(2)", "spectral.py",
+          "partial(_laplace_shifts, s / math.sqrt(2.0))", "partial(_laplace_shifts, s)"),
     # a shift density checks everything it returns
     Fault("gamma without its modulus check", "spectral.py",
           "        if unusable.size:\n", "        if False:\n"),
     Fault("a sampler result of any shape admitted", "spectral.py",
-          "shifts.shape == (size,) and ", ""),
+          "shifts.shape == uniforms.shape[:-1] and ", ""),
     Fault("a sampler result of any dtype admitted", "spectral.py",
           'shifts.dtype.kind in "iuf"', "True"),
     Fault("a sampler result admitted when not finite", "spectral.py",
@@ -162,11 +159,16 @@ FAULTS = [
           "    except (InvalidParameterError, InvariantViolationError) as exc:\n",
           "    except InvariantViolationError as exc:\n"),
     # the random stream and the cap
-    Fault("a seed's noise drawn before its shifts", "simulate.py",
-          "            shifts[i] = density.sample(rng, n)\n"
-          "            noise[start + i] = rng.standard_normal((2, width))\n",
-          "            noise[start + i] = rng.standard_normal((2, width))\n"
-          "            shifts[i] = density.sample(rng, n)\n"),
+    Fault("simulate's per-curve noise drawn from replicate 0's run", "simulate.py",
+          "_stream(seed, _CURVE_NOISE_COUNTER)", "_stream(seed, 0)"),
+    Fault("Box-Muller normals of variance 1/2", "spectral.py",
+          "np.sqrt(-2.0 * np.log1p(-uniforms[..., :m]))", "np.sqrt(-np.log1p(-uniforms[..., :m]))"),
+    Fault("the noise mirrored without its conjugate", "simulate.py",
+          "    return _hermitian(half)\n",
+          "    return np.concatenate([half[..., :0:-1], half], axis=-1)\n"),
+    Fault("the noise's z_0 at variance 1/2", "simulate.py",
+          "    half.real[..., 0] = normals[..., 0]\n",
+          "    half.real[..., 0] = math.sqrt(0.5) * normals[..., 0]\n"),
     Fault("compute_m0 one below its value, two below the first crossing", "selection.py",
           "value=int(crossed[0]),", "value=int(crossed[0]) - 1,"),
     Fault("compute_m0 one above its value, at the first crossing", "selection.py",
@@ -236,10 +238,9 @@ FAULTS = [
     # only csvio turns numbers into text; nothing is written before it can all be
     Fault("format_cell writes a numpy float with numpy's repr", "csvio.py",
           "        return repr(float(value))\n", "        return repr(value)\n"),
-    Fault("the study creates out_dir before its sample curves", "study.py",
-          "    grid = render_grid(grid_size)\n",
-          "    Path(out_dir).mkdir(parents=True, exist_ok=True)\n"
-          "    grid = render_grid(grid_size)\n"),
+    Fault("the study creates out_dir before its curves", "study.py",
+          "    curves = _synthesize_rows(",
+          "    Path(out_dir).mkdir(parents=True, exist_ok=True)\n    curves = _synthesize_rows("),
     Fault("the engine without its penalty_variant check", "risk.py",
           '    _check_choice("penalty_variant", penalty_variant, PENALTY_VARIANTS)\n', ""),
     Fault("--n-grid skips empty items", "cli.py",
