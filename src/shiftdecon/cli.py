@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__
 from .config import (CONFIG_FIELDS, ExperimentConfig, _int, build_density, build_template,
                      load_config, save_config)
-from .csvio import (write_csv, write_curves_csv, write_rate_study_csv,
+from .csvio import (_written_together, write_csv, write_curves_csv, write_rate_study_csv,
                     write_risk_report_csv, write_selection_csv, write_template_csv)
 from .errors import ConfigError, ShiftDeconError
 from .risk import rate_study, risk_report
@@ -87,11 +87,14 @@ def cmd_estimate(args, cfg) -> int:
         grid = render_grid(args.grid_size)
         fit, truth = _synthesize_rows(np.stack([est.coeffs, template.coeffs]),
                                       template.k_max, args.grid_size)
+    with _written_together() as keep:  # a failed write leaves neither file
+        if args.out:
+            keep(write_template_csv(args.out, est))
+        if args.grid_out:
+            keep(write_csv(args.grid_out, ["x", "estimate", "truth"], zip(grid, fit, truth)))
     if args.out:
-        write_template_csv(args.out, est)
         print(f"wrote estimated coefficients to {args.out}")
     if args.grid_out:
-        write_csv(args.grid_out, ["x", "estimate", "truth"], zip(grid, fit, truth))
         print(f"wrote rendered estimate to {args.grid_out}")
     print(f"cutoff={est.cutoff} kind={est.kind}")
     return 0

@@ -13,6 +13,7 @@ with ``\n`` line endings regardless of platform.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -48,6 +49,21 @@ def format_cell(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     raise InvalidParameterError(f"cannot format {type(value).__name__} into a CSV cell")
+
+
+@contextlib.contextmanager
+def _written_together():
+    """Yield ``keep``, which records a file or an empty directory the block
+    made.  If the block raises, each is removed, the last first, and the
+    block's exception goes on, whether a removal fails or not."""
+    made = []
+    try:
+        yield made.append
+    except BaseException:
+        for path in reversed(made):
+            with contextlib.suppress(OSError):
+                (path.rmdir if path.is_dir() else path.unlink)()
+        raise
 
 
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> Path:

@@ -35,10 +35,10 @@ Replicate ``i`` owns the ``M`` uniforms from counter ``i * M / 4`` on,
 nothing else.  The engine works on contiguous chunks of replicates, one
 chunk after the other in replicate order, so its memory does not grow with
 the number of replicates.  Two bounds share one budget of ``_CHUNK_VALUES``
-values: a chunk holds two band rows per replicate, ``2 * (2*k_max + 1)``
-values, so its size does not depend on ``n``; the draw inside it holds
-``n`` values per replicate, so it runs in blocks of ``_CHUNK_VALUES // n``
-replicates.  Per chunk the engine runs three steps:
+values: a chunk holds two band rows per replicate, its noise row and its
+``c_tilde``, ``2 * (2*k_max + 1)`` values, so its size does not depend on
+``n``; the draw inside it holds ``n`` values per replicate, so it runs in
+blocks of ``_CHUNK_VALUES // n`` replicates.  Per chunk the engine runs three steps:
 
 * draw: one generator set to the chunk's first replicate; block by block,
   the block's uniforms in one call, mapped to shifts and noise, then the
@@ -259,8 +259,8 @@ class _Replicates(NamedTuple):
 
 
 # The budget of values for each of two bounds: a chunk, at 2 * (2*k_max + 1)
-# per replicate for its c_tilde and gamma_tilde, which the select and score
-# steps read; and a block of the draw, at n per replicate for its shifts and
+# per replicate for its noise row and its c_tilde, the one row the select
+# and score steps read; and a block of the draw, at n per replicate for its shifts and
 # its row of phases.  The bounds hold whatever the number of replicates: at
 # the default configuration (n = 100, k_max = 40) a chunk is 50 replicates
 # drawn in one block, and the whole engine's traced peak is about 0.55 MB at

@@ -26,7 +26,8 @@ penalty, and the cap saturates at ``k_max`` unless a ``g_k`` is exactly 0.
 Every function here reads a dataset only through its column means
 (``c_tilde``, ``n``, ``epsilon``, ``k_max``), so it takes a
 :class:`~shiftdecon.simulate.SequenceSummary`: the summary-only draw or a
-full :class:`~shiftdecon.simulate.SequenceObservations`.
+full :class:`~shiftdecon.simulate.SequenceObservations`.  None reads the
+shifts or their ``gamma_tilde``: each divides by the known ``gamma_k``.
 :func:`fraction_negative_theta_hat`, :func:`criterion_increments` and
 :func:`criterion_trace` also take a stack of summaries (``c_tilde`` of shape
 ``(..., 2*k_max + 1)``) and answer row by row, each row bit for bit as if

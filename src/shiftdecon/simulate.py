@@ -18,17 +18,17 @@ The shift phases are built by recurrence, not by one complex exponential
 per ``(j, k)``: ``z_j = exp(-2j*pi*shift_j)`` is computed once per shift,
 and row ``k`` of the phases is row ``k - 1`` times ``z`` (one contiguous
 multiply per frequency, in :func:`_phase_rows`, the one recurrence).
-``gamma_tilde`` is the mean of each row.  Both simulators use it:
+``gamma_tilde``, the mean of each row, is the simulation's truth: no
+estimator reads it.  Both simulators use it:
 
-* :func:`simulate` draws every curve and averages them; it keeps every row
-  of the phases, a ``(k_max + 1, n)`` array.
+* :func:`simulate` draws every curve; it keeps every row of the phases, a
+  ``(k_max + 1, n)`` array.
 * :func:`simulate_summary` draws only what the estimators read, the column
   means.  The mean of ``n`` i.i.d. noise rows of the law above is one row
   of that law scaled by ``1/sqrt(n)``, so after the same shifts it adds one
   ``(2*k_max + 1)`` noise row times ``epsilon/sqrt(n)`` to
-  ``coeff_k * gamma_tilde_k``.  It gives the same ``gamma_tilde`` as
-  :func:`simulate` at the same seed, bit for bit, and a ``c_tilde`` with
-  the same law but from other draws.
+  ``coeff_k * gamma_tilde_k`` and keeps the sum, ``c_tilde``: the law of
+  :func:`simulate`'s, from its shifts bit for bit but other noise draws.
 
 Every value comes from one counter-based stream per seed: a
 ``numpy.random.Philox`` generator keyed by
@@ -42,38 +42,31 @@ them) make its noise row, then the padding up to a multiple of 4.  So every
 replicate consumes the same uniforms, whatever its values.
 :func:`simulate` draws replicate 0's shifts, and its per-curve noise, one
 row of ``2*k_max + 1`` standard normals per curve, from counter
-``2**192``, which no run of replicates reaches.  A ``Generator`` passed as
-the seed is read from where it stands instead, shifts first.
+``2**192``, which no run of replicates reaches.
 
 The Monte Carlo engine in :mod:`shiftdecon.risk` draws the summaries of a
 chunk of replicates at a time (``_draw_summaries``), in blocks of
-replicates whose size the engine sets from ``n``: one generator per chunk,
-set to the chunk's first replicate, draws each block's ``(block, M)``
-uniforms in one call.  The phases of a block are then streamed, one
-``(block, n)`` row per frequency, and only each row's mean is kept, so a
-block holds its uniforms, ``n`` shifts per replicate and a few phase rows
-rather than ``(k_max + 1) * n`` phases, and the chunk keeps ``k_max + 1``
-phase means and a band of noise per replicate.  Every step after the draw
-is elementwise or reduces one row, so each replicate gets the bytes it
-gets alone, whatever its chunk and its block.
+replicates whose size the engine sets from ``n``.  A block keeps only the
+mean of each of its phase rows, never ``(k_max + 1) * n`` phases, and each
+replicate gets the bytes it gets alone, whatever its chunk and its block.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional, Union
 
 import numpy as np
 
 from .errors import InvalidParameterError, InvariantViolationError
 from .spectral import (ShiftDensity, Template, _box_muller, _check_integer, _check_real,
-                       _hermitian, _synthesize_rows)
+                       _hermitian, _refuse_overflow, _synthesize_rows)
 
 __all__ = ["SequenceSummary", "SequenceObservations", "simulate", "simulate_summary",
            "render_curves", "render_grid"]
 
-SeedLike = Union[int, np.random.SeedSequence, np.random.Generator]
+SeedLike = Union[int, np.random.SeedSequence]
 
 
 @dataclass(frozen=True)
@@ -84,21 +77,17 @@ class SequenceSummary:
     ----------
     c_tilde : ndarray of complex, shape ``(2*k_max + 1,)``
         Averaged coefficients; column ``i`` is frequency ``k = i - k_max``.
-    gamma_tilde : ndarray of complex, shape ``(2*k_max + 1,)``
-        Empirical characteristic function of the drawn shifts,
-        ``(1/n) sum_j exp(-2j*pi*k*shift_j)``.
     n, epsilon, k_max
-        Simulation parameters.
+        Number of curves, noise level and band half-width.
 
     A summary may also hold a stack of datasets that share ``n``,
-    ``epsilon`` and ``k_max``: ``c_tilde`` and ``gamma_tilde`` then have
-    shape ``(..., 2*k_max + 1)``, one dataset per row, as the Monte Carlo
-    engine draws them.  The criteria in :mod:`shiftdecon.selection` work row
-    by row on such a stack.  Each field is checked when the summary is built.
+    ``epsilon`` and ``k_max``: ``c_tilde`` then has shape
+    ``(..., 2*k_max + 1)``, one dataset per row, as the Monte Carlo engine
+    draws them.  The criteria in :mod:`shiftdecon.selection` work row by
+    row on such a stack.  Each field is checked when the summary is built.
     """
 
     c_tilde: np.ndarray
-    gamma_tilde: np.ndarray
     n: int
     epsilon: float
     k_max: int
@@ -106,14 +95,13 @@ class SequenceSummary:
     def __post_init__(self):
         k_max = _check_integer("k_max", self.k_max, 0)
         n, epsilon = _check_inputs(self.n, self.epsilon)
-        c_tilde, gt = np.asarray(self.c_tilde), np.asarray(self.gamma_tilde)
-        if c_tilde.shape[-1:] != (2 * k_max + 1,) or gt.shape != c_tilde.shape:
+        c_tilde = np.asarray(self.c_tilde)
+        if c_tilde.shape[-1:] != (2 * k_max + 1,):
             raise InvalidParameterError(
-                f"c_tilde and gamma_tilde must have one shape (..., {2 * k_max + 1}), "
-                f"got {c_tilde.shape} and {gt.shape}")
+                f"c_tilde must have shape (..., {2 * k_max + 1}), got {c_tilde.shape}")
         if not np.all(np.isfinite(c_tilde)):
             raise InvalidParameterError("c_tilde must be finite")
-        vars(self).update(c_tilde=c_tilde, gamma_tilde=gt, n=n, epsilon=epsilon, k_max=k_max)
+        vars(self).update(c_tilde=c_tilde, n=n, epsilon=epsilon, k_max=k_max)
 
     @property
     def k_values(self) -> np.ndarray:
@@ -122,58 +110,64 @@ class SequenceSummary:
     def coeff_index(self, k: int) -> int:
         return _check_integer("k", k, -self.k_max, self.k_max) + self.k_max
 
-    def validate(self) -> None:
-        """Re-check structural invariants, on every row of a stack; raise on
-        violation.
 
-        ``gamma_tilde`` must be exactly Hermitian with ``gamma_tilde[0] == 1``
-        and magnitudes at most 1 (a 1e-12 rounding slack is allowed on the
-        magnitude bound).  The shapes were checked when the summary was built.
-        """
-        gt = self.gamma_tilde
-        if not np.all(gt[..., self.k_max] == 1.0):
-            raise InvariantViolationError("gamma_tilde at k=0 must be exactly 1")
-        if not np.array_equal(np.conj(gt[..., ::-1]), gt):
-            raise InvariantViolationError("gamma_tilde is not exactly Hermitian")
-        if float(np.max(np.abs(gt))) > 1.0 + 1e-12:
-            raise InvariantViolationError("|gamma_tilde| exceeds 1 beyond rounding slack")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class SequenceObservations(SequenceSummary):
-    """One simulated dataset in sequence space, every curve included.
+    """One dataset in sequence space, every curve included, built as
+    ``SequenceObservations(per_curve=..., epsilon=...)``: the curves fix
+    ``c_tilde``, their column mean, ``n`` and ``k_max``, which are derived.
 
     Attributes
     ----------
     per_curve : ndarray of complex, shape ``(n, 2*k_max + 1)``
-        Row ``j`` holds the coefficients of curve ``j``; ``c_tilde`` is its
-        column mean.  Its shape and finiteness are checked when the dataset
-        is built.
-    shifts : ndarray of float or None
-        The drawn shifts (:func:`simulate` keeps them; an estimator never
-        needs them, so a hand-built dataset may leave them out).
+        Row ``j`` holds the coefficients of curve ``j``: 2-d, with at least
+        one row, an odd width and finite values.
+    gamma_tilde, shifts : ndarray or None
+        The simulation's truth, which :func:`simulate` fills in and no
+        estimator reads: the empirical characteristic function of the drawn
+        shifts, ``(1/n) sum_j exp(-2j*pi*k*shift_j)``, and the shifts.
     """
 
+    c_tilde: np.ndarray = field(init=False)
+    n: int = field(init=False)
+    k_max: int = field(init=False)
     per_curve: np.ndarray
+    gamma_tilde: Optional[np.ndarray] = None
     shifts: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        super().__post_init__()
         per_curve = np.asarray(self.per_curve)
-        if per_curve.shape != (self.n, 2 * self.k_max + 1):
+        if per_curve.ndim != 2 or len(per_curve) < 1 or per_curve.shape[1] % 2 != 1:
             raise InvalidParameterError(
-                f"per_curve must have shape (n, 2*k_max + 1) = "
-                f"({self.n}, {2 * self.k_max + 1}), got {per_curve.shape}")
+                f"per_curve must have shape (n, 2*k_max + 1) with n >= 1, "
+                f"got {per_curve.shape}")
+        # before the mean, which would warn on an inf or a NaN
         if not np.all(np.isfinite(per_curve)):
             raise InvalidParameterError("per_curve must be finite")
-        vars(self)["per_curve"] = per_curve
+        with _refuse_overflow("the column mean of per_curve overflows"):
+            vars(self).update(per_curve=per_curve, c_tilde=per_curve.mean(axis=0),
+                              n=len(per_curve), k_max=per_curve.shape[1] // 2)
+        super().__post_init__()
+        gt = self.gamma_tilde
+        if gt is not None and np.shape(gt) != self.c_tilde.shape:
+            raise InvalidParameterError(
+                f"gamma_tilde must have shape {self.c_tilde.shape}, got {np.shape(gt)}")
 
     def validate(self) -> None:
-        """As :meth:`SequenceSummary.validate`, and ``c_tilde`` must also
-        equal the column mean of ``per_curve`` bit-for-bit."""
-        if not np.array_equal(self.per_curve.mean(axis=0), self.c_tilde):
-            raise InvariantViolationError("c_tilde is not the exact column mean of per_curve")
-        super().validate()
+        """Check a drawn ``gamma_tilde``, if there is one, and raise on
+        violation: it must be exactly Hermitian with ``gamma_tilde[0] == 1``
+        and magnitudes at most 1 (a 1e-12 rounding slack is allowed on the
+        magnitude bound).  Every other field was checked when it was built.
+        """
+        gt = self.gamma_tilde
+        if gt is None:
+            return
+        if gt[self.k_max] != 1.0:
+            raise InvariantViolationError("gamma_tilde at k=0 must be exactly 1")
+        if not np.array_equal(np.conj(gt[::-1]), gt):
+            raise InvariantViolationError("gamma_tilde is not exactly Hermitian")
+        if float(np.max(np.abs(gt))) > 1.0 + 1e-12:
+            raise InvariantViolationError("|gamma_tilde| exceeds 1 beyond rounding slack")
 
 
 def _check_inputs(n, epsilon) -> tuple:
@@ -186,13 +180,6 @@ def _check_inputs(n, epsilon) -> tuple:
     return n, epsilon
 
 
-def _check_seed(seed) -> SeedLike:
-    """A ``SeedSequence`` or ``Generator`` as it is, else an integer >= 0."""
-    if isinstance(seed, (np.random.SeedSequence, np.random.Generator)):
-        return seed
-    return _check_integer("seed", seed, 0, None)
-
-
 #: The counter of :func:`simulate`'s per-curve noise: the top word of
 #: Philox's four-word counter set to 1, past every replicate's run.
 _CURVE_NOISE_COUNTER = 1 << 192
@@ -201,11 +188,9 @@ _CURVE_NOISE_COUNTER = 1 << 192
 def _stream(seed: SeedLike, counter: int) -> np.random.Generator:
     """The generator of ``seed``'s uniforms from ``counter`` on, four per
     counter step: Philox keyed by the first two 64-bit words of the seed's
-    ``SeedSequence`` state; a ``Generator`` seed as it stands."""
-    if isinstance(seed, np.random.Generator):
-        return seed
+    ``SeedSequence`` state.  A seed is a ``SeedSequence`` or an integer >= 0."""
     if not isinstance(seed, np.random.SeedSequence):
-        seed = np.random.SeedSequence(seed)
+        seed = np.random.SeedSequence(_check_integer("seed", seed, 0, None))
     return np.random.Generator(
         np.random.Philox(key=seed.generate_state(2, np.uint64), counter=counter))
 
@@ -303,13 +288,13 @@ def simulate(template: Template, density: ShiftDensity, n: int, epsilon: float,
         Number of curves (>= 1).
     epsilon : float
         Noise level (finite, >= 0); ``epsilon = 0`` gives exact shifted coefficients.
-    seed : int, SeedSequence or Generator
+    seed : int or SeedSequence
         Source of randomness; equal seeds give bit-identical datasets.  An
-        integer must be >= 0; ``None``, which would not reproduce, is refused.
-        The shifts are those of replicate 0 of a Monte Carlo run at the
-        seed, so ``gamma_tilde`` is :func:`simulate_summary`'s bit for bit;
-        the per-curve noise is :func:`_noise` of one row of standard
-        normals per curve from the seed's stream at counter ``2**192``.
+        integer must be >= 0; ``None`` and a ``Generator`` are refused.  The
+        shifts are replicate 0's of a Monte Carlo run at the seed, as in
+        :func:`simulate_summary`; the per-curve noise is :func:`_noise` of
+        one row of standard normals per curve from the seed's stream at
+        counter ``2**192``.
 
     Returns
     -------
@@ -317,22 +302,14 @@ def simulate(template: Template, density: ShiftDensity, n: int, epsilon: float,
     """
     n, epsilon = _check_inputs(n, epsilon)
     k_max = template.k_max
-    seed = _check_seed(seed)
 
     shifts = density.sample(_stream(seed, 0).random((n, density.uniforms_per_shift)))
     pos = _draw_phases(shifts, k_max)
     noise = _noise(_stream(seed, _CURVE_NOISE_COUNTER).standard_normal((n, 2 * k_max + 1)))
     per_curve = template.coeffs[np.newaxis, :] * _hermitian(pos.T) + epsilon * noise
 
-    return SequenceObservations(
-        per_curve=per_curve,
-        c_tilde=per_curve.mean(axis=0),
-        gamma_tilde=_mean_phase(pos.mean(axis=-1)),
-        n=n,
-        epsilon=epsilon,
-        k_max=k_max,
-        shifts=shifts,
-    )
+    return SequenceObservations(per_curve=per_curve, epsilon=epsilon,
+                                gamma_tilde=_mean_phase(pos.mean(axis=-1)), shifts=shifts)
 
 
 def simulate_summary(template: Template, density: ShiftDensity, n: int,
@@ -340,15 +317,15 @@ def simulate_summary(template: Template, density: ShiftDensity, n: int,
     """Draw the column means of one dataset of ``n`` curves, not the curves.
 
     Takes the arguments of :func:`simulate` and draws the same shifts from the
-    same seed, so ``gamma_tilde`` is bit-identical to :func:`simulate`'s.
+    same seed, so their ``gamma_tilde`` is bit-identical to :func:`simulate`'s.
     Then ``c_tilde_k = coeff_k * gamma_tilde_k + (epsilon/sqrt(n)) xi_k``
     with one :func:`_noise` row ``xi`` of Box-Muller normals from the
     uniforms after the shifts: replicate 0 of a Monte Carlo run at the seed.  The cost is
     ``k_max`` rows of ``n`` phases, made one at a time, instead of
     :func:`simulate`'s ``n x (2*k_max + 1)`` noise.
     """
-    stack = _draw_summaries(template, density, n, epsilon, _check_seed(seed), 0, 1, 1)
-    return replace(stack, c_tilde=stack.c_tilde[0], gamma_tilde=stack.gamma_tilde[0])
+    stack = _draw_summaries(template, density, n, epsilon, seed, 0, 1, 1)
+    return replace(stack, c_tilde=stack.c_tilde[0])
 
 
 def _draw_summaries(template: Template, density: ShiftDensity, n: int, epsilon: float,
@@ -383,14 +360,8 @@ def _draw_summaries(template: Template, density: ShiftDensity, n: int, epsilon: 
         del uniforms  # so that the phases do not share the peak with them
         half[first:stop] = _phase_means(shifts, k_max)
 
-    gamma_tilde = _mean_phase(half)
-    return SequenceSummary(
-        c_tilde=template.coeffs * gamma_tilde + (epsilon / math.sqrt(n)) * noise,
-        gamma_tilde=gamma_tilde,
-        n=n,
-        epsilon=epsilon,
-        k_max=k_max,
-    )
+    c_tilde = template.coeffs * _mean_phase(half) + (epsilon / math.sqrt(n)) * noise
+    return SequenceSummary(c_tilde=c_tilde, n=n, epsilon=epsilon, k_max=k_max)
 
 
 def render_curves(obs: SequenceObservations, grid_size: int) -> np.ndarray:

@@ -225,7 +225,7 @@ class ShiftDensity:
     def gamma(self, k) -> np.ndarray:
         """``gamma_k`` at frequencies ``k``: one value per frequency, each with
         ``|gamma_k|^2`` finite and at most ``1 + 1e-12`` (the rounding slack of
-        :meth:`~shiftdecon.simulate.SequenceSummary.validate`), and
+        :meth:`~shiftdecon.simulate.SequenceObservations.validate`), and
         ``gamma_0`` within ``1e-12`` of 1, as for every characteristic
         function, else :class:`InvariantViolationError`.  A value whose
         computation overflows takes its limit, ``|gamma_k| = 0``.

@@ -31,8 +31,9 @@ product, so the template's samples are those of
 
 Nothing is written before every array of the bundle exists: the replicates,
 the risk curves, the sample curves and the histograms are computed first, so
-a refusal from any of them leaves no ``out_dir`` behind.  The tables go to
-:mod:`shiftdecon.csvio` as the numpy values they hold.
+a refusal from any of them leaves no ``out_dir`` behind, and a failed write
+leaves none of the study's files.  The tables go to :mod:`shiftdecon.csvio`
+as the numpy values they hold.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from typing import Optional
 import numpy as np
 
 from .config import ExperimentConfig, build_density, build_template
-from .csvio import write_csv, write_curves_csv, write_risk_report_csv
+from .csvio import _written_together, write_csv, write_curves_csv, write_risk_report_csv
 from .risk import RiskReport, _run_replicates, risk_report
 from .selection import CRITERION_ESTIMATORS, compute_m0
 from .simulate import render_grid, simulate
@@ -90,7 +91,8 @@ def run_replication_study(cfg: ExperimentConfig, out_dir, *, grid_size: int = 25
     replicate order, so it changes no output byte.  A ``grid_size`` that cannot
     resolve the template's band raises
     :class:`~shiftdecon.errors.AliasingError`.  Every input is checked,
-    and every array computed, before ``out_dir`` is created.
+    and every array computed, before ``out_dir`` is created; a failed
+    write removes the files written before it, and ``out_dir`` if created.
     """
     template = build_template(cfg)
     density = build_density(cfg)
@@ -121,31 +123,6 @@ def run_replication_study(cfg: ExperimentConfig, out_dir, *, grid_size: int = 25
     counts_star = np.bincount(n_star, minlength=m0_used + 1)
     counts_tilde = np.bincount(n_tilde, minlength=m0_used + 1)
 
-    # --- CSV bundle: every array exists, so only a failing write stops it ---
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_curves_csv(out_dir / "template_curve.csv", grid, template_curve)
-    write_curves_csv(out_dir / "sample_curves.csv", grid, sample_curves)
-
-    write_csv(out_dir / "traces.csv", ["n", *rules],
-              ((n, *row) for n, row in enumerate(reps.traces.T)))
-
-    write_csv(out_dir / "selections.csv",
-              ["replicate", "n_star", "loss_star", "n_tilde", "loss_tilde",
-               "negative_energy_fraction"],
-              zip(range(cfg.replications), n_star, loss_star, n_tilde, loss_tilde, neg_fracs))
-
-    write_csv(out_dir / "histograms.csv", ["n", "count_n_star", "count_n_tilde"],
-              zip(range(m0_used + 1), counts_star, counts_tilde))
-
-    write_risk_report_csv(out_dir / "risk_curves.csv", report)
-
-    write_csv(out_dir / "risk_summary.csv",
-              ["estimator", "criterion", "mc_mean", "mc_stderr", "inf_r",
-               "inf_r_bar", "inf_r_tilde", "ratio_vs_r", "ratio_vs_r_bar",
-               "ratio_vs_r_tilde"],
-              summary_rows)
-
     meta = [
         ("template", template.label),
         ("density", density.label),
@@ -165,7 +142,37 @@ def run_replication_study(cfg: ExperimentConfig, out_dir, *, grid_size: int = 25
         ("sample_curves_draw", "simulate at the seed: replicate 0's shifts "
                                "and gamma_tilde; independent noise"),
     ]
-    write_csv(out_dir / "meta.csv", ["key", "value"], meta)
+
+    # --- CSV bundle: every array exists, so only a failing write stops it ---
+    out_dir = Path(out_dir)
+    with _written_together() as keep:
+        if not out_dir.is_dir():
+            out_dir.mkdir(parents=True)
+            keep(out_dir)
+        keep(write_curves_csv(out_dir / "template_curve.csv", grid, template_curve))
+        keep(write_curves_csv(out_dir / "sample_curves.csv", grid, sample_curves))
+
+        keep(write_csv(out_dir / "traces.csv", ["n", *rules],
+                       ((n, *row) for n, row in enumerate(reps.traces.T))))
+
+        keep(write_csv(out_dir / "selections.csv",
+                       ["replicate", "n_star", "loss_star", "n_tilde", "loss_tilde",
+                        "negative_energy_fraction"],
+                       zip(range(cfg.replications), n_star, loss_star, n_tilde, loss_tilde,
+                           neg_fracs)))
+
+        keep(write_csv(out_dir / "histograms.csv", ["n", "count_n_star", "count_n_tilde"],
+                       zip(range(m0_used + 1), counts_star, counts_tilde)))
+
+        keep(write_risk_report_csv(out_dir / "risk_curves.csv", report))
+
+        keep(write_csv(out_dir / "risk_summary.csv",
+                       ["estimator", "criterion", "mc_mean", "mc_stderr", "inf_r",
+                        "inf_r_bar", "inf_r_tilde", "ratio_vs_r", "ratio_vs_r_bar",
+                        "ratio_vs_r_tilde"],
+                       summary_rows))
+
+        keep(write_csv(out_dir / "meta.csv", ["key", "value"], meta))
 
     return ReplicationStudy(out_dir=out_dir, m0_used=m0_used,
                          m0_formula=m0_res.value, m0_saturated=m0_res.saturated,

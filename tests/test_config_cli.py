@@ -10,6 +10,7 @@ import sys
 import numpy as np
 import pytest
 
+from shiftdecon import study
 from shiftdecon.cli import _resolve_config, build_parser, main
 from shiftdecon.config import (CONFIG_FIELDS, ExperimentConfig, build_density,
                                build_template, load_config, parse_config,
@@ -511,6 +512,40 @@ def test_cli_refuses_a_grid_that_aliases_before_writing(command, tmp_path, capsy
     assert payload["error"] == "AliasingError"
     assert "grid_size=3" in payload["message"]
     assert not any(out.exists() for out in outs.values())
+
+
+def test_cli_estimate_leaves_no_file_when_its_second_write_fails(tmp_path, capsys):
+    # --grid-out in a missing directory: exit 2, one OSError, no "wrote"
+    # line, and the --out file written before it is removed
+    out, grid_out = tmp_path / "coeffs.csv", tmp_path / "missing" / "fit.csv"
+    assert run_cli("estimate", "--out", str(out), "--grid-out", str(grid_out)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    payload = json.loads(captured.err)
+    assert payload["error"] == "OSError" and str(grid_out) in payload["message"]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_study_leaves_no_bundle_file_when_a_write_fails(tmp_path, capsys, monkeypatch):
+    # risk_curves.csv is a directory: the five bundle files written before it
+    # are removed, and the directory, which the study did not make, stays
+    argv = ("replication-study", "--replications", "4", "--n", "20", "--k-max", "8",
+            "--m0-override", "4", "--grid-size", "32", "--out")
+    out = tmp_path / "study"
+    (out / "risk_curves.csv").mkdir(parents=True)
+    assert run_cli(*argv, str(out)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and json.loads(captured.err)["error"] == "OSError"
+    assert [path.name for path in out.iterdir()] == ["risk_curves.csv"]
+
+    # an out_dir the study created goes too
+    def full_disk(path, *args):
+        raise OSError(f"no space left for {path}")
+
+    monkeypatch.setattr(study, "write_risk_report_csv", full_disk)
+    assert run_cli(*argv, str(tmp_path / "fresh")) == 2
+    assert "no space left" in json.loads(capsys.readouterr().err)["message"]
+    assert [path.name for path in tmp_path.iterdir()] == ["study"]
 
 
 # One non-default value per configuration field that rate-study does not read.

@@ -24,7 +24,7 @@ from shiftdecon.selection import (CRITERION_ESTIMATORS, CRITERION_KINDS, PENALTY
                                   _band_energy, criterion_increments, criterion_trace,
                                   fraction_negative_theta_hat, theta_hat_squared)
 from shiftdecon.simulate import SequenceObservations, SequenceSummary, simulate, simulate_summary
-from shiftdecon.spectral import (EIGENVALUE_FLOOR, ShiftDensity, gaussian_density,
+from shiftdecon.spectral import (EIGENVALUE_FLOOR, ShiftDensity, Template, gaussian_density,
                                  laplace_density, point_mass_density,
                                  uniform_density)
 
@@ -57,8 +57,7 @@ def test_row_wise_kernels_equal_the_one_row_case_bitwise(seed, k_max, lead, n, e
     scale = rng.choice([1e-3, 0.1, 1.0])
     c_tilde = scale * (rng.standard_normal(lead + (width,))
                        + 1j * rng.standard_normal(lead + (width,)))
-    stack = SequenceSummary(c_tilde=c_tilde, gamma_tilde=np.ones_like(c_tilde),
-                            n=n, epsilon=epsilon, k_max=k_max)
+    stack = SequenceSummary(c_tilde=c_tilde, n=n, epsilon=epsilon, k_max=k_max)
     n_max = data.draw(st.integers(0, k_max))
     traces = {(kind, variant): criterion_trace(stack, LAPLACE, kind, n_max,
                                                penalty_variant=variant)
@@ -66,8 +65,7 @@ def test_row_wise_kernels_equal_the_one_row_case_bitwise(seed, k_max, lead, n, e
     fractions = fraction_negative_theta_hat(stack, LAPLACE, n_max)
     assert fractions.shape == lead
     for index in np.ndindex(*lead):
-        row = SequenceSummary(c_tilde=c_tilde[index], gamma_tilde=np.ones(width),
-                              n=n, epsilon=epsilon, k_max=k_max)
+        row = SequenceSummary(c_tilde=c_tilde[index], n=n, epsilon=epsilon, k_max=k_max)
         for (kind, variant), trace in traces.items():
             alone = criterion_trace(row, LAPLACE, kind, n_max, penalty_variant=variant)
             assert trace[index].tobytes() == alone.tobytes()
@@ -89,14 +87,12 @@ def test_band_energy_matches_its_scalar_reference(seed, k_max, lead, n, epsilon,
     width = 2 * k_max + 1
     c_tilde = rng.choice([1e-3, 0.1, 1.0]) * (rng.standard_normal(lead + (width,))
                                               + 1j * rng.standard_normal(lead + (width,)))
-    stack = SequenceSummary(c_tilde=c_tilde, gamma_tilde=np.ones_like(c_tilde),
-                            n=n, epsilon=epsilon, k_max=k_max)
+    stack = SequenceSummary(c_tilde=c_tilde, n=n, epsilon=epsilon, k_max=k_max)
     n_max = data.draw(st.integers(0, k_max))
     _, t, g2 = _band_energy(stack, density, n_max)
     energy = t / g2
     for index in np.ndindex(*lead):
-        row = SequenceSummary(c_tilde=c_tilde[index], gamma_tilde=np.ones(width),
-                              n=n, epsilon=epsilon, k_max=k_max)
+        row = SequenceSummary(c_tilde=c_tilde[index], n=n, epsilon=epsilon, k_max=k_max)
         for k in range(-n_max, n_max + 1):
             scale = max(abs(c_tilde[index][k_max + k]) ** 2, epsilon ** 2 / n)
             ulp = np.spacing(scale / g2[n_max + k])
@@ -170,13 +166,17 @@ DENSITIES = (LAPLACE, laplace_density(0.4), gaussian_density(0.15),
        n=st.integers(1, 400), epsilon=st.sampled_from([0.0, 0.01, 0.5]))
 @example(seed=0, density=LAPLACE, k_max=1, n=49, epsilon=0.0)  # 49 * (1/49) < 1
 def test_simulated_spectra_are_hermitian(seed, density, k_max, n, epsilon):
+    # with no noise and every coefficient 1, a summary's c_tilde is the
+    # gamma_tilde of its shifts
     template = sobolev_template(1.5, 1.0, k_max)
-    for draw in (simulate, simulate_summary):
-        gt = draw(template, density, n, epsilon, seed).gamma_tilde
+    ones = Template(coeffs=np.ones(2 * k_max + 1, dtype=complex), k_max=k_max)
+    for gt in (simulate(template, density, n, epsilon, seed).gamma_tilde,
+               simulate_summary(ones, density, n, 0.0, seed).c_tilde):
         assert gt[k_max] == 1.0
         assert np.array_equal(np.conj(gt[::-1]), gt)
-    noiseless = simulate(template, density, n, 0.0, seed).per_curve
-    assert np.array_equal(np.conj(noiseless[:, ::-1]), noiseless)
+    for spectrum in (simulate(template, density, n, 0.0, seed).per_curve,
+                     simulate_summary(template, density, n, epsilon, seed).c_tilde):
+        assert np.array_equal(np.conj(spectrum[..., ::-1]), spectrum)
 
 
 # One valid call per function in shiftdecon.__all__: its keyword arguments and
@@ -339,7 +339,11 @@ def test_a_bad_config_choice_is_a_config_error(field, key, value):
 
 # A hand-built dataset of 17 columns (k_max = 8) and the fields that spoil it;
 # each is refused when it is built, not by whichever criterion reads it first.
-DATASET = dict(c_tilde=OBS.c_tilde, gamma_tilde=OBS.gamma_tilde, n=20, epsilon=0.05, k_max=8)
+# A SequenceObservations derives c_tilde, n and k_max from its curves, so it
+# refuses them as arguments, and a summary has no gamma_tilde to be given.
+DATASETS = {SequenceSummary: dict(c_tilde=OBS.c_tilde, n=20, epsilon=0.05, k_max=8),
+            SequenceObservations: dict(per_curve=OBS.per_curve, epsilon=0.05,
+                                       gamma_tilde=OBS.gamma_tilde)}
 NAN_COLUMN, INF_COLUMN = OBS.c_tilde.copy(), OBS.c_tilde.copy()
 NAN_COLUMN[3], INF_COLUMN[12] = np.nan, math.inf
 BAD_DATASETS = {
@@ -356,27 +360,34 @@ BAD_DATASETS = {
 }
 
 
-@pytest.mark.parametrize("cls", [SequenceSummary, SequenceObservations])
-@pytest.mark.parametrize("spoil", BAD_DATASETS.values(), ids=BAD_DATASETS)
+# A stack of summaries is a summary: a stacked c_tilde spoils only the
+# arguments of a SequenceObservations.
+BAD_CASES = [(name, cls) for name in BAD_DATASETS for cls in DATASETS
+             if (name, cls) != ("c_tilde-stacked", SequenceSummary)]
+
+
+@pytest.mark.parametrize("cls,spoil", [(cls, BAD_DATASETS[name]) for name, cls in BAD_CASES],
+                         ids=[f"{name}-{cls.__name__}" for name, cls in BAD_CASES])
 def test_a_bad_dataset_is_refused_when_built(cls, spoil):
-    extra = dict(per_curve=OBS.per_curve) if cls is SequenceObservations else {}
-    cls(**DATASET, **extra).validate()
-    with pytest.raises(InvalidParameterError):
-        cls(**{**DATASET, **spoil}, **extra)
+    cls(**DATASETS[cls])
+    arguments = {field.name for field in dataclasses.fields(cls) if field.init}
+    with pytest.raises(InvalidParameterError if set(spoil) <= arguments else TypeError):
+        cls(**{**DATASETS[cls], **spoil})
 
 
 NAN_CURVE = OBS.per_curve.copy()
 NAN_CURVE[4, 2] = np.nan
-BAD_PER_CURVES = {"one-column-short": OBS.per_curve[:, :-1], "[[1]]": [[1]],
-                  "one-curve-short": OBS.per_curve[:-1], "transposed": OBS.per_curve.T,
-                  "nan": NAN_CURVE}
+BAD_PER_CURVES = {"one-column-short": OBS.per_curve[:, :-1], "transposed": OBS.per_curve.T,
+                  "no-curves": OBS.per_curve[:0], "one-curve": OBS.per_curve[0],
+                  "stacked": OBS.per_curve[None], "nan": NAN_CURVE,
+                  "mean-overflows": np.full((2, 17), 1e308)}
 
 
 @pytest.mark.parametrize("per_curve", BAD_PER_CURVES.values(), ids=BAD_PER_CURVES)
 def test_a_bad_per_curve_is_refused_when_built(per_curve):
     # at construction, not as a bare numpy error in render_curves
     with pytest.raises(InvalidParameterError, match="per_curve"):
-        SequenceObservations(**DATASET, per_curve=per_curve)
+        SequenceObservations(per_curve=per_curve, epsilon=0.05)
 
 
 # The sizes of the result containers: each is admitted before it sizes an

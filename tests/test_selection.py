@@ -90,10 +90,9 @@ def test_theta_hat_squared_unbiased_mc():
     g2 = np.abs(LAPLACE.gamma(ks)) ** 2
     theta2 = np.abs(t.coeffs[ks + 8]) ** 2
     expected = theta2 * (g2 + (1.0 - g2) / n) / g2
-    rng = np.random.default_rng(5150)
     vals = np.empty((reps, ks.size))
-    for r in range(reps):
-        obs = simulate(t, LAPLACE, n=n, epsilon=eps, seed=rng)
+    for r, seed in enumerate(np.random.SeedSequence(5150).spawn(reps)):
+        obs = simulate(t, LAPLACE, n=n, epsilon=eps, seed=seed)
         vals[r] = [theta_hat_squared(obs, LAPLACE, int(k)) for k in ks]
     err = np.abs(vals.mean(axis=0) - expected)
     stderr = vals.std(axis=0, ddof=1) / math.sqrt(reps)
@@ -228,10 +227,9 @@ def test_expected_u_matches_symbolic_oracle():
     per_k = (-(1.0 - 1.0 / n) * theta2 * M / g2 + eps**2 / (n * g2)
              + theta2 * M / (n * g2**2))
     expected = [np.sum(per_k[K - c : K + c + 1]) for c in cuts]
-    rng = np.random.default_rng(999)
     vals = np.empty((reps, len(cuts)))
-    for r in range(reps):
-        obs = simulate(t, LAPLACE, n=n, epsilon=eps, seed=rng)
+    for r, seed in enumerate(np.random.SeedSequence(999).spawn(reps)):
+        obs = simulate(t, LAPLACE, n=n, epsilon=eps, seed=seed)
         trace = criterion_trace(obs, LAPLACE, "u", max(cuts))
         vals[r] = [trace[c] for c in cuts]
     mean = vals.mean(axis=0)

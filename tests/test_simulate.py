@@ -1,6 +1,7 @@
 """Sequence-space simulator: exactness, moments, determinism, rendering."""
 import math
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -21,6 +22,8 @@ from shiftdecon.spectral import (ShiftDensity, Template, _box_muller, _synthesis
 K_MAX = 12
 TEMPLATE = Template.from_harmonics(
     0.3, [1.0, -0.4, 0.2, 0.1], [0.5, 0.0, -0.3, 0.05], k_max=K_MAX, label="toy")
+# every coefficient 1: a noiseless summary's c_tilde is its gamma_tilde
+ONES = Template(coeffs=np.ones(2 * K_MAX + 1, dtype=complex), k_max=K_MAX)
 LAPLACE = laplace_density(0.1)
 
 
@@ -49,19 +52,18 @@ def test_noiseless_phase_factorization():
 
 
 def test_validate_passes_on_fresh_datasets():
+    # and c_tilde, n and k_max are those its curves determine, byte for byte
     for seed in range(30):
         obs = simulate(TEMPLATE, LAPLACE, n=17, epsilon=0.05, seed=seed)
         obs.validate()  # must not raise
-
-
-def test_validate_catches_tampering():
-    obs = simulate(TEMPLATE, LAPLACE, n=6, epsilon=0.05, seed=1)
-    bad = SequenceObservations(per_curve=obs.per_curve,
-                               c_tilde=obs.c_tilde + 1e-9,
-                               gamma_tilde=obs.gamma_tilde,
-                               n=obs.n, epsilon=obs.epsilon, k_max=obs.k_max)
-    with pytest.raises(Exception):
-        bad.validate()
+        assert obs.c_tilde.tobytes() == obs.per_curve.mean(axis=0).tobytes()
+        assert (obs.n, obs.k_max, obs.epsilon) == (17, K_MAX, 0.05)
+    for per_curve in ([[2.0]], np.ones((1, 3)), np.ones((4, 2 * K_MAX + 1))):
+        alone = SequenceObservations(per_curve=per_curve, epsilon=0.1)
+        assert alone.c_tilde.tobytes() == np.mean(per_curve, axis=0).tobytes()
+        assert (alone.n, alone.k_max) == (len(per_curve), len(per_curve[0]) // 2)
+        assert alone.gamma_tilde is None and alone.shifts is None
+        alone.validate()  # no drawn gamma_tilde: nothing to check
 
 
 def _tamper_k0(gt):
@@ -81,19 +83,17 @@ def _tamper_modulus(gt):
     (_tamper_one_side, "not exactly Hermitian"),
     (_tamper_modulus, "exceeds 1 beyond rounding slack"),
 ], ids=["k0", "hermitian", "modulus"])
-def test_summary_validate_refuses_each_broken_invariant_on_any_row(tamper, message):
-    # the second row of a stack of two is tampered with; |gamma_tilde| may
-    # pass 1 by 1e-12, not more
-    summary = simulate_summary(TEMPLATE, LAPLACE, n=6, epsilon=0.05, seed=1)
-    gamma_tilde = np.stack([summary.gamma_tilde, summary.gamma_tilde])
-    tamper(gamma_tilde[1])
-    stack = SequenceSummary(c_tilde=np.stack([summary.c_tilde] * 2), gamma_tilde=gamma_tilde,
-                            n=6, epsilon=0.05, k_max=K_MAX)
+def test_validate_refuses_each_broken_invariant_of_gamma_tilde(tamper, message):
+    # |gamma_tilde| may pass 1 by 1e-12, not more
+    obs = simulate(TEMPLATE, LAPLACE, n=6, epsilon=0.05, seed=1)
+    gamma_tilde = obs.gamma_tilde.copy()
+    tamper(gamma_tilde)
+    bad = SequenceObservations(per_curve=obs.per_curve, epsilon=0.05, gamma_tilde=gamma_tilde)
     with pytest.raises(InvariantViolationError, match=message):
-        stack.validate()
-    gamma_tilde[1, K_MAX + 1] = gamma_tilde[1, K_MAX - 1] = 1.0 + 5e-13
-    gamma_tilde[1, K_MAX] = 1.0
-    stack.validate()
+        bad.validate()
+    gamma_tilde[K_MAX + 1] = gamma_tilde[K_MAX - 1] = 1.0 + 5e-13
+    gamma_tilde[K_MAX] = 1.0
+    bad.validate()
 
 
 def test_parameter_validation():
@@ -136,11 +136,10 @@ def test_mean_coefficient_unbiased():
     k_band = np.arange(-10, 11)
     gamma = LAPLACE.gamma(k_band)
     theta = TEMPLATE.coeffs[(k_band + K_MAX)]
-    rng = np.random.default_rng(2024)
     sums = np.zeros(k_band.size, dtype=complex)
     sq = np.zeros(k_band.size)
-    for _ in range(reps):
-        obs = simulate(TEMPLATE, LAPLACE, n=n, epsilon=eps, seed=rng)
+    for seed in np.random.SeedSequence(2024).spawn(reps):
+        obs = simulate(TEMPLATE, LAPLACE, n=n, epsilon=eps, seed=seed)
         vals = obs.c_tilde[(k_band + K_MAX)]
         sums += vals
         sq += np.abs(vals) ** 2
@@ -157,10 +156,9 @@ def test_empirical_char_fn_second_moment():
     ks = np.array([1, 2, 5, 9])
     gamma2 = np.abs(LAPLACE.gamma(ks)) ** 2
     expected = gamma2 + (1.0 - gamma2) / n
-    rng = np.random.default_rng(77)
     vals = np.empty((reps, ks.size))
-    for r in range(reps):
-        obs = simulate(TEMPLATE, LAPLACE, n=n, epsilon=0.0, seed=rng)
+    for r, seed in enumerate(np.random.SeedSequence(77).spawn(reps)):
+        obs = simulate(TEMPLATE, LAPLACE, n=n, epsilon=0.0, seed=seed)
         vals[r] = np.abs(obs.gamma_tilde[(ks + K_MAX)]) ** 2
     mean = vals.mean(axis=0)
     stderr = vals.std(axis=0, ddof=1) / math.sqrt(reps)
@@ -225,10 +223,7 @@ def test_render_row_count_independence():
     # the j-th curve renders to the same bytes whether simulated alone or not
     big = simulate(wave_template(16), LAPLACE, n=7, epsilon=0.05, seed=11)
     rows = render_curves(big, 40)
-    one = SequenceObservations(per_curve=big.per_curve[2:3],
-                               c_tilde=big.per_curve[2:3].mean(axis=0),
-                               gamma_tilde=big.gamma_tilde, n=1,
-                               epsilon=big.epsilon, k_max=big.k_max)
+    one = SequenceObservations(per_curve=big.per_curve[2:3], epsilon=big.epsilon)
     assert np.array_equal(render_curves(one, 40)[0], rows[2])
 
 
@@ -318,17 +313,17 @@ def test_rendered_noise_scale():
                          ids=["laplace", "gaussian"])
 def test_analyzing_rendered_curves_gives_back_the_draw(density):
     # a drawn curve is real, so rendering drops only rounding: analyze gives
-    # back each row of per_curve within 1e-12, and the analyzed curves select
-    # the cutoffs the draw selects (the reference study's setting)
+    # back each row of per_curve within 1e-12, and the dataset of the
+    # analyzed curves alone selects the cutoffs the draw selects (the
+    # reference study's setting)
     template, grid = wave_template(40), 256
     for seed in range(6):
         obs = simulate(template, density, 100, 0.015, seed)
         rows = render_curves(obs, grid)
         per_curve = np.array([analyze(row, 40).coeffs for row in rows])
         assert np.max(np.abs(per_curve - obs.per_curve)) <= 1e-12
-        analyzed = SequenceObservations(per_curve=per_curve, c_tilde=per_curve.mean(axis=0),
-                                        gamma_tilde=obs.gamma_tilde, n=obs.n,
-                                        epsilon=obs.epsilon, k_max=obs.k_max)
+        analyzed = SequenceObservations(per_curve=per_curve, epsilon=obs.epsilon)
+        assert (analyzed.n, analyzed.k_max) == (obs.n, obs.k_max)
         for rule in ("u_bar", "u_tilde"):
             assert (select_cutoff(analyzed, density, rule, m0=32).chosen_n
                     == select_cutoff(obs, density, rule, m0=32).chosen_n)
@@ -339,34 +334,41 @@ def test_analyzing_rendered_curves_gives_back_the_draw(density):
 
 
 def test_summary_gamma_tilde_is_simulate_bit_for_bit():
+    # the summary draws simulate's shifts: with no noise and every
+    # coefficient 1 its c_tilde is their gamma_tilde, which it does not keep
     densities = (LAPLACE, gaussian_density(0.15), uniform_density(0.2),
                  point_mass_density())
     for density in densities:
-        for n, epsilon, seed in ((1, 0.0, 0), (7, 0.05, 3), (250, 0.3, 11),
-                                 (40, 0.0, np.random.SeedSequence(5).spawn(3)[2])):
-            full = simulate(TEMPLATE, density, n, epsilon, seed)
-            summary = simulate_summary(TEMPLATE, density, n, epsilon, seed)
-            assert type(summary) is SequenceSummary
-            assert summary.gamma_tilde.tobytes() == full.gamma_tilde.tobytes()
-            assert (summary.n, summary.epsilon, summary.k_max) == (n, epsilon, K_MAX)
-            summary.validate()
+        for n, seed in ((1, 0), (7, 3), (250, 11), (40, np.random.SeedSequence(5).spawn(3)[2])):
+            full = simulate(ONES, density, n, 0.0, seed)
+            summary = simulate_summary(ONES, density, n, 0.0, seed)
+            assert type(summary) is SequenceSummary and not hasattr(summary, "gamma_tilde")
+            assert summary.c_tilde.tobytes() == full.gamma_tilde.tobytes()
+            assert (summary.n, summary.epsilon, summary.k_max) == (n, 0.0, K_MAX)
+    assert [f.name for f in fields(SequenceSummary)] == ["c_tilde", "n", "epsilon", "k_max"]
+    assert not hasattr(SequenceSummary, "validate")
+
+
+def _reference_gamma_tilde(shifts):
+    """The phases by recurrence (row 1 is z = exp(-2j pi shift), row k is
+    row k-1 times z), each row and its conjugate averaged on its own, the
+    k = 0 mean exactly 1."""
+    z = np.exp(-2j * np.pi * shifts)
+    rows = [np.ones(len(shifts), dtype=complex), z]
+    for _ in range(K_MAX - 1):
+        rows.append(rows[-1] * z)
+    phases = [np.conj(row) for row in rows[:0:-1]] + rows
+    ref = np.array([row.mean() for row in phases])
+    ref[K_MAX] = 1.0
+    return ref
 
 
 def test_gamma_tilde_is_the_column_mean_of_the_phase_matrix():
-    # reference: the phases by recurrence (row 1 is z = exp(-2j pi shift),
-    # row k is row k-1 times z), each row and its conjugate averaged on its
-    # own, the k = 0 mean exactly 1; bytes must match, signed zeros included
+    # bytes must match the reference, signed zeros included
     for density in (LAPLACE, point_mass_density()):
         for n in (1, 7, 49, 250):
             obs = simulate(TEMPLATE, density, n, 0.1, seed=n)
-            z = np.exp(-2j * np.pi * obs.shifts)
-            rows = [np.ones(n, dtype=complex), z]
-            for _ in range(K_MAX - 1):
-                rows.append(rows[-1] * z)
-            phases = [np.conj(row) for row in rows[:0:-1]] + rows
-            ref = np.array([row.mean() for row in phases])
-            ref[K_MAX] = 1.0
-            assert obs.gamma_tilde.tobytes() == ref.tobytes()
+            assert obs.gamma_tilde.tobytes() == _reference_gamma_tilde(obs.shifts).tobytes()
 
 
 def test_phase_recurrence_is_accurate_at_k_max_256():
@@ -387,35 +389,36 @@ def test_phase_recurrence_is_accurate_at_k_max_256():
 
 def test_chunked_draw_matches_each_seed_alone():
     # each replicate of a chunk drawn alone, at its own start; replicate 0 is
-    # simulate_summary's draw, and its gamma_tilde simulate's
-    for density, n, epsilon in ((LAPLACE, 1, 0.0), (LAPLACE, 49, 0.2),
-                                (gaussian_density(0.15), 130, 0.05),
-                                (point_mass_density(), 7, 0.3)):
-        stack = _draw_summaries(TEMPLATE, density, n, epsilon, 12, 0, 9, 9)
-        assert stack.c_tilde.shape == stack.gamma_tilde.shape == (9, 2 * K_MAX + 1)
-        stack.validate()
+    # simulate_summary's draw, and, with no noise, the ONES template's
+    # c_tilde is simulate's gamma_tilde
+    for template, density, n, epsilon in ((ONES, LAPLACE, 1, 0.0), (TEMPLATE, LAPLACE, 49, 0.2),
+                                          (ONES, gaussian_density(0.15), 130, 0.0),
+                                          (TEMPLATE, point_mass_density(), 7, 0.3)):
+        stack = _draw_summaries(template, density, n, epsilon, 12, 0, 9, 9)
+        assert stack.c_tilde.shape == (9, 2 * K_MAX + 1)
         for i in range(9):
-            alone = _draw_summaries(TEMPLATE, density, n, epsilon, 12, i, 1, 1)
-            assert stack.gamma_tilde[i].tobytes() == alone.gamma_tilde[0].tobytes()
+            alone = _draw_summaries(template, density, n, epsilon, 12, i, 1, 1)
             assert stack.c_tilde[i].tobytes() == alone.c_tilde[0].tobytes()
-        first = simulate_summary(TEMPLATE, density, n, epsilon, 12)
+        first = simulate_summary(template, density, n, epsilon, 12)
         assert stack.c_tilde[0].tobytes() == first.c_tilde.tobytes()
-        assert (stack.gamma_tilde[0].tobytes()
-                == simulate(TEMPLATE, density, n, epsilon, 12).gamma_tilde.tobytes())
+        if template is ONES:
+            assert (stack.c_tilde[0].tobytes()
+                    == simulate(ONES, density, n, 0.0, 12).gamma_tilde.tobytes())
 
 
 def test_a_draw_split_into_blocks_is_the_unsplit_draw():
     # 1-replicate blocks, 4-replicate blocks with a ragged last one, and a
     # block larger than the chunk agree byte for byte with the unsplit draw,
-    # for a chunk at replicate 0 and one further on
-    for density, n, epsilon in ((LAPLACE, 1, 0.2), (LAPLACE, 600, 0.05),
-                                (uniform_density(0.2), 49, 0.3),
-                                (gaussian_density(0.15), 30, 0.1)):
+    # for a chunk at replicate 0 and one further on; with no noise the ONES
+    # template's c_tilde is the draw's gamma_tilde
+    for template, density, n, epsilon in ((TEMPLATE, LAPLACE, 1, 0.2),
+                                          (ONES, LAPLACE, 600, 0.0),
+                                          (TEMPLATE, uniform_density(0.2), 49, 0.3),
+                                          (ONES, gaussian_density(0.15), 30, 0.0)):
         for start in (0, 37):
-            whole = _draw_summaries(TEMPLATE, density, n, epsilon, 21, start, 11, 11)
+            whole = _draw_summaries(template, density, n, epsilon, 21, start, 11, 11)
             for block in (1, 4, 50):
-                split = _draw_summaries(TEMPLATE, density, n, epsilon, 21, start, 11, block)
-                assert split.gamma_tilde.tobytes() == whole.gamma_tilde.tobytes()
+                split = _draw_summaries(template, density, n, epsilon, 21, start, 11, block)
                 assert split.c_tilde.tobytes() == whole.c_tilde.tobytes()
 
 
@@ -463,16 +466,15 @@ def test_summary_noise_is_the_uniforms_after_the_shifts():
             shifts = density.sample(uniforms[: n * per_shift].reshape(n, per_shift))
             normals = _reference_normals(uniforms[n * per_shift : n * per_shift + width])
             noise = _reference_noise(normals[: width - 1])
-            z = np.exp(-2j * np.pi * shifts)
-            assert abs(stack.gamma_tilde[i][K_MAX + 1] - z.mean()) <= 1e-15
-            expected = TEMPLATE.coeffs * stack.gamma_tilde[i] + (epsilon / math.sqrt(n)) * noise
+            gamma_tilde = _reference_gamma_tilde(shifts)
+            expected = TEMPLATE.coeffs * gamma_tilde + (epsilon / math.sqrt(n)) * noise
             assert stack.c_tilde[i].tobytes() == expected.tobytes()
 
 
 def test_simulate_reads_replicate_zeros_shifts_and_its_own_noise():
     # the shifts are replicate 0's uniforms; the per-curve noise is one row of
     # 2 K + 1 standard normals per curve from counter 2**192 of the same
-    # stream; a Generator is read from where it stands, shifts first
+    # stream; a Generator, which has no counter to set, is refused
     n, epsilon, width = 9, 0.3, 2 * K_MAX + 1
     zero = Template(coeffs=np.zeros(2 * K_MAX + 1, dtype=complex), k_max=K_MAX)
     for density in (LAPLACE, gaussian_density(0.15)):
@@ -482,11 +484,9 @@ def test_simulate_reads_replicate_zeros_shifts_and_its_own_noise():
         assert obs.shifts.tobytes() == shifts.tobytes()
         normals = _philox(8, 1 << 192).standard_normal((n, width))
         assert obs.per_curve.tobytes() == (epsilon * _reference_noise(normals)).tobytes()
-        rng = np.random.default_rng(4)
-        obs = simulate(zero, density, n, epsilon, np.random.default_rng(4))
-        assert obs.shifts.tobytes() == density.sample(rng.random((n, per_shift))).tobytes()
-        assert obs.per_curve.tobytes() == (epsilon * _reference_noise(
-            rng.standard_normal((n, width)))).tobytes()
+        for draw in (simulate, simulate_summary):
+            with pytest.raises(InvalidParameterError, match="seed must be an integer"):
+                draw(zero, density, n, epsilon, np.random.default_rng(4))
 
 
 def test_noise_law_of_a_real_curve():
@@ -519,8 +519,8 @@ def test_per_curve_noise_is_hermitian_with_unit_energy_at_every_k():
 
 
 def test_summary_noise_moments_at_n_6400():
-    """c_tilde - theta * gamma_tilde is eps/sqrt(n) times one noise row of
-    a real curve.
+    """A summary of pure noise, theta = 0, is eps/sqrt(n) times one noise
+    row of a real curve.
 
     Scaled by sqrt(n)/eps the residuals are exactly Hermitian, with a real
     z_0 of variance 1, and for k >= 1 real and imaginary parts of variance
@@ -528,8 +528,9 @@ def test_summary_noise_moments_at_n_6400():
     and no correlation between neighbouring frequencies.
     """
     n, eps, reps = 6400, 0.2, 400
-    obs = _draw_summaries(TEMPLATE, LAPLACE, n, eps, 6400, 0, reps, 1)
-    z = (obs.c_tilde - TEMPLATE.coeffs * obs.gamma_tilde) * math.sqrt(n) / eps
+    zero = Template(coeffs=np.zeros(2 * K_MAX + 1, dtype=complex), k_max=K_MAX)
+    obs = _draw_summaries(zero, LAPLACE, n, eps, 6400, 0, reps, 1)
+    z = obs.c_tilde * math.sqrt(n) / eps
     assert np.array_equal(np.conj(obs.c_tilde[:, ::-1]), obs.c_tilde)
 
     def zscore(samples, expected, variance):

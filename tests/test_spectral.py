@@ -157,7 +157,7 @@ def _constant_density(value):
 
 def test_gamma_band_refuses_a_modulus_above_one():
     # |gamma_k|^2 may pass 1 by the 1e-12 rounding slack that
-    # SequenceSummary.validate allows, and no further: a band of 2s gave
+    # SequenceObservations.validate allows, and no further: a band of 2s gave
     # finite but meaningless risks
     assert np.array_equal(_constant_density(1.0 + 1e-13).gamma_band(3), np.full(7, 1.0 + 1e-13))
     for value in (2.0, 1.0 + 1e-11, -1.5, 1.5j):

@@ -101,8 +101,8 @@ FAULTS = [
           "cutoffs[j, chunk] = m0 - np.argmin(trace[..., ::-1], axis=-1)"),
     Fault("tail energy off by one frequency", "spectral.py",
           "    return tail[1 : n_max + 2]\n", "    return tail[: n_max + 1]\n"),
-    Fault("a dataset's per_curve admitted in any shape", "simulate.py",
-          "        if per_curve.shape != (self.n, 2 * self.k_max + 1):\n",
+    Fault("a dataset's per_curve admitted with an even width or no curves", "simulate.py",
+          "        if per_curve.ndim != 2 or len(per_curve) < 1 or per_curve.shape[1] % 2 != 1:\n",
           "        if per_curve.ndim != 2:\n"),
     Fault("a dataset's per_curve admitted when not finite", "simulate.py",
           "        if not np.all(np.isfinite(per_curve)):\n", "        if False:\n"),
@@ -140,7 +140,7 @@ FAULTS = [
           "        if gam.shape != k.shape:\n", "        if False:\n"),
     Fault("a |gamma_k| above 1 admitted", "spectral.py",
           "(g2 <= 1.0 + 1e-12)", "(g2 < math.inf)"),
-    Fault("a summary's |gamma_tilde| above 1 admitted", "simulate.py",
+    Fault("a drawn |gamma_tilde| above 1 admitted", "simulate.py",
           "        if float(np.max(np.abs(gt))) > 1.0 + 1e-12:\n", "        if False:\n"),
     Fault("the Laplace inverse CDF at scale sigma, not sigma / sqrt(2)", "spectral.py",
           "partial(_laplace_shifts, s / math.sqrt(2.0))", "partial(_laplace_shifts, s)"),
@@ -207,8 +207,8 @@ FAULTS = [
     Fault("a configuration of one replication admitted", "config.py",
           '"replications", self.replications, 2)', '"replications", self.replications, 1)'),
     Fault("selections.csv with loss_star and loss_tilde swapped", "study.py",
-          "n_star, loss_star, n_tilde, loss_tilde, neg_fracs",
-          "n_star, loss_tilde, n_tilde, loss_star, neg_fracs"),
+          "n_star, loss_star, n_tilde, loss_tilde,\n",
+          "n_star, loss_tilde, n_tilde, loss_star,\n"),
     Fault("meta.csv's m0_used written from the formula value", "study.py",
           '("m0_used", m0_used)', '("m0_used", m0_res.value)'),
     Fault("the wave template's tail phase with its sign flipped", "catalog.py",
@@ -255,6 +255,20 @@ FAULTS = [
           "    if curves.ndim > 2 or np.iscomplexobj(curves):\n        raise InvalidParameterError(\n"
           '            f"curves must be real and 1-d or 2-d, got {curves.dtype} {curves.shape}")\n',
           ""),
+    # a dataset holds what was observed; one seed contract; a failed write leaves no file
+    Fault("c_tilde derived without the first curve", "simulate.py",
+          "c_tilde=per_curve.mean(axis=0)", "c_tilde=per_curve[1:].mean(axis=0)"),
+    Fault("a column mean that overflows admitted after a warning", "simulate.py",
+          '        with _refuse_overflow("the column mean of per_curve overflows"):\n',
+          "        if True:\n"),
+    Fault("validate without its Hermitian check of gamma_tilde", "simulate.py",
+          "        if not np.array_equal(np.conj(gt[::-1]), gt):\n", "        if False:\n"),
+    Fault("a Generator admitted as a seed", "simulate.py",
+          "    if not isinstance(seed, np.random.SeedSequence):\n",
+          "    if not isinstance(seed, (np.random.SeedSequence, np.random.Generator)):\n"),
+    Fault("a failed write leaves the files written before it", "csvio.py",
+          "(path.rmdir if path.is_dir() else path.unlink)()",
+          "(path.rmdir if path.is_dir() else (lambda: None))()"),
 ]
 
 _FIRST_FAILURE = re.compile(r"^(?:FAILED|ERROR) (\S+)", re.MULTILINE)
