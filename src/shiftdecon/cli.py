@@ -1,11 +1,13 @@
 """Command-line front end.
 
-Every subcommand is a thin shell over the library: call the matching
-library function on the :class:`ExperimentConfig`, write CSVs.  All share
+Every subcommand is a thin shell over the library: it calls the matching
+library function on the :class:`ExperimentConfig` and returns its
+``(path, write, message)`` files and its result lines; :func:`main` writes
+the files all or none, then prints each message and the lines.  All share
 one set of configuration flags, which :func:`main` resolves once, before the
 subcommand runs; ``simulate``, ``select`` and ``estimate`` act on the one
-dataset drawn at the configured seed.  Failures print a single
-machine-readable JSON line to stderr and exit 2.
+dataset drawn at the configured seed.  Failures print nothing to stdout, a
+single machine-readable JSON line to stderr, and exit 2.
 
     shiftdecon simulate --out curves.csv
     shiftdecon select --criterion u_tilde
@@ -22,13 +24,14 @@ import dataclasses
 import json
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .config import (CONFIG_FIELDS, ExperimentConfig, _int, build_density, build_template,
                      load_config, save_config)
-from .csvio import (_written_together, write_csv, write_curves_csv, write_rate_study_csv,
+from .csvio import (_write_together, write_csv, write_curves_csv, write_rate_study_csv,
                     write_risk_report_csv, write_selection_csv, write_template_csv)
 from .errors import ConfigError, ShiftDeconError
 from .risk import rate_study, risk_report
@@ -55,26 +58,24 @@ def _dataset(cfg: ExperimentConfig):
     return template, density, simulate(template, density, cfg.n, cfg.epsilon, cfg.seed)
 
 
-def cmd_simulate(args, cfg) -> int:
+def cmd_simulate(args, cfg):
     _, _, obs = _dataset(cfg)
     curves = render_curves(obs, args.grid_size)
-    out = write_curves_csv(args.out, render_grid(args.grid_size), curves)
-    print(f"wrote {obs.n} rendered curves ({args.grid_size} points) to {out}")
-    return 0
+    grid = render_grid(args.grid_size)
+    return [(args.out, lambda path: write_curves_csv(path, grid, curves),
+             f"wrote {obs.n} rendered curves ({args.grid_size} points) to {Path(args.out)}")], []
 
 
-def cmd_select(args, cfg) -> int:
+def cmd_select(args, cfg):
     _, density, obs = _dataset(cfg)
     sel = select_cutoff(obs, density, cfg.criterion, m0=cfg.m0_override,
                         penalty_variant=cfg.penalty_variant)
-    if args.out:
-        write_selection_csv(args.out, sel)
-        print(f"wrote criterion trace to {args.out}")
-    print(f"criterion={sel.criterion_kind} chosen_n={sel.chosen_n} m0={sel.m0}")
-    return 0
+    files = [(args.out, lambda path: write_selection_csv(path, sel),
+              f"wrote criterion trace to {args.out}")] if args.out else []
+    return files, [f"criterion={sel.criterion_kind} chosen_n={sel.chosen_n} m0={sel.m0}"]
 
 
-def cmd_estimate(args, cfg) -> int:
+def cmd_estimate(args, cfg):
     template, density, obs = _dataset(cfg)
     if args.cutoff is not None:
         cutoff, kind = args.cutoff, "fixed_n"
@@ -83,48 +84,39 @@ def cmd_estimate(args, cfg) -> int:
                             penalty_variant=cfg.penalty_variant)
         cutoff, kind = sel.chosen_n, CRITERION_ESTIMATORS[cfg.criterion]
     est = estimate(obs, density, cutoff, kind)
-    if args.grid_out:  # synthesized first, so that a grid that aliases writes no file
+    files = [(args.out, lambda path: write_template_csv(path, est),
+              f"wrote estimated coefficients to {args.out}")] if args.out else []
+    if args.grid_out:
         grid = render_grid(args.grid_size)
         fit, truth = _synthesize_rows(np.stack([est.coeffs, template.coeffs]),
                                       template.k_max, args.grid_size)
-    with _written_together() as keep:  # a failed write leaves neither file
-        if args.out:
-            keep(write_template_csv(args.out, est))
-        if args.grid_out:
-            keep(write_csv(args.grid_out, ["x", "estimate", "truth"], zip(grid, fit, truth)))
-    if args.out:
-        print(f"wrote estimated coefficients to {args.out}")
-    if args.grid_out:
-        print(f"wrote rendered estimate to {args.grid_out}")
-    print(f"cutoff={est.cutoff} kind={est.kind}")
-    return 0
+        files.append((args.grid_out, lambda path: write_csv(
+            path, ["x", "estimate", "truth"], zip(grid, fit, truth)),
+            f"wrote rendered estimate to {args.grid_out}"))
+    return files, [f"cutoff={est.cutoff} kind={est.kind}"]
 
 
-def cmd_risk(args, cfg) -> int:
-    template = build_template(cfg)
-    density = build_density(cfg)
+def cmd_risk(args, cfg):
+    template, density = build_template(cfg), build_density(cfg)
     n_max = (args.n_max if args.n_max is not None
              else _cutoff_cap(density, cfg.n, template.k_max, cfg.m0_override))
     report = risk_report(template, density, cfg.n, cfg.epsilon, n_max)
-    if args.out:
-        write_risk_report_csv(args.out, report)
-        print(f"wrote risk curves to {args.out}")
-    print(f"oracle_r={report.oracle_r} oracle_r_bar={report.oracle_r_bar} "
-          f"oracle_r_tilde={report.oracle_r_tilde}")
-    return 0
+    files = [(args.out, lambda path: write_risk_report_csv(path, report),
+              f"wrote risk curves to {args.out}")] if args.out else []
+    return files, [f"oracle_r={report.oracle_r} oracle_r_bar={report.oracle_r_bar} "
+                   f"oracle_r_tilde={report.oracle_r_tilde}"]
 
 
-def cmd_replication_study(args, cfg) -> int:
+def cmd_replication_study(args, cfg):
     study = run_replication_study(cfg, args.out, grid_size=args.grid_size,
                                   workers=args.workers)
-    print(f"study bundle written to {study.out_dir}")
-    print(f"m0_used={study.m0_used} (formula value {study.m0_formula}"
-          f"{', saturated' if study.m0_saturated else ''})")
-    print(f"median n_star={int(np.median(study.n_star))} "
-          f"median n_tilde={int(np.median(study.n_tilde))}")
-    print(f"mean loss theta_star={study.mean_loss_star!r} "
-          f"theta_tilde={study.mean_loss_tilde!r}")
-    return 0
+    return [], [f"study bundle written to {study.out_dir}",
+                f"m0_used={study.m0_used} (formula value {study.m0_formula}"
+                f"{', saturated' if study.m0_saturated else ''})",
+                f"median n_star={int(np.median(study.n_star))} "
+                f"median n_tilde={int(np.median(study.n_tilde))}",
+                f"mean loss theta_star={study.mean_loss_star!r} "
+                f"theta_tilde={study.mean_loss_tilde!r}"]
 
 
 # The configuration fields rate-study reads.  It builds its own template and
@@ -134,7 +126,7 @@ def cmd_replication_study(args, cfg) -> int:
 _RATE_STUDY_FIELDS = ("epsilon", "replications", "seed", "k_max")
 
 
-def cmd_rate_study(args, cfg) -> int:
+def cmd_rate_study(args, cfg):
     default = ExperimentConfig()
     ignored = [field for field in CONFIG_FIELDS
                if field.name not in _RATE_STUDY_FIELDS
@@ -150,21 +142,18 @@ def cmd_rate_study(args, cfg) -> int:
     study = rate_study(args.smoothness, args.beta, args.radius, n_grid,
                        cfg.epsilon, cfg.replications, cfg.seed,
                        k_max=cfg.k_max, workers=args.workers)
-    if args.out:
-        write_rate_study_csv(args.out, study)
-        print(f"wrote rate table to {args.out}")
-    print(f"fitted_slope={study.fitted_slope!r} "
-          f"theoretical_slope={study.theoretical_slope!r}")
+    files = [(args.out, lambda path: write_rate_study_csv(path, study),
+              f"wrote rate table to {args.out}")] if args.out else []
     gap = study.fitted_slope - study.theoretical_slope
     z = gap / study.slope_stderr if study.slope_stderr > 0 else math.nan
-    print(f"slope_stderr={study.slope_stderr!r} gap_to_theory={gap:+.3g} ({z:+.2f} stderr)")
-    return 0
+    return files, [f"fitted_slope={study.fitted_slope!r} "
+                   f"theoretical_slope={study.theoretical_slope!r}",
+                   f"slope_stderr={study.slope_stderr!r} gap_to_theory={gap:+.3g} "
+                   f"({z:+.2f} stderr)"]
 
 
-def cmd_write_config(args, cfg) -> int:
-    save_config(cfg, args.out)
-    print(f"wrote config to {args.out}")
-    return 0
+def cmd_write_config(args, cfg):
+    return [(args.out, lambda path: save_config(cfg, path), f"wrote config to {args.out}")], []
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -236,7 +225,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, _resolve_config(args))
+        files, lines = args.func(args, _resolve_config(args))
+        _write_together([(path, write) for path, write, _ in files])
+        print(*(message for _, _, message in files), *lines, sep="\n")
     except ShiftDeconError as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
@@ -244,6 +235,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(json.dumps({"error": "OSError", "message": str(exc)}), file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

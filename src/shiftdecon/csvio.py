@@ -8,7 +8,8 @@ Python floats take a fast path straight to ``repr``; numpy floating scalars
 and float subclasses are converted with ``float`` first, which gives the same
 text, and numpy integers with ``int``.  :func:`write_curves_csv` writes its
 float rows straight through ``repr``, one row at a time.  Files are written
-with ``\n`` line endings regardless of platform.
+with ``\n`` line endings regardless of platform; the CLI and the study write
+theirs through one all-or-none step.
 """
 
 from __future__ import annotations
@@ -51,14 +52,24 @@ def format_cell(value) -> str:
     raise InvalidParameterError(f"cannot format {type(value).__name__} into a CSV cell")
 
 
-@contextlib.contextmanager
-def _written_together():
-    """Yield ``keep``, which records a file or an empty directory the block
-    made.  If the block raises, each is removed, the last first, and the
-    block's exception goes on, whether a removal fails or not."""
+def _write_together(files, directory=None) -> None:
+    """Call each ``(path, write)`` pair's ``write(path)`` in order, after making
+    ``directory`` and its missing parents, if given.  If a step raises, every
+    file and directory the call made, a file written part-way included, is
+    removed, the last first, and the exception goes on.  A path that existed
+    before the call is never removed."""
     made = []
     try:
-        yield made.append
+        if directory is not None:
+            for folder in reversed([directory, *directory.parents]):
+                if not folder.is_dir():
+                    folder.mkdir()
+                    made.append(folder)
+        for path, write in files:
+            path = Path(path)
+            if not path.exists():
+                made.append(path)
+            write(path)
     except BaseException:
         for path in reversed(made):
             with contextlib.suppress(OSError):

@@ -31,9 +31,11 @@ product, so the template's samples are those of
 
 Nothing is written before every array of the bundle exists: the replicates,
 the risk curves, the sample curves and the histograms are computed first, so
-a refusal from any of them leaves no ``out_dir`` behind, and a failed write
-leaves none of the study's files.  The tables go to :mod:`shiftdecon.csvio`
-as the numpy values they hold.
+a refusal from any of them leaves no ``out_dir`` behind.  The tables go to
+:mod:`shiftdecon.csvio` as the numpy values they hold, through its one write
+step, which makes ``out_dir`` and its missing parents: a failed write leaves
+none of the study's files, not even one written part-way, and none of the
+directories made.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from typing import Optional
 import numpy as np
 
 from .config import ExperimentConfig, build_density, build_template
-from .csvio import _written_together, write_csv, write_curves_csv, write_risk_report_csv
+from .csvio import _write_together, write_csv, write_curves_csv, write_risk_report_csv
 from .risk import RiskReport, _run_replicates, risk_report
 from .selection import CRITERION_ESTIMATORS, compute_m0
 from .simulate import render_grid, simulate
@@ -92,7 +94,8 @@ def run_replication_study(cfg: ExperimentConfig, out_dir, *, grid_size: int = 25
     resolve the template's band raises
     :class:`~shiftdecon.errors.AliasingError`.  Every input is checked,
     and every array computed, before ``out_dir`` is created; a failed
-    write removes the files written before it, and ``out_dir`` if created.
+    write removes every file and directory the call made, the failed file
+    included, and keeps every path that was there before.
     """
     template = build_template(cfg)
     density = build_density(cfg)
@@ -145,34 +148,27 @@ def run_replication_study(cfg: ExperimentConfig, out_dir, *, grid_size: int = 25
 
     # --- CSV bundle: every array exists, so only a failing write stops it ---
     out_dir = Path(out_dir)
-    with _written_together() as keep:
-        if not out_dir.is_dir():
-            out_dir.mkdir(parents=True)
-            keep(out_dir)
-        keep(write_curves_csv(out_dir / "template_curve.csv", grid, template_curve))
-        keep(write_curves_csv(out_dir / "sample_curves.csv", grid, sample_curves))
-
-        keep(write_csv(out_dir / "traces.csv", ["n", *rules],
-                       ((n, *row) for n, row in enumerate(reps.traces.T))))
-
-        keep(write_csv(out_dir / "selections.csv",
-                       ["replicate", "n_star", "loss_star", "n_tilde", "loss_tilde",
-                        "negative_energy_fraction"],
-                       zip(range(cfg.replications), n_star, loss_star, n_tilde, loss_tilde,
-                           neg_fracs)))
-
-        keep(write_csv(out_dir / "histograms.csv", ["n", "count_n_star", "count_n_tilde"],
-                       zip(range(m0_used + 1), counts_star, counts_tilde)))
-
-        keep(write_risk_report_csv(out_dir / "risk_curves.csv", report))
-
-        keep(write_csv(out_dir / "risk_summary.csv",
-                       ["estimator", "criterion", "mc_mean", "mc_stderr", "inf_r",
-                        "inf_r_bar", "inf_r_tilde", "ratio_vs_r", "ratio_vs_r_bar",
-                        "ratio_vs_r_tilde"],
-                       summary_rows))
-
-        keep(write_csv(out_dir / "meta.csv", ["key", "value"], meta))
+    bundle = [
+        ("template_curve.csv", lambda path: write_curves_csv(path, grid, template_curve)),
+        ("sample_curves.csv", lambda path: write_curves_csv(path, grid, sample_curves)),
+        ("traces.csv", lambda path: write_csv(
+            path, ["n", *rules], ((n, *row) for n, row in enumerate(reps.traces.T)))),
+        ("selections.csv", lambda path: write_csv(
+            path, ["replicate", "n_star", "loss_star", "n_tilde", "loss_tilde",
+                   "negative_energy_fraction"],
+            zip(range(cfg.replications), n_star, loss_star, n_tilde, loss_tilde,
+                neg_fracs))),
+        ("histograms.csv", lambda path: write_csv(
+            path, ["n", "count_n_star", "count_n_tilde"],
+            zip(range(m0_used + 1), counts_star, counts_tilde))),
+        ("risk_curves.csv", lambda path: write_risk_report_csv(path, report)),
+        ("risk_summary.csv", lambda path: write_csv(
+            path, ["estimator", "criterion", "mc_mean", "mc_stderr", "inf_r", "inf_r_bar",
+                   "inf_r_tilde", "ratio_vs_r", "ratio_vs_r_bar", "ratio_vs_r_tilde"],
+            summary_rows)),
+        ("meta.csv", lambda path: write_csv(path, ["key", "value"], meta)),
+    ]
+    _write_together([(out_dir / name, write) for name, write in bundle], directory=out_dir)
 
     return ReplicationStudy(out_dir=out_dir, m0_used=m0_used,
                          m0_formula=m0_res.value, m0_saturated=m0_res.saturated,

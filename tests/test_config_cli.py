@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from shiftdecon import study
+from shiftdecon import cli, study
 from shiftdecon.cli import _resolve_config, build_parser, main
 from shiftdecon.config import (CONFIG_FIELDS, ExperimentConfig, build_density,
                                build_template, load_config, parse_config,
@@ -477,41 +477,86 @@ OUTPUT_FLAGS = {"simulate": ("--out",), "select": ("--out",),
                 "write-config": ("--out",)}
 
 
-@pytest.mark.parametrize("command", list(OUTPUT_FLAGS))
-def test_cli_refuses_one_replication_before_writing(command, tmp_path, capsys):
+# (subcommand, failing flags, error, a fragment of its message).  Each is
+# refused before anything is written.
+REFUSALS = [
     # one replication has no standard error: the configuration refuses it
-    # before any subcommand runs, exit 2, and nothing is written (no study
-    # bundle with a nan mc_stderr)
-    outs = {flag: tmp_path / flag.strip("-") for flag in OUTPUT_FLAGS[command]}
-    code = run_cli(command, "--replications", "1",
-                   *(arg for flag, out in outs.items() for arg in (flag, str(out))))
-    assert code == 2
+    # before any subcommand runs (no study bundle with a nan mc_stderr)
+    *((command, ("--replications", "1"), "ConfigError", "replications must be >= 2")
+      for command in OUTPUT_FLAGS),
+    ("write-config", ("--n", "0"), "ConfigError", "n must be >= 1"),
+    # 3 points cannot resolve the default band |k| <= 40
+    *((command, ("--grid-size", "3"), "AliasingError", "grid_size=3")
+      for command in ("simulate", "estimate", "replication-study")),
+    ("estimate", ("--cutoff", "41"), "InvalidParameterError", "cutoff must be in 0..40"),
+    *((command, ("--m0-override", "41"), "InvalidParameterError", "m0 must be in 0..40")
+      for command in ("select", "risk", "replication-study")),
+    ("rate-study", ("--n-grid", "10,abc"), "ConfigError", "--n-grid"),
+    # the second write fails: the first file, written before it, goes too
+    ("estimate", ("--grid-out", "missing/fit.csv"), "OSError", "missing/fit.csv"),
+]
+
+
+@pytest.mark.parametrize("command,flags,error,fragment", REFUSALS,
+                         ids=[command + flags[0] for command, flags, *_ in REFUSALS])
+def test_cli_refuses_before_writing(command, flags, error, fragment, tmp_path, capsys,
+                                    monkeypatch):
+    # exit 2, no stdout, one JSON line, and no output path, every other one given
+    monkeypatch.chdir(tmp_path)
+    outs = [arg for flag in OUTPUT_FLAGS[command] if flag not in flags
+            for arg in (flag, f"./{flag.strip('-')}")]
+    assert run_cli(command, *flags, *outs) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1
     payload = json.loads(lines[0])
-    assert payload["error"] == "ConfigError"
-    assert "replications" in payload["message"] and ">= 2" in payload["message"]
-    assert not any(out.exists() for out in outs.values())
+    assert payload["error"] == error and fragment in payload["message"]
+    assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("command", ["estimate", "replication-study"])
-def test_cli_refuses_a_grid_that_aliases_before_writing(command, tmp_path, capsys):
-    # 3 points cannot resolve the default band |k| <= 40: exit 2, one
-    # AliasingError, and no output path, estimate's --out included
-    outs = {flag: tmp_path / flag.strip("-") for flag in OUTPUT_FLAGS[command]}
-    code = run_cli(command, "--grid-size", "3",
-                   *(arg for flag, out in outs.items() for arg in (flag, str(out))))
-    assert code == 2
+# Each subcommand's stdout on success, every output flag given as ./name: the
+# "wrote" lines first, in flag order; simulate and the study print the path
+# normalized, the others as given.
+SUCCESS_STDOUT = {
+    "simulate": (("--n", "5", "--grid-size", "128", "--out", "./curves.csv"),
+                 ["wrote 5 rendered curves (128 points) to curves.csv"]),
+    "select": (("--out", "./trace.csv"),
+               ["wrote criterion trace to ./trace.csv",
+                "criterion=u_bar chosen_n=1 m0=32"]),
+    "estimate": (("--out", "./coeffs.csv", "--grid-out", "./fit.csv"),
+                 ["wrote estimated coefficients to ./coeffs.csv",
+                  "wrote rendered estimate to ./fit.csv",
+                  "cutoff=1 kind=theta_star"]),
+    "risk": (("--out", "./risk.csv"),
+             ["wrote risk curves to ./risk.csv",
+              "oracle_r=6 oracle_r_bar=2 oracle_r_tilde=9"]),
+    "replication-study": (("--replications", "4", "--n", "20", "--out", "./study"),
+                          ["study bundle written to study",
+                           "m0_used=32 (formula value 1)",
+                           "median n_star=1 median n_tilde=23",
+                           "mean loss theta_star=0.5484910877679284 "
+                           "theta_tilde=5.199153437407259"]),
+    "rate-study": (("--n-grid", "40,80,160", "--replications", "3", "--smoothness", "1.0",
+                    "--beta", "0.0", "--out", "./rates.csv"),
+                   ["wrote rate table to ./rates.csv",
+                    "fitted_slope=-0.999856613867484 theoretical_slope=-0.6666666666666666",
+                    "slope_stderr=0.04310718610720006 gap_to_theory=-0.333 (-7.73 stderr)"]),
+    "write-config": (("--out", "./exp.ini"), ["wrote config to ./exp.ini"]),
+}
+
+
+@pytest.mark.parametrize("command", list(SUCCESS_STDOUT))
+def test_cli_success_stdout(command, tmp_path, capsys, monkeypatch):
+    assert set(SUCCESS_STDOUT) == set(OUTPUT_FLAGS)
+    monkeypatch.chdir(tmp_path)
+    flags, expected = SUCCESS_STDOUT[command]
+    assert run_cli(command, *flags) == 0
     captured = capsys.readouterr()
-    assert captured.out == ""
-    lines = captured.err.splitlines()
-    assert len(lines) == 1
-    payload = json.loads(lines[0])
-    assert payload["error"] == "AliasingError"
-    assert "grid_size=3" in payload["message"]
-    assert not any(out.exists() for out in outs.values())
+    assert captured.out.splitlines() == expected and captured.err == ""
+    outs = [value for flag, value in zip(flags, flags[1:]) if flag in OUTPUT_FLAGS[command]]
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(
+        out.removeprefix("./") for out in outs)
 
 
 def test_cli_estimate_leaves_no_file_when_its_second_write_fails(tmp_path, capsys):
@@ -526,6 +571,12 @@ def test_cli_estimate_leaves_no_file_when_its_second_write_fails(tmp_path, capsy
     assert list(tmp_path.iterdir()) == []
 
 
+def _partial_write(path, *args):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("n,")
+    raise OSError(f"no space left for {path}")
+
+
 def test_cli_study_leaves_no_bundle_file_when_a_write_fails(tmp_path, capsys, monkeypatch):
     # risk_curves.csv is a directory: the five bundle files written before it
     # are removed, and the directory, which the study did not make, stays
@@ -538,14 +589,31 @@ def test_cli_study_leaves_no_bundle_file_when_a_write_fails(tmp_path, capsys, mo
     assert captured.out == "" and json.loads(captured.err)["error"] == "OSError"
     assert [path.name for path in out.iterdir()] == ["risk_curves.csv"]
 
-    # an out_dir the study created goes too
-    def full_disk(path, *args):
-        raise OSError(f"no space left for {path}")
-
-    monkeypatch.setattr(study, "write_risk_report_csv", full_disk)
-    assert run_cli(*argv, str(tmp_path / "fresh")) == 2
+    # risk_curves.csv written part-way into a/b/bundle, a missing: the
+    # partial file goes too, and so do a, a/b and a/b/bundle
+    monkeypatch.setattr(study, "write_risk_report_csv", _partial_write)
+    assert run_cli(*argv, str(tmp_path / "a" / "b" / "bundle")) == 2
     assert "no space left" in json.loads(capsys.readouterr().err)["message"]
     assert [path.name for path in tmp_path.iterdir()] == ["study"]
+
+
+def test_cli_simulate_leaves_no_partial_file_when_its_write_fails(tmp_path, capsys,
+                                                                   monkeypatch):
+    # the file whose own write failed part-way goes; a path that was there
+    # before, a file or a directory given as --out, stays
+    argv = ("simulate", "--n", "5", "--grid-size", "128", "--out")
+    monkeypatch.setattr(cli, "write_curves_csv", _partial_write)
+    out = tmp_path / "curves.csv"
+    assert run_cli(*argv, str(out)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "no space left" in json.loads(captured.err)["message"]
+    assert list(tmp_path.iterdir()) == []
+    out.write_text("x\n")
+    (tmp_path / "folder").mkdir()
+    for path in (out, tmp_path / "folder"):
+        assert run_cli(*argv, str(path)) == 2
+        assert path.exists()
+    assert capsys.readouterr().out == ""
 
 
 # One non-default value per configuration field that rate-study does not read.

@@ -191,8 +191,8 @@ FAULTS = [
           "    import contextlib\n    return contextlib.nullcontext()\n"),
     # one entry path for the CLI, and the modules above the library
     Fault("main hands every subcommand the default configuration", "cli.py",
-          "return args.func(args, _resolve_config(args))",
-          "return args.func(args, ExperimentConfig())"),
+          "files, lines = args.func(args, _resolve_config(args))",
+          "files, lines = args.func(args, ExperimentConfig())"),
     Fault("the commands' dataset drawn one seed on", "cli.py",
           "cfg.epsilon, cfg.seed)\n", "cfg.epsilon, cfg.seed + 1)\n"),
     Fault("rate-study's refusal admits a non-default template", "cli.py",
@@ -269,6 +269,28 @@ FAULTS = [
     Fault("a failed write leaves the files written before it", "csvio.py",
           "(path.rmdir if path.is_dir() else path.unlink)()",
           "(path.rmdir if path.is_dir() else (lambda: None))()"),
+    # one write path: handlers return their files and lines, main writes, then prints
+    Fault("main prints before it writes", "cli.py",
+          "        _write_together([(path, write) for path, write, _ in files])\n"
+          '        print(*(message for _, _, message in files), *lines, sep="\\n")\n',
+          '        print(*(message for _, _, message in files), *lines, sep="\\n")\n'
+          "        _write_together([(path, write) for path, write, _ in files])\n"),
+    Fault("the file whose own write failed is kept", "csvio.py",
+          "            if not path.exists():\n                made.append(path)\n"
+          "            write(path)\n",
+          "            existed = path.exists()\n            write(path)\n"
+          "            if not existed:\n                made.append(path)\n"),
+    Fault("a created parent directory is kept", "csvio.py",
+          "            for folder in reversed([directory, *directory.parents]):\n"
+          "                if not folder.is_dir():\n"
+          "                    folder.mkdir()\n"
+          "                    made.append(folder)\n",
+          "            if not directory.is_dir():\n"
+          "                directory.mkdir(parents=True)\n"
+          "                made.append(directory)\n"),
+    Fault("a path that existed before the call is removed", "csvio.py",
+          "            if not path.exists():\n                made.append(path)\n",
+          "            made.append(path)\n"),
 ]
 
 _FIRST_FAILURE = re.compile(r"^(?:FAILED|ERROR) (\S+)", re.MULTILINE)
