@@ -29,8 +29,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import (CONFIG_FIELDS, ExperimentConfig, _int, build_density, build_template,
-                     load_config, save_config)
+from .config import (CONFIG_FIELDS, ExperimentConfig, _float, _int, build_density,
+                     build_template, load_config, save_config)
 from .csvio import (_write_together, write_csv, write_curves_csv, write_rate_study_csv,
                     write_risk_report_csv, write_selection_csv, write_template_csv)
 from .errors import ConfigError, ShiftDeconError
@@ -59,11 +59,12 @@ def _dataset(cfg: ExperimentConfig):
 
 
 def cmd_simulate(args, cfg):
+    grid_size = _int(args.grid_size, "--grid-size")
     _, _, obs = _dataset(cfg)
-    curves = render_curves(obs, args.grid_size)
-    grid = render_grid(args.grid_size)
+    curves = render_curves(obs, grid_size)
+    grid = render_grid(grid_size)
     return [(args.out, lambda path: write_curves_csv(path, grid, curves),
-             f"wrote {obs.n} rendered curves ({args.grid_size} points) to {Path(args.out)}")], []
+             f"wrote {obs.n} rendered curves ({grid_size} points) to {Path(args.out)}")], []
 
 
 def cmd_select(args, cfg):
@@ -76,9 +77,10 @@ def cmd_select(args, cfg):
 
 
 def cmd_estimate(args, cfg):
+    grid_size = _int(args.grid_size, "--grid-size")
     template, density, obs = _dataset(cfg)
     if args.cutoff is not None:
-        cutoff, kind = args.cutoff, "fixed_n"
+        cutoff, kind = _int(args.cutoff, "--cutoff"), "fixed_n"
     else:
         sel = select_cutoff(obs, density, cfg.criterion, m0=cfg.m0_override,
                             penalty_variant=cfg.penalty_variant)
@@ -87,9 +89,9 @@ def cmd_estimate(args, cfg):
     files = [(args.out, lambda path: write_template_csv(path, est),
               f"wrote estimated coefficients to {args.out}")] if args.out else []
     if args.grid_out:
-        grid = render_grid(args.grid_size)
+        grid = render_grid(grid_size)
         fit, truth = _synthesize_rows(np.stack([est.coeffs, template.coeffs]),
-                                      template.k_max, args.grid_size)
+                                      template.k_max, grid_size)
         files.append((args.grid_out, lambda path: write_csv(
             path, ["x", "estimate", "truth"], zip(grid, fit, truth)),
             f"wrote rendered estimate to {args.grid_out}"))
@@ -98,7 +100,7 @@ def cmd_estimate(args, cfg):
 
 def cmd_risk(args, cfg):
     template, density = build_template(cfg), build_density(cfg)
-    n_max = (args.n_max if args.n_max is not None
+    n_max = (_int(args.n_max, "--n-max") if args.n_max is not None
              else _cutoff_cap(density, cfg.n, template.k_max, cfg.m0_override))
     report = risk_report(template, density, cfg.n, cfg.epsilon, n_max)
     files = [(args.out, lambda path: write_risk_report_csv(path, report),
@@ -108,8 +110,8 @@ def cmd_risk(args, cfg):
 
 
 def cmd_replication_study(args, cfg):
-    study = run_replication_study(cfg, args.out, grid_size=args.grid_size,
-                                  workers=args.workers)
+    study = run_replication_study(cfg, args.out, grid_size=_int(args.grid_size, "--grid-size"),
+                                  workers=_int(args.workers, "--workers"))
     return [], [f"study bundle written to {study.out_dir}",
                 f"m0_used={study.m0_used} (formula value {study.m0_formula}"
                 f"{', saturated' if study.m0_saturated else ''})",
@@ -139,9 +141,10 @@ def cmd_rate_study(args, cfg):
                 f"{field.flag} ({field.key} = {getattr(cfg, field.name)!r})"
                 for field in ignored))
     n_grid = [_int(part, "--n-grid") for part in args.n_grid.split(",")]
-    study = rate_study(args.smoothness, args.beta, args.radius, n_grid,
-                       cfg.epsilon, cfg.replications, cfg.seed,
-                       k_max=cfg.k_max, workers=args.workers)
+    s, beta, radius = (_float(getattr(args, name), f"--{name}")
+                       for name in ("smoothness", "beta", "radius"))
+    study = rate_study(s, beta, radius, n_grid, cfg.epsilon, cfg.replications, cfg.seed,
+                       k_max=cfg.k_max, workers=_int(args.workers, "--workers"))
     files = [(args.out, lambda path: write_rate_study_csv(path, study),
               f"wrote rate table to {args.out}")] if args.out else []
     gap = study.fitted_slope - study.theoretical_slope
@@ -173,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", parents=[config],
                        help="simulate one dataset and render its curves")
-    p.add_argument("--grid-size", type=int, default=256, dest="grid_size")
+    p.add_argument("--grid-size", default=256, dest="grid_size")
     p.add_argument("--out", default="curves.csv")
     p.set_defaults(func=cmd_simulate)
 
@@ -182,9 +185,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_select)
 
     p = sub.add_parser("estimate", parents=[config], help="estimate the template from one dataset")
-    p.add_argument("--cutoff", type=int, default=None,
+    p.add_argument("--cutoff", default=None,
                    help="fixed cutoff (default: select adaptively per --criterion)")
-    p.add_argument("--grid-size", type=int, default=256, dest="grid_size")
+    p.add_argument("--grid-size", default=256, dest="grid_size")
     p.add_argument("--out", default=None, help="write estimated coefficients here")
     p.add_argument("--grid-out", dest="grid_out", default=None,
                    help="write (x, estimate, truth) curve CSV here")
@@ -192,24 +195,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("risk", parents=[config],
                        help="exact risk curves for the configured problem")
-    p.add_argument("--n-max", type=int, default=None, dest="n_max",
+    p.add_argument("--n-max", default=None, dest="n_max",
                    help="largest cutoff to tabulate (default: the m0 cap)")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_risk)
 
     p = sub.add_parser("replication-study", parents=[config],
                        help="full replication study as a CSV bundle")
-    p.add_argument("--grid-size", type=int, default=256, dest="grid_size")
-    p.add_argument("--workers", type=int, default=1, help=workers_help)
+    p.add_argument("--grid-size", default=256, dest="grid_size")
+    p.add_argument("--workers", default=1, help=workers_help)
     p.add_argument("--out", default="study_out")
     p.set_defaults(func=cmd_replication_study)
 
     p = sub.add_parser("rate-study", parents=[config], help="risk decay against sample size")
-    p.add_argument("--smoothness", type=float, default=2.0)
-    p.add_argument("--beta", type=float, default=2.0)
-    p.add_argument("--radius", type=float, default=5.0)
+    p.add_argument("--smoothness", default=2.0)
+    p.add_argument("--beta", default=2.0)
+    p.add_argument("--radius", default=5.0)
     p.add_argument("--n-grid", dest="n_grid", default="200,400,800,1600,3200,6400")
-    p.add_argument("--workers", type=int, default=1, help=workers_help)
+    p.add_argument("--workers", default=1, help=workers_help)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_rate_study)
 

@@ -3,13 +3,12 @@
 Callers hand over the values they hold, numpy scalars included, and
 :func:`format_cell` alone turns them into text.  All floats are written with
 ``repr``, the shortest round-trip representation, so a given value always
-serializes to the same bytes and files diff cleanly across runs.  Plain
-Python floats take a fast path straight to ``repr``; numpy floating scalars
-and float subclasses are converted with ``float`` first, which gives the same
-text, and numpy integers with ``int``.  :func:`write_curves_csv` writes its
-float rows straight through ``repr``, one row at a time.  Files are written
-with ``\n`` line endings regardless of platform; the CLI and the study write
-theirs through one all-or-none step.
+serializes to the same bytes and files diff cleanly across runs.  Floats,
+numpy floating scalars included, are converted with ``float`` first, which
+leaves a Python float's text as it is, and numpy integers with ``int``.
+:func:`write_curves_csv` writes its float rows straight through ``repr``,
+one row at a time.  Files are written with ``\n`` line endings regardless of
+platform; the CLI and the study write theirs through one all-or-none step.
 """
 
 from __future__ import annotations
@@ -39,8 +38,6 @@ __all__ = [
 
 def format_cell(value) -> str:
     """Canonical text for one CSV cell."""
-    if type(value) is float:
-        return repr(value)
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
     if isinstance(value, str):

@@ -18,10 +18,11 @@ sequential recurrences, which keeps the identity ``r = (bias + v1) + v2`` and
 the monotonicity of ``bias`` and ``v1`` exact in floating point.
 
 The Monte Carlo run path lives here once, in ``_run_replicates``, which checks
-the inputs, resolves the cap and returns each rule's mean and standard error:
-:func:`mc_risk` and :func:`oracle_ratio` run it with one selection rule, and
-:func:`shiftdecon.study.run_replication_study` with both adaptive criteria
-on shared datasets.  Each replicate draws only the column means, as
+the inputs, resolves the cap and returns one :class:`McRisk` per rule, the
+cap it ran under included: :func:`mc_risk` runs it with one selection rule,
+and :func:`shiftdecon.study.run_replication_study` with both adaptive
+criteria on shared datasets; :func:`oracle_ratio` reads :func:`mc_risk`'s
+record.  Each replicate draws only the column means, as
 :func:`shiftdecon.simulate.simulate_summary` does: the selections and the
 loss read nothing else, and the noise mean is drawn from its exact law,
 one noise row of a real curve times ``epsilon/sqrt(n)``, instead of
@@ -187,13 +188,15 @@ def exact_risk(template: Template, density: ShiftDensity, n: int, epsilon: float
 
 
 class McRisk(NamedTuple):
-    """Monte Carlo risk summary; ``losses``/``cutoffs`` are per-replicate, in
-    replicate order."""
+    """Monte Carlo risk of one selection rule: the mean loss and its standard
+    error, the per-replicate ``losses`` and ``cutoffs`` in replicate order,
+    and ``m0``, the cap the cutoffs were selected under."""
 
     mean: float
     stderr: float
     losses: np.ndarray
     cutoffs: np.ndarray
+    m0: int
 
 
 def _check_replicates(seed, replications) -> tuple:
@@ -246,16 +249,13 @@ def _fork_map(fn, units: Sequence, workers) -> list:
 
 
 class _Replicates(NamedTuple):
-    """Per-replicate results in replicate order, row ``j`` for the ``j``-th rule;
-    ``traces`` holds each rule's criterion trace of replicate 0, ``m0`` the
-    resolved cap and ``summaries`` each rule's ``(mean, stderr)``."""
+    """One :class:`McRisk` per rule, in rule order, next to what no rule owns:
+    the per-replicate negative-energy fractions and ``traces``, row ``j`` the
+    ``j``-th rule's criterion trace of replicate 0."""
 
-    cutoffs: np.ndarray
-    losses: np.ndarray
+    rules: tuple
     negative_fractions: np.ndarray
     traces: np.ndarray
-    m0: int
-    summaries: tuple
 
 
 # The budget of values for each of two bounds: a chunk, at 2 * (2*k_max + 1)
@@ -273,12 +273,12 @@ _CHUNK_VALUES = 2 ** 13
 def _run_replicates(template: Template, density: ShiftDensity, n: int, epsilon: float,
                     seed: int, replications: int, rules: Sequence[str], m0: Optional[int],
                     *, penalty_variant: str, workers: int = 1) -> _Replicates:
-    """The Monte Carlo run behind :func:`mc_risk`, :func:`oracle_ratio` and the
-    replication study.  Before any draw it checks ``seed``, ``replications``,
-    ``n``, ``epsilon``, ``workers`` (which changes no result) and
-    ``penalty_variant``, and resolves the cap ``m0``, ``compute_m0``'s value
-    for ``None``; it returns that cap and each rule's :func:`_mean_and_stderr`
-    with the rows.
+    """The Monte Carlo run behind :func:`mc_risk` and the replication study.
+    Before any draw it checks ``seed``, ``replications``, ``n``, ``epsilon``,
+    ``workers`` (which changes no result) and ``penalty_variant``, and
+    resolves the cap ``m0``, ``compute_m0``'s value for ``None``.  Each
+    rule's :class:`McRisk` holds that cap, its :func:`_mean_and_stderr` and
+    its rows of the run's per-replicate arrays, as views.
 
     Replicate ``i`` draws one dataset's column means from its own run of
     ``seed``'s stream, as :func:`shiftdecon.simulate.simulate_summary` draws
@@ -325,8 +325,8 @@ def _run_replicates(template: Template, density: ShiftDensity, n: int, epsilon: 
                 traces[j] = trace[0]
             losses[j, chunk] = np.take_along_axis(loss, cutoffs[j, chunk, None], -1)[:, 0]
         del obs, loss  # so that the next draw does not share the peak with them
-    summaries = tuple(_mean_and_stderr(row, epsilon) for row in losses)
-    return _Replicates(cutoffs, losses, negative_fractions, traces, m0, summaries)
+    return _Replicates(tuple(McRisk(*_mean_and_stderr(row, epsilon), row, cutoffs[j], m0)
+                             for j, row in enumerate(losses)), negative_fractions, traces)
 
 
 def _loss_trace(template: Template, c_tilde: np.ndarray, gamma: np.ndarray,
@@ -374,37 +374,36 @@ def mc_risk(template: Template, density: ShiftDensity, n: int, epsilon: float,
         Must be an integer >= 1.  Replicates run serially, in chunks of
         contiguous replicates in replicate order, so the value changes no
         result.
+
+    The result's ``m0`` is the cap the run used: ``m0`` when given, else
+    :func:`~shiftdecon.selection.compute_m0`'s value.
     """
     rule = _ESTIMATOR_CRITERIA[_check_choice("estimator kind", estimator_kind,
                                              _ESTIMATOR_CRITERIA)]
-    reps = _run_replicates(template, density, n, epsilon, seed, replications, (rule,), m0,
-                           penalty_variant=penalty_variant, workers=workers)
-    mean, stderr = reps.summaries[0]
-    return McRisk(mean=mean, stderr=stderr, losses=reps.losses[0], cutoffs=reps.cutoffs[0])
+    return _run_replicates(template, density, n, epsilon, seed, replications, (rule,), m0,
+                           penalty_variant=penalty_variant, workers=workers).rules[0]
 
 
 def oracle_ratio(template: Template, density: ShiftDensity, n: int, epsilon: float,
                  estimator_kind: str, replications: int, seed: int, *,
                  m0: Optional[int] = None, workers: int = 1,
                  penalty_variant: str = "printed_form") -> float:
-    """Monte Carlo risk divided by the best theoretical risk ``inf_{N<=m0}``
-    of the envelope matching the estimator: ``r_bar`` for ``theta_star``,
-    ``r`` for ``theta_tilde`` and ``theta_u``, over the run's cap.  The
-    arguments are checked as :func:`mc_risk` checks them; a zero oracle risk
-    raises :class:`DegenerateInputError` after the run.
+    """:func:`mc_risk`'s mean divided by the best theoretical risk
+    ``inf_{N<=m0}`` of the envelope matching the estimator: ``r_bar`` for
+    ``theta_star``, ``r`` for ``theta_tilde`` and ``theta_u``, over the cap
+    its record carries.  A zero oracle risk raises
+    :class:`DegenerateInputError` after the run.
     """
-    _check_choice("estimator kind", estimator_kind, _ESTIMATOR_CRITERIA)
-    reps = _run_replicates(template, density, n, epsilon, seed, replications,
-                           (_ESTIMATOR_CRITERIA[estimator_kind],), m0,
-                           penalty_variant=penalty_variant, workers=workers)
-    report = risk_report(template, density, n, epsilon, reps.m0)
+    mc = mc_risk(template, density, n, epsilon, estimator_kind, replications, seed, m0=m0,
+                 workers=workers, penalty_variant=penalty_variant)
+    report = risk_report(template, density, n, epsilon, mc.m0)
     denom = float(np.min(report.r_bar if estimator_kind == "theta_star" else report.r))
     if denom == 0.0:
         raise DegenerateInputError(
             "oracle risk is exactly zero (noiseless, fully recoverable template); "
             "the ratio is undefined"
         )
-    return reps.summaries[0][0] / denom
+    return mc.mean / denom
 
 
 def theoretical_rate_exponent(s: float, beta: float) -> float:

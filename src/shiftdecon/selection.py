@@ -33,6 +33,8 @@ shifts or their ``gamma_tilde``: each divides by the known ``gamma_k``.
 ``(..., 2*k_max + 1)``) and answer row by row, each row bit for bit as if
 alone: one dataset is the one-row case of the same formula.  The Monte
 Carlo engine selects a whole chunk of replicates this way.
+:func:`theta_hat_squared`, :func:`select_cutoff` and :func:`estimate` answer
+for one dataset and refuse a stack before any arithmetic.
 
 Every criterion is assembled from per-frequency increments and accumulated
 with a sequential cumulative sum, so the telescoping identity
@@ -119,6 +121,13 @@ def _cutoff_cap(density: ShiftDensity, n: int, k_max: int, m0: Optional[int]) ->
     return _check_integer("m0", m0, 0, k_max)
 
 
+def _one_dataset(obs: SequenceSummary) -> None:
+    """Refuse a stack of summaries where one dataset is read."""
+    if obs.c_tilde.ndim != 1:
+        raise InvalidParameterError(
+            f"expected one dataset, got a stack: c_tilde has shape {obs.c_tilde.shape}")
+
+
 def _noise_terms(epsilon: float):
     """Refuse ``epsilon`` if a noise term ``epsilon**2/(n |gamma_k|^2)`` of the
     block, a ``|gamma_k|^4`` penalty term or a band sum of them overflows: a
@@ -136,6 +145,7 @@ def theta_hat_squared(obs: SequenceSummary, density: ShiftDensity,
     band raises :class:`~shiftdecon.errors.VanishingEigenvalueError`.
     ``|c|`` is Python's ``abs``, which may differ from ``np.abs`` in the last bit.
     """
+    _one_dataset(obs)
     k = _check_integer("k", k, -obs.k_max, obs.k_max)
     g2 = float(np.abs(density.gamma_band(abs(k))[k + abs(k)]) ** 2)
     c = obs.c_tilde[obs.coeff_index(k)]
@@ -243,6 +253,7 @@ def select_cutoff(obs: SequenceSummary, density: ShiftDensity,
     ``(n, k_max)``; pass an explicit value to override.  Ties are broken
     toward the smallest cutoff (the most regularized choice).
     """
+    _one_dataset(obs)
     m0 = _cutoff_cap(density, obs.n, obs.k_max, m0)
     trace = criterion_trace(obs, density, kind, m0, penalty_variant=penalty_variant)
     chosen = int(np.argmin(trace))  # argmin returns the first (smallest-N) minimum
@@ -286,6 +297,7 @@ class SpectralEstimate:
 def estimate(obs: SequenceSummary, density: ShiftDensity, cutoff: int,
              kind: str = "fixed_n") -> SpectralEstimate:
     """Deconvolve the averaged coefficients on the symmetric band ``|k| <= cutoff``."""
+    _one_dataset(obs)
     cutoff = _check_integer("cutoff", cutoff, 0, obs.k_max)
     gam = density.gamma_band(cutoff)
     coeffs = np.zeros(2 * obs.k_max + 1, dtype=np.complex128)

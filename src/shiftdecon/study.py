@@ -18,8 +18,9 @@ bundle can be diffed run-to-run as a regression check.
 
 The replicates run in ``shiftdecon.risk._run_replicates``, the run path of
 :func:`shiftdecon.risk.mc_risk`, on the same seed.  It checks the inputs
-and returns the cap, each rule's mean and standard error, the per-replicate
-rows and replicate 0's criterion traces, whose argmins are row 0 of
+and returns one :class:`~shiftdecon.risk.McRisk` per rule, with its cap,
+mean loss, standard error, cutoffs and losses, next to the negative-energy
+fractions and replicate 0's criterion traces, whose argmins are row 0 of
 ``selections.csv``; this module writes them as the bundle.  Curves exist
 only in the per-curve draw, so ``sample_curves.csv`` renders
 :func:`shiftdecon.simulate.simulate` at the study's seed: replicate 0's
@@ -60,7 +61,9 @@ _SAMPLE_CURVE_COUNT = 10
 
 @dataclass(frozen=True)
 class ReplicationStudy:
-    """Summary of one study run; the CSVs under ``out_dir`` hold the details."""
+    """Summary of one study run; the CSVs under ``out_dir`` hold the details.
+    ``mean_loss_star`` and ``mean_loss_tilde`` are the engine's means of
+    ``loss_star`` and ``loss_tilde``, the ``mc_mean`` of ``risk_summary.csv``."""
 
     out_dir: Path
     m0_used: int
@@ -70,15 +73,9 @@ class ReplicationStudy:
     n_tilde: np.ndarray
     loss_star: np.ndarray
     loss_tilde: np.ndarray
+    mean_loss_star: float
+    mean_loss_tilde: float
     report: RiskReport
-
-    @property
-    def mean_loss_star(self) -> float:
-        return float(np.mean(self.loss_star))
-
-    @property
-    def mean_loss_tilde(self) -> float:
-        return float(np.mean(self.loss_tilde))
 
 
 def run_replication_study(cfg: ExperimentConfig, out_dir, *, grid_size: int = 256,
@@ -110,21 +107,20 @@ def run_replication_study(cfg: ExperimentConfig, out_dir, *, grid_size: int = 25
     reps = _run_replicates(template, density, cfg.n, cfg.epsilon, cfg.seed, cfg.replications,
                            rules, cfg.m0_override, penalty_variant=cfg.penalty_variant,
                            workers=workers)
-    m0_used = reps.m0
-    n_star, n_tilde = reps.cutoffs
-    loss_star, loss_tilde = reps.losses
+    star, tilde = reps.rules
+    m0_used = star.m0
     neg_fracs = reps.negative_fractions
 
     # Theoretical risk curves over the scan band, for the summary ratios.
     report = risk_report(template, density, cfg.n, cfg.epsilon, m0_used)
     infs = [np.min(curve) for curve in (report.r, report.r_bar, report.r_tilde)]
-    summary_rows = [(CRITERION_ESTIMATORS[crit], crit, mean, stderr, *infs,
-                     *(mean / inf if inf > 0 else float("nan") for inf in infs))
-                    for crit, (mean, stderr) in zip(rules, reps.summaries)]
+    summary_rows = [(CRITERION_ESTIMATORS[crit], crit, mc.mean, mc.stderr, *infs,
+                     *(mc.mean / inf if inf > 0 else float("nan") for inf in infs))
+                    for crit, mc in zip(rules, reps.rules)]
 
     grid = render_grid(grid_size)
-    counts_star = np.bincount(n_star, minlength=m0_used + 1)
-    counts_tilde = np.bincount(n_tilde, minlength=m0_used + 1)
+    counts_star = np.bincount(star.cutoffs, minlength=m0_used + 1)
+    counts_tilde = np.bincount(tilde.cutoffs, minlength=m0_used + 1)
 
     meta = [
         ("template", template.label),
@@ -156,8 +152,8 @@ def run_replication_study(cfg: ExperimentConfig, out_dir, *, grid_size: int = 25
         ("selections.csv", lambda path: write_csv(
             path, ["replicate", "n_star", "loss_star", "n_tilde", "loss_tilde",
                    "negative_energy_fraction"],
-            zip(range(cfg.replications), n_star, loss_star, n_tilde, loss_tilde,
-                neg_fracs))),
+            zip(range(cfg.replications), star.cutoffs, star.losses, tilde.cutoffs,
+                tilde.losses, neg_fracs))),
         ("histograms.csv", lambda path: write_csv(
             path, ["n", "count_n_star", "count_n_tilde"],
             zip(range(m0_used + 1), counts_star, counts_tilde))),
@@ -172,7 +168,8 @@ def run_replication_study(cfg: ExperimentConfig, out_dir, *, grid_size: int = 25
 
     return ReplicationStudy(out_dir=out_dir, m0_used=m0_used,
                          m0_formula=m0_res.value, m0_saturated=m0_res.saturated,
-                         n_star=n_star, n_tilde=n_tilde,
-                         loss_star=loss_star, loss_tilde=loss_tilde,
+                         n_star=star.cutoffs, n_tilde=tilde.cutoffs,
+                         loss_star=star.losses, loss_tilde=tilde.losses,
+                         mean_loss_star=star.mean, mean_loss_tilde=tilde.mean,
                          report=report)
 

@@ -495,10 +495,25 @@ REFUSALS = [
     # the second write fails: the first file, written before it, goes too
     ("estimate", ("--grid-out", "missing/fit.csv"), "OSError", "missing/fit.csv"),
 ]
+# A subcommand's own numeric flag given text that is not its number: a JSON
+# line that names the flag, as for a configuration flag, not argparse's usage.
+NOT_NUMBERS = [
+    *((command, ("--grid-size", "abc"), "ConfigError",
+       "--grid-size: expected an integer, got 'abc'")
+      for command in ("simulate", "estimate", "replication-study")),
+    ("estimate", ("--cutoff", "1.5"), "ConfigError", "--cutoff: expected an integer, got '1.5'"),
+    ("risk", ("--n-max", "x"), "ConfigError", "--n-max: expected an integer, got 'x'"),
+    *((command, ("--workers", "two"), "ConfigError", "--workers: expected an integer, got 'two'")
+      for command in ("replication-study", "rate-study")),
+    *(("rate-study", (flag, "foo"), "ConfigError", f"{flag}: expected a number, got 'foo'")
+      for flag in ("--smoothness", "--beta", "--radius")),
+]
 
 
-@pytest.mark.parametrize("command,flags,error,fragment", REFUSALS,
-                         ids=[command + flags[0] for command, flags, *_ in REFUSALS])
+@pytest.mark.parametrize(
+    "command,flags,error,fragment", REFUSALS + NOT_NUMBERS,
+    ids=[command + flags[0] for command, flags, *_ in REFUSALS]
+    + [f"{command}{flags[0]}={flags[1]}" for command, flags, *_ in NOT_NUMBERS])
 def test_cli_refuses_before_writing(command, flags, error, fragment, tmp_path, capsys,
                                     monkeypatch):
     # exit 2, no stdout, one JSON line, and no output path, every other one given

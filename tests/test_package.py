@@ -153,6 +153,16 @@ def test_every_audited_fault_finds_its_line():
     assert audit.check_faults(audit.FAULTS) == []
 
 
+def test_fault_audit_records_a_failing_test_id_whole():
+    # a parametrized id may hold spaces; the id ends at pytest's " - " before
+    # the error, or at the end of the line
+    audit = _fault_audit()
+    output = ("..F\nFAILED tests/t.py::test_x[a b] - AssertionError: assert 1 - 2 == 0\n"
+              "ERROR tests/u.py\n")
+    assert [m.group(1) for m in audit._FIRST_FAILURE.finditer(output)] == [
+        "tests/t.py::test_x[a b]", "tests/u.py"]
+
+
 def test_every_module_is_audited():
     # each module with logic of its own carries at least one audited fault
     audit = _fault_audit()

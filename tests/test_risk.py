@@ -249,13 +249,15 @@ def test_replication_study_matches_mc_risk(tmp_path):
     cfg = ExperimentConfig()
     study = run_replication_study(cfg, tmp_path / "bundle")
     template, density = build_template(cfg), build_density(cfg)
-    for kind, cutoffs, losses in (("theta_star", study.n_star, study.loss_star),
-                                  ("theta_tilde", study.n_tilde, study.loss_tilde)):
+    for kind, cutoffs, losses, mean in (
+            ("theta_star", study.n_star, study.loss_star, study.mean_loss_star),
+            ("theta_tilde", study.n_tilde, study.loss_tilde, study.mean_loss_tilde)):
         mc = mc_risk(template, density, cfg.n, cfg.epsilon, kind, cfg.replications,
                      seed=cfg.seed, m0=study.m0_used,
                      penalty_variant=cfg.penalty_variant)
         assert np.array_equal(mc.cutoffs, cutoffs)
         assert np.array_equal(mc.losses, losses)
+        assert mc.mean == mean and mc.m0 == study.m0_used
 
 
 def test_engine_negative_fractions_match_fraction_negative_theta_hat():
@@ -275,6 +277,11 @@ def test_engine_negative_fractions_match_fraction_negative_theta_hat():
         assert reps.negative_fractions.tobytes() == np.array(direct).tobytes()
         seen.extend(direct)
     assert 0.0 < max(seen) < 1.0
+
+
+def _fields(reps) -> list:
+    """Every field of an engine run: each rule's record's, then the rest."""
+    return [*(field for mc in reps.rules for field in mc), *reps[1:]]
 
 
 def _chunk_sizes(monkeypatch, stacks=None) -> list:
@@ -338,12 +345,12 @@ def test_engine_matches_one_replicate_at_a_time(monkeypatch):
         loss = np.cumsum(pairs) + tail
         for j, rule in enumerate(rules):
             cutoff = select_cutoff(obs, LAPLACE, rule, m0=m0, **options).chosen_n
-            assert reps.cutoffs[j, i] == cutoff
-            assert reps.losses[j, i] == loss[cutoff]
+            assert reps.rules[j].cutoffs[i] == cutoff
+            assert reps.rules[j].losses[i] == loss[cutoff]
             # the direct sum over the band, in numpy's own order, agrees to 8 ulp
             direct = np.sum(error[m0 - cutoff : m0 + cutoff + 1]) + tail[cutoff]
-            assert abs(reps.losses[j, i] - direct) <= 8 * np.spacing(direct)
-    assert len(np.unique(reps.cutoffs[0])) > 1
+            assert abs(reps.rules[j].losses[i] - direct) <= 8 * np.spacing(direct)
+    assert len(np.unique(reps.rules[0].cutoffs)) > 1
 
 
 def test_engine_breaks_ties_toward_the_smallest_cutoff():
@@ -358,22 +365,24 @@ def test_engine_breaks_ties_toward_the_smallest_cutoff():
             trace = criterion_trace(obs, LAPLACE, rule, m0)
             ties = np.flatnonzero(trace == trace.min())
             assert ties.size > 1
-            assert reps.cutoffs[j, i] == ties[0] == select_cutoff(obs, LAPLACE, rule,
-                                                                  m0=m0).chosen_n
+            assert reps.rules[j].cutoffs[i] == ties[0] == select_cutoff(obs, LAPLACE, rule,
+                                                                         m0=m0).chosen_n
 
 
 def test_engine_resolves_its_cap_and_summarizes_each_rule():
-    # the cap given, or compute_m0's value for None (1 here), and per rule the
-    # mean of its losses and their standard error with ddof=1
+    # the cap given, or compute_m0's value for None (1 here), and per rule a
+    # record of that cap, the mean of its losses and their standard error
+    # with ddof=1
     rules, replications = ("u_bar", "u_tilde", "u"), 12
     for m0, cap in ((5, 5), (None, compute_m0(LAPLACE, 30, 8).value)):
         reps = _run_replicates(WAVE8, LAPLACE, 30, 0.05, 3, replications, rules, m0,
                                penalty_variant="printed_form")
-        assert reps.m0 == cap and reps.traces.shape == (len(rules), cap + 1)
-        assert len(reps.summaries) == len(rules)
-        for losses, (mean, stderr) in zip(reps.losses, reps.summaries):
-            assert mean == float(np.mean(losses))
-            assert stderr == float(np.std(losses, ddof=1) / math.sqrt(replications))
+        assert reps.traces.shape == (len(rules), cap + 1)
+        assert len(reps.rules) == len(rules)
+        for mc in reps.rules:
+            assert mc.m0 == cap
+            assert mc.mean == float(np.mean(mc.losses))
+            assert mc.stderr == float(np.std(mc.losses, ddof=1) / math.sqrt(replications))
     assert cap == 1
 
 
@@ -396,7 +405,7 @@ def test_engine_results_do_not_depend_on_the_chunk_size(density, monkeypatch):
                                                 rules, m0, penalty_variant="printed_form"))
             assert chunks == [(35, max(1, 1200 // n)), (5, max(1, 1200 // n))]
             for other in runs[1:]:
-                for field, ref in zip(other, runs[0]):
+                for field, ref in zip(_fields(other), _fields(runs[0])):
                     assert np.asarray(field).tobytes() == np.asarray(ref).tobytes()
 
 
@@ -574,6 +583,15 @@ def test_study_meta_keys(tmp_path):
     assert [row["key"] for row in rows] == META_KEYS
     # the level of the cap and the penalty, natural log
     assert float(rows[META_KEYS.index("m0_threshold")]["value"]) == math.log(100) ** 2 / 100
+
+
+def test_mc_risk_carries_the_cap_it_ran_under():
+    # the m0 given, or compute_m0's value for None; oracle_ratio reads it
+    for kind in ("theta_star", "theta_tilde", "theta_u"):
+        assert mc_risk(WAVE8, LAPLACE, 30, 0.05, kind, 4, seed=1, m0=6).m0 == 6
+        mc = mc_risk(WAVE8, LAPLACE, 30, 0.05, kind, 4, seed=1)
+        assert mc.m0 == compute_m0(LAPLACE, 30, WAVE8.k_max).value == 1
+        assert mc.cutoffs.max() <= mc.m0
 
 
 def test_mc_risk_adaptive_uses_selected_cutoffs():

@@ -15,7 +15,7 @@ from shiftdecon.selection import (CRITERION_KINDS, CutoffSelection, SpectralEsti
                                   log_squared_over_n, select_cutoff,
                                   theta_hat_squared)
 from shiftdecon.risk import exact_risk, mc_risk, oracle_ratio, risk_report
-from shiftdecon.simulate import simulate
+from shiftdecon.simulate import SequenceSummary, simulate
 from shiftdecon.spectral import (ShiftDensity, Template, laplace_density,
                                  point_mass_density, synthesize, uniform_density)
 
@@ -434,3 +434,19 @@ def test_estimate_validation():
                             sampler=lambda u: np.zeros(u.shape[:-1]))
     with pytest.raises(InvariantViolationError, match="at k=2 is not finite"):
         estimate(obs, nan_at_2, cutoff=3)
+
+
+@pytest.mark.parametrize("call", [
+    lambda obs: estimate(obs, LAPLACE, 2),
+    lambda obs: theta_hat_squared(obs, LAPLACE, 1),
+    lambda obs: select_cutoff(obs, LAPLACE, "u_tilde", m0=2),
+], ids=["estimate", "theta_hat_squared", "select_cutoff"])
+def test_single_dataset_functions_refuse_a_stack(call):
+    # a summary may hold a stack of datasets, which only the criteria and the
+    # diagnostic answer row by row; a function of one dataset names the shape
+    rng = np.random.default_rng(3)
+    stack = SequenceSummary(c_tilde=rng.normal(size=(3, 17)) + 0j, n=100, epsilon=0.1,
+                            k_max=8)
+    assert criterion_trace(stack, LAPLACE, "u_tilde", 2).shape == (3, 3)
+    with pytest.raises(InvalidParameterError, match=r"stack: c_tilde has shape \(3, 17\)"):
+        call(stack)

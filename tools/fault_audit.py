@@ -207,8 +207,8 @@ FAULTS = [
     Fault("a configuration of one replication admitted", "config.py",
           '"replications", self.replications, 2)', '"replications", self.replications, 1)'),
     Fault("selections.csv with loss_star and loss_tilde swapped", "study.py",
-          "n_star, loss_star, n_tilde, loss_tilde,\n",
-          "n_star, loss_tilde, n_tilde, loss_star,\n"),
+          "star.cutoffs, star.losses, tilde.cutoffs,\n                tilde.losses,",
+          "star.cutoffs, tilde.losses, tilde.cutoffs,\n                star.losses,"),
     Fault("meta.csv's m0_used written from the formula value", "study.py",
           '("m0_used", m0_used)', '("m0_used", m0_res.value)'),
     Fault("the wave template's tail phase with its sign flipped", "catalog.py",
@@ -226,11 +226,11 @@ FAULTS = [
     Fault("oracle_ratio divides theta_star's risk by inf r", "risk.py",
           'report.r_bar if estimator_kind == "theta_star" else report.r', "report.r"),
     Fault("oracle_ratio's oracle risk over the formula cap", "risk.py",
-          "risk_report(template, density, n, epsilon, reps.m0)",
+          "risk_report(template, density, n, epsilon, mc.m0)",
           "risk_report(template, density, n, epsilon, _cutoff_cap(density, n, "
           "template.k_max, None))"),
     Fault("risk_summary.csv with the rules' summaries swapped", "study.py",
-          "zip(rules, reps.summaries)", "zip(rules, reps.summaries[::-1])"),
+          "zip(rules, reps.rules)", "zip(rules, reps.rules[::-1])"),
     Fault("estimate writes --out before it synthesizes its grid", "cli.py",
           "    est = estimate(obs, density, cutoff, kind)\n",
           "    est = estimate(obs, density, cutoff, kind)\n"
@@ -291,9 +291,20 @@ FAULTS = [
     Fault("a path that existed before the call is removed", "csvio.py",
           "            if not path.exists():\n                made.append(path)\n",
           "            made.append(path)\n"),
+    # one Monte Carlo record per rule, with the cap it ran under; own flags and
+    # single-dataset inputs refused plainly
+    Fault("McRisk.m0 set from the formula cap, not the cap used", "risk.py",
+          "row, cutoffs[j], m0)",
+          "row, cutoffs[j], _cutoff_cap(density, n, template.k_max, None))"),
+    Fault("estimate admits a stack of summaries", "selection.py",
+          "    _one_dataset(obs)\n    cutoff = _check_integer(", "    cutoff = _check_integer("),
+    Fault("--n-max parsed by argparse's int again", "cli.py",
+          'p.add_argument("--n-max", default=None,',
+          'p.add_argument("--n-max", type=int, default=None,'),
 ]
 
-_FIRST_FAILURE = re.compile(r"^(?:FAILED|ERROR) (\S+)", re.MULTILINE)
+# A test id, parameters in brackets spaces and all, up to " - " or the line's end.
+_FIRST_FAILURE = re.compile(r"^(?:FAILED|ERROR) (\S+?(?:\[.*?\])?)(?= - |$)", re.MULTILINE)
 
 
 def check_faults(faults) -> list:
