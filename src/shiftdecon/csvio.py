@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import errno
+import os
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -50,12 +52,12 @@ def format_cell(value) -> str:
 
 
 def _write_together(files, directory=None) -> None:
-    """Call each ``(path, write)`` pair's ``write(path)`` in order, after making
-    ``directory`` and its missing parents, if given.  If a step raises, every
-    file and directory the call made, a file written part-way included, is
-    removed, the last first, and the exception goes on.  A path that existed
-    before the call is never removed."""
-    made = []
+    """Call each ``(path, write)`` pair's ``write`` on a temporary file beside
+    its path, in order, after making ``directory`` and its missing parents, if
+    given; once all have succeeded, move each onto its path.  If a step raises,
+    every temporary file and directory made is removed, the last first, and the
+    exception goes on: a path that existed before, a directory too, is kept."""
+    made, moves = [], []
     try:
         if directory is not None:
             for folder in reversed([directory, *directory.parents]):
@@ -64,9 +66,19 @@ def _write_together(files, directory=None) -> None:
                     made.append(folder)
         for path, write in files:
             path = Path(path)
-            if not path.exists():
-                made.append(path)
-            write(path)
+            if path.is_dir():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+            temp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+            made.append(temp)
+            try:
+                write(temp)
+            except OSError as exc:  # name the caller's path, not the temporary one
+                if exc.filename == str(temp):
+                    exc.filename = str(path)
+                raise
+            moves.append((temp, path))
+        for temp, path in moves:
+            os.replace(temp, path)
     except BaseException:
         for path in reversed(made):
             with contextlib.suppress(OSError):

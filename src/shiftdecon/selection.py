@@ -290,7 +290,7 @@ class SpectralEstimate:
 
     def render(self, grid_size: int) -> np.ndarray:
         """Real part of the synthesized estimate on ``x_j = j / grid_size``:
-        the synthesis of its Hermitian part."""
+        the inverse FFT of its Hermitian part, any ``grid_size >= 2 k_max + 1``."""
         return _synthesize_rows(self.coeffs[np.newaxis, :], self.k_max, grid_size)[0]
 
 

@@ -367,11 +367,11 @@ def _draw_summaries(template: Template, density: ShiftDensity, n: int, epsilon: 
 def render_curves(obs: SequenceObservations, grid_size: int) -> np.ndarray:
     """Synthesize each observed curve on the uniform grid ``x_j = j / grid_size``.
 
-    Each curve renders its Hermitian part (``0.5 * (c_k + conj(c_{-k}))``).
-    A drawn curve's coefficients are exactly Hermitian, so that drops only
-    rounding: :func:`~shiftdecon.spectral.analyze` of a rendered curve gives
-    back its coefficients to rounding.  A noiseless curve with no shift
-    renders exactly as ``synthesize`` of its template.
+    Each curve renders its Hermitian part (``0.5 * (c_k + conj(c_{-k}))``)
+    by its own inverse FFT.  A drawn curve's coefficients are exactly
+    Hermitian, so that drops only rounding: :func:`~shiftdecon.spectral.analyze`
+    of a rendered curve gives back its coefficients to rounding.  A noiseless
+    curve with no shift renders exactly as ``synthesize`` of its template.
 
     Returns
     -------

@@ -14,8 +14,8 @@ Every curve is real, so every :class:`Template` is exactly Hermitian,
 ``k >= 0`` half through one mirror, :func:`_hermitian`; so does the noise of
 each simulated curve.  Spectra that need not be Hermitian (a deconvolution
 estimate, coefficients built by hand) are synthesized through their
-Hermitian part ``0.5 * (c_k + conj(c_{-k}))``, the coefficients of the
-curve's real part; :func:`_synthesize_rows` is the one synthesis path.
+Hermitian part ``0.5 * (c_k + conj(c_{-k}))``, the real part's coefficients;
+:func:`_synthesize_rows`, one inverse FFT, is the one synthesis path.
 
 A shift density is represented by its characteristic function evaluated on the
 integers, ``gamma_k = E exp(-2j*pi*k*tau)``, together with a sampler that maps
@@ -34,6 +34,7 @@ from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
+import numpy.fft  # numpy imports it lazily; load it with the module, not at the first transform
 
 from .errors import (AliasingError, InvalidParameterError, InvariantViolationError,
                      VanishingEigenvalueError)
@@ -319,7 +320,9 @@ def _laplace_shifts(scale: float, uniforms: np.ndarray) -> np.ndarray:
     of ``[0, 1)`` holding the uniform ``u`` gives the sign, and ``frac(2u)``
     the magnitude ``-scale * log(1 - frac(2u))``.  ``1 - frac(2u)`` lies in
     ``(0, 1]``, so no uniform maps to an infinite shift."""
-    frac, upper = np.modf(2.0 * uniforms[..., 0])
+    d = 2.0 * uniforms[..., 0]
+    upper = d >= 1.0
+    frac = np.where(upper, d - 1.0, d)  # exact on [1, 2) (Sterbenz)
     return np.where(upper, scale, -scale) * np.log1p(-frac)
 
 
@@ -439,18 +442,6 @@ def _tail_energy(template: Template, n_max: int) -> np.ndarray:
     return tail[1 : n_max + 2]
 
 
-def _synthesis_matrix_t(k_max: int, grid_size: int) -> np.ndarray:
-    """Transposed synthesis matrix: entry ``[i, j] = exp(+2j pi (i - k_max) x_j)``
-    on the uniform grid ``x_j = j / grid_size``, built in place one frequency row
-    at a time: the bits of ``np.exp(2j * np.pi * np.outer(k, x))``, without its
-    full-size temporaries."""
-    x = np.arange(grid_size) / grid_size
-    mat = np.empty((2 * k_max + 1, grid_size), dtype=np.complex128)
-    for row, k in zip(mat, range(-k_max, k_max + 1)):
-        np.exp(2j * np.pi * (k * x), out=row)
-    return mat
-
-
 def _synthesize_rows(coeff_rows: np.ndarray, k_max: int, grid_size: int) -> np.ndarray:
     """Real samples of each row's Hermitian part on the grid ``x_j = j / grid_size``.
 
@@ -458,18 +449,17 @@ def _synthesize_rows(coeff_rows: np.ndarray, k_max: int, grid_size: int) -> np.n
     coefficient vector produces bit-identical samples no matter which public
     entry point asked for them.  Row ``c`` is replaced by its Hermitian part
     ``0.5 * (c_k + conj(c_{-k}))``, which leaves an exactly Hermitian row as
-    it is and drops the anti-Hermitian half of any other.  The synthesis
-    matrix is built once per call, in place, so a call peaks at that matrix
-    plus a few ``(rows, grid_size)`` arrays.  Each row is multiplied by it on
-    its own, a ``(1, 2k_max+1)`` product, so a row's samples are bit-identical
-    regardless of how many rows share the call (one ``(n, 2k_max+1)`` product
-    may round differently).
+    it is and drops the anti-Hermitian half of any other.  Frequency ``k``
+    goes to bin ``k mod grid_size`` of a zero-padded spectrum (``0..k_max``
+    first, ``-k_max..-1`` last), and one inverse FFT with ``norm="forward"``
+    evaluates ``sum_k c_k exp(+2j pi k x_j)``; it transforms each row on its
+    own, so a row's samples are bit-identical however many rows share the call.
 
-    The synthesis is an exact trigonometric-polynomial evaluation, not an FFT
-    on a padded grid, so any ``grid_size >= 2 k_max + 1`` is allowed.  The
-    imaginary residue left by rounding is checked to stay within ``1e-10``
-    times the row's ``sum_k |c_k|`` and then discarded: the result is a
-    C-contiguous float array of shape ``(rows, grid_size)``.
+    Any ``grid_size >= 2 k_max + 1`` is allowed, primes included: the band
+    then fits the spectrum without overlap.  The imaginary residue left by
+    rounding is checked to stay within ``1e-10`` times the row's
+    ``sum_k |c_k|`` and then discarded: the result is a C-contiguous float
+    array of shape ``(rows, grid_size)``.
     """
     grid_size = _check_integer("grid_size", grid_size, 1)
     if grid_size < 2 * k_max + 1:
@@ -479,19 +469,17 @@ def _synthesize_rows(coeff_rows: np.ndarray, k_max: int, grid_size: int) -> np.n
         )
     sym = 0.5 * (coeff_rows + np.conj(coeff_rows[:, ::-1]))
     bound = 1e-10 * np.sum(np.abs(sym), axis=1)
-    mat = _synthesis_matrix_t(k_max, grid_size)
-    out = np.empty((sym.shape[0], grid_size))
-    residue = np.empty(sym.shape[0])
-    for j in range(sym.shape[0]):
-        values = (sym[j : j + 1] @ mat)[0]
-        out[j] = values.real
-        residue[j] = np.max(np.abs(values.imag))
+    spec = np.zeros((sym.shape[0], grid_size), dtype=np.complex128)
+    spec[:, : k_max + 1] = sym[:, k_max:]
+    spec[:, grid_size - k_max :] = sym[:, :k_max]
+    values = np.fft.ifft(spec, axis=-1, norm="forward", out=spec)
+    residue = np.max(np.abs(values.imag), axis=1)
     over = np.flatnonzero(residue > bound)
     if over.size:
         raise InvariantViolationError(
             f"imaginary residue {residue[over[0]]:.3e} of row {over[0]} exceeds "
             f"1e-10 * sum |c_k|")
-    return out
+    return np.ascontiguousarray(values.real)
 
 
 def synthesize(template: Template, grid_size: int) -> np.ndarray:
@@ -511,11 +499,11 @@ def analyze(samples: np.ndarray, k_max: int) -> Template:
     """Recover Fourier coefficients of a real function from uniform samples.
 
     Computes ``coeff_k = mean(samples * exp(-2j pi k x_j))`` over the grid
-    ``x_j = j / grid_size`` for ``k = 0..k_max``, the kernel being the
-    conjugated ``k >= 0`` rows of the synthesis matrix, and fills negative
-    frequencies by conjugate mirroring, so the result is exactly Hermitian.
-    Exact (up to rounding) for trigonometric polynomials of degree ``<= k_max``
-    sampled on a grid with ``grid_size >= 2 k_max + 1``.
+    ``x_j = j / grid_size`` for ``k = 0..k_max``, bins ``0..k_max`` of one FFT
+    with ``norm="forward"``, and fills negative frequencies by conjugate
+    mirroring, so the result is exactly Hermitian.  Exact (up to rounding)
+    for trigonometric polynomials of degree ``<= k_max`` sampled on a grid
+    with ``grid_size >= 2 k_max + 1``, primes included.
 
     Raises
     ------
@@ -532,6 +520,5 @@ def analyze(samples: np.ndarray, k_max: int) -> Template:
             f"k_max={k_max} exceeds the Nyquist limit {(grid_size - 1) // 2} "
             f"of a {grid_size}-point grid"
         )
-    kernel = np.conj(_synthesis_matrix_t(k_max, grid_size)[k_max:])
-    return Template(coeffs=_hermitian(kernel @ samples / grid_size), k_max=k_max,
-                    label="analyzed")
+    half = np.fft.fft(samples, norm="forward")[: k_max + 1]
+    return Template(coeffs=_hermitian(half), k_max=k_max, label="analyzed")

@@ -26,8 +26,8 @@ only in the per-curve draw, so ``sample_curves.csv`` renders
 :func:`shiftdecon.simulate.simulate` at the study's seed: replicate 0's
 shifts, hence its ``gamma_tilde``, but independent noise.  ``meta.csv`` says
 so in its ``sample_curves_draw`` row.  The template and the sample curves
-are synthesized in one call, the template's row first; each row is its own
-product, so the template's samples are those of
+are synthesized in one call, the template's row first; the inverse FFT
+transforms each row on its own, so the template's samples are those of
 :func:`shiftdecon.spectral.synthesize`.
 
 Nothing is written before every array of the bundle exists: the replicates,
@@ -92,7 +92,7 @@ def run_replication_study(cfg: ExperimentConfig, out_dir, *, grid_size: int = 25
     :class:`~shiftdecon.errors.AliasingError`.  Every input is checked,
     and every array computed, before ``out_dir`` is created; a failed
     write removes every file and directory the call made, the failed file
-    included, and keeps every path that was there before.
+    included, and keeps every path that was there before, bytes and all.
     """
     template = build_template(cfg)
     density = build_density(cfg)

@@ -21,8 +21,7 @@ from shiftdecon.catalog import wave_template
 from shiftdecon.risk import risk_report
 from shiftdecon.selection import CRITERION_ESTIMATORS, estimate, select_cutoff
 from shiftdecon.simulate import render_curves, render_grid, simulate
-from shiftdecon.spectral import (_synthesis_matrix_t, _synthesize_rows, laplace_density,
-                                 synthesize)
+from shiftdecon.spectral import _synthesize_rows, laplace_density, synthesize
 
 
 # ---------------------------------------------------------------------------
@@ -280,10 +279,11 @@ def test_cli_simulate_curves_bytes(tmp_path):
     cfg = ExperimentConfig(k_max=64, n=20, seed=3)
     obs = simulate(build_template(cfg), build_density(cfg), cfg.n, cfg.epsilon, cfg.seed)
     sym = 0.5 * (obs.per_curve + np.conj(obs.per_curve[:, ::-1]))
-    mat = _synthesis_matrix_t(64, 256)
     lines = [",".join(repr(float(x)) for x in np.arange(256) / 256)]
     for j in range(cfg.n):
-        row = (sym[j : j + 1] @ mat)[0].real
+        spec = np.zeros(256, dtype=complex)
+        spec[np.arange(-64, 65) % 256] = sym[j]  # frequency k in FFT bin k mod 256
+        row = np.fft.ifft(spec, norm="forward").real
         lines.append(",".join(repr(float(v)) for v in row))
     assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
 
@@ -510,16 +510,30 @@ NOT_NUMBERS = [
 ]
 
 
+# A refusal over an output file that was there before: the file keeps its
+# bytes.  --grid-out's write fails after --out's, which goes under a
+# temporary name, never onto the file.
+OVER_EXISTING = [
+    ("estimate", ("--grid-out", "missing/fit.csv"), "OSError", "missing/fit.csv"),
+]
+
+
 @pytest.mark.parametrize(
-    "command,flags,error,fragment", REFUSALS + NOT_NUMBERS,
+    "command,flags,error,fragment,existing",
+    [(*row, False) for row in REFUSALS + NOT_NUMBERS] + [(*row, True) for row in OVER_EXISTING],
     ids=[command + flags[0] for command, flags, *_ in REFUSALS]
-    + [f"{command}{flags[0]}={flags[1]}" for command, flags, *_ in NOT_NUMBERS])
-def test_cli_refuses_before_writing(command, flags, error, fragment, tmp_path, capsys,
-                                    monkeypatch):
-    # exit 2, no stdout, one JSON line, and no output path, every other one given
+    + [f"{command}{flags[0]}={flags[1]}" for command, flags, *_ in NOT_NUMBERS]
+    + [f"{command}{flags[0]}-over-existing" for command, flags, *_ in OVER_EXISTING])
+def test_cli_refuses_before_writing(command, flags, error, fragment, existing, tmp_path,
+                                    capsys, monkeypatch):
+    # exit 2, no stdout, one JSON line, and no output path, every other one
+    # given, made or changed
     monkeypatch.chdir(tmp_path)
     outs = [arg for flag in OUTPUT_FLAGS[command] if flag not in flags
             for arg in (flag, f"./{flag.strip('-')}")]
+    for out in outs[1::2] if existing else []:
+        (tmp_path / out).write_text("old\n")
+    before = sorted(tmp_path.iterdir())
     assert run_cli(command, *flags, *outs) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -527,7 +541,8 @@ def test_cli_refuses_before_writing(command, flags, error, fragment, tmp_path, c
     assert len(lines) == 1
     payload = json.loads(lines[0])
     assert payload["error"] == error and fragment in payload["message"]
-    assert list(tmp_path.iterdir()) == []
+    assert sorted(tmp_path.iterdir()) == before
+    assert all(path.read_text() == "old\n" for path in before)
 
 
 # Each subcommand's stdout on success, every output flag given as ./name: the
@@ -575,14 +590,16 @@ def test_cli_success_stdout(command, tmp_path, capsys, monkeypatch):
 
 
 def test_cli_estimate_leaves_no_file_when_its_second_write_fails(tmp_path, capsys):
-    # --grid-out in a missing directory: exit 2, one OSError, no "wrote"
-    # line, and the --out file written before it is removed
+    # --grid-out in a missing directory: exit 2, one OSError naming that path,
+    # not its temporary file, no "wrote" line, and the --out file, written
+    # before it under a temporary name, goes
     out, grid_out = tmp_path / "coeffs.csv", tmp_path / "missing" / "fit.csv"
     assert run_cli("estimate", "--out", str(out), "--grid-out", str(grid_out)) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     payload = json.loads(captured.err)
-    assert payload["error"] == "OSError" and str(grid_out) in payload["message"]
+    assert payload == {"error": "OSError",
+                       "message": f"[Errno 2] No such file or directory: '{grid_out}'"}
     assert list(tmp_path.iterdir()) == []
 
 

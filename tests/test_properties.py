@@ -24,8 +24,8 @@ from shiftdecon.selection import (CRITERION_ESTIMATORS, CRITERION_KINDS, PENALTY
                                   _band_energy, criterion_increments, criterion_trace,
                                   fraction_negative_theta_hat, theta_hat_squared)
 from shiftdecon.simulate import SequenceObservations, SequenceSummary, simulate, simulate_summary
-from shiftdecon.spectral import (EIGENVALUE_FLOOR, ShiftDensity, Template, gaussian_density,
-                                 laplace_density, point_mass_density,
+from shiftdecon.spectral import (EIGENVALUE_FLOOR, ShiftDensity, Template, _laplace_shifts,
+                                 gaussian_density, laplace_density, point_mass_density,
                                  uniform_density)
 
 LAPLACE = laplace_density(0.1)
@@ -182,6 +182,21 @@ def test_simulated_spectra_are_hermitian(seed, density, k_max, n, epsilon):
     for spectrum in (simulate(template, density, n, 0.0, seed).per_curve,
                      simulate_summary(template, density, n, epsilon, seed).c_tilde):
         assert np.array_equal(np.conj(spectrum[..., ::-1]), spectrum)
+
+
+# The Laplace sampler folds 2u onto [0, 1) by a subtraction, exact on [1, 2);
+# the np.modf fold it replaced is the reference, sign of zero included.
+@settings(max_examples=300)
+@given(u=st.floats(0.0, 1.0, exclude_max=True), scale=st.sampled_from([1.0, 0.0707, 3e5]))
+@example(u=0.0, scale=1.0)
+@example(u=0.5, scale=1.0)
+@example(u=float(np.nextafter(0.5, 0.0)), scale=1.0)
+@example(u=float(np.nextafter(1.0, 0.0)), scale=1.0)
+def test_the_laplace_fold_has_the_bits_of_modf(u, scale):
+    uniforms = np.array([[u]])
+    frac, upper = np.modf(2.0 * uniforms[..., 0])
+    reference = np.where(upper, scale, -scale) * np.log1p(-frac)
+    assert _laplace_shifts(scale, uniforms).tobytes() == reference.tobytes()
 
 
 # One valid call per function in shiftdecon.__all__: its keyword arguments and

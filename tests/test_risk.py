@@ -24,7 +24,6 @@ from shiftdecon.risk import (McRisk, RiskReport, _fork_map, _mean_and_stderr,
                              theoretical_rate_exponent)
 from shiftdecon.selection import (compute_m0, criterion_trace, fraction_negative_theta_hat,
                                   select_cutoff)
-from shiftdecon import spectral
 from shiftdecon.csvio import write_curves_csv
 from shiftdecon.simulate import (SequenceSummary, _draw_summaries, render_curves, render_grid,
                                  simulate, simulate_summary)
@@ -549,18 +548,11 @@ def test_a_refused_study_leaves_no_directory(monkeypatch, tmp_path):
 
 
 def test_study_curves_are_one_synthesis_of_the_template_and_simulate_at_the_seed(
-        tmp_path, monkeypatch):
-    # one synthesis matrix per study; the template's row has synthesize's
-    # bytes, and the sample curves render simulate at the study's seed,
-    # whose shifts are replicate 0's
-    matrices = []
-    build = spectral._synthesis_matrix_t
-    monkeypatch.setattr(spectral, "_synthesis_matrix_t",
-                        lambda *args: matrices.append(args) or build(*args))
+        tmp_path):
+    # the template's row has synthesize's bytes, and the sample curves render
+    # simulate at the study's seed, whose shifts are replicate 0's
     cfg = ExperimentConfig(replications=2)
     run_replication_study(cfg, tmp_path / "bundle", grid_size=128)
-    assert matrices == [(40, 128)]
-    monkeypatch.undo()
     template, density = build_template(cfg), build_density(cfg)
     obs = simulate(template, density, cfg.n, cfg.epsilon, cfg.seed)
     grid = render_grid(128)

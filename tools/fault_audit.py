@@ -246,9 +246,16 @@ FAULTS = [
     Fault("--n-grid skips empty items", "cli.py",
           'for part in args.n_grid.split(",")]',
           'for part in args.n_grid.split(",") if part.strip()]'),
-    # the synthesis matrix built in place; curve rows written straight to repr
-    Fault("the synthesis matrix without its last frequency row", "spectral.py",
-          "zip(mat, range(-k_max, k_max + 1))", "zip(mat, range(-k_max, k_max))"),
+    # curves rendered by one FFT along the rows; curve rows written straight to repr
+    Fault("the negative frequencies one FFT bin off", "spectral.py",
+          "spec[:, grid_size - k_max :] = sym[:, :k_max]",
+          "spec[:, grid_size - k_max - 1 : -1] = sym[:, :k_max]"),
+    Fault("the inverse FFT without norm=\"forward\"", "spectral.py",
+          'np.fft.ifft(spec, axis=-1, norm="forward", out=spec)',
+          "np.fft.ifft(spec, axis=-1, out=spec)"),
+    Fault("analyze reads the FFT from bin 1", "spectral.py",
+          'np.fft.fft(samples, norm="forward")[: k_max + 1]',
+          'np.fft.fft(samples, norm="forward")[1 : k_max + 2]'),
     Fault("curve rows written with 15 significant digits", "csvio.py",
           'map(repr, row.tolist())', '(format(v, ".15g") for v in row.tolist())'),
     Fault("curves of any dimension or dtype written", "csvio.py",
@@ -276,10 +283,8 @@ FAULTS = [
           '        print(*(message for _, _, message in files), *lines, sep="\\n")\n'
           "        _write_together([(path, write) for path, write, _ in files])\n"),
     Fault("the file whose own write failed is kept", "csvio.py",
-          "            if not path.exists():\n                made.append(path)\n"
-          "            write(path)\n",
-          "            existed = path.exists()\n            write(path)\n"
-          "            if not existed:\n                made.append(path)\n"),
+          "            made.append(temp)\n            try:\n                write(temp)\n",
+          "            try:\n                write(temp)\n                made.append(temp)\n"),
     Fault("a created parent directory is kept", "csvio.py",
           "            for folder in reversed([directory, *directory.parents]):\n"
           "                if not folder.is_dir():\n"
@@ -288,9 +293,8 @@ FAULTS = [
           "            if not directory.is_dir():\n"
           "                directory.mkdir(parents=True)\n"
           "                made.append(directory)\n"),
-    Fault("a path that existed before the call is removed", "csvio.py",
-          "            if not path.exists():\n                made.append(path)\n",
-          "            made.append(path)\n"),
+    Fault("a directory given as a file's path refused only at its move", "csvio.py",
+          "            if path.is_dir():\n", "            if False:\n"),
     # one Monte Carlo record per rule, with the cap it ran under; own flags and
     # single-dataset inputs refused plainly
     Fault("McRisk.m0 set from the formula cap, not the cap used", "risk.py",
@@ -301,6 +305,13 @@ FAULTS = [
     Fault("--n-max parsed by argparse's int again", "cli.py",
           'p.add_argument("--n-max", default=None,',
           'p.add_argument("--n-max", type=int, default=None,'),
+    # a failed command keeps every file that was there before
+    Fault("each file moved onto its path before the next is written", "csvio.py",
+          "            moves.append((temp, path))\n        for temp, path in moves:\n"
+          "            os.replace(temp, path)\n",
+          "            os.replace(temp, path)\n"),
+    Fault("a failed write names its temporary file", "csvio.py",
+          "                if exc.filename == str(temp):\n", "                if False:\n"),
 ]
 
 # A test id, parameters in brackets spaces and all, up to " - " or the line's end.
